@@ -1,0 +1,20 @@
+//! Records the compiler and the flags this build really used, so every
+//! results file can state them.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={version}");
+    let flags = std::env::var("CARGO_ENCODED_RUSTFLAGS")
+        .unwrap_or_default()
+        .replace('\x1f', " ");
+    println!("cargo:rustc-env=BENCH_RUSTFLAGS={flags}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
