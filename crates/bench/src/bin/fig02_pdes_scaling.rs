@@ -8,7 +8,7 @@
 //! every lookahead window.
 
 use dcn_sim::config::SimConfig;
-use dcn_sim::pdes::run_partitioned;
+use dcn_sim::pdes::{run_partitioned, PdesRunOpts};
 use dcn_sim::simulator::Simulation;
 use dcn_transport::Protocol;
 use mimic_ml::train::TrainConfig;
@@ -85,8 +85,15 @@ fn main() {
         let seq = compose_batched(cfg, clusters, Protocol::NewReno, &trained).run();
         cells.push(cfg.duration_s / t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
-        let par = run_composed_partitioned(cfg, clusters, Protocol::NewReno, &trained, 4)
-            .expect("valid composition");
+        let par = run_composed_partitioned(
+            cfg,
+            clusters,
+            Protocol::NewReno,
+            &trained,
+            4,
+            &PdesRunOpts::default(),
+        )
+        .expect("valid composition");
         cells.push(cfg.duration_s / t0.elapsed().as_secs_f64());
         assert_eq!(
             seq.flows_completed(),

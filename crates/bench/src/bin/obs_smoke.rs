@@ -16,7 +16,8 @@
 //! `obs_trace.json` / `obs_snapshot.json` in the working directory and
 //! can be overridden with `TRACE_OUT` / `SNAP_OUT`.
 
-use mimicnet::compose::run_composed_partitioned_obs;
+use dcn_sim::pdes::PdesRunOpts;
+use mimicnet::compose::run_composed_partitioned;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
 
 fn check(cond: bool, what: &str) {
@@ -46,7 +47,8 @@ fn main() {
     // Traced composed PDES run; its merged engine report is stitched into
     // the pipeline recorder alongside the training telemetry.
     pipe.obs.begin("pipeline.estimate", "pipeline", None);
-    let mut metrics = run_composed_partitioned_obs(base, 4, protocol, &trained, 2, true)
+    let traced = PdesRunOpts { obs: true, ..PdesRunOpts::default() };
+    let mut metrics = run_composed_partitioned(base, 4, protocol, &trained, 2, &traced)
         .expect("valid composition");
     pipe.obs.end(None);
     let engine_report = metrics.obs.take().expect("traced run carries a report");

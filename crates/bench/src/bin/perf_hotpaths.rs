@@ -41,9 +41,9 @@ const HIDDEN: usize = 32;
 struct BenchConfig {
     scale: String,
     /// CPU cores visible to the benchmark. Wall-clock speedups from the
-    /// worker fan-out and the overlap thread are only meaningful when this
-    /// is at least the worker budget; on a single-core runner they
-    /// degenerate to ~1x while the bit-identity checks still bind.
+    /// worker fan-out are only meaningful when this is at least the worker
+    /// budget; on a single-core runner they degenerate to ~1x while the
+    /// bit-identity checks still bind.
     #[serde(default)]
     cores: usize,
     features: usize,
@@ -212,24 +212,6 @@ struct TrainingParallelNumbers {
     workers: usize,
 }
 
-#[derive(Serialize, Deserialize, Default)]
-struct OverlapNumbers {
-    /// Composed sequential run, synchronous batched flushes: min-of-N wall
-    /// seconds (the event thread runs every `infer_batch` itself).
-    sync_s: f64,
-    /// Same run with flushes overlapped onto the helper thread.
-    overlap_s: f64,
-    /// sync / overlap.
-    speedup: f64,
-    /// Boundary packets the fleet served (identical in both modes).
-    boundary_packets: u64,
-    /// Event-thread wall per boundary packet, synchronous flushes.
-    sync_ns_per_boundary_pkt: f64,
-    /// Event-thread wall per boundary packet with inference off-thread.
-    overlap_ns_per_boundary_pkt: f64,
-    repeats: usize,
-}
-
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
     config: BenchConfig,
@@ -256,10 +238,6 @@ struct BenchReport {
     /// readable; a zeroed section disables its gate.
     #[serde(default)]
     training_parallel: TrainingParallelNumbers,
-    /// Off-thread (overlapped) batched boundary inference vs the
-    /// synchronous flush path. Serde default as above.
-    #[serde(default)]
-    overlap: OverlapNumbers,
     /// Adaptive fidelity-tier composition (all-Mimic vs all-Flow vs
     /// budget-driven adaptive) at the large composed shape. Serde default
     /// as above.
@@ -703,19 +681,11 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     // stride; digests light-enable obs counters without per-event wall
     // timing). Interleaved min-of-N like the series above.
     use dcn_sim::pdes::{FlightPlan, PdesRunOpts};
-    use mimicnet::compose::run_composed_partitioned_opts;
+    use mimicnet::compose::run_composed_partitioned;
     let run_pdes = |opts: &PdesRunOpts| -> f64 {
         let t0 = Instant::now();
-        let m = run_composed_partitioned_opts(
-            base,
-            CLUSTERS,
-            Protocol::NewReno,
-            &bundle,
-            1,
-            false,
-            opts,
-        )
-        .expect("valid composition");
+        let m = run_composed_partitioned(base, CLUSTERS, Protocol::NewReno, &bundle, 1, opts)
+            .expect("valid composition");
         let s = t0.elapsed().as_secs_f64();
         std::hint::black_box(m.events_processed);
         s
@@ -871,94 +841,6 @@ fn bench_training_parallel(scale: Scale) -> TrainingParallelNumbers {
     }
 }
 
-/// Overlapped (off-thread) batched flushing vs the synchronous flush path
-/// on a real composed run at the fig02 shape (8 clusters, 7 Mimic'ed,
-/// composition-width models). Both modes produce bit-identical
-/// trajectories — the concurrency suite asserts it — so the only thing
-/// measured here is event-thread wall clock.
-fn bench_overlap(duration_s: f64, repeats: usize) -> OverlapNumbers {
-    use dcn_transport::Protocol;
-    use mimic_ml::discretize::Discretizer;
-    use mimicnet::compose::{compose_batched, try_compose_batched_overlapped};
-    use mimicnet::features::FeatureConfig;
-    use mimicnet::feeder::{DirFit, FeederFit};
-    use mimicnet::internal_model::InternalModel;
-    use mimicnet::mimic::TrainedMimic;
-
-    const COMPOSED_HIDDEN: usize = 384;
-    const CLUSTERS: u32 = 8;
-
-    let mut base = dcn_sim::config::SimConfig::small_scale();
-    base.duration_s = duration_s;
-    base.seed = 42;
-    // Route every real flow across the cluster boundary so the flush path
-    // (the thing being overlapped) dominates the run, and keep the
-    // synthetic feeders sparse — `on_wake` state updates happen on the
-    // event thread in both modes and would otherwise swamp the signal.
-    base.traffic.inter_cluster_fraction = 1.0;
-    let mut topo = base.topo;
-    topo.clusters = CLUSTERS;
-    let fc = FeatureConfig::from_topology(&topo);
-    let disc = Discretizer::new(2e-5, 1e-3, 100);
-    let mk = |seed| InternalModel {
-        model: SeqModel::new_stacked(fc.width(), COMPOSED_HIDDEN, 1, seed),
-        disc,
-    };
-    let fit = DirFit::fit(&[2e-3, 4e-3, 8e-3, 1.6e-2], &[320.0, 1460.0, 1460.0]);
-    let bundle = TrainedMimic {
-        ingress: mk(7),
-        egress: mk(8),
-        feature_cfg: fc,
-        feeder: FeederFit {
-            ingress: fit.clone(),
-            egress: fit,
-        },
-        envelope: None,
-    };
-
-    // One traced run to count the boundary packets the fleet serves (the
-    // count is mode- and trace-independent).
-    let mut sim = compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle);
-    sim.enable_obs();
-    let m = sim.run();
-    let boundary_packets = m
-        .obs
-        .as_ref()
-        .map(|r| r.counter("mimic.fleet.packets_seen"))
-        .unwrap_or(0);
-
-    let run_once = |overlap: bool| -> f64 {
-        let mut sim = if overlap {
-            try_compose_batched_overlapped(base, CLUSTERS, Protocol::NewReno, &bundle)
-                .expect("valid composition")
-        } else {
-            compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle)
-        };
-        let t0 = Instant::now();
-        let m = sim.run();
-        std::hint::black_box(m.events_processed);
-        t0.elapsed().as_secs_f64()
-    };
-
-    run_once(false); // warm caches and the page allocator
-    let (mut sync_s, mut overlap_s) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..repeats {
-        sync_s = sync_s.min(run_once(false));
-        overlap_s = overlap_s.min(run_once(true));
-    }
-
-    let per_pkt = |s: f64| s * 1e9 / (boundary_packets.max(1) as f64);
-    OverlapNumbers {
-        sync_s,
-        overlap_s,
-        speedup: sync_s / overlap_s.max(1e-9),
-        boundary_packets,
-        sync_ns_per_boundary_pkt: per_pkt(sync_s),
-        overlap_ns_per_boundary_pkt: per_pkt(overlap_s),
-        repeats,
-    }
-}
-
 /// Adaptive fidelity-tier composition at the large composed shape
 /// (64 clusters, 63 managed): the same scenario run all-Mimic (the
 /// partitioned baseline every prior bench records), pinned all-Flow
@@ -970,7 +852,7 @@ fn bench_overlap(duration_s: f64, repeats: usize) -> OverlapNumbers {
 /// speed is priced in fidelity.
 fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
     use dcn_sim::mimic::FidelityTier;
-    use dcn_sim::pdes::TierPlan;
+    use dcn_sim::pdes::{PdesRunOpts, TierPlan};
     use dcn_sim::topology::FatTree;
     use mimicnet::compose::{run_composed_adaptive, run_composed_partitioned, OBSERVABLE};
     use mimicnet::degrade::AccuracyBudget;
@@ -1003,14 +885,16 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
     let adaptive_budget = AccuracyBudget::default();
 
     let t0 = Instant::now();
-    let m_mimic = run_composed_partitioned(mbase, CLUSTERS, protocol, &trained, 1)
+    let plain = PdesRunOpts::default();
+    let m_mimic = run_composed_partitioned(mbase, CLUSTERS, protocol, &trained, 1, &plain)
         .expect("all-Mimic run");
     let mimic_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
-    let m_flow =
-        run_composed_adaptive(mbase, CLUSTERS, protocol, &trained, 1, &all_flow, &plan, None)
-            .expect("all-Flow run");
+    let m_flow = run_composed_adaptive(
+        mbase, CLUSTERS, protocol, &trained, 1, &all_flow, &plan, None, &plain,
+    )
+    .expect("all-Flow run");
     let flow_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
@@ -1023,6 +907,7 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
         &adaptive_budget,
         &plan,
         None,
+        &plain,
     )
     .expect("adaptive run");
     let adaptive_s = t0.elapsed().as_secs_f64();
@@ -1139,22 +1024,6 @@ fn check_baseline(report: &BenchReport) -> Result<(), String> {
             base.training_parallel.fanout_4w_training_s
         );
     }
-    // Overlapped-flush gate: event-thread wall per boundary packet with the
-    // helper thread on, same +25% rule (skipped for older baselines).
-    if base.overlap.overlap_ns_per_boundary_pkt > 0.0 {
-        let current = report.overlap.overlap_ns_per_boundary_pkt;
-        let allowed = base.overlap.overlap_ns_per_boundary_pkt * 1.25;
-        if current > allowed {
-            return Err(format!(
-                "overlapped compose regression: {current:.0} ns/boundary pkt vs baseline {:.0} (limit {allowed:.0}, +25%)",
-                base.overlap.overlap_ns_per_boundary_pkt
-            ));
-        }
-        println!(
-            "overlap baseline check: {current:.0} ns/boundary pkt vs {:.0} baseline (limit {allowed:.0}) — OK",
-            base.overlap.overlap_ns_per_boundary_pkt
-        );
-    }
     // Observability gate: the disabled-path A/A bound must stay under 1%
     // (skipped when the section was not measured).
     if report.obs.off_s > 0.0 {
@@ -1219,10 +1088,9 @@ fn ci_warning(msg: &str) {
 }
 
 /// Speedup gates that cannot bind on this runner, with the reason. The
-/// wall-clock speedups of the training fan-out and the overlapped flush
-/// path (both gated at ≥1.5×) are only meaningful with cores to fan out
-/// to: on a single-core runner they degenerate to ~1× while the
-/// bit-identity checks still bind. The skip reasons are recorded in the
+/// wall-clock speedup of the training fan-out (gated at ≥1.5×) is only
+/// meaningful with cores to fan out to: on a single-core runner it
+/// degenerates to ~1× while the bit-identity check still binds. The skip reasons are recorded in the
 /// report itself (`gate_skips`) so the JSON artifact states which numbers
 /// a green run did not check.
 fn collect_gate_skips(cores: usize) -> Vec<String> {
@@ -1232,11 +1100,6 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
             "training fan-out >=1.5x gate skipped: {cores} core(s) visible, \
              wall-clock speedup is core-bound (bit-identity check still binds)"
         ));
-        skips.push(format!(
-            "overlapped flush >=1.5x gate skipped: {cores} core(s) visible, \
-             wall-clock speedup is core-bound (trajectory bit-identity is \
-             asserted by the concurrency suite)"
-        ));
     }
     skips
 }
@@ -1244,7 +1107,7 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
 /// Absolute speedup gates, applied on every run (no baseline needed).
 ///
 /// The event-engine gate is single-threaded and binds everywhere. The
-/// two ≥1.5× multi-core gates are suppressed by whatever
+/// ≥1.5× multi-core gate is suppressed by whatever
 /// [`collect_gate_skips`] put in the report — each suppression is printed
 /// here and already serialized in the JSON artifact.
 fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
@@ -1272,14 +1135,7 @@ fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
             report.config.cores
         ));
     }
-    let ov = report.overlap.speedup;
-    if ov < 1.5 {
-        return Err(format!(
-            "overlapped flush speedup {ov:.2}x below the 1.5x gate on {} cores",
-            report.config.cores
-        ));
-    }
-    println!("multi-core gates: training fan-out {tp:.2}x, overlap {ov:.2}x (>= 1.5x) — OK");
+    println!("multi-core gate: training fan-out {tp:.2}x (>= 1.5x) — OK");
     Ok(())
 }
 
@@ -1364,22 +1220,6 @@ fn main() {
         training_parallel.bit_identical
     );
 
-    println!("\n-- overlapped boundary inference (fig02 shape, min-of-N) --");
-    let (ov_dur, ov_reps) = match scale {
-        Scale::Quick => (0.5, 3),
-        Scale::Full => (1.0, 5),
-    };
-    let overlap = bench_overlap(ov_dur, ov_reps);
-    println!(
-        "sync flushes:    {:>8.4} s  ({:.0} ns/boundary pkt)\noverlap flushes: {:>8.4} s  ({:.0} ns/boundary pkt, {:.2}x, {} pkts)",
-        overlap.sync_s,
-        overlap.sync_ns_per_boundary_pkt,
-        overlap.overlap_s,
-        overlap.overlap_ns_per_boundary_pkt,
-        overlap.speedup,
-        overlap.boundary_packets
-    );
-
     println!("\n-- adaptive fidelity tiers (64 clusters, default budget) --");
     let adaptive = bench_adaptive(scale);
     println!(
@@ -1423,7 +1263,6 @@ fn main() {
         obs,
         training,
         training_parallel,
-        overlap,
         adaptive,
         pipeline,
         gate_skips: collect_gate_skips(cores),

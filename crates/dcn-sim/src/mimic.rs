@@ -189,12 +189,7 @@ pub struct BoundaryItem {
 /// * Predicted latencies must be at least [`BatchClusterModel::latency_floor`],
 ///   the engine's license to delay inference: a flush scheduled before
 ///   `oldest_enqueue + floor` can only produce strictly-future events.
-///
-/// Implementations must be `Send`: when overlapped flushing is enabled
-/// (see `Simulation::set_batch_overlap`) the engine ships the boxed model
-/// to a helper thread and back between flushes. The model is only ever
-/// *used* by one thread at a time, so no `Sync` is required.
-pub trait BatchClusterModel: Send {
+pub trait BatchClusterModel {
     /// The cluster indices this model serves.
     fn clusters(&self) -> &[u32];
 

@@ -139,8 +139,6 @@ pub struct FlightPlan {
 }
 
 /// Everything optional about a partitioned run, in one place.
-/// [`run_partitioned_resumable`] is the positional-argument subset kept
-/// for existing callers; new knobs only land here.
 #[derive(Clone, Debug, Default)]
 pub struct PdesRunOpts {
     /// Enable the engine observability layer on every LP (window spans,
@@ -263,7 +261,15 @@ pub fn run_partitioned(
 ) -> Metrics {
     // Lookahead: every cross-partition hop takes at least one propagation
     // latency.
-    run_partitioned_setup(cfg, partitions, cfg.link.latency, make_factory, &|_| {})
+    run_partitioned_opts(
+        cfg,
+        partitions,
+        cfg.link.latency,
+        make_factory,
+        &|_| {},
+        &PdesRunOpts::default(),
+    )
+    .expect("no checkpoint I/O requested, so no snapshot error can occur")
 }
 
 /// Number of tier epochs a run of `duration_s` at `window` granularity
@@ -279,64 +285,33 @@ pub fn tier_epoch_count(duration_s: f64, window: SimDuration, plan: &TierPlan) -
     (end.as_nanos().saturating_sub(1)) / stride
 }
 
-/// [`run_partitioned`] with an explicit lookahead `window` and a per-LP
-/// `setup` hook, run on each freshly built engine before its partition is
+/// [`run_partitioned`] with an explicit lookahead `window`, a per-LP
+/// `setup` hook, and a [`PdesRunOpts`].
+///
+/// `setup` runs on each freshly built engine before its partition is
 /// assigned. This is how composed simulations enter PDES mode: the hook
 /// installs the cluster models (every LP installs the full set; ownership
 /// decides which ones actually see traffic), and the window shrinks to
 /// `min(link latency, model latency floor)` because a batched Mimic's
 /// re-injections can land on foreign core switches as little as one
 /// latency floor after their window began.
-pub fn run_partitioned_setup(
-    cfg: SimConfig,
-    partitions: usize,
-    window: SimDuration,
-    make_factory: &(dyn Fn() -> Box<dyn TransportFactory> + Sync),
-    setup: &(dyn Fn(&mut Simulation) + Sync),
-) -> Metrics {
-    run_partitioned_resumable(cfg, partitions, window, make_factory, setup, None, None, None)
-        .expect("no checkpoint I/O requested, so no snapshot error can occur")
-}
-
-/// [`run_partitioned_setup`] with crash resilience: optionally write a
-/// consistent cross-LP checkpoint every `checkpoint.every` of simulated
-/// time, and/or start from the cut recorded in `resume_from` instead of
-/// `t = 0`.
 ///
-/// Checkpoints are cut at window barriers, where every LP has imported all
-/// remote arrivals for past windows — the per-LP snapshots therefore
-/// jointly describe the exact global state the run would reach at that
-/// simulated time, and a resumed run's trajectory (and final metrics) are
+/// Crash resilience (`opts.checkpoint` / `opts.resume_from`): checkpoints
+/// are cut at window barriers, where every LP has imported all remote
+/// arrivals for past windows — the per-LP snapshots therefore jointly
+/// describe the exact global state the run would reach at that simulated
+/// time, and a resumed run's trajectory (and final metrics) are
 /// bit-identical to an uninterrupted one. Each generation directory is
 /// populated with atomically-written `part-<i>.snap` files first; the
 /// manifest rename is the commit point, so a crash at any instant (even
 /// SIGKILL mid-checkpoint) leaves the directory resumable from the last
 /// complete generation.
-#[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_resumable(
-    cfg: SimConfig,
-    partitions: usize,
-    window: SimDuration,
-    make_factory: &(dyn Fn() -> Box<dyn TransportFactory> + Sync),
-    setup: &(dyn Fn(&mut Simulation) + Sync),
-    checkpoint: Option<&CheckpointPlan>,
-    resume_from: Option<&Path>,
-    tiers: Option<&TierPlan>,
-) -> Result<Metrics, SnapshotError> {
-    let opts = PdesRunOpts {
-        checkpoint: checkpoint.cloned(),
-        resume_from: resume_from.map(Path::to_path_buf),
-        tiers: tiers.copied(),
-        ..PdesRunOpts::default()
-    };
-    run_partitioned_opts(cfg, partitions, window, make_factory, setup, &opts)
-}
-
-/// [`run_partitioned_resumable`] driven by a [`PdesRunOpts`]: adds state
-/// digests, the flight recorder with SLO-triggered post-mortems, early
-/// stop, generation-pinned resume, and the crash drill. The extra
-/// machinery costs nothing when the corresponding option is `None` — the
-/// hot loop sees one `Option` check per window per feature.
+///
+/// The remaining options add state digests, the flight recorder with
+/// SLO-triggered post-mortems, early stop, generation-pinned resume, and
+/// the crash drill. The extra machinery costs nothing when the
+/// corresponding option is `None` — the hot loop sees one `Option` check
+/// per window per feature.
 pub fn run_partitioned_opts(
     cfg: SimConfig,
     partitions: usize,
@@ -802,6 +777,23 @@ mod tests {
         Box::new(FixedWindowFactory::default())
     }
 
+    /// `cfg` at its link-latency window with no setup hook, under `opts`.
+    fn run_opts(
+        cfg: SimConfig,
+        partitions: usize,
+        opts: &PdesRunOpts,
+    ) -> Result<Metrics, SnapshotError> {
+        run_partitioned_opts(cfg, partitions, cfg.link.latency, &factory, &|_| {}, opts)
+    }
+
+    fn checkpointing(plan: &CheckpointPlan) -> PdesRunOpts {
+        PdesRunOpts { checkpoint: Some(plan.clone()), ..PdesRunOpts::default() }
+    }
+
+    fn resuming(dir: &Path) -> PdesRunOpts {
+        PdesRunOpts { resume_from: Some(dir.to_path_buf()), ..PdesRunOpts::default() }
+    }
+
     #[test]
     fn partition_map_covers_all_nodes() {
         let topo = FatTree::new(cfg().topo);
@@ -844,12 +836,9 @@ mod tests {
 
     #[test]
     fn obs_merges_across_partitions() {
-        let m_par = run_partitioned_setup(cfg(), 2, cfg().link.latency, &factory, &|sim| {
-            sim.enable_obs()
-        });
-        let m_seq = run_partitioned_setup(cfg(), 1, cfg().link.latency, &factory, &|sim| {
-            sim.enable_obs()
-        });
+        let traced = PdesRunOpts { obs: true, ..PdesRunOpts::default() };
+        let m_par = run_opts(cfg(), 2, &traced).expect("traced run");
+        let m_seq = run_opts(cfg(), 1, &traced).expect("traced run");
         // Obs on must not perturb the trajectory.
         assert_eq!(m_seq.total_delivered_bytes(), m_par.total_delivered_bytes());
         let rp = m_par.obs.as_ref().expect("obs report present");
@@ -883,17 +872,7 @@ mod tests {
             every: SimDuration::from_nanos(50_000_000),
             keep: 1,
         };
-        let m_ck = run_partitioned_resumable(
-            cfg(),
-            2,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            Some(&plan),
-            None,
-            None,
-        )
-        .expect("checkpointed run");
+        let m_ck = run_opts(cfg(), 2, &checkpointing(&plan)).expect("checkpointed run");
         // Writing checkpoints must not perturb the trajectory.
         assert_eq!(m_ck.canonical_bytes(), m_full.canonical_bytes());
         // The directory holds a committed manifest pointing at a complete
@@ -905,17 +884,7 @@ mod tests {
         assert!(gen_dir.join("part-1.snap").is_file());
         // Resuming from the last checkpoint replays the tail bit-identically:
         // final metrics equal the uninterrupted run's.
-        let m_res = run_partitioned_resumable(
-            cfg(),
-            2,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            None,
-            Some(&dir),
-            None,
-        )
-        .expect("resumed run");
+        let m_res = run_opts(cfg(), 2, &resuming(&dir)).expect("resumed run");
         assert_eq!(m_res.canonical_bytes(), m_full.canonical_bytes());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -928,60 +897,23 @@ mod tests {
             every: SimDuration::from_nanos(50_000_000),
             keep: 1,
         };
-        run_partitioned_resumable(
-            cfg(),
-            2,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            Some(&plan),
-            None,
-            None,
-        )
-        .expect("checkpointed run");
+        run_opts(cfg(), 2, &checkpointing(&plan)).expect("checkpointed run");
         // Wrong partition count: typed error, not a panic.
-        let err = run_partitioned_resumable(
-            cfg(),
-            3,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            None,
-            Some(&dir),
-            None,
-        )
-        .err()
-        .expect("partition mismatch must be rejected");
+        let err = run_opts(cfg(), 3, &resuming(&dir))
+            .err()
+            .expect("partition mismatch must be rejected");
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
         // Different configuration: typed error.
         let mut other = cfg();
         other.seed ^= 1;
-        let err = run_partitioned_resumable(
-            other,
-            2,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            None,
-            Some(&dir),
-            None,
-        )
-        .err()
-        .expect("config mismatch must be rejected");
+        let err = run_opts(other, 2, &resuming(&dir))
+            .err()
+            .expect("config mismatch must be rejected");
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
         // Missing directory: typed I/O error.
-        let err = run_partitioned_resumable(
-            cfg(),
-            2,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            None,
-            Some(&dir.join("nope")),
-            None,
-        )
-        .err()
-        .expect("missing checkpoint must be rejected");
+        let err = run_opts(cfg(), 2, &resuming(&dir.join("nope")))
+            .err()
+            .expect("missing checkpoint must be rejected");
         assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -994,17 +926,7 @@ mod tests {
             every: SimDuration::from_nanos(40_000_000),
             keep: 1,
         };
-        run_partitioned_resumable(
-            cfg(),
-            1,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            Some(&plan),
-            None,
-            None,
-        )
-        .expect("checkpointed run");
+        run_opts(cfg(), 1, &checkpointing(&plan)).expect("checkpointed run");
         // A 0.2 s run with a 40 ms interval cuts several checkpoints; only
         // the committed generation survives.
         let gens: Vec<String> = fs::read_dir(&dir)
@@ -1026,17 +948,7 @@ mod tests {
             every: SimDuration::from_nanos(40_000_000),
             keep: 2,
         };
-        run_partitioned_resumable(
-            cfg(),
-            1,
-            cfg().link.latency,
-            &factory,
-            &|_| {},
-            Some(&plan),
-            None,
-            None,
-        )
-        .expect("checkpointed run");
+        run_opts(cfg(), 1, &checkpointing(&plan)).expect("checkpointed run");
         let mut gens: Vec<String> = fs::read_dir(&dir)
             .expect("dir exists")
             .flatten()
@@ -1055,9 +967,7 @@ mod tests {
             resume_generation: Some(gens[0].clone()),
             ..PdesRunOpts::default()
         };
-        let m_res =
-            run_partitioned_opts(cfg(), 1, cfg().link.latency, &factory, &|_| {}, &opts)
-                .expect("pinned resume");
+        let m_res = run_opts(cfg(), 1, &opts).expect("pinned resume");
         assert_eq!(m_res.canonical_bytes(), m_full.canonical_bytes());
         // A generation name that decodes to no directory is rejected.
         let opts = PdesRunOpts {
@@ -1065,7 +975,7 @@ mod tests {
             resume_generation: Some("gen-00000000000000000007".into()),
             ..PdesRunOpts::default()
         };
-        let err = run_partitioned_opts(cfg(), 1, cfg().link.latency, &factory, &|_| {}, &opts)
+        let err = run_opts(cfg(), 1, &opts)
             .err()
             .expect("missing generation must be rejected");
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
@@ -1079,8 +989,7 @@ mod tests {
             stop_at: Some(SimTime::from_secs_f64(0.1)),
             ..PdesRunOpts::default()
         };
-        let m_half = run_partitioned_opts(cfg(), 2, cfg().link.latency, &factory, &|_| {}, &opts)
-            .expect("truncated run");
+        let m_half = run_opts(cfg(), 2, &opts).expect("truncated run");
         assert!(m_half.events_processed < m_full.events_processed);
         assert!(m_half.events_processed > 0);
     }
@@ -1094,9 +1003,7 @@ mod tests {
         let timelines: Vec<(Vec<u64>, f64)> = [1usize, 2]
             .iter()
             .map(|&p| {
-                let m =
-                    run_partitioned_opts(cfg(), p, cfg().link.latency, &factory, &|_| {}, &opts)
-                        .expect("digested run");
+                let m = run_opts(cfg(), p, &opts).expect("digested run");
                 let r = m.obs.expect("digests imply an obs report");
                 (
                     r.digests.get("digest.window").cloned().unwrap_or_default(),
@@ -1120,7 +1027,7 @@ mod tests {
             crash_at_window: Some(5),
             ..PdesRunOpts::default()
         };
-        let err = run_partitioned_opts(cfg(), 2, cfg().link.latency, &factory, &|_| {}, &opts)
+        let err = run_opts(cfg(), 2, &opts)
             .err()
             .expect("crash drill must fail the run");
         assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");

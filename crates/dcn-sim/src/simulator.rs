@@ -31,7 +31,7 @@ use crate::topology::{FatTree, LinkId, NodeId, NodeKind};
 use crate::traffic::TrafficGen;
 use crate::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
 use std::collections::HashSet;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Registry names for per-event-kind counters, indexed by
@@ -70,13 +70,6 @@ struct EngineObs {
     flush_wall_ns: u64,
     flushes: u64,
     windows: u64,
-    /// Overlapped-flush accounting: batches shipped to the helper thread,
-    /// and how often (and for how long) the event thread had to wait for
-    /// one at the inference deadline instead of finding it already done.
-    overlap_dispatches: u64,
-    overlap_stalls: u64,
-    overlap_stall_wall_ns: u64,
-    overlap_stall_hist: dcn_obs::Hist,
     obs: dcn_obs::Obs,
 }
 
@@ -144,91 +137,17 @@ impl ClusterMode {
 /// Runtime of the shared batched model: the aggregation point where
 /// boundary packets wait for a batched inference flush.
 struct BatchRuntime {
-    /// The model, while it is in the engine's hands; `None` exactly while
-    /// an overlapped flush is inflight on the helper thread (the model
-    /// travels with the job, so no locking is ever needed).
-    model: Option<Box<dyn BatchClusterModel>>,
+    model: Box<dyn BatchClusterModel>,
     /// Queued boundary crossings, in enqueue order.
     pending: Vec<BoundaryItem>,
     /// Verdict buffer reused across flushes (zero steady-state allocations).
     verdicts: Vec<Verdict>,
-    /// Inference deadline: the engine settles inference before processing
-    /// any event at or past `oldest_outstanding_enqueue + horizon`, where
+    /// Inference deadline: the engine flushes before processing
+    /// any event at or past `oldest_pending_enqueue + horizon`, where
     /// `horizon` is the model's latency floor. Because every verdict's
     /// latency is at least the floor, flushing inside the deadline can
     /// only produce strictly-future re-injections.
     horizon: SimDuration,
-    /// Double-buffered helper-thread state ([`Simulation::set_batch_overlap`]);
-    /// `None` keeps every flush synchronous on the event thread.
-    overlap: Option<OverlapState>,
-}
-
-/// One overlapped flush in flight: the model plus the item/verdict buffers
-/// travel to the helper thread and back, so exactly one thread ever holds
-/// the model and the buffers keep their capacity across round trips.
-struct OverlapJob {
-    model: Box<dyn BatchClusterModel>,
-    items: Vec<BoundaryItem>,
-    verdicts: Vec<Verdict>,
-}
-
-/// The double-buffered flush helper: a persistent thread running
-/// `infer_batch` on the previous chunk of boundary items while the event
-/// thread keeps processing the current window's non-boundary events.
-/// Verdicts are re-injected at `enqueued_at + latency` — flush timing is
-/// invisible to the trajectory (DESIGN.md §8), which is what makes the
-/// overlapped path bit-identical to the synchronous one.
-struct OverlapState {
-    /// `Option` only so `Drop` can hang up before joining.
-    to_worker: Option<mpsc::Sender<OverlapJob>>,
-    from_worker: mpsc::Receiver<OverlapJob>,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Enqueue time of the oldest item in the inflight job (`None` when
-    /// the helper is idle). The deadline check in `run_window` keys off
-    /// this: the engine blocks on the helper before processing any event
-    /// at or past `inflight_oldest + horizon`.
-    inflight_oldest: Option<SimTime>,
-    /// Returned buffers, reused for the next dispatch.
-    spare_items: Vec<BoundaryItem>,
-    spare_verdicts: Vec<Verdict>,
-}
-
-impl OverlapState {
-    fn spawn() -> OverlapState {
-        let (to_tx, to_rx) = mpsc::channel::<OverlapJob>();
-        let (back_tx, back_rx) = mpsc::channel::<OverlapJob>();
-        let handle = std::thread::Builder::new()
-            .name("mimic-overlap".into())
-            .spawn(move || {
-                while let Ok(mut job) = to_rx.recv() {
-                    job.verdicts.clear();
-                    job.model.infer_batch(&job.items, &mut job.verdicts);
-                    if back_tx.send(job).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn overlap helper thread");
-        OverlapState {
-            to_worker: Some(to_tx),
-            from_worker: back_rx,
-            handle: Some(handle),
-            inflight_oldest: None,
-            spare_items: Vec::new(),
-            spare_verdicts: Vec::new(),
-        }
-    }
-}
-
-impl Drop for OverlapState {
-    fn drop(&mut self) {
-        // Hang up first so the helper's recv loop exits, then join. A job
-        // still inflight at teardown is completed and discarded.
-        self.to_worker.take();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
 /// The discrete-event simulation engine.
@@ -419,39 +338,11 @@ impl Simulation {
             self.cluster_modes[c as usize] = ClusterMode::Batched;
         }
         self.batch = Some(BatchRuntime {
-            model: Some(model),
+            model,
             pending: Vec::new(),
             verdicts: Vec::new(),
             horizon,
-            overlap: None,
         });
-    }
-
-    /// Run batched flushes on a helper thread instead of the event thread
-    /// (double buffering: the helper infers the previous chunk of boundary
-    /// items while the engine processes the current window's non-boundary
-    /// events). The trajectory is bit-identical to synchronous flushing —
-    /// verdicts are chunking-invariant and re-injection times depend only
-    /// on enqueue times — so this is purely a wall-clock optimization.
-    ///
-    /// Requires a batched model ([`Simulation::set_batch_model`]); must be
-    /// called before the run starts.
-    pub fn set_batch_overlap(&mut self, enabled: bool) {
-        assert!(!self.initialized, "cannot toggle overlap after the run started");
-        let rt = self
-            .batch
-            .as_mut()
-            .expect("install a batched model before enabling overlap");
-        match (enabled, rt.overlap.is_some()) {
-            (true, false) => rt.overlap = Some(OverlapState::spawn()),
-            (false, true) => rt.overlap = None,
-            _ => {}
-        }
-    }
-
-    /// Is overlapped (off-thread) batched flushing enabled?
-    pub fn batch_overlap_enabled(&self) -> bool {
-        self.batch.as_ref().is_some_and(|rt| rt.overlap.is_some())
     }
 
     /// Swap the future event list for the reference `BinaryHeap`
@@ -600,10 +491,6 @@ impl Simulation {
             flush_wall_ns: 0,
             flushes: 0,
             windows: 0,
-            overlap_dispatches: 0,
-            overlap_stalls: 0,
-            overlap_stall_wall_ns: 0,
-            overlap_stall_hist: dcn_obs::Hist::default(),
             obs,
         }));
     }
@@ -924,12 +811,10 @@ impl Simulation {
             }
             let wake = match &mut self.cluster_modes[c as usize] {
                 ClusterMode::Mimic { model, .. } => model.next_wake(SimTime::ZERO),
-                ClusterMode::Batched => self.batch.as_mut().and_then(|rt| {
-                    rt.model
-                        .as_mut()
-                        .expect("model in hand before the run starts")
-                        .next_wake(c, SimTime::ZERO)
-                }),
+                ClusterMode::Batched => self
+                    .batch
+                    .as_mut()
+                    .and_then(|rt| rt.model.next_wake(c, SimTime::ZERO)),
                 ClusterMode::Full => None,
             };
             if let Some(t) = wake {
@@ -1001,15 +886,6 @@ impl Simulation {
             eo.obs.counter_add("mimic.flush.wall_ns", eo.flush_wall_ns);
             eo.obs.hist_merge("mimic.flush.batch_size", &eo.flush_batch);
         }
-        if eo.overlap_dispatches > 0 {
-            eo.obs
-                .counter_add("mimic.flush.overlap_dispatches", eo.overlap_dispatches);
-            eo.obs.counter_add("mimic.flush.overlap_stall", eo.overlap_stalls);
-            eo.obs
-                .counter_add("mimic.flush.overlap_stall_wall_ns", eo.overlap_stall_wall_ns);
-            eo.obs
-                .hist_merge("mimic.flush.overlap_stall_ns", &eo.overlap_stall_hist);
-        }
         let (mut enq, mut drops, mut peak) = (0u64, 0u64, 0u64);
         for link in &self.links {
             for dir in [Dir::Up, Dir::Down] {
@@ -1024,10 +900,7 @@ impl Simulation {
         eo.obs.gauge_set("sim.queue.peak_bytes", peak as f64);
         let mut report = eo.obs.take_report().unwrap_or_default();
         if let Some(rt) = &self.batch {
-            rt.model
-                .as_ref()
-                .expect("batched model settled before metrics fold")
-                .append_obs(&mut report);
+            rt.model.append_obs(&mut report);
         }
         for (c, drift) in self.metrics.cluster_drift.iter().enumerate() {
             if let Some(v) = drift {
@@ -1078,11 +951,7 @@ impl Simulation {
                 }
                 ClusterMode::Batched => {
                     if let Some(rt) = &self.batch {
-                        self.metrics.cluster_drift[c] = rt
-                            .model
-                            .as_ref()
-                            .expect("batched model settled before metrics fold")
-                            .drift(c as u32);
+                        self.metrics.cluster_drift[c] = rt.model.drift(c as u32);
                     }
                 }
                 ClusterMode::Full => {}
@@ -1115,26 +984,19 @@ impl Simulation {
         }
         loop {
             let Some(t) = self.queue.peek_time() else {
-                if self.settle_batch() {
+                if self.flush_batch() {
                     continue;
                 }
                 break;
             };
             if t >= until {
-                if self.settle_batch() {
+                if self.flush_batch() {
                     continue;
                 }
                 break;
             }
             if self.batch_flush_due(t) {
-                // Overlap mode dispatches eagerly, so the oldest
-                // outstanding item is normally inflight on the helper —
-                // collect it (blocking if the helper is still running).
-                // Otherwise (synchronous mode) flush on this thread.
-                if !self.collect_overlap() {
-                    self.flush_batch();
-                }
-                self.maybe_dispatch_overlap();
+                self.flush_batch();
                 continue;
             }
             let ev = self.queue.pop().expect("peeked event vanished");
@@ -1173,9 +1035,6 @@ impl Simulation {
                     eo.event_wall_ns[kind_index] += t0.elapsed().as_nanos() as u64;
                 }
             }
-            // Overlap mode: ship any boundary items this event queued to
-            // the helper while the engine moves on to the next event.
-            self.maybe_dispatch_overlap();
         }
         if let Some(eo) = self.obs.as_mut() {
             if eo.time_events {
@@ -1185,32 +1044,20 @@ impl Simulation {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Enqueue time of the oldest boundary item still awaiting a verdict —
-    /// inflight on the overlap helper or queued in `pending`. Items are
-    /// dispatched in enqueue order, so anything inflight is at least as
-    /// old as anything pending.
-    fn batch_oldest(&self) -> Option<SimTime> {
-        let rt = self.batch.as_ref()?;
-        let inflight = rt.overlap.as_ref().and_then(|ov| ov.inflight_oldest);
-        let pending = rt.pending.first().map(|item| item.enqueued_at);
-        match (inflight, pending) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Would processing an event at `t` overrun the batched-inference
-    /// deadline of the oldest outstanding boundary item?
+    /// deadline of the oldest pending boundary item? (`pending` is in
+    /// enqueue order, so its front is the oldest.)
     fn batch_flush_due(&self, t: SimTime) -> bool {
-        match (self.batch.as_ref(), self.batch_oldest()) {
-            (Some(rt), Some(oldest)) => t >= oldest + rt.horizon,
-            _ => false,
-        }
+        self.batch.as_ref().is_some_and(|rt| {
+            rt.pending
+                .first()
+                .is_some_and(|oldest| t >= oldest.enqueued_at + rt.horizon)
+        })
     }
 
     /// Re-inject one flush's verdicts: arrivals timed from each item's
-    /// *enqueue* time, so the trajectory is independent of when (and on
-    /// which thread) inference ran. Drains `items`, keeping capacity.
+    /// *enqueue* time, so the trajectory is independent of when inference
+    /// ran. Drains `items`, keeping capacity.
     fn inject_verdicts(&mut self, items: &mut Vec<BoundaryItem>, verdicts: &[Verdict]) {
         debug_assert_eq!(verdicts.len(), items.len(), "one verdict per item");
         for (item, v) in items.drain(..).zip(verdicts) {
@@ -1233,9 +1080,12 @@ impl Simulation {
         }
     }
 
-    /// Flush the batched model synchronously: one batched forward over
-    /// every pending boundary item, verdicts re-injected as arrivals timed
-    /// from each item's enqueue time. Returns whether anything was flushed.
+    /// Flush the batched model: one batched forward over every pending
+    /// boundary item, verdicts re-injected as arrivals timed from each
+    /// item's enqueue time. Returns whether anything was flushed. After
+    /// this no boundary item awaits a verdict — required at window ends (a
+    /// PDES window must not carry verdicts across its barrier), feeder
+    /// wakeups, checkpoint cuts, and the end of the run.
     ///
     /// The deadline discipline guarantees `now < oldest_enqueue + floor`
     /// at every flush point, and every predicted latency is at least the
@@ -1254,10 +1104,7 @@ impl Simulation {
             _ => None,
         };
         rt.verdicts.clear();
-        rt.model
-            .as_mut()
-            .expect("model in hand for a synchronous flush")
-            .infer_batch(&rt.pending, &mut rt.verdicts);
+        rt.model.infer_batch(&rt.pending, &mut rt.verdicts);
         if let Some(eo) = self.obs.as_mut() {
             eo.flushes += 1;
             eo.flush_batch.observe(batch_len);
@@ -1277,114 +1124,6 @@ impl Simulation {
         true
     }
 
-    /// Overlap mode: if the helper is idle and boundary items are queued,
-    /// ship them — with the model — to the helper thread. The engine keeps
-    /// processing events while the helper runs `infer_batch`; the deadline
-    /// check in `run_window` collects the job back before its absence
-    /// could ever matter. No-op in synchronous mode.
-    fn maybe_dispatch_overlap(&mut self) {
-        let Some(rt) = self.batch.as_mut() else {
-            return;
-        };
-        let Some(ov) = rt.overlap.as_mut() else {
-            return;
-        };
-        if ov.inflight_oldest.is_some() || rt.pending.is_empty() {
-            return;
-        }
-        let items = std::mem::replace(&mut rt.pending, std::mem::take(&mut ov.spare_items));
-        let verdicts = std::mem::take(&mut ov.spare_verdicts);
-        let model = rt.model.take().expect("model in hand when helper is idle");
-        ov.inflight_oldest = Some(items[0].enqueued_at);
-        let batch_len = items.len() as u64;
-        ov.to_worker
-            .as_ref()
-            .expect("helper alive while overlap is enabled")
-            .send(OverlapJob {
-                model,
-                items,
-                verdicts,
-            })
-            .expect("overlap helper thread alive");
-        if let Some(eo) = self.obs.as_mut() {
-            eo.flushes += 1;
-            eo.flush_batch.observe(batch_len);
-            eo.overlap_dispatches += 1;
-        }
-    }
-
-    /// Collect the inflight overlapped flush, if any: waits for the helper
-    /// to hand the model back (a wait is an overlap stall, counted when
-    /// obs is on), then re-injects the verdicts exactly as a synchronous
-    /// flush would have. Returns whether anything was collected.
-    fn collect_overlap(&mut self) -> bool {
-        let inflight = self
-            .batch
-            .as_ref()
-            .and_then(|rt| rt.overlap.as_ref())
-            .is_some_and(|ov| ov.inflight_oldest.is_some());
-        if !inflight {
-            return false;
-        }
-        let (job, stall_ns) = {
-            let ov = self
-                .batch
-                .as_ref()
-                .and_then(|rt| rt.overlap.as_ref())
-                .expect("checked above");
-            match ov.from_worker.try_recv() {
-                Ok(job) => (job, None),
-                Err(mpsc::TryRecvError::Empty) => {
-                    // The event thread caught up with the helper: stall
-                    // until the batch is done.
-                    let t0 = Instant::now();
-                    let job = ov.from_worker.recv().expect("overlap helper thread alive");
-                    (job, Some(t0.elapsed().as_nanos() as u64))
-                }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    unreachable!("overlap helper outlives the run")
-                }
-            }
-        };
-        if let (Some(ns), Some(eo)) = (stall_ns, self.obs.as_mut()) {
-            eo.overlap_stalls += 1;
-            eo.overlap_stall_wall_ns += ns;
-            eo.overlap_stall_hist.observe(ns);
-        }
-        let OverlapJob {
-            model,
-            mut items,
-            mut verdicts,
-        } = job;
-        {
-            let rt = self.batch.as_mut().expect("checked above");
-            rt.model = Some(model);
-            rt.overlap.as_mut().expect("checked above").inflight_oldest = None;
-        }
-        self.inject_verdicts(&mut items, &verdicts);
-        verdicts.clear();
-        let ov = self
-            .batch
-            .as_mut()
-            .and_then(|rt| rt.overlap.as_mut())
-            .expect("checked above");
-        ov.spare_items = items;
-        ov.spare_verdicts = verdicts;
-        true
-    }
-
-    /// Fully settle batched inference: collect the inflight overlapped
-    /// flush (if any) and synchronously flush whatever is still pending.
-    /// After this the model is in the engine's hands and no boundary item
-    /// awaits a verdict — required at window ends (a PDES window must not
-    /// carry verdicts across its barrier), feeder wakeups, and the end of
-    /// the run. Returns whether anything was settled.
-    fn settle_batch(&mut self) -> bool {
-        let collected = self.collect_overlap();
-        let flushed = self.flush_batch();
-        collected || flushed
-    }
-
     /// Inject an event from another partition.
     pub fn inject_arrival(&mut self, time: SimTime, node: NodeId, packet: Packet) {
         debug_assert!(self.owned(node));
@@ -1400,24 +1139,20 @@ impl Simulation {
     }
 
     /// Per-cluster drift scores *right now*, indexed by cluster id —
-    /// `None` for packet-level clusters and unmonitored models. Settles
+    /// `None` for packet-level clusters and unmonitored models. Flushes
     /// batched inference first so the scores reflect every boundary packet
     /// of the window. PDES epoch barriers publish these cross-LP (only the
     /// owning LP observes a cluster's traffic) before the adaptive tier
     /// decision.
     pub fn cluster_drifts(&mut self) -> Vec<Option<f64>> {
-        self.settle_batch();
+        self.flush_batch();
         let mut v = vec![None; self.cluster_modes.len()];
         for (c, mode) in self.cluster_modes.iter().enumerate() {
             match mode {
                 ClusterMode::Mimic { model, .. } => v[c] = model.drift(),
                 ClusterMode::Batched => {
                     if let Some(rt) = &self.batch {
-                        v[c] = rt
-                            .model
-                            .as_ref()
-                            .expect("batched model settled before drift read")
-                            .drift(c as u32);
+                        v[c] = rt.model.drift(c as u32);
                     }
                 }
                 ClusterMode::Full => {}
@@ -1428,7 +1163,7 @@ impl Simulation {
 
     /// Epoch-barrier tier update: hand the merged cross-LP drift vector to
     /// the batched model, which updates its accuracy-budget accounting and
-    /// applies any promotions/demotions. Batched inference is settled
+    /// applies any promotions/demotions. Batched inference is flushed
     /// first, so no verdict ever straddles a tier transition — this is the
     /// barrier-only transition invariant the snapshot byte-identity tests
     /// rely on. Switches for clusters passing `record` are appended to the
@@ -1441,15 +1176,11 @@ impl Simulation {
         drift: &[Option<f64>],
         record: impl Fn(u32) -> bool,
     ) -> Vec<TierSwitch> {
-        self.settle_batch();
+        self.flush_batch();
         let Some(rt) = self.batch.as_mut() else {
             return Vec::new();
         };
-        let switches = rt
-            .model
-            .as_mut()
-            .expect("batched model settled before tier epoch")
-            .on_epoch(epoch, drift);
+        let switches = rt.model.on_epoch(epoch, drift);
         for s in &switches {
             if record(s.cluster) {
                 self.metrics.tier_switches.push(*s);
@@ -1469,8 +1200,8 @@ impl Simulation {
     /// with [`crate::snapshot::write_snapshot_file`] to add the versioned
     /// header and checksum.
     ///
-    /// Requires a settled engine: batched inference is settled first
-    /// (collecting any overlapped flush), and the outbox must be empty —
+    /// Requires a settled engine: batched inference is flushed first, and
+    /// the outbox must be empty —
     /// the PDES driver snapshots at inter-window barriers where both hold.
     /// A transport or model that does not implement its `save_state` hook
     /// surfaces [`SnapshotError::Unsupported`].
@@ -1480,7 +1211,7 @@ impl Simulation {
     /// (observability recorders) is deliberately excluded.
     pub fn save_snapshot(&mut self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
         use crate::snapshot::{SnapWriter, SnapshotError};
-        self.settle_batch();
+        self.flush_batch();
         if !self.outbox.is_empty() {
             return Err(SnapshotError::Corrupt(
                 "cannot snapshot with undrained outbox (snapshot at a window barrier)".into(),
@@ -1577,11 +1308,8 @@ impl Simulation {
             None => w.put_bool(false),
             Some(rt) => {
                 w.put_bool(true);
-                debug_assert!(rt.pending.is_empty(), "settled above");
-                rt.model
-                    .as_ref()
-                    .expect("model in hand after settle")
-                    .save_state(&mut w)?;
+                debug_assert!(rt.pending.is_empty(), "flushed above");
+                rt.model.save_state(&mut w)?;
             }
         }
         self.metrics.save_state(&mut w);
@@ -1775,12 +1503,7 @@ impl Simulation {
         let has_batch = r.get_bool()?;
         match (&mut self.batch, has_batch) {
             (None, false) => {}
-            (Some(rt), true) => {
-                rt.model
-                    .as_mut()
-                    .expect("model in hand before the run starts")
-                    .load_state(&mut r)?;
-            }
+            (Some(rt), true) => rt.model.load_state(&mut r)?,
             _ => {
                 return Err(SnapshotError::Corrupt(
                     "batched-model presence differs from snapshot".into(),
@@ -2116,16 +1839,14 @@ impl Simulation {
 
     fn handle_feeder(&mut self, cluster: u32) {
         if matches!(self.cluster_modes[cluster as usize], ClusterMode::Batched) {
-            // Settle every queued boundary packet (including an inflight
-            // overlapped flush) before the feeder touches the model state,
-            // so the item-vs-feeder ordering is a property of event times,
-            // not of flush scheduling.
-            self.settle_batch();
+            // Flush every queued boundary packet before the feeder touches
+            // the model state, so the item-vs-feeder ordering is a property
+            // of event times, not of flush scheduling.
+            self.flush_batch();
             let next = {
                 let rt = self.batch.as_mut().expect("batched cluster without model");
-                let model = rt.model.as_mut().expect("model settled before feeder");
-                model.on_wake(cluster, self.now);
-                model.next_wake(cluster, self.now)
+                rt.model.on_wake(cluster, self.now);
+                rt.model.next_wake(cluster, self.now)
             };
             if let Some(t) = next {
                 let t = t.max(self.now + SimDuration::from_nanos(1));

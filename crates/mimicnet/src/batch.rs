@@ -205,14 +205,12 @@ impl BatchedMimicFleet {
             groups[g].push(li);
         }
 
-        // Lower bound on any predicted latency: the smallest value either
-        // discretizer can recover, across every bundle.
-        let mut floor_s = f64::INFINITY;
-        for b in &bundles {
-            floor_s = floor_s.min(b.ingress.disc.recover(0.0));
-            floor_s = floor_s.min(b.egress.disc.recover(0.0));
-        }
-        let floor = SimDuration::from_secs_f64(floor_s.max(1e-6));
+        // Lower bound on any predicted latency, across every bundle.
+        let floor = bundles
+            .iter()
+            .map(TrainedMimic::latency_floor)
+            .min()
+            .expect("at least one bundle");
 
         BatchedMimicFleet {
             bundles,

@@ -54,13 +54,16 @@ fn usage() -> ! {
          validate --model FILE --clusters N [--duration S]\n\
          tune     [--evals E] [--scales 2,4] [--duration S] [--seed N]\n\
          \u{20}        [--workers W]\n\
+         (config flags, accepted by every subcommand: --duration --seed\n\
+         \u{20}--protocol --k --epochs --hidden --layers --window --workers;\n\
+         \u{20}any other flag a subcommand does not list is an error)\n\
          \n\
          diverge  --a A-obs.json --b B-obs.json [--out report.json]\n\
          \u{20}        [--a-ckpt DIR --b-ckpt DIR --model FILE --clusters N\n\
-         \u{20}         [--partitions P] [--flight N] [estimate flags]]\n\
+         \u{20}         [--partitions P] [--flight N] [config + adaptive flags]]\n\
          \u{20}        (exit 0 = identical, 3 = divergence localized)\n\
          snap-flip --ckpt DIR --model FILE --clusters N [--part N]\n\
-         \u{20}        [--generation GEN] [estimate flags]\n\
+         \u{20}        [--generation GEN] [--partitions P] [config flags]\n\
          \u{20}        (seed a divergence for testing)\n\
          \n\
          crash resilience (estimate/validate):\n\
@@ -87,7 +90,51 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parse_args(args: &[String]) -> HashMap<String, String> {
+/// Flags read by [`pipeline_from`] (every subcommand builds a pipeline
+/// config).
+const PIPELINE_FLAGS: &[&str] = &[
+    "duration", "seed", "protocol", "k", "epochs", "hidden", "layers", "window", "workers",
+];
+/// Flags read by [`obs_requested`] / [`export_obs`].
+const OBS_FLAGS: &[&str] = &["trace-out", "obs-out", "report"];
+/// Flags read by [`resumable_from`] and [`diag_flags_into`].
+const RUN_FLAGS: &[&str] = &[
+    "partitions", "checkpoint-every", "checkpoint-dir", "resume", "keep-generations",
+    "resume-generation", "digests", "digest-stride", "flight", "flight-dump",
+    "slo-events-per-sec", "slo-max-drift", "stop-at", "crash-at-window",
+];
+/// Flags read by [`adaptive_from`].
+const ADAPTIVE_FLAGS: &[&str] = &[
+    "adaptive", "tier-every", "tier-start", "promote-above", "demote-below", "tier-patience",
+    "max-above-flow", "correction",
+];
+
+/// The flags `cmd` understands, or `None` for an unknown subcommand. Flag
+/// presence selects the engine (see [`estimate_from_flags`]), so a flag a
+/// subcommand would silently ignore is an error, not a no-op.
+fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
+    let (own, groups): (&[&str], &[&[&str]]) = match cmd {
+        "train" => (&["out", "checkpoint", "correction-out"], &[PIPELINE_FLAGS, OBS_FLAGS]),
+        "estimate" => (
+            &["model", "clusters", "json"],
+            &[PIPELINE_FLAGS, OBS_FLAGS, RUN_FLAGS, ADAPTIVE_FLAGS],
+        ),
+        "validate" => (&["model", "clusters"], &[PIPELINE_FLAGS, OBS_FLAGS, RUN_FLAGS]),
+        "tune" => (&["evals", "scales"], &[PIPELINE_FLAGS]),
+        "diverge" => (
+            &["a", "b", "out", "a-ckpt", "b-ckpt", "model", "clusters", "partitions", "flight"],
+            &[PIPELINE_FLAGS, ADAPTIVE_FLAGS],
+        ),
+        "snap-flip" => (
+            &["ckpt", "model", "clusters", "part", "generation", "partitions"],
+            &[PIPELINE_FLAGS],
+        ),
+        _ => return None,
+    };
+    Some(own.iter().chain(groups.iter().copied().flatten()).copied().collect())
+}
+
+fn parse_args(args: &[String], known: &[&str]) -> HashMap<String, String> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -95,6 +142,10 @@ fn parse_args(args: &[String]) -> HashMap<String, String> {
             eprintln!("unexpected argument: {}", args[i]);
             usage();
         };
+        if !known.contains(&key) {
+            eprintln!("unknown flag for this subcommand: --{key}");
+            usage();
+        }
         if key == "json" || key == "report" || key == "adaptive" || key == "digests" {
             map.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -195,6 +246,14 @@ fn clusters_from(opts: &HashMap<String, String>) -> u32 {
 fn resumable_from(
     opts: &HashMap<String, String>,
 ) -> Option<(usize, Option<CheckpointPlan>, Option<PathBuf>)> {
+    if !opts.contains_key("checkpoint-every") {
+        for key in ["checkpoint-dir", "keep-generations"] {
+            if opts.contains_key(key) {
+                eprintln!("--{key} does nothing without --checkpoint-every");
+                usage();
+            }
+        }
+    }
     if !opts.contains_key("partitions")
         && !opts.contains_key("checkpoint-every")
         && !opts.contains_key("resume")
@@ -315,6 +374,21 @@ fn budget_from(opts: &HashMap<String, String>) -> AccuracyBudget {
     b
 }
 
+/// Parse `--adaptive` and its tier flags; `None` without `--adaptive`.
+fn adaptive_from(
+    opts: &HashMap<String, String>,
+) -> Option<(AccuracyBudget, TierPlan, Option<CorrectionHead>)> {
+    opts.contains_key("adaptive").then(|| {
+        let plan = TierPlan {
+            every_windows: opts
+                .get("tier-every")
+                .map(|v| v.parse().expect("--tier-every must be a positive integer"))
+                .unwrap_or(64),
+        };
+        (budget_from(opts), plan, correction_from(opts))
+    })
+}
+
 /// Load the optional Flow-tier correction head.
 fn correction_from(opts: &HashMap<String, String>) -> Option<CorrectionHead> {
     let path = opts.get("correction")?;
@@ -412,6 +486,64 @@ fn cmd_train(opts: HashMap<String, String>) {
     export_obs(&mut pipe, &opts);
 }
 
+/// Run the composed estimate the flags ask for (shared by `estimate` and
+/// `validate`), exiting through [`die_with_obs`] on failure.
+///
+/// Flag presence picks the model: with no crash-resilience, diagnostics
+/// or `--adaptive` flag the run uses scalar Mimics on the in-process
+/// sequential engine; any of them moves it onto the PDES engine with the
+/// batched fleet (a different model with different numbers — DESIGN.md
+/// §8), under the accuracy budget when `--adaptive` is set.
+fn estimate_from_flags(
+    pipe: &mut Pipeline,
+    trained: &TrainedMimic,
+    n: u32,
+    opts: &HashMap<String, String>,
+) -> mimicnet::pipeline::EstimateReport {
+    let mut run_opts = PdesRunOpts::default();
+    let diag = diag_flags_into(&mut run_opts, opts);
+    let resumable = resumable_from(opts);
+    let adaptive = adaptive_from(opts);
+    if adaptive.is_none() && resumable.is_none() && !diag {
+        return match pipe.try_estimate(trained, n, None) {
+            Ok(est) => est,
+            Err(e) => die_with_obs(pipe, opts, e, 2),
+        };
+    }
+    let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
+    run_opts.checkpoint = ckpt;
+    run_opts.resume_from = resume;
+    if let Some((budget, plan, _)) = &adaptive {
+        eprintln!(
+            "adaptive tiers: start={:?}, epoch every {} windows, promote ≥{}, demote <{} after {} calm epochs",
+            budget.start, plan.every_windows, budget.promote_above, budget.demote_below, budget.patience
+        );
+    }
+    if let Some(dir) = &run_opts.resume_from {
+        eprintln!("resuming from checkpoint {}...", dir.display());
+    }
+    let result = match &adaptive {
+        Some((budget, plan, correction)) => pipe.try_estimate_adaptive_opts(
+            trained,
+            n,
+            partitions,
+            budget,
+            plan,
+            correction.as_ref(),
+            &run_opts,
+        ),
+        None => pipe.try_estimate_opts(trained, n, partitions, &run_opts),
+    };
+    let est = match result {
+        Ok(est) => est,
+        Err(e) => die_with_obs(pipe, opts, e, 2),
+    };
+    if adaptive.is_some() {
+        eprintln!("tier switches: {}", est.metrics.tier_switches.len());
+    }
+    est
+}
+
 fn cmd_estimate(opts: HashMap<String, String>) {
     let trained = load_model(&opts);
     let n = clusters_from(&opts);
@@ -419,61 +551,7 @@ fn cmd_estimate(opts: HashMap<String, String>) {
     if obs_requested(&opts) {
         pipe = pipe.with_obs();
     }
-    let mut run_opts = PdesRunOpts::default();
-    let diag = diag_flags_into(&mut run_opts, &opts);
-    let resumable = resumable_from(&opts);
-    let est = if opts.contains_key("adaptive") {
-        let budget = budget_from(&opts);
-        let plan = TierPlan {
-            every_windows: opts
-                .get("tier-every")
-                .map(|v| v.parse().expect("--tier-every must be a positive integer"))
-                .unwrap_or(64),
-        };
-        // Adaptive runs honor the same crash-resilience and diagnostics
-        // flags as the plain partitioned path.
-        let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
-        run_opts.checkpoint = ckpt;
-        run_opts.resume_from = resume;
-        let correction = correction_from(&opts);
-        eprintln!(
-            "adaptive tiers: start={:?}, epoch every {} windows, promote ≥{}, demote <{} after {} calm epochs",
-            budget.start, plan.every_windows, budget.promote_above, budget.demote_below, budget.patience
-        );
-        if let Some(dir) = &run_opts.resume_from {
-            eprintln!("resuming from checkpoint {}...", dir.display());
-        }
-        let est = match pipe.try_estimate_adaptive_opts(
-            &trained,
-            n,
-            partitions,
-            &budget,
-            &plan,
-            correction.as_ref(),
-            &run_opts,
-        ) {
-            Ok(est) => est,
-            Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
-        };
-        eprintln!("tier switches: {}", est.metrics.tier_switches.len());
-        est
-    } else if resumable.is_some() || diag {
-        let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
-        run_opts.checkpoint = ckpt;
-        run_opts.resume_from = resume;
-        if let Some(dir) = &run_opts.resume_from {
-            eprintln!("resuming from checkpoint {}...", dir.display());
-        }
-        match pipe.try_estimate_opts(&trained, n, partitions, &run_opts) {
-            Ok(est) => est,
-            Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
-        }
-    } else {
-        match pipe.try_estimate(&trained, n, None) {
-            Ok(est) => est,
-            Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
-        }
-    };
+    let est = estimate_from_flags(&mut pipe, &trained, n, &opts);
     if opts.contains_key("json") {
         let out = serde_json::json!({
             "clusters": n,
@@ -506,25 +584,9 @@ fn cmd_validate(opts: HashMap<String, String>) {
         pipe = pipe.with_obs();
     }
     eprintln!("running MimicNet and full-fidelity at {n} clusters...");
-    let mut run_opts = PdesRunOpts::default();
-    let diag = diag_flags_into(&mut run_opts, &opts);
-    let resumable = resumable_from(&opts);
-    let (report, mimic_wall, truth_wall) = if resumable.is_some() || diag {
-        let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
-        run_opts.checkpoint = ckpt;
-        run_opts.resume_from = resume;
-        if let Some(dir) = &run_opts.resume_from {
-            eprintln!("resuming from checkpoint {}...", dir.display());
-        }
-        let est = match pipe.try_estimate_opts(&trained, n, partitions, &run_opts) {
-            Ok(est) => est,
-            Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
-        };
-        let (truth, _, truth_wall) = pipe.run_ground_truth(n);
-        (mimicnet::metrics::compare(&truth, &est.samples), est.wall, truth_wall)
-    } else {
-        pipe.validate(&trained, n)
-    };
+    let est = estimate_from_flags(&mut pipe, &trained, n, &opts);
+    let (truth, _, truth_wall) = pipe.run_ground_truth(n);
+    let report = mimicnet::metrics::compare(&truth, &est.samples);
     println!("W1(FCT)        = {:.5}", report.w1_fct);
     println!("W1(throughput) = {:.0}", report.w1_throughput);
     println!("W1(RTT)        = {:.6}", report.w1_rtt);
@@ -536,9 +598,9 @@ fn cmd_validate(opts: HashMap<String, String>) {
     );
     println!(
         "wall: mimic {:.3}s vs truth {:.3}s ({:.1}x)",
-        mimic_wall.as_secs_f64(),
+        est.wall.as_secs_f64(),
         truth_wall.as_secs_f64(),
-        truth_wall.as_secs_f64() / mimic_wall.as_secs_f64().max(1e-9)
+        truth_wall.as_secs_f64() / est.wall.as_secs_f64().max(1e-9)
     );
     export_obs(&mut pipe, &opts);
 }
@@ -588,15 +650,7 @@ fn cmd_diverge(opts: HashMap<String, String>) {
                     .get("flight")
                     .map(|v| v.parse().expect("--flight must be a positive integer"))
                     .unwrap_or(65_536),
-                adaptive: opts.contains_key("adaptive").then(|| {
-                    let plan = TierPlan {
-                        every_windows: opts
-                            .get("tier-every")
-                            .map(|v| v.parse().expect("--tier-every must be a positive integer"))
-                            .unwrap_or(64),
-                    };
-                    (budget_from(&opts), plan, correction_from(&opts))
-                }),
+                adaptive: adaptive_from(&opts),
             };
             let side_a = ReplaySide { ckpt_dir: Path::new(&opts["a-ckpt"]), label: "A" };
             let side_b = ReplaySide { ckpt_dir: Path::new(&opts["b-ckpt"]), label: "B" };
@@ -712,7 +766,10 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage();
     };
-    let opts = parse_args(rest);
+    let Some(known) = known_flags(cmd) else {
+        usage();
+    };
+    let opts = parse_args(rest, &known);
     match cmd.as_str() {
         "train" => cmd_train(opts),
         "estimate" => cmd_estimate(opts),

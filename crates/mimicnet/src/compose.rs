@@ -13,13 +13,10 @@ use crate::tier::{AdaptiveFleet, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::BatchClusterModel;
-use dcn_sim::pdes::{
-    run_partitioned_opts, run_partitioned_setup, CheckpointPlan, PdesRunOpts, TierPlan,
-};
+use dcn_sim::pdes::{run_partitioned_opts, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
 use dcn_sim::topology::{FatTree, NodeId};
 use dcn_transport::Protocol;
-use std::path::Path;
 
 /// Cluster index of the observable cluster in compositions.
 pub const OBSERVABLE: u32 = 0;
@@ -74,11 +71,7 @@ pub fn try_compose_partial(
     trained: &TrainedMimic,
     full_fidelity: &[u32],
 ) -> Result<Simulation, PipelineError> {
-    if n_clusters < 2 {
-        return Err(PipelineError::InvalidComposition {
-            reason: format!("a composition needs at least two clusters, got {n_clusters}"),
-        });
-    }
+    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
     if let Some(&c) = full_fidelity.iter().find(|&&c| c >= n_clusters) {
         return Err(PipelineError::InvalidComposition {
             reason: format!(
@@ -86,11 +79,6 @@ pub fn try_compose_partial(
             ),
         });
     }
-    let mut cfg = base;
-    cfg.topo.clusters = n_clusters;
-    cfg.queue = protocol.queue_setup(cfg.queue);
-    cfg.validate()?;
-    let mut sim = Simulation::with_transport(cfg, protocol.factory());
     for c in 0..n_clusters {
         if c == OBSERVABLE || full_fidelity.contains(&c) {
             continue;
@@ -136,242 +124,45 @@ pub fn try_compose_batched(
     Ok(sim)
 }
 
-/// [`try_compose_batched`] with batched flushes overlapped onto a helper
-/// thread ([`Simulation::set_batch_overlap`]): the helper runs the
-/// previous chunk's `infer_batch` while the event thread processes the
-/// current window's non-boundary events. Verdicts are chunking-invariant
-/// and re-injected at `enqueue + latency`, so the run is bit-identical to
-/// [`try_compose_batched`] (and to the scalar/PDES paths) — overlap is a
-/// pure wall-clock optimization.
-pub fn try_compose_batched_overlapped(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-) -> Result<Simulation, PipelineError> {
-    let mut sim = try_compose_batched(base, n_clusters, protocol, trained)?;
-    sim.set_batch_overlap(true);
-    Ok(sim)
-}
-
-/// [`compose_heterogeneous`] behind the batched aggregation point: lanes
-/// batch within each bundle group. Seeds match the scalar heterogeneous
-/// composition.
-pub fn try_compose_heterogeneous_batched(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    bundles: &[TrainedMimic],
-    assign: impl Fn(u32) -> usize,
-) -> Result<Simulation, PipelineError> {
-    if bundles.is_empty() {
-        return Err(PipelineError::InvalidComposition {
-            reason: "no trained bundles supplied".into(),
-        });
-    }
-    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
-    let mut cluster_assign = Vec::new();
-    for c in 0..n_clusters {
-        if c == OBSERVABLE {
-            continue;
-        }
-        let idx = assign(c);
-        if idx >= bundles.len() {
-            return Err(PipelineError::InvalidComposition {
-                reason: format!(
-                    "assignment for cluster {c} points at bundle {idx}, but only {} exist",
-                    bundles.len()
-                ),
-            });
-        }
-        cluster_assign.push((c, idx, cfg.seed ^ (0x4E7E_0000 + c as u64)));
-    }
-    let fleet = BatchedMimicFleet::new_heterogeneous(
-        bundles.to_vec(),
-        cfg.topo,
-        n_clusters,
-        &cluster_assign,
-    );
-    sim.set_batch_model(Box::new(fleet));
-    Ok(sim)
-}
-
 /// Run the batched composition across `partitions` PDES logical processes
 /// and return the merged metrics. Every LP installs the full fleet (a
 /// cluster's lane only advances on the LP that owns the cluster), and the
 /// conservative window shrinks to `min(link latency, latency floor)` so
 /// batched re-injections always land at or beyond the next barrier.
-/// Bit-identical to the sequential [`compose_batched`] run (asserted by
-/// the integration suite).
+/// Bit-identical to the sequential [`compose_batched`] run at any partition
+/// count (`partitions == 1` is the sequential engine), asserted by the
+/// integration suite.
+///
+/// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
+/// (reports arrive merged in `Metrics::obs` and never change the
+/// trajectory), checkpoint/resume (a resumed run's final metrics are
+/// bit-identical to an uninterrupted one — flush chunking invariance means
+/// flushing the fleet's pending batch at the checkpoint barrier never
+/// changes a verdict), state digests, flight recorder + SLO dumps, early
+/// stop, pinned-generation resume, and the crash drill. This is the entry
+/// point `dcn diverge` replays through.
 pub fn run_composed_partitioned(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, false, false)
-}
-
-/// [`run_composed_partitioned`] with each LP's flushes overlapped onto its
-/// own helper thread. Bit-identical to the synchronous partitioned run
-/// (and to sequential) — asserted by the concurrency suite.
-pub fn run_composed_partitioned_overlapped(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, false, true)
-}
-
-/// [`run_composed_partitioned`] with optional engine tracing: when `trace`
-/// is set, every LP records its observability report (window spans,
-/// per-event-type wall time, flush batch sizes, barrier stalls, fleet lane
-/// occupancy) and the reports arrive merged in `Metrics::obs`. Tracing
-/// never changes the simulated trajectory.
-pub fn run_composed_partitioned_obs(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-    trace: bool,
-) -> Result<Metrics, PipelineError> {
-    run_composed_partitioned_full(base, n_clusters, protocol, trained, partitions, trace, false)
-}
-
-/// [`run_composed_partitioned`] with crash resilience: optionally cut a
-/// consistent cross-LP checkpoint every `checkpoint.every` of simulated
-/// time, and/or resume from the committed cut in `resume_from`. A resumed
-/// run's final metrics are bit-identical to an uninterrupted one — flush
-/// chunking invariance means settling the fleet's pending batch at the
-/// checkpoint barrier never changes a verdict. Works for sequential runs
-/// too (`partitions == 1`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_composed_partitioned_checkpointed(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-    overlap: bool,
-    checkpoint: Option<&CheckpointPlan>,
-    resume_from: Option<&Path>,
-) -> Result<Metrics, ComposeRunError> {
-    let opts = PdesRunOpts {
-        checkpoint: checkpoint.cloned(),
-        resume_from: resume_from.map(Path::to_path_buf),
-        ..PdesRunOpts::default()
-    };
-    run_composed_partitioned_opts(base, n_clusters, protocol, trained, partitions, overlap, &opts)
-}
-
-/// [`run_composed_partitioned_checkpointed`] with the full option set:
-/// state digests, flight recorder + SLO dumps, early stop, pinned-
-/// generation resume, and the crash drill ([`PdesRunOpts`]). This is the
-/// entry point `dcn diverge` replays through.
-pub fn run_composed_partitioned_opts(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-    overlap: bool,
     opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = batched_fleet(&cfg, n_clusters, trained).latency_floor();
-    let window = cfg.link.latency.min(floor);
-    run_partitioned_opts(
-        cfg,
-        partitions,
-        window,
-        &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-        },
-        opts,
-    )
-    .map_err(ComposeRunError::from)
+    run_composed_fleet(base, n_clusters, protocol, trained, partitions, opts, &|cfg| {
+        Box::new(batched_fleet(cfg, n_clusters, trained))
+    })
 }
 
 /// Run an *adaptive* composition: the Mimic'ed clusters sit behind an
 /// [`AdaptiveFleet`] whose [`AccuracyBudget`] promotes/demotes them
 /// between the Mimic and Flow tiers at every `plan` epoch barrier, with
 /// per-cluster drift exchanged across LPs so every partition applies the
-/// identical tier schedule. Checkpoint/resume cuts compose with tier
+/// identical tier schedule. `plan` overrides `opts.tiers` — an adaptive
+/// run always has tier epochs. Checkpoint/resume cuts compose with tier
 /// transitions: the ledger and Flow-tier state are part of the snapshot,
 /// and epochs fire *before* the checkpoint branch at the same barrier, so
 /// a restored run never replays a decision.
-#[allow(clippy::too_many_arguments)]
-pub fn run_composed_adaptive_checkpointed(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-    overlap: bool,
-    budget: &AccuracyBudget,
-    plan: &TierPlan,
-    correction: Option<&CorrectionHead>,
-    checkpoint: Option<&CheckpointPlan>,
-    resume_from: Option<&Path>,
-) -> Result<Metrics, ComposeRunError> {
-    let opts = PdesRunOpts {
-        checkpoint: checkpoint.cloned(),
-        resume_from: resume_from.map(Path::to_path_buf),
-        ..PdesRunOpts::default()
-    };
-    run_composed_adaptive_opts(
-        base, n_clusters, protocol, trained, partitions, overlap, budget, plan, correction, &opts,
-    )
-}
-
-/// [`run_composed_adaptive_checkpointed`] with the full [`PdesRunOpts`]
-/// set. `plan` overrides `opts.tiers` — an adaptive run always has tier
-/// epochs.
-#[allow(clippy::too_many_arguments)]
-pub fn run_composed_adaptive_opts(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-    partitions: usize,
-    overlap: bool,
-    budget: &AccuracyBudget,
-    plan: &TierPlan,
-    correction: Option<&CorrectionHead>,
-    opts: &PdesRunOpts,
-) -> Result<Metrics, ComposeRunError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = adaptive_fleet(&cfg, n_clusters, trained, budget, correction).latency_floor();
-    let window = cfg.link.latency.min(floor);
-    let mut opts = opts.clone();
-    opts.tiers = Some(*plan);
-    run_partitioned_opts(
-        cfg,
-        partitions,
-        window,
-        &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(adaptive_fleet(
-                &cfg, n_clusters, trained, budget, correction,
-            )));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-        },
-        &opts,
-    )
-    .map_err(ComposeRunError::from)
-}
-
-/// [`run_composed_adaptive_checkpointed`] without crash resilience.
 #[allow(clippy::too_many_arguments)]
 pub fn run_composed_adaptive(
     base: SimConfig,
@@ -382,49 +173,46 @@ pub fn run_composed_adaptive(
     budget: &AccuracyBudget,
     plan: &TierPlan,
     correction: Option<&CorrectionHead>,
+    opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
-    run_composed_adaptive_checkpointed(
-        base, n_clusters, protocol, trained, partitions, false, budget, plan, correction, None,
-        None,
-    )
+    let opts = PdesRunOpts { tiers: Some(*plan), ..opts.clone() };
+    run_composed_fleet(base, n_clusters, protocol, trained, partitions, &opts, &|cfg| {
+        Box::new(adaptive_fleet(cfg, n_clusters, trained, budget, correction))
+    })
 }
 
-fn run_composed_partitioned_full(
+/// The one composed-run body: validate the scaled config, derive the
+/// conservative window from the bundle's latency floor, and hand every LP
+/// a freshly built fleet.
+fn run_composed_fleet(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
     trained: &TrainedMimic,
     partitions: usize,
-    trace: bool,
-    overlap: bool,
-) -> Result<Metrics, PipelineError> {
-    let (cfg, _) = composed_engine(base, n_clusters, protocol)?;
-    let floor = batched_fleet(&cfg, n_clusters, trained).latency_floor();
-    let window = cfg.link.latency.min(floor);
-    Ok(run_partitioned_setup(
+    opts: &PdesRunOpts,
+    make_fleet: &(dyn Fn(&SimConfig) -> Box<dyn BatchClusterModel> + Sync),
+) -> Result<Metrics, ComposeRunError> {
+    let cfg = composed_config(base, n_clusters, protocol)?;
+    let window = cfg.link.latency.min(trained.latency_floor());
+    run_partitioned_opts(
         cfg,
         partitions,
         window,
         &|| protocol.factory(),
-        &|sim| {
-            sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-            if overlap {
-                sim.set_batch_overlap(true);
-            }
-            if trace {
-                sim.enable_obs();
-            }
-        },
-    ))
+        &|sim| sim.set_batch_model(make_fleet(&cfg)),
+        opts,
+    )
+    .map_err(ComposeRunError::from)
 }
 
-/// Shared composition plumbing: scale the base config, validate it, and
-/// build the bare engine.
-pub(crate) fn composed_engine(
+/// The §7.1 scaling rule: `base` with only its cluster count (and the
+/// protocol's queue setup) changed, validated.
+pub(crate) fn composed_config(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
-) -> Result<(SimConfig, Simulation), PipelineError> {
+) -> Result<SimConfig, PipelineError> {
     if n_clusters < 2 {
         return Err(PipelineError::InvalidComposition {
             reason: format!("a composition needs at least two clusters, got {n_clusters}"),
@@ -434,8 +222,18 @@ pub(crate) fn composed_engine(
     cfg.topo.clusters = n_clusters;
     cfg.queue = protocol.queue_setup(cfg.queue);
     cfg.validate()?;
-    let sim = Simulation::with_transport(cfg, protocol.factory());
-    Ok((cfg, sim))
+    Ok(cfg)
+}
+
+/// Shared composition plumbing: the scaled config and the bare engine
+/// every `try_compose*` builder installs its models on.
+fn composed_engine(
+    base: SimConfig,
+    n_clusters: u32,
+    protocol: Protocol,
+) -> Result<(SimConfig, Simulation), PipelineError> {
+    let cfg = composed_config(base, n_clusters, protocol)?;
+    Ok((cfg, Simulation::with_transport(cfg, protocol.factory())))
 }
 
 /// The adaptive fleet for `cfg`: the homogeneous Mimic fleet (seeded
@@ -456,11 +254,7 @@ pub fn adaptive_fleet(
 }
 
 /// The homogeneous fleet for `cfg`, seeded exactly like [`compose`].
-pub(crate) fn batched_fleet(
-    cfg: &SimConfig,
-    n_clusters: u32,
-    trained: &TrainedMimic,
-) -> BatchedMimicFleet {
+fn batched_fleet(cfg: &SimConfig, n_clusters: u32, trained: &TrainedMimic) -> BatchedMimicFleet {
     let cluster_seeds: Vec<(u32, u64)> = (0..n_clusters)
         .filter(|&c| c != OBSERVABLE)
         .map(|c| (c, cfg.seed ^ (0xC0DE_0000 + c as u64)))
@@ -498,21 +292,12 @@ pub fn try_compose_heterogeneous(
     bundles: &[TrainedMimic],
     assign: impl Fn(u32) -> usize,
 ) -> Result<Simulation, PipelineError> {
-    if n_clusters < 2 {
-        return Err(PipelineError::InvalidComposition {
-            reason: format!("a composition needs at least two clusters, got {n_clusters}"),
-        });
-    }
     if bundles.is_empty() {
         return Err(PipelineError::InvalidComposition {
             reason: "no trained bundles supplied".into(),
         });
     }
-    let mut cfg = base;
-    cfg.topo.clusters = n_clusters;
-    cfg.queue = protocol.queue_setup(cfg.queue);
-    cfg.validate()?;
-    let mut sim = Simulation::with_transport(cfg, protocol.factory());
+    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
     for c in 0..n_clusters {
         if c == OBSERVABLE {
             continue;

@@ -23,7 +23,7 @@
 //! yields a run that diverges at exactly the restored window — ground
 //! truth for exercising the bisection end to end.
 
-use crate::compose::{batched_fleet, composed_engine};
+use crate::compose::{composed_config, try_compose_batched};
 use crate::mimic::TrainedMimic;
 use crate::pipeline::Pipeline;
 use dcn_obs::{FlightEvent, ObsReport};
@@ -537,7 +537,7 @@ pub fn snap_flip(
             manifest.partitions
         ));
     }
-    let (cfg, _) = composed_engine(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol)
+    let cfg = composed_config(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol)
         .map_err(|e| e.to_string())?;
     let fp = serde_json::to_string(&cfg).map_err(|e| e.to_string())?;
     if manifest.config != fp {
@@ -554,8 +554,8 @@ pub fn snap_flip(
     // A fresh engine configured exactly as the checkpointing LP was; used
     // (repeatedly) to validate candidate flips by restoring them.
     let restore_digest = |payload: &[u8]| -> Option<u64> {
-        let (_, mut sim) = composed_engine(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol).ok()?;
-        sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
+        let mut sim =
+            try_compose_batched(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol, trained).ok()?;
         sim.set_partition(owner.clone(), part as u8);
         sim.restore_snapshot(payload).ok()?;
         Some(sim.window_digest())

@@ -47,6 +47,15 @@ impl TrainedMimic {
     pub fn from_json(s: &str) -> Result<TrainedMimic, serde_json::Error> {
         serde_json::from_str(s)
     }
+
+    /// Lower bound on any latency this bundle predicts: the smallest value
+    /// either direction's discretizer can recover, floored at 1 µs. A
+    /// fleet's flush horizon and a composed PDES run's window both derive
+    /// from it, so it is available without building a fleet.
+    pub fn latency_floor(&self) -> SimDuration {
+        let floor_s = self.ingress.disc.recover(0.0).min(self.egress.disc.recover(0.0));
+        SimDuration::from_secs_f64(floor_s.max(1e-6))
+    }
 }
 
 /// How drop/mark probabilities become decisions.
@@ -383,6 +392,16 @@ mod tests {
         let (b, _) = quick_bundle();
         let b2 = TrainedMimic::from_json(&b.to_json()).unwrap();
         assert_eq!(b.feature_cfg.width(), b2.feature_cfg.width());
+    }
+
+    #[test]
+    fn bundle_latency_floor_matches_the_fleets() {
+        use dcn_sim::mimic::BatchClusterModel;
+        let (b, mut topo) = quick_bundle();
+        topo.clusters = 4;
+        let fleet = crate::batch::BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, 9), (2, 10)]);
+        assert_eq!(b.latency_floor(), fleet.latency_floor());
+        assert!(b.latency_floor() >= SimDuration::from_micros(1));
     }
 
     #[test]

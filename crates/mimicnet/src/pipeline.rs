@@ -6,8 +6,7 @@
 //! … are all done at small scale and are, therefore, fast as well."
 
 use crate::compose::{
-    ground_truth, run_composed_adaptive_opts, run_composed_partitioned_opts,
-    try_compose, try_compose_partial, OBSERVABLE,
+    ground_truth, run_composed_adaptive, run_composed_partitioned, try_compose_partial, OBSERVABLE,
 };
 use crate::degrade::AccuracyBudget;
 use crate::tier::CorrectionHead;
@@ -21,6 +20,7 @@ use crate::mimic::TrainedMimic;
 use dcn_sim::config::SimConfig;
 use dcn_sim::fault::FaultPlan;
 use dcn_sim::instrument::Metrics;
+use dcn_sim::pdes::{PdesRunOpts, TierPlan};
 use dcn_sim::stats::percentile;
 use dcn_sim::topology::FatTree;
 use dcn_transport::Protocol;
@@ -276,7 +276,7 @@ impl Pipeline {
     }
 
     /// Bundle prep for heterogeneous composition
-    /// ([`crate::compose::try_compose_heterogeneous_batched`]): train
+    /// ([`crate::compose::try_compose_heterogeneous`]): train
     /// several independent mimic bundles concurrently through the same
     /// fixed-order fan-out as the per-direction models. `workers` is the
     /// total budget; each bundle gets a deterministic share and splits it
@@ -305,6 +305,26 @@ impl Pipeline {
             .expect("valid composition")
     }
 
+    /// The shared tail of every estimate: `run` the composed simulation
+    /// under a `pipeline.estimate` span, fold its engine-side telemetry
+    /// into the pipeline recorder, account the wall clock since `t0` to
+    /// the large-scale phase, and summarize the observable cluster.
+    fn estimate_via<E>(
+        &mut self,
+        t0: Instant,
+        n_clusters: u32,
+        run: impl FnOnce() -> Result<Metrics, E>,
+    ) -> Result<EstimateReport, E> {
+        self.obs.begin("pipeline.estimate", "pipeline", None);
+        let result = run();
+        self.obs.end(None);
+        let mut metrics = result?;
+        self.absorb_sim_obs(&mut metrics);
+        let wall = t0.elapsed();
+        self.timings.large_scale_sim = wall;
+        Ok(self.report_from(metrics, wall, n_clusters))
+    }
+
     /// [`Pipeline::estimate`] with a typed error and an optional
     /// [`FaultPlan`] injected into the composed simulation.
     pub fn try_estimate(
@@ -313,50 +333,42 @@ impl Pipeline {
         n_clusters: u32,
         faults: Option<&FaultPlan>,
     ) -> Result<EstimateReport, PipelineError> {
+        self.estimate_scalar(trained, n_clusters, faults, &[])
+    }
+
+    /// One scalar-Mimic estimate on the in-process sequential engine, with
+    /// the `full_fidelity` clusters kept at packet level.
+    fn estimate_scalar(
+        &mut self,
+        trained: &TrainedMimic,
+        n_clusters: u32,
+        faults: Option<&FaultPlan>,
+        full_fidelity: &[u32],
+    ) -> Result<EstimateReport, PipelineError> {
         let t0 = Instant::now();
-        let mut sim = try_compose(self.cfg.base, n_clusters, self.cfg.protocol, trained)?;
+        let mut sim = try_compose_partial(
+            self.cfg.base,
+            n_clusters,
+            self.cfg.protocol,
+            trained,
+            full_fidelity,
+        )?;
         if let Some(plan) = faults {
             sim.set_fault_plan(plan)?;
         }
         if self.obs.is_on() {
             sim.enable_obs();
         }
-        self.obs.begin("pipeline.estimate", "pipeline", None);
-        let mut metrics = sim.run();
-        self.obs.end(None);
-        self.absorb_sim_obs(&mut metrics);
-        let wall = t0.elapsed();
-        self.timings.large_scale_sim = wall;
-        Ok(self.report_from(metrics, wall, n_clusters, None))
+        self.estimate_via(t0, n_clusters, || Ok(sim.run()))
     }
 
-    /// [`Pipeline::try_estimate`] on the partitioned PDES engine with
-    /// crash resilience: `checkpoint` periodically persists the complete
-    /// simulation state at window barriers, and `resume_from` restarts
-    /// from a previously committed checkpoint directory. Both the
-    /// checkpointed and the resumed run produce metrics bit-identical to
-    /// an uninterrupted run at the same partition count (`partitions == 1`
-    /// is the sequential engine).
-    pub fn try_estimate_resumable(
-        &mut self,
-        trained: &TrainedMimic,
-        n_clusters: u32,
-        partitions: usize,
-        checkpoint: Option<&dcn_sim::pdes::CheckpointPlan>,
-        resume_from: Option<&std::path::Path>,
-    ) -> Result<EstimateReport, ComposeRunError> {
-        let opts = dcn_sim::pdes::PdesRunOpts {
-            checkpoint: checkpoint.cloned(),
-            resume_from: resume_from.map(std::path::Path::to_path_buf),
-            ..dcn_sim::pdes::PdesRunOpts::default()
-        };
-        self.try_estimate_opts(trained, n_clusters, partitions, &opts)
-    }
-
-    /// [`Pipeline::try_estimate_resumable`] with the full
-    /// [`PdesRunOpts`](dcn_sim::pdes::PdesRunOpts) set: state digests,
-    /// flight recorder + SLO dumps, early stop, pinned-generation resume.
-    /// When the pipeline's obs collector is on, engine obs is forced on so
+    /// [`Pipeline::try_estimate`] on the partitioned PDES engine with the
+    /// batched Mimic fleet and the full [`PdesRunOpts`] set:
+    /// checkpoint/resume (checkpointed, resumed and uninterrupted runs
+    /// produce bit-identical metrics at the same partition count;
+    /// `partitions == 1` is the sequential engine), state digests, flight
+    /// recorder + SLO dumps, early stop, pinned-generation resume. When
+    /// the pipeline's obs collector is on, engine obs is forced on so
     /// digests, flight events, and tier telemetry land in the exported
     /// report.
     pub fn try_estimate_opts(
@@ -364,73 +376,22 @@ impl Pipeline {
         trained: &TrainedMimic,
         n_clusters: u32,
         partitions: usize,
-        opts: &dcn_sim::pdes::PdesRunOpts,
+        opts: &PdesRunOpts,
     ) -> Result<EstimateReport, ComposeRunError> {
         let t0 = Instant::now();
-        let mut opts = opts.clone();
-        opts.obs = opts.obs || self.obs.is_on();
-        self.obs.begin("pipeline.estimate", "pipeline", None);
-        let mut metrics = run_composed_partitioned_opts(
-            self.cfg.base,
-            n_clusters,
-            self.cfg.protocol,
-            trained,
-            partitions,
-            false,
-            &opts,
-        )?;
-        self.obs.end(None);
-        self.absorb_sim_obs(&mut metrics);
-        let wall = t0.elapsed();
-        self.timings.large_scale_sim = wall;
-        Ok(self.report_from(metrics, wall, n_clusters, None))
-    }
-
-    /// Phases ❶–❷ plus a Flow-tier correction head: train the Mimics,
-    /// then ridge-fit [`CorrectionHead`] on the same small-scale boundary
-    /// trace (replayed through the Flow tier's own share estimator, so
-    /// the residuals target exactly the estimate the head corrects).
-    /// `None` when the trace is too thin to fit — the Flow tier then runs
-    /// uncorrected.
-    pub fn try_train_adaptive(
-        &mut self,
-    ) -> Result<(TrainedMimic, Option<CorrectionHead>), PipelineError> {
-        let (trained, data) = self.try_train_with_data()?;
-        let mut dg_sim = self.cfg.base;
-        dg_sim.duration_s *= self.cfg.datagen_duration_factor.max(1.0);
-        let head = crate::tier::fit_correction_head(&dg_sim, &data.metrics);
-        Ok((trained, head))
+        let opts = PdesRunOpts { obs: opts.obs || self.obs.is_on(), ..opts.clone() };
+        let (base, protocol) = (self.cfg.base, self.cfg.protocol);
+        self.estimate_via(t0, n_clusters, || {
+            run_composed_partitioned(base, n_clusters, protocol, trained, partitions, &opts)
+        })
     }
 
     /// Adaptive estimate on the partitioned PDES engine: clusters move
     /// between the Mimic and Flow tiers under `budget` at every `plan`
-    /// epoch barrier (see
-    /// [`run_composed_adaptive_checkpointed`]). The returned report's
-    /// metrics carry the realized tier schedule in
+    /// epoch barrier (see [`run_composed_adaptive`]), with the full
+    /// [`PdesRunOpts`] set as in [`Pipeline::try_estimate_opts`]. The
+    /// returned report's metrics carry the realized tier schedule in
     /// [`Metrics::tier_switches`](dcn_sim::instrument::Metrics::tier_switches).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_estimate_adaptive(
-        &mut self,
-        trained: &TrainedMimic,
-        n_clusters: u32,
-        partitions: usize,
-        budget: &AccuracyBudget,
-        plan: &dcn_sim::pdes::TierPlan,
-        correction: Option<&CorrectionHead>,
-        checkpoint: Option<&dcn_sim::pdes::CheckpointPlan>,
-        resume_from: Option<&std::path::Path>,
-    ) -> Result<EstimateReport, ComposeRunError> {
-        let opts = dcn_sim::pdes::PdesRunOpts {
-            checkpoint: checkpoint.cloned(),
-            resume_from: resume_from.map(std::path::Path::to_path_buf),
-            ..dcn_sim::pdes::PdesRunOpts::default()
-        };
-        self.try_estimate_adaptive_opts(trained, n_clusters, partitions, budget, plan, correction, &opts)
-    }
-
-    /// [`Pipeline::try_estimate_adaptive`] with the full
-    /// [`PdesRunOpts`](dcn_sim::pdes::PdesRunOpts) set (see
-    /// [`Pipeline::try_estimate_opts`]).
     #[allow(clippy::too_many_arguments)]
     pub fn try_estimate_adaptive_opts(
         &mut self,
@@ -438,31 +399,18 @@ impl Pipeline {
         n_clusters: u32,
         partitions: usize,
         budget: &AccuracyBudget,
-        plan: &dcn_sim::pdes::TierPlan,
+        plan: &TierPlan,
         correction: Option<&CorrectionHead>,
-        opts: &dcn_sim::pdes::PdesRunOpts,
+        opts: &PdesRunOpts,
     ) -> Result<EstimateReport, ComposeRunError> {
         let t0 = Instant::now();
-        let mut opts = opts.clone();
-        opts.obs = opts.obs || self.obs.is_on();
-        self.obs.begin("pipeline.estimate", "pipeline", None);
-        let mut metrics = run_composed_adaptive_opts(
-            self.cfg.base,
-            n_clusters,
-            self.cfg.protocol,
-            trained,
-            partitions,
-            false,
-            budget,
-            plan,
-            correction,
-            &opts,
-        )?;
-        self.obs.end(None);
-        self.absorb_sim_obs(&mut metrics);
-        let wall = t0.elapsed();
-        self.timings.large_scale_sim = wall;
-        Ok(self.report_from(metrics, wall, n_clusters, None))
+        let opts = PdesRunOpts { obs: opts.obs || self.obs.is_on(), ..opts.clone() };
+        let (base, protocol) = (self.cfg.base, self.cfg.protocol);
+        self.estimate_via(t0, n_clusters, || {
+            run_composed_adaptive(
+                base, n_clusters, protocol, trained, partitions, budget, plan, correction, &opts,
+            )
+        })
     }
 
     /// Degradation-aware estimate: run the all-Mimic composition, score
@@ -480,41 +428,20 @@ impl Pipeline {
         let probe = self.try_estimate(trained, n_clusters, faults)?;
         let decision = policy.evaluate(&probe.metrics.cluster_drift);
         let fallback = decision.fallback_clusters();
-        if fallback.is_empty() {
-            let mut report = probe;
-            report.degradation = Some(decision);
-            return Ok(report);
-        }
-        let t0 = Instant::now();
-        let mut sim = try_compose_partial(
-            self.cfg.base,
-            n_clusters,
-            self.cfg.protocol,
-            trained,
-            &fallback,
-        )?;
-        if let Some(plan) = faults {
-            sim.set_fault_plan(plan)?;
-        }
-        if self.obs.is_on() {
-            sim.enable_obs();
-        }
-        self.obs.begin("pipeline.estimate", "pipeline", None);
-        let mut metrics = sim.run();
-        self.obs.end(None);
-        self.absorb_sim_obs(&mut metrics);
-        let wall = t0.elapsed();
-        self.timings.large_scale_sim += wall;
-        Ok(self.report_from(metrics, probe.wall + wall, n_clusters, Some(decision)))
+        let mut report = if fallback.is_empty() {
+            probe
+        } else {
+            // Both passes count towards the estimate's wall clock.
+            let mut rerun = self.estimate_scalar(trained, n_clusters, faults, &fallback)?;
+            rerun.wall += probe.wall;
+            self.timings.large_scale_sim = rerun.wall;
+            rerun
+        };
+        report.degradation = Some(decision);
+        Ok(report)
     }
 
-    fn report_from(
-        &self,
-        metrics: Metrics,
-        wall: Duration,
-        n_clusters: u32,
-        degradation: Option<DegradationReport>,
-    ) -> EstimateReport {
+    fn report_from(&self, metrics: Metrics, wall: Duration, n_clusters: u32) -> EstimateReport {
         let topo = FatTree::new({
             let mut t = self.cfg.base.topo;
             t.clusters = n_clusters;
@@ -528,7 +455,7 @@ impl Pipeline {
             samples,
             wall,
             metrics,
-            degradation,
+            degradation: None,
         }
     }
 

@@ -6,7 +6,8 @@
 
 use dcn_sim::config::SimConfig;
 use dcn_transport::Protocol;
-use mimicnet::compose::{run_composed_partitioned, run_composed_partitioned_obs};
+use dcn_sim::pdes::PdesRunOpts;
+use mimicnet::compose::run_composed_partitioned;
 use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
 
@@ -46,9 +47,17 @@ fn traced_composed_run_emits_full_report_without_perturbing_results() {
     base.seed = 31;
     let p = Protocol::NewReno;
 
-    let plain = run_composed_partitioned(base, 4, p, &trained, 2).expect("valid composition");
-    let traced =
-        run_composed_partitioned_obs(base, 4, p, &trained, 2, true).expect("valid composition");
+    let plain = run_composed_partitioned(base, 4, p, &trained, 2, &PdesRunOpts::default())
+        .expect("valid composition");
+    let traced = run_composed_partitioned(
+        base,
+        4,
+        p,
+        &trained,
+        2,
+        &PdesRunOpts { obs: true, ..PdesRunOpts::default() },
+    )
+    .expect("valid composition");
 
     // Tracing must not change the trajectory.
     assert_eq!(plain.total_delivered_bytes(), traced.total_delivered_bytes());
@@ -134,8 +143,7 @@ fn pipeline_obs_stitches_training_and_estimation_into_one_snapshot() {
 
 #[test]
 fn flight_ring_wraps_keeping_only_the_most_recent_events() {
-    use dcn_sim::pdes::{FlightPlan, PdesRunOpts};
-    use mimicnet::compose::run_composed_partitioned_opts;
+    use dcn_sim::pdes::FlightPlan;
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.2;
@@ -147,7 +155,7 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
         }),
         ..PdesRunOpts::default()
     };
-    let m = run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, &opts)
+    let m = run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
         .expect("valid composition");
     let r = m.obs.as_ref().expect("flight ring rides in the obs report");
     // Two LPs, 64 slots each: the retained history is bounded while the
@@ -178,8 +186,7 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
 
 #[test]
 fn crash_drill_dumps_flight_ring_through_atomic_write() {
-    use dcn_sim::pdes::{FlightPlan, PdesRunOpts};
-    use mimicnet::compose::run_composed_partitioned_opts;
+    use dcn_sim::pdes::FlightPlan;
 
     let dir = std::env::temp_dir().join(format!("obs-crash-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -196,7 +203,7 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         ..PdesRunOpts::default()
     };
     let err =
-        match run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, &opts)
+        match run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
         {
             Ok(_) => panic!("crash drill must fail the run"),
             Err(e) => e,
@@ -230,9 +237,6 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
 
 #[test]
 fn digest_timeline_is_partition_count_invariant() {
-    use dcn_sim::pdes::PdesRunOpts;
-    use mimicnet::compose::run_composed_partitioned_opts;
-
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.2;
     for seed in [46u64, 97] {
@@ -242,13 +246,12 @@ fn digest_timeline_is_partition_count_invariant() {
                 digest_stride: Some(4),
                 ..PdesRunOpts::default()
             };
-            let m = run_composed_partitioned_opts(
+            let m = run_composed_partitioned(
                 base,
                 4,
                 Protocol::NewReno,
                 &trained,
                 partitions,
-                false,
                 &opts,
             )
             .expect("valid composition");
@@ -271,14 +274,13 @@ fn digest_timeline_is_partition_count_invariant() {
 
 #[test]
 fn diagnostics_do_not_perturb_the_trajectory() {
-    use dcn_sim::pdes::{FlightPlan, PdesRunOpts};
-    use mimicnet::compose::run_composed_partitioned_opts;
+    use dcn_sim::pdes::FlightPlan;
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.2;
     base.seed = 48;
     let run = |opts: &PdesRunOpts| {
-        run_composed_partitioned_opts(base, 3, Protocol::NewReno, &trained, 2, false, opts)
+        run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, opts)
             .expect("valid composition")
     };
     let plain = run(&PdesRunOpts::default());

@@ -128,6 +128,7 @@ fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
 
 #[test]
 fn composed_batched_pdes_matches_sequential() {
+    use dcn_sim::pdes::PdesRunOpts;
     use mimicnet::compose::{compose_batched, run_composed_partitioned};
 
     let (trained, mut base) = quick_trained();
@@ -137,7 +138,7 @@ fn composed_batched_pdes_matches_sequential() {
     let seq = compose_batched(base, 4, p, &trained).run();
     assert!(seq.flows_completed() > 0, "composition made no progress");
     for parts in [1usize, 2, 4] {
-        let par = run_composed_partitioned(base, 4, p, &trained, parts)
+        let par = run_composed_partitioned(base, 4, p, &trained, parts, &PdesRunOpts::default())
             .expect("valid composition");
         assert_identical(&seq, &par, &format!("composed batched x{parts}"));
         assert_eq!(
@@ -149,6 +150,7 @@ fn composed_batched_pdes_matches_sequential() {
 
 #[test]
 fn composed_batched_pdes_larger_network() {
+    use dcn_sim::pdes::PdesRunOpts;
     use mimicnet::compose::{compose_batched, run_composed_partitioned};
 
     let (trained, mut base) = quick_trained();
@@ -156,7 +158,8 @@ fn composed_batched_pdes_larger_network() {
     base.seed = 7;
     let p = Protocol::NewReno;
     let seq = compose_batched(base, 8, p, &trained).run();
-    let par = run_composed_partitioned(base, 8, p, &trained, 4).expect("valid composition");
+    let par = run_composed_partitioned(base, 8, p, &trained, 4, &PdesRunOpts::default())
+        .expect("valid composition");
     assert_identical(&seq, &par, "composed batched 8 clusters x4");
     assert_eq!(seq.mimic_drops, par.mimic_drops, "composed: mimic drops");
 }

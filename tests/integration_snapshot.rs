@@ -6,12 +6,12 @@
 //! panic.
 
 use dcn_sim::mimic::FidelityTier;
-use dcn_sim::pdes::{read_manifest, CheckpointPlan, TierPlan, MANIFEST_FILE};
+use dcn_sim::pdes::{read_manifest, CheckpointPlan, PdesRunOpts, TierPlan, MANIFEST_FILE};
 use dcn_sim::snapshot::{
     read_snapshot_file, SnapReader, SnapWriter, SnapshotError, FORMAT_VERSION,
 };
 use dcn_sim::time::SimDuration;
-use mimicnet::compose::{run_composed_adaptive_checkpointed, run_composed_partitioned_checkpointed};
+use mimicnet::compose::{run_composed_adaptive, run_composed_partitioned};
 use mimicnet::degrade::{AccuracyBudget, BudgetLedger};
 use mimicnet::error::ComposeRunError;
 use mimicnet::mimic::TrainedMimic;
@@ -42,66 +42,69 @@ fn ckpt_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run the composed simulation at `partitions`, optionally overlapped,
-/// optionally checkpointing into `plan` / resuming from `resume`.
+/// Run options that checkpoint into `plan` and/or resume from `resume`.
+fn ckpt_opts(plan: Option<&CheckpointPlan>, resume: Option<&std::path::Path>) -> PdesRunOpts {
+    PdesRunOpts {
+        checkpoint: plan.cloned(),
+        resume_from: resume.map(std::path::Path::to_path_buf),
+        ..PdesRunOpts::default()
+    }
+}
+
+/// Run the composed simulation at `partitions`, optionally checkpointing
+/// into `plan` / resuming from `resume`.
 fn composed(
     partitions: usize,
-    overlap: bool,
     plan: Option<&CheckpointPlan>,
     resume: Option<&std::path::Path>,
 ) -> Result<dcn_sim::instrument::Metrics, ComposeRunError> {
     let cfg = quick_cfg();
-    run_composed_partitioned_checkpointed(
+    run_composed_partitioned(
         cfg.base,
         4,
         cfg.protocol,
         trained(),
         partitions,
-        overlap,
-        plan,
-        resume,
+        &ckpt_opts(plan, resume),
     )
 }
 
 #[test]
 fn checkpointed_and_resumed_runs_are_byte_identical_across_modes() {
     // The acceptance matrix: 1/2/4 partitions (1 is the sequential
-    // engine), with the batched fleet flushed synchronously and with the
-    // overlapped (helper-thread) flush path.
+    // engine).
     for partitions in [1usize, 2, 4] {
-        for overlap in [false, true] {
-            let label = format!("x{partitions} overlap={overlap}");
-            let plain = composed(partitions, overlap, None, None)
-                .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
+        let label = format!("x{partitions}");
+        let plain = composed(partitions, None, None)
+            .unwrap_or_else(|e| panic!("{label}: uninterrupted run failed: {e}"));
 
-            let dir = ckpt_dir(&format!("id-{partitions}-{overlap}"));
-            let plan = CheckpointPlan {
-                dir: dir.clone(),
-                every: SimDuration::from_millis(80),
-                keep: 1,
-            };
-            let ckpt = composed(partitions, overlap, Some(&plan), None)
-                .unwrap_or_else(|e| panic!("{label}: checkpointed run failed: {e}"));
-            assert_eq!(
-                plain.canonical_bytes(),
-                ckpt.canonical_bytes(),
-                "{label}: checkpointing changed the trajectory"
-            );
+        let dir = ckpt_dir(&format!("id-{partitions}"));
+        let plan = CheckpointPlan {
+            dir: dir.clone(),
+            every: SimDuration::from_millis(80),
+            keep: 1,
+        };
+        let ckpt = composed(partitions, Some(&plan), None)
+            .unwrap_or_else(|e| panic!("{label}: checkpointed run failed: {e}"));
+        assert_eq!(
+            plain.canonical_bytes(),
+            ckpt.canonical_bytes(),
+            "{label}: checkpointing changed the trajectory"
+        );
 
-            // The run completed, so a committed checkpoint must exist —
-            // resume from it as a crashed process would.
-            let manifest = read_manifest(&dir)
-                .unwrap_or_else(|e| panic!("{label}: no committed manifest: {e}"));
-            assert_eq!(manifest.partitions as usize, partitions, "{label}");
-            let resumed = composed(partitions, overlap, None, Some(&dir))
-                .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
-            assert_eq!(
-                plain.canonical_bytes(),
-                resumed.canonical_bytes(),
-                "{label}: resumed run diverged from uninterrupted"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        // The run completed, so a committed checkpoint must exist —
+        // resume from it as a crashed process would.
+        let manifest = read_manifest(&dir)
+            .unwrap_or_else(|e| panic!("{label}: no committed manifest: {e}"));
+        assert_eq!(manifest.partitions as usize, partitions, "{label}");
+        let resumed = composed(partitions, None, Some(&dir))
+            .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+        assert_eq!(
+            plain.canonical_bytes(),
+            resumed.canonical_bytes(),
+            "{label}: resumed run diverged from uninterrupted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -114,7 +117,7 @@ fn committed_part_file(tag: &str) -> (PathBuf, PathBuf) {
         every: SimDuration::from_millis(80),
         keep: 1,
     };
-    composed(1, false, Some(&plan), None).expect("checkpointed run");
+    composed(1, Some(&plan), None).expect("checkpointed run");
     let manifest = read_manifest(&dir).expect("committed manifest");
     let part = dir.join(&manifest.generation).join("part-0.snap");
     assert!(part.exists(), "committed partition file missing");
@@ -152,18 +155,16 @@ fn adaptive(
         patience: 1,
         ..AccuracyBudget::default()
     };
-    run_composed_adaptive_checkpointed(
+    run_composed_adaptive(
         cfg.base,
         4,
         cfg.protocol,
         trained(),
         1,
-        false,
         &budget,
         &TierPlan { every_windows: 16 },
         None,
-        plan,
-        resume,
+        &ckpt_opts(plan, resume),
     )
 }
 
@@ -296,7 +297,7 @@ fn bit_flipped_snapshot_is_a_checksum_error() {
         other => panic!("bit flip must fail the checksum, got {other:?}"),
     }
     // The whole resume path must surface the same typed error, not panic.
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::ChecksumMismatch { .. })) => {}
         Ok(_) => panic!("resume from a corrupted snapshot must fail"),
         Err(e) => panic!("wrong error for corrupted snapshot: {e}"),
@@ -313,7 +314,7 @@ fn truncated_snapshot_is_a_typed_error() {
         Err(SnapshotError::Truncated) => {}
         other => panic!("truncation must be typed, got {other:?}"),
     }
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Truncated)) => {}
         Ok(_) => panic!("resume from a truncated snapshot must fail"),
         Err(e) => panic!("wrong error for truncated snapshot: {e}"),
@@ -342,14 +343,14 @@ fn corrupt_manifest_is_a_typed_error_on_resume() {
     let (dir, _part) = committed_part_file("manifest");
     std::fs::write(dir.join(MANIFEST_FILE), b"{definitely not json")
         .expect("clobber manifest");
-    match composed(1, false, None, Some(&dir)) {
+    match composed(1, None, Some(&dir)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Corrupt(_))) => {}
         Ok(_) => panic!("resume from a clobbered manifest must fail"),
         Err(e) => panic!("wrong error for clobbered manifest: {e}"),
     }
     // A missing directory is an I/O error, also typed.
     let gone = ckpt_dir("missing");
-    match composed(1, false, None, Some(&gone)) {
+    match composed(1, None, Some(&gone)) {
         Err(ComposeRunError::Snapshot(SnapshotError::Io(_))) => {}
         Ok(_) => panic!("resume from a missing directory must fail"),
         Err(e) => panic!("wrong error for missing directory: {e}"),

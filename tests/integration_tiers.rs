@@ -9,12 +9,11 @@
 //! config, re-composed at 2/4/8 clusters with every other parameter held
 //! constant.
 
-use dcn_sim::mimic::{BatchClusterModel, FidelityTier};
-use dcn_sim::pdes::{tier_epoch_count, CheckpointPlan, TierPlan};
+use dcn_sim::mimic::FidelityTier;
+use dcn_sim::pdes::{tier_epoch_count, CheckpointPlan, PdesRunOpts, TierPlan};
 use dcn_sim::time::SimDuration;
 use mimicnet::compose::{
-    adaptive_fleet, ground_truth, run_composed_adaptive, run_composed_adaptive_checkpointed,
-    run_composed_partitioned, OBSERVABLE,
+    ground_truth, run_composed_adaptive, run_composed_partitioned, OBSERVABLE,
 };
 use mimicnet::degrade::AccuracyBudget;
 use mimicnet::metrics::{observed, w1_fct_relative};
@@ -75,14 +74,8 @@ fn switching_budget() -> AccuracyBudget {
 /// The conservative PDES window the adaptive runner derives for this
 /// composition — epoch barriers land at multiples of
 /// `window * plan.every_windows`.
-fn adaptive_window(n_clusters: u32) -> SimDuration {
-    let cfg = quick_cfg();
-    let mut scaled = cfg.base;
-    scaled.topo.clusters = n_clusters;
-    scaled.queue = cfg.protocol.queue_setup(scaled.queue);
-    let floor = adaptive_fleet(&scaled, n_clusters, trained(), &all_flow_budget(), None)
-        .latency_floor();
-    scaled.link.latency.min(floor)
+fn adaptive_window() -> SimDuration {
+    quick_cfg().base.link.latency.min(trained().latency_floor())
 }
 
 fn ckpt_dir(tag: &str) -> PathBuf {
@@ -114,8 +107,15 @@ fn every_tier_is_within_its_declared_w1_bound() {
         assert!(!truth.fct.is_empty(), "{label}: ground truth saw no flows");
 
         let mimic = observed(
-            &run_composed_partitioned(cfg.base, n_clusters, cfg.protocol, trained(), 1)
-                .expect("all-Mimic run"),
+            &run_composed_partitioned(
+                cfg.base,
+                n_clusters,
+                cfg.protocol,
+                trained(),
+                1,
+                &PdesRunOpts::default(),
+            )
+            .expect("all-Mimic run"),
             &topo,
             OBSERVABLE,
         );
@@ -129,6 +129,7 @@ fn every_tier_is_within_its_declared_w1_bound() {
                 &all_flow_budget(),
                 &plan,
                 None,
+                &PdesRunOpts::default(),
             )
             .expect("all-Flow run"),
             &topo,
@@ -144,6 +145,7 @@ fn every_tier_is_within_its_declared_w1_bound() {
                 &AccuracyBudget::default(),
                 &plan,
                 None,
+                &PdesRunOpts::default(),
             )
             .expect("adaptive run"),
             &topo,
@@ -191,6 +193,7 @@ fn adaptive_schedule_is_deterministic_and_partition_invariant() {
                     &budget,
                     &plan,
                     None,
+                    &PdesRunOpts::default(),
                 )
                 .unwrap_or_else(|e| panic!("seed {seed} x{partitions}: {e}"))
             })
@@ -210,6 +213,7 @@ fn adaptive_schedule_is_deterministic_and_partition_invariant() {
             &budget,
             &plan,
             None,
+            &PdesRunOpts::default(),
         )
         .expect("repeat run");
         let reference = runs[0].canonical_bytes();
@@ -242,24 +246,26 @@ fn checkpoint_at_tier_transition_restores_byte_identically() {
     let n_clusters = 4u32;
     let plan = TierPlan { every_windows: 16 };
     let budget = switching_budget();
-    let window = adaptive_window(n_clusters);
+    let window = adaptive_window();
     let stride = SimDuration::from_nanos(window.as_nanos() * plan.every_windows);
     let epochs = tier_epoch_count(cfg.base.duration_s, window, &plan);
     assert!(epochs >= 2, "scenario too short to host tier epochs");
 
     let run = |checkpoint: Option<&CheckpointPlan>, resume: Option<&std::path::Path>| {
-        run_composed_adaptive_checkpointed(
+        run_composed_adaptive(
             cfg.base,
             n_clusters,
             cfg.protocol,
             trained(),
             2,
-            false,
             &budget,
             &plan,
             None,
-            checkpoint,
-            resume,
+            &PdesRunOpts {
+                checkpoint: checkpoint.cloned(),
+                resume_from: resume.map(std::path::Path::to_path_buf),
+                ..PdesRunOpts::default()
+            },
         )
         .expect("adaptive checkpointed run")
     };
