@@ -30,7 +30,8 @@ use mimic_ml::model::{ModelState, SeqModel, OUTPUTS};
 use mimic_ml::rng::MlRng;
 use mimic_ml::train::{train, TrainConfig};
 use mimicnet_bench::{header, pipeline_config, Scale};
-use mimicnet::pipeline::Pipeline;
+use mimicnet::mimic::TrainedMimic;
+use mimicnet::pipeline::{Pipeline, PipelineConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -64,12 +65,16 @@ struct EventEngineNumbers {
     pooled_ns_per_event: f64,
     heap_events_per_sec: f64,
     pooled_events_per_sec: f64,
-    /// heap / pooled (the arena tentpole's ≥1.3× acceptance number).
+    /// heap / pooled, median over the pairs (the arena tentpole's ≥1.3×
+    /// acceptance number).
     speedup: f64,
     /// Events resident in the queue throughout the measurement.
     hold: usize,
-    /// Pop+reschedule pairs measured per engine.
+    /// Pop+reschedule pairs measured per engine and repeat.
     events: usize,
+    /// Alternating heap/pooled repeats behind the medians above.
+    #[serde(default)]
+    repeats: usize,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -111,6 +116,38 @@ struct ComposedNumbers {
     flush_size: usize,
     /// LSTM width of the composed bundle.
     hidden: usize,
+}
+
+#[derive(Serialize, Deserialize, Default)]
+struct LaneKernelNumbers {
+    /// `SeqModel::step`, one lane after another: ns per packet.
+    scalar_ns_per_packet: f64,
+    /// `SeqModel::step_lanes` over the same lanes and features.
+    lanes_ns_per_packet: f64,
+    /// lanes / scalar, median over the alternating pairs. Recorded, not
+    /// gated: the issue's target (<= 1.0) is not met at this width.
+    lanes_over_scalar: f64,
+    /// Lanes per round (the 64-cluster fleet's 63 Mimic'ed clusters).
+    lanes: usize,
+    /// LSTM width: the shipped model's.
+    hidden: usize,
+    repeats: usize,
+}
+
+#[derive(Serialize, Deserialize, Default)]
+struct PdesNumbers {
+    /// Composed all-Mimic run on one LP: median wall seconds.
+    p1_s: f64,
+    /// The same run on two LPs.
+    p2_s: f64,
+    /// p1 / p2, median over the alternating pairs — the repo's first
+    /// binding multi-core gate (>= 1.2x).
+    speedup: f64,
+    clusters: usize,
+    /// Simulated seconds per run.
+    duration_s: f64,
+    /// Alternating 1-LP/2-LP repeats behind the medians.
+    repeats: usize,
 }
 
 #[derive(Serialize, Deserialize, Default)]
@@ -227,6 +264,13 @@ struct BenchReport {
     /// readable; a zeroed section disables its gate.
     #[serde(default)]
     composed: ComposedNumbers,
+    /// Scalar vs lane stepping at the shipped width. Serde default as
+    /// above; recorded only.
+    #[serde(default)]
+    lane_kernel: LaneKernelNumbers,
+    /// Composed PDES run at 1 vs 2 partitions. Serde default as above.
+    #[serde(default)]
+    pdes: PdesNumbers,
     /// Observability overhead (disabled-path A/A bound + enabled cost).
     /// Serde default keeps pre-obs baselines readable; a zeroed section
     /// disables its gate.
@@ -325,13 +369,59 @@ fn feature_pool(n: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Time two contenders in `repeats` alternating pairs — `run(false)` is
+/// the first, `run(true)` the second — and return `(median first, median
+/// second, median of the per-pair first/second ratios)`. A shared runner
+/// drifts between clock states that differ by a third for hundreds of
+/// milliseconds at a time; a pair sits inside one state far more often
+/// than two whole series do, so gates read the paired ratio.
+fn paired(repeats: usize, mut run: impl FnMut(bool) -> f64) -> (f64, f64, f64) {
+    let (mut xs, mut ys, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..repeats {
+        let (x, y) = (run(false), run(true));
+        xs.push(x);
+        ys.push(y);
+        ratios.push(x / y.max(1e-12));
+    }
+    let median = |v: &[f64]| dcn_sim::stats::percentile(v, 50.0);
+    (median(&xs), median(&ys), median(&ratios))
+}
+
+/// An untrained `hidden`-unit single-layer bundle for `topo`: the sections
+/// that time inference or the composed engine need weights of the right
+/// shape and live feeders, not a fitted model.
+fn untrained_bundle(
+    topo: &dcn_sim::topology::FatTreeParams,
+    hidden: usize,
+) -> mimicnet::mimic::TrainedMimic {
+    use mimic_ml::discretize::Discretizer;
+    use mimicnet::features::FeatureConfig;
+    use mimicnet::feeder::{DirFit, FeederFit};
+    use mimicnet::internal_model::InternalModel;
+    let fc = FeatureConfig::from_topology(topo);
+    let mk = |seed| InternalModel {
+        model: SeqModel::new_stacked(fc.width(), hidden, 1, seed),
+        disc: Discretizer::new(2e-5, 1e-3, 100),
+    };
+    let fit = DirFit::fit(&[1e-4, 2e-4, 3e-4, 5e-4], &[320.0, 1460.0, 1460.0]);
+    mimicnet::mimic::TrainedMimic {
+        ingress: mk(7),
+        egress: mk(8),
+        feature_cfg: fc,
+        feeder: FeederFit { ingress: fit.clone(), egress: fit },
+        envelope: None,
+    }
+}
+
 /// Event-engine throughput at simulation steady state: a hold-K queue
 /// (pop one, reschedule one) over the engine's real event mix — half
 /// packet-carrying `Arrive` events, the rest `TxDone`/`Timer` bookkeeping.
 /// The identical workload runs against the pooled index-heap queue and the
 /// `BinaryHeap<Event>` reference; the pooled engine's entire case is that
 /// sifting 4-byte indices beats memmoving whole `Event` values (a `Packet`
-/// payload rides in every `Arrive`).
+/// payload rides in every `Arrive`). Medians over alternating heap/pooled
+/// pairs ([`paired`]): one ~30 ms sample per engine swings by tens of
+/// percent on a shared runner, enough to flip the 1.3x gate either way.
 fn bench_event_engine(iters: usize) -> EventEngineNumbers {
     use dcn_sim::event::{EventKind, EventQueue};
     use dcn_sim::link::Dir;
@@ -340,6 +430,7 @@ fn bench_event_engine(iters: usize) -> EventEngineNumbers {
     use dcn_sim::topology::{LinkId, NodeId};
 
     const HOLD: usize = 8192;
+    const REPEATS: usize = 5;
 
     let kind = |i: u64| -> EventKind {
         match i % 4 {
@@ -389,16 +480,18 @@ fn bench_event_engine(iters: usize) -> EventEngineNumbers {
         ns
     };
 
-    let heap_ns = run(EventQueue::new_reference());
-    let pooled_ns = run(EventQueue::new());
+    let (heap_ns, pooled_ns, speedup) = paired(REPEATS, |pooled| {
+        run(if pooled { EventQueue::new() } else { EventQueue::new_reference() })
+    });
     EventEngineNumbers {
         heap_ns_per_event: heap_ns,
         pooled_ns_per_event: pooled_ns,
         heap_events_per_sec: 1e9 / heap_ns.max(1e-9),
         pooled_events_per_sec: 1e9 / pooled_ns.max(1e-9),
-        speedup: heap_ns / pooled_ns.max(1e-9),
+        speedup,
         hold: HOLD,
         events: iters,
+        repeats: REPEATS,
     }
 }
 
@@ -512,12 +605,8 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
     use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::FatTree;
-    use mimic_ml::discretize::Discretizer;
     use mimicnet::batch::BatchedMimicFleet;
-    use mimicnet::features::FeatureConfig;
-    use mimicnet::feeder::{DirFit, FeederFit};
-    use mimicnet::internal_model::InternalModel;
-    use mimicnet::mimic::{LearnedMimic, TrainedMimic};
+    use mimicnet::mimic::LearnedMimic;
 
     const COMPOSED_HIDDEN: usize = 384;
     const CLUSTERS: u32 = 8;
@@ -525,23 +614,7 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
 
     let mut topo = dcn_sim::config::SimConfig::small_scale().topo;
     topo.clusters = CLUSTERS;
-    let fc = FeatureConfig::from_topology(&topo);
-    let disc = Discretizer::new(2e-5, 1e-3, 100);
-    let mk = |seed| InternalModel {
-        model: SeqModel::new_stacked(fc.width(), COMPOSED_HIDDEN, 1, seed),
-        disc,
-    };
-    let fit = DirFit::fit(&[1e-4, 2e-4, 3e-4, 5e-4], &[320.0, 1460.0, 1460.0]);
-    let bundle = TrainedMimic {
-        ingress: mk(7),
-        egress: mk(8),
-        feature_cfg: fc,
-        feeder: FeederFit {
-            ingress: fit.clone(),
-            egress: fit,
-        },
-        envelope: None,
-    };
+    let bundle = untrained_bundle(&topo, COMPOSED_HIDDEN);
 
     let t = FatTree::new(topo);
     let obs = t.host(0, 0, 0);
@@ -614,6 +687,89 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
     }
 }
 
+/// Scalar vs lane stepping at the shipped width: 63 lanes (the 64-cluster
+/// fleet) of the `HIDDEN`-unit model, the same feature rows through
+/// `SeqModel::step` lane by lane and through `SeqModel::step_lanes` (the
+/// packed lane kernel). Weights this small leave a batched round no weight
+/// traffic to save, so the ratio prices the state gather/scatter.
+fn bench_lane_kernel() -> LaneKernelNumbers {
+    use mimic_ml::model::BatchScratch;
+
+    const LANES: usize = 63;
+    const ROUNDS: usize = 200;
+    const REPEATS: usize = 15;
+
+    let model = SeqModel::new(FEATURES, HIDDEN, 7);
+    let feats: Vec<f32> = feature_pool(LANES).concat();
+    let lanes: Vec<usize> = (0..LANES).collect();
+    // One state set, advanced by both contenders in turn: the arithmetic
+    // is data-independent and the two are bit-identical anyway.
+    let mut states: Vec<ModelState> = (0..LANES).map(|_| model.init_state()).collect();
+    let mut out = vec![[0.0f32; OUTPUTS]; LANES];
+    let mut scratch = BatchScratch::new();
+
+    let (lanes_ns, scalar_ns, lanes_over_scalar) = paired(REPEATS, |scalar| {
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            if scalar {
+                for (i, o) in out.iter_mut().enumerate() {
+                    *o = model.step(&feats[i * FEATURES..(i + 1) * FEATURES], &mut states[i]);
+                }
+            } else {
+                model.step_lanes(&feats, LANES, &mut states, &lanes, &mut out, &mut scratch);
+            }
+            std::hint::black_box(&out);
+        }
+        t0.elapsed().as_nanos() as f64 / (ROUNDS * LANES) as f64
+    });
+    LaneKernelNumbers {
+        scalar_ns_per_packet: scalar_ns,
+        lanes_ns_per_packet: lanes_ns,
+        lanes_over_scalar,
+        lanes: LANES,
+        hidden: HIDDEN,
+        repeats: REPEATS,
+    }
+}
+
+/// The composed all-Mimic run at 64 clusters on one LP and on two, with
+/// the bundle the pipeline section just trained (a trained bundle's latency
+/// floor sets the conservative window; an untrained one's 20 µs floor
+/// would measure barriers and nothing else): what the window barrier and
+/// the feeder warm-up path are worth once a second core is available.
+fn bench_pdes(scale: Scale, cfg: &PipelineConfig, trained: &TrainedMimic) -> PdesNumbers {
+    use dcn_sim::pdes::PdesRunOpts;
+    use mimicnet::compose::run_composed_partitioned;
+
+    const CLUSTERS: u32 = 64;
+    const REPEATS: usize = 7;
+
+    let mut base = cfg.base;
+    base.duration_s = match scale {
+        Scale::Quick => 2.0,
+        Scale::Full => 4.0,
+    };
+    let opts = PdesRunOpts::default();
+    let run = |partitions: usize| -> f64 {
+        let t0 = Instant::now();
+        let m = run_composed_partitioned(base, CLUSTERS, cfg.protocol, trained, partitions, &opts)
+            .expect("valid composition");
+        let s = t0.elapsed().as_secs_f64();
+        std::hint::black_box(m.events_processed);
+        s
+    };
+    run(2); // warm caches and the page allocator
+    let (p1_s, p2_s, speedup) = paired(REPEATS, |two| run(if two { 2 } else { 1 }));
+    PdesNumbers {
+        p1_s,
+        p2_s,
+        speedup,
+        clusters: CLUSTERS as usize,
+        duration_s: base.duration_s,
+        repeats: REPEATS,
+    }
+}
+
 /// Observability overhead on a composed sequential run. Three interleaved
 /// min-of-N series over identical simulations: obs off (A), obs off again
 /// (A/A control), and obs on. The A/A delta bounds what the disabled obs
@@ -621,12 +777,7 @@ fn bench_composed(iters: usize) -> ComposedNumbers {
 /// far below run-to-run noise); off-vs-on prices actual recording.
 fn bench_obs(repeats: usize) -> ObsNumbers {
     use dcn_transport::Protocol;
-    use mimic_ml::discretize::Discretizer;
     use mimicnet::compose::compose_batched;
-    use mimicnet::features::FeatureConfig;
-    use mimicnet::feeder::{DirFit, FeederFit};
-    use mimicnet::internal_model::InternalModel;
-    use mimicnet::mimic::TrainedMimic;
 
     const CLUSTERS: u32 = 4;
     let mut base = dcn_sim::config::SimConfig::small_scale();
@@ -637,23 +788,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     base.seed = 42;
     let mut topo = base.topo;
     topo.clusters = CLUSTERS;
-    let fc = FeatureConfig::from_topology(&topo);
-    let disc = Discretizer::new(2e-5, 1e-3, 100);
-    let mk = |seed| InternalModel {
-        model: SeqModel::new_stacked(fc.width(), HIDDEN, 1, seed),
-        disc,
-    };
-    let fit = DirFit::fit(&[1e-4, 2e-4, 3e-4, 5e-4], &[320.0, 1460.0, 1460.0]);
-    let bundle = TrainedMimic {
-        ingress: mk(7),
-        egress: mk(8),
-        feature_cfg: fc,
-        feeder: FeederFit {
-            ingress: fit.clone(),
-            egress: fit,
-        },
-        envelope: None,
-    };
+    let bundle = untrained_bundle(&topo, HIDDEN);
 
     let run_once = |trace: bool| -> f64 {
         let mut sim = compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle);
@@ -939,21 +1074,25 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
     }
 }
 
-fn bench_pipeline(scale: Scale) -> PipelineNumbers {
+/// The end-to-end pipeline numbers, plus the config and bundle behind them
+/// for [`bench_pdes`].
+fn bench_pipeline(scale: Scale) -> (PipelineNumbers, PipelineConfig, TrainedMimic) {
     let workers = 4;
-    let mut pipe = Pipeline::new(pipeline_config(scale, 42).with_workers(workers));
+    let cfg = pipeline_config(scale, 42).with_workers(workers);
+    let mut pipe = Pipeline::new(cfg);
     let trained = pipe.train();
     let est = pipe.estimate(&trained, scale.large());
     let small = pipe.timings.small_scale_sim.as_secs_f64();
     let training = pipe.timings.training.as_secs_f64();
     let large = est.wall.as_secs_f64();
-    PipelineNumbers {
+    let numbers = PipelineNumbers {
         small_scale_sim_s: small,
         training_s: training,
         large_scale_sim_s: large,
         total_s: small + training + large,
         workers,
-    }
+    };
+    (numbers, cfg, trained)
 }
 
 fn check_baseline(report: &BenchReport) -> Result<(), String> {
@@ -1088,9 +1227,10 @@ fn ci_warning(msg: &str) {
 }
 
 /// Speedup gates that cannot bind on this runner, with the reason. The
-/// wall-clock speedup of the training fan-out (gated at ≥1.5×) is only
-/// meaningful with cores to fan out to: on a single-core runner it
-/// degenerates to ~1× while the bit-identity check still binds. The skip reasons are recorded in the
+/// wall-clock speedups of the training fan-out (gated at ≥1.5×) and of the
+/// two-partition PDES run (≥1.2×) are only meaningful with cores to run
+/// on: on a single-core runner they degenerate to ≤1× while the
+/// bit-identity checks still bind. The skip reasons are recorded in the
 /// report itself (`gate_skips`) so the JSON artifact states which numbers
 /// a green run did not check.
 fn collect_gate_skips(cores: usize) -> Vec<String> {
@@ -1100,6 +1240,10 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
             "training fan-out >=1.5x gate skipped: {cores} core(s) visible, \
              wall-clock speedup is core-bound (bit-identity check still binds)"
         ));
+        skips.push(format!(
+            "pdes 2-partition >=1.2x gate skipped: {cores} core(s) visible, \
+             two LPs share one core"
+        ));
     }
     skips
 }
@@ -1107,9 +1251,9 @@ fn collect_gate_skips(cores: usize) -> Vec<String> {
 /// Absolute speedup gates, applied on every run (no baseline needed).
 ///
 /// The event-engine gate is single-threaded and binds everywhere. The
-/// ≥1.5× multi-core gate is suppressed by whatever
-/// [`collect_gate_skips`] put in the report — each suppression is printed
-/// here and already serialized in the JSON artifact.
+/// multi-core gates (PDES ≥1.2×, training fan-out ≥1.5×) are suppressed by
+/// whatever [`collect_gate_skips`] put in the report — each suppression is
+/// printed here and already serialized in the JSON artifact.
 fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
     let ee = report.event_engine.speedup;
     if ee < 1.3 {
@@ -1128,12 +1272,18 @@ fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
         }
         return Ok(());
     }
+    let (cores, pdes) = (report.config.cores, &report.pdes);
+    if pdes.speedup < 1.2 {
+        return Err(format!(
+            "2-partition composed run {:.2}x below the 1.2x gate on {cores} cores \
+             (1 LP {:.4} s, 2 LPs {:.4} s)",
+            pdes.speedup, pdes.p1_s, pdes.p2_s
+        ));
+    }
+    println!("multi-core gate: 2 PDES partitions {:.2}x over 1 (>= 1.2x) — OK", pdes.speedup);
     let tp = report.training_parallel.speedup;
     if tp < 1.5 {
-        return Err(format!(
-            "training fan-out speedup {tp:.2}x below the 1.5x gate on {} cores",
-            report.config.cores
-        ));
+        return Err(format!("training fan-out speedup {tp:.2}x below the 1.5x gate on {cores} cores"));
     }
     println!("multi-core gate: training fan-out {tp:.2}x (>= 1.5x) — OK");
     Ok(())
@@ -1175,6 +1325,15 @@ fn main() {
         "scalar on_packet:  {:>8.1} ns/packet\nbatched compose:   {:>8.1} ns/packet  ({:.2}x, flush {} items, hidden {})",
         composed.scalar_ns_per_packet, composed.batched_ns_per_packet, composed.speedup,
         composed.flush_size, composed.hidden
+    );
+
+    println!("\n-- lane kernel ({HIDDEN} hidden x 63 lanes) --");
+    let lane_kernel = bench_lane_kernel();
+    println!(
+        "scalar step:       {:>8.1} ns/packet\nstep_lanes:        {:>8.1} ns/packet  ({:.2}x of scalar)",
+        lane_kernel.scalar_ns_per_packet,
+        lane_kernel.lanes_ns_per_packet,
+        lane_kernel.lanes_over_scalar
     );
 
     println!("\n-- observability overhead (composed sequential run, min-of-N) --");
@@ -1238,11 +1397,18 @@ fn main() {
     );
 
     println!("\n-- end-to-end pipeline ({:?}) --", scale);
-    let pipeline = bench_pipeline(scale);
+    let (pipeline, pipeline_cfg, trained) = bench_pipeline(scale);
     println!(
         "small-scale sim: {:.2}s\ntraining:        {:.2}s (4 workers)\nlarge-scale sim: {:.2}s\ntotal:           {:.2}s",
         pipeline.small_scale_sim_s, pipeline.training_s, pipeline.large_scale_sim_s,
         pipeline.total_s
+    );
+
+    println!("\n-- composed PDES run (64 clusters, 1 vs 2 partitions, {cores} core(s)) --");
+    let pdes = bench_pdes(scale, &pipeline_cfg, &trained);
+    println!(
+        "1 partition:     {:>8.4} s\n2 partitions:    {:>8.4} s  ({:.2}x)",
+        pdes.p1_s, pdes.p2_s, pdes.speedup
     );
 
     let report = BenchReport {
@@ -1260,6 +1426,8 @@ fn main() {
         event_engine,
         inference,
         composed,
+        lane_kernel,
+        pdes,
         obs,
         training,
         training_parallel,

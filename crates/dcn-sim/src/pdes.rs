@@ -27,9 +27,9 @@ use crate::transport::TransportFactory;
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Map every node to a partition: clusters round-robin, cores round-robin.
 pub fn partition_by_cluster(topo: &FatTree, partitions: usize) -> Vec<u8> {
@@ -50,6 +50,111 @@ pub fn partition_by_cluster(topo: &FatTree, partitions: usize) -> Vec<u8> {
 }
 
 type RemoteMsg = (SimTime, NodeId, crate::packet::Packet);
+
+/// Busy-wait probes (one `spin_loop` pause each) before a waiter starts
+/// yielding: a few microseconds, the scale of a sibling finishing its
+/// window. Only used when every LP can own a core.
+const BARRIER_SPINS: u32 = 128;
+/// `yield_now` probes before a waiter parks. Each yield hands the core to
+/// a runnable sibling (the oversubscribed case) or returns at once, so the
+/// phase covers window imbalance without sleeping yet stays bounded: an LP
+/// stuck behind a checkpoint write or a descheduled sibling parks.
+const BARRIER_YIELDS: u32 = 256;
+
+/// How an LP's barrier waits ended, per LP (clock-free; exported as the
+/// `pdes.barrier.{spun,yielded,parked}` counters). The last LP to arrive
+/// at a barrier releases it without waiting and is counted nowhere.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct BarrierWaits {
+    /// Released while busy-waiting: the siblings were a few µs behind.
+    spun: u64,
+    /// Released while yielding: imbalance, or LPs sharing a core.
+    yielded: u64,
+    /// Slept on the condvar: a sibling was far behind or descheduled.
+    parked: u64,
+}
+
+/// The window barrier of a partitioned run: a generation-counter
+/// (sense-reversing) barrier whose waiters climb a bounded ladder — spin,
+/// then yield, then park — so a wait costs microseconds while the siblings
+/// are running and nothing once they are not (DESIGN.md §10).
+struct WindowBarrier {
+    parties: usize,
+    /// Spin only when every LP can have a core to itself; on an
+    /// oversubscribed box a spinning waiter delays the sibling it waits on.
+    spin: bool,
+    /// LPs arrived at the current generation.
+    arrived: AtomicUsize,
+    /// Bumped by the last arriver after it reset `arrived` (a release
+    /// store; SeqCst for the `sleepers` handshake) and polled with Acquire
+    /// by the waiters, so everything written before any LP's arrival is
+    /// visible to every LP after the barrier.
+    generation: AtomicUsize,
+    /// Waiters committed to parking. SeqCst against `generation`: either a
+    /// parking waiter sees the new generation or the releaser sees the
+    /// waiter and takes `lock` to notify it — no lost wake-up.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl WindowBarrier {
+    fn new(parties: usize) -> WindowBarrier {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        WindowBarrier {
+            parties,
+            spin: parties <= cores,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `parties` LPs have called `wait` for this
+    /// generation, tallying how the wait ended into `waits`.
+    fn wait(&self, waits: &mut BarrierWaits) {
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            // No LP touches `arrived` again before it has seen the bump.
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                // Taking the lock orders this notify after any sleeper's
+                // generation check, which happens under the same lock.
+                drop(self.lock.lock().expect("barrier mutex"));
+                self.wake.notify_all();
+            }
+            return;
+        }
+        let released = || self.generation.load(Ordering::Acquire) != gen;
+        if self.spin {
+            for _ in 0..BARRIER_SPINS {
+                if released() {
+                    waits.spun += 1;
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        for _ in 0..BARRIER_YIELDS {
+            if released() {
+                waits.yielded += 1;
+                return;
+            }
+            std::thread::yield_now();
+        }
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut guard = self.lock.lock().expect("barrier mutex");
+        while self.generation.load(Ordering::SeqCst) == gen {
+            guard = self.wake.wait(guard).expect("barrier mutex");
+        }
+        drop(guard);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        waits.parked += 1;
+    }
+}
 
 /// Name of the checkpoint directory's manifest file. The manifest is the
 /// commit point: part files are written first (each atomically), then the
@@ -409,7 +514,8 @@ pub fn run_partitioned_opts(
     let mut receivers: Vec<Option<Receiver<RemoteMsg>>> =
         channels.into_iter().map(|(_, r)| Some(r)).collect();
 
-    let barrier = Arc::new(Barrier::new(partitions));
+    let barrier = WindowBarrier::new(partitions);
+    let barrier = &barrier;
     // First checkpoint or restore failure wins; `abort` is only ever set
     // *before* a barrier and read *after* one, so every LP observes the
     // same value at the same loop position and barrier counts stay
@@ -431,10 +537,10 @@ pub fn run_partitioned_opts(
             let owner = owner.clone();
             let senders = senders.clone();
             let rx = receiver.take().expect("receiver taken once");
-            let barrier = barrier.clone();
             let record_err = &record_err;
             let abort = &abort;
-            handles.push(scope.spawn(move || -> Option<Metrics> {
+            let lp = std::thread::Builder::new().name(format!("pdes-lp-{part}"));
+            let body = move || -> Option<Metrics> {
                 let mut sim = Simulation::with_transport(cfg, make_factory());
                 setup(&mut sim);
                 sim.set_partition(owner.clone(), part as u8);
@@ -466,6 +572,7 @@ pub fn run_partitioned_opts(
                     sim.obs_gauge_set("tier.clusters", cfg.topo.clusters as f64);
                 }
                 let mut t = SimTime::ZERO;
+                let mut waits = BarrierWaits::default();
                 if let Some((resume_t, gen_dir)) = resume {
                     let restored = read_snapshot_file(&gen_dir.join(format!("part-{part}.snap")))
                         .and_then(|payload| sim.restore_snapshot(&payload));
@@ -473,7 +580,7 @@ pub fn run_partitioned_opts(
                         Ok(()) => t = *resume_t,
                         Err(e) => record_err(e),
                     }
-                    barrier.wait();
+                    barrier.wait(&mut waits);
                     if abort.load(Ordering::SeqCst) {
                         return None;
                     }
@@ -530,8 +637,8 @@ pub fn run_partitioned_opts(
                             )));
                             // Match the sibling LPs' two window barriers,
                             // then every LP returns at the abort check.
-                            barrier.wait();
-                            barrier.wait();
+                            barrier.wait(&mut waits);
+                            barrier.wait(&mut waits);
                             return None;
                         }
                     };
@@ -544,10 +651,10 @@ pub fn run_partitioned_opts(
                     }
                     if obs_timed {
                         let t0 = std::time::Instant::now();
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                         barrier_wait_ns += t0.elapsed().as_nanos() as u64;
                     } else {
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                     }
                     while let Ok((time, node, pkt)) = rx.try_recv() {
                         if obs_on {
@@ -557,10 +664,10 @@ pub fn run_partitioned_opts(
                     }
                     if obs_timed {
                         let t0 = std::time::Instant::now();
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                         barrier_wait_ns += t0.elapsed().as_nanos() as u64;
                     } else {
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                     }
                     // A panic in any sibling this window set `abort` before
                     // the first barrier; every LP sees it here, after the
@@ -632,7 +739,7 @@ pub fn run_partitioned_opts(
                                     }
                                 }
                             }
-                            barrier.wait();
+                            barrier.wait(&mut waits);
                             let merged = drift_slots.lock().expect("drift slots").clone();
                             // Drift-ceiling SLO: the merged vector is the
                             // same in every LP, so each dumps (its own
@@ -665,7 +772,7 @@ pub fn run_partitioned_opts(
                             // `partition_by_cluster`): record its switches
                             // there and nowhere else.
                             sim.tier_epoch(epoch, &merged, |c| c as usize % partitions == part);
-                            barrier.wait();
+                            barrier.wait(&mut waits);
                             // Reset the exchange for the next epoch; the
                             // trailing barrier keeps fast LPs from publishing
                             // into a vector part 0 has not cleared yet.
@@ -673,7 +780,7 @@ pub fn run_partitioned_opts(
                                 let mut slots = drift_slots.lock().expect("drift slots");
                                 slots.iter_mut().for_each(|s| *s = None);
                             }
-                            barrier.wait();
+                            barrier.wait(&mut waits);
                         }
                     }
                     // All LPs share t and the plan, so they branch (and hit
@@ -695,7 +802,7 @@ pub fn run_partitioned_opts(
                         if let Err(e) = written {
                             record_err(e);
                         }
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                         if abort.load(Ordering::SeqCst) {
                             return None;
                         }
@@ -724,7 +831,7 @@ pub fn run_partitioned_opts(
                                 Err(e) => record_err(e),
                             }
                         }
-                        barrier.wait();
+                        barrier.wait(&mut waits);
                         if abort.load(Ordering::SeqCst) {
                             return None;
                         }
@@ -733,13 +840,20 @@ pub fn run_partitioned_opts(
                 }
                 sim.obs_span_end();
                 if obs_on {
+                    // Under timed obs only (needs clock reads); the
+                    // clock-free ladder counters below tell a healthy spin
+                    // from LPs sharing a core under light obs too.
                     sim.obs_counter_add("pdes.barrier_wait_ns", barrier_wait_ns);
+                    sim.obs_counter_add("pdes.barrier.spun", waits.spun);
+                    sim.obs_counter_add("pdes.barrier.yielded", waits.yielded);
+                    sim.obs_counter_add("pdes.barrier.parked", waits.parked);
                     sim.obs_counter_add("pdes.msgs_exported", exported);
                     sim.obs_counter_add("pdes.msgs_imported", imported);
                     sim.obs_counter_add("pdes.partitions", 1);
                 }
                 Some(sim.take_metrics())
-            }));
+            };
+            handles.push(lp.spawn_scoped(scope, body).expect("spawn LP thread"));
         }
         let mut merged: Option<Metrics> = None;
         for h in handles {
@@ -855,6 +969,125 @@ mod tests {
             rp.spans.iter().map(|s| s.track).collect();
         assert_eq!(tracks.len(), 2);
         assert_eq!(rp.counter("sim.windows"), 2 * rs.counter("sim.windows"));
+        // Two barriers per window, one waiter each (the other LP releases):
+        // every wait ended on exactly one rung of the ladder.
+        let ladder = |r: &dcn_obs::ObsReport| {
+            r.counter("pdes.barrier.spun")
+                + r.counter("pdes.barrier.yielded")
+                + r.counter("pdes.barrier.parked")
+        };
+        assert_eq!(ladder(rp), rp.counter("sim.windows"));
+        assert_eq!(ladder(rs), 0, "a lone LP never waits");
+    }
+
+    /// Run `body` on its own thread and fail if it has not finished within
+    /// `secs` — a lost wake-up or an unbounded spin hangs, it does not
+    /// panic.
+    fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = channel();
+        std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("barrier test hung or its body panicked");
+    }
+
+    /// `parties` threads cross `generations` barriers. Before barrier `g`
+    /// each adds one to slot `g`; after it, the slot must hold exactly
+    /// `parties` — a thread released by a stale generation reads less, a
+    /// thread that skipped one has already added to the next slot. The
+    /// slot traffic is `Relaxed`: visibility rides on the barrier.
+    fn hammer(parties: usize, generations: usize) -> BarrierWaits {
+        let barrier = WindowBarrier::new(parties);
+        let slots: Vec<AtomicUsize> = (0..generations).map(|_| AtomicUsize::new(0)).collect();
+        let (barrier, slots) = (&barrier, &slots);
+        let mut total = BarrierWaits::default();
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..parties)
+                .map(|_| {
+                    scope.spawn(move || {
+                        let mut waits = BarrierWaits::default();
+                        for (g, slot) in slots.iter().enumerate() {
+                            slot.fetch_add(1, Ordering::Relaxed);
+                            barrier.wait(&mut waits);
+                            assert_eq!(slot.load(Ordering::Relaxed), parties, "generation {g}");
+                        }
+                        waits
+                    })
+                })
+                .collect();
+            for t in threads {
+                let w = t.join().expect("barrier thread");
+                total.spun += w.spun;
+                total.yielded += w.yielded;
+                total.parked += w.parked;
+            }
+        });
+        total
+    }
+
+    #[test]
+    fn barrier_generations_are_never_stale_or_skipped() {
+        within(120, || {
+            for parties in [1usize, 2, 4, 8] {
+                let w = hammer(parties, 10_000);
+                // One releaser per generation; everyone else waited.
+                assert_eq!(
+                    w.spun + w.yielded + w.parked,
+                    10_000 * (parties as u64 - 1),
+                    "{parties} parties"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn oversubscribed_barrier_stays_bounded() {
+        // More LPs than cores: a waiter that only spins holds the core its
+        // sibling needs, and each generation costs a scheduler quantum.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        within(120, move || {
+            let w = hammer(2 * cores + 1, 2_000);
+            assert_eq!(w.spun, 0, "oversubscribed LPs must not busy-wait");
+        });
+    }
+
+    #[test]
+    fn late_sibling_parks_the_waiter_and_wakes_it() {
+        const ROUNDS: usize = 50;
+        within(60, || {
+            let barrier = WindowBarrier::new(2);
+            // Barriers the early LP has returned from.
+            let crossed = AtomicUsize::new(0);
+            let (barrier, crossed) = (&barrier, &crossed);
+            std::thread::scope(|scope| {
+                let early = scope.spawn(move || {
+                    let mut waits = BarrierWaits::default();
+                    for round in 0..ROUNDS {
+                        barrier.wait(&mut waits);
+                        crossed.store(round + 1, Ordering::SeqCst);
+                    }
+                    waits
+                });
+                // Arrive only once the sibling has woken from the previous
+                // round and committed to parking in this one: the release
+                // then races its lock / generation check / condvar wait,
+                // the window a lost wake-up would live in.
+                let mut waits = BarrierWaits::default();
+                for round in 0..ROUNDS {
+                    while crossed.load(Ordering::SeqCst) != round
+                        || barrier.sleepers.load(Ordering::SeqCst) == 0
+                    {
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                    }
+                    barrier.wait(&mut waits);
+                }
+                assert_eq!(waits, BarrierWaits::default(), "the late LP releases, never waits");
+                assert_eq!(early.join().expect("early LP").parked, ROUNDS as u64);
+            });
+        });
     }
 
     fn temp_ckpt_dir(tag: &str) -> PathBuf {

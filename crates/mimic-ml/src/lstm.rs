@@ -127,78 +127,43 @@ impl LstmGrads {
     }
 }
 
-/// `z += x · W` for a row vector `x` and row-major `W` (`x.len() × z.len()`),
-/// four `W` rows per pass so each store carries four multiply-adds.
-fn vecmat_accum(z: &mut [f32], x: &[f32], w: &Matrix) {
-    let n = z.len();
-    debug_assert_eq!(w.cols, n);
-    debug_assert_eq!(w.rows, x.len());
-    let mut k = 0;
-    while k + 4 <= x.len() {
-        let (a0, a1, a2, a3) = (x[k], x[k + 1], x[k + 2], x[k + 3]);
-        let w0 = &w.data[k * n..(k + 1) * n];
-        let w1 = &w.data[(k + 1) * n..(k + 2) * n];
-        let w2 = &w.data[(k + 2) * n..(k + 3) * n];
-        let w3 = &w.data[(k + 3) * n..(k + 4) * n];
-        for ((((zv, &v0), &v1), &v2), &v3) in
-            z.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3)
-        {
-            *zv = fmadd(a0, v0, fmadd(a1, v1, fmadd(a2, v2, fmadd(a3, v3, *zv))));
-        }
-        k += 4;
-    }
-    while k < x.len() {
-        let a = x[k];
-        let wrow = &w.data[k * n..(k + 1) * n];
-        for (zv, &v) in z.iter_mut().zip(wrow) {
-            *zv = fmadd(a, v, *zv);
-        }
-        k += 1;
-    }
-}
+/// Column tile of the gate pre-activations that [`accum_tile`] keeps in
+/// registers across a pass.
+const GATE_TILE: usize = 64;
+/// Weight rows per pass (a multiple of four) of the paneled schedule.
+const GATE_PANEL: usize = 16;
+/// Layers whose `Wx` and `Wh` together are at most this big take the whole
+/// chain in one pass. Measured, not modelled (DESIGN.md §7 has the table):
+/// on lanes the single pass beat the panels at every width up to hidden 48
+/// (54 KB), tied at hidden 64 (89 KB) and lost from hidden 96 on; the
+/// shipped hidden 32 (28 KB) steps a quarter faster with it, hidden 384 a
+/// fifth slower.
+const SINGLE_PASS_WEIGHT_BYTES: usize = 64 * 1024;
 
-/// `z[lane] += xs[lane] · W` for `n` packed row vectors, streaming each
-/// four-row block of `W` across every lane before moving on.
-///
-/// This is [`vecmat_accum`] with the `k`-chunk loop hoisted outside the
-/// lane loop: per lane, each output element accumulates the *same* fmadd
-/// chain in the *same* `k` order, so results are bit-identical to calling
-/// `vecmat_accum` once per lane — but each `W` block is read once per
-/// batch instead of once per lane, which is where batching pays off for
-/// weight matrices larger than cache.
-fn lanes_accum(z: &mut [f32], xs: &[f32], in_dim: usize, n: usize, w: &Matrix) {
-    let cols = w.cols;
-    debug_assert_eq!(w.rows, in_dim);
-    debug_assert!(xs.len() >= n * in_dim);
-    debug_assert!(z.len() >= n * cols);
-    let mut k = 0;
-    while k + 4 <= in_dim {
-        let w0 = &w.data[k * cols..(k + 1) * cols];
-        let w1 = &w.data[(k + 1) * cols..(k + 2) * cols];
-        let w2 = &w.data[(k + 2) * cols..(k + 3) * cols];
-        let w3 = &w.data[(k + 3) * cols..(k + 4) * cols];
-        for lane in 0..n {
-            let x = &xs[lane * in_dim..(lane + 1) * in_dim];
-            let (a0, a1, a2, a3) = (x[k], x[k + 1], x[k + 2], x[k + 3]);
-            let zr = &mut z[lane * cols..(lane + 1) * cols];
-            for ((((zv, &v0), &v1), &v2), &v3) in
-                zr.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3)
-            {
-                *zv = fmadd(a0, v0, fmadd(a1, v1, fmadd(a2, v2, fmadd(a3, v3, *zv))));
-            }
+/// `acc += x · W[.., j0..j0+T]` over the rows of `w` (row-major, `cols`
+/// wide, one row per element of `x`), four rows per pass. Every output
+/// element runs the fmadd chain `k+3, k+2, k+1, k` per four-row block and
+/// then the tail rows one by one — the order every stepping path has
+/// always used, so neither tile width, pass depth nor lane count changes a
+/// bit of the result (passes start on a multiple of four).
+#[inline(always)]
+fn accum_tile<const T: usize>(acc: &mut [f32; T], x: &[f32], w: &[f32], cols: usize, j0: usize) {
+    assert!(j0 + T <= cols && w.len() == x.len() * cols);
+    let tile = |row: &[f32]| -> [f32; T] { row[j0..j0 + T].try_into().expect("tile-wide slice") };
+    let mut blocks = x.chunks_exact(4);
+    let mut rows = w.chunks_exact(cols);
+    for a in &mut blocks {
+        let mut next = || tile(rows.next().expect("one weight row per input"));
+        let (w0, w1, w2, w3) = (next(), next(), next(), next());
+        for j in 0..T {
+            acc[j] = fmadd(a[0], w0[j], fmadd(a[1], w1[j], fmadd(a[2], w2[j], fmadd(a[3], w3[j], acc[j]))));
         }
-        k += 4;
     }
-    while k < in_dim {
-        let wrow = &w.data[k * cols..(k + 1) * cols];
-        for lane in 0..n {
-            let a = xs[lane * in_dim + k];
-            let zr = &mut z[lane * cols..(lane + 1) * cols];
-            for (zv, &v) in zr.iter_mut().zip(wrow) {
-                *zv = fmadd(a, v, *zv);
-            }
+    for (&a, row) in blocks.remainder().iter().zip(rows) {
+        let wk = tile(row);
+        for j in 0..T {
+            acc[j] = fmadd(a, wk[j], acc[j]);
         }
-        k += 1;
     }
 }
 
@@ -217,6 +182,93 @@ impl Lstm {
             wx: Matrix::from_fn(input, 4 * hidden, |_, _| rng.uniform_sym(a_x) as f32),
             wh: Matrix::from_fn(hidden, 4 * hidden, |_, _| rng.uniform_sym(a_h) as f32),
             b,
+        }
+    }
+
+    /// Gate pre-activations `z[lane] = b + xs[lane]·Wx + hs[lane]·Wh` for
+    /// `n` packed lanes (`xs`: `n × input`, `hs`: `n × hidden`, `z`:
+    /// `n × 4·hidden`) — the one matrix kernel behind scalar and lane
+    /// stepping.
+    ///
+    /// The rows of the stacked `[Wx; Wh]` chain are cut into passes; within
+    /// a pass a column tile of `z` lives in registers, so `z` is touched
+    /// once per pass instead of once per four-row weight block. Small
+    /// layers take a single pass: the tile stays in registers from the
+    /// bias to the last row of `Wh`. Larger layers take [`GATE_PANEL`]
+    /// rows per pass with tiles outside lanes, so a pass's weights are
+    /// fetched once per round and then serve every lane.
+    fn gate_preact(&self, z: &mut [f32], n: usize, xs: &[f32], hs: &[f32]) {
+        let rows = self.input + self.hidden;
+        if self.single_pass() {
+            return self.gate_pass(z, n, xs, hs, (0, rows));
+        }
+        // Wx's rows, then Wh's: a pass never straddles the two, because
+        // Wh's four-row blocks count from its own first row.
+        for (lo, hi) in [(0, self.input), (self.input, rows)] {
+            for r0 in (lo..hi).step_by(GATE_PANEL) {
+                self.gate_pass(z, n, xs, hs, (r0, (r0 + GATE_PANEL).min(hi)));
+            }
+        }
+    }
+
+    /// Which of [`Lstm::gate_preact`]'s two pass schedules this layer takes.
+    fn single_pass(&self) -> bool {
+        (self.wx.data.len() + self.wh.data.len()) * std::mem::size_of::<f32>()
+            <= SINGLE_PASS_WEIGHT_BYTES
+    }
+
+    /// One pass of [`Lstm::gate_preact`] over chain rows `r.0..r.1`, every
+    /// column tile. `4·hidden` is a multiple of four, so power-of-two
+    /// tiles down to four columns cover what full tiles leave.
+    fn gate_pass(&self, z: &mut [f32], n: usize, xs: &[f32], hs: &[f32], r: (usize, usize)) {
+        let cols = 4 * self.hidden;
+        let mut j0 = 0;
+        while cols - j0 >= GATE_TILE {
+            self.gate_tile::<GATE_TILE>(z, n, xs, hs, r, j0);
+            j0 += GATE_TILE;
+        }
+        if cols - j0 >= 32 {
+            self.gate_tile::<32>(z, n, xs, hs, r, j0);
+            j0 += 32;
+        }
+        if cols - j0 >= 16 {
+            self.gate_tile::<16>(z, n, xs, hs, r, j0);
+            j0 += 16;
+        }
+        if cols - j0 >= 8 {
+            self.gate_tile::<8>(z, n, xs, hs, r, j0);
+            j0 += 8;
+        }
+        if cols - j0 >= 4 {
+            self.gate_tile::<4>(z, n, xs, hs, r, j0);
+        }
+    }
+
+    /// Columns `j0..j0+T` of one pass, every lane.
+    #[inline(always)]
+    fn gate_tile<const T: usize>(
+        &self,
+        z: &mut [f32],
+        n: usize,
+        xs: &[f32],
+        hs: &[f32],
+        (r0, r1): (usize, usize),
+        j0: usize,
+    ) {
+        let (input, h) = (self.input, self.hidden);
+        let cols = 4 * h;
+        // The pass's rows of Wx, then of Wh (either range may be empty).
+        let (x0, x1) = (r0.min(input), r1.min(input));
+        let (h0, h1) = (r0.max(input) - input, r1.max(input) - input);
+        let wx = &self.wx.data[x0 * cols..x1 * cols];
+        let wh = &self.wh.data[h0 * cols..h1 * cols];
+        for lane in 0..n {
+            let zt = &mut z[lane * cols + j0..lane * cols + j0 + T];
+            let first = if r0 == 0 { &self.b[j0..j0 + T] } else { &*zt };
+            let mut acc: [f32; T] = first.try_into().expect("tile-wide slice");
+            accum_tile(&mut acc, &xs[lane * input + x0..lane * input + x1], wx, cols, j0);
+            accum_tile(&mut acc, &hs[lane * h + h0..lane * h + h1], wh, cols, j0);
+            zt.copy_from_slice(&acc);
         }
     }
 
@@ -352,10 +404,7 @@ impl Lstm {
         let h = self.hidden;
         assert!(scratch.z.len() >= 4 * h, "scratch too small for layer");
         let z = &mut scratch.z[..4 * h];
-        // z = b; z += x · Wx; z += h_prev · Wh.
-        z.copy_from_slice(&self.b);
-        vecmat_accum(z, x, &self.wx);
-        vecmat_accum(z, &state.h.data, &self.wh);
+        self.gate_preact(z, 1, x, &state.h.data);
         // Activate contiguous gate blocks so the polynomial vectorizes
         // (see `forward_step_fused`).
         fastmath::sigmoid_slice(&mut z[..2 * h]);
@@ -383,12 +432,12 @@ impl Lstm {
     /// `z` is gate scratch of at least `n × 4·hidden`.
     ///
     /// Per lane, every floating-point operation happens in exactly the
-    /// order [`Lstm::step_inplace`] performs it — the accumulation chain
-    /// of [`lanes_accum`] matches [`vecmat_accum`] element for element and
-    /// the activation/cell tail is the same code — so the results are
-    /// **bit-identical** to stepping each lane alone. That equivalence is
-    /// what lets the PDES compose path batch boundary packets without
-    /// perturbing a single prediction.
+    /// order [`Lstm::step_inplace`] performs it — both call
+    /// [`Lstm::gate_preact`], whose per-element chain does not depend on
+    /// the lane count, and the activation/cell tail is the same code — so
+    /// the results are **bit-identical** to stepping each lane alone. That
+    /// equivalence is what lets the PDES compose path batch boundary
+    /// packets without perturbing a single prediction.
     pub fn step_lanes_blocked(
         &self,
         xs: &[f32],
@@ -403,11 +452,7 @@ impl Lstm {
         assert_eq!(cs.len(), n * h, "packed cell width mismatch");
         assert!(z.len() >= n * 4 * h, "lane scratch too small");
         let z = &mut z[..n * 4 * h];
-        for lane in 0..n {
-            z[lane * 4 * h..(lane + 1) * 4 * h].copy_from_slice(&self.b);
-        }
-        lanes_accum(z, xs, self.input, n, &self.wx);
-        lanes_accum(z, hs, h, n, &self.wh);
+        self.gate_preact(z, n, xs, hs);
         for lane in 0..n {
             let zr = &mut z[lane * 4 * h..(lane + 1) * 4 * h];
             fastmath::sigmoid_slice(&mut zr[..2 * h]);
@@ -709,6 +754,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The accumulation chain every stepping path used before the tiled
+    /// kernel (`z += x · W`, four rows per pass, then the tail), kept here
+    /// as the order [`Lstm::gate_preact`] must reproduce bit for bit.
+    fn untiled_accum(z: &mut [f32], x: &[f32], w: &Matrix) {
+        let n = z.len();
+        let mut k = 0;
+        while k + 4 <= x.len() {
+            for (j, zv) in z.iter_mut().enumerate() {
+                let v = |r: usize| w.data[(k + r) * n + j];
+                *zv = fmadd(x[k], v(0), fmadd(x[k + 1], v(1), fmadd(x[k + 2], v(2), fmadd(x[k + 3], v(3), *zv))));
+            }
+            k += 4;
+        }
+        while k < x.len() {
+            for (j, zv) in z.iter_mut().enumerate() {
+                *zv = fmadd(x[k], w.data[k * n + j], *zv);
+            }
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn gate_preact_is_bit_identical_to_the_untiled_chain() {
+        // Every shape up to 70 inputs x 48 hidden units: tile remainders
+        // (4·hidden not a multiple of the tile), row tails (input % 4 != 0)
+        // and both the single pass and the paneled passes.
+        let mut rng = MlRng::new(5);
+        let (mut single, mut paneled) = (0, 0);
+        for input in 1..=70usize {
+            for hidden in 1..=48usize {
+                let lstm = Lstm::new(input, hidden, &mut rng);
+                if lstm.single_pass() {
+                    single += 1;
+                } else {
+                    paneled += 1;
+                }
+                let n = 2;
+                let xs: Vec<f32> = (0..n * input).map(|_| rng.uniform_sym(1.5) as f32).collect();
+                let hs: Vec<f32> = (0..n * hidden).map(|_| rng.uniform_sym(1.0) as f32).collect();
+                let mut z = vec![f32::NAN; n * 4 * hidden];
+                lstm.gate_preact(&mut z, n, &xs, &hs);
+                for lane in 0..n {
+                    let mut want = lstm.b.clone();
+                    untiled_accum(&mut want, &xs[lane * input..(lane + 1) * input], &lstm.wx);
+                    untiled_accum(&mut want, &hs[lane * hidden..(lane + 1) * hidden], &lstm.wh);
+                    let got = &z[lane * 4 * hidden..(lane + 1) * 4 * hidden];
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "input {input} hidden {hidden} lane {lane} col {j}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(single > 0 && paneled > 0, "both pass schedules must be exercised");
     }
 
     #[test]

@@ -301,18 +301,9 @@ impl BatchedMimicFleet {
     /// expensive part of [`BatchClusterModel::on_wake`] — are skipped.
     pub fn advance_feeders(&mut self, cluster: u32, now: SimTime) {
         let li = self.slot[cluster as usize] as usize;
-        loop {
-            let mut fired = false;
-            if self.ingress.feeders[li].fire(now).is_some() {
+        for fleet in [&mut self.ingress, &mut self.egress] {
+            while fleet.feeders[li].fire(now).is_some() {
                 self.feeder_packets += 1;
-                fired = true;
-            }
-            if self.egress.feeders[li].fire(now).is_some() {
-                self.feeder_packets += 1;
-                fired = true;
-            }
-            if !fired {
-                break;
             }
         }
     }
@@ -499,30 +490,21 @@ impl BatchClusterModel for BatchedMimicFleet {
     }
 
     fn on_wake(&mut self, cluster: u32, now: SimTime) {
+        // Direction-major: every due ingress packet, then every due egress
+        // one. A cluster's two directions share no state (own feeder RNG,
+        // extractor and model state; `feeder_packets` is a sum), so only
+        // per-lane order matters and it is unchanged — while each
+        // direction's weights and state stay in L1 for its whole drain
+        // instead of being evicted by the other's on every packet.
         let li = self.slot[cluster as usize] as usize;
-        let g = self.assign[li];
-        loop {
-            let mut fired = false;
-            if let Some(v) = self.ingress.feeders[li].fire(now) {
-                let lane = &mut self.ingress.lanes[li];
-                lane.fx.extract_into(&v, &mut self.feat_buf);
-                self.bundles[g]
-                    .ingress
-                    .update_only(&self.feat_buf, &mut self.ingress.states[li]);
+        let bundle = &self.bundles[self.assign[li]];
+        for (fleet, model) in
+            [(&mut self.ingress, &bundle.ingress), (&mut self.egress, &bundle.egress)]
+        {
+            while let Some(v) = fleet.feeders[li].fire(now) {
+                fleet.lanes[li].fx.extract_into(&v, &mut self.feat_buf);
+                model.update_only(&self.feat_buf, &mut fleet.states[li]);
                 self.feeder_packets += 1;
-                fired = true;
-            }
-            if let Some(v) = self.egress.feeders[li].fire(now) {
-                let lane = &mut self.egress.lanes[li];
-                lane.fx.extract_into(&v, &mut self.feat_buf);
-                self.bundles[g]
-                    .egress
-                    .update_only(&self.feat_buf, &mut self.egress.states[li]);
-                self.feeder_packets += 1;
-                fired = true;
-            }
-            if !fired {
-                break;
             }
         }
     }
@@ -635,5 +617,82 @@ impl BatchClusterModel for BatchedMimicFleet {
             .entry("mimic.flush.lane_occupancy".into())
             .or_default()
             .merge(&self.lane_occupancy);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::features::FeatureConfig;
+    use crate::feeder::{DirFit, FeederFit};
+    use mimic_ml::discretize::Discretizer;
+    use mimic_ml::model::SeqModel;
+
+    /// An untrained 8-cluster bundle: feeder order does not care what the
+    /// weights are, only that both directions have their own.
+    fn fleet() -> BatchedMimicFleet {
+        let mut topo = dcn_sim::config::SimConfig::small_scale().topo;
+        topo.clusters = 8;
+        let fc = FeatureConfig::from_topology(&topo);
+        let mk = |seed| InternalModel {
+            model: SeqModel::new_stacked(fc.width(), 8, 1, seed),
+            disc: Discretizer::new(2e-5, 1e-3, 100),
+        };
+        let fit = DirFit::fit(&[1e-4, 2e-4, 3e-4, 5e-4], &[320.0, 1460.0, 1460.0]);
+        let bundle = TrainedMimic {
+            ingress: mk(7),
+            egress: mk(8),
+            feature_cfg: fc,
+            feeder: FeederFit { ingress: fit.clone(), egress: fit },
+            envelope: None,
+        };
+        let seeds: Vec<(u32, u64)> = (1..8).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
+        BatchedMimicFleet::new(bundle, topo, 8, &seeds)
+    }
+
+    /// The wake loop as it was before the direction-major drain: one
+    /// ingress packet, one egress packet, until neither feeder is due.
+    fn on_wake_interleaved(f: &mut BatchedMimicFleet, cluster: u32, now: SimTime) {
+        let li = f.slot[cluster as usize] as usize;
+        let g = f.assign[li];
+        loop {
+            let mut fired = false;
+            if let Some(v) = f.ingress.feeders[li].fire(now) {
+                f.ingress.lanes[li].fx.extract_into(&v, &mut f.feat_buf);
+                f.bundles[g].ingress.update_only(&f.feat_buf, &mut f.ingress.states[li]);
+                f.feeder_packets += 1;
+                fired = true;
+            }
+            if let Some(v) = f.egress.feeders[li].fire(now) {
+                f.egress.lanes[li].fx.extract_into(&v, &mut f.feat_buf);
+                f.bundles[g].egress.update_only(&f.feat_buf, &mut f.egress.states[li]);
+                f.feeder_packets += 1;
+                fired = true;
+            }
+            if !fired {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn direction_major_wake_matches_the_interleaved_order() {
+        let (mut major, mut interleaved) = (fleet(), fleet());
+        let mut now = SimTime::ZERO;
+        for round in 0..40u32 {
+            let cluster = 1 + round % 7;
+            let wake = major.next_wake(cluster, now).expect("feeders run at 8 clusters");
+            assert_eq!(interleaved.next_wake(cluster, now), Some(wake));
+            now = wake;
+            major.on_wake(cluster, now);
+            on_wake_interleaved(&mut interleaved, cluster, now);
+        }
+        assert!(major.feeder_packets > 100, "wakes must drain several packets per direction");
+        let bytes = |f: &BatchedMimicFleet| {
+            let mut w = SnapWriter::new();
+            f.save_state(&mut w).expect("fleet state serializes");
+            w.into_bytes()
+        };
+        assert_eq!(bytes(&major), bytes(&interleaved));
     }
 }

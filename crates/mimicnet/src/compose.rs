@@ -17,6 +17,7 @@ use dcn_sim::pdes::{run_partitioned_opts, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
 use dcn_sim::topology::{FatTree, NodeId};
 use dcn_transport::Protocol;
+use std::sync::Arc;
 
 /// Cluster index of the observable cluster in compositions.
 pub const OBSERVABLE: u32 = 0;
@@ -79,12 +80,13 @@ pub fn try_compose_partial(
             ),
         });
     }
+    let trained = Arc::new(trained.clone());
     for c in 0..n_clusters {
         if c == OBSERVABLE || full_fidelity.contains(&c) {
             continue;
         }
         let mimic = LearnedMimic::new(
-            trained.clone(),
+            Arc::clone(&trained),
             cfg.topo,
             n_clusters,
             cfg.seed ^ (0xC0DE_0000 + c as u64),
@@ -298,6 +300,8 @@ pub fn try_compose_heterogeneous(
         });
     }
     let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
+    // One shared copy per distinct bundle, however many clusters use it.
+    let bundles: Vec<Arc<TrainedMimic>> = bundles.iter().cloned().map(Arc::new).collect();
     for c in 0..n_clusters {
         if c == OBSERVABLE {
             continue;
@@ -312,7 +316,7 @@ pub fn try_compose_heterogeneous(
                 ),
             })?;
         let mimic = LearnedMimic::new(
-            bundle.clone(),
+            Arc::clone(bundle),
             cfg.topo,
             n_clusters,
             cfg.seed ^ (0x4E7E_0000 + c as u64),

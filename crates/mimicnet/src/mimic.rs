@@ -22,6 +22,7 @@ use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::topology::{FatTree, FatTreeParams};
 use mimic_ml::model::ModelState;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The serializable artifact produced by training: everything needed to
 /// instantiate Mimics at any scale.
@@ -154,7 +155,9 @@ struct DirRuntime {
 
 /// A live Mimic cluster.
 pub struct LearnedMimic {
-    bundle: TrainedMimic,
+    /// Shared, read-only: the Mimics of one composition step one set of
+    /// weights instead of a private copy each.
+    bundle: Arc<TrainedMimic>,
     ingress: DirRuntime,
     egress: DirRuntime,
     topo: FatTree,
@@ -171,13 +174,15 @@ pub struct LearnedMimic {
 impl LearnedMimic {
     /// Instantiate for an `n_clusters` composition. `seed` decorrelates
     /// the Mimics of one simulation; `topo_params` must match the
-    /// composed topology.
+    /// composed topology. Pass an `Arc` to share one bundle between the
+    /// Mimics of a composition; an owned bundle is wrapped.
     pub fn new(
-        bundle: TrainedMimic,
+        bundle: impl Into<Arc<TrainedMimic>>,
         topo_params: FatTreeParams,
         n_clusters: u32,
         seed: u64,
     ) -> LearnedMimic {
+        let bundle: Arc<TrainedMimic> = bundle.into();
         let fc = bundle.feature_cfg;
         let make_dir = |fit: &crate::feeder::DirFit, model: &InternalModel, tag: u64| DirRuntime {
             fx: FeatureExtractor::new(fc),
@@ -280,27 +285,18 @@ impl ClusterModel for LearnedMimic {
 
     fn on_wake(&mut self, now: SimTime) {
         // Inject every due synthetic packet: update the hidden state as if
-        // it were routed, then discard the outputs (§6).
-        loop {
-            let mut fired = false;
-            if let Some(v) = self.ingress.feeder.fire(now) {
-                self.ingress.fx.extract_into(&v, &mut self.ingress.feat_buf);
-                self.bundle
-                    .ingress
-                    .update_only(&self.ingress.feat_buf, &mut self.ingress.state);
+        // it were routed, then discard the outputs (§6). Direction-major —
+        // the two directions share no state, so draining one before the
+        // other keeps its weights in cache without changing either's
+        // packet order.
+        for (rt, model) in [
+            (&mut self.ingress, &self.bundle.ingress),
+            (&mut self.egress, &self.bundle.egress),
+        ] {
+            while let Some(v) = rt.feeder.fire(now) {
+                rt.fx.extract_into(&v, &mut rt.feat_buf);
+                model.update_only(&rt.feat_buf, &mut rt.state);
                 self.feeder_packets += 1;
-                fired = true;
-            }
-            if let Some(v) = self.egress.feeder.fire(now) {
-                self.egress.fx.extract_into(&v, &mut self.egress.feat_buf);
-                self.bundle
-                    .egress
-                    .update_only(&self.egress.feat_buf, &mut self.egress.state);
-                self.feeder_packets += 1;
-                fired = true;
-            }
-            if !fired {
-                break;
             }
         }
     }
