@@ -13,7 +13,8 @@ use mimicnet::compose::compose;
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::metrics::observed;
-use mimicnet::mimic::{DecisionMode, LearnedMimic, TrainedMimic};
+use mimicnet::mimic::{DecisionMode, TrainedMimic};
+use mimicnet::BatchedMimicFleet;
 use mimicnet::pipeline::Pipeline;
 
 fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bool) -> TrainedMimic {
@@ -95,16 +96,10 @@ fn main() {
             sim_cfg,
             cfg.protocol.factory(),
         );
-        for c in 1..n {
-            let mimic = LearnedMimic::new(
-                trained.clone(),
-                sim_cfg.topo,
-                n,
-                sim_cfg.seed ^ (0xAB1A_0000 + c as u64),
-            )
-            .with_mode(mode);
-            sim.set_cluster_model(c, Box::new(mimic));
-        }
+        let seeds: Vec<(u32, u64)> =
+            (1..n).map(|c| (c, sim_cfg.seed ^ (0xAB1A_0000 + c as u64))).collect();
+        let fleet = BatchedMimicFleet::new(trained, sim_cfg.topo, n, &seeds).with_mode(mode);
+        sim.set_batch_model(Box::new(fleet));
         let m = sim.run();
         let topo = dcn_sim::topology::FatTree::new(sim_cfg.topo);
         let obs = observed(&m, &topo, 0);

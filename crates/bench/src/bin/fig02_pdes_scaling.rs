@@ -12,14 +12,14 @@ use dcn_sim::pdes::{run_partitioned, PdesRunOpts};
 use dcn_sim::simulator::Simulation;
 use dcn_transport::Protocol;
 use mimic_ml::train::TrainConfig;
-use mimicnet::compose::{compose_batched, run_composed_partitioned};
+use mimicnet::compose::{compose, run_composed_partitioned};
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::mimic::TrainedMimic;
 use mimicnet_bench::{header, Scale};
 use std::time::Instant;
 
-/// A small trained bundle, just enough to drive the batched compose path;
+/// A small trained bundle, just enough to drive the composed path;
 /// the figure measures simulator throughput, not model quality.
 fn quick_trained() -> TrainedMimic {
     let mut dg = DataGenConfig::default();
@@ -78,11 +78,11 @@ fn main() {
             }
             cells.push(cfg.duration_s / wall); // simulated secs per second
         }
-        // Batched Mimic composition of the same topology: one observable
-        // cluster simulated packet-level, the rest served by the batched
-        // inference aggregation point — sequential and 4-way partitioned.
+        // Mimic composition of the same topology: one observable cluster
+        // simulated packet-level, the rest served by the Mimic fleet —
+        // sequential and 4-way partitioned.
         let t0 = Instant::now();
-        let seq = compose_batched(cfg, clusters, Protocol::NewReno, &trained).run();
+        let seq = compose(cfg, clusters, Protocol::NewReno, &trained).run();
         cells.push(cfg.duration_s / t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         let par = run_composed_partitioned(
@@ -113,7 +113,7 @@ fn main() {
     println!(
         "\npaper shape: throughput falls with size; 2/4 threads do NOT beat 1\n\
          (synchronization per link-latency window dominates). Mimic columns\n\
-         compose the same topology with batched-inference clusters: the\n\
+         compose the same topology with Mimic'ed clusters: the\n\
          throughput advantage over packet-level widens with size because\n\
          only one cluster runs packet-level."
     );

@@ -7,12 +7,11 @@
 //! 1. **Inference ns/packet** — the per-packet `SeqModel::step` price, for
 //!    (a) the pre-optimization baseline (allocating, zero-skipping,
 //!    strided-head step, reimplemented here verbatim), (b) the optimized
-//!    allocation-free step, and (c) the full `LearnedMimic::on_packet`
-//!    shim path.
-//! 2. **Training samples/sec** — the mini-batch loop with naive kernels at
-//!    1 worker (the old configuration), blocked kernels at 1 worker, and
-//!    blocked kernels at 4 workers (bit-identical parameters by
-//!    construction; verified here at runtime).
+//!    allocation-free step, and (c) the Mimic fleet's full per-item shim
+//!    path.
+//! 2. **Training samples/sec** — the mini-batch loop at 1 worker and at 4
+//!    workers (bit-identical parameters by construction; verified here at
+//!    runtime).
 //! 3. **End-to-end pipeline seconds** — small-scale sim + training + one
 //!    large-scale estimate.
 //!
@@ -25,7 +24,6 @@
 
 use mimic_ml::dataset::PacketDataset;
 use mimic_ml::loss::Target;
-use mimic_ml::matrix::{set_kernel_mode, KernelMode};
 use mimic_ml::model::{ModelState, SeqModel, OUTPUTS};
 use mimic_ml::rng::MlRng;
 use mimic_ml::train::{train, TrainConfig};
@@ -85,53 +83,17 @@ struct InferenceNumbers {
     optimized_ns_per_packet: f64,
     /// naive / optimized.
     speedup: f64,
-    /// Full shim path: feature extraction + drift + predict + decision.
+    /// Full shim path of the fleet, per item: feature extraction + drift +
+    /// predict + decision + FIFO clamp.
     mimic_on_packet_ns: f64,
 }
 
 #[derive(Serialize, Deserialize)]
 struct TrainingNumbers {
-    naive_1w_samples_per_sec: f64,
     blocked_1w_samples_per_sec: f64,
     blocked_4w_samples_per_sec: f64,
-    /// blocked@1 / naive@1.
-    speedup_blocked_1w: f64,
-    /// blocked@4 / naive@1.
-    speedup_blocked_4w: f64,
     /// Runtime check: serialized params of the 1- and 4-worker runs match.
     parallel_bit_identical: bool,
-}
-
-#[derive(Serialize, Deserialize, Default)]
-struct ComposedNumbers {
-    /// Scalar path: one `LearnedMimic::on_packet` per boundary packet.
-    scalar_ns_per_packet: f64,
-    /// Batched path: `BatchedMimicFleet::infer_batch` over the same trace.
-    batched_ns_per_packet: f64,
-    /// scalar / batched (the tentpole's ≥2× acceptance number).
-    speedup: f64,
-    /// Mimic'ed clusters in the composed workload.
-    mimic_clusters: usize,
-    /// Items per flush fed to the batched path.
-    flush_size: usize,
-    /// LSTM width of the composed bundle.
-    hidden: usize,
-}
-
-#[derive(Serialize, Deserialize, Default)]
-struct LaneKernelNumbers {
-    /// `SeqModel::step`, one lane after another: ns per packet.
-    scalar_ns_per_packet: f64,
-    /// `SeqModel::step_lanes` over the same lanes and features.
-    lanes_ns_per_packet: f64,
-    /// lanes / scalar, median over the alternating pairs. Recorded, not
-    /// gated: the issue's target (<= 1.0) is not met at this width.
-    lanes_over_scalar: f64,
-    /// Lanes per round (the 64-cluster fleet's 63 Mimic'ed clusters).
-    lanes: usize,
-    /// LSTM width: the shipped model's.
-    hidden: usize,
-    repeats: usize,
 }
 
 #[derive(Serialize, Deserialize, Default)]
@@ -259,16 +221,8 @@ struct BenchReport {
     #[serde(default)]
     event_engine: EventEngineNumbers,
     inference: InferenceNumbers,
-    /// Composed (batched fleet vs scalar Mimic) boundary inference. Serde
-    /// default keeps baselines recorded before the section existed
-    /// readable; a zeroed section disables its gate.
-    #[serde(default)]
-    composed: ComposedNumbers,
-    /// Scalar vs lane stepping at the shipped width. Serde default as
-    /// above; recorded only.
-    #[serde(default)]
-    lane_kernel: LaneKernelNumbers,
-    /// Composed PDES run at 1 vs 2 partitions. Serde default as above.
+    /// Composed PDES run at 1 vs 2 partitions. Serde default keeps
+    /// baselines recorded before the section existed readable.
     #[serde(default)]
     pdes: PdesNumbers,
     /// Observability overhead (disabled-path A/A bound + enabled cost).
@@ -537,14 +491,14 @@ fn bench_inference(iters: usize) -> InferenceNumbers {
 }
 
 fn bench_on_packet(iters: usize) -> f64 {
-    use dcn_sim::mimic::{BoundaryDir, ClusterModel};
+    use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem};
     use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::FatTree;
+    use mimicnet::batch::BatchedMimicFleet;
     use mimicnet::datagen::{generate, DataGenConfig};
     use mimicnet::drift::FeatureEnvelope;
     use mimicnet::internal_model::InternalModel;
-    use mimicnet::mimic::{LearnedMimic, TrainedMimic};
 
     let mut cfg = DataGenConfig::default();
     cfg.sim.duration_s = 0.3;
@@ -569,167 +523,33 @@ fn bench_on_packet(iters: usize) -> f64 {
     let mut topo = cfg.sim.topo;
     topo.clusters = 4;
     let t = FatTree::new(topo);
-    let mut m = LearnedMimic::new(bundle, topo, 4, 9);
-    let pkt = Packet::data(
-        1,
-        FlowId(5),
-        t.host(1, 0, 0),
-        t.host(0, 1, 1),
-        0,
-        1460,
-        true,
-        SimTime::from_secs_f64(0.01),
-    );
-    let at = |i: usize| SimTime::from_secs_f64(0.01 + i as f64 * 1e-6);
-    for i in 0..1000 {
-        let dir = if i % 2 == 0 { BoundaryDir::Ingress } else { BoundaryDir::Egress };
-        std::hint::black_box(m.on_packet(dir, &pkt, at(i)));
-    }
-    let t0 = Instant::now();
-    for i in 0..iters {
-        let dir = if i % 2 == 0 { BoundaryDir::Ingress } else { BoundaryDir::Egress };
-        std::hint::black_box(m.on_packet(dir, &pkt, at(1000 + i)));
-    }
-    t0.elapsed().as_nanos() as f64 / iters.max(1) as f64
-}
-
-/// Composed boundary inference: the same boundary-packet trace through the
-/// scalar per-cluster Mimics and through the batched fleet, on the
-/// `fig02_pdes_scaling` composed shape (small-scale config at 8 clusters:
-/// 7 Mimic'ed lanes per direction). The bundle is an untrained
-/// `COMPOSED_HIDDEN`-unit model — weights at the width compositions
-/// actually deploy, where streaming them once per batched round instead of
-/// once per packet is the entire contest.
-fn bench_composed(iters: usize) -> ComposedNumbers {
-    use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, ClusterModel, Verdict};
-    use dcn_sim::packet::{FlowId, Packet};
-    use dcn_sim::time::SimTime;
-    use dcn_sim::topology::FatTree;
-    use mimicnet::batch::BatchedMimicFleet;
-    use mimicnet::mimic::LearnedMimic;
-
-    const COMPOSED_HIDDEN: usize = 384;
-    const CLUSTERS: u32 = 8;
-    const FLUSH: usize = 64;
-
-    let mut topo = dcn_sim::config::SimConfig::small_scale().topo;
-    topo.clusters = CLUSTERS;
-    let bundle = untrained_bundle(&topo, COMPOSED_HIDDEN);
-
-    let t = FatTree::new(topo);
-    let obs = t.host(0, 0, 0);
-    let item = |i: u64| {
-        let cluster = 1 + (i % (CLUSTERS as u64 - 1)) as u32;
-        let flow = FlowId(1 + i % 24);
-        let local = t.host(cluster, (i % 2) as u32, ((i / 2) % 2) as u32);
-        let dir = if i.is_multiple_of(2) { BoundaryDir::Ingress } else { BoundaryDir::Egress };
-        let (src, dst) = match dir {
-            BoundaryDir::Ingress => (obs, local),
-            BoundaryDir::Egress => (local, obs),
+    let mut fleet = BatchedMimicFleet::new(bundle, topo, 4, &[(1, 9)]);
+    let (local, remote) = (t.host(1, 0, 0), t.host(0, 1, 1));
+    // One item per flush, alternating directions, 1 µs apart.
+    let item = |i: usize| {
+        let at = SimTime::from_secs_f64(0.01 + i as f64 * 1e-6);
+        let (dir, src, dst) = if i.is_multiple_of(2) {
+            (BoundaryDir::Ingress, remote, local)
+        } else {
+            (BoundaryDir::Egress, local, remote)
         };
-        let at = SimTime(10_000_000 + i * 400);
         BoundaryItem {
-            cluster,
+            cluster: 1,
             dir,
-            pkt: Packet::data(i + 1, flow, src, dst, i * 1460, 1460, i.is_multiple_of(3), at),
+            pkt: Packet::data(1, FlowId(5), src, dst, 0, 1460, true, at),
             enqueued_at: at,
         }
     };
-
-    // Scalar path: one LearnedMimic per Mimic'ed cluster.
-    let mut scalars: Vec<LearnedMimic> = (1..CLUSTERS)
-        .map(|c| LearnedMimic::new(bundle.clone(), topo, CLUSTERS, 9 ^ (0xC0DE_0000 + c as u64)))
-        .collect();
-    let scalar_shot = |ms: &mut [LearnedMimic], i: u64| {
-        let it = item(i);
-        std::hint::black_box(ms[it.cluster as usize - 1].on_packet(it.dir, &it.pkt, it.enqueued_at))
-    };
-    for i in 0..2_000 {
-        let _: Verdict = scalar_shot(&mut scalars, i);
-    }
-    let t0 = Instant::now();
-    for i in 0..iters as u64 {
-        scalar_shot(&mut scalars, 2_000 + i);
-    }
-    let scalar_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-    // Batched path: the fleet over the identical trace, flushed in
-    // window-sized chunks.
-    let seeds: Vec<(u32, u64)> = (1..CLUSTERS).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle, topo, CLUSTERS, &seeds);
-    let mut items = Vec::with_capacity(FLUSH);
     let mut verdicts = Vec::new();
-    let mut run_flushes = |fleet: &mut BatchedMimicFleet, start: u64, n: usize| {
-        let mut i = start;
-        let end = start + n as u64;
-        while i < end {
-            items.clear();
-            for _ in 0..FLUSH.min((end - i) as usize) {
-                items.push(item(i));
-                i += 1;
-            }
-            fleet.infer_batch(&items, &mut verdicts);
-            std::hint::black_box(verdicts.last());
-        }
-    };
-    run_flushes(&mut fleet, 0, 2_000);
+    for i in 0..1000 {
+        fleet.infer_batch(&[item(i)], &mut verdicts);
+    }
     let t0 = Instant::now();
-    run_flushes(&mut fleet, 2_000, iters);
-    let batched_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-    ComposedNumbers {
-        scalar_ns_per_packet: scalar_ns,
-        batched_ns_per_packet: batched_ns,
-        speedup: scalar_ns / batched_ns.max(1e-9),
-        mimic_clusters: CLUSTERS as usize - 1,
-        flush_size: FLUSH,
-        hidden: COMPOSED_HIDDEN,
+    for i in 0..iters {
+        fleet.infer_batch(&[item(1000 + i)], &mut verdicts);
+        std::hint::black_box(&verdicts);
     }
-}
-
-/// Scalar vs lane stepping at the shipped width: 63 lanes (the 64-cluster
-/// fleet) of the `HIDDEN`-unit model, the same feature rows through
-/// `SeqModel::step` lane by lane and through `SeqModel::step_lanes` (the
-/// packed lane kernel). Weights this small leave a batched round no weight
-/// traffic to save, so the ratio prices the state gather/scatter.
-fn bench_lane_kernel() -> LaneKernelNumbers {
-    use mimic_ml::model::BatchScratch;
-
-    const LANES: usize = 63;
-    const ROUNDS: usize = 200;
-    const REPEATS: usize = 15;
-
-    let model = SeqModel::new(FEATURES, HIDDEN, 7);
-    let feats: Vec<f32> = feature_pool(LANES).concat();
-    let lanes: Vec<usize> = (0..LANES).collect();
-    // One state set, advanced by both contenders in turn: the arithmetic
-    // is data-independent and the two are bit-identical anyway.
-    let mut states: Vec<ModelState> = (0..LANES).map(|_| model.init_state()).collect();
-    let mut out = vec![[0.0f32; OUTPUTS]; LANES];
-    let mut scratch = BatchScratch::new();
-
-    let (lanes_ns, scalar_ns, lanes_over_scalar) = paired(REPEATS, |scalar| {
-        let t0 = Instant::now();
-        for _ in 0..ROUNDS {
-            if scalar {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = model.step(&feats[i * FEATURES..(i + 1) * FEATURES], &mut states[i]);
-                }
-            } else {
-                model.step_lanes(&feats, LANES, &mut states, &lanes, &mut out, &mut scratch);
-            }
-            std::hint::black_box(&out);
-        }
-        t0.elapsed().as_nanos() as f64 / (ROUNDS * LANES) as f64
-    });
-    LaneKernelNumbers {
-        scalar_ns_per_packet: scalar_ns,
-        lanes_ns_per_packet: lanes_ns,
-        lanes_over_scalar,
-        lanes: LANES,
-        hidden: HIDDEN,
-        repeats: REPEATS,
-    }
+    t0.elapsed().as_nanos() as f64 / iters.max(1) as f64
 }
 
 /// The composed all-Mimic run at 64 clusters on one LP and on two, with
@@ -777,7 +597,7 @@ fn bench_pdes(scale: Scale, cfg: &PipelineConfig, trained: &TrainedMimic) -> Pde
 /// far below run-to-run noise); off-vs-on prices actual recording.
 fn bench_obs(repeats: usize) -> ObsNumbers {
     use dcn_transport::Protocol;
-    use mimicnet::compose::compose_batched;
+    use mimicnet::compose::compose;
 
     const CLUSTERS: u32 = 4;
     let mut base = dcn_sim::config::SimConfig::small_scale();
@@ -791,7 +611,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     let bundle = untrained_bundle(&topo, HIDDEN);
 
     let run_once = |trace: bool| -> f64 {
-        let mut sim = compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle);
+        let mut sim = compose(base, CLUSTERS, Protocol::NewReno, &bundle);
         if trace {
             sim.enable_obs();
         }
@@ -850,7 +670,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     // overhead at any stride is `digest_ns / stride` per window).
     let digest_ns = {
         use dcn_sim::SimTime;
-        let mut sim = compose_batched(base, CLUSTERS, Protocol::NewReno, &bundle);
+        let mut sim = compose(base, CLUSTERS, Protocol::NewReno, &bundle);
         sim.enable_digests();
         let _ = sim.run_window(SimTime::from_secs_f64(base.duration_s / 2.0));
         let mut best = f64::INFINITY;
@@ -926,26 +746,18 @@ fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfi
         ..TrainConfig::default()
     };
 
-    set_kernel_mode(KernelMode::Naive);
-    let (naive_1w, json_naive) = timed_train(&data, &cfg);
-    set_kernel_mode(KernelMode::Blocked);
     let (blocked_1w, json_1w) = timed_train(&data, &cfg);
     let (blocked_4w, json_4w) = timed_train(&data, &TrainConfig { workers: 4, ..cfg });
 
-    // Blocked row-major matmul preserves the naive accumulation order, and
-    // worker count never changes the reduction tree — all three runs must
-    // agree on the forward matmul path; 1w vs 4w must be bit-identical.
+    // Worker count never changes the reduction tree: 1w vs 4w must be
+    // bit-identical.
     let identical = json_1w == json_4w;
     assert!(identical, "1-worker and 4-worker training diverged");
-    drop(json_naive);
 
     (
         TrainingNumbers {
-            naive_1w_samples_per_sec: naive_1w,
             blocked_1w_samples_per_sec: blocked_1w,
             blocked_4w_samples_per_sec: blocked_4w,
-            speedup_blocked_1w: blocked_1w / naive_1w.max(1e-9),
-            speedup_blocked_4w: blocked_4w / naive_1w.max(1e-9),
             parallel_bit_identical: identical,
         },
         cfg,
@@ -1131,22 +943,6 @@ fn check_baseline(report: &BenchReport) -> Result<(), String> {
         "baseline check: {current:.1} ns/packet vs {:.1} baseline (limit {allowed:.1}) — OK",
         base.inference.optimized_ns_per_packet
     );
-    // Composed-inference gate: same +25% rule, skipped for baselines
-    // recorded before the section existed (serde default zeroes it).
-    if base.composed.batched_ns_per_packet > 0.0 {
-        let current = report.composed.batched_ns_per_packet;
-        let allowed = base.composed.batched_ns_per_packet * 1.25;
-        if current > allowed {
-            return Err(format!(
-                "composed inference regression: {current:.1} ns/packet vs baseline {:.1} (limit {allowed:.1}, +25%)",
-                base.composed.batched_ns_per_packet
-            ));
-        }
-        println!(
-            "composed baseline check: {current:.1} ns/packet vs {:.1} baseline (limit {allowed:.1}) — OK",
-            base.composed.batched_ns_per_packet
-        );
-    }
     // Training fan-out gate: the 4-worker pipeline training phase may not
     // regress past +25% of the baseline (skipped for older baselines).
     if base.training_parallel.fanout_4w_training_s > 0.0 {
@@ -1314,26 +1110,9 @@ fn main() {
     println!("\n-- inference ({iters} packets, {FEATURES} features x {HIDDEN} hidden) --");
     let inference = bench_inference(iters);
     println!(
-        "naive step:      {:>8.1} ns/packet\noptimized step:  {:>8.1} ns/packet  ({:.2}x)\nmimic on_packet: {:>8.1} ns/packet (full shim path)",
+        "naive step:      {:>8.1} ns/packet\noptimized step:  {:>8.1} ns/packet  ({:.2}x)\nfleet per item:  {:>8.1} ns/packet (full shim path)",
         inference.naive_ns_per_packet, inference.optimized_ns_per_packet, inference.speedup,
         inference.mimic_on_packet_ns
-    );
-
-    println!("\n-- composed boundary inference (fig02 shape: 8 clusters, 7 mimic'ed) --");
-    let composed = bench_composed(iters / 8);
-    println!(
-        "scalar on_packet:  {:>8.1} ns/packet\nbatched compose:   {:>8.1} ns/packet  ({:.2}x, flush {} items, hidden {})",
-        composed.scalar_ns_per_packet, composed.batched_ns_per_packet, composed.speedup,
-        composed.flush_size, composed.hidden
-    );
-
-    println!("\n-- lane kernel ({HIDDEN} hidden x 63 lanes) --");
-    let lane_kernel = bench_lane_kernel();
-    println!(
-        "scalar step:       {:>8.1} ns/packet\nstep_lanes:        {:>8.1} ns/packet  ({:.2}x of scalar)",
-        lane_kernel.scalar_ns_per_packet,
-        lane_kernel.lanes_ns_per_packet,
-        lane_kernel.lanes_over_scalar
     );
 
     println!("\n-- observability overhead (composed sequential run, min-of-N) --");
@@ -1358,10 +1137,9 @@ fn main() {
     println!("\n-- training ({samples} samples x {epochs} epochs, batch 64, window 8) --");
     let (training, tcfg) = bench_training(samples, epochs);
     println!(
-        "naive @ 1 worker:   {:>9.0} samples/s\nblocked @ 1 worker: {:>9.0} samples/s  ({:.2}x)\nblocked @ 4 workers:{:>9.0} samples/s  ({:.2}x)\n1w vs 4w parameters bit-identical: {}",
-        training.naive_1w_samples_per_sec,
-        training.blocked_1w_samples_per_sec, training.speedup_blocked_1w,
-        training.blocked_4w_samples_per_sec, training.speedup_blocked_4w,
+        "1 worker:  {:>9.0} samples/s\n4 workers: {:>9.0} samples/s\n1w vs 4w parameters bit-identical: {}",
+        training.blocked_1w_samples_per_sec,
+        training.blocked_4w_samples_per_sec,
         training.parallel_bit_identical
     );
 
@@ -1425,8 +1203,6 @@ fn main() {
         },
         event_engine,
         inference,
-        composed,
-        lane_kernel,
         pdes,
         obs,
         training,

@@ -27,8 +27,8 @@
 //!   per-host throughput, packet RTTs, and the cluster-boundary packet
 //!   traces that MimicNet trains on.
 //! * **Mimic hook** ([`mimic`]): clusters can be replaced wholesale by a
-//!   user-provided model implementing [`mimic::ClusterModel`]; this is the
-//!   seam the `mimicnet` crate plugs its learned Mimics into.
+//!   user-provided model implementing [`mimic::BatchClusterModel`]; this
+//!   is the seam the `mimicnet` crate plugs its learned Mimics into.
 //! * **Parallel execution** ([`pdes`]): conservative, barrier-synchronous
 //!   parallel DES across per-cluster logical processes, used to reproduce the
 //!   paper's Figure 2 observation that parallelism alone does not rescue

@@ -2,11 +2,12 @@
 //!
 //! A cluster in the simulation is either *full fidelity* (its ToR and
 //! aggregation switches process packets normally) or *mimic'ed*: packets
-//! crossing the cluster boundary are handed to a [`ClusterModel`], which
-//! predicts the cluster's effects — drop, latency, ECN marking — without
-//! simulating its internals (§4.1 of the paper). The `mimicnet` crate
-//! provides the learned LSTM-based implementation; this module only defines
-//! the interface plus a trivial reference model used in tests.
+//! crossing the cluster boundary are handed to the simulation's
+//! [`BatchClusterModel`], which predicts the cluster's effects — drop,
+//! latency, ECN marking — without simulating its internals (§4.1 of the
+//! paper). The `mimicnet` crate provides the learned LSTM-based
+//! implementation; this module only defines the interface plus a trivial
+//! reference model used in tests.
 //!
 //! Boundary semantics (matching the instrumentation junctures of §5.1):
 //!
@@ -113,50 +114,6 @@ pub enum Verdict {
     },
 }
 
-/// A stand-in for a cluster's internal network.
-pub trait ClusterModel {
-    /// Predict the effect on a packet crossing the boundary at `now`.
-    fn on_packet(&mut self, dir: BoundaryDir, pkt: &Packet, now: SimTime) -> Verdict;
-
-    /// When the model next wants a wakeup (feeder injection), if ever.
-    /// Called after construction and after every [`ClusterModel::on_wake`].
-    fn next_wake(&mut self, _now: SimTime) -> Option<SimTime> {
-        None
-    }
-
-    /// A requested wakeup fired (MimicNet feeds synthetic inter-Mimic
-    /// feature vectors here; outputs are discarded by design, §6).
-    fn on_wake(&mut self, _now: SimTime) {}
-
-    /// Drift score of the live traffic relative to the model's training
-    /// distribution, if the model monitors it. Higher means further out of
-    /// distribution; `None` means "not monitored". Read by the engine at
-    /// the end of a run and exposed per cluster in
-    /// [`crate::instrument::Metrics::cluster_drift`].
-    fn drift(&self) -> Option<f64> {
-        None
-    }
-
-    /// Serialize the model's mutable state (RNG streams, feeder cursors,
-    /// recurrent hidden state, …) for a checkpoint. Immutable weights are
-    /// *not* written; a restore re-creates the model from its bundle and
-    /// then calls [`ClusterModel::load_state`]. The default refuses, so
-    /// only opted-in models participate in checkpointed runs.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported(
-            "this ClusterModel implementation",
-        ))
-    }
-
-    /// Overwrite the model's mutable state from a checkpoint produced by
-    /// [`ClusterModel::save_state`] on an identically-configured model.
-    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported(
-            "this ClusterModel implementation",
-        ))
-    }
-}
-
 /// One boundary packet queued for batched inference: everything a
 /// [`BatchClusterModel`] needs to replay the crossing later, in order.
 #[derive(Clone, Debug)]
@@ -173,10 +130,10 @@ pub struct BoundaryItem {
     pub enqueued_at: SimTime,
 }
 
-/// A model serving *all* mimic'ed clusters of a simulation at once, so
-/// boundary packets queued across an event window can be predicted in one
-/// batched forward pass (the per-wakeup aggregation point of the PDES
-/// compose mode).
+/// A stand-in for the internal networks of *all* mimic'ed clusters of a
+/// simulation: boundary packets queued across an event window are
+/// predicted together at the engine's aggregation point (which is what
+/// lets a PDES window defer inference to its barrier).
 ///
 /// Contract with the engine:
 ///
@@ -213,7 +170,11 @@ pub trait BatchClusterModel {
         let _ = (cluster, now);
     }
 
-    /// Drift score for `cluster` (see [`ClusterModel::drift`]).
+    /// Drift score of `cluster`'s live traffic relative to the model's
+    /// training distribution, if the model monitors it. Higher means
+    /// further out of distribution; `None` means "not monitored". Read by
+    /// the engine at the end of a run and exposed per cluster in
+    /// [`crate::instrument::Metrics::cluster_drift`].
     fn drift(&self, cluster: u32) -> Option<f64> {
         let _ = cluster;
         None
@@ -239,25 +200,29 @@ pub trait BatchClusterModel {
         Vec::new()
     }
 
-    /// Contribute model-side telemetry (lane-occupancy histograms, packet
-    /// counters, …) to the engine's observability report at fold time.
+    /// Contribute model-side telemetry (packet counters, tier mix, …) to
+    /// the engine's observability report at fold time.
     /// Called once per run, only when obs is enabled; the default adds
     /// nothing.
     fn append_obs(&self, out: &mut dcn_obs::ObsReport) {
         let _ = out;
     }
 
-    /// Serialize mutable state for a checkpoint; see
-    /// [`ClusterModel::save_state`] for the contract. Must only be called
-    /// with no batch in flight (the engine settles first).
+    /// Serialize the model's mutable state (RNG streams, feeder cursors,
+    /// recurrent hidden state, …) for a checkpoint. Immutable weights are
+    /// *not* written; a restore re-creates the model from its bundle and
+    /// then calls [`BatchClusterModel::load_state`]. Only called with no
+    /// batch in flight (the engine settles first). The default refuses, so
+    /// only opted-in models participate in checkpointed runs.
     fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapshotError> {
         Err(SnapshotError::Unsupported(
             "this BatchClusterModel implementation",
         ))
     }
 
-    /// Overwrite mutable state from a checkpoint; see
-    /// [`ClusterModel::load_state`].
+    /// Overwrite the model's mutable state from a checkpoint produced by
+    /// [`BatchClusterModel::save_state`] on an identically-configured
+    /// model.
     fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         Err(SnapshotError::Unsupported(
             "this BatchClusterModel implementation",
@@ -265,11 +230,12 @@ pub trait BatchClusterModel {
     }
 }
 
-/// A reference model with constant latency and Bernoulli drops. Useful for
-/// engine tests and as a degenerate baseline ("what if the Mimic learned
-/// only averages?").
+/// A reference model with constant latency and Bernoulli drops on every
+/// cluster it serves. Useful for engine tests and as a degenerate baseline
+/// ("what if the Mimic learned only averages?").
 pub struct ConstModel {
-    /// Latency applied to every surviving packet.
+    clusters: Vec<u32>,
+    /// Latency applied to every surviving packet (also the latency floor).
     pub latency: SimDuration,
     /// Independent drop probability.
     pub drop_prob: f64,
@@ -277,8 +243,9 @@ pub struct ConstModel {
 }
 
 impl ConstModel {
-    pub fn new(latency: SimDuration, drop_prob: f64, seed: u64) -> ConstModel {
+    pub fn new(clusters: Vec<u32>, latency: SimDuration, drop_prob: f64, seed: u64) -> ConstModel {
         ConstModel {
+            clusters,
             latency,
             drop_prob,
             rng: crate::rng::SplitMix64::derive(seed, 0x6100),
@@ -286,16 +253,27 @@ impl ConstModel {
     }
 }
 
-impl ClusterModel for ConstModel {
-    fn on_packet(&mut self, _dir: BoundaryDir, _pkt: &Packet, _now: SimTime) -> Verdict {
-        if self.drop_prob > 0.0 && self.rng.bernoulli(self.drop_prob) {
-            Verdict::Drop
-        } else {
-            Verdict::Deliver {
-                latency: self.latency,
-                mark_ce: false,
-            }
+impl BatchClusterModel for ConstModel {
+    fn clusters(&self) -> &[u32] {
+        &self.clusters
+    }
+
+    fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
+        for _ in items {
+            let dropped = self.drop_prob > 0.0 && self.rng.bernoulli(self.drop_prob);
+            verdicts.push(if dropped {
+                Verdict::Drop
+            } else {
+                Verdict::Deliver {
+                    latency: self.latency,
+                    mark_ce: false,
+                }
+            });
         }
+    }
+
+    fn latency_floor(&self) -> SimDuration {
+        self.latency
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
@@ -315,42 +293,47 @@ mod tests {
     use crate::packet::FlowId;
     use crate::topology::NodeId;
 
-    fn pkt() -> Packet {
-        Packet::data(1, FlowId(1), NodeId(0), NodeId(9), 0, 1000, false, SimTime::ZERO)
+    fn items(n: usize) -> Vec<BoundaryItem> {
+        let pkt = Packet::data(1, FlowId(1), NodeId(0), NodeId(9), 0, 1000, false, SimTime::ZERO);
+        (0..n)
+            .map(|_| BoundaryItem {
+                cluster: 1,
+                dir: BoundaryDir::Egress,
+                pkt: pkt.clone(),
+                enqueued_at: SimTime::ZERO,
+            })
+            .collect()
     }
 
     #[test]
     fn const_model_fixed_latency() {
-        let mut m = ConstModel::new(SimDuration::from_micros(300), 0.0, 1);
-        match m.on_packet(BoundaryDir::Egress, &pkt(), SimTime::ZERO) {
-            Verdict::Deliver { latency, mark_ce } => {
-                assert_eq!(latency, SimDuration::from_micros(300));
-                assert!(!mark_ce);
-            }
-            Verdict::Drop => panic!("should not drop"),
-        }
+        let mut m = ConstModel::new(vec![1], SimDuration::from_micros(300), 0.0, 1);
+        let mut verdicts = Vec::new();
+        m.infer_batch(&items(1), &mut verdicts);
+        assert_eq!(
+            verdicts,
+            vec![Verdict::Deliver {
+                latency: SimDuration::from_micros(300),
+                mark_ce: false
+            }]
+        );
     }
 
     #[test]
     fn const_model_drop_rate() {
-        let mut m = ConstModel::new(SimDuration::ZERO, 0.25, 42);
+        let mut m = ConstModel::new(vec![1], SimDuration::from_micros(1), 0.25, 42);
         let n = 10_000;
-        let drops = (0..n)
-            .filter(|_| {
-                matches!(
-                    m.on_packet(BoundaryDir::Ingress, &pkt(), SimTime::ZERO),
-                    Verdict::Drop
-                )
-            })
-            .count();
+        let mut verdicts = Vec::new();
+        m.infer_batch(&items(n), &mut verdicts);
+        let drops = verdicts.iter().filter(|v| matches!(v, Verdict::Drop)).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
     }
 
     #[test]
     fn default_model_never_wakes() {
-        let mut m = ConstModel::new(SimDuration::ZERO, 0.0, 1);
-        assert!(m.next_wake(SimTime::ZERO).is_none());
+        let mut m = ConstModel::new(vec![1], SimDuration::from_micros(1), 0.0, 1);
+        assert!(m.next_wake(1, SimTime::ZERO).is_none());
     }
 
     /// Guard for the tier registry, mirroring the `EventKind` table guard:

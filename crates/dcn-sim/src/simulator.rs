@@ -6,9 +6,10 @@
 //!
 //! * **Full fidelity** — every cluster's switches are simulated; this is
 //!   the ground truth the paper evaluates against.
-//! * **Mimic composition** — clusters replaced by [`ClusterModel`]s via
-//!   [`Simulation::set_cluster_model`]; packets crossing their boundaries
-//!   take the learned path instead of the queue/switch path (§7.1).
+//! * **Mimic composition** — clusters served by one shared
+//!   [`BatchClusterModel`] via [`Simulation::set_batch_model`]; packets
+//!   crossing their boundaries take the learned path instead of the
+//!   queue/switch path (§7.1).
 //! * **Partitioned** — the same engine restricted to a subset of nodes,
 //!   exporting cross-partition packet arrivals; the [`crate::pdes`] driver
 //!   composes several of these into a conservative parallel simulation.
@@ -20,9 +21,7 @@ use crate::fault::{FaultAction, FaultChange, FaultPlan};
 use crate::host::{HostState, Role};
 use crate::instrument::{BoundaryPhase, BoundaryRecord, FlowRecord, Metrics, RttSample};
 use crate::link::{Dir, DuplexLink, LinkSpec};
-use crate::mimic::{
-    BatchClusterModel, BoundaryDir, BoundaryItem, ClusterModel, TierSwitch, Verdict,
-};
+use crate::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, TierSwitch, Verdict};
 use crate::packet::{Ecn, FlowId, Packet, PacketKind};
 use crate::routing::Router;
 use crate::switch::process_hop;
@@ -93,49 +92,30 @@ struct DigestRec {
 pub enum ClusterMode {
     /// Simulate all switches and queues.
     Full,
-    /// Replace internals with a model. `ingress`/`egress` select which
-    /// directions the model handles (both for a real Mimic; one for the
-    /// paper's Appendix B hybrid debug clusters).
-    Mimic {
-        model: Box<dyn ClusterModel>,
-        ingress: bool,
-        egress: bool,
-    },
-    /// Served (both directions) by the simulation's shared
-    /// [`BatchClusterModel`]: boundary packets are queued and predicted in
-    /// batched flushes instead of per-packet scalar calls. Installed via
-    /// [`Simulation::set_batch_model`].
-    Batched,
+    /// Served by the simulation's shared [`BatchClusterModel`]: boundary
+    /// packets are queued and predicted in flushes. `ingress`/`egress`
+    /// select which directions the model handles (both for a real Mimic;
+    /// one for the paper's Appendix B hybrid debug clusters). Installed
+    /// via [`Simulation::set_batch_model`].
+    Mimic { ingress: bool, egress: bool },
 }
 
 impl ClusterMode {
     fn models_ingress(&self) -> bool {
-        matches!(
-            self,
-            ClusterMode::Mimic { ingress: true, .. } | ClusterMode::Batched
-        )
+        matches!(self, ClusterMode::Mimic { ingress: true, .. })
     }
     fn models_egress(&self) -> bool {
-        matches!(
-            self,
-            ClusterMode::Mimic { egress: true, .. } | ClusterMode::Batched
-        )
+        matches!(self, ClusterMode::Mimic { egress: true, .. })
     }
     /// Does this cluster still generate its own full workload?
     /// Full and hybrid (partially modeled) clusters do; full Mimics do not.
     fn full_fidelity_traffic(&self) -> bool {
-        match self {
-            ClusterMode::Full => true,
-            ClusterMode::Mimic {
-                ingress, egress, ..
-            } => !(*ingress && *egress),
-            ClusterMode::Batched => false,
-        }
+        !(self.models_ingress() && self.models_egress())
     }
 }
 
-/// Runtime of the shared batched model: the aggregation point where
-/// boundary packets wait for a batched inference flush.
+/// Runtime of the shared cluster model: the aggregation point where
+/// boundary packets wait for an inference flush.
 struct BatchRuntime {
     model: Box<dyn BatchClusterModel>,
     /// Queued boundary crossings, in enqueue order.
@@ -181,8 +161,8 @@ pub struct Simulation {
     fault: Option<Vec<[crate::rng::SplitMix64; 2]>>,
     /// Compiled fault schedule, indexed by [`EventKind::Fault`] events.
     fault_schedule: Option<Vec<FaultAction>>,
-    /// Shared batched-inference runtime for [`ClusterMode::Batched`]
-    /// clusters; `None` when no batched model is installed.
+    /// Shared inference runtime for [`ClusterMode::Mimic`] clusters;
+    /// `None` when no cluster model is installed.
     batch: Option<BatchRuntime>,
     /// Observability accumulators; `None` (the default) is the no-op
     /// recorder and costs one branch per event.
@@ -290,52 +270,37 @@ impl Simulation {
         self.trace_cluster = Some(cluster);
     }
 
-    /// Replace `cluster`'s internals with a model for both directions.
-    pub fn set_cluster_model(&mut self, cluster: u32, model: Box<dyn ClusterModel>) {
-        self.set_cluster_model_dirs(cluster, model, true, true);
+    /// Replace every cluster in `model.clusters()` with the shared model,
+    /// both directions. Their boundary packets are queued during event
+    /// processing and predicted together in flushes; verdicts are
+    /// re-injected as future arrivals timed from each packet's *enqueue*
+    /// time, so the trajectory is independent of when the engine flushes.
+    ///
+    /// At most one model per simulation.
+    pub fn set_batch_model(&mut self, model: Box<dyn BatchClusterModel>) {
+        self.set_batch_model_dirs(model, true, true);
     }
 
-    /// Replace `cluster`'s internals for selected directions only (hybrid
-    /// testing clusters, paper Appendix B).
-    pub fn set_cluster_model_dirs(
+    /// [`Simulation::set_batch_model`] for selected directions only
+    /// (hybrid testing clusters, paper Appendix B): the other direction
+    /// keeps its packet-level switches and the clusters keep generating
+    /// their own workload.
+    pub fn set_batch_model_dirs(
         &mut self,
-        cluster: u32,
-        model: Box<dyn ClusterModel>,
+        model: Box<dyn BatchClusterModel>,
         ingress: bool,
         egress: bool,
     ) {
-        assert!(cluster < self.cfg.topo.clusters);
         assert!(!self.initialized, "cannot add models after the run started");
-        self.cluster_modes[cluster as usize] = ClusterMode::Mimic {
-            model,
-            ingress,
-            egress,
-        };
-    }
-
-    /// Replace every cluster in `model.clusters()` with the shared batched
-    /// model. Their boundary packets are queued during event processing
-    /// and predicted together in batched flushes; verdicts are re-injected
-    /// as future arrivals timed from each packet's *enqueue* time, so the
-    /// trajectory is independent of when the engine flushes.
-    ///
-    /// At most one batched model per simulation; clusters it serves must
-    /// not already carry a scalar [`ClusterModel`].
-    pub fn set_batch_model(&mut self, model: Box<dyn BatchClusterModel>) {
-        assert!(!self.initialized, "cannot add models after the run started");
-        assert!(self.batch.is_none(), "batched model already installed");
+        assert!(self.batch.is_none(), "cluster model already installed");
         let horizon = model.latency_floor();
         assert!(
             horizon > SimDuration::ZERO,
-            "batched model must declare a positive latency floor"
+            "cluster model must declare a positive latency floor"
         );
         for &c in model.clusters() {
             assert!(c < self.cfg.topo.clusters, "cluster {c} out of range");
-            assert!(
-                matches!(self.cluster_modes[c as usize], ClusterMode::Full),
-                "cluster {c} already modeled"
-            );
-            self.cluster_modes[c as usize] = ClusterMode::Batched;
+            self.cluster_modes[c as usize] = ClusterMode::Mimic { ingress, egress };
         }
         self.batch = Some(BatchRuntime {
             model,
@@ -809,15 +774,11 @@ impl Simulation {
             if !self.owned(tor0) {
                 continue;
             }
-            let wake = match &mut self.cluster_modes[c as usize] {
-                ClusterMode::Mimic { model, .. } => model.next_wake(SimTime::ZERO),
-                ClusterMode::Batched => self
-                    .batch
-                    .as_mut()
-                    .and_then(|rt| rt.model.next_wake(c, SimTime::ZERO)),
-                ClusterMode::Full => None,
-            };
-            if let Some(t) = wake {
+            if matches!(self.cluster_modes[c as usize], ClusterMode::Full) {
+                continue;
+            }
+            let rt = self.batch.as_mut().expect("mimic cluster without model");
+            if let Some(t) = rt.model.next_wake(c, SimTime::ZERO) {
                 self.queue
                     .schedule(t, EventKind::FeederWake { cluster: c });
             }
@@ -832,9 +793,7 @@ impl Simulation {
             leftover.is_empty(),
             "unpartitioned run exported remote events"
         );
-        self.collect_cluster_drift();
-        self.fold_obs();
-        std::mem::replace(&mut self.metrics, Metrics::new(0))
+        self.take_metrics()
     }
 
     /// Fold the engine-side observability accumulators into
@@ -937,37 +896,15 @@ impl Simulation {
         Some(report)
     }
 
-    /// Copy each Mimic'ed cluster's drift score (if monitored) into the
-    /// metrics about to be handed out.
-    fn collect_cluster_drift(&mut self) {
-        let n = self.cluster_modes.len();
-        if self.metrics.cluster_drift.len() < n {
-            self.metrics.cluster_drift.resize(n, None);
-        }
-        for (c, mode) in self.cluster_modes.iter().enumerate() {
-            match mode {
-                ClusterMode::Mimic { model, .. } => {
-                    self.metrics.cluster_drift[c] = model.drift();
-                }
-                ClusterMode::Batched => {
-                    if let Some(rt) = &self.batch {
-                        self.metrics.cluster_drift[c] = rt.model.drift(c as u32);
-                    }
-                }
-                ClusterMode::Full => {}
-            }
-        }
-    }
-
     /// Process all events strictly before `until`; return packet arrivals
     /// destined for nodes owned by other partitions.
     ///
-    /// Batched-model flush points (each one re-peeks the queue, since a
+    /// Cluster-model flush points (each one re-peeks the queue, since a
     /// flush can schedule new local events):
     /// * before processing any event at or past the inference deadline
     ///   (`oldest pending enqueue + latency floor`);
-    /// * inside [`Simulation::handle_feeder`] for batch-served clusters,
-    ///   pinning the item-vs-feeder state order;
+    /// * inside [`Simulation::handle_feeder`], pinning the item-vs-feeder
+    ///   state order;
     /// * at the end of the window (or when the queue drains), so a PDES
     ///   window never carries pending items across its barrier.
     pub fn run_window(&mut self, until: SimTime) -> Vec<(SimTime, NodeId, Packet)> {
@@ -1131,9 +1068,10 @@ impl Simulation {
             .schedule(time, EventKind::Arrive { node, packet });
     }
 
-    /// Extract metrics after the run (partitioned mode).
+    /// Extract metrics after the run (partitioned mode), with each
+    /// Mimic'ed cluster's drift score (if monitored) copied in.
     pub fn take_metrics(&mut self) -> Metrics {
-        self.collect_cluster_drift();
+        self.metrics.cluster_drift = self.cluster_drifts();
         self.fold_obs();
         std::mem::replace(&mut self.metrics, Metrics::new(0))
     }
@@ -1147,15 +1085,9 @@ impl Simulation {
     pub fn cluster_drifts(&mut self) -> Vec<Option<f64>> {
         self.flush_batch();
         let mut v = vec![None; self.cluster_modes.len()];
-        for (c, mode) in self.cluster_modes.iter().enumerate() {
-            match mode {
-                ClusterMode::Mimic { model, .. } => v[c] = model.drift(),
-                ClusterMode::Batched => {
-                    if let Some(rt) = &self.batch {
-                        v[c] = rt.model.drift(c as u32);
-                    }
-                }
-                ClusterMode::Full => {}
+        if let Some(rt) = &self.batch {
+            for &c in rt.model.clusters() {
+                v[c as usize] = rt.model.drift(c);
             }
         }
         v
@@ -1289,19 +1221,14 @@ impl Simulation {
         w.put_opt_u64(self.trace_cluster.map(u64::from));
         w.put_u64(self.cluster_modes.len() as u64);
         for mode in &self.cluster_modes {
+            // Tag 1 was the per-cluster boxed model of format v1; retired.
             match mode {
                 ClusterMode::Full => w.put_u8(0),
-                ClusterMode::Mimic {
-                    model,
-                    ingress,
-                    egress,
-                } => {
-                    w.put_u8(1);
+                ClusterMode::Mimic { ingress, egress } => {
+                    w.put_u8(2);
                     w.put_bool(*ingress);
                     w.put_bool(*egress);
-                    model.save_state(&mut w)?;
                 }
-                ClusterMode::Batched => w.put_u8(2),
             }
         }
         match &self.batch {
@@ -1476,23 +1403,14 @@ impl Simulation {
             let disc = r.get_u8()?;
             match (disc, mode) {
                 (0, ClusterMode::Full) => {}
-                (
-                    1,
-                    ClusterMode::Mimic {
-                        model,
-                        ingress,
-                        egress,
-                    },
-                ) => {
+                (2, ClusterMode::Mimic { ingress, egress }) => {
                     let (si, se) = (r.get_bool()?, r.get_bool()?);
                     if si != *ingress || se != *egress {
                         return Err(SnapshotError::Corrupt(format!(
                             "cluster {c} mimic directions differ from snapshot"
                         )));
                     }
-                    model.load_state(&mut r)?;
                 }
-                (2, ClusterMode::Batched) => {}
                 (d, _) => {
                     return Err(SnapshotError::Corrupt(format!(
                         "cluster {c} mode {d} does not match the engine's configuration"
@@ -1506,7 +1424,7 @@ impl Simulation {
             (Some(rt), true) => rt.model.load_state(&mut r)?,
             _ => {
                 return Err(SnapshotError::Corrupt(
-                    "batched-model presence differs from snapshot".into(),
+                    "cluster-model presence differs from snapshot".into(),
                 ));
             }
         }
@@ -1797,72 +1715,28 @@ impl Simulation {
         }
     }
 
-    /// Run a packet through a mimic'ed cluster's model and schedule its
-    /// reappearance on the other side. Batch-served clusters queue the
-    /// packet instead; [`Simulation::flush_batch`] settles it later.
-    fn mimic_boundary(&mut self, cluster: u32, dir: BoundaryDir, mut pkt: Packet) {
-        if matches!(self.cluster_modes[cluster as usize], ClusterMode::Batched) {
-            let rt = self.batch.as_mut().expect("batched cluster without model");
-            rt.pending.push(BoundaryItem {
-                cluster,
-                dir,
-                pkt,
-                enqueued_at: self.now,
-            });
-            return;
-        }
-        let verdict = {
-            let ClusterMode::Mimic { model, .. } = &mut self.cluster_modes[cluster as usize]
-            else {
-                unreachable!("mimic_boundary called on full cluster")
-            };
-            model.on_packet(dir, &pkt, self.now)
-        };
-        match verdict {
-            Verdict::Drop => {
-                self.metrics.mimic_drops += 1;
-            }
-            Verdict::Deliver { latency, mark_ce } => {
-                if mark_ce && pkt.ecn.is_capable() {
-                    pkt.ecn = Ecn::Ce;
-                }
-                let target = match dir {
-                    // Egress: reappear at the flow's ECMP core switch.
-                    BoundaryDir::Egress => self.router.core_for_flow(pkt.flow),
-                    // Ingress: delivered to the destination host.
-                    BoundaryDir::Ingress => pkt.dst,
-                };
-                self.schedule_arrival(self.now + latency, target, pkt);
-            }
-        }
+    /// Queue a packet crossing a mimic'ed cluster's boundary for the
+    /// cluster model; [`Simulation::flush_batch`] settles it later and
+    /// schedules its reappearance on the other side.
+    fn mimic_boundary(&mut self, cluster: u32, dir: BoundaryDir, pkt: Packet) {
+        let rt = self.batch.as_mut().expect("mimic cluster without model");
+        rt.pending.push(BoundaryItem {
+            cluster,
+            dir,
+            pkt,
+            enqueued_at: self.now,
+        });
     }
 
     fn handle_feeder(&mut self, cluster: u32) {
-        if matches!(self.cluster_modes[cluster as usize], ClusterMode::Batched) {
-            // Flush every queued boundary packet before the feeder touches
-            // the model state, so the item-vs-feeder ordering is a property
-            // of event times, not of flush scheduling.
-            self.flush_batch();
-            let next = {
-                let rt = self.batch.as_mut().expect("batched cluster without model");
-                rt.model.on_wake(cluster, self.now);
-                rt.model.next_wake(cluster, self.now)
-            };
-            if let Some(t) = next {
-                let t = t.max(self.now + SimDuration::from_nanos(1));
-                if t <= self.end {
-                    self.queue.schedule(t, EventKind::FeederWake { cluster });
-                }
-            }
-            return;
-        }
+        // Flush every queued boundary packet before the feeder touches
+        // the model state, so the item-vs-feeder ordering is a property
+        // of event times, not of flush scheduling.
+        self.flush_batch();
         let next = {
-            let ClusterMode::Mimic { model, .. } = &mut self.cluster_modes[cluster as usize]
-            else {
-                return;
-            };
-            model.on_wake(self.now);
-            model.next_wake(self.now)
+            let rt = self.batch.as_mut().expect("feeder wake without model");
+            rt.model.on_wake(cluster, self.now);
+            rt.model.next_wake(cluster, self.now)
         };
         if let Some(t) = next {
             let t = t.max(self.now + SimDuration::from_nanos(1));
@@ -2016,6 +1890,11 @@ mod tests {
         cfg
     }
 
+    /// Cluster 1 behind a constant 2 ms model.
+    fn const_model(drop_prob: f64) -> Box<ConstModel> {
+        Box::new(ConstModel::new(vec![1], SimDuration::from_millis(2), drop_prob, 7))
+    }
+
     #[test]
     fn flows_complete_end_to_end() {
         let mut sim = Simulation::new(quick_cfg());
@@ -2113,10 +1992,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.traffic.inter_cluster_fraction = 1.0;
         let mut sim = Simulation::new(cfg);
-        sim.set_cluster_model(
-            1,
-            Box::new(ConstModel::new(SimDuration::from_millis(2), 0.0, 7)),
-        );
+        sim.set_batch_model(const_model(0.0));
         let m = sim.run();
         // Flows between cluster 0 and cluster 1 still complete.
         assert!(m.flows_completed() > 0);
@@ -2135,10 +2011,7 @@ mod tests {
         cfg.traffic.inter_cluster_fraction = 1.0;
         let run = |drop_prob: f64| {
             let mut sim = Simulation::new(cfg);
-            sim.set_cluster_model(
-                1,
-                Box::new(ConstModel::new(SimDuration::from_millis(2), drop_prob, 7)),
-            );
+            sim.set_batch_model(const_model(drop_prob));
             let m = sim.run();
             (m.mimic_drops, m.flows_completed())
         };
@@ -2337,28 +2210,10 @@ mod tests {
 
     #[test]
     fn obs_records_batched_flush_histogram() {
-        use crate::mimic::BoundaryItem;
-        struct ConstBatch {
-            clusters: Vec<u32>,
-        }
-        impl BatchClusterModel for ConstBatch {
-            fn clusters(&self) -> &[u32] {
-                &self.clusters
-            }
-            fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
-                verdicts.extend(items.iter().map(|_| Verdict::Deliver {
-                    latency: SimDuration::from_millis(2),
-                    mark_ce: false,
-                }));
-            }
-            fn latency_floor(&self) -> SimDuration {
-                SimDuration::from_millis(2)
-            }
-        }
         let mut cfg = quick_cfg();
         cfg.traffic.inter_cluster_fraction = 1.0;
         let mut sim = Simulation::new(cfg);
-        sim.set_batch_model(Box::new(ConstBatch { clusters: vec![1] }));
+        sim.set_batch_model(const_model(0.0));
         sim.enable_obs();
         let m = sim.run();
         let report = m.obs.as_ref().unwrap();

@@ -40,7 +40,9 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"DCNSNAP\0";
 
 /// Current snapshot format version. Bump on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+/// v2: one cluster-model arm (cluster-mode tag 1 retired, tag 2 carries the
+/// direction flags) and a Mimic fleet state without lane-round counters.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Size of the file container header preceding the payload.
 pub const HEADER_LEN: usize = 24;

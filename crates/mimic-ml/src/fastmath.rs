@@ -10,9 +10,10 @@
 //! of ±1 in saturation. `sigmoid` derives from it via
 //! `σ(x) = ½(1 + tanh(x/2))`.
 //!
-//! The *reference* (pre-optimization) code paths keep exact libm math —
-//! [`crate::matrix::KernelMode::Naive`] selects them — so the optimized
-//! kernels can always be epsilon-checked against a bit-faithful baseline.
+//! The *reference* (pre-optimization) code paths — the `*_reference`
+//! methods of [`crate::lstm::Lstm`] — keep exact libm math, so the
+//! optimized kernels can always be epsilon-checked against a bit-faithful
+//! baseline.
 
 /// |x| beyond which f32 `tanh` is indistinguishable from ±1.
 const CLAMP: f32 = 7.905_311_5;

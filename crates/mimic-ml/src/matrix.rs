@@ -6,49 +6,18 @@
 //!
 //! Two kernel families exist for the three multiply shapes:
 //!
-//! * **Naive** — the reference `i-k-j` loops (`*_naive`). Simple, obviously
-//!   correct, and kept forever as the oracle for the blocked kernels'
-//!   property tests and as the "before" side of the perf benchmarks.
-//! * **Blocked** — cache-blocked, register-tiled loops over contiguous row
-//!   slices (`*_blocked`). The inner loops are plain slice zips that LLVM
-//!   auto-vectorizes on stable Rust; there is no `std::simd` and no
-//!   external BLAS. `matmul_blocked` preserves the naive per-row `k`
-//!   accumulation order exactly; `t_matmul_blocked` / `matmul_t_blocked`
+//! * **Blocked** — the product kernels behind `matmul` / `t_matmul` /
+//!   `matmul_t` and their `*_accum` forms: cache-blocked, register-tiled
+//!   loops over contiguous row slices. The inner loops are plain slice
+//!   zips that LLVM auto-vectorizes on stable Rust; there is no
+//!   `std::simd` and no external BLAS. `matmul` preserves the naive
+//!   per-row `k` accumulation order exactly; `t_matmul` / `matmul_t`
 //!   reassociate sums (bounded by the 1e-5 property tests).
-//!
-//! The public `matmul`/`t_matmul`/`matmul_t` dispatch on a process-wide
-//! [`KernelMode`] (default [`KernelMode::Blocked`]). The switch exists so
-//! benchmarks can measure an honest naive baseline in the same binary;
-//! tests that need naive results call the `*_naive` methods directly
-//! rather than flipping the global (tests run concurrently).
+//! * **Naive** — the reference `i-k-j` loops (`*_naive`). Simple, obviously
+//!   correct, and kept as the named oracle the blocked kernels' property
+//!   tests compare against. Nothing selects them at run time.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which matmul kernels the process uses (see module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KernelMode {
-    /// Reference `i-k-j` triple loops.
-    Naive = 0,
-    /// Cache-blocked, register-tiled kernels (default).
-    Blocked = 1,
-}
-
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(KernelMode::Blocked as u8);
-
-/// Switch the process-wide kernel mode (benchmarks only; not thread-scoped).
-pub fn set_kernel_mode(mode: KernelMode) {
-    KERNEL_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide kernel mode.
-pub fn kernel_mode() -> KernelMode {
-    if KERNEL_MODE.load(Ordering::Relaxed) == KernelMode::Naive as u8 {
-        KernelMode::Naive
-    } else {
-        KernelMode::Blocked
-    }
-}
 
 /// Fused multiply-add where the target has a hardware FMA unit (one
 /// rounding, twice the peak FLOPs of separate mul+add); plain `a*b + c`
@@ -158,50 +127,10 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// `self · other`, dispatching on the process [`kernel_mode`].
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_naive(other),
-            KernelMode::Blocked => self.matmul_blocked(other),
-        }
-    }
-
-    /// `selfᵀ · other` (no materialized transpose), dispatching on the
-    /// process [`kernel_mode`].
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.t_matmul_naive(other),
-            KernelMode::Blocked => self.t_matmul_blocked(other),
-        }
-    }
-
-    /// `self · otherᵀ` (no materialized transpose), dispatching on the
-    /// process [`kernel_mode`].
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_t_naive(other),
-            KernelMode::Blocked => self.matmul_t_blocked(other),
-        }
-    }
-
-    /// `out += self · other` — the accumulating form for callers that sum
-    /// several products into one buffer (e.g. `x·Wx + h·Wh`): it skips the
-    /// temporary result and the extra add pass. Dispatches on the process
-    /// [`kernel_mode`].
-    pub fn matmul_accum(&self, other: &Matrix, out: &mut Matrix) {
+    /// Reference `self · other`: `i-k-j` saxpy loops.
+    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.rows, other.cols),
-            "matmul output shape mismatch"
-        );
-        match kernel_mode() {
-            KernelMode::Naive => self.matmul_accum_naive(other, out),
-            KernelMode::Blocked => self.matmul_accum_blocked(other, out),
-        }
-    }
-
-    fn matmul_accum_naive(&self, other: &Matrix, out: &mut Matrix) {
+        let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
@@ -212,29 +141,30 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// Reference `self · other`: `i-k-j` saxpy loops.
-    pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_accum_naive(other, &mut out);
         out
     }
 
-    /// Blocked `self · other`: `KC`-deep `k` panels × `MR`-row register
-    /// tiles. Per output row the `k` accumulation order matches the naive
+    /// `self · other`: `KC`-deep `k` panels × `MR`-row register tiles.
+    /// Per output row the `k` accumulation order matches the naive
     /// kernel, but each multiply-add is contracted into a hardware FMA
     /// (one rounding instead of two), so results agree with
     /// [`Self::matmul_naive`] to ~1e-6 relative rather than bit-for-bit.
-    pub fn matmul_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_accum_blocked(other, &mut out);
+        self.matmul_accum(other, &mut out);
         out
     }
 
-    fn matmul_accum_blocked(&self, other: &Matrix, out: &mut Matrix) {
+    /// `out += self · other` — the accumulating form for callers that sum
+    /// several products into one buffer (e.g. `x·Wx + h·Wh`): it skips the
+    /// temporary result and the extra add pass.
+    pub fn matmul_accum(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
+        assert_eq!(
+            (out.rows, out.cols),
+            (self.rows, other.cols),
+            "matmul output shape mismatch"
+        );
         let (m, kk, n) = (self.rows, self.cols, other.cols);
         let mut k0 = 0;
         while k0 < kk {
@@ -283,8 +213,10 @@ impl Matrix {
 
     /// `out += selfᵀ · other` — the accumulating form used for gradient
     /// buffers: it skips the temporary result and the extra add pass of
-    /// `out.add_assign(&self.t_matmul(other))`. Dispatches on the process
-    /// [`kernel_mode`].
+    /// `out.add_assign(&self.t_matmul(other))`. `MR` shared rows are
+    /// folded into each output row per pass, quartering the passes over
+    /// `out` and giving the inner loop four independent multiply-adds per
+    /// store.
     pub fn t_matmul_accum(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         assert_eq!(
@@ -292,26 +224,6 @@ impl Matrix {
             (self.cols, other.cols),
             "t_matmul output shape mismatch"
         );
-        match kernel_mode() {
-            KernelMode::Naive => self.t_matmul_accum_naive(other, out),
-            KernelMode::Blocked => self.t_matmul_accum_blocked(other, out),
-        }
-    }
-
-    fn t_matmul_accum_naive(&self, other: &Matrix, out: &mut Matrix) {
-        for r in 0..self.rows {
-            let arow = self.row(r);
-            let brow = other.row(r);
-            for (i, &a) in arow.iter().enumerate() {
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
-    }
-
-    fn t_matmul_accum_blocked(&self, other: &Matrix, out: &mut Matrix) {
         let (m, n) = (self.cols, other.cols);
         let mut r0 = 0;
         while r0 + MR <= self.rows {
@@ -350,17 +262,23 @@ impl Matrix {
     pub fn t_matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
         let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_accum_naive(other, &mut out);
+        for r in 0..self.rows {
+            let arow = self.row(r);
+            let brow = other.row(r);
+            for (i, &a) in arow.iter().enumerate() {
+                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
+                for (o, &b) in orow.iter_mut().zip(brow) {
+                    *o += a * b;
+                }
+            }
+        }
         out
     }
 
-    /// Blocked `selfᵀ · other`: `MR` shared rows are folded into each
-    /// output row per pass, quartering the passes over `out` and giving
-    /// the inner loop four independent multiply-adds per store.
-    pub fn t_matmul_blocked(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul dimension mismatch");
+    /// `selfᵀ · other` (no materialized transpose).
+    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_accum_blocked(other, &mut out);
+        self.t_matmul_accum(other, &mut out);
         out
     }
 
@@ -382,9 +300,10 @@ impl Matrix {
         out
     }
 
-    /// Blocked `self · otherᵀ`: both operands are walked row-contiguously
-    /// and each dot product runs on eight parallel accumulator lanes.
-    pub fn matmul_t_blocked(&self, other: &Matrix) -> Matrix {
+    /// `self · otherᵀ` (no materialized transpose): both operands are
+    /// walked row-contiguously and each dot product runs on eight parallel
+    /// accumulator lanes.
+    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.rows);
         for i in 0..self.rows {
@@ -527,7 +446,7 @@ mod tests {
         for &(r, k, c) in &[(1, 1, 1), (3, 5, 2), (4, 4, 4), (7, 131, 9), (16, 256, 33)] {
             let a = random(r, k, &mut rng);
             let b = random(k, c, &mut rng);
-            assert_close(&a.matmul_blocked(&b), &a.matmul_naive(&b), 1e-5, "matmul");
+            assert_close(&a.matmul(&b), &a.matmul_naive(&b), 1e-5, "matmul");
         }
     }
 
@@ -538,19 +457,14 @@ mod tests {
         for &(r, k, c) in &[(1, 1, 1), (2, 3, 5), (5, 7, 3), (9, 130, 11), (13, 129, 6)] {
             let a = random(r, k, &mut rng);
             let b = random(k, c, &mut rng);
-            assert_close(&a.matmul_blocked(&b), &a.matmul_naive(&b), 1e-5, "matmul");
+            assert_close(&a.matmul(&b), &a.matmul_naive(&b), 1e-5, "matmul");
             let a2 = random(k, r, &mut rng);
             let b2 = random(k, c, &mut rng);
-            assert_close(&a2.t_matmul_blocked(&b2), &a2.t_matmul_naive(&b2), 1e-5, "t_matmul");
+            assert_close(&a2.t_matmul(&b2), &a2.t_matmul_naive(&b2), 1e-5, "t_matmul");
             let a3 = random(r, k, &mut rng);
             let b3 = random(c, k, &mut rng);
-            assert_close(&a3.matmul_t_blocked(&b3), &a3.matmul_t_naive(&b3), 1e-5, "matmul_t");
+            assert_close(&a3.matmul_t(&b3), &a3.matmul_t_naive(&b3), 1e-5, "matmul_t");
         }
-    }
-
-    #[test]
-    fn kernel_mode_default_is_blocked() {
-        assert_eq!(kernel_mode(), KernelMode::Blocked);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::linear::{Linear, LinearGrads};
 use crate::lstm::{Lstm, LstmGrads, LstmScratch, LstmState, StepCache};
-use crate::matrix::{kernel_mode, KernelMode, Matrix};
+use crate::matrix::Matrix;
 use crate::rng::MlRng;
 use serde::{Deserialize, Serialize};
 
@@ -55,46 +55,6 @@ pub struct SeqModel {
 pub struct ModelState {
     pub layers: Vec<LstmState>,
     scratch: LstmScratch,
-}
-
-/// Reusable packed-lane buffers for [`SeqModel::step_lanes`].
-///
-/// Sized lazily to the largest batch seen, then reused forever: the
-/// batched compose hot path performs zero steady-state heap allocations,
-/// extending the [`LstmScratch`] discipline to multi-lane inference.
-#[derive(Clone, Debug, Default)]
-pub struct BatchScratch {
-    /// Gate pre-activations, `n × 4·hidden`.
-    z: Vec<f32>,
-    /// Layer input staging for layers ≥ 1, `n × hidden`.
-    xbuf: Vec<f32>,
-    /// Packed hidden states, `n × hidden`.
-    hbuf: Vec<f32>,
-    /// Packed cell states, `n × hidden`.
-    cbuf: Vec<f32>,
-}
-
-impl BatchScratch {
-    pub fn new() -> BatchScratch {
-        BatchScratch::default()
-    }
-
-    /// Grow (never shrink) to serve `n` lanes of `model`.
-    fn ensure(&mut self, model: &SeqModel, n: usize) {
-        let h = model.lstms.iter().map(|l| l.hidden).max().unwrap_or(0);
-        if self.z.len() < n * 4 * h {
-            self.z.resize(n * 4 * h, 0.0);
-        }
-        if self.xbuf.len() < n * h {
-            self.xbuf.resize(n * h, 0.0);
-        }
-        if self.hbuf.len() < n * h {
-            self.hbuf.resize(n * h, 0.0);
-        }
-        if self.cbuf.len() < n * h {
-            self.cbuf.resize(n * h, 0.0);
-        }
-    }
 }
 
 /// Gradients for every parameter of a [`SeqModel`], in the model's
@@ -341,116 +301,6 @@ impl SeqModel {
         }
     }
 
-    /// Batched stateful inference: one forward step for `n` independent
-    /// lanes that share this model's weights.
-    ///
-    /// `feats` packs the lane feature rows (`n × input`, row-major);
-    /// `lanes[i]` names the entry of `states` that row `i` advances;
-    /// `out[i]` receives row `i`'s `[latency, drop_logit, ecn_logit]`.
-    ///
-    /// Dispatches on the process-wide [`KernelMode`], exactly like the
-    /// training kernels: the reference path steps each lane through
-    /// [`SeqModel::step`] one by one; the blocked path runs the
-    /// weight-sharing lane kernel. Both produce **bit-identical** results
-    /// to scalar stepping (asserted by unit + integration equivalence
-    /// suites) — batching here is a memory-traffic optimization, never a
-    /// numerical one.
-    pub fn step_lanes(
-        &self,
-        feats: &[f32],
-        n: usize,
-        states: &mut [ModelState],
-        lanes: &[usize],
-        out: &mut [[f32; OUTPUTS]],
-        scratch: &mut BatchScratch,
-    ) {
-        match kernel_mode() {
-            KernelMode::Naive => self.step_lanes_reference(feats, n, states, lanes, out),
-            KernelMode::Blocked => self.step_lanes_blocked(feats, n, states, lanes, out, scratch),
-        }
-    }
-
-    /// The equivalence baseline for [`SeqModel::step_lanes`]: a plain loop
-    /// of scalar [`SeqModel::step`] calls, one lane at a time.
-    pub fn step_lanes_reference(
-        &self,
-        feats: &[f32],
-        n: usize,
-        states: &mut [ModelState],
-        lanes: &[usize],
-        out: &mut [[f32; OUTPUTS]],
-    ) {
-        let input = self.input_dim();
-        assert_eq!(feats.len(), n * input, "packed feature width mismatch");
-        assert!(lanes.len() >= n && out.len() >= n, "lane buffers too short");
-        for i in 0..n {
-            out[i] = self.step(&feats[i * input..(i + 1) * input], &mut states[lanes[i]]);
-        }
-    }
-
-    /// The optimized [`SeqModel::step_lanes`] path: gather each layer's
-    /// lane states into packed buffers, run [`Lstm::step_lanes_blocked`]
-    /// (one weight sweep shared by all lanes), scatter back, and apply the
-    /// head per lane with the exact loop [`SeqModel::step`] uses. The
-    /// copies move state bytes unchanged, so per-lane arithmetic — and
-    /// therefore every output bit — matches scalar stepping.
-    pub fn step_lanes_blocked(
-        &self,
-        feats: &[f32],
-        n: usize,
-        states: &mut [ModelState],
-        lanes: &[usize],
-        out: &mut [[f32; OUTPUTS]],
-        scratch: &mut BatchScratch,
-    ) {
-        let input = self.input_dim();
-        assert_eq!(feats.len(), n * input, "packed feature width mismatch");
-        assert!(lanes.len() >= n && out.len() >= n, "lane buffers too short");
-        scratch.ensure(self, n);
-        let mut prev_h = 0usize;
-        for (l, lstm) in self.lstms.iter().enumerate() {
-            let h = lstm.hidden;
-            for (i, &li) in lanes.iter().enumerate().take(n) {
-                let st = &states[li].layers[l];
-                scratch.hbuf[i * h..(i + 1) * h].copy_from_slice(&st.h.data);
-                scratch.cbuf[i * h..(i + 1) * h].copy_from_slice(&st.c.data);
-            }
-            let xs = if l == 0 {
-                feats
-            } else {
-                &scratch.xbuf[..n * prev_h]
-            };
-            lstm.step_lanes_blocked(
-                xs,
-                n,
-                &mut scratch.hbuf[..n * h],
-                &mut scratch.cbuf[..n * h],
-                &mut scratch.z,
-            );
-            for (i, &li) in lanes.iter().enumerate().take(n) {
-                let st = &mut states[li].layers[l];
-                st.h.data.copy_from_slice(&scratch.hbuf[i * h..(i + 1) * h]);
-                st.c.data.copy_from_slice(&scratch.cbuf[i * h..(i + 1) * h]);
-            }
-            if l + 1 < self.lstms.len() {
-                scratch.xbuf[..n * h].copy_from_slice(&scratch.hbuf[..n * h]);
-            }
-            prev_h = h;
-        }
-        // Head per lane — identical arithmetic to `step`'s head loop.
-        let hd = self.hidden_dim();
-        for (i, o) in out.iter_mut().enumerate().take(n) {
-            let hrow = &scratch.hbuf[i * hd..(i + 1) * hd];
-            o.copy_from_slice(&self.head.b);
-            for (j, &hj) in hrow.iter().enumerate() {
-                let wrow = &self.head.w.data[j * OUTPUTS..(j + 1) * OUTPUTS];
-                for (ov, &w) in o.iter_mut().zip(wrow) {
-                    *ov += hj * w;
-                }
-            }
-        }
-    }
-
     /// Serialize to JSON (model persistence).
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("model serializes")
@@ -578,57 +428,6 @@ mod tests {
         // Equivalent to a full step, state-wise.
         m.step(&[1.0, -1.0], &mut s2);
         assert_eq!(s1.layers[0].h.data, s2.layers[0].h.data);
-    }
-
-    #[test]
-    fn step_lanes_bit_identical_to_scalar_step() {
-        // Both step_lanes paths must reproduce scalar stepping bit for bit
-        // across stack depths, lane subsets, and interleaved scalar steps
-        // (a lane advanced by feeder traffic between batched rounds).
-        for layers in [1usize, 2] {
-            let m = SeqModel::new_stacked(5, 6, layers, 77);
-            let mut rng = MlRng::new(13);
-            let n_states = 5usize;
-            let mut scalar: Vec<ModelState> = (0..n_states).map(|_| m.init_state()).collect();
-            let mut by_ref: Vec<ModelState> = (0..n_states).map(|_| m.init_state()).collect();
-            let mut by_blk: Vec<ModelState> = (0..n_states).map(|_| m.init_state()).collect();
-            let mut scratch = BatchScratch::new();
-            for round in 0..6 {
-                // A varying subset of lanes participates each round.
-                let lanes: Vec<usize> = (0..n_states).filter(|i| (i + round) % 2 == 0).collect();
-                let n = lanes.len();
-                let feats: Vec<f32> =
-                    (0..n * 5).map(|_| rng.uniform_sym(1.0) as f32).collect();
-                let mut want = vec![[0.0f32; OUTPUTS]; n];
-                for (i, &li) in lanes.iter().enumerate() {
-                    want[i] = m.step(&feats[i * 5..(i + 1) * 5], &mut scalar[li]);
-                }
-                let mut got_ref = vec![[0.0f32; OUTPUTS]; n];
-                m.step_lanes_reference(&feats, n, &mut by_ref, &lanes, &mut got_ref);
-                let mut got_blk = vec![[0.0f32; OUTPUTS]; n];
-                m.step_lanes_blocked(&feats, n, &mut by_blk, &lanes, &mut got_blk, &mut scratch);
-                for i in 0..n {
-                    for k in 0..OUTPUTS {
-                        assert_eq!(want[i][k].to_bits(), got_ref[i][k].to_bits(), "ref out");
-                        assert_eq!(want[i][k].to_bits(), got_blk[i][k].to_bits(), "blk out");
-                    }
-                }
-                // A scalar state-only step on one idle lane must keep all
-                // three replicas aligned (mixing feeder and batch steps).
-                let idle = (round + 1) % n_states;
-                let x: Vec<f32> = (0..5).map(|_| rng.uniform_sym(1.0) as f32).collect();
-                m.step_state_only(&x, &mut scalar[idle]);
-                m.step_state_only(&x, &mut by_ref[idle]);
-                m.step_state_only(&x, &mut by_blk[idle]);
-            }
-            for i in 0..n_states {
-                for l in 0..layers {
-                    assert_eq!(scalar[i].layers[l].h.data, by_ref[i].layers[l].h.data);
-                    assert_eq!(scalar[i].layers[l].h.data, by_blk[i].layers[l].h.data);
-                    assert_eq!(scalar[i].layers[l].c.data, by_blk[i].layers[l].c.data);
-                }
-            }
-        }
     }
 
     #[test]

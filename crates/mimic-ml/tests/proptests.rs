@@ -53,19 +53,19 @@ proptest! {
     fn blocked_kernels_match_naive(r in 1usize..24, k in 1usize..160, c in 1usize..24, seed in 0u64..1000) {
         let a = mat(r, k, seed);
         let b = mat(k, c, seed ^ 3);
-        let lhs = a.matmul_blocked(&b);
+        let lhs = a.matmul(&b);
         let rhs = a.matmul_naive(&b);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
         }
         let a2 = mat(k, r, seed ^ 4);
-        let lhs = a2.t_matmul_blocked(&b);
+        let lhs = a2.t_matmul(&b);
         let rhs = a2.t_matmul_naive(&b);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
         }
         let b2 = mat(c, k, seed ^ 5);
-        let lhs = a.matmul_t_blocked(&b2);
+        let lhs = a.matmul_t(&b2);
         let rhs = a.matmul_t_naive(&b2);
         for (x, y) in lhs.data.iter().zip(&rhs.data) {
             prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));

@@ -1,29 +1,24 @@
-//! Batched Mimic inference for the PDES compose mode.
+//! The Mimic fleet: every Mimic'ed cluster of a composed simulation behind
+//! one [`BatchClusterModel`] (paper §4.1, §7.1).
 //!
-//! A composed simulation carries one Mimic per non-observable cluster, and
-//! every boundary packet costs an LSTM forward step. The scalar
-//! [`LearnedMimic`](crate::mimic::LearnedMimic) pays that cost packet by
-//! packet, re-streaming the weight matrices from memory each time. The
-//! [`BatchedMimicFleet`] instead serves *all* Mimic'ed clusters of a
-//! simulation behind the engine's [`BatchClusterModel`] aggregation point:
-//! boundary packets queued across an event window are replayed through
-//! [`SeqModel::step_lanes`](mimic_ml::model::SeqModel::step_lanes), which
-//! streams each weight matrix once per round no matter how many clusters
-//! it feeds.
+//! "The Mimic clusters are constructed by taking the ingress/egress
+//! internal models and feeders … and wrapping them with a thin shim layer.
+//! The layer intercepts packets arriving at the borders of the cluster,
+//! periodically takes packets from the feeders, and queries the internal
+//! models with both to predict the network's effects. The output of the
+//! shim is, thus, either a packet, its egress time, and its egress
+//! location; or its absence."
 //!
-//! Why batching is across clusters, not across time: each (cluster,
-//! direction) *lane* owns a recurrent `ModelState` and a
-//! [`FeatureExtractor`] whose congestion estimate feeds back from each
-//! prediction into the next packet's features. Two packets of one lane are
-//! therefore serially dependent and can never share a forward pass. Lanes
-//! of *different* clusters are independent but share weights — the batch
-//! dimension this module exploits. Processing is round-based: each round
-//! takes the head item of every active lane, runs one weight-shared
-//! forward, and decodes per lane; rounds repeat until every lane's queue
-//! drains. Per-lane item order — and with it every feature, state update,
-//! and RNG draw — is identical no matter how the engine chunked the item
-//! stream into flushes, which is what makes sequential and partitioned
-//! composed runs bit-identical.
+//! The engine queues boundary packets across an event window and hands
+//! them to [`BatchedMimicFleet::infer_batch`] in arrival order; the fleet
+//! steps them one at a time. Each (cluster, direction) *lane* owns a
+//! recurrent `ModelState`, a [`FeatureExtractor`] whose congestion estimate
+//! feeds back from each prediction into the next packet's features, a
+//! decision RNG and a per-flow FIFO table — and nothing is shared between
+//! lanes but read-only weights. A verdict therefore depends only on the
+//! items of its own lane at and before it, never on how the engine chunked
+//! the item stream into flushes, which is what makes sequential and
+//! partitioned composed runs bit-identical.
 //!
 //! Ordering invariants maintained here (locked down by the equivalence and
 //! property suites):
@@ -39,7 +34,8 @@
 //!   time, the engine's license to defer inference.
 
 use crate::drift::DriftMonitor;
-use crate::internal_model::InternalModel;
+use crate::features::FeatureExtractor;
+use crate::feeder::Feeder;
 use crate::mimic::{load_model_state, packet_view, save_model_state, DecisionMode, TrainedMimic};
 use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, Verdict};
 use dcn_sim::packet::FlowId;
@@ -47,99 +43,82 @@ use dcn_sim::rng::SplitMix64;
 use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::topology::{FatTree, FatTreeParams};
-use mimic_ml::loss::sigmoid;
-use mimic_ml::model::{BatchScratch, ModelState, OUTPUTS, OUT_DROP, OUT_ECN, OUT_LATENCY};
+use mimic_ml::model::ModelState;
 use std::collections::HashMap;
-
-use crate::features::FeatureExtractor;
-use crate::feeder::Feeder;
+use std::sync::Arc;
 
 /// One (cluster, direction) inference lane.
 struct Lane {
     fx: FeatureExtractor,
-    /// Per-lane decision stream. The scalar Mimic shares one RNG across
-    /// both directions of a cluster; the fleet needs the draws to depend
-    /// only on this lane's item order, so each lane gets its own stream.
+    state: ModelState,
+    feeder: Feeder,
+    /// Per-lane decision stream: the draws depend only on this lane's item
+    /// order.
     rng: SplitMix64,
     /// Last predicted exit time per flow (FIFO clamp). Entries whose exit
-    /// precedes the current flush's oldest enqueue can no longer clamp
+    /// precedes the lane's oldest enqueue of a flush can no longer clamp
     /// anything and are evicted in place.
     last_exit: HashMap<FlowId, SimTime>,
+    /// [`BatchedMimicFleet::flush`] value at this lane's last eviction.
+    evicted: u64,
     /// Ingress lanes score live features against the training envelope.
     monitor: Option<DriftMonitor>,
-    /// Item indices (into the flush's `items`) queued for this lane.
-    queue: Vec<u32>,
-    cursor: usize,
-}
-
-/// One direction's lanes across all served clusters (lane `i` belongs to
-/// `clusters[i]`). Model states live in a dense slab so the lane kernel
-/// can gather/scatter them.
-struct DirFleet {
-    lanes: Vec<Lane>,
-    states: Vec<ModelState>,
-    feeders: Vec<Feeder>,
 }
 
 /// A [`BatchClusterModel`] serving every Mimic'ed cluster of one composed
 /// simulation. Homogeneous compositions share a single bundle across all
-/// lanes; heterogeneous ones group lanes by bundle, batching within each
-/// group (lanes can only share a forward pass when they share weights).
+/// lanes; heterogeneous ones bind each cluster to one of several.
 pub struct BatchedMimicFleet {
-    bundles: Vec<TrainedMimic>,
+    /// Shared, read-only: the fleets of a partitioned run step one set of
+    /// weights instead of a private copy per LP.
+    bundles: Vec<Arc<TrainedMimic>>,
     /// `assign[i]` = bundle index of `clusters[i]`.
     assign: Vec<usize>,
-    /// Lane indices per bundle group, in stable lane order.
-    groups: Vec<Vec<usize>>,
     clusters: Vec<u32>,
     /// Dense cluster-id → lane-index map (`u32::MAX` = not served).
     slot: Vec<u32>,
     topo: FatTree,
     mode: DecisionMode,
     floor: SimDuration,
-    ingress: DirFleet,
-    egress: DirFleet,
-    // Reused flush buffers (steady state allocates nothing).
-    feats: Vec<f32>,
+    /// Per direction, lane `i` belongs to `clusters[i]`.
+    ingress: Vec<Lane>,
+    egress: Vec<Lane>,
+    /// Reusable feature buffer: the per-packet path never allocates.
     feat_buf: Vec<f32>,
-    sel: Vec<usize>,
-    rows: Vec<u32>,
-    out: Vec<[f32; OUTPUTS]>,
-    raw: Vec<[f32; OUTPUTS]>,
-    scratch: BatchScratch,
+    /// Flushes served so far (not durable: only paces FIFO eviction).
+    flush: u64,
     /// Counters for instrumentation/tests.
     pub packets_seen: u64,
     pub feeder_packets: u64,
-    /// Weight-shared forward rounds executed (one per occupied round of
-    /// [`SeqModel::step_lanes`](mimic_ml::model::SeqModel::step_lanes)).
-    pub rounds: u64,
-    /// How many lanes each round fed — the realized batch dimension. A
-    /// mean near 1 means the fleet degenerated to scalar stepping.
-    pub lane_occupancy: dcn_obs::Hist,
 }
 
 impl BatchedMimicFleet {
     /// Homogeneous fleet: every cluster in `cluster_seeds` runs `bundle`.
-    /// Each entry pairs a cluster index with its Mimic seed (the same
-    /// per-cluster seeds the scalar composition derives), keeping feeder
-    /// streams decorrelated across clusters and identical to the scalar
-    /// composition's.
+    /// Each entry pairs a cluster index with its Mimic seed, keeping
+    /// feeder and decision streams decorrelated across clusters. Pass an
+    /// `Arc` to share one bundle between the fleets of a partitioned run;
+    /// an owned bundle is wrapped.
     pub fn new(
-        bundle: TrainedMimic,
+        bundle: impl Into<Arc<TrainedMimic>>,
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_seeds: &[(u32, u64)],
     ) -> BatchedMimicFleet {
         let with_bundle: Vec<(u32, usize, u64)> =
             cluster_seeds.iter().map(|&(c, s)| (c, 0, s)).collect();
-        BatchedMimicFleet::new_heterogeneous(vec![bundle], topo_params, n_clusters, &with_bundle)
+        BatchedMimicFleet::new_heterogeneous(
+            vec![bundle.into()],
+            topo_params,
+            n_clusters,
+            &with_bundle,
+        )
     }
 
     /// Heterogeneous fleet: each `(cluster, bundle_index, seed)` entry
     /// binds a cluster to one of `bundles`. All bundles must agree on the
     /// feature width (they describe the same cluster shape).
     pub fn new_heterogeneous(
-        bundles: Vec<TrainedMimic>,
+        bundles: Vec<Arc<TrainedMimic>>,
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_assign: &[(u32, usize, u64)],
@@ -151,89 +130,70 @@ impl BatchedMimicFleet {
             assert_eq!(b.feature_cfg.width(), width, "bundles disagree on feature width");
         }
 
-        let n_lanes = cluster_assign.len();
-        let mut clusters = Vec::with_capacity(n_lanes);
-        let mut assign = Vec::with_capacity(n_lanes);
         let mut slot = vec![u32::MAX; n_clusters as usize];
-        let mut groups = vec![Vec::new(); bundles.len()];
-        let make_dir = |dir: BoundaryDir| {
-            let mut lanes = Vec::with_capacity(n_lanes);
-            let mut states = Vec::with_capacity(n_lanes);
-            let mut feeders = Vec::with_capacity(n_lanes);
-            for &(_, g, seed) in cluster_assign {
-                let bundle = &bundles[g];
-                let fc = bundle.feature_cfg;
-                let (model, fit, tag) = match dir {
-                    BoundaryDir::Ingress => (&bundle.ingress, &bundle.feeder.ingress, 0x1u64),
-                    BoundaryDir::Egress => (&bundle.egress, &bundle.feeder.egress, 0x2u64),
-                };
-                lanes.push(Lane {
-                    fx: FeatureExtractor::new(fc),
-                    rng: SplitMix64::derive(seed, 0x4D49_0000 | tag),
-                    last_exit: HashMap::new(),
-                    monitor: match dir {
-                        BoundaryDir::Ingress => {
-                            bundle.envelope.clone().map(DriftMonitor::new)
-                        }
-                        BoundaryDir::Egress => None,
-                    },
-                    queue: Vec::new(),
-                    cursor: 0,
-                });
-                states.push(model.init_state());
-                feeders.push(Feeder::new(
-                    fit.clone(),
-                    n_clusters,
-                    fc.racks_per_cluster,
-                    fc.hosts_per_rack,
-                    fc.aggs_per_cluster,
-                    fc.cores,
-                    seed ^ tag,
-                ));
-            }
-            DirFleet { lanes, states, feeders }
-        };
-        let ingress = make_dir(BoundaryDir::Ingress);
-        let egress = make_dir(BoundaryDir::Egress);
         for (li, &(c, g, _)) in cluster_assign.iter().enumerate() {
             assert!(c < n_clusters, "cluster {c} out of range");
             assert!(g < bundles.len(), "bundle index {g} out of range");
             assert_eq!(slot[c as usize], u32::MAX, "cluster {c} assigned twice");
             slot[c as usize] = li as u32;
-            clusters.push(c);
-            assign.push(g);
-            groups[g].push(li);
         }
+        let make_dir = |dir: BoundaryDir| -> Vec<Lane> {
+            cluster_assign
+                .iter()
+                .map(|&(_, g, seed)| {
+                    let bundle = &bundles[g];
+                    let fc = bundle.feature_cfg;
+                    let (model, fit, tag) = match dir {
+                        BoundaryDir::Ingress => (&bundle.ingress, &bundle.feeder.ingress, 0x1u64),
+                        BoundaryDir::Egress => (&bundle.egress, &bundle.feeder.egress, 0x2u64),
+                    };
+                    Lane {
+                        fx: FeatureExtractor::new(fc),
+                        state: model.init_state(),
+                        feeder: Feeder::new(
+                            fit.clone(),
+                            n_clusters,
+                            fc.racks_per_cluster,
+                            fc.hosts_per_rack,
+                            fc.aggs_per_cluster,
+                            fc.cores,
+                            seed ^ tag,
+                        ),
+                        rng: SplitMix64::derive(seed, 0x4D49_0000 | tag),
+                        last_exit: HashMap::new(),
+                        evicted: 0,
+                        monitor: match dir {
+                            BoundaryDir::Ingress => bundle.envelope.clone().map(DriftMonitor::new),
+                            BoundaryDir::Egress => None,
+                        },
+                    }
+                })
+                .collect()
+        };
+        let ingress = make_dir(BoundaryDir::Ingress);
+        let egress = make_dir(BoundaryDir::Egress);
 
         // Lower bound on any predicted latency, across every bundle.
         let floor = bundles
             .iter()
-            .map(TrainedMimic::latency_floor)
+            .map(|b| b.latency_floor())
             .min()
             .expect("at least one bundle");
 
         BatchedMimicFleet {
+            assign: cluster_assign.iter().map(|&(_, g, _)| g).collect(),
+            clusters: cluster_assign.iter().map(|&(c, _, _)| c).collect(),
             bundles,
-            assign,
-            groups,
             slot,
             topo: FatTree::new(topo_params),
             mode: DecisionMode::Sample,
             floor,
             ingress,
             egress,
-            feats: vec![0.0; n_lanes * width],
             feat_buf: Vec::with_capacity(width),
-            sel: vec![0; n_lanes],
-            rows: vec![0; n_lanes],
-            out: vec![[0.0; OUTPUTS]; n_lanes],
-            raw: Vec::new(),
-            scratch: BatchScratch::new(),
-            clusters,
+            flush: 0,
             packets_seen: 0,
             feeder_packets: 0,
-            rounds: 0,
-            lane_occupancy: dcn_obs::Hist::default(),
         }
     }
 
@@ -243,10 +203,11 @@ impl BatchedMimicFleet {
         self
     }
 
-    /// Override every ingress drift monitor's window size. No-op for lanes
-    /// whose bundle carries no envelope.
+    /// Override every ingress drift monitor's window size (defaults to 256
+    /// observations per window). No-op for lanes whose bundle carries no
+    /// envelope.
     pub fn with_drift_window(mut self, window: usize) -> BatchedMimicFleet {
-        for (li, lane) in self.ingress.lanes.iter_mut().enumerate() {
+        for (li, lane) in self.ingress.iter_mut().enumerate() {
             lane.monitor = self.bundles[self.assign[li]]
                 .envelope
                 .clone()
@@ -255,11 +216,22 @@ impl BatchedMimicFleet {
         self
     }
 
-    /// Raw model outputs (`[latency, drop_logit, ecn_logit]`) of the last
-    /// flush, one row per item in item order. RNG-free, so equivalence
-    /// suites can compare them bit-for-bit against scalar stepping.
-    pub fn raw_outputs(&self) -> &[[f32; OUTPUTS]] {
-        &self.raw
+    /// The lane `item` belongs to.
+    fn lane_of(&self, item: &BoundaryItem) -> usize {
+        let li = self.slot[item.cluster as usize];
+        assert!(li != u32::MAX, "item for unserved cluster {}", item.cluster);
+        li as usize
+    }
+
+    /// Extract `item`'s features into `feat_buf` through its lane's
+    /// extractor, scoring them against the training envelope on ingress
+    /// lanes (egress lanes carry no monitor).
+    fn extract(topo: &FatTree, lane: &mut Lane, item: &BoundaryItem, feat_buf: &mut Vec<f32>) {
+        let view = packet_view(topo, item.dir, &item.pkt, item.enqueued_at);
+        lane.fx.extract_into(&view, feat_buf);
+        if let Some(mon) = &mut lane.monitor {
+            mon.observe(feat_buf);
+        }
     }
 
     /// Feed one boundary packet through its lane's feature extractor and
@@ -269,28 +241,12 @@ impl BatchedMimicFleet {
     /// dormant, and the feature path is deterministic in the lane's item
     /// order just like the full inference path.
     pub fn observe_boundary(&mut self, item: &BoundaryItem) {
-        let BatchedMimicFleet {
-            topo,
-            ingress,
-            egress,
-            feat_buf,
-            slot,
-            ..
-        } = self;
-        let li = slot[item.cluster as usize];
-        assert!(li != u32::MAX, "item for unserved cluster {}", item.cluster);
-        let fleet = match item.dir {
-            BoundaryDir::Ingress => ingress,
-            BoundaryDir::Egress => egress,
+        let li = self.lane_of(item);
+        let lane = match item.dir {
+            BoundaryDir::Ingress => &mut self.ingress[li],
+            BoundaryDir::Egress => &mut self.egress[li],
         };
-        let lane = &mut fleet.lanes[li as usize];
-        let view = packet_view(topo, item.dir, &item.pkt, item.enqueued_at);
-        lane.fx.extract_into(&view, feat_buf);
-        if item.dir == BoundaryDir::Ingress {
-            if let Some(mon) = &mut lane.monitor {
-                mon.observe(feat_buf);
-            }
-        }
+        Self::extract(&self.topo, lane, item, &mut self.feat_buf);
     }
 
     /// Advance a cluster's feeder streams to `now` without touching the
@@ -301,124 +257,9 @@ impl BatchedMimicFleet {
     /// expensive part of [`BatchClusterModel::on_wake`] — are skipped.
     pub fn advance_feeders(&mut self, cluster: u32, now: SimTime) {
         let li = self.slot[cluster as usize] as usize;
-        for fleet in [&mut self.ingress, &mut self.egress] {
-            while fleet.feeders[li].fire(now).is_some() {
+        for lane in [&mut self.ingress[li], &mut self.egress[li]] {
+            while lane.feeder.fire(now).is_some() {
                 self.feeder_packets += 1;
-            }
-        }
-    }
-
-    fn dir_fleet(&mut self, dir: BoundaryDir) -> &mut DirFleet {
-        match dir {
-            BoundaryDir::Ingress => &mut self.ingress,
-            BoundaryDir::Egress => &mut self.egress,
-        }
-    }
-
-    /// Replay one direction's queued items in rounds (head item per active
-    /// lane per round), one bundle group at a time.
-    fn process_dir(&mut self, dir: BoundaryDir, items: &[BoundaryItem], verdicts: &mut [Verdict]) {
-        let BatchedMimicFleet {
-            bundles,
-            groups,
-            topo,
-            mode,
-            floor,
-            ingress,
-            egress,
-            feats,
-            feat_buf,
-            sel,
-            rows,
-            out,
-            raw,
-            scratch,
-            rounds,
-            lane_occupancy,
-            ..
-        } = self;
-        let fleet = match dir {
-            BoundaryDir::Ingress => ingress,
-            BoundaryDir::Egress => egress,
-        };
-        for (g, group) in groups.iter().enumerate() {
-            let model: &InternalModel = match dir {
-                BoundaryDir::Ingress => &bundles[g].ingress,
-                BoundaryDir::Egress => &bundles[g].egress,
-            };
-            let width = bundles[g].feature_cfg.width();
-            loop {
-                // Gather: head item of every lane with work left.
-                let mut n = 0;
-                for &li in group {
-                    let lane = &mut fleet.lanes[li];
-                    let Some(&item_idx) = lane.queue.get(lane.cursor) else {
-                        continue;
-                    };
-                    lane.cursor += 1;
-                    let item = &items[item_idx as usize];
-                    let view = packet_view(topo, dir, &item.pkt, item.enqueued_at);
-                    lane.fx.extract_into(&view, feat_buf);
-                    if dir == BoundaryDir::Ingress {
-                        if let Some(mon) = &mut lane.monitor {
-                            mon.observe(feat_buf);
-                        }
-                    }
-                    feats[n * width..(n + 1) * width].copy_from_slice(feat_buf);
-                    sel[n] = li;
-                    rows[n] = item_idx;
-                    n += 1;
-                }
-                if n == 0 {
-                    break;
-                }
-                *rounds += 1;
-                lane_occupancy.observe(n as u64);
-                // One weight-shared forward for the whole round.
-                model.model.step_lanes(
-                    &feats[..n * width],
-                    n,
-                    &mut fleet.states,
-                    &sel[..n],
-                    &mut out[..n],
-                    scratch,
-                );
-                // Decode per lane — the exact arithmetic of
-                // `InternalModel::predict` + `LearnedMimic::on_packet`.
-                for r in 0..n {
-                    let item_idx = rows[r] as usize;
-                    let item = &items[item_idx];
-                    let o = out[r];
-                    raw[item_idx] = o;
-                    let latency_norm = o[OUT_LATENCY].clamp(0.0, 1.0);
-                    let latency_s = model.disc.recover(latency_norm);
-                    let p_drop = sigmoid(o[OUT_DROP]) as f64;
-                    let p_ecn = sigmoid(o[OUT_ECN]) as f64;
-                    let lane = &mut fleet.lanes[sel[r]];
-                    if decide(&mut lane.rng, *mode, p_drop) {
-                        lane.fx.observe_outcome(1.0, true);
-                        verdicts[item_idx] = Verdict::Drop;
-                        continue;
-                    }
-                    let mark_ce = item.pkt.ecn.is_capable() && decide(&mut lane.rng, *mode, p_ecn);
-                    lane.fx.observe_outcome(latency_norm, false);
-                    let latency =
-                        SimDuration::from_secs_f64(latency_s.max(1e-6)).max(*floor);
-                    let mut exit = item.enqueued_at + latency;
-                    // FIFO clamp: a flow never exits earlier than its
-                    // previous packet did (equal times are delivered in
-                    // packet-id order by the engine's event tags).
-                    if let Some(&prev) = lane.last_exit.get(&item.pkt.flow) {
-                        if prev > exit {
-                            exit = prev;
-                        }
-                    }
-                    lane.last_exit.insert(item.pkt.flow, exit);
-                    verdicts[item_idx] = Verdict::Deliver {
-                        latency: SimDuration(exit.0 - item.enqueued_at.0),
-                        mark_ce,
-                    };
-                }
             }
         }
     }
@@ -438,36 +279,46 @@ impl BatchClusterModel for BatchedMimicFleet {
 
     fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
         self.packets_seen += items.len() as u64;
+        self.flush += 1;
         verdicts.clear();
-        verdicts.resize(items.len(), Verdict::Drop);
-        self.raw.clear();
-        self.raw.resize(items.len(), [0.0; OUTPUTS]);
-        // Bucket items into their lanes, preserving stream order per lane.
-        for fleet in [&mut self.ingress, &mut self.egress] {
-            for lane in &mut fleet.lanes {
-                lane.queue.clear();
-                lane.cursor = 0;
+        for item in items {
+            let li = self.lane_of(item);
+            let bundle = &self.bundles[self.assign[li]];
+            let (lane, model) = match item.dir {
+                BoundaryDir::Ingress => (&mut self.ingress[li], &bundle.ingress),
+                BoundaryDir::Egress => (&mut self.egress[li], &bundle.egress),
+            };
+            // First item of this lane in this flush: evict FIFO entries
+            // that can no longer clamp anything — their exit precedes every
+            // enqueue the lane will see from here on (per-lane item order
+            // is monotone in enqueue time).
+            if lane.evicted != self.flush {
+                lane.evicted = self.flush;
+                lane.last_exit.retain(|_, exit| *exit > item.enqueued_at);
             }
-        }
-        for (i, item) in items.iter().enumerate() {
-            let li = self.slot[item.cluster as usize];
-            assert!(li != u32::MAX, "item for unserved cluster {}", item.cluster);
-            let fleet = self.dir_fleet(item.dir);
-            fleet.lanes[li as usize].queue.push(i as u32);
-        }
-        // Evict FIFO entries that can no longer clamp anything: their exit
-        // precedes every enqueue this flush will see (per-lane item order
-        // is monotone in enqueue time).
-        for fleet in [&mut self.ingress, &mut self.egress] {
-            for lane in &mut fleet.lanes {
-                if let Some(&first) = lane.queue.first() {
-                    let oldest = items[first as usize].enqueued_at;
-                    lane.last_exit.retain(|_, exit| *exit > oldest);
-                }
+            Self::extract(&self.topo, lane, item, &mut self.feat_buf);
+            let pred = model.predict(&self.feat_buf, &mut lane.state);
+            if decide(&mut lane.rng, self.mode, pred.p_drop) {
+                lane.fx.observe_outcome(1.0, true);
+                verdicts.push(Verdict::Drop);
+                continue;
             }
+            let mark_ce = item.pkt.ecn.is_capable() && decide(&mut lane.rng, self.mode, pred.p_ecn);
+            lane.fx.observe_outcome(pred.latency_norm, false);
+            let latency = SimDuration::from_secs_f64(pred.latency_s.max(1e-6)).max(self.floor);
+            let mut exit = item.enqueued_at + latency;
+            // FIFO clamp: a flow never exits earlier than its previous
+            // packet did (equal times are delivered in packet-id order by
+            // the engine's event tags).
+            if let Some(&prev) = lane.last_exit.get(&item.pkt.flow) {
+                exit = exit.max(prev);
+            }
+            lane.last_exit.insert(item.pkt.flow, exit);
+            verdicts.push(Verdict::Deliver {
+                latency: SimDuration(exit.0 - item.enqueued_at.0),
+                mark_ce,
+            });
         }
-        self.process_dir(BoundaryDir::Ingress, items, verdicts);
-        self.process_dir(BoundaryDir::Egress, items, verdicts);
     }
 
     fn latency_floor(&self) -> SimDuration {
@@ -475,13 +326,14 @@ impl BatchClusterModel for BatchedMimicFleet {
     }
 
     fn next_wake(&mut self, cluster: u32, now: SimTime) -> Option<SimTime> {
-        // Same periodic batching as the scalar Mimic ("periodically takes
-        // packets from the feeders" — §7.1).
+        // Batch injections into periodic wakeups ("periodically takes
+        // packets from the feeders" — §7.1). Feature timestamps stay exact
+        // because Feeder::fire stamps views with their own due times.
         const PERIOD: SimDuration = SimDuration(2_000_000); // 2 ms
         let li = self.slot[cluster as usize] as usize;
         let earliest = match (
-            self.ingress.feeders[li].next_time(),
-            self.egress.feeders[li].next_time(),
+            self.ingress[li].feeder.next_time(),
+            self.egress[li].feeder.next_time(),
         ) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -490,20 +342,23 @@ impl BatchClusterModel for BatchedMimicFleet {
     }
 
     fn on_wake(&mut self, cluster: u32, now: SimTime) {
-        // Direction-major: every due ingress packet, then every due egress
-        // one. A cluster's two directions share no state (own feeder RNG,
-        // extractor and model state; `feeder_packets` is a sum), so only
-        // per-lane order matters and it is unchanged — while each
-        // direction's weights and state stay in L1 for its whole drain
-        // instead of being evicted by the other's on every packet.
+        // Inject every due synthetic packet: update the hidden state as if
+        // it were routed, then discard the outputs (§6). Direction-major:
+        // every due ingress packet, then every due egress one. A cluster's
+        // two directions share no state (own feeder RNG, extractor and
+        // model state; `feeder_packets` is a sum), so only per-lane order
+        // matters and it is unchanged — while each direction's weights and
+        // state stay in L1 for its whole drain instead of being evicted by
+        // the other's on every packet.
         let li = self.slot[cluster as usize] as usize;
         let bundle = &self.bundles[self.assign[li]];
-        for (fleet, model) in
-            [(&mut self.ingress, &bundle.ingress), (&mut self.egress, &bundle.egress)]
-        {
-            while let Some(v) = fleet.feeders[li].fire(now) {
-                fleet.lanes[li].fx.extract_into(&v, &mut self.feat_buf);
-                model.update_only(&self.feat_buf, &mut fleet.states[li]);
+        for (lane, model) in [
+            (&mut self.ingress[li], &bundle.ingress),
+            (&mut self.egress[li], &bundle.egress),
+        ] {
+            while let Some(v) = lane.feeder.fire(now) {
+                lane.fx.extract_into(&v, &mut self.feat_buf);
+                model.update_only(&self.feat_buf, &mut lane.state);
                 self.feeder_packets += 1;
             }
         }
@@ -511,20 +366,13 @@ impl BatchClusterModel for BatchedMimicFleet {
 
     fn drift(&self, cluster: u32) -> Option<f64> {
         let li = self.slot[cluster as usize] as usize;
-        self.ingress.lanes[li]
-            .monitor
-            .as_ref()
-            .and_then(|m| m.score())
+        self.ingress[li].monitor.as_ref().and_then(|m| m.score())
     }
 
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        // Flush buffers (per-lane queues/cursors, feats/out/raw, scratch)
-        // are transient within one infer_batch call; the engine settles
-        // every pending batch before snapshotting, so only durable lane
-        // state is written.
-        for fleet in [&self.ingress, &self.egress] {
-            w.put_u64(fleet.lanes.len() as u64);
-            for (li, lane) in fleet.lanes.iter().enumerate() {
+        for lanes in [&self.ingress, &self.egress] {
+            w.put_u64(lanes.len() as u64);
+            for lane in lanes {
                 lane.fx.save_state(w);
                 w.put_u64(lane.rng.state());
                 let mut exits: Vec<(u64, u64)> = lane
@@ -542,30 +390,25 @@ impl BatchClusterModel for BatchedMimicFleet {
                 if let Some(mon) = &lane.monitor {
                     mon.save_state(w);
                 }
-                save_model_state(&fleet.states[li], w);
-                fleet.feeders[li].save_state(w);
+                save_model_state(&lane.state, w);
+                lane.feeder.save_state(w);
             }
         }
         w.put_u64(self.packets_seen);
         w.put_u64(self.feeder_packets);
-        w.put_u64(self.rounds);
-        w.put_u64_slice(&self.lane_occupancy.buckets);
-        w.put_u64(self.lane_occupancy.count);
-        w.put_u64(self.lane_occupancy.sum);
-        w.put_u64(self.lane_occupancy.max);
         Ok(())
     }
 
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        for fleet in [&mut self.ingress, &mut self.egress] {
+        for lanes in [&mut self.ingress, &mut self.egress] {
             let n = r.get_u64()? as usize;
-            if n != fleet.lanes.len() {
+            if n != lanes.len() {
                 return Err(SnapshotError::Corrupt(format!(
                     "fleet has {} lanes, snapshot has {n}",
-                    fleet.lanes.len()
+                    lanes.len()
                 )));
             }
-            for (li, lane) in fleet.lanes.iter_mut().enumerate() {
+            for lane in lanes {
                 lane.fx.load_state(r)?;
                 lane.rng.set_state(r.get_u64()?);
                 let n_exits = r.get_count(16)?;
@@ -583,25 +426,14 @@ impl BatchClusterModel for BatchedMimicFleet {
                 if let Some(mon) = &mut lane.monitor {
                     mon.load_state(r)?;
                 }
-                load_model_state(&mut fleet.states[li], r)?;
-                fleet.feeders[li].load_state(r)?;
-                lane.queue.clear();
-                lane.cursor = 0;
+                load_model_state(&mut lane.state, r)?;
+                lane.feeder.load_state(r)?;
+                lane.evicted = 0;
             }
         }
+        self.flush = 0;
         self.packets_seen = r.get_u64()?;
         self.feeder_packets = r.get_u64()?;
-        self.rounds = r.get_u64()?;
-        let buckets = r.get_u64_vec()?;
-        if buckets.len() != self.lane_occupancy.buckets.len() {
-            return Err(SnapshotError::Corrupt(
-                "lane-occupancy histogram has the wrong bucket count".into(),
-            ));
-        }
-        self.lane_occupancy.buckets.copy_from_slice(&buckets);
-        self.lane_occupancy.count = r.get_u64()?;
-        self.lane_occupancy.sum = r.get_u64()?;
-        self.lane_occupancy.max = r.get_u64()?;
         Ok(())
     }
 
@@ -612,11 +444,6 @@ impl BatchClusterModel for BatchedMimicFleet {
         *out.counters
             .entry("mimic.fleet.feeder_packets".into())
             .or_insert(0) += self.feeder_packets;
-        *out.counters.entry("mimic.fleet.rounds".into()).or_insert(0) += self.rounds;
-        out.hists
-            .entry("mimic.flush.lane_occupancy".into())
-            .or_default()
-            .merge(&self.lane_occupancy);
     }
 }
 
@@ -625,6 +452,7 @@ mod tests {
     use super::*;
     use crate::features::FeatureConfig;
     use crate::feeder::{DirFit, FeederFit};
+    use crate::internal_model::InternalModel;
     use mimic_ml::discretize::Discretizer;
     use mimic_ml::model::SeqModel;
 
@@ -654,20 +482,19 @@ mod tests {
     /// ingress packet, one egress packet, until neither feeder is due.
     fn on_wake_interleaved(f: &mut BatchedMimicFleet, cluster: u32, now: SimTime) {
         let li = f.slot[cluster as usize] as usize;
-        let g = f.assign[li];
+        let bundle = Arc::clone(&f.bundles[f.assign[li]]);
         loop {
             let mut fired = false;
-            if let Some(v) = f.ingress.feeders[li].fire(now) {
-                f.ingress.lanes[li].fx.extract_into(&v, &mut f.feat_buf);
-                f.bundles[g].ingress.update_only(&f.feat_buf, &mut f.ingress.states[li]);
-                f.feeder_packets += 1;
-                fired = true;
-            }
-            if let Some(v) = f.egress.feeders[li].fire(now) {
-                f.egress.lanes[li].fx.extract_into(&v, &mut f.feat_buf);
-                f.bundles[g].egress.update_only(&f.feat_buf, &mut f.egress.states[li]);
-                f.feeder_packets += 1;
-                fired = true;
+            for (lane, model) in [
+                (&mut f.ingress[li], &bundle.ingress),
+                (&mut f.egress[li], &bundle.egress),
+            ] {
+                if let Some(v) = lane.feeder.fire(now) {
+                    lane.fx.extract_into(&v, &mut f.feat_buf);
+                    model.update_only(&f.feat_buf, &mut lane.state);
+                    f.feeder_packets += 1;
+                    fired = true;
+                }
             }
             if !fired {
                 break;
@@ -694,5 +521,105 @@ mod tests {
             w.into_bytes()
         };
         assert_eq!(bytes(&major), bytes(&interleaved));
+    }
+
+    /// One data packet crossing cluster 1's boundary in a 4-cluster
+    /// topology, and `n` items replaying it `dir`-wards 100 µs apart.
+    fn crossings(topo: FatTreeParams, dir: BoundaryDir, n: usize) -> Vec<BoundaryItem> {
+        let t = FatTree::new(topo);
+        let (local, remote) = (t.host(1, 0, 0), t.host(0, 1, 1));
+        let (src, dst) = match dir {
+            BoundaryDir::Ingress => (remote, local),
+            BoundaryDir::Egress => (local, remote),
+        };
+        let t0 = SimTime::from_secs_f64(0.01);
+        let pkt = dcn_sim::packet::Packet::data(1, FlowId(5), src, dst, 0, 1460, false, t0);
+        (0..n)
+            .map(|i| BoundaryItem {
+                cluster: 1,
+                dir,
+                pkt: pkt.clone(),
+                enqueued_at: SimTime::from_secs_f64(0.01 + i as f64 * 1e-4),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fleet_delivers_with_latency_at_least_the_floor() {
+        let (b, mut topo) = crate::mimic::tests::quick_bundle();
+        topo.clusters = 4;
+        let mut f = BatchedMimicFleet::new(b, topo, 4, &[(1, 9)]);
+        let mut verdicts = Vec::new();
+        f.infer_batch(&crossings(topo, BoundaryDir::Egress, 50), &mut verdicts);
+        assert_eq!(verdicts.len(), 50);
+        let mut delivered = 0;
+        for v in &verdicts {
+            if let Verdict::Deliver { latency, .. } = v {
+                assert!(*latency >= f.latency_floor());
+                delivered += 1;
+            }
+        }
+        assert!(delivered > 0, "everything dropped");
+        assert_eq!(f.packets_seen, 50);
+    }
+
+    #[test]
+    fn feeders_active_beyond_two_clusters() {
+        let (b, mut topo) = crate::mimic::tests::quick_bundle();
+        topo.clusters = 8;
+        let mut f = BatchedMimicFleet::new(b.clone(), topo, 8, &[(1, 3)]);
+        // Fire a few wakeups; state must advance.
+        let mut wakes = 0;
+        let mut t = SimTime::ZERO;
+        while let Some(next) = f.next_wake(1, t) {
+            if next > SimTime::from_secs_f64(0.2) || wakes > 500 {
+                break;
+            }
+            t = next;
+            f.on_wake(1, t);
+            wakes += 1;
+        }
+        assert!(f.feeder_packets > 0);
+        // At n = 2 there is no Mimic-Mimic traffic: feeders are disabled.
+        topo.clusters = 2;
+        let mut f2 = BatchedMimicFleet::new(b, topo, 2, &[(1, 3)]);
+        assert!(f2.next_wake(1, SimTime::ZERO).is_none());
+    }
+
+    #[test]
+    fn drift_reported_after_enough_ingress_packets() {
+        let (b, mut topo) = crate::mimic::tests::quick_bundle();
+        assert!(b.envelope.is_some(), "datagen must fit an envelope");
+        topo.clusters = 4;
+        let items = crossings(topo, BoundaryDir::Ingress, 200);
+        let mut verdicts = Vec::new();
+        let mut f = BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, 9)]).with_drift_window(32);
+        assert!(f.drift(1).is_none(), "no score before a window completes");
+        f.infer_batch(&items, &mut verdicts);
+        let d = f.drift(1).expect("windows completed");
+        assert!(d.is_finite() && d >= 0.0, "drift {d}");
+        // A bundle without an envelope never reports drift.
+        let mut bare = b;
+        bare.envelope = None;
+        let mut f2 = BatchedMimicFleet::new(bare, topo, 4, &[(1, 9)]);
+        f2.infer_batch(&items, &mut verdicts);
+        assert!(f2.drift(1).is_none());
+    }
+
+    #[test]
+    fn threshold_mode_is_deterministic_across_seeds() {
+        // Threshold decisions draw nothing, so two fleets that differ only
+        // in their decision seed give the same verdicts.
+        let (b, mut topo) = crate::mimic::tests::quick_bundle();
+        topo.clusters = 4;
+        let items = crossings(topo, BoundaryDir::Ingress, 20);
+        let run = |seed: u64| {
+            let mut f = BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, seed)])
+                .with_mode(DecisionMode::Threshold);
+            let mut verdicts = Vec::new();
+            f.infer_batch(&items, &mut verdicts);
+            verdicts
+        };
+        assert_eq!(run(1), run(2));
     }
 }

@@ -26,7 +26,9 @@
 //! `estimate`/`validate` accept `--checkpoint-every S` (simulated seconds,
 //! checkpoints into `--checkpoint-dir`) and `--resume DIR` to restart an
 //! interrupted composed run. Checkpointed, resumed, and uninterrupted
-//! runs all produce bit-identical results. All file outputs are written
+//! runs all produce bit-identical results — and the same results as a
+//! plain `estimate`: there is one Mimic model, whatever engine the flags
+//! select. All file outputs are written
 //! atomically (temp file + rename), so a crash never leaves a torn file.
 
 use dcn_sim::mimic::FidelityTier;
@@ -66,7 +68,8 @@ fn usage() -> ! {
          \u{20}        [--generation GEN] [--partitions P] [config flags]\n\
          \u{20}        (seed a divergence for testing)\n\
          \n\
-         crash resilience (estimate/validate):\n\
+         crash resilience (estimate/validate; one Mimic model — the same\n\
+         numbers with or without these flags, at any --partitions):\n\
          \u{20}        [--partitions P] [--checkpoint-every S]\n\
          \u{20}        [--checkpoint-dir DIR] [--resume DIR]\n\
          \u{20}        [--keep-generations N] [--resume-generation GEN]\n\
@@ -109,9 +112,8 @@ const ADAPTIVE_FLAGS: &[&str] = &[
     "max-above-flow", "correction",
 ];
 
-/// The flags `cmd` understands, or `None` for an unknown subcommand. Flag
-/// presence selects the engine (see [`estimate_from_flags`]), so a flag a
-/// subcommand would silently ignore is an error, not a no-op.
+/// The flags `cmd` understands, or `None` for an unknown subcommand. A
+/// flag a subcommand would silently ignore is an error, not a no-op.
 fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
     let (own, groups): (&[&str], &[&[&str]]) = match cmd {
         "train" => (&["out", "checkpoint", "correction-out"], &[PIPELINE_FLAGS, OBS_FLAGS]),
@@ -489,11 +491,11 @@ fn cmd_train(opts: HashMap<String, String>) {
 /// Run the composed estimate the flags ask for (shared by `estimate` and
 /// `validate`), exiting through [`die_with_obs`] on failure.
 ///
-/// Flag presence picks the model: with no crash-resilience, diagnostics
-/// or `--adaptive` flag the run uses scalar Mimics on the in-process
-/// sequential engine; any of them moves it onto the PDES engine with the
-/// batched fleet (a different model with different numbers — DESIGN.md
-/// §8), under the accuracy budget when `--adaptive` is set.
+/// Every path runs the same Mimic fleet and prints the same numbers. With
+/// no crash-resilience, diagnostics or `--adaptive` flag the run stays on
+/// the in-process sequential engine; any of them moves it onto the PDES
+/// driver that implements them, under the accuracy budget when
+/// `--adaptive` is set (the one flag that does change the model).
 fn estimate_from_flags(
     pipe: &mut Pipeline,
     trained: &TrainedMimic,

@@ -8,7 +8,7 @@
 use crate::batch::BatchedMimicFleet;
 use crate::degrade::AccuracyBudget;
 use crate::error::{ComposeRunError, PipelineError};
-use crate::mimic::{LearnedMimic, TrainedMimic};
+use crate::mimic::TrainedMimic;
 use crate::tier::{AdaptiveFleet, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::instrument::Metrics;
@@ -33,7 +33,8 @@ pub fn host_cluster(topo: &FatTree, node: NodeId) -> Result<u32, PipelineError> 
 }
 
 /// Build the `n_clusters` hybrid simulation: cluster [`OBSERVABLE`] (and
-/// the cores) at full fidelity, every other cluster a [`LearnedMimic`].
+/// the cores) at full fidelity, every other cluster a Mimic served by one
+/// [`BatchedMimicFleet`].
 ///
 /// `base` is the *small-scale* configuration used for training — only its
 /// cluster count is changed, per the paper.
@@ -64,7 +65,8 @@ pub fn try_compose(
 /// ([`crate::degrade`]): drifted clusters fall back to packet-level
 /// simulation while the rest stay cheap. Mimic seeds depend only on the
 /// cluster index, so clusters that keep their Mimic behave identically to
-/// the all-Mimic composition.
+/// the all-Mimic composition. With every non-observable cluster at full
+/// fidelity this is a plain packet-level run.
 pub fn try_compose_partial(
     base: SimConfig,
     n_clusters: u32,
@@ -80,60 +82,19 @@ pub fn try_compose_partial(
             ),
         });
     }
-    let trained = Arc::new(trained.clone());
-    for c in 0..n_clusters {
-        if c == OBSERVABLE || full_fidelity.contains(&c) {
-            continue;
-        }
-        let mimic = LearnedMimic::new(
-            Arc::clone(&trained),
-            cfg.topo,
-            n_clusters,
-            cfg.seed ^ (0xC0DE_0000 + c as u64),
-        );
-        sim.set_cluster_model(c, Box::new(mimic));
+    if let Some(fleet) = mimic_fleet(&cfg, &Arc::new(trained.clone()), full_fidelity) {
+        sim.set_batch_model(Box::new(fleet));
     }
     Ok(sim)
 }
 
-/// [`compose`] with the Mimics behind the engine's batched aggregation
-/// point: one [`BatchedMimicFleet`] serves every non-observable cluster,
-/// and boundary packets queued across an event window share weight sweeps
-/// in batched LSTM forwards. Per-cluster seeds match [`compose`], so the
-/// fleet's feeder streams are identical to the scalar composition's.
-///
-/// # Panics
-/// On an invalid composition; use [`try_compose_batched`] for a typed
-/// error.
-pub fn compose_batched(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-) -> Simulation {
-    try_compose_batched(base, n_clusters, protocol, trained).expect("valid composition")
-}
-
-/// [`compose_batched`], surfacing invalid input as [`PipelineError`].
-pub fn try_compose_batched(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-) -> Result<Simulation, PipelineError> {
-    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
-    sim.set_batch_model(Box::new(batched_fleet(&cfg, n_clusters, trained)));
-    Ok(sim)
-}
-
-/// Run the batched composition across `partitions` PDES logical processes
-/// and return the merged metrics. Every LP installs the full fleet (a
-/// cluster's lane only advances on the LP that owns the cluster), and the
+/// Run the composition across `partitions` PDES logical processes and
+/// return the merged metrics. Every LP installs the full fleet (a
+/// cluster's lanes only advance on the LP that owns the cluster), and the
 /// conservative window shrinks to `min(link latency, latency floor)` so
-/// batched re-injections always land at or beyond the next barrier.
-/// Bit-identical to the sequential [`compose_batched`] run at any partition
-/// count (`partitions == 1` is the sequential engine), asserted by the
-/// integration suite.
+/// the fleet's re-injections always land at or beyond the next barrier.
+/// Bit-identical to the sequential [`compose`] run at any partition count,
+/// asserted by the integration suite.
 ///
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
 /// (reports arrive merged in `Metrics::obs` and never change the
@@ -151,8 +112,9 @@ pub fn run_composed_partitioned(
     partitions: usize,
     opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
-    run_composed_fleet(base, n_clusters, protocol, trained, partitions, opts, &|cfg| {
-        Box::new(batched_fleet(cfg, n_clusters, trained))
+    let trained = Arc::new(trained.clone());
+    run_composed_fleet(base, n_clusters, protocol, &trained, partitions, opts, &|cfg| {
+        Box::new(all_mimic_fleet(cfg, &trained))
     })
 }
 
@@ -178,8 +140,14 @@ pub fn run_composed_adaptive(
     opts: &PdesRunOpts,
 ) -> Result<Metrics, ComposeRunError> {
     let opts = PdesRunOpts { tiers: Some(*plan), ..opts.clone() };
-    run_composed_fleet(base, n_clusters, protocol, trained, partitions, &opts, &|cfg| {
-        Box::new(adaptive_fleet(cfg, n_clusters, trained, budget, correction))
+    let trained = Arc::new(trained.clone());
+    run_composed_fleet(base, n_clusters, protocol, &trained, partitions, &opts, &|cfg| {
+        Box::new(AdaptiveFleet::new(
+            all_mimic_fleet(cfg, &trained),
+            cfg,
+            budget.clone(),
+            correction.copied(),
+        ))
     })
 }
 
@@ -238,30 +206,27 @@ fn composed_engine(
     Ok((cfg, Simulation::with_transport(cfg, protocol.factory())))
 }
 
-/// The adaptive fleet for `cfg`: the homogeneous Mimic fleet (seeded
-/// exactly like [`compose`]) wrapped under `budget`.
-pub fn adaptive_fleet(
+/// The homogeneous fleet for `cfg` over every cluster that is neither
+/// [`OBSERVABLE`] nor in `full_fidelity`, or `None` when that leaves no
+/// cluster to serve. A cluster's seed depends only on its index.
+fn mimic_fleet(
     cfg: &SimConfig,
-    n_clusters: u32,
-    trained: &TrainedMimic,
-    budget: &AccuracyBudget,
-    correction: Option<&CorrectionHead>,
-) -> AdaptiveFleet {
-    AdaptiveFleet::new(
-        batched_fleet(cfg, n_clusters, trained),
-        cfg,
-        budget.clone(),
-        correction.copied(),
-    )
-}
-
-/// The homogeneous fleet for `cfg`, seeded exactly like [`compose`].
-fn batched_fleet(cfg: &SimConfig, n_clusters: u32, trained: &TrainedMimic) -> BatchedMimicFleet {
+    trained: &Arc<TrainedMimic>,
+    full_fidelity: &[u32],
+) -> Option<BatchedMimicFleet> {
+    let n_clusters = cfg.topo.clusters;
     let cluster_seeds: Vec<(u32, u64)> = (0..n_clusters)
-        .filter(|&c| c != OBSERVABLE)
+        .filter(|c| *c != OBSERVABLE && !full_fidelity.contains(c))
         .map(|c| (c, cfg.seed ^ (0xC0DE_0000 + c as u64)))
         .collect();
-    BatchedMimicFleet::new(trained.clone(), cfg.topo, n_clusters, &cluster_seeds)
+    (!cluster_seeds.is_empty())
+        .then(|| BatchedMimicFleet::new(Arc::clone(trained), cfg.topo, n_clusters, &cluster_seeds))
+}
+
+/// [`mimic_fleet`] over every non-observable cluster (a validated
+/// composition has at least one).
+fn all_mimic_fleet(cfg: &SimConfig, trained: &Arc<TrainedMimic>) -> BatchedMimicFleet {
+    mimic_fleet(cfg, trained, &[]).expect("a composition has at least two clusters")
 }
 
 /// Heterogeneous composition (paper Appendix A's relaxation: "it may be
@@ -300,29 +265,27 @@ pub fn try_compose_heterogeneous(
         });
     }
     let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
-    // One shared copy per distinct bundle, however many clusters use it.
-    let bundles: Vec<Arc<TrainedMimic>> = bundles.iter().cloned().map(Arc::new).collect();
-    for c in 0..n_clusters {
-        if c == OBSERVABLE {
-            continue;
-        }
+    let mut cluster_assign = Vec::with_capacity(n_clusters as usize - 1);
+    for c in (0..n_clusters).filter(|&c| c != OBSERVABLE) {
         let idx = assign(c);
-        let bundle = bundles
-            .get(idx)
-            .ok_or_else(|| PipelineError::InvalidComposition {
+        if idx >= bundles.len() {
+            return Err(PipelineError::InvalidComposition {
                 reason: format!(
                     "assignment for cluster {c} points at bundle {idx}, but only {} exist",
                     bundles.len()
                 ),
-            })?;
-        let mimic = LearnedMimic::new(
-            Arc::clone(bundle),
-            cfg.topo,
-            n_clusters,
-            cfg.seed ^ (0x4E7E_0000 + c as u64),
-        );
-        sim.set_cluster_model(c, Box::new(mimic));
+            });
+        }
+        cluster_assign.push((c, idx, cfg.seed ^ (0x4E7E_0000 + c as u64)));
     }
+    // One shared copy per distinct bundle, however many clusters use it.
+    let bundles: Vec<Arc<TrainedMimic>> = bundles.iter().cloned().map(Arc::new).collect();
+    sim.set_batch_model(Box::new(BatchedMimicFleet::new_heterogeneous(
+        bundles,
+        cfg.topo,
+        n_clusters,
+        &cluster_assign,
+    )));
     Ok(sim)
 }
 

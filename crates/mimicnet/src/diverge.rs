@@ -23,7 +23,7 @@
 //! yields a run that diverges at exactly the restored window — ground
 //! truth for exercising the bisection end to end.
 
-use crate::compose::{composed_config, try_compose_batched};
+use crate::compose::{composed_config, try_compose};
 use crate::mimic::TrainedMimic;
 use crate::pipeline::Pipeline;
 use dcn_obs::{FlightEvent, ObsReport};
@@ -555,7 +555,7 @@ pub fn snap_flip(
     // (repeatedly) to validate candidate flips by restoring them.
     let restore_digest = |payload: &[u8]| -> Option<u64> {
         let mut sim =
-            try_compose_batched(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol, trained).ok()?;
+            try_compose(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol, trained).ok()?;
         sim.set_partition(owner.clone(), part as u8);
         sim.restore_snapshot(payload).ok()?;
         Some(sim.window_digest())

@@ -36,7 +36,7 @@
 //!    end-to-end, user-defined metrics (e.g. W1 of FCTs) across validation
 //!    scales (§7.2).
 //! 7. **Composition** ([`compose`]) — a large simulation with one real
-//!    cluster and `N−1` [`mimic::LearnedMimic`]s (§7.1).
+//!    cluster and `N−1` Mimics served by one [`BatchedMimicFleet`] (§7.1).
 //!
 //! [`pipeline`] packages steps 1–7 behind one call and reports the per-
 //! phase wall-clock breakdown the paper's Table 2 shows.
@@ -74,6 +74,5 @@ pub use batch::BatchedMimicFleet;
 pub use degrade::{AccuracyBudget, BudgetLedger, DegradationPolicy, DegradationReport};
 pub use drift::{DriftMonitor, FeatureEnvelope};
 pub use error::PipelineError;
-pub use mimic::LearnedMimic;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use tier::{AdaptiveFleet, CorrectionHead};

@@ -333,12 +333,13 @@ impl Pipeline {
         n_clusters: u32,
         faults: Option<&FaultPlan>,
     ) -> Result<EstimateReport, PipelineError> {
-        self.estimate_scalar(trained, n_clusters, faults, &[])
+        self.estimate_partial(trained, n_clusters, faults, &[])
     }
 
-    /// One scalar-Mimic estimate on the in-process sequential engine, with
-    /// the `full_fidelity` clusters kept at packet level.
-    fn estimate_scalar(
+    /// One estimate on the in-process sequential engine, with the
+    /// `full_fidelity` clusters kept at packet level and the rest behind
+    /// the Mimic fleet.
+    fn estimate_partial(
         &mut self,
         trained: &TrainedMimic,
         n_clusters: u32,
@@ -362,11 +363,11 @@ impl Pipeline {
         self.estimate_via(t0, n_clusters, || Ok(sim.run()))
     }
 
-    /// [`Pipeline::try_estimate`] on the partitioned PDES engine with the
-    /// batched Mimic fleet and the full [`PdesRunOpts`] set:
-    /// checkpoint/resume (checkpointed, resumed and uninterrupted runs
-    /// produce bit-identical metrics at the same partition count;
-    /// `partitions == 1` is the sequential engine), state digests, flight
+    /// [`Pipeline::try_estimate`] on the partitioned PDES engine — the same
+    /// Mimic fleet, so the same metrics byte for byte at any partition
+    /// count — with the full [`PdesRunOpts`] set: checkpoint/resume
+    /// (checkpointed, resumed and uninterrupted runs produce bit-identical
+    /// metrics at the same partition count), state digests, flight
     /// recorder + SLO dumps, early stop, pinned-generation resume. When
     /// the pipeline's obs collector is on, engine obs is forced on so
     /// digests, flight events, and tier telemetry land in the exported
@@ -432,7 +433,7 @@ impl Pipeline {
             probe
         } else {
             // Both passes count towards the estimate's wall clock.
-            let mut rerun = self.estimate_scalar(trained, n_clusters, faults, &fallback)?;
+            let mut rerun = self.estimate_partial(trained, n_clusters, faults, &fallback)?;
             rerun.wall += probe.wall;
             self.timings.large_scale_sim = rerun.wall;
             rerun

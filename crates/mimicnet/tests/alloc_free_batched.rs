@@ -1,10 +1,10 @@
-//! The batched compose hot path must not allocate in steady state.
+//! The Mimic fleet's hot path must not allocate in steady state.
 //!
-//! The fleet's flush buffers (packed features, lane selections, raw
-//! outputs, verdicts, kernel scratch) are all grow-once: after a warmup
-//! that reaches steady-state capacity, driving many more flushes — at the
-//! largest batch size seen — plus feeder wakeups must leave the global
-//! allocation count untouched.
+//! The fleet's buffers (feature scratch, verdicts, per-flow FIFO maps,
+//! per-lane gate scratch) are all grow-once: after a warmup that reaches
+//! steady-state capacity, driving many more flushes — at the largest batch
+//! size seen — plus feeder wakeups must leave the global allocation count
+//! untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,8 +104,8 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     let mut verdicts = Vec::new();
     let at = |r: u64| SimTime::from_secs_f64(0.01 + r as f64 * 1e-4);
 
-    // Warm up: flush buffers, per-flow FIFO maps, drift windows, feeder
-    // queues, and kernel scratch all reach steady-state capacity.
+    // Warm up: verdict buffer, per-flow FIFO maps, drift windows and
+    // feeder queues all reach steady-state capacity.
     let mut now = SimTime::ZERO;
     for round in 0..100u64 {
         fill_batch(&mut items, &t, at(round), round);
@@ -122,7 +122,7 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     for round in 100..400u64 {
         fill_batch(&mut items, &t, at(round), round);
         fleet.infer_batch(&items, &mut verdicts);
-        std::hint::black_box(fleet.raw_outputs());
+        std::hint::black_box(&verdicts);
         for c in 1..4u32 {
             if let Some(next) = fleet.next_wake(c, now) {
                 now = next;
@@ -134,7 +134,7 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "batched compose path allocated {} times over 300 flushes",
+        "the fleet allocated {} times over 300 flushes",
         after - before
     );
 }

@@ -1,26 +1,23 @@
-//! Equivalence suite for the batched compose path (the lock on the PR's
-//! tentpole): batched inference over a recorded boundary-packet trace must
-//! be **byte-identical** to per-packet scalar stepping — at every
-//! [`KernelMode`], for every flush chunking.
+//! Equivalence suite for the Mimic fleet: its verdicts over a recorded
+//! boundary-packet trace must be **identical** to a per-lane pipeline
+//! spelled out by hand — for every flush chunking.
 //!
-//! The comparator is the scalar pipeline spelled out by hand: one
-//! [`FeatureExtractor`] + [`ModelState`] per (cluster, direction) lane,
-//! views built by the same [`packet_view`] projection, raw outputs from
-//! [`SeqModel::step`] one packet at a time, congestion feedback applied
-//! with threshold decisions. The fleet (in [`DecisionMode::Threshold`])
-//! must reproduce every raw output bit, no matter how the item stream is
-//! chunked into flushes.
+//! The comparator owns one [`FeatureExtractor`] + [`ModelState`] + FIFO
+//! table per (cluster, direction) lane, builds views through the same
+//! [`packet_view`] projection, takes raw outputs from [`SeqModel::step`]
+//! one packet at a time, and applies threshold decisions, congestion
+//! feedback, the latency floor and the per-flow FIFO clamp. The fleet (in
+//! [`DecisionMode::Threshold`]) must reproduce every verdict, no matter
+//! how the item stream is chunked into flushes.
 //!
-//! Kernel-mode flipping touches process-global state, so everything runs
-//! inside a single `#[test]` function.
+//! [`SeqModel::step`]: mimic_ml::model::SeqModel::step
 
 use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, Verdict};
 use dcn_sim::packet::{FlowId, Packet};
-use dcn_sim::time::SimTime;
+use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::topology::FatTree;
 use mimic_ml::loss::sigmoid;
-use mimic_ml::matrix::{set_kernel_mode, KernelMode};
-use mimic_ml::model::{ModelState, OUTPUTS, OUT_DROP, OUT_LATENCY};
+use mimic_ml::model::{ModelState, OUT_DROP, OUT_ECN, OUT_LATENCY};
 use mimic_ml::train::TrainConfig;
 use mimicnet::batch::BatchedMimicFleet;
 use mimicnet::datagen::{generate, DataGenConfig};
@@ -89,14 +86,16 @@ fn record_trace(topo: &FatTree) -> Vec<BoundaryItem> {
     items
 }
 
-/// Scalar reference: step every lane's packets one at a time through
-/// `SeqModel::step`, with threshold-decision congestion feedback — the
-/// exact per-packet arithmetic of `LearnedMimic::on_packet`.
-fn scalar_reference(bundle: &TrainedMimic, topo: &FatTree, items: &[BoundaryItem]) -> Vec<[f32; OUTPUTS]> {
+/// Reference: step every lane's packets one at a time through
+/// `SeqModel::step` and decode each verdict by hand under threshold
+/// decisions.
+fn reference_verdicts(bundle: &TrainedMimic, topo: &FatTree, items: &[BoundaryItem]) -> Vec<Verdict> {
     struct LaneRef {
         fx: FeatureExtractor,
         state: ModelState,
+        last_exit: HashMap<FlowId, SimTime>,
     }
+    let floor = bundle.latency_floor();
     let mut lanes: HashMap<(u32, BoundaryDir), LaneRef> = HashMap::new();
     let mut feat = Vec::new();
     let mut out = Vec::with_capacity(items.len());
@@ -108,70 +107,66 @@ fn scalar_reference(bundle: &TrainedMimic, topo: &FatTree, items: &[BoundaryItem
         let lane = lanes.entry((item.cluster, item.dir)).or_insert_with(|| LaneRef {
             fx: FeatureExtractor::new(bundle.feature_cfg),
             state: model.init_state(),
+            last_exit: HashMap::new(),
         });
         let view = packet_view(topo, item.dir, &item.pkt, item.enqueued_at);
         lane.fx.extract_into(&view, &mut feat);
         let o = model.model.step(&feat, &mut lane.state);
         if sigmoid(o[OUT_DROP]) as f64 > 0.5 {
             lane.fx.observe_outcome(1.0, true);
-        } else {
-            lane.fx.observe_outcome(o[OUT_LATENCY].clamp(0.0, 1.0), false);
+            out.push(Verdict::Drop);
+            continue;
         }
-        out.push(o);
+        let norm = o[OUT_LATENCY].clamp(0.0, 1.0);
+        lane.fx.observe_outcome(norm, false);
+        let latency = SimDuration::from_secs_f64(model.disc.recover(norm).max(1e-6)).max(floor);
+        let prev = lane.last_exit.get(&item.pkt.flow).copied().unwrap_or(SimTime::ZERO);
+        let exit = (item.enqueued_at + latency).max(prev);
+        lane.last_exit.insert(item.pkt.flow, exit);
+        out.push(Verdict::Deliver {
+            latency: SimDuration(exit.0 - item.enqueued_at.0),
+            mark_ce: item.pkt.ecn.is_capable() && sigmoid(o[OUT_ECN]) as f64 > 0.5,
+        });
     }
     out
 }
 
 /// Run the fleet over `items` flushed in chunks of `chunk`, returning the
-/// concatenated raw outputs.
-fn fleet_outputs(
+/// concatenated verdicts.
+fn fleet_verdicts(
     bundle: &TrainedMimic,
     topo_params: dcn_sim::topology::FatTreeParams,
     items: &[BoundaryItem],
     chunk: usize,
-) -> Vec<[f32; OUTPUTS]> {
+    mode: DecisionMode,
+) -> Vec<Verdict> {
     let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 1000 + c as u64)).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds)
-        .with_mode(DecisionMode::Threshold);
+    let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds).with_mode(mode);
     let mut verdicts = Vec::new();
-    let mut raw = Vec::with_capacity(items.len());
+    let mut all = Vec::with_capacity(items.len());
     for batch in items.chunks(chunk) {
         fleet.infer_batch(batch, &mut verdicts);
         assert_eq!(verdicts.len(), batch.len(), "one verdict per item");
-        raw.extend_from_slice(fleet.raw_outputs());
+        all.extend_from_slice(&verdicts);
     }
-    raw
-}
-
-fn bits(rows: &[[f32; OUTPUTS]]) -> Vec<[u32; OUTPUTS]> {
-    rows.iter()
-        .map(|r| [r[0].to_bits(), r[1].to_bits(), r[2].to_bits()])
-        .collect()
+    all
 }
 
 #[test]
-fn batched_trace_is_byte_identical_to_scalar_stepping() {
+fn fleet_trace_is_identical_to_per_lane_stepping() {
     let (bundle, mut topo_params) = quick_bundle();
     topo_params.clusters = 4;
     let topo = FatTree::new(topo_params);
     let items = record_trace(&topo);
-
-    // The scalar reference never touches the batched kernels; its outputs
-    // are the same under either mode (scalar inference has no dispatch),
-    // so record it once under the default mode.
-    let reference = bits(&scalar_reference(&bundle, &topo, &items));
-
-    for mode in [KernelMode::Naive, KernelMode::Blocked] {
-        set_kernel_mode(mode);
-        for chunk in [1usize, 7, 16, 64] {
-            let got = bits(&fleet_outputs(&bundle, topo_params, &items, chunk));
-            assert_eq!(
-                got, reference,
-                "raw outputs diverged from scalar stepping (mode {mode:?}, chunk {chunk})"
-            );
-        }
+    let reference = reference_verdicts(&bundle, &topo, &items);
+    assert!(
+        reference.iter().any(|v| matches!(v, Verdict::Deliver { .. })),
+        "the trace must exercise the deliver path"
+    );
+    for chunk in [1usize, 7, 16, 64] {
+        let got = fleet_verdicts(&bundle, topo_params, &items, chunk, DecisionMode::Threshold);
+        assert_eq!(got, reference, "verdicts diverged from per-lane stepping (chunk {chunk})");
     }
-    set_kernel_mode(KernelMode::Blocked);
 }
 
 #[test]
@@ -182,21 +177,7 @@ fn verdicts_are_chunking_invariant_in_sample_mode() {
     topo_params.clusters = 4;
     let topo = FatTree::new(topo_params);
     let items = record_trace(&topo);
-
-    let run = |chunk: usize| {
-        let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 1000 + c as u64)).collect();
-        let mut fleet = BatchedMimicFleet::new(bundle.clone(), topo_params, 4, &seeds);
-        let mut verdicts = Vec::new();
-        let mut all: Vec<(u64, bool)> = Vec::new();
-        for batch in items.chunks(chunk) {
-            fleet.infer_batch(batch, &mut verdicts);
-            all.extend(verdicts.iter().map(|v| match *v {
-                Verdict::Drop => (u64::MAX, false),
-                Verdict::Deliver { latency, mark_ce } => (latency.0, mark_ce),
-            }));
-        }
-        all
-    };
+    let run = |chunk| fleet_verdicts(&bundle, topo_params, &items, chunk, DecisionMode::Sample);
     let whole = run(items.len());
     for chunk in [1usize, 7, 16, 64] {
         assert_eq!(run(chunk), whole, "verdicts changed with flush chunking {chunk}");

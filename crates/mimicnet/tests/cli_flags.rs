@@ -1,17 +1,26 @@
-//! The `mimicnet` binary rejects flags a subcommand does not read. Flag
-//! *presence* selects the engine (scalar in-process vs batched PDES), so
-//! a typo such as `--partitons 2` must fail loudly instead of silently
-//! estimating with a different model.
+//! The `mimicnet` binary rejects flags a subcommand does not read — a typo
+//! such as `--partitons 2` must fail loudly instead of silently running
+//! something else — and prints the same estimate whichever engine the
+//! flags put it on.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 fn cli(args: &[&str]) -> (Option<i32>, String) {
+    let (code, _stdout, stderr) = cli_out(args);
+    (code, stderr)
+}
+
+fn cli_out(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mimicnet"))
         .args(args)
         .output()
         .expect("spawn mimicnet");
-    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -48,9 +57,21 @@ fn known_good_invocations_still_succeed_and_orphan_checkpoint_flags_fail() {
 
     let estimate = ["estimate", "--model", model_s, "--clusters", "3", "--duration", "0.2"];
     let (code, stderr) = cli(&estimate);
-    assert_eq!(code, Some(0), "scalar estimate failed: {stderr}");
-    let (code, stderr) = cli(&[&estimate[..], &["--partitions", "2", "--json"]].concat());
-    assert_eq!(code, Some(0), "partitioned estimate failed: {stderr}");
+    assert_eq!(code, Some(0), "in-process estimate failed: {stderr}");
+
+    // One model: the JSON report is byte-equal with and without the flag
+    // that moves the run onto the PDES driver (wall time aside).
+    let json_of = |extra: &[&str]| {
+        let (code, stdout, stderr) = cli_out(&[&estimate[..], &["--json"], extra].concat());
+        assert_eq!(code, Some(0), "estimate {extra:?} failed: {stderr}");
+        let report: Vec<&str> =
+            stdout.lines().filter(|l| !l.contains("\"wall_seconds\"")).collect();
+        assert!(report.iter().any(|l| l.contains("\"fct_p99\"")), "no report: {stdout}");
+        report.join("\n")
+    };
+    let in_process = json_of(&[]);
+    assert_eq!(in_process, json_of(&["--partitions", "1"]), "--partitions 1 changed the estimate");
+    assert_eq!(in_process, json_of(&["--partitions", "2"]), "--partitions 2 changed the estimate");
 
     // These two only configure `--checkpoint-every`; alone they used to
     // be ignored.

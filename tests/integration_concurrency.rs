@@ -1,22 +1,8 @@
 //! Concurrency-determinism suite: the pipeline's parallel training fan-out
 //! is a pure wall-clock optimization — results must be bit-identical to
-//! serial training at every worker count — and the process-wide matrix
-//! kernel mode must never leak into a composed trajectory.
-//! `RUST_TEST_THREADS` variation in CI re-runs this binary under
-//! contention to shake out scheduling sensitivity.
+//! serial training at every worker count.
 
-use dcn_sim::config::SimConfig;
-use dcn_transport::Protocol;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
-use std::sync::RwLock;
-
-/// The matrix kernel mode is process-wide and *training* is not
-/// bit-identical across modes (the naive forward uses libm activations,
-/// the blocked one `fastmath`). The test that flips the mode holds this
-/// for writing and the training tests hold it for reading, so a flip can
-/// never land between a serial training run and the parallel run it is
-/// compared with — which test threads overlap is up to the harness.
-static KERNEL_MODE: RwLock<()> = RwLock::new(());
 
 fn quick_cfg(seed: u64) -> PipelineConfig {
     let mut cfg = PipelineConfig::default();
@@ -28,31 +14,6 @@ fn quick_cfg(seed: u64) -> PipelineConfig {
     cfg
 }
 
-fn assert_identical(
-    seq: &dcn_sim::instrument::Metrics,
-    par: &dcn_sim::instrument::Metrics,
-    label: &str,
-) {
-    assert_eq!(seq.flows_started(), par.flows_started(), "{label}: flows started");
-    assert_eq!(
-        seq.flows_completed(),
-        par.flows_completed(),
-        "{label}: flows completed"
-    );
-    assert_eq!(
-        seq.total_delivered_bytes(),
-        par.total_delivered_bytes(),
-        "{label}: delivered bytes"
-    );
-    assert_eq!(seq.queue_drops, par.queue_drops, "{label}: drops");
-    assert_eq!(seq.ecn_marks, par.ecn_marks, "{label}: marks");
-    assert_eq!(seq.mimic_drops, par.mimic_drops, "{label}: mimic drops");
-    for (id, rec) in &seq.flows {
-        let other = par.flows.get(id).unwrap_or_else(|| panic!("{label}: flow {id:?} missing"));
-        assert_eq!(rec.end, other.end, "{label}: FCT of {id:?}");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Parallel training: the per-direction and per-bundle fan-outs must be
 // bit-identical to serial training at any worker budget.
@@ -60,7 +21,6 @@ fn assert_identical(
 
 #[test]
 fn direction_fanout_matches_serial_training() {
-    let _mode = KERNEL_MODE.read().unwrap_or_else(|e| e.into_inner());
     let serial = Pipeline::new(quick_cfg(91)).train().to_json();
     for workers in [2usize, 4, 8] {
         let mut cfg = quick_cfg(91);
@@ -72,7 +32,6 @@ fn direction_fanout_matches_serial_training() {
 
 #[test]
 fn bundle_fanout_matches_serial_training() {
-    let _mode = KERNEL_MODE.read().unwrap_or_else(|e| e.into_inner());
     let cfgs = [quick_cfg(17), quick_cfg(23)];
     let serial: Vec<String> = Pipeline::try_train_bundles(&cfgs, 1)
         .expect("serial bundle training")
@@ -87,64 +46,4 @@ fn bundle_fanout_matches_serial_training() {
             .collect();
         assert_eq!(serial, parallel, "bundle fan-out diverged at {workers} workers");
     }
-}
-
-// ---------------------------------------------------------------------
-// Kernel modes: the batched composed trajectory must be byte-identical
-// under either matrix kernel mode.
-// ---------------------------------------------------------------------
-
-fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
-    use mimicnet::datagen::{generate, DataGenConfig};
-    use mimicnet::internal_model::InternalModel;
-
-    let mut dg = DataGenConfig::default();
-    dg.sim.duration_s = 0.3;
-    dg.sim.seed = 55;
-    let td = generate(&dg);
-    let tc = mimic_ml::train::TrainConfig {
-        epochs: 1,
-        window: 4,
-        ..mimic_ml::train::TrainConfig::default()
-    };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
-        .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
-        .expect("valid training setup");
-    (
-        mimicnet::mimic::TrainedMimic {
-            ingress: ing,
-            egress: eg,
-            feature_cfg: td.feature_cfg,
-            feeder: td.feeder,
-            envelope: None,
-        },
-        dg.sim,
-    )
-}
-
-#[test]
-fn batched_compose_kernel_mode_invariant() {
-    use mimic_ml::matrix::{set_kernel_mode, KernelMode};
-    use mimicnet::compose::try_compose_batched;
-
-    let (trained, mut base) = quick_trained();
-    base.duration_s = 0.2;
-    base.seed = 7;
-    let p = Protocol::NewReno;
-    // The composed trajectory is bit-identical under both modes; training
-    // is not, so keep the training tests out while the mode is flipped and
-    // restore the default before letting them back in.
-    let _mode = KERNEL_MODE.write().unwrap_or_else(|e| e.into_inner());
-    let mut runs = Vec::new();
-    for mode in [KernelMode::Naive, KernelMode::Blocked] {
-        set_kernel_mode(mode);
-        let run = try_compose_batched(base, 4, p, &trained)
-            .expect("valid composition")
-            .run();
-        assert!(run.flows_completed() > 0, "composition made no progress");
-        runs.push(run);
-    }
-    set_kernel_mode(KernelMode::Blocked);
-    assert_identical(&runs[0], &runs[1], "kernel modes");
 }

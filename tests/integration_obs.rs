@@ -71,15 +71,12 @@ fn traced_composed_run_emits_full_report_without_perturbing_results() {
     assert_eq!(r.counter("sim.events.total"), traced.events_processed);
     assert!(r.counter("sim.windows") > 0);
     assert_eq!(r.counter("pdes.partitions"), 2);
-    // Batched-inference telemetry: flush count, batch sizes, and the
-    // fleet's own lane-occupancy/packets counters.
+    // Inference telemetry: flush count, batch sizes, and the fleet's own
+    // packet counter.
     assert!(r.counter("mimic.flush.count") > 0);
     let batch = &r.hists["mimic.flush.batch_size"];
     assert!(batch.count > 0 && batch.max >= 1);
-    let lanes = &r.hists["mimic.flush.lane_occupancy"];
-    assert!(lanes.count > 0);
     assert_eq!(r.counter("mimic.fleet.packets_seen"), batch.sum);
-    assert!(r.counter("mimic.fleet.rounds") >= lanes.count);
     // The pdes.lp spans wrap each LP loop, so the merged timeline has no
     // coverage gaps (acceptance: >= 95% of the traced wall extent).
     let coverage = r.span_coverage();

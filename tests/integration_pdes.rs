@@ -92,7 +92,7 @@ fn pdes_larger_network() {
 }
 
 // ---------------------------------------------------------------------
-// Composed (batched Mimic) PDES: the batched aggregation point must keep
+// Composed (Mimic fleet) PDES: the engine's aggregation point must keep
 // partitioned runs bit-identical to the sequential composition, and the
 // learned drops must survive the metric merge.
 // ---------------------------------------------------------------------
@@ -129,13 +129,13 @@ fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
 #[test]
 fn composed_batched_pdes_matches_sequential() {
     use dcn_sim::pdes::PdesRunOpts;
-    use mimicnet::compose::{compose_batched, run_composed_partitioned};
+    use mimicnet::compose::{compose, run_composed_partitioned};
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.25;
     base.seed = 31;
     let p = Protocol::NewReno;
-    let seq = compose_batched(base, 4, p, &trained).run();
+    let seq = compose(base, 4, p, &trained).run();
     assert!(seq.flows_completed() > 0, "composition made no progress");
     for parts in [1usize, 2, 4] {
         let par = run_composed_partitioned(base, 4, p, &trained, parts, &PdesRunOpts::default())
@@ -151,15 +151,45 @@ fn composed_batched_pdes_matches_sequential() {
 #[test]
 fn composed_batched_pdes_larger_network() {
     use dcn_sim::pdes::PdesRunOpts;
-    use mimicnet::compose::{compose_batched, run_composed_partitioned};
+    use mimicnet::compose::{compose, run_composed_partitioned};
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.2;
     base.seed = 7;
     let p = Protocol::NewReno;
-    let seq = compose_batched(base, 8, p, &trained).run();
+    let seq = compose(base, 8, p, &trained).run();
     let par = run_composed_partitioned(base, 8, p, &trained, 4, &PdesRunOpts::default())
         .expect("valid composition");
     assert_identical(&seq, &par, "composed batched 8 clusters x4");
     assert_eq!(seq.mimic_drops, par.mimic_drops, "composed: mimic drops");
+}
+
+#[test]
+fn in_process_and_partitioned_estimates_are_one_model() {
+    // `Pipeline::try_estimate` (Simulation::run) and `try_estimate_opts`
+    // (the PDES driver) install the same fleet: the metrics are equal byte
+    // for byte at every partition count.
+    use dcn_sim::pdes::PdesRunOpts;
+    use mimicnet::pipeline::{Pipeline, PipelineConfig};
+
+    let (trained, mut base) = quick_trained();
+    base.duration_s = 0.2;
+    for seed in [7u64, 31] {
+        base.seed = seed;
+        let mut pipe = Pipeline::new(PipelineConfig { base, ..PipelineConfig::default() });
+        for n in [4u32, 8] {
+            let seq = pipe.try_estimate(&trained, n, None).expect("valid composition");
+            assert!(seq.metrics.flows_completed() > 0, "composition made no progress");
+            for parts in [1usize, 2, 4] {
+                let par = pipe
+                    .try_estimate_opts(&trained, n, parts, &PdesRunOpts::default())
+                    .expect("valid composition");
+                assert_eq!(
+                    seq.metrics.canonical_bytes(),
+                    par.metrics.canonical_bytes(),
+                    "seed {seed}, {n} clusters x{parts}"
+                );
+            }
+        }
+    }
 }

@@ -120,8 +120,8 @@ fn hybrid_direction_isolation_mode_runs() {
     cfg.duration_s = 0.3;
     for (ingress, egress) in [(true, false), (false, true)] {
         let mut sim = Simulation::with_transport(cfg, Protocol::NewReno.factory());
-        let mimic = mimicnet::LearnedMimic::new(trained.clone(), cfg.topo, 2, 7);
-        sim.set_cluster_model_dirs(1, Box::new(mimic), ingress, egress);
+        let fleet = mimicnet::BatchedMimicFleet::new(trained.clone(), cfg.topo, 2, &[(1, 7)]);
+        sim.set_batch_model_dirs(Box::new(fleet), ingress, egress);
         let m = sim.run();
         assert!(
             m.flows_completed() > 0,
@@ -149,4 +149,45 @@ fn observed_filtering_matches_compose_invariant() {
     // compare() of identical sample sets is exactly zero.
     let r = compare(&obs, &est.samples);
     assert_eq!(r.w1_fct, 0.0);
+}
+
+#[test]
+fn fault_plan_rides_the_fleet_deterministically() {
+    use dcn_sim::fault::FaultPlan;
+    use dcn_sim::time::SimTime;
+    let mut pipe = Pipeline::new(quick_cfg());
+    let trained = pipe.train();
+    let plan = FaultPlan::new(9).gray_loss_all(
+        SimTime::from_secs_f64(0.05),
+        SimTime::from_secs_f64(0.5),
+        0.1,
+        true,
+    );
+    let a = pipe.try_estimate(&trained, 4, Some(&plan)).expect("faulty estimate runs");
+    let b = pipe.try_estimate(&trained, 4, Some(&plan)).expect("faulty estimate runs");
+    assert!(a.metrics.fault_drops > 0, "gray loss dropped nothing");
+    assert!(a.metrics.flows_completed() > 0);
+    assert_eq!(a.metrics.canonical_bytes(), b.metrics.canonical_bytes());
+    let clean = pipe.try_estimate(&trained, 4, None).expect("clean estimate runs");
+    assert_eq!(clean.metrics.fault_drops, 0);
+    assert_ne!(clean.metrics.canonical_bytes(), a.metrics.canonical_bytes());
+}
+
+#[test]
+fn falling_back_on_every_cluster_is_a_packet_level_run() {
+    // Any monitored drift at all trips the global fallback: the re-run
+    // keeps no Mimic, so there is no fleet to build — it must be exactly
+    // the ground-truth run, not a panic on an empty fleet.
+    use mimicnet::degrade::DegradationPolicy;
+    let mut pipe = Pipeline::new(quick_cfg());
+    let trained = pipe.train();
+    let policy = DegradationPolicy { global_fallback_above: 0.0, ..DegradationPolicy::default() };
+    let report = pipe
+        .estimate_with_policy(&trained, 4, None, &policy)
+        .expect("estimate runs");
+    let deg = report.degradation.as_ref().expect("policy evaluated");
+    assert_eq!(deg.fallback_clusters(), vec![0, 1, 2, 3], "every cluster falls back");
+    assert_eq!(report.metrics.mimic_drops, 0);
+    let (_, truth, _) = pipe.run_ground_truth(4);
+    assert_eq!(report.metrics.canonical_bytes(), truth.canonical_bytes());
 }

@@ -324,16 +324,27 @@ fn truncated_snapshot_is_a_typed_error() {
 
 #[test]
 fn version_skew_is_a_typed_error() {
+    // A future format, and the retired v1 (whose fleet state carried lane
+    // counters v2 dropped): both refused by the header, also on resume.
     let (dir, part) = committed_part_file("skew");
     let mut bytes = std::fs::read(&part).expect("read snapshot");
-    bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    std::fs::write(&part, &bytes).expect("write skewed snapshot");
-    match read_snapshot_file(&part) {
-        Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
+    for skewed in [FORMAT_VERSION + 1, 1] {
+        bytes[8..12].copy_from_slice(&skewed.to_le_bytes());
+        std::fs::write(&part, &bytes).expect("write skewed snapshot");
+        match read_snapshot_file(&part) {
+            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, skewed);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("version skew must be typed, got {other:?}"),
         }
-        other => panic!("version skew must be typed, got {other:?}"),
+        match composed(1, None, Some(&dir)) {
+            Err(ComposeRunError::Snapshot(SnapshotError::UnsupportedVersion { found, .. })) => {
+                assert_eq!(found, skewed)
+            }
+            Ok(_) => panic!("resume from a v{skewed} snapshot must fail"),
+            Err(e) => panic!("wrong error for a v{skewed} snapshot: {e}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
