@@ -14,7 +14,7 @@ use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::metrics::observed;
 use mimicnet::mimic::{DecisionMode, TrainedMimic};
-use mimicnet::BatchedMimicFleet;
+use mimicnet::MimicFleet;
 use mimicnet::pipeline::Pipeline;
 
 fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bool) -> TrainedMimic {
@@ -98,8 +98,8 @@ fn main() {
         );
         let seeds: Vec<(u32, u64)> =
             (1..n).map(|c| (c, sim_cfg.seed ^ (0xAB1A_0000 + c as u64))).collect();
-        let fleet = BatchedMimicFleet::new(trained, sim_cfg.topo, n, &seeds).with_mode(mode);
-        sim.set_batch_model(Box::new(fleet));
+        let fleet = MimicFleet::new(trained, sim_cfg.topo, n, &seeds).with_mode(mode);
+        sim.set_cluster_model(Box::new(fleet));
         let m = sim.run();
         let topo = dcn_sim::topology::FatTree::new(sim_cfg.topo);
         let obs = observed(&m, &topo, 0);

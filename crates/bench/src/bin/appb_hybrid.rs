@@ -15,7 +15,7 @@ use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::compose::OBSERVABLE;
 use mimicnet::metrics::observed;
 use mimicnet::pipeline::Pipeline;
-use mimicnet::BatchedMimicFleet;
+use mimicnet::MimicFleet;
 
 fn main() {
     let scale = Scale::from_env();
@@ -39,8 +39,8 @@ fn main() {
         let mut cfg = pipe.cfg.base;
         cfg.topo.clusters = 2;
         let mut sim = Simulation::with_transport(cfg, pipe.cfg.protocol.factory());
-        let fleet = BatchedMimicFleet::new(trained.clone(), cfg.topo, 2, &[(1, 17)]);
-        sim.set_batch_model_dirs(Box::new(fleet), ingress, egress);
+        let fleet = MimicFleet::new(trained.clone(), cfg.topo, 2, &[(1, 17)]);
+        sim.set_cluster_model_dirs(Box::new(fleet), ingress, egress);
         let m = sim.run();
         let topo = FatTree::new(cfg.topo);
         let obs = observed(&m, &topo, OBSERVABLE);

@@ -60,11 +60,11 @@ fn main() {
     check(report.counter("sim.events.total") == metrics.events_processed, "sim.events.total matches events_processed");
     check(report.counter("sim.windows") > 0, "sim.windows > 0");
     check(report.counter("pdes.partitions") == 2, "pdes.partitions == 2");
-    check(report.counter("mimic.flush.count") > 0, "mimic.flush.count > 0");
     check(
-        report.hists.get("mimic.flush.batch_size").map_or(0, |h| h.count) > 0,
-        "mimic.flush.batch_size histogram populated",
+        report.counter("mimic.boundary.count") == report.counter("mimic.fleet.packets_seen"),
+        "mimic.boundary.count == mimic.fleet.packets_seen",
     );
+    check(report.counter("mimic.boundary.wall_ns") > 0, "mimic.boundary.wall_ns > 0");
     check(
         report.series.get("train.ingress.epoch_loss").map_or(0, |s| s.len()) == 2,
         "train.ingress.epoch_loss has one entry per epoch",

@@ -491,13 +491,13 @@ fn bench_inference(iters: usize) -> InferenceNumbers {
 }
 
 fn bench_on_packet(iters: usize) -> f64 {
-    use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem};
+    use dcn_sim::mimic::{BoundaryDir, BoundaryItem, ClusterModel};
     use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::FatTree;
-    use mimicnet::batch::BatchedMimicFleet;
     use mimicnet::datagen::{generate, DataGenConfig};
     use mimicnet::drift::FeatureEnvelope;
+    use mimicnet::fleet::MimicFleet;
     use mimicnet::internal_model::InternalModel;
 
     let mut cfg = DataGenConfig::default();
@@ -523,9 +523,9 @@ fn bench_on_packet(iters: usize) -> f64 {
     let mut topo = cfg.sim.topo;
     topo.clusters = 4;
     let t = FatTree::new(topo);
-    let mut fleet = BatchedMimicFleet::new(bundle, topo, 4, &[(1, 9)]);
+    let mut fleet = MimicFleet::new(bundle, topo, 4, &[(1, 9)]);
     let (local, remote) = (t.host(1, 0, 0), t.host(0, 1, 1));
-    // One item per flush, alternating directions, 1 µs apart.
+    // Alternating directions, 1 µs apart.
     let item = |i: usize| {
         let at = SimTime::from_secs_f64(0.01 + i as f64 * 1e-6);
         let (dir, src, dst) = if i.is_multiple_of(2) {
@@ -540,14 +540,12 @@ fn bench_on_packet(iters: usize) -> f64 {
             enqueued_at: at,
         }
     };
-    let mut verdicts = Vec::new();
     for i in 0..1000 {
-        fleet.infer_batch(&[item(i)], &mut verdicts);
+        fleet.infer(&item(i));
     }
     let t0 = Instant::now();
     for i in 0..iters {
-        fleet.infer_batch(&[item(1000 + i)], &mut verdicts);
-        std::hint::black_box(&verdicts);
+        std::hint::black_box(fleet.infer(&item(1000 + i)));
     }
     t0.elapsed().as_nanos() as f64 / iters.max(1) as f64
 }

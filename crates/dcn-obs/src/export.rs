@@ -408,7 +408,8 @@ mod tests {
         let mut o = Obs::on();
         o.begin("phase", "test", Some(0));
         o.counter_add("sim.events.arrive", 10);
-        o.hist_observe("mimic.flush.batch_size", 32);
+        o.counter_add("mimic.boundary.count", 32);
+        o.hist_observe("train.ingress.grad_norm_milli", 32);
         o.series_push("train.epoch_loss", 0.5);
         o.gauge_set("drift.cluster.0", 0.1);
         o.end(Some(1000));
@@ -431,7 +432,8 @@ mod tests {
             .unwrap()
             .iter()
             .any(|(k, _)| k == "sim.events.arrive"));
-        assert!(s.contains("mimic.flush.batch_size"));
+        assert!(s.contains("mimic.boundary.count"));
+        assert!(s.contains("train.ingress.grad_norm_milli"));
         assert!(s.contains("train.epoch_loss"));
         assert!(s.contains("drift.cluster.0"));
         assert!(s.contains("span_coverage"));
@@ -477,7 +479,8 @@ mod tests {
         let text = r.render_report();
         assert!(text.contains("observability report"));
         assert!(text.contains("sim.events.arrive"));
-        assert!(text.contains("mimic.flush.batch_size"));
+        assert!(text.contains("mimic.boundary.count"));
+        assert!(text.contains("train.ingress.grad_norm_milli"));
         assert!(text.contains("train.epoch_loss"));
         assert!(text.contains("drift.cluster.0"));
         assert!(text.contains("coverage"));

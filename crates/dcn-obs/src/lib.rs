@@ -7,7 +7,7 @@
 //! * **Zero-cost when disabled.** The live handle [`Obs`] is a single
 //!   `Option<Box<_>>`; every recording method is one branch on `None` when
 //!   observability is off. Hot per-packet loops carry no obs code at all —
-//!   recording happens at flush/window/epoch granularity.
+//!   recording happens at window/epoch granularity.
 //! * **Mergeable across PDES partitions.** [`ObsReport`] merges exactly
 //!   like `dcn-sim`'s `Metrics::merge`: counters and histograms sum,
 //!   gauges overwrite-if-present (the `cluster_drift` rule), series and
@@ -18,7 +18,7 @@
 //!
 //! Registry keys are owned `String`s for flexibility (dynamic names like
 //! `drift.cluster.3` or per-direction training prefixes); every registry
-//! write happens at window/flush/epoch/fold granularity, never per packet,
+//! write happens at window/epoch/fold granularity, never per packet,
 //! so the allocation cost is irrelevant. Span names stay `&'static str` —
 //! spans are the only record produced inside the event loop.
 
@@ -291,14 +291,6 @@ impl Obs {
     pub fn hist_observe(&mut self, name: impl Into<String>, v: u64) {
         if let Some(inner) = &mut self.0 {
             inner.report.hists.entry(name.into()).or_default().observe(v);
-        }
-    }
-
-    /// Merge a whole pre-built histogram under `name` (used when a hot
-    /// component keeps its own `Hist` and hands it over at fold time).
-    pub fn hist_merge(&mut self, name: impl Into<String>, h: &Hist) {
-        if let Some(inner) = &mut self.0 {
-            inner.report.hists.entry(name.into()).or_default().merge(h);
         }
     }
 

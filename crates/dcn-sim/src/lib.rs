@@ -27,7 +27,7 @@
 //!   per-host throughput, packet RTTs, and the cluster-boundary packet
 //!   traces that MimicNet trains on.
 //! * **Mimic hook** ([`mimic`]): clusters can be replaced wholesale by a
-//!   user-provided model implementing [`mimic::BatchClusterModel`]; this
+//!   user-provided model implementing [`mimic::ClusterModel`]; this
 //!   is the seam the `mimicnet` crate plugs its learned Mimics into.
 //! * **Parallel execution** ([`pdes`]): conservative, barrier-synchronous
 //!   parallel DES across per-cluster logical processes, used to reproduce the

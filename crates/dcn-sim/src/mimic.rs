@@ -2,12 +2,12 @@
 //!
 //! A cluster in the simulation is either *full fidelity* (its ToR and
 //! aggregation switches process packets normally) or *mimic'ed*: packets
-//! crossing the cluster boundary are handed to the simulation's
-//! [`BatchClusterModel`], which predicts the cluster's effects — drop,
-//! latency, ECN marking — without simulating its internals (§4.1 of the
-//! paper). The `mimicnet` crate provides the learned LSTM-based
-//! implementation; this module only defines the interface plus a trivial
-//! reference model used in tests.
+//! crossing the cluster boundary are handed, one at a time and at their
+//! own event, to the simulation's [`ClusterModel`], which predicts the
+//! cluster's effects — drop, latency, ECN marking — without simulating its
+//! internals (§4.1 of the paper). The `mimicnet` crate provides the learned
+//! LSTM-based implementation; this module only defines the interface plus
+//! a trivial reference model used in tests.
 //!
 //! Boundary semantics (matching the instrumentation junctures of §5.1):
 //!
@@ -47,7 +47,7 @@ pub enum FidelityTier {
     /// in the event engine (ground truth).
     Packet,
     /// Learned LSTM Mimic: boundary packets get model-predicted verdicts
-    /// (the paper's mechanism, `mimicnet::batch`).
+    /// (the paper's mechanism, `mimicnet::fleet`).
     Mimic,
     /// Flow/fluid approximation: boundary packets get analytic rate-share
     /// latencies (optionally corrected by a learned head), no per-packet
@@ -114,8 +114,8 @@ pub enum Verdict {
     },
 }
 
-/// One boundary packet queued for batched inference: everything a
-/// [`BatchClusterModel`] needs to replay the crossing later, in order.
+/// One packet crossing a mimic'ed cluster's boundary: everything a
+/// [`ClusterModel`] needs to predict the crossing.
 #[derive(Clone, Debug)]
 pub struct BoundaryItem {
     /// The mimic'ed cluster the packet is crossing into/out of.
@@ -124,39 +124,32 @@ pub struct BoundaryItem {
     pub dir: BoundaryDir,
     /// The packet itself (all-scalar; cloning does not allocate).
     pub pkt: Packet,
-    /// Simulated time the packet hit the boundary. Feature extraction and
-    /// re-injection both use this, not the flush time, so verdicts are
-    /// independent of *when* the engine decides to flush.
+    /// Simulated time the packet hit the boundary; the verdict's latency
+    /// counts from here.
     pub enqueued_at: SimTime,
 }
 
 /// A stand-in for the internal networks of *all* mimic'ed clusters of a
-/// simulation: boundary packets queued across an event window are
-/// predicted together at the engine's aggregation point (which is what
-/// lets a PDES window defer inference to its barrier).
+/// simulation. The engine makes three kinds of call, all in event order:
+/// [`ClusterModel::infer`] at each boundary crossing,
+/// [`ClusterModel::on_wake`] at each feeder wakeup the model asked for, and
+/// [`ClusterModel::on_epoch`] at adaptive-tier barriers.
 ///
-/// Contract with the engine:
-///
-/// * `items` passed to [`BatchClusterModel::infer_batch`] arrive in
-///   enqueue order (ties broken by the engine's deterministic event
-///   order), and the verdict for each item must depend only on the items
-///   at and before it — never on how the engine chunked the stream into
-///   flushes. This is what makes sequential and partitioned composed runs
-///   bit-identical.
-/// * Predicted latencies must be at least [`BatchClusterModel::latency_floor`],
-///   the engine's license to delay inference: a flush scheduled before
-///   `oldest_enqueue + floor` can only produce strictly-future events.
-pub trait BatchClusterModel {
+/// A verdict may depend only on the calls made for its own cluster, at and
+/// before it: every LP of a partitioned run installs the whole model but
+/// makes only the calls of the clusters it owns, in the sequential run's
+/// order — which is what keeps the two bit-identical.
+pub trait ClusterModel {
     /// The cluster indices this model serves.
     fn clusters(&self) -> &[u32];
 
-    /// Predict every queued item, appending one [`Verdict`] per item (in
-    /// order) to `verdicts`. The engine clears `verdicts` beforehand and
-    /// reuses the buffer across flushes.
-    fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>);
+    /// Predict the cluster's effect on one boundary packet. A delivered
+    /// packet's latency must be at least [`ClusterModel::latency_floor`].
+    fn infer(&mut self, item: &BoundaryItem) -> Verdict;
 
-    /// Lower bound on every predicted latency (> 0). The engine may hold
-    /// an item back for inference up to this long after its enqueue time.
+    /// Lower bound on every predicted latency (> 0): a composed PDES run's
+    /// lookahead, since a packet entering a Mimic cannot reappear anywhere
+    /// sooner than this.
     fn latency_floor(&self) -> SimDuration;
 
     /// When `cluster` next wants a feeder wakeup, if ever.
@@ -190,8 +183,8 @@ pub trait BatchClusterModel {
     /// Epoch-barrier hook for adaptive models: `drift[c]` is the merged
     /// cross-LP drift score of cluster `c` (the owning LP's value;
     /// `None` where unmonitored). The model updates its accuracy-budget
-    /// accounting and applies any promotions/demotions *now* — the engine
-    /// guarantees no batch is in flight — returning the switches it made.
+    /// accounting and applies any promotions/demotions *now*, returning
+    /// the switches it made.
     /// Every LP of a partitioned run calls this with identical inputs at
     /// the same barrier, so all replicas stay in lockstep. The default is
     /// a no-op (fixed-fidelity models never switch).
@@ -211,22 +204,17 @@ pub trait BatchClusterModel {
     /// Serialize the model's mutable state (RNG streams, feeder cursors,
     /// recurrent hidden state, …) for a checkpoint. Immutable weights are
     /// *not* written; a restore re-creates the model from its bundle and
-    /// then calls [`BatchClusterModel::load_state`]. Only called with no
-    /// batch in flight (the engine settles first). The default refuses, so
+    /// then calls [`ClusterModel::load_state`]. The default refuses, so
     /// only opted-in models participate in checkpointed runs.
     fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported(
-            "this BatchClusterModel implementation",
-        ))
+        Err(SnapshotError::Unsupported("this ClusterModel implementation"))
     }
 
     /// Overwrite the model's mutable state from a checkpoint produced by
-    /// [`BatchClusterModel::save_state`] on an identically-configured
+    /// [`ClusterModel::save_state`] on an identically-configured
     /// model.
     fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported(
-            "this BatchClusterModel implementation",
-        ))
+        Err(SnapshotError::Unsupported("this ClusterModel implementation"))
     }
 }
 
@@ -253,22 +241,19 @@ impl ConstModel {
     }
 }
 
-impl BatchClusterModel for ConstModel {
+impl ClusterModel for ConstModel {
     fn clusters(&self) -> &[u32] {
         &self.clusters
     }
 
-    fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
-        for _ in items {
-            let dropped = self.drop_prob > 0.0 && self.rng.bernoulli(self.drop_prob);
-            verdicts.push(if dropped {
-                Verdict::Drop
-            } else {
-                Verdict::Deliver {
-                    latency: self.latency,
-                    mark_ce: false,
-                }
-            });
+    fn infer(&mut self, _item: &BoundaryItem) -> Verdict {
+        if self.drop_prob > 0.0 && self.rng.bernoulli(self.drop_prob) {
+            Verdict::Drop
+        } else {
+            Verdict::Deliver {
+                latency: self.latency,
+                mark_ce: false,
+            }
         }
     }
 
@@ -293,29 +278,24 @@ mod tests {
     use crate::packet::FlowId;
     use crate::topology::NodeId;
 
-    fn items(n: usize) -> Vec<BoundaryItem> {
-        let pkt = Packet::data(1, FlowId(1), NodeId(0), NodeId(9), 0, 1000, false, SimTime::ZERO);
-        (0..n)
-            .map(|_| BoundaryItem {
-                cluster: 1,
-                dir: BoundaryDir::Egress,
-                pkt: pkt.clone(),
-                enqueued_at: SimTime::ZERO,
-            })
-            .collect()
+    fn item() -> BoundaryItem {
+        BoundaryItem {
+            cluster: 1,
+            dir: BoundaryDir::Egress,
+            pkt: Packet::data(1, FlowId(1), NodeId(0), NodeId(9), 0, 1000, false, SimTime::ZERO),
+            enqueued_at: SimTime::ZERO,
+        }
     }
 
     #[test]
     fn const_model_fixed_latency() {
         let mut m = ConstModel::new(vec![1], SimDuration::from_micros(300), 0.0, 1);
-        let mut verdicts = Vec::new();
-        m.infer_batch(&items(1), &mut verdicts);
         assert_eq!(
-            verdicts,
-            vec![Verdict::Deliver {
+            m.infer(&item()),
+            Verdict::Deliver {
                 latency: SimDuration::from_micros(300),
                 mark_ce: false
-            }]
+            }
         );
     }
 
@@ -323,9 +303,8 @@ mod tests {
     fn const_model_drop_rate() {
         let mut m = ConstModel::new(vec![1], SimDuration::from_micros(1), 0.25, 42);
         let n = 10_000;
-        let mut verdicts = Vec::new();
-        m.infer_batch(&items(n), &mut verdicts);
-        let drops = verdicts.iter().filter(|v| matches!(v, Verdict::Drop)).count();
+        let item = item();
+        let drops = (0..n).filter(|_| m.infer(&item) == Verdict::Drop).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "rate {rate}");
     }

@@ -207,12 +207,12 @@ pub struct CheckpointPlan {
 ///
 /// At every `every_windows`-th window barrier the LPs exchange per-cluster
 /// drift scores (each cluster's traffic is only observed by its owning
-/// LP), then *every* LP hands the identical merged vector to its batched
+/// LP), then *every* LP hands the identical merged vector to its cluster
 /// model via `Simulation::tier_epoch`. Because the model replicas start
 /// identical and see identical inputs at identical barriers, their tier
 /// assignments stay in lockstep — the tier schedule is a pure function of
 /// the trajectory, hence invariant to the partition count. Transitions
-/// happen only at these barriers, with batched inference settled, so
+/// happen only at these barriers, never inside a window, so
 /// checkpoints cut at (or after) a transition restore byte-identically.
 #[derive(Clone, Copy, Debug)]
 pub struct TierPlan {
@@ -397,9 +397,9 @@ pub fn tier_epoch_count(duration_s: f64, window: SimDuration, plan: &TierPlan) -
 /// assigned. This is how composed simulations enter PDES mode: the hook
 /// installs the cluster models (every LP installs the full set; ownership
 /// decides which ones actually see traffic), and the window shrinks to
-/// `min(link latency, model latency floor)` because a batched Mimic's
-/// re-injections can land on foreign core switches as little as one
-/// latency floor after their window began.
+/// `min(link latency, model latency floor)` because a packet entering a
+/// Mimic can reappear on a foreign core switch as little as one latency
+/// floor later.
 ///
 /// Crash resilience (`opts.checkpoint` / `opts.resume_from`): checkpoints
 /// are cut at window barriers, where every LP has imported all remote

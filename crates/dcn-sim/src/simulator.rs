@@ -7,7 +7,7 @@
 //! * **Full fidelity** — every cluster's switches are simulated; this is
 //!   the ground truth the paper evaluates against.
 //! * **Mimic composition** — clusters served by one shared
-//!   [`BatchClusterModel`] via [`Simulation::set_batch_model`]; packets
+//!   [`ClusterModel`] via [`Simulation::set_cluster_model`]; packets
 //!   crossing their boundaries take the learned path instead of the
 //!   queue/switch path (§7.1).
 //! * **Partitioned** — the same engine restricted to a subset of nodes,
@@ -21,7 +21,7 @@ use crate::fault::{FaultAction, FaultChange, FaultPlan};
 use crate::host::{HostState, Role};
 use crate::instrument::{BoundaryPhase, BoundaryRecord, FlowRecord, Metrics, RttSample};
 use crate::link::{Dir, DuplexLink, LinkSpec};
-use crate::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, TierSwitch, Verdict};
+use crate::mimic::{BoundaryDir, BoundaryItem, ClusterModel, TierSwitch, Verdict};
 use crate::packet::{Ecn, FlowId, Packet, PacketKind};
 use crate::routing::Router;
 use crate::switch::process_hop;
@@ -64,10 +64,10 @@ struct EngineObs {
     time_events: bool,
     event_count: [u64; EventKind::COUNT],
     event_wall_ns: [u64; EventKind::COUNT],
-    /// Batched-flush sizes (items per `flush_batch` that did work).
-    flush_batch: dcn_obs::Hist,
-    flush_wall_ns: u64,
-    flushes: u64,
+    /// [`ClusterModel::infer`] calls, and (timed mode only) their wall
+    /// time — the boundary half of the boundary-vs-feeder inference cost.
+    boundary_count: u64,
+    boundary_wall_ns: u64,
     windows: u64,
     obs: dcn_obs::Obs,
 }
@@ -92,11 +92,10 @@ struct DigestRec {
 pub enum ClusterMode {
     /// Simulate all switches and queues.
     Full,
-    /// Served by the simulation's shared [`BatchClusterModel`]: boundary
-    /// packets are queued and predicted in flushes. `ingress`/`egress`
-    /// select which directions the model handles (both for a real Mimic;
-    /// one for the paper's Appendix B hybrid debug clusters). Installed
-    /// via [`Simulation::set_batch_model`].
+    /// Served by the simulation's shared [`ClusterModel`]. `ingress`/
+    /// `egress` select which directions the model handles (both for a
+    /// real Mimic; one for the paper's Appendix B hybrid debug clusters).
+    /// Installed via [`Simulation::set_cluster_model`].
     Mimic { ingress: bool, egress: bool },
 }
 
@@ -112,22 +111,6 @@ impl ClusterMode {
     fn full_fidelity_traffic(&self) -> bool {
         !(self.models_ingress() && self.models_egress())
     }
-}
-
-/// Runtime of the shared cluster model: the aggregation point where
-/// boundary packets wait for an inference flush.
-struct BatchRuntime {
-    model: Box<dyn BatchClusterModel>,
-    /// Queued boundary crossings, in enqueue order.
-    pending: Vec<BoundaryItem>,
-    /// Verdict buffer reused across flushes (zero steady-state allocations).
-    verdicts: Vec<Verdict>,
-    /// Inference deadline: the engine flushes before processing
-    /// any event at or past `oldest_pending_enqueue + horizon`, where
-    /// `horizon` is the model's latency floor. Because every verdict's
-    /// latency is at least the floor, flushing inside the deadline can
-    /// only produce strictly-future re-injections.
-    horizon: SimDuration,
 }
 
 /// The discrete-event simulation engine.
@@ -161,9 +144,9 @@ pub struct Simulation {
     fault: Option<Vec<[crate::rng::SplitMix64; 2]>>,
     /// Compiled fault schedule, indexed by [`EventKind::Fault`] events.
     fault_schedule: Option<Vec<FaultAction>>,
-    /// Shared inference runtime for [`ClusterMode::Mimic`] clusters;
-    /// `None` when no cluster model is installed.
-    batch: Option<BatchRuntime>,
+    /// The model serving every [`ClusterMode::Mimic`] cluster; `None`
+    /// when none is installed.
+    model: Option<Box<dyn ClusterModel>>,
     /// Observability accumulators; `None` (the default) is the no-op
     /// recorder and costs one branch per event.
     obs: Option<Box<EngineObs>>,
@@ -235,7 +218,7 @@ impl Simulation {
         Simulation {
             fault,
             fault_schedule: None,
-            batch: None,
+            model: None,
             obs: None,
             digests: None,
             flight: None,
@@ -271,43 +254,36 @@ impl Simulation {
     }
 
     /// Replace every cluster in `model.clusters()` with the shared model,
-    /// both directions. Their boundary packets are queued during event
-    /// processing and predicted together in flushes; verdicts are
-    /// re-injected as future arrivals timed from each packet's *enqueue*
-    /// time, so the trajectory is independent of when the engine flushes.
+    /// both directions: each packet crossing one of their boundaries gets
+    /// its verdict from [`ClusterModel::infer`] at its own event and
+    /// reappears on the other side `latency` later.
     ///
     /// At most one model per simulation.
-    pub fn set_batch_model(&mut self, model: Box<dyn BatchClusterModel>) {
-        self.set_batch_model_dirs(model, true, true);
+    pub fn set_cluster_model(&mut self, model: Box<dyn ClusterModel>) {
+        self.set_cluster_model_dirs(model, true, true);
     }
 
-    /// [`Simulation::set_batch_model`] for selected directions only
+    /// [`Simulation::set_cluster_model`] for selected directions only
     /// (hybrid testing clusters, paper Appendix B): the other direction
     /// keeps its packet-level switches and the clusters keep generating
     /// their own workload.
-    pub fn set_batch_model_dirs(
+    pub fn set_cluster_model_dirs(
         &mut self,
-        model: Box<dyn BatchClusterModel>,
+        model: Box<dyn ClusterModel>,
         ingress: bool,
         egress: bool,
     ) {
         assert!(!self.initialized, "cannot add models after the run started");
-        assert!(self.batch.is_none(), "cluster model already installed");
-        let horizon = model.latency_floor();
+        assert!(self.model.is_none(), "cluster model already installed");
         assert!(
-            horizon > SimDuration::ZERO,
+            model.latency_floor() > SimDuration::ZERO,
             "cluster model must declare a positive latency floor"
         );
         for &c in model.clusters() {
             assert!(c < self.cfg.topo.clusters, "cluster {c} out of range");
             self.cluster_modes[c as usize] = ClusterMode::Mimic { ingress, egress };
         }
-        self.batch = Some(BatchRuntime {
-            model,
-            pending: Vec::new(),
-            verdicts: Vec::new(),
-            horizon,
-        });
+        self.model = Some(model);
     }
 
     /// Swap the future event list for the reference `BinaryHeap`
@@ -420,8 +396,8 @@ impl Simulation {
     }
 
     /// Turn on observability for this engine: per-event-kind counts and
-    /// wall time, window spans with sim-time attribution, batched-flush
-    /// histograms. The report is folded into `Metrics::obs` when metrics
+    /// wall time, window spans with sim-time attribution, boundary-inference
+    /// counts. The report is folded into `Metrics::obs` when metrics
     /// are taken. Recording is wall-clock only — the simulated trajectory
     /// is bit-identical with obs on or off.
     pub fn enable_obs(&mut self) {
@@ -430,7 +406,7 @@ impl Simulation {
 
     /// Light observability: counters, histograms, gauges, and digest
     /// export all work, but the event loop skips its two per-event
-    /// `Instant::now()` calls so `event_wall_ns`/`flush_wall_ns` stay
+    /// `Instant::now()` calls so `event_wall_ns`/`boundary_wall_ns` stay
     /// zero. Per-window digests ride on this mode when full obs was not
     /// requested: wall-clock timing costs tens of percent on short-event
     /// workloads, while counter upkeep is a few nanoseconds per event.
@@ -452,9 +428,8 @@ impl Simulation {
             time_events,
             event_count: [0; EventKind::COUNT],
             event_wall_ns: [0; EventKind::COUNT],
-            flush_batch: dcn_obs::Hist::default(),
-            flush_wall_ns: 0,
-            flushes: 0,
+            boundary_count: 0,
+            boundary_wall_ns: 0,
             windows: 0,
             obs,
         }));
@@ -777,8 +752,8 @@ impl Simulation {
             if matches!(self.cluster_modes[c as usize], ClusterMode::Full) {
                 continue;
             }
-            let rt = self.batch.as_mut().expect("mimic cluster without model");
-            if let Some(t) = rt.model.next_wake(c, SimTime::ZERO) {
+            let model = self.model.as_mut().expect("mimic cluster without model");
+            if let Some(t) = model.next_wake(c, SimTime::ZERO) {
                 self.queue
                     .schedule(t, EventKind::FeederWake { cluster: c });
             }
@@ -840,10 +815,10 @@ impl Simulation {
         eo.obs.counter_add("sim.windows", eo.windows);
         eo.obs
             .counter_add("sim.events.total", self.metrics.events_processed);
-        if eo.flushes > 0 {
-            eo.obs.counter_add("mimic.flush.count", eo.flushes);
-            eo.obs.counter_add("mimic.flush.wall_ns", eo.flush_wall_ns);
-            eo.obs.hist_merge("mimic.flush.batch_size", &eo.flush_batch);
+        eo.obs.counter_add("mimic.boundary.count", eo.boundary_count);
+        if eo.time_events {
+            eo.obs
+                .counter_add("mimic.boundary.wall_ns", eo.boundary_wall_ns);
         }
         let (mut enq, mut drops, mut peak) = (0u64, 0u64, 0u64);
         for link in &self.links {
@@ -858,8 +833,8 @@ impl Simulation {
         eo.obs.counter_add("sim.queue.dropped", drops);
         eo.obs.gauge_set("sim.queue.peak_bytes", peak as f64);
         let mut report = eo.obs.take_report().unwrap_or_default();
-        if let Some(rt) = &self.batch {
-            rt.model.append_obs(&mut report);
+        if let Some(model) = &self.model {
+            model.append_obs(&mut report);
         }
         for (c, drift) in self.metrics.cluster_drift.iter().enumerate() {
             if let Some(v) = drift {
@@ -898,15 +873,6 @@ impl Simulation {
 
     /// Process all events strictly before `until`; return packet arrivals
     /// destined for nodes owned by other partitions.
-    ///
-    /// Cluster-model flush points (each one re-peeks the queue, since a
-    /// flush can schedule new local events):
-    /// * before processing any event at or past the inference deadline
-    ///   (`oldest pending enqueue + latency floor`);
-    /// * inside [`Simulation::handle_feeder`], pinning the item-vs-feeder
-    ///   state order;
-    /// * at the end of the window (or when the queue drains), so a PDES
-    ///   window never carries pending items across its barrier.
     pub fn run_window(&mut self, until: SimTime) -> Vec<(SimTime, NodeId, Packet)> {
         self.init_schedule();
         let until = until.min(self.end + SimDuration::from_nanos(1));
@@ -919,23 +885,7 @@ impl Simulation {
                 eo.obs.begin("sim.window", "sim", Some(self.now.as_nanos()));
             }
         }
-        loop {
-            let Some(t) = self.queue.peek_time() else {
-                if self.flush_batch() {
-                    continue;
-                }
-                break;
-            };
-            if t >= until {
-                if self.flush_batch() {
-                    continue;
-                }
-                break;
-            }
-            if self.batch_flush_due(t) {
-                self.flush_batch();
-                continue;
-            }
+        while self.queue.peek_time().is_some_and(|t| t < until) {
             let ev = self.queue.pop().expect("peeked event vanished");
             self.now = ev.time;
             self.metrics.events_processed += 1;
@@ -981,86 +931,6 @@ impl Simulation {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Would processing an event at `t` overrun the batched-inference
-    /// deadline of the oldest pending boundary item? (`pending` is in
-    /// enqueue order, so its front is the oldest.)
-    fn batch_flush_due(&self, t: SimTime) -> bool {
-        self.batch.as_ref().is_some_and(|rt| {
-            rt.pending
-                .first()
-                .is_some_and(|oldest| t >= oldest.enqueued_at + rt.horizon)
-        })
-    }
-
-    /// Re-inject one flush's verdicts: arrivals timed from each item's
-    /// *enqueue* time, so the trajectory is independent of when inference
-    /// ran. Drains `items`, keeping capacity.
-    fn inject_verdicts(&mut self, items: &mut Vec<BoundaryItem>, verdicts: &[Verdict]) {
-        debug_assert_eq!(verdicts.len(), items.len(), "one verdict per item");
-        for (item, v) in items.drain(..).zip(verdicts) {
-            match *v {
-                Verdict::Drop => {
-                    self.metrics.mimic_drops += 1;
-                }
-                Verdict::Deliver { latency, mark_ce } => {
-                    let mut pkt = item.pkt;
-                    if mark_ce && pkt.ecn.is_capable() {
-                        pkt.ecn = Ecn::Ce;
-                    }
-                    let target = match item.dir {
-                        BoundaryDir::Egress => self.router.core_for_flow(pkt.flow),
-                        BoundaryDir::Ingress => pkt.dst,
-                    };
-                    self.schedule_arrival(item.enqueued_at + latency, target, pkt);
-                }
-            }
-        }
-    }
-
-    /// Flush the batched model: one batched forward over every pending
-    /// boundary item, verdicts re-injected as arrivals timed from each
-    /// item's enqueue time. Returns whether anything was flushed. After
-    /// this no boundary item awaits a verdict — required at window ends (a
-    /// PDES window must not carry verdicts across its barrier), feeder
-    /// wakeups, checkpoint cuts, and the end of the run.
-    ///
-    /// The deadline discipline guarantees `now < oldest_enqueue + floor`
-    /// at every flush point, and every predicted latency is at least the
-    /// floor — so each re-injection lands strictly in the future, and (in
-    /// PDES mode) at or beyond the next window boundary for exports.
-    fn flush_batch(&mut self) -> bool {
-        let Some(rt) = self.batch.as_mut() else {
-            return false;
-        };
-        if rt.pending.is_empty() {
-            return false;
-        }
-        let batch_len = rt.pending.len() as u64;
-        let t0 = match self.obs.as_deref() {
-            Some(eo) if eo.time_events => Some(Instant::now()),
-            _ => None,
-        };
-        rt.verdicts.clear();
-        rt.model.infer_batch(&rt.pending, &mut rt.verdicts);
-        if let Some(eo) = self.obs.as_mut() {
-            eo.flushes += 1;
-            eo.flush_batch.observe(batch_len);
-            if let Some(t0) = t0 {
-                eo.flush_wall_ns += t0.elapsed().as_nanos() as u64;
-            }
-        }
-        let rt = self.batch.as_mut().expect("still installed");
-        // Swap the buffers out so re-injection can borrow the rest of
-        // `self`; both keep their capacity across flushes.
-        let mut items = std::mem::take(&mut rt.pending);
-        let verdicts = std::mem::take(&mut rt.verdicts);
-        self.inject_verdicts(&mut items, &verdicts);
-        let rt = self.batch.as_mut().expect("still installed");
-        rt.pending = items;
-        rt.verdicts = verdicts;
-        true
-    }
-
     /// Inject an event from another partition.
     pub fn inject_arrival(&mut self, time: SimTime, node: NodeId, packet: Packet) {
         debug_assert!(self.owned(node));
@@ -1077,26 +947,23 @@ impl Simulation {
     }
 
     /// Per-cluster drift scores *right now*, indexed by cluster id —
-    /// `None` for packet-level clusters and unmonitored models. Flushes
-    /// batched inference first so the scores reflect every boundary packet
-    /// of the window. PDES epoch barriers publish these cross-LP (only the
-    /// owning LP observes a cluster's traffic) before the adaptive tier
-    /// decision.
-    pub fn cluster_drifts(&mut self) -> Vec<Option<f64>> {
-        self.flush_batch();
+    /// `None` for packet-level clusters and unmonitored models. PDES epoch
+    /// barriers publish these cross-LP (only the owning LP observes a
+    /// cluster's traffic) before the adaptive tier decision.
+    pub fn cluster_drifts(&self) -> Vec<Option<f64>> {
         let mut v = vec![None; self.cluster_modes.len()];
-        if let Some(rt) = &self.batch {
-            for &c in rt.model.clusters() {
-                v[c as usize] = rt.model.drift(c);
+        if let Some(model) = &self.model {
+            for &c in model.clusters() {
+                v[c as usize] = model.drift(c);
             }
         }
         v
     }
 
     /// Epoch-barrier tier update: hand the merged cross-LP drift vector to
-    /// the batched model, which updates its accuracy-budget accounting and
-    /// applies any promotions/demotions. Batched inference is flushed
-    /// first, so no verdict ever straddles a tier transition — this is the
+    /// the cluster model, which updates its accuracy-budget accounting and
+    /// applies any promotions/demotions. Callers invoke this between
+    /// windows only, so a cluster's tier is constant within one — the
     /// barrier-only transition invariant the snapshot byte-identity tests
     /// rely on. Switches for clusters passing `record` are appended to the
     /// metrics tier schedule (partitioned runs record only owned clusters,
@@ -1108,11 +975,10 @@ impl Simulation {
         drift: &[Option<f64>],
         record: impl Fn(u32) -> bool,
     ) -> Vec<TierSwitch> {
-        self.flush_batch();
-        let Some(rt) = self.batch.as_mut() else {
+        let Some(model) = self.model.as_mut() else {
             return Vec::new();
         };
-        let switches = rt.model.on_epoch(epoch, drift);
+        let switches = model.on_epoch(epoch, drift);
         for s in &switches {
             if record(s.cluster) {
                 self.metrics.tier_switches.push(*s);
@@ -1132,18 +998,16 @@ impl Simulation {
     /// with [`crate::snapshot::write_snapshot_file`] to add the versioned
     /// header and checksum.
     ///
-    /// Requires a settled engine: batched inference is flushed first, and
-    /// the outbox must be empty —
-    /// the PDES driver snapshots at inter-window barriers where both hold.
+    /// Requires an empty outbox — the PDES driver snapshots at inter-window
+    /// barriers, where it is.
     /// A transport or model that does not implement its `save_state` hook
     /// surfaces [`SnapshotError::Unsupported`].
     ///
     /// Restoring onto an identically-configured engine and continuing is
     /// bit-identical to never having stopped: wall-clock-only state
     /// (observability recorders) is deliberately excluded.
-    pub fn save_snapshot(&mut self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
+    pub fn save_snapshot(&self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
         use crate::snapshot::{SnapWriter, SnapshotError};
-        self.flush_batch();
         if !self.outbox.is_empty() {
             return Err(SnapshotError::Corrupt(
                 "cannot snapshot with undrained outbox (snapshot at a window barrier)".into(),
@@ -1231,12 +1095,11 @@ impl Simulation {
                 }
             }
         }
-        match &self.batch {
+        match &self.model {
             None => w.put_bool(false),
-            Some(rt) => {
+            Some(model) => {
                 w.put_bool(true);
-                debug_assert!(rt.pending.is_empty(), "flushed above");
-                rt.model.save_state(&mut w)?;
+                model.save_state(&mut w)?;
             }
         }
         self.metrics.save_state(&mut w);
@@ -1418,10 +1281,10 @@ impl Simulation {
                 }
             }
         }
-        let has_batch = r.get_bool()?;
-        match (&mut self.batch, has_batch) {
+        let has_model = r.get_bool()?;
+        match (&mut self.model, has_model) {
             (None, false) => {}
-            (Some(rt), true) => rt.model.load_state(&mut r)?,
+            (Some(model), true) => model.load_state(&mut r)?,
             _ => {
                 return Err(SnapshotError::Corrupt(
                     "cluster-model presence differs from snapshot".into(),
@@ -1715,28 +1578,48 @@ impl Simulation {
         }
     }
 
-    /// Queue a packet crossing a mimic'ed cluster's boundary for the
-    /// cluster model; [`Simulation::flush_batch`] settles it later and
-    /// schedules its reappearance on the other side.
+    /// A packet crossing a mimic'ed cluster's boundary: ask the cluster
+    /// model for its verdict and schedule its reappearance on the other
+    /// side. Every latency is at least the model's floor, so the arrival is
+    /// strictly in the future (and, in a composed PDES run, at or beyond
+    /// the window's end for exports).
     fn mimic_boundary(&mut self, cluster: u32, dir: BoundaryDir, pkt: Packet) {
-        let rt = self.batch.as_mut().expect("mimic cluster without model");
-        rt.pending.push(BoundaryItem {
+        let item = BoundaryItem {
             cluster,
             dir,
             pkt,
             enqueued_at: self.now,
-        });
+        };
+        let t0 = self.obs_timing_enabled().then(Instant::now);
+        let model = self.model.as_mut().expect("mimic cluster without model");
+        let verdict = model.infer(&item);
+        if let Some(eo) = self.obs.as_mut() {
+            eo.boundary_count += 1;
+            if let Some(t0) = t0 {
+                eo.boundary_wall_ns += t0.elapsed().as_nanos() as u64;
+            }
+        }
+        match verdict {
+            Verdict::Drop => self.metrics.mimic_drops += 1,
+            Verdict::Deliver { latency, mark_ce } => {
+                let mut pkt = item.pkt;
+                if mark_ce && pkt.ecn.is_capable() {
+                    pkt.ecn = Ecn::Ce;
+                }
+                let target = match dir {
+                    BoundaryDir::Egress => self.router.core_for_flow(pkt.flow),
+                    BoundaryDir::Ingress => pkt.dst,
+                };
+                self.schedule_arrival(self.now + latency, target, pkt);
+            }
+        }
     }
 
     fn handle_feeder(&mut self, cluster: u32) {
-        // Flush every queued boundary packet before the feeder touches
-        // the model state, so the item-vs-feeder ordering is a property
-        // of event times, not of flush scheduling.
-        self.flush_batch();
         let next = {
-            let rt = self.batch.as_mut().expect("feeder wake without model");
-            rt.model.on_wake(cluster, self.now);
-            rt.model.next_wake(cluster, self.now)
+            let model = self.model.as_mut().expect("feeder wake without model");
+            model.on_wake(cluster, self.now);
+            model.next_wake(cluster, self.now)
         };
         if let Some(t) = next {
             let t = t.max(self.now + SimDuration::from_nanos(1));
@@ -1992,7 +1875,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.traffic.inter_cluster_fraction = 1.0;
         let mut sim = Simulation::new(cfg);
-        sim.set_batch_model(const_model(0.0));
+        sim.set_cluster_model(const_model(0.0));
         let m = sim.run();
         // Flows between cluster 0 and cluster 1 still complete.
         assert!(m.flows_completed() > 0);
@@ -2011,7 +1894,7 @@ mod tests {
         cfg.traffic.inter_cluster_fraction = 1.0;
         let run = |drop_prob: f64| {
             let mut sim = Simulation::new(cfg);
-            sim.set_batch_model(const_model(drop_prob));
+            sim.set_cluster_model(const_model(drop_prob));
             let m = sim.run();
             (m.mimic_drops, m.flows_completed())
         };
@@ -2209,18 +2092,23 @@ mod tests {
     }
 
     #[test]
-    fn obs_records_batched_flush_histogram() {
-        let mut cfg = quick_cfg();
-        cfg.traffic.inter_cluster_fraction = 1.0;
-        let mut sim = Simulation::new(cfg);
-        sim.set_batch_model(const_model(0.0));
-        sim.enable_obs();
-        let m = sim.run();
-        let report = m.obs.as_ref().unwrap();
-        assert!(report.counter("mimic.flush.count") > 0);
-        let h = &report.hists["mimic.flush.batch_size"];
-        assert_eq!(h.count, report.counter("mimic.flush.count"));
-        assert!(h.max >= 1);
+    fn obs_counts_one_boundary_inference_per_crossing() {
+        // A model that drops everything: crossings == inferences == drops.
+        let run = |timed: bool| {
+            let mut cfg = quick_cfg();
+            cfg.traffic.inter_cluster_fraction = 1.0;
+            let mut sim = Simulation::new(cfg);
+            sim.set_cluster_model(const_model(1.0));
+            sim.enable_obs_with_timing(timed);
+            sim.run()
+        };
+        let (timed, light) = (run(true), run(false));
+        let (t, l) = (timed.obs.as_ref().unwrap(), light.obs.as_ref().unwrap());
+        assert!(timed.mimic_drops > 0);
+        assert_eq!(t.counter("mimic.boundary.count"), timed.mimic_drops);
+        assert_eq!(l.counter("mimic.boundary.count"), timed.mimic_drops);
+        assert!(t.counters.contains_key("mimic.boundary.wall_ns"));
+        assert!(!l.counters.contains_key("mimic.boundary.wall_ns"));
     }
 
     #[test]

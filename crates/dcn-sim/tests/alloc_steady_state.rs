@@ -1,6 +1,6 @@
 //! The sequential event loop must be allocation-light in steady state.
 //!
-//! Counterpart of `mimicnet/tests/alloc_free_batched.rs` for the engine
+//! Counterpart of `mimicnet/tests/alloc_free_fleet.rs` for the engine
 //! itself (first step of the ROADMAP arena audit): after a warmup window
 //! that grows every arena to steady-state capacity — event heap, link
 //! queues, transport scratch, metric sample buffers — continuing the run

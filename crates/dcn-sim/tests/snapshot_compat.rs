@@ -13,7 +13,7 @@ use dcn_sim::time::SimDuration;
 fn engine(ingress: bool) -> Simulation {
     let mut sim = Simulation::new(SimConfig::small_scale());
     let model = ConstModel::new(vec![1], SimDuration::from_millis(2), 0.0, 7);
-    sim.set_batch_model_dirs(Box::new(model), ingress, true);
+    sim.set_cluster_model_dirs(Box::new(model), ingress, true);
     sim
 }
 

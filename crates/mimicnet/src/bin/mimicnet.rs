@@ -163,15 +163,22 @@ fn parse_args(args: &[String], known: &[&str]) -> HashMap<String, String> {
     map
 }
 
+/// A flag value that does not parse is a usage error: one line, exit 2.
+fn bad_flag(name: &str, what: &str, raw: &str) -> ! {
+    eprintln!("error: --{name} must be {what}, got {raw:?}");
+    exit(2)
+}
+
+/// `--name` parsed as a `T` (`what` describes one), `None` when absent.
+fn flag<T: std::str::FromStr>(opts: &HashMap<String, String>, name: &str, what: &str) -> Option<T> {
+    let raw = opts.get(name)?;
+    Some(raw.parse().unwrap_or_else(|_| bad_flag(name, what, raw)))
+}
+
 fn protocol_from(opts: &HashMap<String, String>) -> Protocol {
     match opts.get("protocol").map(|s| s.as_str()).unwrap_or("newreno") {
         "newreno" => Protocol::NewReno,
-        "dctcp" => Protocol::Dctcp {
-            k: opts
-                .get("k")
-                .map(|v| v.parse().expect("--k must be an integer"))
-                .unwrap_or(20),
-        },
+        "dctcp" => Protocol::Dctcp { k: flag(opts, "k", "an integer").unwrap_or(20) },
         "vegas" => Protocol::Vegas,
         "westwood" => Protocol::Westwood,
         "homa" => Protocol::Homa,
@@ -187,26 +194,26 @@ fn pipeline_from(opts: &HashMap<String, String>) -> PipelineConfig {
         protocol: protocol_from(opts),
         ..PipelineConfig::default()
     };
-    if let Some(d) = opts.get("duration") {
-        cfg.base.duration_s = d.parse().expect("--duration must be a number");
+    if let Some(d) = flag(opts, "duration", "a number") {
+        cfg.base.duration_s = d;
     }
-    if let Some(s) = opts.get("seed") {
-        cfg.base.seed = s.parse().expect("--seed must be an integer");
+    if let Some(s) = flag(opts, "seed", "an integer") {
+        cfg.base.seed = s;
     }
-    if let Some(e) = opts.get("epochs") {
-        cfg.train.epochs = e.parse().expect("--epochs must be an integer");
+    if let Some(e) = flag(opts, "epochs", "an integer") {
+        cfg.train.epochs = e;
     }
-    if let Some(h) = opts.get("hidden") {
-        cfg.hidden = h.parse().expect("--hidden must be an integer");
+    if let Some(h) = flag(opts, "hidden", "an integer") {
+        cfg.hidden = h;
     }
-    if let Some(l) = opts.get("layers") {
-        cfg.layers = l.parse().expect("--layers must be an integer");
+    if let Some(l) = flag(opts, "layers", "an integer") {
+        cfg.layers = l;
     }
-    if let Some(w) = opts.get("window") {
-        cfg.train.window = w.parse().expect("--window must be an integer");
+    if let Some(w) = flag(opts, "window", "an integer") {
+        cfg.train.window = w;
     }
-    if let Some(w) = opts.get("workers") {
-        cfg.train.workers = w.parse().expect("--workers must be an integer");
+    if let Some(w) = flag(opts, "workers", "an integer") {
+        cfg.train.workers = w;
     }
     cfg
 }
@@ -227,13 +234,9 @@ fn load_model(opts: &HashMap<String, String>) -> TrainedMimic {
 }
 
 fn clusters_from(opts: &HashMap<String, String>) -> u32 {
-    let raw = opts.get("clusters").unwrap_or_else(|| {
+    let n: u32 = flag(opts, "clusters", "an integer").unwrap_or_else(|| {
         eprintln!("--clusters is required");
         usage();
-    });
-    let n: u32 = raw.parse().unwrap_or_else(|_| {
-        eprintln!("error: --clusters must be an integer, got {raw:?}");
-        std::process::exit(2);
     });
     if n < 2 {
         eprintln!("error: a composition needs at least two clusters, got {n}");
@@ -262,15 +265,10 @@ fn resumable_from(
     {
         return None;
     }
-    let partitions: usize = opts
-        .get("partitions")
-        .map(|v| v.parse().expect("--partitions must be a positive integer"))
-        .unwrap_or(1);
+    let partitions: usize = flag(opts, "partitions", "a positive integer").unwrap_or(1);
     let resume = opts.get("resume").map(PathBuf::from);
-    let plan = opts.get("checkpoint-every").map(|s| {
-        let secs: f64 = s
-            .parse()
-            .expect("--checkpoint-every must be a number of simulated seconds");
+    let every = flag::<f64>(opts, "checkpoint-every", "a number of simulated seconds");
+    let plan = every.map(|secs| {
         // Checkpoints land next to whatever we resume from unless told
         // otherwise, so a crash-restart loop keeps using one directory.
         let dir = opts
@@ -278,10 +276,7 @@ fn resumable_from(
             .map(PathBuf::from)
             .or_else(|| resume.clone())
             .unwrap_or_else(|| PathBuf::from("mimicnet-ckpt"));
-        let keep = opts
-            .get("keep-generations")
-            .map(|v| v.parse().expect("--keep-generations must be a positive integer"))
-            .unwrap_or(1);
+        let keep = flag(opts, "keep-generations", "a positive integer").unwrap_or(1);
         CheckpointPlan { dir, every: SimDuration::from_secs_f64(secs), keep }
     });
     Some((partitions.max(1), plan, resume))
@@ -293,11 +288,7 @@ fn resumable_from(
 fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool {
     let mut any = false;
     if opts.contains_key("digests") || opts.contains_key("digest-stride") {
-        o.digest_stride = Some(
-            opts.get("digest-stride")
-                .map(|v| v.parse().expect("--digest-stride must be a positive integer"))
-                .unwrap_or(1),
-        );
+        o.digest_stride = Some(flag(opts, "digest-stride", "a positive integer").unwrap_or(1));
         any = true;
     }
     if ["flight", "flight-dump", "slo-events-per-sec", "slo-max-drift"]
@@ -305,27 +296,19 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
         .any(|k| opts.contains_key(*k))
     {
         o.flight = Some(FlightPlan {
-            capacity: opts
-                .get("flight")
-                .map(|v| v.parse().expect("--flight must be a positive integer"))
-                .unwrap_or(4096),
+            capacity: flag(opts, "flight", "a positive integer").unwrap_or(4096),
             dump_dir: opts.get("flight-dump").map(PathBuf::from),
-            min_events_per_sec: opts
-                .get("slo-events-per-sec")
-                .map(|v| v.parse().expect("--slo-events-per-sec must be a number")),
-            max_drift: opts
-                .get("slo-max-drift")
-                .map(|v| v.parse().expect("--slo-max-drift must be a number")),
+            min_events_per_sec: flag(opts, "slo-events-per-sec", "a number"),
+            max_drift: flag(opts, "slo-max-drift", "a number"),
         });
         any = true;
     }
-    if let Some(v) = opts.get("stop-at") {
-        let secs: f64 = v.parse().expect("--stop-at must be simulated seconds");
+    if let Some(secs) = flag(opts, "stop-at", "a number of simulated seconds") {
         o.stop_at = Some(SimTime::from_secs_f64(secs));
         any = true;
     }
-    if let Some(v) = opts.get("crash-at-window") {
-        o.crash_at_window = Some(v.parse().expect("--crash-at-window must be an integer"));
+    if let Some(w) = flag(opts, "crash-at-window", "an integer") {
+        o.crash_at_window = Some(w);
         any = true;
     }
     if let Some(g) = opts.get("resume-generation") {
@@ -351,17 +334,17 @@ fn die_with_obs(
 /// Parse the adaptive-tier accuracy budget flags.
 fn budget_from(opts: &HashMap<String, String>) -> AccuracyBudget {
     let mut b = AccuracyBudget::default();
-    if let Some(v) = opts.get("promote-above") {
-        b.promote_above = v.parse().expect("--promote-above must be a number");
+    if let Some(v) = flag(opts, "promote-above", "a number") {
+        b.promote_above = v;
     }
-    if let Some(v) = opts.get("demote-below") {
-        b.demote_below = v.parse().expect("--demote-below must be a number");
+    if let Some(v) = flag(opts, "demote-below", "a number") {
+        b.demote_below = v;
     }
-    if let Some(v) = opts.get("tier-patience") {
-        b.patience = v.parse().expect("--tier-patience must be an integer");
+    if let Some(v) = flag(opts, "tier-patience", "an integer") {
+        b.patience = v;
     }
-    if let Some(v) = opts.get("max-above-flow") {
-        b.max_above_flow = v.parse().expect("--max-above-flow must be an integer");
+    if let Some(v) = flag(opts, "max-above-flow", "an integer") {
+        b.max_above_flow = v;
     }
     if let Some(v) = opts.get("tier-start") {
         b.start = match v.as_str() {
@@ -382,10 +365,7 @@ fn adaptive_from(
 ) -> Option<(AccuracyBudget, TierPlan, Option<CorrectionHead>)> {
     opts.contains_key("adaptive").then(|| {
         let plan = TierPlan {
-            every_windows: opts
-                .get("tier-every")
-                .map(|v| v.parse().expect("--tier-every must be a positive integer"))
-                .unwrap_or(64),
+            every_windows: flag(opts, "tier-every", "a positive integer").unwrap_or(64),
         };
         (budget_from(opts), plan, correction_from(opts))
     })
@@ -644,14 +624,8 @@ fn cmd_diverge(opts: HashMap<String, String>) {
                 pipeline_cfg: pipeline_from(&opts),
                 trained,
                 n_clusters: clusters_from(&opts),
-                partitions: opts
-                    .get("partitions")
-                    .map(|v| v.parse().expect("--partitions must be a positive integer"))
-                    .unwrap_or(1),
-                flight_capacity: opts
-                    .get("flight")
-                    .map(|v| v.parse().expect("--flight must be a positive integer"))
-                    .unwrap_or(65_536),
+                partitions: flag(&opts, "partitions", "a positive integer").unwrap_or(1),
+                flight_capacity: flag(&opts, "flight", "a positive integer").unwrap_or(65_536),
                 adaptive: adaptive_from(&opts),
             };
             let side_a = ReplaySide { ckpt_dir: Path::new(&opts["a-ckpt"]), label: "A" };
@@ -700,10 +674,7 @@ fn cmd_snap_flip(opts: HashMap<String, String>) {
         eprintln!("--ckpt DIR is required");
         usage();
     }));
-    let part = opts
-        .get("part")
-        .map(|v| v.parse().expect("--part must be an integer"))
-        .unwrap_or(0);
+    let part = flag(&opts, "part", "an integer").unwrap_or(0);
     let generation = opts.get("generation").map(String::as_str);
     match diverge::snap_flip(&pipeline_from(&opts), &trained, n, &ckpt, part, generation) {
         Ok(r) => println!(
@@ -723,23 +694,17 @@ fn cmd_snap_flip(opts: HashMap<String, String>) {
 fn cmd_tune(opts: HashMap<String, String>) {
     let cfg = pipeline_from(&opts);
     let tcfg = TuningConfig {
-        evals: opts
-            .get("evals")
-            .map(|v| v.parse().expect("--evals must be an integer"))
-            .unwrap_or(8),
+        evals: flag(&opts, "evals", "an integer").unwrap_or(8),
         scales: opts
             .get("scales")
             .map(|v| {
                 v.split(',')
-                    .map(|s| s.parse().expect("--scales must be integers"))
+                    .map(|s| s.parse().unwrap_or_else(|_| bad_flag("scales", "comma-separated integers", v)))
                     .collect()
             })
             .unwrap_or_else(|| vec![2, 4]),
         seed: cfg.base.seed ^ 0x7A7E,
-        workers: opts
-            .get("workers")
-            .map(|v| v.parse().expect("--workers must be an integer"))
-            .unwrap_or(1),
+        workers: flag(&opts, "workers", "an integer").unwrap_or(1),
     };
     eprintln!(
         "Bayesian-optimizing {} evaluations over scales {:?}...",

@@ -5,14 +5,14 @@
 //! Aside from the number of clusters, all other parameters are kept
 //! constant from the small-scale to the final simulation."
 
-use crate::batch::BatchedMimicFleet;
 use crate::degrade::AccuracyBudget;
 use crate::error::{ComposeRunError, PipelineError};
+use crate::fleet::MimicFleet;
 use crate::mimic::TrainedMimic;
 use crate::tier::{AdaptiveFleet, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::instrument::Metrics;
-use dcn_sim::mimic::BatchClusterModel;
+use dcn_sim::mimic::ClusterModel;
 use dcn_sim::pdes::{run_partitioned_opts, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
 use dcn_sim::topology::{FatTree, NodeId};
@@ -34,7 +34,7 @@ pub fn host_cluster(topo: &FatTree, node: NodeId) -> Result<u32, PipelineError> 
 
 /// Build the `n_clusters` hybrid simulation: cluster [`OBSERVABLE`] (and
 /// the cores) at full fidelity, every other cluster a Mimic served by one
-/// [`BatchedMimicFleet`].
+/// [`MimicFleet`].
 ///
 /// `base` is the *small-scale* configuration used for training — only its
 /// cluster count is changed, per the paper.
@@ -83,7 +83,7 @@ pub fn try_compose_partial(
         });
     }
     if let Some(fleet) = mimic_fleet(&cfg, &Arc::new(trained.clone()), full_fidelity) {
-        sim.set_batch_model(Box::new(fleet));
+        sim.set_cluster_model(Box::new(fleet));
     }
     Ok(sim)
 }
@@ -99,9 +99,8 @@ pub fn try_compose_partial(
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
 /// (reports arrive merged in `Metrics::obs` and never change the
 /// trajectory), checkpoint/resume (a resumed run's final metrics are
-/// bit-identical to an uninterrupted one — flush chunking invariance means
-/// flushing the fleet's pending batch at the checkpoint barrier never
-/// changes a verdict), state digests, flight recorder + SLO dumps, early
+/// bit-identical to an uninterrupted one — a checkpoint is cut between
+/// events, so no verdict is ever in flight across it), state digests, flight recorder + SLO dumps, early
 /// stop, pinned-generation resume, and the crash drill. This is the entry
 /// point `dcn diverge` replays through.
 pub fn run_composed_partitioned(
@@ -161,7 +160,7 @@ fn run_composed_fleet(
     trained: &TrainedMimic,
     partitions: usize,
     opts: &PdesRunOpts,
-    make_fleet: &(dyn Fn(&SimConfig) -> Box<dyn BatchClusterModel> + Sync),
+    make_fleet: &(dyn Fn(&SimConfig) -> Box<dyn ClusterModel> + Sync),
 ) -> Result<Metrics, ComposeRunError> {
     let cfg = composed_config(base, n_clusters, protocol)?;
     let window = cfg.link.latency.min(trained.latency_floor());
@@ -170,7 +169,7 @@ fn run_composed_fleet(
         partitions,
         window,
         &|| protocol.factory(),
-        &|sim| sim.set_batch_model(make_fleet(&cfg)),
+        &|sim| sim.set_cluster_model(make_fleet(&cfg)),
         opts,
     )
     .map_err(ComposeRunError::from)
@@ -213,19 +212,19 @@ fn mimic_fleet(
     cfg: &SimConfig,
     trained: &Arc<TrainedMimic>,
     full_fidelity: &[u32],
-) -> Option<BatchedMimicFleet> {
+) -> Option<MimicFleet> {
     let n_clusters = cfg.topo.clusters;
     let cluster_seeds: Vec<(u32, u64)> = (0..n_clusters)
         .filter(|c| *c != OBSERVABLE && !full_fidelity.contains(c))
         .map(|c| (c, cfg.seed ^ (0xC0DE_0000 + c as u64)))
         .collect();
     (!cluster_seeds.is_empty())
-        .then(|| BatchedMimicFleet::new(Arc::clone(trained), cfg.topo, n_clusters, &cluster_seeds))
+        .then(|| MimicFleet::new(Arc::clone(trained), cfg.topo, n_clusters, &cluster_seeds))
 }
 
 /// [`mimic_fleet`] over every non-observable cluster (a validated
 /// composition has at least one).
-fn all_mimic_fleet(cfg: &SimConfig, trained: &Arc<TrainedMimic>) -> BatchedMimicFleet {
+fn all_mimic_fleet(cfg: &SimConfig, trained: &Arc<TrainedMimic>) -> MimicFleet {
     mimic_fleet(cfg, trained, &[]).expect("a composition has at least two clusters")
 }
 
@@ -280,7 +279,7 @@ pub fn try_compose_heterogeneous(
     }
     // One shared copy per distinct bundle, however many clusters use it.
     let bundles: Vec<Arc<TrainedMimic>> = bundles.iter().cloned().map(Arc::new).collect();
-    sim.set_batch_model(Box::new(BatchedMimicFleet::new_heterogeneous(
+    sim.set_cluster_model(Box::new(MimicFleet::new_heterogeneous(
         bundles,
         cfg.topo,
         n_clusters,

@@ -312,19 +312,6 @@ impl BudgetLedger {
             .unwrap_or(FidelityTier::Packet)
     }
 
-    /// Force `cluster` to `tier` (test/CLI override). Returns false for
-    /// unmanaged clusters or a Packet target — packet fidelity is decided
-    /// at composition time, not at runtime.
-    pub fn set_tier(&mut self, cluster: u32, tier: FidelityTier) -> bool {
-        let c = cluster as usize;
-        if c >= self.tiers.len() || !self.managed[c] || tier == FidelityTier::Packet {
-            return false;
-        }
-        self.tiers[c] = tier;
-        self.calm[c] = 0;
-        true
-    }
-
     /// One epoch of the accuracy budget: update calm counters from the
     /// merged drift vector, apply promotions/demotions, enforce the
     /// above-Flow cap, and return the switches made. Pure function of

@@ -93,6 +93,30 @@ impl FeatureEnvelope {
     pub fn width(&self) -> usize {
         self.mean.len()
     }
+
+    /// Can a [`DriftMonitor`] score `width`-feature rows against this
+    /// envelope without indexing out of bounds or producing a NaN? Run on
+    /// every envelope that arrives from a file.
+    pub(crate) fn check(&self, width: usize) -> Result<(), String> {
+        for (name, v) in [("mean", &self.mean), ("std", &self.std), ("lo", &self.lo), ("hi", &self.hi)] {
+            if v.len() != width {
+                return Err(format!(
+                    "envelope.{name} has {} entries, the bundle has {width} features",
+                    v.len()
+                ));
+            }
+        }
+        for k in 0..width {
+            let (std, lo, hi) = (self.std[k], self.lo[k], self.hi[k]);
+            let finite = [self.mean[k], std, lo, hi].iter().all(|v| v.is_finite());
+            if !finite || std <= 0.0 || lo > hi {
+                return Err(format!(
+                    "envelope feature {k} needs finite statistics with std > 0 and lo <= hi"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Excess of a live drift score over a calibrated per-cluster baseline,

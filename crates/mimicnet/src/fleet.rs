@@ -1,5 +1,5 @@
 //! The Mimic fleet: every Mimic'ed cluster of a composed simulation behind
-//! one [`BatchClusterModel`] (paper §4.1, §7.1).
+//! one [`ClusterModel`] (paper §4.1, §7.1).
 //!
 //! "The Mimic clusters are constructed by taking the ingress/egress
 //! internal models and feeders … and wrapping them with a thin shim layer.
@@ -9,35 +9,33 @@
 //! shim is, thus, either a packet, its egress time, and its egress
 //! location; or its absence."
 //!
-//! The engine queues boundary packets across an event window and hands
-//! them to [`BatchedMimicFleet::infer_batch`] in arrival order; the fleet
-//! steps them one at a time. Each (cluster, direction) *lane* owns a
-//! recurrent `ModelState`, a [`FeatureExtractor`] whose congestion estimate
-//! feeds back from each prediction into the next packet's features, a
-//! decision RNG and a per-flow FIFO table — and nothing is shared between
-//! lanes but read-only weights. A verdict therefore depends only on the
-//! items of its own lane at and before it, never on how the engine chunked
-//! the item stream into flushes, which is what makes sequential and
+//! The engine calls [`MimicFleet::infer`] once per boundary packet, at the
+//! packet's own event. Each (cluster, direction) *lane* owns a recurrent
+//! `ModelState`, a [`FeatureExtractor`] whose congestion estimate feeds
+//! back from each prediction into the next packet's features, a decision
+//! RNG and a per-flow FIFO table — and nothing is shared between lanes but
+//! read-only weights. A verdict therefore depends only on the calls its
+//! own lane saw at and before it, which is what makes sequential and
 //! partitioned composed runs bit-identical.
 //!
-//! Ordering invariants maintained here (locked down by the equivalence and
-//! property suites):
+//! Ordering invariants maintained here (locked down by the fleet-ordering
+//! suite):
 //!
-//! * **Chunking invariance** — verdicts depend only on each lane's item
-//!   order, never on flush boundaries.
+//! * **Lane independence** — verdicts depend only on each lane's own item
+//!   order, never on how other lanes' items interleave with it.
 //! * **Per-flow FIFO** — a flow's exit times are monotone within a lane: a
 //!   later packet never exits before an earlier one, even when the model
 //!   predicts it a smaller latency (queues don't reorder a flow; §5.1's
 //!   instrumentation junctures preserve this too).
 //! * **Causality** — every verdict's exit time is at least
-//!   [`latency_floor`](BatchClusterModel::latency_floor) past its enqueue
-//!   time, the engine's license to defer inference.
+//!   [`latency_floor`](ClusterModel::latency_floor) past its enqueue time,
+//!   which is the lookahead a composed PDES run synchronizes on.
 
 use crate::drift::DriftMonitor;
 use crate::features::FeatureExtractor;
 use crate::feeder::Feeder;
 use crate::mimic::{load_model_state, packet_view, save_model_state, DecisionMode, TrainedMimic};
-use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem, Verdict};
+use dcn_sim::mimic::{BoundaryDir, BoundaryItem, ClusterModel, Verdict};
 use dcn_sim::packet::FlowId;
 use dcn_sim::rng::SplitMix64;
 use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
@@ -55,20 +53,22 @@ struct Lane {
     /// Per-lane decision stream: the draws depend only on this lane's item
     /// order.
     rng: SplitMix64,
-    /// Last predicted exit time per flow (FIFO clamp). Entries whose exit
-    /// precedes the lane's oldest enqueue of a flush can no longer clamp
-    /// anything and are evicted in place.
+    /// Last predicted exit time per flow (FIFO clamp). An entry whose exit
+    /// is not after the lane's current enqueue time can no longer clamp
+    /// anything (per-lane enqueue times are monotone); such entries are
+    /// evicted whenever a new flow finds the table at a power-of-two size.
+    /// That bounds the table by twice its peak live size and paces
+    /// eviction off the table itself, so its contents are the same at
+    /// every partition count and across checkpoint/restore.
     last_exit: HashMap<FlowId, SimTime>,
-    /// [`BatchedMimicFleet::flush`] value at this lane's last eviction.
-    evicted: u64,
     /// Ingress lanes score live features against the training envelope.
     monitor: Option<DriftMonitor>,
 }
 
-/// A [`BatchClusterModel`] serving every Mimic'ed cluster of one composed
+/// A [`ClusterModel`] serving every Mimic'ed cluster of one composed
 /// simulation. Homogeneous compositions share a single bundle across all
 /// lanes; heterogeneous ones bind each cluster to one of several.
-pub struct BatchedMimicFleet {
+pub struct MimicFleet {
     /// Shared, read-only: the fleets of a partitioned run step one set of
     /// weights instead of a private copy per LP.
     bundles: Vec<Arc<TrainedMimic>>,
@@ -85,14 +85,12 @@ pub struct BatchedMimicFleet {
     egress: Vec<Lane>,
     /// Reusable feature buffer: the per-packet path never allocates.
     feat_buf: Vec<f32>,
-    /// Flushes served so far (not durable: only paces FIFO eviction).
-    flush: u64,
     /// Counters for instrumentation/tests.
     pub packets_seen: u64,
     pub feeder_packets: u64,
 }
 
-impl BatchedMimicFleet {
+impl MimicFleet {
     /// Homogeneous fleet: every cluster in `cluster_seeds` runs `bundle`.
     /// Each entry pairs a cluster index with its Mimic seed, keeping
     /// feeder and decision streams decorrelated across clusters. Pass an
@@ -103,10 +101,10 @@ impl BatchedMimicFleet {
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_seeds: &[(u32, u64)],
-    ) -> BatchedMimicFleet {
+    ) -> MimicFleet {
         let with_bundle: Vec<(u32, usize, u64)> =
             cluster_seeds.iter().map(|&(c, s)| (c, 0, s)).collect();
-        BatchedMimicFleet::new_heterogeneous(
+        MimicFleet::new_heterogeneous(
             vec![bundle.into()],
             topo_params,
             n_clusters,
@@ -122,7 +120,7 @@ impl BatchedMimicFleet {
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_assign: &[(u32, usize, u64)],
-    ) -> BatchedMimicFleet {
+    ) -> MimicFleet {
         assert!(!bundles.is_empty(), "fleet needs at least one bundle");
         assert!(!cluster_assign.is_empty(), "fleet needs at least one cluster");
         let width = bundles[0].feature_cfg.width();
@@ -161,7 +159,6 @@ impl BatchedMimicFleet {
                         ),
                         rng: SplitMix64::derive(seed, 0x4D49_0000 | tag),
                         last_exit: HashMap::new(),
-                        evicted: 0,
                         monitor: match dir {
                             BoundaryDir::Ingress => bundle.envelope.clone().map(DriftMonitor::new),
                             BoundaryDir::Egress => None,
@@ -180,7 +177,7 @@ impl BatchedMimicFleet {
             .min()
             .expect("at least one bundle");
 
-        BatchedMimicFleet {
+        MimicFleet {
             assign: cluster_assign.iter().map(|&(_, g, _)| g).collect(),
             clusters: cluster_assign.iter().map(|&(c, _, _)| c).collect(),
             bundles,
@@ -191,14 +188,13 @@ impl BatchedMimicFleet {
             ingress,
             egress,
             feat_buf: Vec::with_capacity(width),
-            flush: 0,
             packets_seen: 0,
             feeder_packets: 0,
         }
     }
 
     /// Switch decision mode (default: [`DecisionMode::Sample`]).
-    pub fn with_mode(mut self, mode: DecisionMode) -> BatchedMimicFleet {
+    pub fn with_mode(mut self, mode: DecisionMode) -> MimicFleet {
         self.mode = mode;
         self
     }
@@ -206,7 +202,7 @@ impl BatchedMimicFleet {
     /// Override every ingress drift monitor's window size (defaults to 256
     /// observations per window). No-op for lanes whose bundle carries no
     /// envelope.
-    pub fn with_drift_window(mut self, window: usize) -> BatchedMimicFleet {
+    pub fn with_drift_window(mut self, window: usize) -> MimicFleet {
         for (li, lane) in self.ingress.iter_mut().enumerate() {
             lane.monitor = self.bundles[self.assign[li]]
                 .envelope
@@ -254,7 +250,7 @@ impl BatchedMimicFleet {
     /// the feeders' random streams must stay aligned with what the Mimic
     /// tier would have consumed (so a later promotion re-joins the same
     /// deterministic schedule), but the LSTM warm-up updates — the
-    /// expensive part of [`BatchClusterModel::on_wake`] — are skipped.
+    /// expensive part of [`ClusterModel::on_wake`] — are skipped.
     pub fn advance_feeders(&mut self, cluster: u32, now: SimTime) {
         let li = self.slot[cluster as usize] as usize;
         for lane in [&mut self.ingress[li], &mut self.egress[li]] {
@@ -272,52 +268,44 @@ fn decide(rng: &mut SplitMix64, mode: DecisionMode, p: f64) -> bool {
     }
 }
 
-impl BatchClusterModel for BatchedMimicFleet {
+impl ClusterModel for MimicFleet {
     fn clusters(&self) -> &[u32] {
         &self.clusters
     }
 
-    fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
-        self.packets_seen += items.len() as u64;
-        self.flush += 1;
-        verdicts.clear();
-        for item in items {
-            let li = self.lane_of(item);
-            let bundle = &self.bundles[self.assign[li]];
-            let (lane, model) = match item.dir {
-                BoundaryDir::Ingress => (&mut self.ingress[li], &bundle.ingress),
-                BoundaryDir::Egress => (&mut self.egress[li], &bundle.egress),
-            };
-            // First item of this lane in this flush: evict FIFO entries
-            // that can no longer clamp anything — their exit precedes every
-            // enqueue the lane will see from here on (per-lane item order
-            // is monotone in enqueue time).
-            if lane.evicted != self.flush {
-                lane.evicted = self.flush;
-                lane.last_exit.retain(|_, exit| *exit > item.enqueued_at);
-            }
-            Self::extract(&self.topo, lane, item, &mut self.feat_buf);
-            let pred = model.predict(&self.feat_buf, &mut lane.state);
-            if decide(&mut lane.rng, self.mode, pred.p_drop) {
-                lane.fx.observe_outcome(1.0, true);
-                verdicts.push(Verdict::Drop);
-                continue;
-            }
-            let mark_ce = item.pkt.ecn.is_capable() && decide(&mut lane.rng, self.mode, pred.p_ecn);
-            lane.fx.observe_outcome(pred.latency_norm, false);
-            let latency = SimDuration::from_secs_f64(pred.latency_s.max(1e-6)).max(self.floor);
-            let mut exit = item.enqueued_at + latency;
-            // FIFO clamp: a flow never exits earlier than its previous
-            // packet did (equal times are delivered in packet-id order by
-            // the engine's event tags).
-            if let Some(&prev) = lane.last_exit.get(&item.pkt.flow) {
-                exit = exit.max(prev);
+    fn infer(&mut self, item: &BoundaryItem) -> Verdict {
+        self.packets_seen += 1;
+        let li = self.lane_of(item);
+        let bundle = &self.bundles[self.assign[li]];
+        let (lane, model) = match item.dir {
+            BoundaryDir::Ingress => (&mut self.ingress[li], &bundle.ingress),
+            BoundaryDir::Egress => (&mut self.egress[li], &bundle.egress),
+        };
+        Self::extract(&self.topo, lane, item, &mut self.feat_buf);
+        let pred = model.predict(&self.feat_buf, &mut lane.state);
+        if decide(&mut lane.rng, self.mode, pred.p_drop) {
+            lane.fx.observe_outcome(1.0, true);
+            return Verdict::Drop;
+        }
+        let mark_ce = item.pkt.ecn.is_capable() && decide(&mut lane.rng, self.mode, pred.p_ecn);
+        lane.fx.observe_outcome(pred.latency_norm, false);
+        let latency = SimDuration::from_secs_f64(pred.latency_s.max(1e-6)).max(self.floor);
+        let mut exit = item.enqueued_at + latency;
+        // FIFO clamp: a flow never exits earlier than its previous packet
+        // did (equal times are delivered in packet-id order by the
+        // engine's event tags).
+        if let Some(prev) = lane.last_exit.get_mut(&item.pkt.flow) {
+            exit = exit.max(*prev);
+            *prev = exit;
+        } else {
+            if lane.last_exit.len().is_power_of_two() {
+                lane.last_exit.retain(|_, e| *e > item.enqueued_at);
             }
             lane.last_exit.insert(item.pkt.flow, exit);
-            verdicts.push(Verdict::Deliver {
-                latency: SimDuration(exit.0 - item.enqueued_at.0),
-                mark_ce,
-            });
+        }
+        Verdict::Deliver {
+            latency: SimDuration(exit.0 - item.enqueued_at.0),
+            mark_ce,
         }
     }
 
@@ -428,10 +416,8 @@ impl BatchClusterModel for BatchedMimicFleet {
                 }
                 load_model_state(&mut lane.state, r)?;
                 lane.feeder.load_state(r)?;
-                lane.evicted = 0;
             }
         }
-        self.flush = 0;
         self.packets_seen = r.get_u64()?;
         self.feeder_packets = r.get_u64()?;
         Ok(())
@@ -458,7 +444,7 @@ mod tests {
 
     /// An untrained 8-cluster bundle: feeder order does not care what the
     /// weights are, only that both directions have their own.
-    fn fleet() -> BatchedMimicFleet {
+    fn fleet() -> MimicFleet {
         let mut topo = dcn_sim::config::SimConfig::small_scale().topo;
         topo.clusters = 8;
         let fc = FeatureConfig::from_topology(&topo);
@@ -475,12 +461,12 @@ mod tests {
             envelope: None,
         };
         let seeds: Vec<(u32, u64)> = (1..8).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
-        BatchedMimicFleet::new(bundle, topo, 8, &seeds)
+        MimicFleet::new(bundle, topo, 8, &seeds)
     }
 
     /// The wake loop as it was before the direction-major drain: one
     /// ingress packet, one egress packet, until neither feeder is due.
-    fn on_wake_interleaved(f: &mut BatchedMimicFleet, cluster: u32, now: SimTime) {
+    fn on_wake_interleaved(f: &mut MimicFleet, cluster: u32, now: SimTime) {
         let li = f.slot[cluster as usize] as usize;
         let bundle = Arc::clone(&f.bundles[f.assign[li]]);
         loop {
@@ -515,7 +501,7 @@ mod tests {
             on_wake_interleaved(&mut interleaved, cluster, now);
         }
         assert!(major.feeder_packets > 100, "wakes must drain several packets per direction");
-        let bytes = |f: &BatchedMimicFleet| {
+        let bytes = |f: &MimicFleet| {
             let mut w = SnapWriter::new();
             f.save_state(&mut w).expect("fleet state serializes");
             w.into_bytes()
@@ -548,14 +534,11 @@ mod tests {
     fn fleet_delivers_with_latency_at_least_the_floor() {
         let (b, mut topo) = crate::mimic::tests::quick_bundle();
         topo.clusters = 4;
-        let mut f = BatchedMimicFleet::new(b, topo, 4, &[(1, 9)]);
-        let mut verdicts = Vec::new();
-        f.infer_batch(&crossings(topo, BoundaryDir::Egress, 50), &mut verdicts);
-        assert_eq!(verdicts.len(), 50);
+        let mut f = MimicFleet::new(b, topo, 4, &[(1, 9)]);
         let mut delivered = 0;
-        for v in &verdicts {
-            if let Verdict::Deliver { latency, .. } = v {
-                assert!(*latency >= f.latency_floor());
+        for item in &crossings(topo, BoundaryDir::Egress, 50) {
+            if let Verdict::Deliver { latency, .. } = f.infer(item) {
+                assert!(latency >= f.latency_floor());
                 delivered += 1;
             }
         }
@@ -567,7 +550,7 @@ mod tests {
     fn feeders_active_beyond_two_clusters() {
         let (b, mut topo) = crate::mimic::tests::quick_bundle();
         topo.clusters = 8;
-        let mut f = BatchedMimicFleet::new(b.clone(), topo, 8, &[(1, 3)]);
+        let mut f = MimicFleet::new(b.clone(), topo, 8, &[(1, 3)]);
         // Fire a few wakeups; state must advance.
         let mut wakes = 0;
         let mut t = SimTime::ZERO;
@@ -582,7 +565,7 @@ mod tests {
         assert!(f.feeder_packets > 0);
         // At n = 2 there is no Mimic-Mimic traffic: feeders are disabled.
         topo.clusters = 2;
-        let mut f2 = BatchedMimicFleet::new(b, topo, 2, &[(1, 3)]);
+        let mut f2 = MimicFleet::new(b, topo, 2, &[(1, 3)]);
         assert!(f2.next_wake(1, SimTime::ZERO).is_none());
     }
 
@@ -592,17 +575,20 @@ mod tests {
         assert!(b.envelope.is_some(), "datagen must fit an envelope");
         topo.clusters = 4;
         let items = crossings(topo, BoundaryDir::Ingress, 200);
-        let mut verdicts = Vec::new();
-        let mut f = BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, 9)]).with_drift_window(32);
+        let mut f = MimicFleet::new(b.clone(), topo, 4, &[(1, 9)]).with_drift_window(32);
         assert!(f.drift(1).is_none(), "no score before a window completes");
-        f.infer_batch(&items, &mut verdicts);
+        for i in &items {
+            f.infer(i);
+        }
         let d = f.drift(1).expect("windows completed");
         assert!(d.is_finite() && d >= 0.0, "drift {d}");
         // A bundle without an envelope never reports drift.
         let mut bare = b;
         bare.envelope = None;
-        let mut f2 = BatchedMimicFleet::new(bare, topo, 4, &[(1, 9)]);
-        f2.infer_batch(&items, &mut verdicts);
+        let mut f2 = MimicFleet::new(bare, topo, 4, &[(1, 9)]);
+        for i in &items {
+            f2.infer(i);
+        }
         assert!(f2.drift(1).is_none());
     }
 
@@ -614,11 +600,9 @@ mod tests {
         topo.clusters = 4;
         let items = crossings(topo, BoundaryDir::Ingress, 20);
         let run = |seed: u64| {
-            let mut f = BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, seed)])
+            let mut f = MimicFleet::new(b.clone(), topo, 4, &[(1, seed)])
                 .with_mode(DecisionMode::Threshold);
-            let mut verdicts = Vec::new();
-            f.infer_batch(&items, &mut verdicts);
-            verdicts
+            items.iter().map(|i| f.infer(i)).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(2));
     }

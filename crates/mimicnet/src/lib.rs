@@ -36,7 +36,7 @@
 //!    end-to-end, user-defined metrics (e.g. W1 of FCTs) across validation
 //!    scales (§7.2).
 //! 7. **Composition** ([`compose`]) — a large simulation with one real
-//!    cluster and `N−1` Mimics served by one [`BatchedMimicFleet`] (§7.1).
+//!    cluster and `N−1` Mimics served by one [`MimicFleet`] (§7.1).
 //!
 //! [`pipeline`] packages steps 1–7 behind one call and reports the per-
 //! phase wall-clock breakdown the paper's Table 2 shows.
@@ -53,7 +53,6 @@
 //! println!("p99 FCT ≈ {:.3}s", report.fct_p99);
 //! ```
 
-pub mod batch;
 pub mod compose;
 pub mod datagen;
 pub mod degrade;
@@ -62,6 +61,7 @@ pub mod drift;
 pub mod error;
 pub mod features;
 pub mod feeder;
+pub mod fleet;
 pub mod internal_model;
 pub mod metrics;
 pub mod mimic;
@@ -70,9 +70,9 @@ pub mod tier;
 pub mod trace;
 pub mod tuning;
 
-pub use batch::BatchedMimicFleet;
 pub use degrade::{AccuracyBudget, BudgetLedger, DegradationPolicy, DegradationReport};
 pub use drift::{DriftMonitor, FeatureEnvelope};
 pub use error::PipelineError;
+pub use fleet::MimicFleet;
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use tier::{AdaptiveFleet, CorrectionHead};

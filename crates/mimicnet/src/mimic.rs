@@ -3,7 +3,7 @@
 //! decisions ([`DecisionMode`]), the boundary-crossing projection
 //! ([`packet_view`]) and the recurrent-state checkpoint codec. The live
 //! composition — every Mimic'ed cluster of a simulation — is
-//! [`crate::batch::BatchedMimicFleet`].
+//! [`crate::fleet::MimicFleet`].
 
 use crate::drift::FeatureEnvelope;
 use crate::features::{FeatureConfig, PacketView};
@@ -39,14 +39,21 @@ impl TrainedMimic {
         serde_json::to_string(self).expect("bundle serializes")
     }
 
+    /// Parse a bundle, rejecting a drift envelope the monitor could not
+    /// score against (wrong width, unusable statistics).
     pub fn from_json(s: &str) -> Result<TrainedMimic, serde_json::Error> {
-        serde_json::from_str(s)
+        let bundle: TrainedMimic = serde_json::from_str(s)?;
+        if let Some(env) = &bundle.envelope {
+            env.check(bundle.feature_cfg.width())
+                .map_err(serde_json::Error::new)?;
+        }
+        Ok(bundle)
     }
 
     /// Lower bound on any latency this bundle predicts: the smallest value
     /// either direction's discretizer can recover, floored at 1 µs. A
-    /// fleet's flush horizon and a composed PDES run's window both derive
-    /// from it, so it is available without building a fleet.
+    /// fleet's verdicts are clamped to it and a composed PDES run's window
+    /// derives from it, so it is available without building a fleet.
     pub fn latency_floor(&self) -> SimDuration {
         let floor_s = self.ingress.disc.recover(0.0).min(self.egress.disc.recover(0.0));
         SimDuration::from_secs_f64(floor_s.max(1e-6))
@@ -177,11 +184,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn bundle_with_unusable_envelope_is_rejected_on_load() {
+        let (mut b, _) = quick_bundle();
+        let width = b.feature_cfg.width();
+        let good = b.envelope.clone().expect("datagen fits an envelope");
+        let mut reject = |what: &str, edit: &dyn Fn(&mut FeatureEnvelope)| {
+            let mut env = good.clone();
+            edit(&mut env);
+            b.envelope = Some(env);
+            let err = TrainedMimic::from_json(&b.to_json()).err();
+            assert!(err.is_some(), "{what}: loaded an envelope the monitor would panic on");
+        };
+        reject("truncated lo", &|e| e.lo.truncate(width - 1));
+        reject("zero std", &|e| e.std[0] = 0.0);
+        reject("inverted band", &|e| e.lo[0] = e.hi[0] + 1.0);
+    }
+
+    #[test]
     fn bundle_latency_floor_matches_the_fleets() {
-        use dcn_sim::mimic::BatchClusterModel;
+        use dcn_sim::mimic::ClusterModel;
         let (b, mut topo) = quick_bundle();
         topo.clusters = 4;
-        let fleet = crate::batch::BatchedMimicFleet::new(b.clone(), topo, 4, &[(1, 9), (2, 10)]);
+        let fleet = crate::fleet::MimicFleet::new(b.clone(), topo, 4, &[(1, 9), (2, 10)]);
         assert_eq!(b.latency_floor(), fleet.latency_floor());
         assert!(b.latency_floor() >= SimDuration::from_micros(1));
     }

@@ -6,7 +6,7 @@
 //! * **Packet** — full packet-level simulation, decided at composition
 //!   time ([`crate::compose::try_compose_partial`]'s `full_fidelity`
 //!   list). The ground truth; also the degradation fallback.
-//! * **Mimic** — the trained LSTM ([`crate::batch::BatchedMimicFleet`]).
+//! * **Mimic** — the trained LSTM ([`crate::fleet::MimicFleet`]).
 //!   Accurate while live traffic resembles the training distribution.
 //! * **Flow** — a fluid equal-share estimate per boundary packet
 //!   ([`flow_sim::boundary::ShareEstimator`]), optionally sharpened by a
@@ -15,21 +15,21 @@
 //!   alone — which is exactly why it is gated behind an accuracy budget.
 //!
 //! [`AdaptiveFleet`] serves the Mimic and Flow tiers behind one
-//! [`BatchClusterModel`] and lets an
+//! [`ClusterModel`] and lets an
 //! [`AccuracyBudget`](crate::degrade::AccuracyBudget) move clusters
 //! between them at PDES epoch barriers: calm clusters sink to Flow, and
 //! drift (scored by the same [`DriftMonitor`](crate::drift::DriftMonitor)
 //! stream at both tiers) promotes them back to Mimic. Transitions happen
-//! only at window barriers with every pending batch settled, so the tier
+//! only at window barriers, never inside a window, so the tier
 //! schedule — and therefore the whole run — is bit-identical across
 //! partition counts and across checkpoint/restore cuts.
 
-use crate::batch::BatchedMimicFleet;
+use crate::fleet::MimicFleet;
 use crate::degrade::{AccuracyBudget, BudgetLedger};
 use dcn_sim::config::SimConfig;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::{
-    BatchClusterModel, BoundaryDir, BoundaryItem, FidelityTier, TierSwitch, Verdict,
+    BoundaryDir, BoundaryItem, ClusterModel, FidelityTier, TierSwitch, Verdict,
 };
 use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
@@ -139,20 +139,20 @@ pub fn fit_correction_head(cfg: &SimConfig, metrics: &Metrics) -> Option<Correct
     CorrectionHead::fit(&samples)
 }
 
-/// A [`BatchClusterModel`] serving every Mimic'ed cluster at whichever of
+/// A [`ClusterModel`] serving every Mimic'ed cluster at whichever of
 /// the Mimic/Flow tiers its [`BudgetLedger`] currently assigns, with the
-/// inner [`BatchedMimicFleet`] handling Mimic-tier items and a pair of
+/// inner [`MimicFleet`] handling Mimic-tier items and a pair of
 /// [`ShareEstimator`]s per cluster handling Flow-tier items.
 ///
 /// Determinism contract: a cluster's tier is constant within a PDES
-/// window (switches fire only in [`BatchClusterModel::on_epoch`], which
-/// the engine calls at settled barriers), both tiers' verdicts are pure
+/// window (switches fire only in [`ClusterModel::on_epoch`], which the
+/// engine calls between windows), both tiers' verdicts are pure
 /// functions of each lane's item order, and Flow-tier packets still feed
 /// the inner fleet's feature extractors and drift monitors — so drift
 /// scores, and with them the promote/demote schedule, are identical at
 /// any partition count.
 pub struct AdaptiveFleet {
-    inner: BatchedMimicFleet,
+    inner: MimicFleet,
     ledger: BudgetLedger,
     /// Per-served-cluster `[ingress, egress]` estimators, in the inner
     /// fleet's lane order.
@@ -163,11 +163,6 @@ pub struct AdaptiveFleet {
     /// Fixed for the whole run regardless of the tier mix: both tiers
     /// clamp to it, so the PDES window never has to change mid-run.
     floor: SimDuration,
-    // Scratch for routing a flush by tier (steady state allocates
-    // nothing).
-    sub_items: Vec<BoundaryItem>,
-    sub_map: Vec<u32>,
-    sub_verdicts: Vec<Verdict>,
     /// Boundary packets served by each tier (instrumentation).
     pub flow_packets: u64,
     pub mimic_packets: u64,
@@ -179,7 +174,7 @@ impl AdaptiveFleet {
     /// cluster, composition-time packet clusters) stay at
     /// [`FidelityTier::Packet`] in the ledger.
     pub fn new(
-        inner: BatchedMimicFleet,
+        inner: MimicFleet,
         cfg: &SimConfig,
         budget: AccuracyBudget,
         correction: Option<CorrectionHead>,
@@ -209,23 +204,14 @@ impl AdaptiveFleet {
             slot,
             correction,
             floor,
-            sub_items: Vec::new(),
-            sub_map: Vec::new(),
-            sub_verdicts: Vec::new(),
             flow_packets: 0,
             mimic_packets: 0,
         }
     }
 
     /// The wrapped Mimic fleet (tests and instrumentation).
-    pub fn inner(&self) -> &BatchedMimicFleet {
+    pub fn inner(&self) -> &MimicFleet {
         &self.inner
-    }
-
-    /// Force a cluster's tier (CLI/test override); see
-    /// [`BudgetLedger::set_tier`].
-    pub fn force_tier(&mut self, cluster: u32, tier: FidelityTier) -> bool {
-        self.ledger.set_tier(cluster, tier)
     }
 
     /// Clusters currently at `tier`.
@@ -260,34 +246,21 @@ impl AdaptiveFleet {
     }
 }
 
-impl BatchClusterModel for AdaptiveFleet {
+impl ClusterModel for AdaptiveFleet {
     fn clusters(&self) -> &[u32] {
         self.inner.clusters()
     }
 
-    fn infer_batch(&mut self, items: &[BoundaryItem], verdicts: &mut Vec<Verdict>) {
-        verdicts.clear();
-        verdicts.resize(items.len(), Verdict::Drop);
-        self.sub_items.clear();
-        self.sub_map.clear();
-        for (i, item) in items.iter().enumerate() {
-            if self.ledger.tier(item.cluster) == FidelityTier::Flow {
-                // Flow-tier packets still feed the lane's feature
-                // extractor and drift monitor — promotion needs signal.
-                self.inner.observe_boundary(item);
-                verdicts[i] = self.flow_verdict(item);
-                self.flow_packets += 1;
-            } else {
-                self.sub_items.push(item.clone());
-                self.sub_map.push(i as u32);
-                self.mimic_packets += 1;
-            }
-        }
-        if !self.sub_items.is_empty() {
-            self.inner.infer_batch(&self.sub_items, &mut self.sub_verdicts);
-            for (k, &i) in self.sub_map.iter().enumerate() {
-                verdicts[i as usize] = self.sub_verdicts[k];
-            }
+    fn infer(&mut self, item: &BoundaryItem) -> Verdict {
+        if self.ledger.tier(item.cluster) == FidelityTier::Flow {
+            // Flow-tier packets still feed the lane's feature extractor
+            // and drift monitor — promotion needs signal.
+            self.inner.observe_boundary(item);
+            self.flow_packets += 1;
+            self.flow_verdict(item)
+        } else {
+            self.mimic_packets += 1;
+            self.inner.infer(item)
         }
     }
 

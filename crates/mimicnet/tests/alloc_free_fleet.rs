@@ -1,10 +1,9 @@
 //! The Mimic fleet's hot path must not allocate in steady state.
 //!
-//! The fleet's buffers (feature scratch, verdicts, per-flow FIFO maps,
-//! per-lane gate scratch) are all grow-once: after a warmup that reaches
-//! steady-state capacity, driving many more flushes — at the largest batch
-//! size seen — plus feeder wakeups must leave the global allocation count
-//! untouched.
+//! The fleet's buffers (feature scratch, per-flow FIFO maps, per-lane gate
+//! scratch) are all grow-once: after a warmup that reaches steady-state
+//! capacity, many more boundary packets of the same flows plus feeder
+//! wakeups must leave the global allocation count untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,20 +31,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use dcn_sim::mimic::{BatchClusterModel, BoundaryDir, BoundaryItem};
+use dcn_sim::mimic::{BoundaryDir, BoundaryItem, ClusterModel};
 use dcn_sim::packet::{FlowId, Packet};
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::FatTree;
 use mimic_ml::train::TrainConfig;
-use mimicnet::batch::BatchedMimicFleet;
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::drift::FeatureEnvelope;
+use mimicnet::fleet::MimicFleet;
 use mimicnet::internal_model::InternalModel;
 use mimicnet::mimic::TrainedMimic;
 
-/// Build a 64-item flush: 8 recurring flows across 3 clusters, both
-/// directions, enqueue times advancing from `base`.
-fn fill_batch(items: &mut Vec<BoundaryItem>, topo: &FatTree, base: SimTime, round: u64) {
+/// Build one round of 64 crossings: 8 recurring flows across 3 clusters,
+/// both directions, enqueue times advancing from `base`.
+fn fill_round(items: &mut Vec<BoundaryItem>, topo: &FatTree, base: SimTime, round: u64) {
     items.clear();
     let obs = topo.host(0, 0, 0);
     for i in 0..64u64 {
@@ -73,7 +72,7 @@ fn fill_batch(items: &mut Vec<BoundaryItem>, topo: &FatTree, base: SimTime, roun
 }
 
 #[test]
-fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
+fn infer_and_wakes_do_not_allocate_after_warmup() {
     let mut cfg = DataGenConfig::default();
     cfg.sim.duration_s = 0.3;
     cfg.sim.seed = 77;
@@ -98,18 +97,19 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     topo.clusters = 4;
     let t = FatTree::new(topo);
     let seeds: Vec<(u32, u64)> = (1..4).map(|c| (c, 9 ^ (0xC0DE_0000 + c as u64))).collect();
-    let mut fleet = BatchedMimicFleet::new(bundle, topo, 4, &seeds);
+    let mut fleet = MimicFleet::new(bundle, topo, 4, &seeds);
 
     let mut items = Vec::new();
-    let mut verdicts = Vec::new();
     let at = |r: u64| SimTime::from_secs_f64(0.01 + r as f64 * 1e-4);
 
-    // Warm up: verdict buffer, per-flow FIFO maps, drift windows and
-    // feeder queues all reach steady-state capacity.
+    // Warm up: per-flow FIFO maps, drift windows and feeder queues all
+    // reach steady-state capacity.
     let mut now = SimTime::ZERO;
     for round in 0..100u64 {
-        fill_batch(&mut items, &t, at(round), round);
-        fleet.infer_batch(&items, &mut verdicts);
+        fill_round(&mut items, &t, at(round), round);
+        for item in &items {
+            std::hint::black_box(fleet.infer(item));
+        }
         for c in 1..4u32 {
             if let Some(next) = fleet.next_wake(c, now) {
                 now = next;
@@ -120,9 +120,10 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
 
     let before = ALLOCS.load(Ordering::Relaxed);
     for round in 100..400u64 {
-        fill_batch(&mut items, &t, at(round), round);
-        fleet.infer_batch(&items, &mut verdicts);
-        std::hint::black_box(&verdicts);
+        fill_round(&mut items, &t, at(round), round);
+        for item in &items {
+            std::hint::black_box(fleet.infer(item));
+        }
         for c in 1..4u32 {
             if let Some(next) = fleet.next_wake(c, now) {
                 now = next;
@@ -134,7 +135,7 @@ fn batched_infer_and_wakes_do_not_allocate_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "the fleet allocated {} times over 300 flushes",
+        "the fleet allocated {} times over 300 rounds",
         after - before
     );
 }

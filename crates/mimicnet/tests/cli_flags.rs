@@ -73,6 +73,17 @@ fn known_good_invocations_still_succeed_and_orphan_checkpoint_flags_fail() {
     assert_eq!(in_process, json_of(&["--partitions", "1"]), "--partitions 1 changed the estimate");
     assert_eq!(in_process, json_of(&["--partitions", "2"]), "--partitions 2 changed the estimate");
 
+    // A value that does not parse is a usage error, not a panic.
+    for bad in [
+        [&estimate[..], &["--partitions", "two"]].concat(),
+        vec!["train", "--out", "unused.json", "--duration", "fast"],
+    ] {
+        let (code, stderr) = cli(&bad);
+        assert_eq!(code, Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.contains("must be a"), "{bad:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
+    }
+
     // These two only configure `--checkpoint-every`; alone they used to
     // be ignored.
     for orphan in [["--checkpoint-dir", "ckpt"], ["--keep-generations", "3"]] {

@@ -120,8 +120,8 @@ fn hybrid_direction_isolation_mode_runs() {
     cfg.duration_s = 0.3;
     for (ingress, egress) in [(true, false), (false, true)] {
         let mut sim = Simulation::with_transport(cfg, Protocol::NewReno.factory());
-        let fleet = mimicnet::BatchedMimicFleet::new(trained.clone(), cfg.topo, 2, &[(1, 7)]);
-        sim.set_batch_model_dirs(Box::new(fleet), ingress, egress);
+        let fleet = mimicnet::MimicFleet::new(trained.clone(), cfg.topo, 2, &[(1, 7)]);
+        sim.set_cluster_model_dirs(Box::new(fleet), ingress, egress);
         let m = sim.run();
         assert!(
             m.flows_completed() > 0,
