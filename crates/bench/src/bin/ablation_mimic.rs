@@ -9,13 +9,14 @@
 use dcn_sim::cdf::wasserstein1;
 use mimic_ml::train::TrainConfig;
 use mimicnet_bench::{header, pipeline_config, Scale};
-use mimicnet::compose::compose;
+use mimicnet::compose::try_compose;
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::metrics::observed;
 use mimicnet::mimic::{DecisionMode, TrainedMimic};
 use mimicnet::MimicFleet;
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
 fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bool) -> TrainedMimic {
     let td = generate(dg);
@@ -27,7 +28,8 @@ fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bo
             combined.push(f.clone(), *t);
         }
         let disc = td.ingress_disc; // shared latency range approximation
-        let (m, _) = InternalModel::train_new(&combined, disc, hidden, tc).expect("training data");
+        let (m, _) =
+            InternalModel::train_stacked(&combined, disc, hidden, 1, tc).expect("training data");
         TrainedMimic {
             ingress: m.clone(),
             egress: m,
@@ -37,9 +39,11 @@ fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bo
         }
     } else {
         let (ing, _) =
-            InternalModel::train_new(&td.ingress, td.ingress_disc, hidden, tc).expect("training data");
+            InternalModel::train_stacked(&td.ingress, td.ingress_disc, hidden, 1, tc)
+                .expect("training data");
         let (eg, _) =
-            InternalModel::train_new(&td.egress, td.egress_disc, hidden, tc).expect("training data");
+            InternalModel::train_stacked(&td.egress, td.egress_disc, hidden, 1, tc)
+                .expect("training data");
         TrainedMimic {
             ingress: ing,
             egress: eg,
@@ -50,7 +54,7 @@ fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bo
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let n = scale.large();
     header(
@@ -59,7 +63,7 @@ fn main() {
     );
     let cfg = pipeline_config(scale, 42);
     let pipe = Pipeline::new(cfg);
-    let (truth, _, _) = pipe.run_ground_truth(n);
+    let (truth, _, _) = pipe.try_ground_truth(n, None)?;
 
     let mut dg_sim = cfg.base;
     dg_sim.duration_s *= 4.0;
@@ -110,9 +114,9 @@ fn main() {
             wasserstein1(&truth.throughput, &obs.throughput),
         );
     }
-    // Sanity anchor: compose() (the default path) matches the "full" row.
+    // Sanity anchor: try_compose (the default path) matches the "full" row.
     let trained = train_bundle(&base_dg, &cfg.train, cfg.hidden, false);
-    let m = compose(cfg.base, n, cfg.protocol, &trained).run();
+    let m = try_compose(cfg.base, n, cfg.protocol, &trained)?.run();
     let topo = dcn_sim::topology::FatTree::new({
         let mut t = cfg.base.topo;
         t.clusters = n;
@@ -121,7 +125,7 @@ fn main() {
     let obs = observed(&m, &topo, 0);
     println!(
         "{:>26} | {:>11.5} | {:>11.6} | {:>13.0}",
-        "(compose() default)",
+        "(try_compose default)",
         wasserstein1(&truth.fct, &obs.fct),
         wasserstein1(&truth.rtt, &obs.rtt),
         wasserstein1(&truth.throughput, &obs.throughput),
@@ -131,4 +135,5 @@ fn main() {
          (congestion features help tails; per-direction models beat unified;\n\
          sampled drops track realized loss rates better than thresholding)."
     );
+    Ok(())
 }

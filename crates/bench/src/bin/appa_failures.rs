@@ -27,6 +27,7 @@ use dcn_sim::time::SimTime;
 use mimicnet::degrade::DegradationPolicy;
 use mimicnet::pipeline::Pipeline;
 use mimicnet_bench::{header, pipeline_config, Scale};
+use std::error::Error;
 
 /// Excess drift of each Mimic cluster over the healthy baseline.
 fn excess(drift: &[Option<f64>], baseline: &[f64]) -> Vec<f64> {
@@ -37,7 +38,7 @@ fn excess(drift: &[Option<f64>], baseline: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let n = match scale {
         Scale::Quick => 4,
@@ -50,7 +51,7 @@ fn main() {
     let cfg = pipeline_config(scale, 42);
     let duration = cfg.base.duration_s;
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.train(); // trained on a healthy network
+    let trained = pipe.try_train(None)?.0; // trained on a healthy network
 
     // Gray loss across the whole fabric for the middle 80% of the run.
     let plan_at = |loss: f64| {
@@ -64,9 +65,7 @@ fn main() {
     let losses = [0.0, 0.01, 0.05, 0.1];
 
     // Healthy shakedown: per-cluster baseline drift (the scale shift).
-    let probe = pipe
-        .try_estimate(&trained, n, None)
-        .expect("healthy probe runs");
+    let probe = pipe.try_estimate(&trained, n, None)?;
     let baseline: Vec<f64> = probe
         .metrics
         .cluster_drift
@@ -83,12 +82,8 @@ fn main() {
     for loss in losses {
         let plan = plan_at(loss);
         let faults = (loss > 0.0).then_some(&plan);
-        let (truth, tm, _) = pipe
-            .run_ground_truth_with_faults(n, faults)
-            .expect("ground truth runs");
-        let est = pipe
-            .try_estimate(&trained, n, faults)
-            .expect("estimate runs");
+        let (truth, tm, _) = pipe.try_ground_truth(n, faults)?;
+        let est = pipe.try_estimate(&trained, n, faults)?;
         let e = excess(&est.metrics.cluster_drift, &baseline);
         let worst = e.iter().cloned().fold(0.0f64, f64::max);
         let w1 = wasserstein1(&truth.fct, &est.samples.fct);
@@ -155,4 +150,5 @@ fn main() {
          paper's failure-free restriction); fallback recovering at least half\n\
          of the accuracy gap at the highest severity."
     );
+    Ok(())
 }

@@ -16,16 +16,17 @@ use mimicnet::compose::OBSERVABLE;
 use mimicnet::metrics::observed;
 use mimicnet::pipeline::Pipeline;
 use mimicnet::MimicFleet;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Appendix B (Fig. 15)",
         "direction-isolated hybrid clusters: ingress-only vs egress-only vs both",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
-    let (truth, _, _) = pipe.run_ground_truth(2);
+    let trained = pipe.try_train(None)?.0;
+    let (truth, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!(
         "{:>14} | {:>11} | {:>13} | {:>11}",
@@ -55,4 +56,5 @@ fn main() {
         "\nuse: when the combined Mimic misbehaves, the direction whose\n\
          hybrid W1 is worse is the model to retune (Appendix B's purpose)."
     );
+    Ok(())
 }

@@ -37,7 +37,7 @@ fn main() {
         ..TrainConfig::default()
     };
     let (old_model, _) =
-        InternalModel::train_new(&old.egress, old.egress_disc, base_cfg.hidden, &tc_full)
+        InternalModel::train_stacked(&old.egress, old.egress_disc, base_cfg.hidden, 1, &tc_full)
             .expect("training data");
 
     // New workload (heavier).
@@ -45,7 +45,7 @@ fn main() {
     dg_new.sim.traffic.load = 0.9;
     dg_new.sim.seed ^= 0xD1F7;
     let new = generate(&dg_new);
-    let (train_new, test_new) = new.egress.split(0.8);
+    let (new_train, new_test) = new.egress.split(0.8);
 
     let tc_short = TrainConfig {
         epochs: 2,
@@ -58,15 +58,15 @@ fn main() {
     );
 
     // (a) reuse stale.
-    let stale_loss = evaluate(&old_model.model, &test_new, &tc_short);
+    let stale_loss = evaluate(&old_model.model, &new_test, &tc_short);
     println!("{:>26} | {stale_loss:>13.5} | {:>11}", "reuse stale model", "0.00s");
 
     // (b) fine-tune 2 epochs.
     let mut tuned = old_model.clone();
     let t0 = Instant::now();
-    tuned.fine_tune(&train_new, &tc_short).expect("training data");
+    tuned.fine_tune(&new_train, &tc_short).expect("training data");
     let tune_wall = t0.elapsed().as_secs_f64();
-    let tuned_loss = evaluate(&tuned.model, &test_new, &tc_short);
+    let tuned_loss = evaluate(&tuned.model, &new_test, &tc_short);
     println!(
         "{:>26} | {tuned_loss:>13.5} | {tune_wall:>10.2}s",
         "fine-tune (2 epochs)"
@@ -75,10 +75,10 @@ fn main() {
     // (c) scratch, same short budget.
     let t1 = Instant::now();
     let (scratch_short, _) =
-        InternalModel::train_new(&train_new, new.egress_disc, base_cfg.hidden, &tc_short)
+        InternalModel::train_stacked(&new_train, new.egress_disc, base_cfg.hidden, 1, &tc_short)
             .expect("training data");
     let scratch_short_wall = t1.elapsed().as_secs_f64();
-    let scratch_short_loss = evaluate(&scratch_short.model, &test_new, &tc_short);
+    let scratch_short_loss = evaluate(&scratch_short.model, &new_test, &tc_short);
     println!(
         "{:>26} | {scratch_short_loss:>13.5} | {scratch_short_wall:>10.2}s",
         "scratch (2 epochs)"
@@ -87,10 +87,10 @@ fn main() {
     // (d) scratch, full budget.
     let t2 = Instant::now();
     let (scratch_full, _) =
-        InternalModel::train_new(&train_new, new.egress_disc, base_cfg.hidden, &tc_full)
+        InternalModel::train_stacked(&new_train, new.egress_disc, base_cfg.hidden, 1, &tc_full)
             .expect("training data");
     let scratch_full_wall = t2.elapsed().as_secs_f64();
-    let scratch_full_loss = evaluate(&scratch_full.model, &test_new, &tc_short);
+    let scratch_full_loss = evaluate(&scratch_full.model, &new_test, &tc_short);
     println!(
         "{:>26} | {scratch_full_loss:>13.5} | {scratch_full_wall:>10.2}s",
         format!("scratch ({} epochs)", tc_full.epochs)

@@ -12,8 +12,9 @@ use dcn_sim::cdf::wasserstein1;
 use dcn_sim::topology::FatTree;
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 1",
@@ -21,9 +22,9 @@ fn main() {
     );
 
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
     // The small-scale hypothesis: 2-cluster results stand in for any size.
-    let (small, _, _) = pipe.run_ground_truth(2);
+    let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!(
         "{:>9} | {:>13} | {:>13} | {:>13}",
@@ -31,7 +32,7 @@ fn main() {
     );
     let (mut sum_small, mut sum_flow, mut sum_mimic, mut n) = (0.0, 0.0, 0.0, 0);
     for clusters in scale.cluster_sweep() {
-        let (truth, _, _) = pipe.run_ground_truth(clusters);
+        let (truth, _, _) = pipe.try_ground_truth(clusters, None)?;
 
         // Flow-level baseline on the same workload.
         let mut fl_cfg = pipe.cfg.base;
@@ -41,7 +42,7 @@ fn main() {
         let flow_fct =
             fm.fct_samples(|f| topo.cluster_of(f.src) == Some(0) || topo.cluster_of(f.dst) == Some(0));
 
-        let est = pipe.estimate(&trained, clusters);
+        let est = pipe.try_estimate(&trained, clusters, None)?;
 
         let w_small = wasserstein1(&truth.fct, &small.fct);
         let w_flow = wasserstein1(&truth.fct, &flow_fct);
@@ -68,4 +69,5 @@ fn main() {
         "\npaper shape: MimicNet's W1 stays low/flat; baselines grow with size\n\
          (paper reports MimicNet 4.1x more accurate on average)."
     );
+    Ok(())
 }

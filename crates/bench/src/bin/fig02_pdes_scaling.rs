@@ -12,11 +12,12 @@ use dcn_sim::pdes::{run_partitioned, PdesRunOpts};
 use dcn_sim::simulator::Simulation;
 use dcn_transport::Protocol;
 use mimic_ml::train::TrainConfig;
-use mimicnet::compose::{compose, run_composed_partitioned};
+use mimicnet::compose::{try_compose, run_composed_partitioned};
 use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::internal_model::InternalModel;
 use mimicnet::mimic::TrainedMimic;
 use mimicnet_bench::{header, Scale};
+use std::error::Error;
 use std::time::Instant;
 
 /// A small trained bundle, just enough to drive the composed path;
@@ -31,9 +32,9 @@ fn quick_trained() -> TrainedMimic {
         window: 4,
         ..TrainConfig::default()
     };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
         .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
         .expect("valid training setup");
     TrainedMimic {
         ingress: ing,
@@ -44,7 +45,7 @@ fn quick_trained() -> TrainedMimic {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 2",
@@ -82,7 +83,7 @@ fn main() {
         // simulated packet-level, the rest served by the Mimic fleet —
         // sequential and 4-way partitioned.
         let t0 = Instant::now();
-        let seq = compose(cfg, clusters, Protocol::NewReno, &trained).run();
+        let seq = try_compose(cfg, clusters, Protocol::NewReno, &trained)?.run();
         cells.push(cfg.duration_s / t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         let par = run_composed_partitioned(
@@ -92,8 +93,7 @@ fn main() {
             &trained,
             4,
             &PdesRunOpts::default(),
-        )
-        .expect("valid composition");
+        )?;
         cells.push(cfg.duration_s / t0.elapsed().as_secs_f64());
         assert_eq!(
             seq.flows_completed(),
@@ -117,4 +117,5 @@ fn main() {
          throughput advantage over packet-level widens with size because\n\
          only one cluster runs packet-level."
     );
+    Ok(())
 }

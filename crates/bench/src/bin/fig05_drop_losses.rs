@@ -56,7 +56,7 @@ fn main() {
         tc.loss.w_drop = 1.0;
         tc.loss.w_latency = 0.25;
         tc.loss.w_ecn = 0.0;
-        let (model, _) = InternalModel::train_new(&train_set, td.egress_disc, 16, &tc)
+        let (model, _) = InternalModel::train_stacked(&train_set, td.egress_disc, 16, 1, &tc)
             .expect("training data");
         // Generatively sample drops over the held-out set (the paper's
         // realized drop-rate comparison).

@@ -59,7 +59,7 @@ fn main() {
         tc.loss.w_latency = 1.0;
         tc.loss.w_drop = 0.0;
         tc.loss.w_ecn = 0.0;
-        let (model, _) = InternalModel::train_new(&train_set, td.ingress_disc, 16, &tc)
+        let (model, _) = InternalModel::train_stacked(&train_set, td.ingress_disc, 16, 1, &tc)
             .expect("training data");
         let mut state = model.init_state();
         let mut abs_err = 0.0f64;

@@ -11,6 +11,7 @@ use dcn_sim::cdf::wasserstein1;
 use dcn_sim::topology::FatTree;
 use mimicnet_bench::{header, pipeline_config, q, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
 fn print_q(label: &str, xs: &[f64], w1: Option<f64>) {
     let v = q(xs);
@@ -26,7 +27,7 @@ fn print_q(label: &str, xs: &[f64], w1: Option<f64>) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 7",
@@ -34,12 +35,12 @@ fn main() {
     );
 
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
-    let (small, _, _) = pipe.run_ground_truth(2);
+    let trained = pipe.try_train(None)?.0;
+    let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     for clusters in [2u32, scale.large()] {
-        let (truth, _, _) = pipe.run_ground_truth(clusters);
-        let est = pipe.estimate(&trained, clusters);
+        let (truth, _, _) = pipe.try_ground_truth(clusters, None)?;
+        let est = pipe.try_estimate(&trained, clusters, None)?;
         let mut fl_cfg = pipe.cfg.base;
         fl_cfg.topo.clusters = clusters;
         let fm = flow_sim::FlowSim::new(fl_cfg).run();
@@ -94,4 +95,5 @@ fn main() {
         "\npaper shape: MimicNet hugs the truth CDFs at both sizes and keeps\n\
          tail (p99) errors within a few percent; baselines drift with scale."
     );
+    Ok(())
 }

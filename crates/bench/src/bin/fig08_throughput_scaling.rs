@@ -7,22 +7,23 @@
 use dcn_sim::cdf::wasserstein1;
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 8",
         "W1(per-server throughput) to ground truth vs #clusters",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
-    let (small, _, _) = pipe.run_ground_truth(2);
+    let trained = pipe.try_train(None)?.0;
+    let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!("{:>9} | {:>15} | {:>15}", "clusters", "small-scale", "MimicNet");
     let (mut s_sum, mut m_sum, mut n) = (0.0, 0.0, 0);
     for clusters in scale.cluster_sweep() {
-        let (truth, _, _) = pipe.run_ground_truth(clusters);
-        let est = pipe.estimate(&trained, clusters);
+        let (truth, _, _) = pipe.try_ground_truth(clusters, None)?;
+        let est = pipe.try_estimate(&trained, clusters, None)?;
         let w_small = wasserstein1(&truth.throughput, &small.throughput);
         let w_mimic = wasserstein1(&truth.throughput, &est.samples.throughput);
         println!("{clusters:>9} | {w_small:>15.0} | {w_mimic:>15.0}");
@@ -42,4 +43,5 @@ fn main() {
         (1.0 - (m_sum / s_sum)) * 100.0
     );
     println!("\npaper shape: MimicNet's W1 is consistently below the small-scale\nhypothesis (78% lower on average in the paper).");
+    Ok(())
 }

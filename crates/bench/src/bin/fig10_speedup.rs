@@ -9,9 +9,10 @@
 
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 10",
@@ -26,16 +27,16 @@ fn main() {
         let mut cfg = pipeline_config(scale, 42);
         cfg.base.topo.racks_per_cluster = racks;
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
+        let trained = pipe.try_train(None)?.0;
         println!(
             "{:>9} | {:>12} | {:>12} | {:>9} | {:>11}",
             "clusters", "full (s)", "mimic (s)", "speedup", "event ratio"
         );
         for clusters in scale.cluster_sweep() {
             let t0 = Instant::now();
-            let (_, truth_metrics, _) = pipe.run_ground_truth(clusters);
+            let (_, truth_metrics, _) = pipe.try_ground_truth(clusters, None)?;
             let full_wall = t0.elapsed().as_secs_f64();
-            let est = pipe.estimate(&trained, clusters);
+            let est = pipe.try_estimate(&trained, clusters, None)?;
             let mimic_wall = est.wall.as_secs_f64();
             println!(
                 "{clusters:>9} | {full_wall:>12.3} | {mimic_wall:>12.3} | {:>8.1}x | {:>10.1}x",
@@ -50,4 +51,5 @@ fn main() {
          composition's event count is ~T/N + Tp vs the full T), and holds\n\
          across racks-per-cluster."
     );
+    Ok(())
 }

@@ -10,9 +10,10 @@
 
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 11",
@@ -27,16 +28,16 @@ fn main() {
         // Train fresh to time the full train-included strategy.
         let mut pipe = Pipeline::new(pipeline_config(scale, 42));
         let t_train0 = Instant::now();
-        let trained = pipe.train();
+        let trained = pipe.try_train(None)?.0;
         let train_cost = t_train0.elapsed().as_secs_f64();
 
         // (1) single full simulation.
         let t0 = Instant::now();
-        let (_, _m, _) = pipe.run_ground_truth(clusters);
+        let (_, _m, _) = pipe.try_ground_truth(clusters, None)?;
         let single_sim = t0.elapsed().as_secs_f64();
 
         // (3) single MimicNet (reusing the model).
-        let est = pipe.estimate(&trained, clusters);
+        let est = pipe.try_estimate(&trained, clusters, None)?;
         let single_mimic = est.wall.as_secs_f64();
 
         // (2) single MimicNet with training.
@@ -48,12 +49,12 @@ fn main() {
         chunk_cfg.base.duration_s /= cores as f64;
         let chunk_pipe = Pipeline::new(chunk_cfg);
         let t1 = Instant::now();
-        let _ = chunk_pipe.run_ground_truth(clusters);
+        let _ = chunk_pipe.try_ground_truth(clusters, None)?;
         let part_sim = t1.elapsed().as_secs_f64();
 
         // (5) partitioned MimicNet.
         let mut chunk_mimic_pipe = Pipeline::new(chunk_cfg);
-        let est_chunk = chunk_mimic_pipe.estimate(&trained, clusters);
+        let est_chunk = chunk_mimic_pipe.try_estimate(&trained, clusters, None)?;
         let part_mimic = est_chunk.wall.as_secs_f64();
 
         println!(
@@ -65,4 +66,5 @@ fn main() {
          as size grows both mimic strategies drop far below both\n\
          simulation strategies (2-3 orders of magnitude at 128 clusters)."
     );
+    Ok(())
 }

@@ -8,9 +8,10 @@
 
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 12",
@@ -24,15 +25,15 @@ fn main() {
     for clusters in scale.cluster_sweep() {
         let mut pipe = Pipeline::new(pipeline_config(scale, 42));
         let t_train0 = Instant::now();
-        let trained = pipe.train();
+        let trained = pipe.try_train(None)?.0;
         let train_cost = t_train0.elapsed().as_secs_f64();
         let sim_secs = pipe.cfg.base.duration_s;
 
         let t0 = Instant::now();
-        let _ = pipe.run_ground_truth(clusters);
+        let _ = pipe.try_ground_truth(clusters, None)?;
         let single_sim_wall = t0.elapsed().as_secs_f64();
 
-        let est = pipe.estimate(&trained, clusters);
+        let est = pipe.try_estimate(&trained, clusters, None)?;
         let single_mimic_wall = est.wall.as_secs_f64();
 
         let tput_single_sim = sim_secs / single_sim_wall;
@@ -53,4 +54,5 @@ fn main() {
          (observable traffic is constant); full-sim throughput collapses,\n\
          and a single mimic eventually overtakes even N parallel sims."
     );
+    Ok(())
 }

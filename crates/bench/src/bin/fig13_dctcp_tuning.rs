@@ -9,9 +9,10 @@ use dcn_sim::stats::percentile;
 use dcn_transport::Protocol;
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 13",
@@ -40,14 +41,14 @@ fn main() {
         cfg.base.duration_s = scale.duration_s() * 1.5;
         cfg.protocol = Protocol::Dctcp { k };
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
-        let (small, _, _) = pipe.run_ground_truth(2);
+        let trained = pipe.try_train(None)?.0;
+        let (small, _, _) = pipe.try_ground_truth(2, None)?;
         let p_small = percentile(&small.fct, 90.0);
         let t0 = Instant::now();
-        let (truth, _, _) = pipe.run_ground_truth(large);
+        let (truth, _, _) = pipe.try_ground_truth(large, None)?;
         wall_truth += t0.elapsed().as_secs_f64();
         let p_truth = percentile(&truth.fct, 90.0);
-        let est = pipe.estimate(&trained, large);
+        let est = pipe.try_estimate(&trained, large, None)?;
         wall_mimic += est.wall.as_secs_f64();
         let p_mimic = percentile(&est.samples.fct, 90.0);
         println!("{k:>4} | {p_small:>13.4}s | {p_truth:>13.4}s | {p_mimic:>13.4}s");
@@ -75,4 +76,5 @@ fn main() {
          large-scale truth; MimicNet recovers the truth's choice at a\n\
          fraction of the cost (12x in the paper)."
     );
+    Ok(())
 }

@@ -10,8 +10,9 @@ use dcn_sim::cdf::wasserstein1;
 use dcn_transport::Protocol;
 use mimicnet_bench::{header, pipeline_config, q, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let large = scale.large();
     header(
@@ -33,9 +34,9 @@ fn main() {
         let mut cfg = pipeline_config(scale, 11);
         cfg.protocol = p;
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
-        let (truth, _, _) = pipe.run_ground_truth(large);
-        let est = pipe.estimate(&trained, large);
+        let trained = pipe.try_train(None)?.0;
+        let (truth, _, _) = pipe.try_ground_truth(large, None)?;
+        let est = pipe.try_estimate(&trained, large, None)?;
         let tq = q(&truth.fct);
         let mq = q(&est.samples.fct);
         let w1 = wasserstein1(&truth.fct, &est.samples.fct);
@@ -64,4 +65,5 @@ fn main() {
         "\npaper shape: per-protocol CDFs match closely (tails within ~5%),\n\
          and the relative protocol ordering is preserved."
     );
+    Ok(())
 }

@@ -42,7 +42,7 @@ fn main() {
             ..TrainConfig::default()
         };
         let t0 = Instant::now();
-        let (model, report) = InternalModel::train_new(&train_set, td.egress_disc, 16, &tc)
+        let (model, report) = InternalModel::train_stacked(&train_set, td.egress_disc, 16, 1, &tc)
             .expect("training data");
         let train_ms = t0.elapsed().as_secs_f64() * 1e3 / tc.epochs as f64;
         let val = evaluate(&model.model, &val_set, &tc);

@@ -12,8 +12,9 @@ use dcn_sim::stats::percentile;
 use dcn_transport::Protocol;
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let large = scale.large();
     header(
@@ -37,9 +38,9 @@ fn main() {
         let mut cfg = pipeline_config(scale, 11);
         cfg.protocol = p;
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
-        let (truth, _, _) = pipe.run_ground_truth(large);
-        let est = pipe.estimate(&trained, large);
+        let trained = pipe.try_train(None)?.0;
+        let (truth, _, _) = pipe.try_ground_truth(large, None)?;
+        let est = pipe.try_estimate(&trained, large, None)?;
         let t_t90 = percentile(&truth.throughput, 90.0);
         let m_t90 = percentile(&est.samples.throughput, 90.0);
         let t_r90 = percentile(&truth.rtt, 90.0);
@@ -67,4 +68,5 @@ fn main() {
     println!("best->worst p90 RTT, truth:        {:?}", order(rtt_rank_t, false));
     println!("best->worst p90 RTT, mimic:        {:?}", order(rtt_rank_m, false));
     println!("\npaper shape: distributions match per protocol and the protocol\norderings at p90 are preserved by MimicNet.");
+    Ok(())
 }

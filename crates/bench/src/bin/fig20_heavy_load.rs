@@ -8,9 +8,10 @@
 use dcn_sim::cdf::wasserstein1;
 use mimicnet_bench::{header, pipeline_config, q, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let large = scale.large();
     header(
@@ -20,11 +21,11 @@ fn main() {
     let mut cfg = pipeline_config(scale, 23);
     cfg.base.traffic.load = 0.9;
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
     let t0 = Instant::now();
-    let (truth, _, _) = pipe.run_ground_truth(large);
+    let (truth, _, _) = pipe.try_ground_truth(large, None)?;
     let truth_wall = t0.elapsed().as_secs_f64();
-    let est = pipe.estimate(&trained, large);
+    let est = pipe.try_estimate(&trained, large, None)?;
 
     let tq = q(&truth.fct);
     let mq = q(&est.samples.fct);
@@ -44,4 +45,5 @@ fn main() {
         truth_wall / est.wall.as_secs_f64().max(1e-9)
     );
     println!("\npaper shape: low W1 with the CDF shape maintained, and ~10x speedup.");
+    Ok(())
 }

@@ -10,9 +10,10 @@
 
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let n = scale.large();
     header(
@@ -25,7 +26,7 @@ fn main() {
     };
     // Train once (model reuse across lengths, as the paper notes).
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
     println!(
         "{:>9} | {:>12} {:>12} | {:>14} {:>14}",
         "sim secs", "full lat(s)", "mimic lat(s)", "full tput", "mimic tput"
@@ -33,9 +34,9 @@ fn main() {
     for s in lengths {
         pipe.cfg.base.duration_s = s;
         let t0 = Instant::now();
-        let _ = pipe.run_ground_truth(n);
+        let _ = pipe.try_ground_truth(n, None)?;
         let full = t0.elapsed().as_secs_f64();
-        let est = pipe.estimate(&trained, n);
+        let est = pipe.try_estimate(&trained, n, None)?;
         let mimic = est.wall.as_secs_f64();
         println!(
             "{s:>9.2} | {full:>12.3} {mimic:>12.3} | {:>14.4} {:>14.4}",
@@ -48,4 +49,5 @@ fn main() {
          throughput columns stay ~constant per approach, with MimicNet's\n\
          well above the full simulation's."
     );
+    Ok(())
 }

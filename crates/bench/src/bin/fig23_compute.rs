@@ -14,15 +14,16 @@
 use mimic_ml::flops::{inference_step_flops, train_step_flops, SIM_EVENT_FLOPS};
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "Figure 23",
         "compute consumption (GFLOP-equivalents): full sim vs MimicNet (with/without training)",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let (trained, data) = pipe.train_with_data();
+    let (trained, data) = pipe.try_train(None)?;
     let f = trained.feature_cfg.width();
     let h = trained.ingress.model.hidden_dim();
     let window = pipe.cfg.train.window;
@@ -44,9 +45,9 @@ fn main() {
         "clusters", "full sim", "mimic (run)", "mimic (+train)"
     );
     for clusters in scale.cluster_sweep() {
-        let (_, truth_metrics, _) = pipe.run_ground_truth(clusters);
+        let (_, truth_metrics, _) = pipe.try_ground_truth(clusters, None)?;
         let full = truth_metrics.events_processed * SIM_EVENT_FLOPS;
-        let est = pipe.estimate(&trained, clusters);
+        let est = pipe.try_estimate(&trained, clusters, None)?;
         // Composition cost: events + one inference per boundary packet
         // (real + feeder) per mimic.
         let inference_packets: u64 = est.metrics.hops_forwarded; // proxy for boundary crossings
@@ -65,4 +66,5 @@ fn main() {
          more expensive option; as the network grows the full simulation's\n\
          event count explodes and MimicNet wins even including training."
     );
+    Ok(())
 }

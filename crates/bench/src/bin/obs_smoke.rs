@@ -19,6 +19,7 @@
 use dcn_sim::pdes::PdesRunOpts;
 use mimicnet::compose::run_composed_partitioned;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 
 fn check(cond: bool, what: &str) {
     if cond {
@@ -29,7 +30,7 @@ fn check(cond: bool, what: &str) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     mimicnet_bench::header("obs smoke", "traced composed run + snapshot/trace validation");
 
     let mut cfg = PipelineConfig::default();
@@ -42,14 +43,13 @@ fn main() {
     let base = cfg.base;
 
     let mut pipe = Pipeline::new(cfg).with_obs();
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
 
     // Traced composed PDES run; its merged engine report is stitched into
     // the pipeline recorder alongside the training telemetry.
     pipe.obs.begin("pipeline.estimate", "pipeline", None);
     let traced = PdesRunOpts { obs: true, ..PdesRunOpts::default() };
-    let mut metrics = run_composed_partitioned(base, 4, protocol, &trained, 2, &traced)
-        .expect("valid composition");
+    let mut metrics = run_composed_partitioned(base, 4, protocol, &trained, 2, &traced)?;
     pipe.obs.end(None);
     let engine_report = metrics.obs.take().expect("traced run carries a report");
     pipe.obs.merge_report(*engine_report);
@@ -124,4 +124,5 @@ fn main() {
 
     println!("obs smoke passed — trace: {trace_path}, snapshot: {snap_path}");
     println!("  spans: {}, coverage: {:.1}%", report.spans.len(), coverage * 100.0);
+    Ok(())
 }

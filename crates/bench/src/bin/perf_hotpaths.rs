@@ -30,7 +30,9 @@ use mimic_ml::train::{train, TrainConfig};
 use mimicnet_bench::{header, pipeline_config, Scale};
 use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use mimicnet::PipelineError;
 use serde::{Deserialize, Serialize};
+use std::error::Error;
 use std::time::Instant;
 
 const FEATURES: usize = 21; // width of the default feature config
@@ -509,9 +511,9 @@ fn bench_on_packet(iters: usize) -> f64 {
         window: 4,
         ..TrainConfig::default()
     };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, HIDDEN, &tc)
+    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, HIDDEN, 1, &tc)
         .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, HIDDEN, &tc)
+    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, HIDDEN, 1, &tc)
         .expect("valid training setup");
     let bundle = TrainedMimic {
         ingress: ing,
@@ -593,9 +595,9 @@ fn bench_pdes(scale: Scale, cfg: &PipelineConfig, trained: &TrainedMimic) -> Pde
 /// (A/A control), and obs on. The A/A delta bounds what the disabled obs
 /// branches can possibly cost (they are one null check per event dispatch,
 /// far below run-to-run noise); off-vs-on prices actual recording.
-fn bench_obs(repeats: usize) -> ObsNumbers {
+fn bench_obs(repeats: usize) -> Result<ObsNumbers, Box<dyn Error>> {
     use dcn_transport::Protocol;
-    use mimicnet::compose::compose;
+    use mimicnet::compose::try_compose;
 
     const CLUSTERS: u32 = 4;
     let mut base = dcn_sim::config::SimConfig::small_scale();
@@ -608,8 +610,8 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     topo.clusters = CLUSTERS;
     let bundle = untrained_bundle(&topo, HIDDEN);
 
-    let run_once = |trace: bool| -> f64 {
-        let mut sim = compose(base, CLUSTERS, Protocol::NewReno, &bundle);
+    let run_once = |trace: bool| -> Result<f64, PipelineError> {
+        let mut sim = try_compose(base, CLUSTERS, Protocol::NewReno, &bundle)?;
         if trace {
             sim.enable_obs();
         }
@@ -617,15 +619,15 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
         let m = sim.run();
         let s = t0.elapsed().as_secs_f64();
         std::hint::black_box(m.events_processed);
-        s
+        Ok(s)
     };
 
-    run_once(false); // warm caches and the page allocator
+    run_once(false)?; // warm caches and the page allocator
     let (mut off_a, mut off_b, mut on) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..repeats {
-        off_a = off_a.min(run_once(false));
-        off_b = off_b.min(run_once(false));
-        on = on.min(run_once(true));
+        off_a = off_a.min(run_once(false)?);
+        off_b = off_b.min(run_once(false)?);
+        on = on.min(run_once(true)?);
     }
 
     // Flight-recorder + digest cost on the real driver path: the same
@@ -668,7 +670,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
     // overhead at any stride is `digest_ns / stride` per window).
     let digest_ns = {
         use dcn_sim::SimTime;
-        let mut sim = compose(base, CLUSTERS, Protocol::NewReno, &bundle);
+        let mut sim = try_compose(base, CLUSTERS, Protocol::NewReno, &bundle)?;
         sim.enable_digests();
         let _ = sim.run_window(SimTime::from_secs_f64(base.duration_s / 2.0));
         let mut best = f64::INFINITY;
@@ -684,7 +686,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
         best * 1e9
     };
 
-    ObsNumbers {
+    Ok(ObsNumbers {
         off_s: off_a,
         off_repeat_s: off_b,
         on_s: on,
@@ -696,7 +698,7 @@ fn bench_obs(repeats: usize) -> ObsNumbers {
         diag_digest_stride: DIAG_STRIDE,
         digest_ns,
         repeats,
-    }
+    })
 }
 
 /// A learnable synthetic packet trace at the real feature width.
@@ -729,7 +731,8 @@ fn train_dataset(n: usize) -> PacketDataset {
 fn timed_train(data: &PacketDataset, cfg: &TrainConfig) -> (f64, String) {
     let mut model = SeqModel::new(FEATURES, HIDDEN, 42);
     let t0 = Instant::now();
-    let report = train(&mut model, data, cfg).expect("valid training setup");
+    let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
+        .expect("valid training setup");
     let secs = t0.elapsed().as_secs_f64();
     let samples = data.len() * report.epoch_losses.len();
     (samples as f64 / secs.max(1e-9), model.to_json())
@@ -766,24 +769,24 @@ fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfi
 /// direction models over the real generated dataset) serial vs at a
 /// 4-worker budget, where the ingress and egress models train concurrently
 /// on 2-worker shard splits. Both must produce the identical bundle.
-fn bench_training_parallel(scale: Scale) -> TrainingParallelNumbers {
+fn bench_training_parallel(scale: Scale) -> Result<TrainingParallelNumbers, Box<dyn Error>> {
     let mut serial = Pipeline::new(pipeline_config(scale, 42).with_workers(1));
-    let bundle_serial = serial.train();
+    let bundle_serial = serial.try_train(None)?.0;
     let serial_s = serial.timings.training.as_secs_f64();
 
     let mut fan = Pipeline::new(pipeline_config(scale, 42).with_workers(4));
-    let bundle_fan = fan.train();
+    let bundle_fan = fan.try_train(None)?.0;
     let fanout_s = fan.timings.training.as_secs_f64();
 
     let identical = bundle_serial.to_json() == bundle_fan.to_json();
     assert!(identical, "serial and fanned-out pipeline training diverged");
-    TrainingParallelNumbers {
+    Ok(TrainingParallelNumbers {
         serial_training_s: serial_s,
         fanout_4w_training_s: fanout_s,
         speedup: serial_s / fanout_s.max(1e-9),
         bit_identical: identical,
         workers: 4,
-    }
+    })
 }
 
 /// Adaptive fidelity-tier composition at the large composed shape
@@ -795,7 +798,7 @@ fn bench_training_parallel(scale: Scale) -> TrainingParallelNumbers {
 /// clear the all-Mimic rate once most clusters settle at Flow — with the
 /// W1(FCT) distance to the all-Mimic reference recorded alongside so the
 /// speed is priced in fidelity.
-fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
+fn bench_adaptive(scale: Scale) -> Result<AdaptiveNumbers, Box<dyn Error>> {
     use dcn_sim::mimic::FidelityTier;
     use dcn_sim::pdes::{PdesRunOpts, TierPlan};
     use dcn_sim::topology::FatTree;
@@ -814,7 +817,7 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
     cfg.train.window = 4;
     let base = cfg.base;
     let protocol = cfg.protocol;
-    let trained = Pipeline::new(cfg).train();
+    let trained = Pipeline::new(cfg).try_train(None)?.0;
 
     let mut mbase = base;
     mbase.duration_s = match scale {
@@ -867,7 +870,7 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
     let eps = |m: &dcn_sim::instrument::Metrics, s: f64| m.events_processed as f64 / s.max(1e-9);
     let all_mimic_events_per_sec = eps(&m_mimic, mimic_s);
     let adaptive_events_per_sec = eps(&m_adaptive, adaptive_s);
-    AdaptiveNumbers {
+    Ok(AdaptiveNumbers {
         clusters: CLUSTERS as usize,
         duration_s: mbase.duration_s,
         all_mimic_wall_s: mimic_s,
@@ -881,17 +884,19 @@ fn bench_adaptive(scale: Scale) -> AdaptiveNumbers {
         tier_switches: m_adaptive.tier_switches.len(),
         speedup_vs_all_mimic: adaptive_events_per_sec / all_mimic_events_per_sec.max(1e-9),
         beats_all_mimic: adaptive_events_per_sec > all_mimic_events_per_sec,
-    }
+    })
 }
 
 /// The end-to-end pipeline numbers, plus the config and bundle behind them
 /// for [`bench_pdes`].
-fn bench_pipeline(scale: Scale) -> (PipelineNumbers, PipelineConfig, TrainedMimic) {
+fn bench_pipeline(
+    scale: Scale,
+) -> Result<(PipelineNumbers, PipelineConfig, TrainedMimic), Box<dyn Error>> {
     let workers = 4;
     let cfg = pipeline_config(scale, 42).with_workers(workers);
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, scale.large());
+    let trained = pipe.try_train(None)?.0;
+    let est = pipe.try_estimate(&trained, scale.large(), None)?;
     let small = pipe.timings.small_scale_sim.as_secs_f64();
     let training = pipe.timings.training.as_secs_f64();
     let large = est.wall.as_secs_f64();
@@ -902,7 +907,7 @@ fn bench_pipeline(scale: Scale) -> (PipelineNumbers, PipelineConfig, TrainedMimi
         total_s: small + training + large,
         workers,
     };
-    (numbers, cfg, trained)
+    Ok((numbers, cfg, trained))
 }
 
 fn check_baseline(report: &BenchReport) -> Result<(), String> {
@@ -1083,7 +1088,7 @@ fn check_speedup_gates(report: &BenchReport) -> Result<(), String> {
     Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header(
         "perf_hotpaths",
@@ -1117,7 +1122,7 @@ fn main() {
     let obs = bench_obs(match scale {
         Scale::Quick => 10,
         Scale::Full => 20,
-    });
+    })?;
     println!(
         "obs off:         {:>8.4} s (A/A repeat {:.4} s, bound {:.3}%)\nobs on:          {:>8.4} s ({:+.1}%)\npdes bare:       {:>8.4} s\npdes diagnosed:  {:>8.4} s ({:+.2}% — flight ring + digests @ stride {})\none digest:      {:>8.1} µs",
         obs.off_s,
@@ -1143,7 +1148,7 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\n-- pipeline training fan-out (serial vs 4-worker budget) --");
-    let training_parallel = bench_training_parallel(scale);
+    let training_parallel = bench_training_parallel(scale)?;
     if cores < training_parallel.workers {
         println!("note: {cores} core(s) visible — wall-clock speedups below are core-bound");
     }
@@ -1156,7 +1161,7 @@ fn main() {
     );
 
     println!("\n-- adaptive fidelity tiers (64 clusters, default budget) --");
-    let adaptive = bench_adaptive(scale);
+    let adaptive = bench_adaptive(scale)?;
     println!(
         "all-Mimic:  {:>8.2} s  ({:>10.0} events/s)\nall-Flow:   {:>8.2} s  ({:>10.0} events/s, W1 {:.3} rel)\nadaptive:   {:>8.2} s  ({:>10.0} events/s, W1 {:.3} rel, {} switches, {:.2}x vs all-Mimic, beats: {})",
         adaptive.all_mimic_wall_s,
@@ -1173,7 +1178,7 @@ fn main() {
     );
 
     println!("\n-- end-to-end pipeline ({:?}) --", scale);
-    let (pipeline, pipeline_cfg, trained) = bench_pipeline(scale);
+    let (pipeline, pipeline_cfg, trained) = bench_pipeline(scale)?;
     println!(
         "small-scale sim: {:.2}s\ntraining:        {:.2}s (4 workers)\nlarge-scale sim: {:.2}s\ntotal:           {:.2}s",
         pipeline.small_scale_sim_s, pipeline.training_s, pipeline.large_scale_sim_s,
@@ -1220,4 +1225,5 @@ fn main() {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     }
+    Ok(())
 }

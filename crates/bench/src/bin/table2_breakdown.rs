@@ -15,9 +15,10 @@
 
 use mimicnet_bench::{header, pipeline_config, secs, Scale};
 use mimicnet::pipeline::Pipeline;
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     let large = scale.large();
     header(
@@ -25,10 +26,10 @@ fn main() {
         "wall-clock breakdown of the workflow vs full simulation",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, large);
+    let trained = pipe.try_train(None)?.0;
+    let est = pipe.try_estimate(&trained, large, None)?;
     let t0 = Instant::now();
-    let _ = pipe.run_ground_truth(large);
+    let _ = pipe.try_ground_truth(large, None)?;
     let full = t0.elapsed();
 
     println!("target: {large} clusters, {} hosts, {} simulated seconds\n", {
@@ -53,4 +54,5 @@ fn main() {
          the recurring large-scale phase is a small fraction of the full\n\
          simulation (25m vs 1w4d22h at the paper's scale, a 34x total win)."
     );
+    Ok(())
 }

@@ -511,7 +511,8 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let report = train(&mut m, &d, &cfg).expect("valid training setup");
+        let report = train(&mut m, &d, &cfg, &mut dcn_obs::Obs::off(), "train", None)
+            .expect("valid training setup");
         assert!(report.final_loss().expect("epochs ran") < report.epoch_losses[0]);
     }
 }

@@ -186,7 +186,7 @@ impl TrainCheckpoint {
     }
 }
 
-/// Where [`train_checkpointed`] persists, and whether it first resumes.
+/// Where [`train`] persists its checkpoint, and whether it first resumes.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckpointSpec<'a> {
     /// Checkpoint file, rewritten (atomically) after every epoch.
@@ -251,47 +251,20 @@ fn process_shard(
 /// [`MAX_BACKOFFS`] consecutive times before erroring out. On a
 /// non-divergent run this costs one model clone per improving epoch and
 /// changes nothing else.
+///
+/// Telemetry: with `obs` on, one `train.epoch` span per epoch,
+/// `{prefix}.epoch_loss` and `{prefix}.epoch_throughput_sps` series, a
+/// pre-clip gradient-norm histogram (`{prefix}.grad_norm_milli`, in
+/// 1/1000ths so sub-unit norms land in distinct log2 buckets), and
+/// step/backoff counters. With an off recorder every record call is a
+/// no-op behind one branch; numerics are identical either way.
+///
+/// Crash resilience: with `ckpt` given, the complete loop state
+/// (parameters, optimizer moments, RNG stream, best-model rollback state,
+/// loss trajectory) is atomically persisted to `ckpt.path` after every
+/// epoch, and with `ckpt.resume` set a prior checkpoint is picked up and
+/// the remaining epochs replayed bit-identically to an uninterrupted run.
 pub fn train(
-    model: &mut SeqModel,
-    data: &PacketDataset,
-    cfg: &TrainConfig,
-) -> Result<TrainReport, TrainError> {
-    train_observed(model, data, cfg, &mut dcn_obs::Obs::off(), "train")
-}
-
-/// [`train`], recording telemetry into `obs` when it is on: one
-/// `train.epoch` span per epoch, `{prefix}.epoch_loss` and
-/// `{prefix}.epoch_throughput_sps` series, a pre-clip gradient-norm
-/// histogram (`{prefix}.grad_norm_milli`, in 1/1000ths so sub-unit norms
-/// land in distinct log2 buckets), and step/backoff counters. With an off
-/// recorder every record call is a no-op behind one branch, so `train`
-/// simply delegates here.
-pub fn train_observed(
-    model: &mut SeqModel,
-    data: &PacketDataset,
-    cfg: &TrainConfig,
-    obs: &mut dcn_obs::Obs,
-    prefix: &str,
-) -> Result<TrainReport, TrainError> {
-    train_checkpointed_observed(model, data, cfg, obs, prefix, None)
-}
-
-/// [`train`] with crash resilience: the complete loop state (parameters,
-/// optimizer moments, RNG stream, best-model rollback state, loss
-/// trajectory) is atomically persisted to `spec.path` after every epoch,
-/// and with `spec.resume` set a prior checkpoint is picked up and the
-/// remaining epochs replayed bit-identically to an uninterrupted run.
-pub fn train_checkpointed(
-    model: &mut SeqModel,
-    data: &PacketDataset,
-    cfg: &TrainConfig,
-    spec: &CheckpointSpec<'_>,
-) -> Result<TrainReport, TrainError> {
-    train_checkpointed_observed(model, data, cfg, &mut dcn_obs::Obs::off(), "train", Some(spec))
-}
-
-/// [`train_checkpointed`] with telemetry (see [`train_observed`]).
-pub fn train_checkpointed_observed(
     model: &mut SeqModel,
     data: &PacketDataset,
     cfg: &TrainConfig,
@@ -568,6 +541,25 @@ mod tests {
     use super::*;
     use crate::loss::Target;
 
+    /// [`train`] with telemetry and checkpointing off.
+    fn train_plain(
+        model: &mut SeqModel,
+        data: &PacketDataset,
+        cfg: &TrainConfig,
+    ) -> Result<TrainReport, TrainError> {
+        train(model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
+    }
+
+    /// [`train`] checkpointing into `spec`, telemetry off.
+    fn train_resumable(
+        model: &mut SeqModel,
+        data: &PacketDataset,
+        cfg: &TrainConfig,
+        spec: &CheckpointSpec<'_>,
+    ) -> Result<TrainReport, TrainError> {
+        train(model, data, cfg, &mut dcn_obs::Obs::off(), "train", Some(spec))
+    }
+
     /// A synthetic learnable task: latency = 0.8 if feature[0] was high in
     /// the recent past, else 0.2; drop if feature[1] high.
     fn synthetic(n: usize, seed: u64) -> PacketDataset {
@@ -603,7 +595,7 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let report = train(&mut model, &data, &cfg).expect("valid training setup");
+        let report = train_plain(&mut model, &data, &cfg).expect("valid training setup");
         assert_eq!(report.epoch_losses.len(), 5);
         let first = report.epoch_losses[0];
         let last = report.final_loss().expect("epochs ran");
@@ -622,7 +614,7 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        train(&mut model, &data, &cfg).expect("valid training setup");
+        train_plain(&mut model, &data, &cfg).expect("valid training setup");
         // Compare predictions on hot vs cold windows.
         let mut state = model.init_state();
         let mut hot_pred = 0.0;
@@ -650,7 +642,7 @@ mod tests {
         };
         let run = || {
             let mut m = SeqModel::new(2, 6, 11);
-            train(&mut m, &data, &cfg).expect("valid training setup");
+            train_plain(&mut m, &data, &cfg).expect("valid training setup");
             m.to_json()
         };
         assert_eq!(run(), run());
@@ -666,11 +658,11 @@ mod tests {
         };
         // Observation must not change the numerics.
         let mut plain = SeqModel::new(2, 6, 11);
-        let plain_report = train(&mut plain, &data, &cfg).expect("valid training setup");
+        let plain_report = train_plain(&mut plain, &data, &cfg).expect("valid training setup");
         let mut model = SeqModel::new(2, 6, 11);
         let mut obs = dcn_obs::Obs::on();
         let report =
-            train_observed(&mut model, &data, &cfg, &mut obs, "train.test").expect("valid setup");
+            train(&mut model, &data, &cfg, &mut obs, "train.test", None).expect("valid setup");
         assert_eq!(plain.to_json(), model.to_json());
         let snap = obs.take_report().expect("obs was on");
         let losses = &snap.series["train.test.epoch_loss"];
@@ -714,7 +706,7 @@ mod tests {
             .iter()
             .map(|(d, seed)| {
                 let mut m = SeqModel::new(2, 6, *seed);
-                train(&mut m, d, &cfg).expect("valid training setup");
+                train_plain(&mut m, d, &cfg).expect("valid training setup");
                 m.to_json()
             })
             .collect();
@@ -723,7 +715,7 @@ mod tests {
                 let (d, seed) = if j == 0 { (&data_a, 21) } else { (&data_b, 22) };
                 let mut m = SeqModel::new(2, 6, seed);
                 let cfg = TrainConfig { workers: share, ..cfg };
-                train(&mut m, d, &cfg).expect("valid training setup");
+                train_plain(&mut m, d, &cfg).expect("valid training setup");
                 m.to_json()
             });
             assert_eq!(serial, fanned, "fan-out diverged at {workers} workers");
@@ -733,7 +725,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_a_typed_error() {
         let mut model = SeqModel::new(2, 4, 1);
-        let err = train(&mut model, &PacketDataset::default(), &TrainConfig::default())
+        let err = train_plain(&mut model, &PacketDataset::default(), &TrainConfig::default())
             .expect_err("empty dataset must not train");
         assert_eq!(err, TrainError::EmptyDataset);
     }
@@ -742,7 +734,7 @@ mod tests {
     fn width_mismatch_is_a_typed_error() {
         let data = synthetic(50, 1); // 2 features
         let mut model = SeqModel::new(3, 4, 1);
-        let err = train(&mut model, &data, &TrainConfig::default())
+        let err = train_plain(&mut model, &data, &TrainConfig::default())
             .expect_err("width mismatch must not train");
         assert_eq!(err, TrainError::WidthMismatch { data: 2, model: 3 });
     }
@@ -770,7 +762,7 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let err = train(&mut model, &d, &cfg).expect_err("divergent run must error");
+        let err = train_plain(&mut model, &d, &cfg).expect_err("divergent run must error");
         assert_eq!(err, TrainError::NonFiniteLoss { epoch: 0 });
     }
 
@@ -792,7 +784,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut plain = SeqModel::new(2, 6, 11);
-        let plain_report = train(&mut plain, &data, &cfg).expect("valid training setup");
+        let plain_report = train_plain(&mut plain, &data, &cfg).expect("valid training setup");
 
         // "Crash" after 2 epochs, then resume into a FRESH model instance:
         // the checkpoint must carry everything needed to finish the run.
@@ -800,11 +792,11 @@ mod tests {
         let spec = CheckpointSpec { path: &path, resume: true };
         let mut first = SeqModel::new(2, 6, 11);
         let cut = TrainConfig { epochs: 2, ..cfg };
-        train_checkpointed(&mut first, &data, &cut, &spec).expect("valid training setup");
+        train_resumable(&mut first, &data, &cut, &spec).expect("valid training setup");
 
         let mut resumed = SeqModel::new(2, 6, 999); // different init — must be overwritten
         let report =
-            train_checkpointed(&mut resumed, &data, &cfg, &spec).expect("valid training setup");
+            train_resumable(&mut resumed, &data, &cfg, &spec).expect("valid training setup");
         assert_eq!(plain.to_json(), resumed.to_json(), "resume diverged");
         assert_eq!(report.epoch_losses, plain_report.epoch_losses);
         assert_eq!(report.steps, plain_report.steps);
@@ -823,7 +815,7 @@ mod tests {
         let spec = CheckpointSpec { path: &path, resume: false };
         let mut model = SeqModel::new(2, 6, 11);
         let report =
-            train_checkpointed(&mut model, &data, &cfg, &spec).expect("valid training setup");
+            train_resumable(&mut model, &data, &cfg, &spec).expect("valid training setup");
         let ckpt = TrainCheckpoint::read(&path).expect("checkpoint written");
         assert_eq!(ckpt.epoch, 3);
         assert_eq!(ckpt.epoch_losses, report.epoch_losses);
@@ -851,7 +843,7 @@ mod tests {
         std::fs::write(&path, b"{not json").expect("tmp write");
         let spec = CheckpointSpec { path: &path, resume: true };
         let mut model = SeqModel::new(2, 6, 11);
-        let err = train_checkpointed(&mut model, &data, &cfg, &spec)
+        let err = train_resumable(&mut model, &data, &cfg, &spec)
             .expect_err("garbage checkpoint must fail");
         assert!(matches!(err, TrainError::Checkpoint { .. }), "{err}");
 
@@ -864,9 +856,9 @@ mod tests {
                 Target { latency: 0.5, dropped: 0.0, ecn: 0.0 },
             );
         }
-        train_checkpointed(&mut other, &wide, &cfg, &CheckpointSpec { path: &path, resume: false })
+        train_resumable(&mut other, &wide, &cfg, &CheckpointSpec { path: &path, resume: false })
             .expect("valid training setup");
-        let err = train_checkpointed(&mut model, &data, &cfg, &spec)
+        let err = train_resumable(&mut model, &data, &cfg, &spec)
             .expect_err("shape-mismatched checkpoint must fail");
         assert!(matches!(err, TrainError::Checkpoint { .. }), "{err}");
         let _ = std::fs::remove_file(&path);
@@ -883,7 +875,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let before = evaluate(&model, &test_set, &cfg);
-        train(&mut model, &train_set, &cfg).expect("valid training setup");
+        train_plain(&mut model, &train_set, &cfg).expect("valid training setup");
         let after = evaluate(&model, &test_set, &cfg);
         assert!(after.is_finite());
         assert!(after < before, "held-out loss {after} vs initial {before}");

@@ -45,7 +45,8 @@ fn train_with_workers(data: &PacketDataset, workers: usize) -> String {
         ..TrainConfig::default()
     };
     let mut model = SeqModel::new(2, 8, 1234);
-    train(&mut model, data, &cfg).expect("valid training setup");
+    train(&mut model, data, &cfg, &mut dcn_obs::Obs::off(), "train", None)
+        .expect("valid training setup");
     model.to_json()
 }
 

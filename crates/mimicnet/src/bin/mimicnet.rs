@@ -277,7 +277,9 @@ fn resumable_from(
             .or_else(|| resume.clone())
             .unwrap_or_else(|| PathBuf::from("mimicnet-ckpt"));
         let keep = flag(opts, "keep-generations", "a positive integer").unwrap_or(1);
-        CheckpointPlan { dir, every: SimDuration::from_secs_f64(secs), keep }
+        // A negative or NaN interval maps to zero, which the composed run
+        // rejects as a typed error.
+        CheckpointPlan { dir, every: SimDuration::from_secs_f64(secs.max(0.0)), keep }
     });
     Some((partitions.max(1), plan, resume))
 }
@@ -434,12 +436,10 @@ fn cmd_train(opts: HashMap<String, String>) {
     if let Some(dir) = &ckpt_dir {
         eprintln!("checkpointing training state into {} after every epoch", dir.display());
     }
-    let (trained, data) = pipe
-        .try_train_with_data_checkpointed(ckpt_dir.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(1);
-        });
+    let (trained, data) = pipe.try_train(ckpt_dir.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(1);
+    });
     atomic_write(out.as_ref(), trained.to_json().as_bytes()).unwrap_or_else(|e| {
         eprintln!("cannot write {out}: {e}");
         exit(1);
@@ -567,7 +567,10 @@ fn cmd_validate(opts: HashMap<String, String>) {
     }
     eprintln!("running MimicNet and full-fidelity at {n} clusters...");
     let est = estimate_from_flags(&mut pipe, &trained, n, &opts);
-    let (truth, _, truth_wall) = pipe.run_ground_truth(n);
+    let (truth, _, truth_wall) = match pipe.try_ground_truth(n, None) {
+        Ok(truth) => truth,
+        Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
+    };
     let report = mimicnet::metrics::compare(&truth, &est.samples);
     println!("W1(FCT)        = {:.5}", report.w1_fct);
     println!("W1(throughput) = {:.0}", report.w1_throughput);
@@ -710,7 +713,10 @@ fn cmd_tune(opts: HashMap<String, String>) {
         "Bayesian-optimizing {} evaluations over scales {:?}...",
         tcfg.evals, tcfg.scales
     );
-    let result = tune(&cfg, &tcfg);
+    let result = tune(&cfg, &tcfg).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        exit(1);
+    });
     println!("best objective (sum of normalized W1(FCT)): {:.4}", result.best_objective);
     println!(
         "best params: wbce_w={:.3} huber_delta={:.3} lr={:.2e} hidden={} window={}",

@@ -15,6 +15,7 @@ use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::ClusterModel;
 use dcn_sim::pdes::{run_partitioned_opts, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
+use dcn_sim::time::SimDuration;
 use dcn_sim::topology::{FatTree, NodeId};
 use dcn_transport::Protocol;
 use std::sync::Arc;
@@ -38,19 +39,6 @@ pub fn host_cluster(topo: &FatTree, node: NodeId) -> Result<u32, PipelineError> 
 ///
 /// `base` is the *small-scale* configuration used for training — only its
 /// cluster count is changed, per the paper.
-///
-/// # Panics
-/// On an invalid composition; use [`try_compose`] for a typed error.
-pub fn compose(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    trained: &TrainedMimic,
-) -> Simulation {
-    try_compose(base, n_clusters, protocol, trained).expect("valid composition")
-}
-
-/// [`compose`], surfacing invalid input as [`PipelineError`].
 pub fn try_compose(
     base: SimConfig,
     n_clusters: u32,
@@ -67,14 +55,14 @@ pub fn try_compose(
 /// cluster index, so clusters that keep their Mimic behave identically to
 /// the all-Mimic composition. With every non-observable cluster at full
 /// fidelity this is a plain packet-level run.
-pub fn try_compose_partial(
+pub(crate) fn try_compose_partial(
     base: SimConfig,
     n_clusters: u32,
     protocol: Protocol,
     trained: &TrainedMimic,
     full_fidelity: &[u32],
 ) -> Result<Simulation, PipelineError> {
-    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
+    let cfg = composed_config(base, n_clusters, protocol)?;
     if let Some(&c) = full_fidelity.iter().find(|&&c| c >= n_clusters) {
         return Err(PipelineError::InvalidComposition {
             reason: format!(
@@ -82,6 +70,7 @@ pub fn try_compose_partial(
             ),
         });
     }
+    let mut sim = Simulation::with_transport(cfg, protocol.factory());
     if let Some(fleet) = mimic_fleet(&cfg, &Arc::new(trained.clone()), full_fidelity) {
         sim.set_cluster_model(Box::new(fleet));
     }
@@ -93,7 +82,7 @@ pub fn try_compose_partial(
 /// cluster's lanes only advance on the LP that owns the cluster), and the
 /// conservative window shrinks to `min(link latency, latency floor)` so
 /// the fleet's re-injections always land at or beyond the next barrier.
-/// Bit-identical to the sequential [`compose`] run at any partition count,
+/// Bit-identical to the sequential [`try_compose`] run at any partition count,
 /// asserted by the integration suite.
 ///
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
@@ -150,9 +139,9 @@ pub fn run_composed_adaptive(
     })
 }
 
-/// The one composed-run body: validate the scaled config, derive the
-/// conservative window from the bundle's latency floor, and hand every LP
-/// a freshly built fleet.
+/// The one composed-run body: validate the scaled config and the run's
+/// checkpoint and tier cadences, derive the conservative window from the
+/// bundle's latency floor, and hand every LP a freshly built fleet.
 fn run_composed_fleet(
     base: SimConfig,
     n_clusters: u32,
@@ -163,6 +152,13 @@ fn run_composed_fleet(
     make_fleet: &(dyn Fn(&SimConfig) -> Box<dyn ClusterModel> + Sync),
 ) -> Result<Metrics, ComposeRunError> {
     let cfg = composed_config(base, n_clusters, protocol)?;
+    let invalid = |reason: &str| PipelineError::InvalidComposition { reason: reason.into() };
+    if opts.checkpoint.as_ref().is_some_and(|p| p.every == SimDuration::ZERO) {
+        return Err(invalid("the checkpoint interval must be a positive simulated time").into());
+    }
+    if opts.tiers.is_some_and(|p| p.every_windows < 1) {
+        return Err(invalid("tier epochs must span at least one window").into());
+    }
     let window = cfg.link.latency.min(trained.latency_floor());
     run_partitioned_opts(
         cfg,
@@ -194,18 +190,7 @@ pub(crate) fn composed_config(
     Ok(cfg)
 }
 
-/// Shared composition plumbing: the scaled config and the bare engine
-/// every `try_compose*` builder installs its models on.
-fn composed_engine(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-) -> Result<(SimConfig, Simulation), PipelineError> {
-    let cfg = composed_config(base, n_clusters, protocol)?;
-    Ok((cfg, Simulation::with_transport(cfg, protocol.factory())))
-}
-
-/// The homogeneous fleet for `cfg` over every cluster that is neither
+/// The fleet for `cfg` over every cluster that is neither
 /// [`OBSERVABLE`] nor in `full_fidelity`, or `None` when that leaves no
 /// cluster to serve. A cluster's seed depends only on its index.
 fn mimic_fleet(
@@ -226,66 +211,6 @@ fn mimic_fleet(
 /// composition has at least one).
 fn all_mimic_fleet(cfg: &SimConfig, trained: &Arc<TrainedMimic>) -> MimicFleet {
     mimic_fleet(cfg, trained, &[]).expect("a composition has at least two clusters")
-}
-
-/// Heterogeneous composition (paper Appendix A's relaxation: "it may be
-/// possible to relax the symmetry assumption by training distinct models
-/// for different types of clusters, e.g., frontend clusters, Hadoop
-/// clusters, and storage clusters"): each non-observable cluster `c` uses
-/// `bundles[assign(c)]`.
-///
-/// # Panics
-/// On an invalid composition (fewer than 2 clusters, no bundles, or an
-/// out-of-range `assign` index); use [`try_compose_heterogeneous`] for a
-/// typed error.
-pub fn compose_heterogeneous(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    bundles: &[TrainedMimic],
-    assign: impl Fn(u32) -> usize,
-) -> Simulation {
-    try_compose_heterogeneous(base, n_clusters, protocol, bundles, assign)
-        .expect("valid composition")
-}
-
-/// [`compose_heterogeneous`], surfacing invalid input as
-/// [`PipelineError`].
-pub fn try_compose_heterogeneous(
-    base: SimConfig,
-    n_clusters: u32,
-    protocol: Protocol,
-    bundles: &[TrainedMimic],
-    assign: impl Fn(u32) -> usize,
-) -> Result<Simulation, PipelineError> {
-    if bundles.is_empty() {
-        return Err(PipelineError::InvalidComposition {
-            reason: "no trained bundles supplied".into(),
-        });
-    }
-    let (cfg, mut sim) = composed_engine(base, n_clusters, protocol)?;
-    let mut cluster_assign = Vec::with_capacity(n_clusters as usize - 1);
-    for c in (0..n_clusters).filter(|&c| c != OBSERVABLE) {
-        let idx = assign(c);
-        if idx >= bundles.len() {
-            return Err(PipelineError::InvalidComposition {
-                reason: format!(
-                    "assignment for cluster {c} points at bundle {idx}, but only {} exist",
-                    bundles.len()
-                ),
-            });
-        }
-        cluster_assign.push((c, idx, cfg.seed ^ (0x4E7E_0000 + c as u64)));
-    }
-    // One shared copy per distinct bundle, however many clusters use it.
-    let bundles: Vec<Arc<TrainedMimic>> = bundles.iter().cloned().map(Arc::new).collect();
-    sim.set_cluster_model(Box::new(MimicFleet::new_heterogeneous(
-        bundles,
-        cfg.topo,
-        n_clusters,
-        &cluster_assign,
-    )));
-    Ok(sim)
 }
 
 /// Build the ground-truth (full-fidelity) simulation at `n_clusters` with
@@ -314,9 +239,9 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+        let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
             .expect("valid training setup");
-        let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+        let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
             .expect("valid training setup");
         (
             TrainedMimic {
@@ -334,7 +259,7 @@ mod tests {
     fn composed_simulation_completes_flows() {
         let (trained, mut base) = quick_trained();
         base.duration_s = 0.3;
-        let mut sim = compose(base, 4, Protocol::NewReno, &trained);
+        let mut sim = try_compose(base, 4, Protocol::NewReno, &trained).expect("valid composition");
         let m = sim.run();
         assert!(m.flows_completed() > 0, "no flows finished in composition");
         // Only flows touching the observable cluster exist.
@@ -357,7 +282,8 @@ mod tests {
         // argument: T/N + Tp vs T).
         let (trained, mut base) = quick_trained();
         base.duration_s = 0.3;
-        let m_mimic = compose(base, 6, Protocol::NewReno, &trained).run();
+        let m_mimic =
+            try_compose(base, 6, Protocol::NewReno, &trained).expect("valid composition").run();
         let m_truth = ground_truth(base, 6, Protocol::NewReno).run();
         assert!(
             m_mimic.events_processed * 2 < m_truth.events_processed,
@@ -368,66 +294,40 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_composition_runs_with_distinct_models() {
-        let (trained_a, mut base) = quick_trained();
-        // A second, differently-trained bundle (different seed/epochs).
-        let mut cfg_b = DataGenConfig::default();
-        cfg_b.sim.duration_s = 0.3;
-        cfg_b.sim.seed = 56;
-        let td = generate(&cfg_b);
-        let tc = TrainConfig {
-            epochs: 2,
-            window: 4,
-            ..TrainConfig::default()
-        };
-        let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
-            .expect("valid training setup");
-        let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
-            .expect("valid training setup");
-        let trained_b = TrainedMimic {
-            ingress: ing,
-            egress: eg,
-            feature_cfg: td.feature_cfg,
-            feeder: td.feeder,
-            envelope: crate::drift::FeatureEnvelope::fit(&td.ingress.features),
-        };
-        base.duration_s = 0.2;
-        let mut sim = compose_heterogeneous(
-            base,
-            5,
-            Protocol::NewReno,
-            &[trained_a, trained_b],
-            |c| (c % 2) as usize,
-        );
-        let m = sim.run();
-        assert!(m.flows_completed() > 0);
-    }
-
-    #[test]
     fn invalid_compositions_are_typed_errors() {
         let (trained, base) = quick_trained();
         // Too few clusters.
         let err = try_compose(base, 1, Protocol::NewReno, &trained).err().expect("composition should be rejected");
-        assert!(matches!(err, PipelineError::InvalidComposition { .. }));
-        // No bundles.
-        let err =
-            try_compose_heterogeneous(base, 4, Protocol::NewReno, &[], |_| 0).err().expect("composition should be rejected");
-        assert!(matches!(err, PipelineError::InvalidComposition { .. }));
-        // Out-of-range assignment: error, not panic.
-        let err = try_compose_heterogeneous(
-            base,
-            4,
-            Protocol::NewReno,
-            std::slice::from_ref(&trained),
-            |c| c as usize,
-        )
-        .err().expect("composition should be rejected");
         assert!(matches!(err, PipelineError::InvalidComposition { .. }));
         // Invalid base config propagates as a SimError.
         let mut bad = base;
         bad.link.loss_prob = 1.5;
         let err = try_compose(bad, 4, Protocol::NewReno, &trained).err().expect("composition should be rejected");
         assert!(matches!(err, PipelineError::Sim(_)));
+        // A zero checkpoint interval or tier epoch is rejected before the
+        // run starts.
+        let zero_ckpt = PdesRunOpts {
+            checkpoint: Some(dcn_sim::pdes::CheckpointPlan {
+                dir: std::env::temp_dir().join("mimicnet-unused-ckpt"),
+                every: SimDuration::ZERO,
+                keep: 1,
+            }),
+            ..PdesRunOpts::default()
+        };
+        let zero_tiers = TierPlan { every_windows: 0 };
+        let budget = AccuracyBudget::default();
+        for result in [
+            run_composed_partitioned(base, 4, Protocol::NewReno, &trained, 1, &zero_ckpt),
+            run_composed_adaptive(
+                base, 4, Protocol::NewReno, &trained, 1, &budget, &zero_tiers, None,
+                &PdesRunOpts::default(),
+            ),
+        ] {
+            assert!(matches!(
+                result,
+                Err(ComposeRunError::Pipeline(PipelineError::InvalidComposition { .. }))
+            ));
+        }
         // Core switches have no cluster: typed error, not a panic.
         let topo = dcn_sim::topology::FatTree::new(base.topo);
         let core = topo.core(0, 0);
@@ -443,7 +343,8 @@ mod tests {
         // truth exactly (same ids and sizes) — the RNG alignment property.
         let (trained, mut base) = quick_trained();
         base.duration_s = 0.2;
-        let m_mimic = compose(base, 4, Protocol::NewReno, &trained).run();
+        let m_mimic =
+            try_compose(base, 4, Protocol::NewReno, &trained).expect("valid composition").run();
         let m_truth = ground_truth(base, 4, Protocol::NewReno).run();
         let topo = dcn_sim::topology::FatTree::new({
             let mut t = base.topo;

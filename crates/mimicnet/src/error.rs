@@ -9,15 +9,18 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub enum PipelineError {
     /// A host could not be placed in any cluster while composing the
-    /// large simulation — the topology or an assignment is malformed.
+    /// large simulation — the topology is malformed.
     MalformedTopology { node: NodeId, reason: String },
     /// Model training failed (empty trace, diverged, ...).
     Train(TrainError),
     /// The underlying simulator rejected its input.
     Sim(SimError),
     /// A composition parameter is out of range (e.g. fewer than 2
-    /// clusters, or a model assignment pointing past the bundle list).
+    /// clusters, or a checkpoint or tier cadence that is not positive).
     InvalidComposition { reason: String },
+    /// A training or tuning parameter is out of range (e.g. a zero
+    /// window, batch size or layer count, or no tuning evaluations).
+    InvalidConfig { reason: String },
 }
 
 impl fmt::Display for PipelineError {
@@ -31,6 +34,7 @@ impl fmt::Display for PipelineError {
             PipelineError::InvalidComposition { reason } => {
                 write!(f, "invalid composition: {reason}")
             }
+            PipelineError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
 }

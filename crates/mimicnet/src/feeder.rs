@@ -19,8 +19,9 @@ use dcn_sim::rng::SplitMix64;
 use dcn_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Fitted interarrival + size model for one direction.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Fitted interarrival + size model for one direction. The default is the
+/// fit of an empty trace: no traffic, so its feeder never fires.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct DirFit {
     /// Log-normal parameters of interarrival times (seconds).
     pub mu: f64,

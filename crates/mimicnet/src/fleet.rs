@@ -66,14 +66,12 @@ struct Lane {
 }
 
 /// A [`ClusterModel`] serving every Mimic'ed cluster of one composed
-/// simulation. Homogeneous compositions share a single bundle across all
-/// lanes; heterogeneous ones bind each cluster to one of several.
+/// simulation from a single bundle (§7.1 keeps every parameter but the
+/// cluster count constant, so one model describes every Mimic).
 pub struct MimicFleet {
     /// Shared, read-only: the fleets of a partitioned run step one set of
     /// weights instead of a private copy per LP.
-    bundles: Vec<Arc<TrainedMimic>>,
-    /// `assign[i]` = bundle index of `clusters[i]`.
-    assign: Vec<usize>,
+    bundle: Arc<TrainedMimic>,
     clusters: Vec<u32>,
     /// Dense cluster-id → lane-index map (`u32::MAX` = not served).
     slot: Vec<u32>,
@@ -91,103 +89,68 @@ pub struct MimicFleet {
 }
 
 impl MimicFleet {
-    /// Homogeneous fleet: every cluster in `cluster_seeds` runs `bundle`.
-    /// Each entry pairs a cluster index with its Mimic seed, keeping
-    /// feeder and decision streams decorrelated across clusters. Pass an
-    /// `Arc` to share one bundle between the fleets of a partitioned run;
-    /// an owned bundle is wrapped.
+    /// Every cluster in `cluster_seeds` runs `bundle`. Each entry pairs a
+    /// cluster index with its Mimic seed, keeping feeder and decision
+    /// streams decorrelated across clusters. Pass an `Arc` to share one
+    /// bundle between the fleets of a partitioned run; an owned bundle is
+    /// wrapped.
     pub fn new(
         bundle: impl Into<Arc<TrainedMimic>>,
         topo_params: FatTreeParams,
         n_clusters: u32,
         cluster_seeds: &[(u32, u64)],
     ) -> MimicFleet {
-        let with_bundle: Vec<(u32, usize, u64)> =
-            cluster_seeds.iter().map(|&(c, s)| (c, 0, s)).collect();
-        MimicFleet::new_heterogeneous(
-            vec![bundle.into()],
-            topo_params,
-            n_clusters,
-            &with_bundle,
-        )
-    }
-
-    /// Heterogeneous fleet: each `(cluster, bundle_index, seed)` entry
-    /// binds a cluster to one of `bundles`. All bundles must agree on the
-    /// feature width (they describe the same cluster shape).
-    pub fn new_heterogeneous(
-        bundles: Vec<Arc<TrainedMimic>>,
-        topo_params: FatTreeParams,
-        n_clusters: u32,
-        cluster_assign: &[(u32, usize, u64)],
-    ) -> MimicFleet {
-        assert!(!bundles.is_empty(), "fleet needs at least one bundle");
-        assert!(!cluster_assign.is_empty(), "fleet needs at least one cluster");
-        let width = bundles[0].feature_cfg.width();
-        for b in &bundles {
-            assert_eq!(b.feature_cfg.width(), width, "bundles disagree on feature width");
-        }
-
+        let bundle: Arc<TrainedMimic> = bundle.into();
+        assert!(!cluster_seeds.is_empty(), "fleet needs at least one cluster");
         let mut slot = vec![u32::MAX; n_clusters as usize];
-        for (li, &(c, g, _)) in cluster_assign.iter().enumerate() {
+        for (li, &(c, _)) in cluster_seeds.iter().enumerate() {
             assert!(c < n_clusters, "cluster {c} out of range");
-            assert!(g < bundles.len(), "bundle index {g} out of range");
             assert_eq!(slot[c as usize], u32::MAX, "cluster {c} assigned twice");
             slot[c as usize] = li as u32;
         }
+        let fc = bundle.feature_cfg;
         let make_dir = |dir: BoundaryDir| -> Vec<Lane> {
-            cluster_assign
+            let (model, fit, tag) = match dir {
+                BoundaryDir::Ingress => (&bundle.ingress, &bundle.feeder.ingress, 0x1u64),
+                BoundaryDir::Egress => (&bundle.egress, &bundle.feeder.egress, 0x2u64),
+            };
+            cluster_seeds
                 .iter()
-                .map(|&(_, g, seed)| {
-                    let bundle = &bundles[g];
-                    let fc = bundle.feature_cfg;
-                    let (model, fit, tag) = match dir {
-                        BoundaryDir::Ingress => (&bundle.ingress, &bundle.feeder.ingress, 0x1u64),
-                        BoundaryDir::Egress => (&bundle.egress, &bundle.feeder.egress, 0x2u64),
-                    };
-                    Lane {
-                        fx: FeatureExtractor::new(fc),
-                        state: model.init_state(),
-                        feeder: Feeder::new(
-                            fit.clone(),
-                            n_clusters,
-                            fc.racks_per_cluster,
-                            fc.hosts_per_rack,
-                            fc.aggs_per_cluster,
-                            fc.cores,
-                            seed ^ tag,
-                        ),
-                        rng: SplitMix64::derive(seed, 0x4D49_0000 | tag),
-                        last_exit: HashMap::new(),
-                        monitor: match dir {
-                            BoundaryDir::Ingress => bundle.envelope.clone().map(DriftMonitor::new),
-                            BoundaryDir::Egress => None,
-                        },
-                    }
+                .map(|&(_, seed)| Lane {
+                    fx: FeatureExtractor::new(fc),
+                    state: model.init_state(),
+                    feeder: Feeder::new(
+                        fit.clone(),
+                        n_clusters,
+                        fc.racks_per_cluster,
+                        fc.hosts_per_rack,
+                        fc.aggs_per_cluster,
+                        fc.cores,
+                        seed ^ tag,
+                    ),
+                    rng: SplitMix64::derive(seed, 0x4D49_0000 | tag),
+                    last_exit: HashMap::new(),
+                    monitor: match dir {
+                        BoundaryDir::Ingress => bundle.envelope.clone().map(DriftMonitor::new),
+                        BoundaryDir::Egress => None,
+                    },
                 })
                 .collect()
         };
         let ingress = make_dir(BoundaryDir::Ingress);
         let egress = make_dir(BoundaryDir::Egress);
 
-        // Lower bound on any predicted latency, across every bundle.
-        let floor = bundles
-            .iter()
-            .map(|b| b.latency_floor())
-            .min()
-            .expect("at least one bundle");
-
         MimicFleet {
-            assign: cluster_assign.iter().map(|&(_, g, _)| g).collect(),
-            clusters: cluster_assign.iter().map(|&(c, _, _)| c).collect(),
-            bundles,
+            clusters: cluster_seeds.iter().map(|&(c, _)| c).collect(),
             slot,
             topo: FatTree::new(topo_params),
             mode: DecisionMode::Sample,
-            floor,
+            // Lower bound on any predicted latency.
+            floor: bundle.latency_floor(),
             ingress,
             egress,
-            feat_buf: Vec::with_capacity(width),
+            feat_buf: Vec::with_capacity(fc.width()),
+            bundle,
             packets_seen: 0,
             feeder_packets: 0,
         }
@@ -196,19 +159,6 @@ impl MimicFleet {
     /// Switch decision mode (default: [`DecisionMode::Sample`]).
     pub fn with_mode(mut self, mode: DecisionMode) -> MimicFleet {
         self.mode = mode;
-        self
-    }
-
-    /// Override every ingress drift monitor's window size (defaults to 256
-    /// observations per window). No-op for lanes whose bundle carries no
-    /// envelope.
-    pub fn with_drift_window(mut self, window: usize) -> MimicFleet {
-        for (li, lane) in self.ingress.iter_mut().enumerate() {
-            lane.monitor = self.bundles[self.assign[li]]
-                .envelope
-                .clone()
-                .map(|env| DriftMonitor::with_window(env, window));
-        }
         self
     }
 
@@ -276,10 +226,9 @@ impl ClusterModel for MimicFleet {
     fn infer(&mut self, item: &BoundaryItem) -> Verdict {
         self.packets_seen += 1;
         let li = self.lane_of(item);
-        let bundle = &self.bundles[self.assign[li]];
         let (lane, model) = match item.dir {
-            BoundaryDir::Ingress => (&mut self.ingress[li], &bundle.ingress),
-            BoundaryDir::Egress => (&mut self.egress[li], &bundle.egress),
+            BoundaryDir::Ingress => (&mut self.ingress[li], &self.bundle.ingress),
+            BoundaryDir::Egress => (&mut self.egress[li], &self.bundle.egress),
         };
         Self::extract(&self.topo, lane, item, &mut self.feat_buf);
         let pred = model.predict(&self.feat_buf, &mut lane.state);
@@ -339,10 +288,9 @@ impl ClusterModel for MimicFleet {
         // state stay in L1 for its whole drain instead of being evicted by
         // the other's on every packet.
         let li = self.slot[cluster as usize] as usize;
-        let bundle = &self.bundles[self.assign[li]];
         for (lane, model) in [
-            (&mut self.ingress[li], &bundle.ingress),
-            (&mut self.egress[li], &bundle.egress),
+            (&mut self.ingress[li], &self.bundle.ingress),
+            (&mut self.egress[li], &self.bundle.egress),
         ] {
             while let Some(v) = lane.feeder.fire(now) {
                 lane.fx.extract_into(&v, &mut self.feat_buf);
@@ -468,7 +416,7 @@ mod tests {
     /// ingress packet, one egress packet, until neither feeder is due.
     fn on_wake_interleaved(f: &mut MimicFleet, cluster: u32, now: SimTime) {
         let li = f.slot[cluster as usize] as usize;
-        let bundle = Arc::clone(&f.bundles[f.assign[li]]);
+        let bundle = Arc::clone(&f.bundle);
         loop {
             let mut fired = false;
             for (lane, model) in [
@@ -574,8 +522,9 @@ mod tests {
         let (b, mut topo) = crate::mimic::tests::quick_bundle();
         assert!(b.envelope.is_some(), "datagen must fit an envelope");
         topo.clusters = 4;
-        let items = crossings(topo, BoundaryDir::Ingress, 200);
-        let mut f = MimicFleet::new(b.clone(), topo, 4, &[(1, 9)]).with_drift_window(32);
+        // Past the monitor's default 256-observation window.
+        let items = crossings(topo, BoundaryDir::Ingress, 300);
+        let mut f = MimicFleet::new(b.clone(), topo, 4, &[(1, 9)]);
         assert!(f.drift(1).is_none(), "no score before a window completes");
         for i in &items {
             f.infer(i);

@@ -35,17 +35,6 @@ pub struct Prediction {
 }
 
 impl InternalModel {
-    /// Train a fresh single-layer model of `hidden` units on `data`.
-    /// Errors on an empty dataset or a divergent run ([`TrainError`]).
-    pub fn train_new(
-        data: &PacketDataset,
-        disc: Discretizer,
-        hidden: usize,
-        cfg: &TrainConfig,
-    ) -> Result<(InternalModel, TrainReport), TrainError> {
-        Self::train_stacked(data, disc, hidden, 1, cfg)
-    }
-
     /// Train a fresh `layers`-deep stack (the "LSTM layers" tunable of
     /// §7.2). Errors on an empty dataset or a divergent run.
     pub fn train_stacked(
@@ -56,45 +45,7 @@ impl InternalModel {
         cfg: &TrainConfig,
     ) -> Result<(InternalModel, TrainReport), TrainError> {
         let mut model = SeqModel::new_stacked(data.width(), hidden, layers, cfg.seed);
-        let report = train(&mut model, data, cfg)?;
-        Ok((InternalModel { model, disc }, report))
-    }
-
-    /// [`InternalModel::train_stacked`] with telemetry: per-epoch losses,
-    /// throughput, and gradient norms are recorded into `obs` under
-    /// `prefix` (e.g. `train.ingress`). Identical numerics to the
-    /// unobserved path.
-    pub fn train_stacked_observed(
-        data: &PacketDataset,
-        disc: Discretizer,
-        hidden: usize,
-        layers: usize,
-        cfg: &TrainConfig,
-        obs: &mut dcn_obs::Obs,
-        prefix: &str,
-    ) -> Result<(InternalModel, TrainReport), TrainError> {
-        Self::train_stacked_checkpointed(data, disc, hidden, layers, cfg, obs, prefix, None)
-    }
-
-    /// [`InternalModel::train_stacked_observed`] with crash resilience:
-    /// when `ckpt` is given the full training-loop state is persisted to
-    /// `ckpt.path` after every epoch, and an interrupted run picks up from
-    /// it bit-identically (see [`mimic_ml::train::train_checkpointed`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn train_stacked_checkpointed(
-        data: &PacketDataset,
-        disc: Discretizer,
-        hidden: usize,
-        layers: usize,
-        cfg: &TrainConfig,
-        obs: &mut dcn_obs::Obs,
-        prefix: &str,
-        ckpt: Option<&mimic_ml::train::CheckpointSpec<'_>>,
-    ) -> Result<(InternalModel, TrainReport), TrainError> {
-        let mut model = SeqModel::new_stacked(data.width(), hidden, layers, cfg.seed);
-        let report = mimic_ml::train::train_checkpointed_observed(
-            &mut model, data, cfg, obs, prefix, ckpt,
-        )?;
+        let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)?;
         Ok((InternalModel { model, disc }, report))
     }
 
@@ -107,7 +58,7 @@ impl InternalModel {
         data: &PacketDataset,
         cfg: &TrainConfig,
     ) -> Result<TrainReport, TrainError> {
-        train(&mut self.model, data, cfg)
+        train(&mut self.model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
     }
 
     /// Fresh inference state.
@@ -164,8 +115,8 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let (m, report) =
-            InternalModel::train_new(&dataset(), disc, 8, &cfg).expect("valid training setup");
+        let (m, report) = InternalModel::train_stacked(&dataset(), disc, 8, 1, &cfg)
+            .expect("valid training setup");
         assert!(report.final_loss().expect("epochs ran") < report.epoch_losses[0]);
         let mut state = m.init_state();
         let p = m.predict(&[1.0, 0.0], &mut state);
@@ -182,8 +133,8 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let (m, _) =
-            InternalModel::train_new(&dataset(), disc, 12, &cfg).expect("valid training setup");
+        let (m, _) = InternalModel::train_stacked(&dataset(), disc, 12, 1, &cfg)
+            .expect("valid training setup");
         let mut s = m.init_state();
         let mut hot = 0.0;
         for _ in 0..4 {
@@ -205,8 +156,8 @@ mod tests {
             window: 2,
             ..TrainConfig::default()
         };
-        let (m, _) =
-            InternalModel::train_new(&dataset(), disc, 12, &cfg).expect("valid training setup");
+        let (m, _) = InternalModel::train_stacked(&dataset(), disc, 12, 1, &cfg)
+            .expect("valid training setup");
         let mut s = m.init_state();
         let p_lossy = m.predict(&[0.0, 1.0], &mut s).p_drop;
         let mut s = m.init_state();
@@ -225,8 +176,8 @@ mod tests {
             window: 2,
             ..TrainConfig::default()
         };
-        let (m, _) =
-            InternalModel::train_new(&dataset(), disc, 6, &cfg).expect("valid training setup");
+        let (m, _) = InternalModel::train_stacked(&dataset(), disc, 6, 1, &cfg)
+            .expect("valid training setup");
         let json = serde_json::to_string(&m).unwrap();
         let m2: InternalModel = serde_json::from_str(&json).unwrap();
         let mut s1 = m.init_state();

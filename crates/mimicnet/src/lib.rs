@@ -48,9 +48,10 @@
 //!
 //! let cfg = PipelineConfig::default();
 //! let mut pipe = Pipeline::new(cfg);
-//! let trained = pipe.train();                  // small-scale sim + training
-//! let report = pipe.estimate(&trained, 32);    // 32-cluster estimate
+//! let (trained, _data) = pipe.try_train(None)?;        // small-scale sim + training
+//! let report = pipe.try_estimate(&trained, 32, None)?; // 32-cluster estimate
 //! println!("p99 FCT ≈ {:.3}s", report.fct_p99);
+//! # Ok::<(), mimicnet::PipelineError>(())
 //! ```
 
 pub mod compose;

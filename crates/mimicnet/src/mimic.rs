@@ -160,9 +160,9 @@ pub(crate) mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+        let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
             .expect("valid training setup");
-        let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+        let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
             .expect("valid training setup");
         (
             TrainedMimic {

@@ -6,17 +6,17 @@
 //! … are all done at small scale and are, therefore, fast as well."
 
 use crate::compose::{
-    ground_truth, run_composed_adaptive, run_composed_partitioned, try_compose_partial, OBSERVABLE,
+    composed_config, ground_truth, run_composed_adaptive, run_composed_partitioned,
+    try_compose_partial, OBSERVABLE,
 };
-use crate::degrade::AccuracyBudget;
-use crate::tier::CorrectionHead;
 use crate::datagen::{generate, DataGenConfig, TrainingData};
-use crate::degrade::{DegradationPolicy, DegradationReport};
+use crate::degrade::{AccuracyBudget, DegradationPolicy, DegradationReport};
 use crate::drift::FeatureEnvelope;
 use crate::error::{ComposeRunError, PipelineError};
 use crate::internal_model::InternalModel;
-use crate::metrics::{compare, observed, AccuracyReport, ObservedSamples};
+use crate::metrics::{observed, ObservedSamples};
 use crate::mimic::TrainedMimic;
+use crate::tier::CorrectionHead;
 use dcn_sim::config::SimConfig;
 use dcn_sim::fault::FaultPlan;
 use dcn_sim::instrument::Metrics;
@@ -24,7 +24,9 @@ use dcn_sim::pdes::{PdesRunOpts, TierPlan};
 use dcn_sim::stats::percentile;
 use dcn_sim::topology::FatTree;
 use dcn_transport::Protocol;
-use mimic_ml::train::TrainConfig;
+use mimic_ml::model::SeqModel;
+use mimic_ml::train::{train, CheckpointSpec, TrainConfig, TrainError};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole pipeline.
@@ -155,45 +157,37 @@ impl Pipeline {
         }
     }
 
-    /// Phases ❶–❷: small-scale observation and model training.
+    /// Phases ❶–❷: small-scale observation and model training. Returns the
+    /// bundle and the training data it was fit on (loss-function and
+    /// window-size experiments read the latter).
     ///
-    /// # Panics
-    /// If training fails; use [`Pipeline::try_train_with_data`] for a
-    /// typed error.
-    pub fn train(&mut self) -> TrainedMimic {
-        let (trained, _data) = self.train_with_data();
-        trained
-    }
-
-    /// As [`Pipeline::train`], also returning the training data (used by
-    /// loss-function and window-size experiments).
-    ///
-    /// # Panics
-    /// If training fails; use [`Pipeline::try_train_with_data`] for a
-    /// typed error.
-    pub fn train_with_data(&mut self) -> (TrainedMimic, TrainingData) {
-        self.try_train_with_data().expect("pipeline training failed")
-    }
-
-    /// [`Pipeline::train_with_data`], surfacing training failures (empty
-    /// small-scale trace, diverged loss, ...) as [`PipelineError`].
-    pub fn try_train_with_data(&mut self) -> Result<(TrainedMimic, TrainingData), PipelineError> {
-        self.try_train_with_data_checkpointed(None)
-    }
-
-    /// [`Pipeline::try_train_with_data`] with crash resilience: each
-    /// direction model's full training-loop state is persisted into
-    /// `ckpt_dir` (as `train.ingress.ckpt.json` / `train.egress.ckpt.json`)
-    /// after every epoch, and an interrupted run resumes from those files
+    /// The configuration is checked before anything runs; an empty
+    /// small-scale boundary trace, a diverged loss and checkpoint I/O
+    /// failures are typed errors too. With `ckpt_dir`, each direction
+    /// model's full training-loop state is persisted there (as
+    /// `train.ingress.ckpt.json` / `train.egress.ckpt.json`) after every
+    /// epoch, and an interrupted run resumes from those files
     /// bit-identically to a run that was never killed. Data generation is
     /// deterministic in the config, so it is simply replayed.
-    pub fn try_train_with_data_checkpointed(
+    pub fn try_train(
         &mut self,
-        ckpt_dir: Option<&std::path::Path>,
+        ckpt_dir: Option<&Path>,
     ) -> Result<(TrainedMimic, TrainingData), PipelineError> {
+        self.cfg.base.validate()?;
+        for (what, n) in [
+            ("training window", self.cfg.train.window),
+            ("batch size", self.cfg.train.batch_size),
+            ("LSTM layer count", self.cfg.layers),
+        ] {
+            if n < 1 {
+                return Err(PipelineError::InvalidConfig {
+                    reason: format!("{what} must be at least 1, got {n}"),
+                });
+            }
+        }
         if let Some(dir) = ckpt_dir {
             std::fs::create_dir_all(dir).map_err(|e| {
-                PipelineError::Train(mimic_ml::train::TrainError::Checkpoint {
+                PipelineError::Train(TrainError::Checkpoint {
                     message: format!("create {}: {e}", dir.display()),
                 })
             })?;
@@ -213,6 +207,9 @@ impl Pipeline {
         let data = generate(&dg);
         self.obs.end(None);
         self.timings.small_scale_sim = t0.elapsed();
+        if data.ingress.is_empty() || data.egress.is_empty() {
+            return Err(TrainError::EmptyDataset.into());
+        }
 
         let t1 = Instant::now();
         // The two direction models share nothing, so they fan out across
@@ -235,19 +232,11 @@ impl Pipeline {
             obs.set_track(track);
             obs.begin(span, "pipeline", None);
             let ckpt_path = ckpt_dir.map(|d| d.join(format!("{prefix}.ckpt.json")));
-            let spec = ckpt_path
-                .as_deref()
-                .map(|path| mimic_ml::train::CheckpointSpec { path, resume: true });
-            let out = InternalModel::train_stacked_checkpointed(
-                ds,
-                disc,
-                hidden,
-                layers,
-                &TrainConfig { workers: share, ..base_train },
-                &mut obs,
-                prefix,
-                spec.as_ref(),
-            );
+            let spec = ckpt_path.as_deref().map(|path| CheckpointSpec { path, resume: true });
+            let cfg = TrainConfig { workers: share, ..base_train };
+            let mut model = SeqModel::new_stacked(ds.width(), hidden, layers, cfg.seed);
+            let out = train(&mut model, ds, &cfg, &mut obs, prefix, spec.as_ref())
+                .map(|_| InternalModel { model, disc });
             obs.end(None);
             (out, obs.take_report())
         });
@@ -259,8 +248,7 @@ impl Pipeline {
         if let Some(r) = egress_report {
             self.obs.merge_report(r);
         }
-        let (ingress, _) = ingress?;
-        let (egress, _) = egress?;
+        let (ingress, egress) = (ingress?, egress?);
         self.timings.training = t1.elapsed();
 
         Ok((
@@ -275,16 +263,14 @@ impl Pipeline {
         ))
     }
 
-    /// Bundle prep for heterogeneous composition
-    /// ([`crate::compose::try_compose_heterogeneous`]): train
-    /// several independent mimic bundles concurrently through the same
-    /// fixed-order fan-out as the per-direction models. `workers` is the
-    /// total budget; each bundle gets a deterministic share and splits it
-    /// again across its two directions, so results are bit-identical to
-    /// training the bundles one after another at any budget (and
-    /// `workers == 1` *is* that serial loop). Bundles come back in
-    /// `cfgs` order; the first failing bundle's error (in that order)
-    /// wins.
+    /// Train several independent mimic bundles concurrently through the
+    /// same fixed-order fan-out as the per-direction models (e.g. one per
+    /// protocol under study). `workers` is the total budget; each bundle
+    /// gets a deterministic share and splits it again across its two
+    /// directions, so results are bit-identical to training the bundles
+    /// one after another at any budget (and `workers == 1` *is* that
+    /// serial loop). Bundles come back in `cfgs` order; the first failing
+    /// bundle's error (in that order) wins.
     pub fn try_train_bundles(
         cfgs: &[PipelineConfig],
         workers: usize,
@@ -294,15 +280,9 @@ impl Pipeline {
                 train: TrainConfig { workers: share, ..cfgs[j].train },
                 ..cfgs[j]
             });
-            pipe.try_train_with_data().map(|(trained, _)| trained)
+            pipe.try_train(None).map(|(trained, _)| trained)
         });
         results.into_iter().collect()
-    }
-
-    /// Phase ❺: the composed large-scale estimate at `n_clusters`.
-    pub fn estimate(&mut self, trained: &TrainedMimic, n_clusters: u32) -> EstimateReport {
-        self.try_estimate(trained, n_clusters, None)
-            .expect("valid composition")
     }
 
     /// The shared tail of every estimate: `run` the composed simulation
@@ -325,8 +305,9 @@ impl Pipeline {
         Ok(self.report_from(metrics, wall, n_clusters))
     }
 
-    /// [`Pipeline::estimate`] with a typed error and an optional
-    /// [`FaultPlan`] injected into the composed simulation.
+    /// Phase ❺: the composed large-scale estimate at `n_clusters` on the
+    /// in-process engine, with an optional [`FaultPlan`] injected into the
+    /// composed simulation.
     pub fn try_estimate(
         &mut self,
         trained: &TrainedMimic,
@@ -460,20 +441,16 @@ impl Pipeline {
         }
     }
 
-    /// The full-fidelity reference at `n_clusters` (expensive!).
-    pub fn run_ground_truth(&self, n_clusters: u32) -> (ObservedSamples, Metrics, Duration) {
-        self.run_ground_truth_with_faults(n_clusters, None)
-            .expect("valid fault plan")
-    }
-
-    /// [`Pipeline::run_ground_truth`] with an optional [`FaultPlan`]
-    /// injected — the reference for fault-injection experiments.
-    pub fn run_ground_truth_with_faults(
+    /// The full-fidelity reference at `n_clusters` (expensive!), with an
+    /// optional [`FaultPlan`] injected — the reference for accuracy and
+    /// fault-injection experiments.
+    pub fn try_ground_truth(
         &self,
         n_clusters: u32,
         faults: Option<&FaultPlan>,
     ) -> Result<(ObservedSamples, Metrics, Duration), PipelineError> {
         let t0 = Instant::now();
+        composed_config(self.cfg.base, n_clusters, self.cfg.protocol)?;
         let mut sim = ground_truth(self.cfg.base, n_clusters, self.cfg.protocol);
         if let Some(plan) = faults {
             sim.set_fault_plan(plan)?;
@@ -487,22 +464,12 @@ impl Pipeline {
         });
         Ok((observed(&metrics, &topo, OBSERVABLE), metrics, wall))
     }
-
-    /// Convenience: estimate + ground truth + accuracy report at a scale.
-    pub fn validate(
-        &mut self,
-        trained: &TrainedMimic,
-        n_clusters: u32,
-    ) -> (AccuracyReport, Duration, Duration) {
-        let est = self.estimate(trained, n_clusters);
-        let (truth, _, truth_wall) = self.run_ground_truth(n_clusters);
-        (compare(&truth, &est.samples), est.wall, truth_wall)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::compare;
 
     fn quick_cfg() -> PipelineConfig {
         let mut cfg = PipelineConfig::default();
@@ -514,23 +481,46 @@ mod tests {
         cfg
     }
 
+    fn trained(pipe: &mut Pipeline) -> TrainedMimic {
+        pipe.try_train(None).expect("training succeeds").0
+    }
+
     #[test]
     fn full_pipeline_end_to_end() {
         let mut pipe = Pipeline::new(quick_cfg());
-        let trained = pipe.train();
+        let trained = trained(&mut pipe);
         assert!(pipe.timings.small_scale_sim > Duration::ZERO);
         assert!(pipe.timings.training > Duration::ZERO);
-        let report = pipe.estimate(&trained, 4);
+        let report = pipe.try_estimate(&trained, 4, None).expect("estimate runs");
         assert!(!report.samples.fct.is_empty(), "no observable FCTs");
         assert!(report.fct_p99 > 0.0);
         assert!(report.rtt_p99 > 0.0);
     }
 
     #[test]
+    fn invalid_training_input_is_a_typed_error() {
+        let reject = |edit: fn(&mut PipelineConfig)| {
+            let mut cfg = quick_cfg();
+            edit(&mut cfg);
+            Pipeline::new(cfg).try_train(None).err().expect("training should be rejected")
+        };
+        let invalid = |e: &PipelineError| matches!(e, PipelineError::InvalidConfig { .. });
+        assert!(invalid(&reject(|c| c.train.window = 0)));
+        assert!(invalid(&reject(|c| c.train.batch_size = 0)));
+        assert!(invalid(&reject(|c| c.layers = 0)));
+        assert!(matches!(reject(|c| c.base.duration_s = f64::NAN), PipelineError::Sim(_)));
+        // Too short to see a boundary packet: no data, not a panic.
+        assert_eq!(
+            reject(|c| c.base.duration_s = 0.001),
+            PipelineError::Train(TrainError::EmptyDataset)
+        );
+    }
+
+    #[test]
     fn faulty_estimate_carries_drift_and_policy_decision() {
         use dcn_sim::time::SimTime;
         let mut pipe = Pipeline::new(quick_cfg());
-        let trained = pipe.train();
+        let trained = trained(&mut pipe);
         // Sustained heavy gray loss across the fabric for most of the run.
         let plan = FaultPlan::new(9).gray_loss_all(
             SimTime::from_secs_f64(0.05),
@@ -567,16 +557,17 @@ mod tests {
         // the FCT distributions should overlap substantially: W1 must be
         // well under the truth's mean FCT.
         let mut pipe = Pipeline::new(quick_cfg());
-        let trained = pipe.train();
-        let (report, mimic_wall, _truth_wall) = pipe.validate(&trained, 3);
+        let trained = trained(&mut pipe);
+        let est = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
+        let (truth, _, _) = pipe.try_ground_truth(3, None).expect("ground truth runs");
+        let report = compare(&truth, &est.samples);
         assert!(report.w1_fct.is_finite());
-        let (truth, _, _) = pipe.run_ground_truth(3);
         let mean_fct = dcn_sim::stats::mean(&truth.fct);
         assert!(
             report.w1_fct < mean_fct,
             "W1 {} vs mean FCT {mean_fct}: approximation is useless",
             report.w1_fct
         );
-        assert!(mimic_wall > Duration::ZERO);
+        assert!(est.wall > Duration::ZERO);
     }
 }

@@ -4,8 +4,9 @@
 //! cost and fidelity ([`FidelityTier`]):
 //!
 //! * **Packet** — full packet-level simulation, decided at composition
-//!   time ([`crate::compose::try_compose_partial`]'s `full_fidelity`
-//!   list). The ground truth; also the degradation fallback.
+//!   time (the clusters
+//!   [`Pipeline::estimate_with_policy`](crate::pipeline::Pipeline::estimate_with_policy)
+//!   falls back to). The ground truth; also the degradation fallback.
 //! * **Mimic** — the trained LSTM ([`crate::fleet::MimicFleet`]).
 //!   Accurate while live traffic resembles the training distribution.
 //! * **Flow** — a fluid equal-share estimate per boundary packet

@@ -11,6 +11,7 @@
 //! use case: the sum over validation scales of `W1(FCT)` normalized by the
 //! ground truth's mean FCT (normalization makes scales comparable).
 
+use crate::error::PipelineError;
 use crate::metrics::{wasserstein1, ObservedSamples};
 use crate::pipeline::{Pipeline, PipelineConfig};
 use mimic_ml::bayesopt::{BayesOpt, ParamDim, ParamSpace};
@@ -118,8 +119,17 @@ pub fn default_space() -> ParamSpace {
 }
 
 /// Run the tuning loop. Ground truths for each validation scale are
-/// simulated once and cached across evaluations.
-pub fn tune(base_cfg: &PipelineConfig, tcfg: &TuningConfig) -> TuningResult {
+/// simulated once and cached across evaluations. The first trial whose
+/// configuration, training or estimate fails ends the loop with its error.
+pub fn tune(
+    base_cfg: &PipelineConfig,
+    tcfg: &TuningConfig,
+) -> Result<TuningResult, PipelineError> {
+    if tcfg.evals == 0 {
+        return Err(PipelineError::InvalidConfig {
+            reason: "tuning needs at least one evaluation".into(),
+        });
+    }
     // The held-out validation workload: same shape, different seed.
     let mut val_cfg = *base_cfg;
     val_cfg.base.seed = base_cfg.base.seed ^ 0x5EED_5EED;
@@ -127,8 +137,7 @@ pub fn tune(base_cfg: &PipelineConfig, tcfg: &TuningConfig) -> TuningResult {
     // Gather ground truths once.
     let mut truths: HashMap<u32, ObservedSamples> = HashMap::new();
     for &s in &tcfg.scales {
-        let pipe = Pipeline::new(val_cfg);
-        let (truth, _, _) = pipe.run_ground_truth(s);
+        let (truth, _, _) = Pipeline::new(val_cfg).try_ground_truth(s, None)?;
         truths.insert(s, truth);
     }
     let truth_mean_fct: HashMap<u32, f64> = truths
@@ -149,15 +158,15 @@ pub fn tune(base_cfg: &PipelineConfig, tcfg: &TuningConfig) -> TuningResult {
         params.apply(&mut cfg);
         cfg.train.workers = tcfg.workers.max(1);
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
+        let (trained, _) = pipe.try_train(None)?;
         // End-to-end objective across validation scales.
         let mut objective = 0.0;
         for &s in &tcfg.scales {
-            // estimate() already filters to the observable cluster. The
+            // The estimate already filters to the observable cluster. The
             // objective is user-definable (§7.2); the default combines
             // FCT and RTT distribution errors, each normalized by the
             // truth's mean so scales and metrics are commensurate.
-            let est = pipe.estimate(&trained, s);
+            let est = pipe.try_estimate(&trained, s, None)?;
             let w_fct = wasserstein1(&truths[&s].fct, &est.samples.fct);
             let w_fct = if w_fct.is_finite() { w_fct } else { 10.0 * truth_mean_fct[&s] };
             let w_rtt = wasserstein1(&truths[&s].rtt, &est.samples.rtt);
@@ -168,11 +177,11 @@ pub fn tune(base_cfg: &PipelineConfig, tcfg: &TuningConfig) -> TuningResult {
         history.push((params, objective));
     }
     let (best_raw, best_objective) = bo.best().expect("evaluated at least once");
-    TuningResult {
+    Ok(TuningResult {
         best: TunedParams::from_raw(&best_raw),
         best_objective,
         history,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -227,7 +236,7 @@ mod tests {
             seed: 5,
             ..TuningConfig::default()
         };
-        let result = tune(&cfg, &tcfg);
+        let result = tune(&cfg, &tcfg).expect("tuning runs");
         assert_eq!(result.history.len(), 3);
         let first = result.history[0].1;
         assert!(result.best_objective <= first);
@@ -251,7 +260,7 @@ mod tests {
                 seed: 5,
                 workers,
             };
-            results.push(tune(&cfg, &tcfg));
+            results.push(tune(&cfg, &tcfg).expect("tuning runs"));
         }
         let (a, b) = (&results[0], &results[1]);
         assert_eq!(a.history.len(), b.history.len());

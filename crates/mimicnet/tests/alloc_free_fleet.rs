@@ -82,9 +82,9 @@ fn infer_and_wakes_do_not_allocate_after_warmup() {
         window: 4,
         ..TrainConfig::default()
     };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
         .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
         .expect("valid training setup");
     let bundle = TrainedMimic {
         ingress: ing,

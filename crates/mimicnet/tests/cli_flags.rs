@@ -1,7 +1,8 @@
 //! The `mimicnet` binary rejects flags a subcommand does not read — a typo
 //! such as `--partitons 2` must fail loudly instead of silently running
-//! something else — and prints the same estimate whichever engine the
-//! flags put it on.
+//! something else — prints the same estimate whichever engine the flags
+//! put it on, and ends out-of-range input in a one-line error, never a
+//! panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -91,5 +92,54 @@ fn known_good_invocations_still_succeed_and_orphan_checkpoint_flags_fail() {
         assert_eq!(code, Some(2), "{orphan:?} without --checkpoint-every: {stderr}");
         assert!(stderr.contains("--checkpoint-every"), "{stderr}");
     }
+    let _ = std::fs::remove_file(&model);
+}
+
+/// Assert each invocation exits with `code` and no panic backtrace.
+fn assert_clean_exit(cases: &[Vec<&str>], code: i32) {
+    for args in cases {
+        let (got, stderr) = cli(args);
+        assert_eq!(got, Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn out_of_range_training_input_exits_1_without_a_panic() {
+    let out = tmp("never-written.json");
+    let out = out.to_str().expect("utf-8 temp path");
+    let train = |extra: &[&'static str]| [&["train", "--out", out][..], extra].concat();
+    let mut cases: Vec<Vec<&str>> = ["0.02", "0.01", "0.001", "0", "-1", "nan"]
+        .into_iter()
+        .map(|d| train(&["--duration", d]))
+        .collect();
+    cases.push(train(&["--window", "0", "--duration", "0.3"]));
+    cases.push(train(&["--layers", "0", "--duration", "0.3"]));
+    cases.push(vec!["tune", "--duration", "0.001"]);
+    cases.push(vec!["tune", "--evals", "0"]);
+    assert_clean_exit(&cases, 1);
+    assert!(!std::path::Path::new(out).exists(), "a failed train wrote its bundle");
+}
+
+#[test]
+fn zero_checkpoint_or_tier_cadence_exits_2_without_a_panic() {
+    let model = tmp("cadence-model.json");
+    let model_s = model.to_str().expect("utf-8 temp path");
+    let (code, stderr) = cli(&[
+        "train", "--out", model_s, "--duration", "0.3", "--epochs", "1", "--hidden", "8",
+    ]);
+    assert_eq!(code, Some(0), "train failed: {stderr}");
+    let run = |cmd: &'static str, extra: &[&'static str]| {
+        [&[cmd, "--model", model_s, "--clusters", "3", "--duration", "0.2"][..], extra].concat()
+    };
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for cmd in ["estimate", "validate"] {
+        for every in ["0", "-1", "nan"] {
+            cases.push(run(cmd, &["--checkpoint-every", every]));
+        }
+    }
+    cases.push(run("estimate", &["--adaptive", "--tier-every", "0"]));
+    assert_clean_exit(&cases, 2);
     let _ = std::fs::remove_file(&model);
 }

@@ -16,8 +16,9 @@
 use dcn_sim::stats::percentile;
 use dcn_transport::Protocol;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     // Keep the sweep affordable: 4-cluster "large" network, short runs.
     let large_n = 4;
     let ks = [5u32, 10, 20, 40, 60];
@@ -37,16 +38,16 @@ fn main() {
         cfg.hidden = 16;
 
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
+        let trained = pipe.try_train(None)?.0;
 
         // Small-scale answer: the training run's own FCTs.
-        let (small, _, _) = pipe.run_ground_truth(2);
+        let (small, _, _) = pipe.try_ground_truth(2, None)?;
         let p90_small = percentile(&small.fct, 90.0);
 
         // Large-scale ground truth and MimicNet estimate.
-        let (truth, _, _) = pipe.run_ground_truth(large_n);
+        let (truth, _, _) = pipe.try_ground_truth(large_n, None)?;
         let p90_truth = percentile(&truth.fct, 90.0);
-        let est = pipe.estimate(&trained, large_n);
+        let est = pipe.try_estimate(&trained, large_n, None)?;
         let p90_mimic = percentile(&est.samples.fct, 90.0);
 
         println!("{k:>4} | {p90_small:>13.4}s | {p90_truth:>13.4}s | {p90_mimic:>13.4}s");
@@ -60,4 +61,5 @@ fn main() {
     );
     println!("Compare with the K the 2-cluster column would have chosen —");
     println!("the paper's point is that they can differ (its Fig. 13: K=60 vs K=20).");
+    Ok(())
 }

@@ -17,6 +17,7 @@ use dcn_sim::stats::percentile;
 use dcn_transport::Protocol;
 use mimicnet::metrics::compare;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 
 fn run_pattern(pattern: TrafficPattern) -> dcn_sim::instrument::Metrics {
     let mut cfg = SimConfig::with_clusters(4);
@@ -27,7 +28,7 @@ fn run_pattern(pattern: TrafficPattern) -> dcn_sim::instrument::Metrics {
     Simulation::with_transport(cfg, Protocol::NewReno.factory()).run()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     println!("== Fan-in stress: uniform vs incast destinations ==\n");
     for (name, pattern) in [
         ("uniform", TrafficPattern::Uniform),
@@ -49,9 +50,9 @@ fn main() {
     cfg.base.traffic.load = 0.6;
     cfg.base.traffic.pattern = TrafficPattern::Incast { sinks: 1 };
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, 4);
-    let (truth, _, _) = pipe.run_ground_truth(4);
+    let trained = pipe.try_train(None)?.0;
+    let est = pipe.try_estimate(&trained, 4, None)?;
+    let (truth, _, _) = pipe.try_ground_truth(4, None)?;
     let r = compare(&truth, &est.samples);
     println!("W1(FCT) = {:.4} (truth mean FCT {:.4})", r.w1_fct, dcn_sim::stats::mean(&truth.fct));
     println!(
@@ -59,4 +60,5 @@ fn main() {
         r.fct_p99_truth, r.fct_p99_approx
     );
     println!("\n(the fan-in assumption is why MimicNet focuses its modeling on\nthe destination-side of clusters — §4.2)");
+    Ok(())
 }

@@ -15,9 +15,10 @@ use dcn_sim::pdes::run_partitioned;
 use dcn_sim::simulator::Simulation;
 use dcn_transport::Protocol;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     println!("== PDES scaling (paper Fig. 2, scaled) ==");
     println!(
         "{:>9} | {:>14} | {:>14} | {:>14}",
@@ -52,11 +53,11 @@ fn main() {
     pcfg.train.epochs = 1;
     pcfg.hidden = 8;
     let mut pipe = Pipeline::new(pcfg);
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
     println!("{:>9} | {:>14} | {:>14} | {:>8}", "clusters", "truth events", "mimic events", "ratio");
     for n in [2u32, 4, 8] {
-        let (_, truth, _) = pipe.run_ground_truth(n);
-        let est = pipe.estimate(&trained, n);
+        let (_, truth, _) = pipe.try_ground_truth(n, None)?;
+        let est = pipe.try_estimate(&trained, n, None)?;
         println!(
             "{n:>9} | {:>14} | {:>14} | {:>7.1}x",
             truth.events_processed,
@@ -64,4 +65,5 @@ fn main() {
             truth.events_processed as f64 / est.metrics.events_processed.max(1) as f64
         );
     }
+    Ok(())
 }

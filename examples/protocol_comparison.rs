@@ -12,8 +12,9 @@
 use dcn_sim::stats::percentile;
 use dcn_transport::Protocol;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     let protocols = [
         Protocol::Homa,
         Protocol::Dctcp { k: 20 },
@@ -41,9 +42,9 @@ fn main() {
         cfg.hidden = 16;
 
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.train();
-        let (truth, _, _) = pipe.run_ground_truth(n);
-        let est = pipe.estimate(&trained, n);
+        let trained = pipe.try_train(None)?.0;
+        let (truth, _, _) = pipe.try_ground_truth(n, None)?;
+        let est = pipe.try_estimate(&trained, n, None)?;
 
         let t50 = percentile(&truth.fct, 50.0);
         let t90 = percentile(&truth.fct, 90.0);
@@ -68,4 +69,5 @@ fn main() {
     println!("\np90-FCT ranking, ground truth: {:?}", order(rank_truth));
     println!("p90-FCT ranking, MimicNet:     {:?}", order(rank_mimic));
     println!("(the paper's claim: MimicNet preserves the ranking and ballpark values)");
+    Ok(())
 }

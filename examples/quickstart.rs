@@ -10,8 +10,9 @@
 
 use mimicnet::metrics::compare;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
+use std::error::Error;
 
-fn main() {
+fn main() -> Result<(), Box<dyn Error>> {
     // 1. Configure: a scaled-down version of the paper's setup (see
     //    DESIGN.md §1 for the substitution table). Everything below is
     //    deterministic in the seed.
@@ -31,7 +32,7 @@ fn main() {
 
     // 2. Phases 1-2: observe small, train models.
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.train();
+    let trained = pipe.try_train(None)?.0;
     println!(
         "trained ingress+egress LSTMs ({} params each) in {:?} (+{:?} sim)",
         trained.ingress.model.param_count(),
@@ -41,7 +42,7 @@ fn main() {
 
     // 3. Phase 5: estimate a larger data center.
     let n = 8;
-    let est = pipe.estimate(&trained, n);
+    let est = pipe.try_estimate(&trained, n, None)?;
     println!("\n-- {n}-cluster estimate ({:?} wall) --", est.wall);
     println!("observable flows completed: {}", est.samples.fct.len());
     println!("p99 FCT        ~ {:.4} s", est.fct_p99);
@@ -49,7 +50,7 @@ fn main() {
     println!("p99 RTT        ~ {:.4} s", est.rtt_p99);
 
     // 4. Sanity-check against ground truth (possible at this small scale).
-    let (truth, truth_metrics, truth_wall) = pipe.run_ground_truth(n);
+    let (truth, truth_metrics, truth_wall) = pipe.try_ground_truth(n, None)?;
     let report = compare(&truth, &est.samples);
     println!("\n-- vs ground truth ({truth_wall:?} wall) --");
     println!("W1(FCT)        = {:.4}", report.w1_fct);
@@ -71,4 +72,5 @@ fn main() {
         "drops: truth queues {} | mimic run: queues {} + model-predicted {}",
         truth_metrics.queue_drops, est.metrics.queue_drops, est.metrics.mimic_drops
     );
+    Ok(())
 }

@@ -21,11 +21,12 @@ fn quick_cfg(seed: u64) -> PipelineConfig {
 
 #[test]
 fn direction_fanout_matches_serial_training() {
-    let serial = Pipeline::new(quick_cfg(91)).train().to_json();
+    let serial =
+        Pipeline::new(quick_cfg(91)).try_train(None).expect("training succeeds").0.to_json();
     for workers in [2usize, 4, 8] {
         let mut cfg = quick_cfg(91);
         cfg.train.workers = workers;
-        let parallel = Pipeline::new(cfg).train().to_json();
+        let parallel = Pipeline::new(cfg).try_train(None).expect("training succeeds").0.to_json();
         assert_eq!(serial, parallel, "direction fan-out diverged at {workers} workers");
     }
 }

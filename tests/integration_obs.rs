@@ -24,9 +24,9 @@ fn quick_trained() -> (TrainedMimic, SimConfig) {
         window: 4,
         ..mimic_ml::train::TrainConfig::default()
     };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
         .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
         .expect("valid training setup");
     (
         TrainedMimic {
@@ -95,8 +95,8 @@ fn pipeline_obs_stitches_training_and_estimation_into_one_snapshot() {
     cfg.train.window = 4;
 
     let mut pipe = Pipeline::new(cfg).with_obs();
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, 3);
+    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let est = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
     assert!(est.fct_p99 > 0.0);
     assert!(
         est.metrics.obs.is_none(),

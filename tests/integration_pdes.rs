@@ -110,9 +110,9 @@ fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
         window: 4,
         ..mimic_ml::train::TrainConfig::default()
     };
-    let (ing, _) = InternalModel::train_new(&td.ingress, td.ingress_disc, 8, &tc)
+    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
         .expect("valid training setup");
-    let (eg, _) = InternalModel::train_new(&td.egress, td.egress_disc, 8, &tc)
+    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
         .expect("valid training setup");
     (
         mimicnet::mimic::TrainedMimic {
@@ -129,13 +129,13 @@ fn quick_trained() -> (mimicnet::mimic::TrainedMimic, SimConfig) {
 #[test]
 fn composed_batched_pdes_matches_sequential() {
     use dcn_sim::pdes::PdesRunOpts;
-    use mimicnet::compose::{compose, run_composed_partitioned};
+    use mimicnet::compose::{run_composed_partitioned, try_compose};
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.25;
     base.seed = 31;
     let p = Protocol::NewReno;
-    let seq = compose(base, 4, p, &trained).run();
+    let seq = try_compose(base, 4, p, &trained).expect("valid composition").run();
     assert!(seq.flows_completed() > 0, "composition made no progress");
     for parts in [1usize, 2, 4] {
         let par = run_composed_partitioned(base, 4, p, &trained, parts, &PdesRunOpts::default())
@@ -151,13 +151,13 @@ fn composed_batched_pdes_matches_sequential() {
 #[test]
 fn composed_batched_pdes_larger_network() {
     use dcn_sim::pdes::PdesRunOpts;
-    use mimicnet::compose::{compose, run_composed_partitioned};
+    use mimicnet::compose::{run_composed_partitioned, try_compose};
 
     let (trained, mut base) = quick_trained();
     base.duration_s = 0.2;
     base.seed = 7;
     let p = Protocol::NewReno;
-    let seq = compose(base, 8, p, &trained).run();
+    let seq = try_compose(base, 8, p, &trained).expect("valid composition").run();
     let par = run_composed_partitioned(base, 8, p, &trained, 4, &PdesRunOpts::default())
         .expect("valid composition");
     assert_identical(&seq, &par, "composed batched 8 clusters x4");

@@ -23,10 +23,11 @@ fn quick_cfg() -> PipelineConfig {
 #[test]
 fn trained_mimic_estimates_are_usable_at_scale() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     // Validate at 4 clusters: compare against the ground truth.
-    let (report, _mw, _tw) = pipe.validate(&trained, 4);
-    let (truth, _, _) = pipe.run_ground_truth(4);
+    let est = pipe.try_estimate(&trained, 4, None).expect("estimate runs");
+    let (truth, _, _) = pipe.try_ground_truth(4, None).expect("ground truth runs");
+    let report = compare(&truth, &est.samples);
     let mean_fct = mean(&truth.fct);
     assert!(report.w1_fct.is_finite());
     assert!(
@@ -45,12 +46,12 @@ fn mimicnet_beats_small_scale_extrapolation() {
     // The paper's Figure 1 comparison: using 2-cluster results as a stand-
     // in for a larger network is worse than MimicNet's composition.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let n = 4;
-    let (truth, _, _) = pipe.run_ground_truth(n);
-    let est = pipe.estimate(&trained, n);
+    let (truth, _, _) = pipe.try_ground_truth(n, None).expect("ground truth runs");
+    let est = pipe.try_estimate(&trained, n, None).expect("estimate runs");
     // Small-scale "prediction": the 2-cluster ground truth (training run).
-    let (small, _, _) = pipe.run_ground_truth(2);
+    let (small, _, _) = pipe.try_ground_truth(2, None).expect("ground truth runs");
     let w1_mimic = wasserstein1(&truth.fct, &est.samples.fct);
     let w1_small = wasserstein1(&truth.fct, &small.fct);
     // MimicNet should not be (much) worse than the small-scale hypothesis;
@@ -64,10 +65,10 @@ fn mimicnet_beats_small_scale_extrapolation() {
 #[test]
 fn mimicnet_is_cheaper_than_ground_truth_in_events() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let n = 6;
-    let est = pipe.estimate(&trained, n);
-    let (_, truth_metrics, _) = pipe.run_ground_truth(n);
+    let est = pipe.try_estimate(&trained, n, None).expect("estimate runs");
+    let (_, truth_metrics, _) = pipe.try_ground_truth(n, None).expect("ground truth runs");
     assert!(
         est.metrics.events_processed * 2 < truth_metrics.events_processed,
         "composition {} vs truth {} events",
@@ -81,9 +82,9 @@ fn per_flow_mse_gate_applies() {
     // The observable workload matches by construction, so the completed-
     // flow overlap should pass the 80% gate and give a finite MSE.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, 3);
-    let (_, truth_metrics, _) = pipe.run_ground_truth(3);
+    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let est = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
+    let (_, truth_metrics, _) = pipe.try_ground_truth(3, None).expect("ground truth runs");
     // Filter both to observable flows before intersecting: mimic runs
     // only have observable flows anyway.
     match fct_mse_intersection(&truth_metrics, &est.metrics, 0.2) {
@@ -95,12 +96,12 @@ fn per_flow_mse_gate_applies() {
 #[test]
 fn bundle_survives_serialization_roundtrip() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let json = trained.to_json();
     let back = mimicnet::mimic::TrainedMimic::from_json(&json).unwrap();
     // Composing with the deserialized bundle reproduces the identical run.
-    let a = pipe.estimate(&trained, 3);
-    let b = pipe.estimate(&back, 3);
+    let a = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
+    let b = pipe.try_estimate(&back, 3, None).expect("estimate runs");
     assert_eq!(
         a.metrics.total_delivered_bytes(),
         b.metrics.total_delivered_bytes()
@@ -114,7 +115,7 @@ fn hybrid_direction_isolation_mode_runs() {
     // debugging one direction at a time.
     use dcn_sim::simulator::Simulation;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let mut cfg = quick_cfg().base;
     cfg.topo.clusters = 2;
     cfg.duration_s = 0.3;
@@ -136,8 +137,8 @@ fn observed_filtering_matches_compose_invariant() {
     // All flows in a composition touch the observable cluster, so the
     // unfiltered and filtered FCT sample sets coincide.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
-    let est = pipe.estimate(&trained, 4);
+    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let est = pipe.try_estimate(&trained, 4, None).expect("estimate runs");
     let topo = dcn_sim::topology::FatTree::new({
         let mut t = quick_cfg().base.topo;
         t.clusters = 4;
@@ -156,7 +157,7 @@ fn fault_plan_rides_the_fleet_deterministically() {
     use dcn_sim::fault::FaultPlan;
     use dcn_sim::time::SimTime;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let plan = FaultPlan::new(9).gray_loss_all(
         SimTime::from_secs_f64(0.05),
         SimTime::from_secs_f64(0.5),
@@ -180,7 +181,7 @@ fn falling_back_on_every_cluster_is_a_packet_level_run() {
     // the ground-truth run, not a panic on an empty fleet.
     use mimicnet::degrade::DegradationPolicy;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.train();
+    let trained = pipe.try_train(None).expect("training succeeds").0;
     let policy = DegradationPolicy { global_fallback_above: 0.0, ..DegradationPolicy::default() };
     let report = pipe
         .estimate_with_policy(&trained, 4, None, &policy)
@@ -188,6 +189,6 @@ fn falling_back_on_every_cluster_is_a_packet_level_run() {
     let deg = report.degradation.as_ref().expect("policy evaluated");
     assert_eq!(deg.fallback_clusters(), vec![0, 1, 2, 3], "every cluster falls back");
     assert_eq!(report.metrics.mimic_drops, 0);
-    let (_, truth, _) = pipe.run_ground_truth(4);
+    let (_, truth, _) = pipe.try_ground_truth(4, None).expect("ground truth runs");
     assert_eq!(report.metrics.canonical_bytes(), truth.canonical_bytes());
 }

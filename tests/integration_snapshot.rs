@@ -33,7 +33,7 @@ fn quick_cfg() -> PipelineConfig {
 /// expensive part and its output is deterministic in the config).
 fn trained() -> &'static TrainedMimic {
     static TRAINED: OnceLock<TrainedMimic> = OnceLock::new();
-    TRAINED.get_or_init(|| Pipeline::new(quick_cfg()).train())
+    TRAINED.get_or_init(|| Pipeline::new(quick_cfg()).try_train(None).expect("training succeeds").0)
 }
 
 fn ckpt_dir(tag: &str) -> PathBuf {
