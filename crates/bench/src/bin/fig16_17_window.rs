@@ -51,6 +51,7 @@ fn main() {
         // carries hidden state, which is O(1) in the window — we measure
         // the windowed form here to reproduce the figure's shape).
         let n = val_set.len().min(1000).max(w);
+        let mut ws = mimic_ml::model::WindowWorkspace::default();
         let t1 = Instant::now();
         for i in 0..n {
             let xs: Vec<mimic_ml::Matrix> = (0..w)
@@ -59,7 +60,7 @@ fn main() {
                     mimic_ml::Matrix::from_rows(&[val_set.features[idx].clone()])
                 })
                 .collect();
-            let _ = model.model.forward_window(&xs);
+            let _ = model.model.forward_window(&xs, 0..1, &mut ws);
         }
         let infer_us = t1.elapsed().as_secs_f64() * 1e6 / n as f64;
         println!(
