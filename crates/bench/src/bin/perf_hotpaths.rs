@@ -9,9 +9,9 @@
 //!    strided-head step, reimplemented here verbatim), (b) the optimized
 //!    allocation-free step, and (c) the Mimic fleet's full per-item shim
 //!    path.
-//! 2. **Training samples/sec** — the mini-batch loop at 1 worker and at 4
-//!    workers (bit-identical parameters by construction; verified here at
-//!    runtime).
+//! 2. **Training samples/sec** — the single-threaded mini-batch loop,
+//!    plus the pipeline's training phase serial vs on a 4-thread job
+//!    queue (bit-identical bundles; verified here at runtime).
 //! 3. **End-to-end pipeline seconds** — small-scale sim + training + one
 //!    large-scale estimate.
 //!
@@ -93,9 +93,6 @@ struct InferenceNumbers {
 #[derive(Serialize, Deserialize)]
 struct TrainingNumbers {
     blocked_1w_samples_per_sec: f64,
-    blocked_4w_samples_per_sec: f64,
-    /// Runtime check: serialized params of the 1- and 4-worker runs match.
-    parallel_bit_identical: bool,
 }
 
 #[derive(Serialize, Deserialize, Default)]
@@ -203,8 +200,8 @@ struct PipelineNumbers {
 struct TrainingParallelNumbers {
     /// Pipeline training phase (both direction models), serial: workers=1.
     serial_training_s: f64,
-    /// Same phase at a 4-worker budget: the per-direction fan-out runs
-    /// ingress and egress concurrently, each on a 2-worker shard split.
+    /// Same phase at a 4-worker budget: the pipeline's job queue trains
+    /// ingress and egress concurrently, one thread each.
     fanout_4w_training_s: f64,
     /// serial / fanout (the tentpole's ≥1.5× acceptance number).
     speedup: f64,
@@ -233,8 +230,8 @@ struct BenchReport {
     #[serde(default)]
     obs: ObsNumbers,
     training: TrainingNumbers,
-    /// Model-level training fan-out (per-direction concurrency on top of
-    /// the sharded data parallelism). Serde default keeps older baselines
+    /// Model-level training fan-out (ingress and egress trained
+    /// concurrently). Serde default keeps older baselines
     /// readable; a zeroed section disables its gate.
     #[serde(default)]
     training_parallel: TrainingParallelNumbers,
@@ -728,14 +725,14 @@ fn train_dataset(n: usize) -> PacketDataset {
     d
 }
 
-fn timed_train(data: &PacketDataset, cfg: &TrainConfig) -> (f64, String) {
+fn timed_train(data: &PacketDataset, cfg: &TrainConfig) -> f64 {
     let mut model = SeqModel::new(FEATURES, HIDDEN, 42);
     let t0 = Instant::now();
     let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
         .expect("valid training setup");
     let secs = t0.elapsed().as_secs_f64();
     let samples = data.len() * report.epoch_losses.len();
-    (samples as f64 / secs.max(1e-9), model.to_json())
+    samples as f64 / secs.max(1e-9)
 }
 
 fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfig) {
@@ -747,28 +744,14 @@ fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfi
         ..TrainConfig::default()
     };
 
-    let (blocked_1w, json_1w) = timed_train(&data, &cfg);
-    let (blocked_4w, json_4w) = timed_train(&data, &TrainConfig { workers: 4, ..cfg });
-
-    // Worker count never changes the reduction tree: 1w vs 4w must be
-    // bit-identical.
-    let identical = json_1w == json_4w;
-    assert!(identical, "1-worker and 4-worker training diverged");
-
-    (
-        TrainingNumbers {
-            blocked_1w_samples_per_sec: blocked_1w,
-            blocked_4w_samples_per_sec: blocked_4w,
-            parallel_bit_identical: identical,
-        },
-        cfg,
-    )
+    let blocked_1w = timed_train(&data, &cfg);
+    (TrainingNumbers { blocked_1w_samples_per_sec: blocked_1w }, cfg)
 }
 
 /// Model-level training fan-out: the full pipeline training phase (both
 /// direction models over the real generated dataset) serial vs at a
-/// 4-worker budget, where the ingress and egress models train concurrently
-/// on 2-worker shard splits. Both must produce the identical bundle.
+/// 4-worker budget, where the pipeline's job queue trains the ingress and
+/// egress models concurrently. Both must produce the identical bundle.
 fn bench_training_parallel(scale: Scale) -> Result<TrainingParallelNumbers, Box<dyn Error>> {
     let mut serial = Pipeline::new(pipeline_config(scale, 42).with_workers(1));
     let bundle_serial = serial.try_train(None)?.0;
@@ -1139,12 +1122,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("\n-- training ({samples} samples x {epochs} epochs, batch 64, window 8) --");
     let (training, tcfg) = bench_training(samples, epochs);
-    println!(
-        "1 worker:  {:>9.0} samples/s\n4 workers: {:>9.0} samples/s\n1w vs 4w parameters bit-identical: {}",
-        training.blocked_1w_samples_per_sec,
-        training.blocked_4w_samples_per_sec,
-        training.parallel_bit_identical
-    );
+    println!("1 worker:  {:>9.0} samples/s", training.blocked_1w_samples_per_sec);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("\n-- pipeline training fan-out (serial vs 4-worker budget) --");

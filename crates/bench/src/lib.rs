@@ -93,10 +93,9 @@ pub fn secs(d: Duration) -> String {
 
 /// A standard quickly-trained pipeline config at the given scale.
 ///
-/// Training runs data-parallel over four workers (clamped to the
-/// machine's cores); the sharded reduction makes the resulting
-/// parameters identical to a sequential run, so benchmark numbers stay
-/// comparable across machines.
+/// Training gets a budget of four threads, so the ingress and egress
+/// models train concurrently; the parameters are identical to a
+/// sequential run, so benchmark numbers stay comparable across machines.
 pub fn pipeline_config(scale: Scale, seed: u64) -> mimicnet::pipeline::PipelineConfig {
     let mut cfg = mimicnet::pipeline::PipelineConfig::default();
     cfg.base.duration_s = scale.duration_s();

@@ -17,7 +17,7 @@
 //!
 //! Parameters ([`Lstm`]) and gradients ([`LstmGrads`]) are separate
 //! structs: the backward pass takes `&self` plus a gradient buffer, so
-//! data-parallel training can run many backward passes against one shared
+//! sharded training can run many backward passes against one shared
 //! model, each into its own buffer, and reduce them in a fixed order.
 //!
 //! Training runs on caller-owned buffers that are sized once and rewritten

@@ -19,9 +19,9 @@
 //!   per Appendix C). Both run on a caller-owned [`WindowWorkspace`] that
 //!   reads the batch rows in place and allocates nothing once sized.
 //!   Gradients accumulate into a caller-owned [`ModelGrads`], so
-//!   data-parallel training can run several backward passes over one
-//!   shared `&SeqModel` (and one shared [`TransposedWeights`]) and reduce
-//!   the buffers in a fixed order ([`ModelGrads::add_assign`]).
+//!   sharded training can run several backward passes over one shared
+//!   `&SeqModel` (and one shared [`TransposedWeights`]) and reduce the
+//!   buffers in a fixed order ([`ModelGrads::add_assign`]).
 //! * **Stateful inference** — [`SeqModel::step`] carries hidden state
 //!   packet-by-packet inside a running simulation; feeder packets update
 //!   the state the same way, with outputs discarded (§6). The state owns
@@ -78,8 +78,8 @@ impl ModelGrads {
     }
 
     /// Accumulate another buffer: `self += other`. Reduction order is the
-    /// caller's responsibility — data-parallel training adds shard buffers
-    /// in shard-index order so any worker count sums identically.
+    /// caller's responsibility — training adds shard buffers in
+    /// shard-index order, so the summation tree is fixed.
     pub fn add_assign(&mut self, other: &ModelGrads) {
         assert_eq!(self.lstms.len(), other.lstms.len(), "grad depth mismatch");
         for (a, b) in self.lstms.iter_mut().zip(&other.lstms) {

@@ -1,16 +1,16 @@
 //! The mini-batch training loop for internal models.
 //!
-//! ## Deterministic data parallelism
+//! ## Fixed shards, fixed reduction order
 //!
 //! Each batch is cut into fixed-size contiguous shards of
 //! [`SHARD_ROWS`] rows. A shard is the unit of work: forward + backward
 //! into a private [`ModelGrads`] buffer, then all shard buffers are
-//! reduced **in shard-index order** into one gradient. Because the shard
-//! layout and the reduction order depend only on the batch — never on the
-//! worker count — training with 1, 2, or 8 workers produces bit-identical
-//! parameters (floating-point addition is not associative, so this
-//! property has to be engineered, and it is enforced by test). Workers are
-//! scoped threads, each owning a contiguous range of shard slots.
+//! reduced **in shard-index order** into one gradient. The shard layout
+//! and the reduction order depend only on the batch, so the floating-point
+//! summation tree — and every trained parameter bit — is pinned by test
+//! (floating-point addition is not associative). [`train`] runs on the
+//! calling thread; parallelism lives one level up, where
+//! `mimicnet::pipeline` trains whole models concurrently.
 
 use crate::dataset::{PacketDataset, WindowBatcher};
 use crate::loss::{CombinedLoss, Target};
@@ -33,10 +33,9 @@ pub struct TrainConfig {
     /// Global gradient-norm clip (BPTT stability).
     pub clip: f32,
     pub seed: u64,
-    /// Worker threads for the per-batch forward/backward. Any value
-    /// produces bit-identical parameters; >1 only changes wall-clock.
-    /// The effective thread count is additionally clamped to the shard
-    /// count and to `std::thread::available_parallelism()`.
+    /// Thread budget of the pipeline's training job queue
+    /// (`mimicnet::pipeline`), which trains whole models concurrently.
+    /// [`train`] itself ignores it: one run is single-threaded.
     pub workers: usize,
 }
 
@@ -196,11 +195,10 @@ pub struct CheckpointSpec<'a> {
     pub resume: bool,
 }
 
-/// Rows per gradient shard. Fixed — NOT derived from the worker count —
-/// so the floating-point reduction tree is identical for any parallelism.
-/// 16 rows keeps the per-shard `t_matmul` reductions deep enough to
-/// amortize their passes over the output while still cutting the default
-/// batch of 32 into two independent work units.
+/// Rows per gradient shard. Fixed, so the floating-point reduction tree
+/// is a function of the batch alone. 16 rows keeps the per-shard
+/// `t_matmul` reductions deep enough to amortize their passes over the
+/// output while still cutting the default batch of 32 into two shards.
 const SHARD_ROWS: usize = 16;
 
 /// One shard's reusable state: its private gradient buffer, the window
@@ -326,12 +324,6 @@ pub fn train(
         .collect();
     let mut grad_buf = model.new_grads();
     let mut wt = model.transposed();
-    // Clamp to the machine's parallelism: shard layout and the reduction
-    // order below are worker-count-independent, so running fewer threads
-    // than requested changes nothing numerically — it only avoids paying
-    // spawn overhead for threads that would time-slice a single core.
-    // Queried once per run: the query reads cgroup files.
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     while epoch < cfg.epochs {
         let epoch_t0 = obs.is_on().then(std::time::Instant::now);
@@ -343,42 +335,13 @@ pub fn train(
         for (xs, targets) in batcher.batches(cfg.batch_size) {
             let batch_rows = targets.len();
             let nshards = batch_rows.div_ceil(SHARD_ROWS);
-            let workers = cfg.workers.max(1).min(nshards).min(hw);
             // Once per optimizer step (and after any rollback or resume).
             wt.refresh(model);
-            {
-                let m: &SeqModel = model;
-                let wt = &wt;
-                let xs = &xs[..];
-                let targets = &targets[..];
-                let loss_fn = &cfg.loss;
-                let run_shards = |base: usize, slots: &mut [Shard]| {
-                    for (j, shard) in slots.iter_mut().enumerate() {
-                        let r0 = (base + j) * SHARD_ROWS;
-                        let r1 = (r0 + SHARD_ROWS).min(batch_rows);
-                        process_shard(m, wt, xs, targets, r0..r1, loss_fn, shard);
-                    }
-                };
-                if workers <= 1 {
-                    run_shards(0, &mut shards[..nshards]);
-                } else {
-                    let chunk = nshards.div_ceil(workers);
-                    std::thread::scope(|scope| {
-                        let mut parts = shards[..nshards].chunks_mut(chunk).enumerate();
-                        // Worker 0's chunk runs on the calling thread.
-                        let own = parts.next();
-                        for (w, slots) in parts {
-                            let run = &run_shards;
-                            scope.spawn(move || run(w * chunk, slots));
-                        }
-                        if let Some((_, slots)) = own {
-                            run_shards(0, slots);
-                        }
-                    });
-                }
+            for (s, shard) in shards[..nshards].iter_mut().enumerate() {
+                let rows = s * SHARD_ROWS..((s + 1) * SHARD_ROWS).min(batch_rows);
+                process_shard(model, &wt, &xs, &targets, rows, &cfg.loss, shard);
             }
-            // Fixed-order reduction: shard 0, 1, 2, … regardless of which
-            // worker produced which shard.
+            // Fixed-order reduction: shard 0, 1, 2, …
             grad_buf.zero();
             for shard in &shards[..nshards] {
                 grad_buf.add_assign(&shard.grads);
@@ -475,53 +438,6 @@ fn persist_checkpoint(
         backoffs: report.backoffs,
     }
     .write(spec.path)
-}
-
-/// Deterministic model-level fan-out: run `jobs` independent training
-/// jobs concurrently, splitting a total worker budget across them.
-///
-/// `run(job, share)` is invoked exactly once per job index with the
-/// per-job worker share; results come back in job-index order. The split
-/// is a pure function of `(jobs, workers)` — never of thread scheduling —
-/// and each job's own training is worker-count-invariant (see the module
-/// docs), so the returned values are bit-identical to running the jobs
-/// serially, at any budget including `workers == 1` (which *does* run
-/// them serially on the calling thread, preserving the old behavior
-/// exactly). With more jobs than workers the jobs run in fixed-order
-/// waves of at most `workers` threads, so the machine is never
-/// oversubscribed by the fan-out itself.
-pub fn fanout_jobs<T: Send>(
-    jobs: usize,
-    workers: usize,
-    run: &(dyn Fn(usize, usize) -> T + Sync),
-) -> Vec<T> {
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1);
-    if workers <= 1 || jobs == 1 {
-        return (0..jobs).map(|j| run(j, workers)).collect();
-    }
-    let lanes = workers.min(jobs);
-    let share = (workers / lanes).max(1);
-    let mut out: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    for (wave, slots) in out.chunks_mut(lanes).enumerate() {
-        std::thread::scope(|scope| {
-            let mut lane_iter = slots.iter_mut().enumerate();
-            // Lane 0 of each wave runs on the calling thread.
-            let own = lane_iter.next();
-            for (lane, slot) in lane_iter {
-                let job = wave * lanes + lane;
-                scope.spawn(move || *slot = Some(run(job, share)));
-            }
-            if let Some((lane, slot)) = own {
-                *slot = Some(run(wave * lanes + lane, share));
-            }
-        });
-    }
-    out.into_iter()
-        .map(|r| r.expect("every fan-out job ran"))
-        .collect()
 }
 
 /// Evaluate mean combined loss on a held-out set (no gradient).
@@ -677,19 +593,16 @@ mod tests {
             (1usize, 6usize, 32usize, 0xcc21_4166_891b_c149u64),
             (2, 12, 40, 0x167f_d275_015b_aec8),
         ] {
-            for workers in [1, 2] {
-                let cfg = TrainConfig {
-                    epochs: 2,
-                    window: 4,
-                    batch_size,
-                    workers,
-                    ..TrainConfig::default()
-                };
-                let mut m = SeqModel::new_stacked(2, hidden, layers, 11);
-                train_plain(&mut m, &data, &cfg).expect("valid training setup");
-                let got = fnv1a(m.to_json().as_bytes());
-                assert_eq!(got, want, "layers {layers} workers {workers}: {got:#018x}");
-            }
+            let cfg = TrainConfig {
+                epochs: 2,
+                window: 4,
+                batch_size,
+                ..TrainConfig::default()
+            };
+            let mut m = SeqModel::new_stacked(2, hidden, layers, 11);
+            train_plain(&mut m, &data, &cfg).expect("valid training setup");
+            let got = fnv1a(m.to_json().as_bytes());
+            assert_eq!(got, want, "layers {layers}: {got:#018x}");
         }
     }
 
@@ -719,52 +632,6 @@ mod tests {
         // One grad-norm observation per optimizer step, one span per epoch.
         assert_eq!(snap.hists["train.test.grad_norm_milli"].count, report.steps as u64);
         assert_eq!(snap.spans.iter().filter(|s| s.name == "train.epoch").count(), 3);
-    }
-
-    #[test]
-    fn fanout_preserves_job_order_and_budget() {
-        // Results come back in job order regardless of scheduling, the
-        // worker split is pure in (jobs, workers), and workers == 1 runs
-        // serially (share 1 per job).
-        for (jobs, workers, want_share) in
-            [(2, 4, 2), (2, 1, 1), (3, 8, 2), (5, 2, 1), (1, 4, 4), (4, 4, 1)]
-        {
-            let got = fanout_jobs(jobs, workers, &|j, share| (j, share));
-            let want: Vec<(usize, usize)> = (0..jobs).map(|j| (j, want_share)).collect();
-            assert_eq!(got, want, "jobs={jobs} workers={workers}");
-        }
-        assert!(fanout_jobs(0, 4, &|j, _| j).is_empty());
-    }
-
-    #[test]
-    fn fanout_training_matches_serial() {
-        // Two independent models trained through the fan-out must be
-        // bit-identical to training them one after the other.
-        let data_a = synthetic(300, 9);
-        let data_b = synthetic(300, 10);
-        let cfg = TrainConfig {
-            epochs: 2,
-            window: 3,
-            ..TrainConfig::default()
-        };
-        let serial: Vec<String> = [(&data_a, 21u64), (&data_b, 22u64)]
-            .iter()
-            .map(|(d, seed)| {
-                let mut m = SeqModel::new(2, 6, *seed);
-                train_plain(&mut m, d, &cfg).expect("valid training setup");
-                m.to_json()
-            })
-            .collect();
-        for workers in [1, 2, 4, 8] {
-            let fanned = fanout_jobs(2, workers, &|j, share| {
-                let (d, seed) = if j == 0 { (&data_a, 21) } else { (&data_b, 22) };
-                let mut m = SeqModel::new(2, 6, seed);
-                let cfg = TrainConfig { workers: share, ..cfg };
-                train_plain(&mut m, d, &cfg).expect("valid training setup");
-                m.to_json()
-            });
-            assert_eq!(serial, fanned, "fan-out diverged at {workers} workers");
-        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! Protocols: newreno (default), dctcp (with `--k`), vegas, westwood, homa.
 //! All randomness derives from `--seed`; re-running a command reproduces
-//! its outputs bit-for-bit — including `--workers W`, which parallelizes
-//! training (per-direction models and gradient shards) without changing a
-//! single bit of the result.
+//! its outputs bit-for-bit — including `--workers W`, the thread budget
+//! of training (the ingress and egress models train concurrently), which
+//! does not change a single bit of the result.
 //!
 //! Observability (train/estimate/validate): `--trace-out FILE` writes a
 //! Chrome trace-event file (open in Perfetto or chrome://tracing),
@@ -58,7 +58,8 @@ fn usage() -> ! {
          \u{20}        [--workers W]\n\
          (config flags, accepted by every subcommand: --duration --seed\n\
          \u{20}--protocol --k --epochs --hidden --layers --window --workers;\n\
-         \u{20}any other flag a subcommand does not list is an error)\n\
+         \u{20}any other flag a subcommand does not list is an error;\n\
+         \u{20}--workers W trains up to W models at once, same bits at any W)\n\
          \n\
          diverge  --a A-obs.json --b B-obs.json [--out report.json]\n\
          \u{20}        [--a-ckpt DIR --b-ckpt DIR --model FILE --clusters N\n\
@@ -707,7 +708,6 @@ fn cmd_tune(opts: HashMap<String, String>) {
             })
             .unwrap_or_else(|| vec![2, 4]),
         seed: cfg.base.seed ^ 0x7A7E,
-        workers: flag(&opts, "workers", "an integer").unwrap_or(1),
     };
     eprintln!(
         "Bayesian-optimizing {} evaluations over scales {:?}...",

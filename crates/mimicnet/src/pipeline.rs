@@ -27,6 +27,7 @@ use dcn_transport::Protocol;
 use mimic_ml::model::SeqModel;
 use mimic_ml::train::{train, CheckpointSpec, TrainConfig, TrainError};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of the whole pipeline.
@@ -67,10 +68,10 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Train both directions' models with `workers` threads. The result is
-    /// bit-identical to the sequential run for any worker count (the
-    /// gradient reduction order is fixed — see `mimic_ml::train`); only
-    /// the training-phase wall-clock changes.
+    /// Train on up to `workers` threads: the pipeline's job queue runs
+    /// whole-model trainings (one per direction) concurrently. The result
+    /// is bit-identical to the sequential run for any budget; only the
+    /// training-phase wall-clock changes.
     pub fn with_workers(mut self, workers: usize) -> PipelineConfig {
         self.train.workers = workers;
         self
@@ -169,120 +170,34 @@ impl Pipeline {
     /// epoch, and an interrupted run resumes from those files
     /// bit-identically to a run that was never killed. Data generation is
     /// deterministic in the config, so it is simply replayed.
+    ///
+    /// The ingress and egress models train concurrently on up to
+    /// `TrainConfig::workers` threads, bit-identically at any budget.
     pub fn try_train(
         &mut self,
         ckpt_dir: Option<&Path>,
     ) -> Result<(TrainedMimic, TrainingData), PipelineError> {
-        self.cfg.base.validate()?;
-        for (what, n) in [
-            ("training window", self.cfg.train.window),
-            ("batch size", self.cfg.train.batch_size),
-            ("LSTM layer count", self.cfg.layers),
-        ] {
-            if n < 1 {
-                return Err(PipelineError::InvalidConfig {
-                    reason: format!("{what} must be at least 1, got {n}"),
-                });
-            }
-        }
-        if let Some(dir) = ckpt_dir {
-            std::fs::create_dir_all(dir).map_err(|e| {
-                PipelineError::Train(TrainError::Checkpoint {
-                    message: format!("create {}: {e}", dir.display()),
-                })
-            })?;
-        }
-        let t0 = Instant::now();
-        let mut dg_sim = self.cfg.base;
-        dg_sim.duration_s *= self.cfg.datagen_duration_factor.max(1.0);
-        let dg = DataGenConfig {
-            sim: dg_sim,
-            protocol: self.cfg.protocol,
-            model_cluster: 1,
-            disc_levels: self.cfg.disc_levels,
-            horizon_guard_s: 0.05,
-            congestion_feature: true,
-        };
-        self.obs.begin("pipeline.datagen", "pipeline", None);
-        let data = generate(&dg);
-        self.obs.end(None);
-        self.timings.small_scale_sim = t0.elapsed();
-        if data.ingress.is_empty() || data.egress.is_empty() {
-            return Err(TrainError::EmptyDataset.into());
-        }
-
-        let t1 = Instant::now();
-        // The two direction models share nothing, so they fan out across
-        // the worker budget (`TrainConfig::workers`): each job gets a
-        // deterministic share and is itself worker-count-invariant, so
-        // the trained parameters are bit-identical to the old
-        // ingress-then-egress serial loop at any budget (workers == 1
-        // *is* that loop). Each job records into a private recorder on
-        // its own track; reports merge back in fixed ingress-then-egress
-        // order so traced output is scheduling-independent.
-        let obs_on = self.obs.is_on();
-        let (hidden, layers, base_train) = (self.cfg.hidden, self.cfg.layers, self.cfg.train);
-        let dirs: [(&'static str, &str, &_, _, u32); 2] = [
-            ("pipeline.train.ingress", "train.ingress", &data.ingress, data.ingress_disc, 1),
-            ("pipeline.train.egress", "train.egress", &data.egress, data.egress_disc, 2),
-        ];
-        let mut results = mimic_ml::train::fanout_jobs(2, base_train.workers, &|j, share| {
-            let (span, prefix, ds, disc, track) = dirs[j];
-            let mut obs = if obs_on { dcn_obs::Obs::on() } else { dcn_obs::Obs::off() };
-            obs.set_track(track);
-            obs.begin(span, "pipeline", None);
-            let ckpt_path = ckpt_dir.map(|d| d.join(format!("{prefix}.ckpt.json")));
-            let spec = ckpt_path.as_deref().map(|path| CheckpointSpec { path, resume: true });
-            let cfg = TrainConfig { workers: share, ..base_train };
-            let mut model = SeqModel::new_stacked(ds.width(), hidden, layers, cfg.seed);
-            let out = train(&mut model, ds, &cfg, &mut obs, prefix, spec.as_ref())
-                .map(|_| InternalModel { model, disc });
-            obs.end(None);
-            (out, obs.take_report())
-        });
-        let (egress, egress_report) = results.pop().expect("egress job ran");
-        let (ingress, ingress_report) = results.pop().expect("ingress job ran");
-        if let Some(r) = ingress_report {
-            self.obs.merge_report(r);
-        }
-        if let Some(r) = egress_report {
-            self.obs.merge_report(r);
-        }
-        let (ingress, egress) = (ingress?, egress?);
-        self.timings.training = t1.elapsed();
-
-        Ok((
-            TrainedMimic {
-                ingress,
-                egress,
-                feature_cfg: data.feature_cfg,
-                feeder: data.feeder.clone(),
-                envelope: FeatureEnvelope::fit(&data.ingress.features),
-            },
-            data,
-        ))
+        let cfgs = std::slice::from_ref(&self.cfg);
+        let budget = self.cfg.train.workers;
+        let mut out = train_bundles(cfgs, budget, ckpt_dir, &mut self.obs, &mut self.timings);
+        out.pop().expect("one bundle in, one result out")
     }
 
-    /// Train several independent mimic bundles concurrently through the
-    /// same fixed-order fan-out as the per-direction models (e.g. one per
-    /// protocol under study). `workers` is the total budget; each bundle
-    /// gets a deterministic share and splits it again across its two
-    /// directions, so results are bit-identical to training the bundles
-    /// one after another at any budget (and `workers == 1` *is* that
-    /// serial loop). Bundles come back in `cfgs` order; the first failing
-    /// bundle's error (in that order) wins.
+    /// Train several independent mimic bundles (e.g. one per protocol
+    /// under study) on one job queue of at most `workers` threads: every
+    /// bundle's data generation, then every (bundle, direction) model,
+    /// longest first. Results are bit-identical to training the bundles
+    /// one after another at any budget. Bundles come back in `cfgs`
+    /// order; the first failing bundle's error (in that order) wins.
     pub fn try_train_bundles(
         cfgs: &[PipelineConfig],
         workers: usize,
     ) -> Result<Vec<TrainedMimic>, PipelineError> {
-        let results = mimic_ml::train::fanout_jobs(cfgs.len(), workers, &|j, share| {
-            let mut pipe = Pipeline::new(PipelineConfig {
-                train: TrainConfig { workers: share, ..cfgs[j].train },
-                ..cfgs[j]
-            });
-            pipe.try_train(None).map(|(trained, _)| trained)
-        });
-        results.into_iter().collect()
+        let (mut obs, mut timings) = (dcn_obs::Obs::off(), PhaseTimings::default());
+        train_bundles(cfgs, workers, None, &mut obs, &mut timings)
+            .into_iter()
+            .map(|r| r.map(|(trained, _)| trained))
+            .collect()
     }
 
     /// The shared tail of every estimate: `run` the composed simulation
@@ -466,6 +381,169 @@ impl Pipeline {
     }
 }
 
+/// Each bundle's two direction models: span, telemetry prefix and the
+/// `Obs` track the job records on.
+const DIRECTIONS: [(&str, &str, u32); 2] = [
+    ("pipeline.train.ingress", "train.ingress", 1),
+    ("pipeline.train.egress", "train.egress", 2),
+];
+
+/// Check one bundle's configuration and create its checkpoint directory.
+fn check_train_config(cfg: &PipelineConfig, ckpt_dir: Option<&Path>) -> Result<(), PipelineError> {
+    cfg.base.validate()?;
+    for (what, n) in [
+        ("training window", cfg.train.window),
+        ("batch size", cfg.train.batch_size),
+        ("LSTM layer count", cfg.layers),
+    ] {
+        if n < 1 {
+            return Err(PipelineError::InvalidConfig {
+                reason: format!("{what} must be at least 1, got {n}"),
+            });
+        }
+    }
+    if let Some(dir) = ckpt_dir {
+        std::fs::create_dir_all(dir).map_err(|e| {
+            PipelineError::Train(TrainError::Checkpoint {
+                message: format!("create {}: {e}", dir.display()),
+            })
+        })?;
+    }
+    Ok(())
+}
+
+/// Phases ❶–❷ for every bundle in `cfgs`, on one job queue of at most
+/// `budget` threads: phase 1 generates each valid bundle's data, phase 2
+/// trains each (bundle, direction) model. Each training job records into
+/// a private recorder on its direction's track; the reports merge into
+/// `obs` in job-index order (bundle order, ingress before egress), so
+/// traced output does not depend on scheduling. One result per bundle,
+/// in `cfgs` order.
+fn train_bundles(
+    cfgs: &[PipelineConfig],
+    budget: usize,
+    ckpt_dir: Option<&Path>,
+    obs: &mut dcn_obs::Obs,
+    timings: &mut PhaseTimings,
+) -> Vec<Result<(TrainedMimic, TrainingData), PipelineError>> {
+    let checked: Vec<_> = cfgs.iter().map(|cfg| check_train_config(cfg, ckpt_dir)).collect();
+    let dgs: Vec<DataGenConfig> = cfgs
+        .iter()
+        .zip(&checked)
+        .filter(|(_, ok)| ok.is_ok())
+        .map(|(cfg, _)| {
+            let mut sim = cfg.base;
+            sim.duration_s *= cfg.datagen_duration_factor.max(1.0);
+            DataGenConfig {
+                sim,
+                protocol: cfg.protocol,
+                model_cluster: 1,
+                disc_levels: cfg.disc_levels,
+                horizon_guard_s: 0.05,
+                congestion_feature: true,
+            }
+        })
+        .collect();
+    let t0 = Instant::now();
+    obs.begin("pipeline.datagen", "pipeline", None);
+    let mut generated = run_jobs(&vec![0; dgs.len()], budget, &|j| generate(&dgs[j])).into_iter();
+    obs.end(None);
+    timings.small_scale_sim = t0.elapsed();
+    let datas: Vec<Result<TrainingData, PipelineError>> = checked
+        .into_iter()
+        .map(|ok| {
+            ok?;
+            let data = generated.next().expect("one datagen job per valid bundle");
+            if data.ingress.is_empty() || data.egress.is_empty() {
+                return Err(TrainError::EmptyDataset.into());
+            }
+            Ok(data)
+        })
+        .collect();
+
+    let t1 = Instant::now();
+    let jobs: Vec<_> = cfgs
+        .iter()
+        .zip(&datas)
+        .filter_map(|(cfg, data)| data.as_ref().ok().map(|data| (cfg, data)))
+        .flat_map(|(cfg, data)| {
+            [(cfg, &data.ingress, data.ingress_disc, 0), (cfg, &data.egress, data.egress_disc, 1)]
+        })
+        .collect();
+    // A job's cost is the samples it steps through.
+    let costs: Vec<u64> =
+        jobs.iter().map(|(cfg, ds, ..)| (ds.len() * cfg.train.epochs) as u64).collect();
+    let obs_on = obs.is_on();
+    let mut trained = run_jobs(&costs, budget, &|j| {
+        let (cfg, ds, disc, dir) = jobs[j];
+        let (span, prefix, track) = DIRECTIONS[dir];
+        let mut obs = if obs_on { dcn_obs::Obs::on() } else { dcn_obs::Obs::off() };
+        obs.set_track(track);
+        obs.begin(span, "pipeline", None);
+        let ckpt_path = ckpt_dir.map(|d| d.join(format!("{prefix}.ckpt.json")));
+        let spec = ckpt_path.as_deref().map(|path| CheckpointSpec { path, resume: true });
+        let mut model = SeqModel::new_stacked(ds.width(), cfg.hidden, cfg.layers, cfg.train.seed);
+        let out = train(&mut model, ds, &cfg.train, &mut obs, prefix, spec.as_ref())
+            .map(|_| InternalModel { model, disc });
+        obs.end(None);
+        (out, obs.take_report())
+    });
+    timings.training = t1.elapsed();
+    for report in trained.iter_mut().filter_map(|(_, report)| report.take()) {
+        obs.merge_report(report);
+    }
+    let mut models = trained.into_iter().map(|(out, _)| out);
+    datas
+        .into_iter()
+        .map(|data| {
+            let data = data?;
+            let (ingress, egress) = (models.next(), models.next());
+            let trained = TrainedMimic {
+                ingress: ingress.expect("ingress job")?,
+                egress: egress.expect("egress job")?,
+                feature_cfg: data.feature_cfg,
+                feeder: data.feeder.clone(),
+                envelope: FeatureEnvelope::fit(&data.ingress.features),
+            };
+            Ok((trained, data))
+        })
+        .collect()
+}
+
+/// Run `costs.len()` independent jobs on at most `budget` threads, the
+/// calling thread included, and return their results in index order.
+///
+/// Jobs start longest first — by descending cost, ties by index — and
+/// each thread pulls the next one from a shared counter. Which thread
+/// runs a job depends on timing; what the job computes does not, since it
+/// writes only its own result. With `budget <= 1` or a single job
+/// everything runs on the calling thread and no thread is spawned.
+fn run_jobs<T: Send>(costs: &[u64], budget: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&j| (std::cmp::Reverse(costs[j]), j));
+    // Relaxed suffices: the counter only hands out indices, and results
+    // come back through `join`, which orders everything a job wrote.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&j) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((j, job(j)));
+        }
+        done
+    };
+    let threads = budget.min(costs.len());
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(j, _)| j);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,6 +561,33 @@ mod tests {
 
     fn trained(pipe: &mut Pipeline) -> TrainedMimic {
         pipe.try_train(None).expect("training succeeds").0
+    }
+
+    #[test]
+    fn job_queue_returns_index_order_and_runs_each_job_once() {
+        // Longest first means start order 2, 0, 3, 1, 4: job 0 ties job 3
+        // on cost and wins on index.
+        let costs = [5, 1, 9, 5, 0];
+        let caller = std::thread::current().id();
+        for budget in [0usize, 1, 2, 3, 8] {
+            let runs: Vec<AtomicUsize> = costs.iter().map(|_| AtomicUsize::new(0)).collect();
+            let out = run_jobs(&costs, budget, &|j| {
+                runs[j].fetch_add(1, Ordering::Relaxed);
+                (j, std::thread::current().id())
+            });
+            let order: Vec<usize> = out.iter().map(|&(j, _)| j).collect();
+            assert_eq!(order, [0, 1, 2, 3, 4], "budget {budget}");
+            assert!(runs.iter().all(|n| n.load(Ordering::Relaxed) == 1), "budget {budget}");
+            let threads: std::collections::HashSet<_> = out.iter().map(|&(_, t)| t).collect();
+            assert!(threads.len() <= budget.clamp(1, costs.len()), "budget {budget}");
+            if budget <= 1 {
+                assert!(threads.iter().all(|&t| t == caller), "budget {budget} spawned a thread");
+            }
+        }
+        let started = std::sync::Mutex::new(Vec::new());
+        run_jobs(&costs, 1, &|j| started.lock().expect("unpoisoned").push(j));
+        assert_eq!(started.into_inner().expect("unpoisoned"), [2, 0, 3, 1, 4]);
+        assert!(run_jobs(&[], 4, &|j| j).is_empty());
     }
 
     #[test]

@@ -74,13 +74,6 @@ pub struct TuningConfig {
     pub scales: Vec<u32>,
     /// Seed for the BO proposals and the held-out validation workload.
     pub seed: u64,
-    /// Worker budget handed to each trial's training fan-out. Trials
-    /// themselves stay serial — Bayesian optimization is sequential by
-    /// nature (each proposal conditions on every prior observation) — so
-    /// the full budget goes to the per-direction/per-shard parallelism
-    /// inside one trial. Training is bit-identical at any worker count,
-    /// so the proposal stream and history are too.
-    pub workers: usize,
 }
 
 impl Default for TuningConfig {
@@ -89,7 +82,6 @@ impl Default for TuningConfig {
             evals: 8,
             scales: vec![2, 4],
             seed: 99,
-            workers: 1,
         }
     }
 }
@@ -121,6 +113,11 @@ pub fn default_space() -> ParamSpace {
 /// Run the tuning loop. Ground truths for each validation scale are
 /// simulated once and cached across evaluations. The first trial whose
 /// configuration, training or estimate fails ends the loop with its error.
+///
+/// Trials run one after another — each proposal conditions on every prior
+/// observation — and each trial trains on `base_cfg.train.workers`
+/// threads. Training is bit-identical at any budget, so the proposal
+/// stream and history are too.
 pub fn tune(
     base_cfg: &PipelineConfig,
     tcfg: &TuningConfig,
@@ -156,7 +153,6 @@ pub fn tune(
         let params = TunedParams::from_raw(&raw);
         let mut cfg = val_cfg;
         params.apply(&mut cfg);
-        cfg.train.workers = tcfg.workers.max(1);
         let mut pipe = Pipeline::new(cfg);
         let (trained, _) = pipe.try_train(None)?;
         // End-to-end objective across validation scales.
@@ -234,7 +230,6 @@ mod tests {
             evals: 3,
             scales: vec![2],
             seed: 5,
-            ..TuningConfig::default()
         };
         let result = tune(&cfg, &tcfg).expect("tuning runs");
         assert_eq!(result.history.len(), 3);
@@ -252,15 +247,14 @@ mod tests {
         cfg.base.duration_s = 0.2;
         cfg.train.epochs = 1;
         cfg.train.window = 4;
+        let tcfg = TuningConfig {
+            evals: 1,
+            scales: vec![2],
+            seed: 5,
+        };
         let mut results = Vec::new();
         for workers in [1usize, 4] {
-            let tcfg = TuningConfig {
-                evals: 1,
-                scales: vec![2],
-                seed: 5,
-                workers,
-            };
-            results.push(tune(&cfg, &tcfg).expect("tuning runs"));
+            results.push(tune(&cfg.with_workers(workers), &tcfg).expect("tuning runs"));
         }
         let (a, b) = (&results[0], &results[1]);
         assert_eq!(a.history.len(), b.history.len());
