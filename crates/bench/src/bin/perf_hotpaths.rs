@@ -376,8 +376,9 @@ fn untrained_bundle(
 /// pairs ([`paired`]): one ~30 ms sample per engine swings by tens of
 /// percent on a shared runner, enough to flip the 1.3x gate either way.
 fn bench_event_engine(iters: usize) -> EventEngineNumbers {
-    use dcn_sim::event::{EventKind, EventQueue};
+    use dcn_sim::event::{Event, EventKind, EventQueue};
     use dcn_sim::link::Dir;
+    use std::collections::BinaryHeap;
     use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::{LinkId, NodeId};
@@ -412,7 +413,43 @@ fn bench_event_engine(iters: usize) -> EventEngineNumbers {
         }
     };
 
-    let run = |mut q: EventQueue| -> f64 {
+    // The reference arm: a `BinaryHeap<Event>` with an insertion counter,
+    // which pops in exactly the pooled queue's order.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Event>,
+        seq: u64,
+    }
+    trait Fel {
+        fn schedule(&mut self, time: SimTime, kind: EventKind);
+        fn pop(&mut self) -> Option<Event>;
+        fn len(&self) -> usize;
+    }
+    impl Fel for HeapQueue {
+        fn schedule(&mut self, time: SimTime, kind: EventKind) {
+            self.seq += 1;
+            self.heap.push(Event::new(time, kind, self.seq));
+        }
+        fn pop(&mut self) -> Option<Event> {
+            self.heap.pop()
+        }
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+    impl Fel for EventQueue {
+        fn schedule(&mut self, time: SimTime, kind: EventKind) {
+            EventQueue::schedule(self, time, kind)
+        }
+        fn pop(&mut self) -> Option<Event> {
+            EventQueue::pop(self)
+        }
+        fn len(&self) -> usize {
+            EventQueue::len(self)
+        }
+    }
+
+    fn run(q: &mut impl Fel, iters: usize, kind: &impl Fn(u64) -> EventKind) -> f64 {
         for i in 0..HOLD as u64 {
             let t = i.wrapping_mul(0x9E3779B97F4A7C15) % 1_000_000;
             q.schedule(SimTime(t), kind(i));
@@ -431,10 +468,14 @@ fn bench_event_engine(iters: usize) -> EventEngineNumbers {
         let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
         std::hint::black_box(q.len());
         ns
-    };
+    }
 
     let (heap_ns, pooled_ns, speedup) = paired(REPEATS, |pooled| {
-        run(if pooled { EventQueue::new() } else { EventQueue::new_reference() })
+        if pooled {
+            run(&mut EventQueue::new(), iters, &kind)
+        } else {
+            run(&mut HeapQueue::default(), iters, &kind)
+        }
     });
     EventEngineNumbers {
         heap_ns_per_event: heap_ns,

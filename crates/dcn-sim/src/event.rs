@@ -9,25 +9,21 @@
 //! types, `tag` is a stable key derived from the event's structure (packet
 //! id, link id, timer identity) that is identical however the event was
 //! produced, and `seq` is a last-resort insertion tiebreak.
-
-//! Two interchangeable queue implementations back the engine:
 //!
-//! * [`PooledEventQueue`] (the default) keeps event payloads in a slab of
-//!   pooled nodes linked by `u32` indices with a freelist, and orders them
-//!   through a binary heap *of indices*. Sifting moves 4-byte indices, not
-//!   whole `Event` values, so `Arrive` events stop copying their
-//!   `Packet` payloads through the heap, and completed nodes are recycled
-//!   instead of reallocated.
-//! * [`HeapEventQueue`] is the original `BinaryHeap<Event>` kept as the
-//!   debug/reference implementation; property tests lock the two to
-//!   byte-identical orderings and snapshots.
+//! [`EventQueue`] keeps event payloads in a slab of pooled nodes linked by
+//! `u32` indices with a freelist, and orders them through a binary heap *of
+//! indices*. Sifting moves 4-byte indices, not whole `Event` values, so
+//! `Arrive` events do not copy their `Packet` payloads through the heap, and
+//! completed nodes are recycled instead of reallocated. A `BinaryHeap<Event>`
+//! filled with [`Event::new`] and a strictly increasing `seq` is the
+//! reference ordering: it pops in exactly the order this queue does, which
+//! `tests/queue_equivalence.rs` checks against such a heap.
 
 use crate::link::Dir;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use crate::topology::{LinkId, NodeId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// The payload of a scheduled event.
 #[derive(Clone, Debug)]
@@ -158,54 +154,6 @@ impl Ord for Event {
     }
 }
 
-/// The original future event list: a `BinaryHeap` of whole [`Event`]
-/// values. Kept as the debug/reference implementation the pooled queue is
-/// property-tested against; every sift copies the full event (including any
-/// `Arrive` packet payload), which is exactly the constant factor
-/// [`PooledEventQueue`] removes.
-#[derive(Default)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<Event>,
-    seq: u64,
-    scheduled: u64,
-}
-
-impl HeapEventQueue {
-    pub fn new() -> HeapEventQueue {
-        HeapEventQueue::default()
-    }
-
-    /// Schedule `kind` at absolute time `time`.
-    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.seq += 1;
-        self.scheduled += 1;
-        self.heap.push(Event::new(time, kind, self.seq));
-    }
-
-    /// Pop the next event in deterministic order.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// Timestamp of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever scheduled (the paper's "events/second" metric).
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-}
-
 /// Index marking the end of the freelist / an unlinked node.
 const NIL: u32 = u32::MAX;
 
@@ -237,14 +185,14 @@ fn tombstone() -> EventKind {
     EventKind::Fault { index: NIL }
 }
 
-/// Slab-backed future event list. Event payloads live in pooled [`Node`]s
-/// addressed by `u32` index; ordering is a hand-rolled binary min-heap over
-/// those indices comparing the same `(time, class, tag, seq)` key as the
-/// reference implementation, so pop order is bit-identical. Completed nodes
+/// The future event list. Event payloads live in pooled [`Node`]s addressed
+/// by `u32` index; ordering is a hand-rolled binary min-heap over those
+/// indices comparing the `(time, class, tag, seq)` key of [`Event`]'s `Ord`,
+/// so pop order is exactly that of a `BinaryHeap<Event>`. Completed nodes
 /// are pushed onto an intrusive freelist and recycled, so a steady-state
 /// simulation stops allocating per event entirely once the slab has grown to
 /// the high-water mark of in-flight events.
-pub struct PooledEventQueue {
+pub struct EventQueue {
     nodes: Vec<Node>,
     /// Head of the freed-node chain (`NIL` when every node is live).
     free_head: u32,
@@ -254,9 +202,9 @@ pub struct PooledEventQueue {
     scheduled: u64,
 }
 
-impl Default for PooledEventQueue {
-    fn default() -> PooledEventQueue {
-        PooledEventQueue {
+impl Default for EventQueue {
+    fn default() -> EventQueue {
+        EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
             heap: Vec::new(),
@@ -266,9 +214,9 @@ impl Default for PooledEventQueue {
     }
 }
 
-impl PooledEventQueue {
-    pub fn new() -> PooledEventQueue {
-        PooledEventQueue::default()
+impl EventQueue {
+    pub fn new() -> EventQueue {
+        EventQueue::default()
     }
 
     /// Schedule `kind` at absolute time `time`.
@@ -347,7 +295,8 @@ impl PooledEventQueue {
     }
 
     /// Slab capacity (live + free nodes) — the pool's high-water mark.
-    pub fn pool_size(&self) -> usize {
+    #[cfg(test)]
+    fn pool_size(&self) -> usize {
         self.nodes.len()
     }
 
@@ -396,90 +345,6 @@ impl PooledEventQueue {
         let mut live = self.heap.clone();
         live.sort_unstable_by_key(|&i| self.nodes[i as usize].key());
         live
-    }
-}
-
-/// The future event list.
-///
-/// A thin dispatcher over the two interchangeable implementations:
-/// [`PooledEventQueue`] (default, allocation-recycling) and
-/// [`HeapEventQueue`] (reference). Both produce bit-identical pop orders and
-/// snapshot bytes; the enum exists so equivalence tests and the perf bench
-/// can run the same simulation against either engine.
-pub enum EventQueue {
-    Pooled(PooledEventQueue),
-    Heap(HeapEventQueue),
-}
-
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue::Pooled(PooledEventQueue::new())
-    }
-}
-
-impl EventQueue {
-    pub fn new() -> EventQueue {
-        EventQueue::default()
-    }
-
-    /// The reference `BinaryHeap` implementation, for equivalence tests and
-    /// honest before/after benchmarking.
-    pub fn new_reference() -> EventQueue {
-        EventQueue::Heap(HeapEventQueue::new())
-    }
-
-    /// True when backed by the pooled slab implementation.
-    pub fn is_pooled(&self) -> bool {
-        matches!(self, EventQueue::Pooled(_))
-    }
-
-    /// Schedule `kind` at absolute time `time`.
-    #[inline]
-    pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        match self {
-            EventQueue::Pooled(q) => q.schedule(time, kind),
-            EventQueue::Heap(q) => q.schedule(time, kind),
-        }
-    }
-
-    /// Pop the next event in deterministic order.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Pooled(q) => q.pop(),
-            EventQueue::Heap(q) => q.pop(),
-        }
-    }
-
-    /// Timestamp of the next event, if any.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Pooled(q) => q.peek_time(),
-            EventQueue::Heap(q) => q.peek_time(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Pooled(q) => q.len(),
-            EventQueue::Heap(q) => q.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        match self {
-            EventQueue::Pooled(q) => q.is_empty(),
-            EventQueue::Heap(q) => q.is_empty(),
-        }
-    }
-
-    /// Total events ever scheduled (the paper's "events/second" metric).
-    pub fn total_scheduled(&self) -> u64 {
-        match self {
-            EventQueue::Pooled(q) => q.total_scheduled(),
-            EventQueue::Heap(q) => q.total_scheduled(),
-        }
     }
 }
 
@@ -556,50 +421,37 @@ impl EventKind {
     }
 }
 
-impl HeapEventQueue {
-    /// Serialize the full future event list plus scheduling counters.
-    ///
-    /// Events are written in deterministic pop order (by draining a clone of
-    /// the heap), and each event keeps its original insertion `seq`, so the
-    /// restored queue reproduces the exact total order — including
-    /// last-resort `seq` tiebreaks — of the uninterrupted run.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.heap.len() as u64);
-        let mut drain = self.heap.clone();
-        while let Some(e) = drain.pop() {
-            w.put_u64(e.time.0);
-            w.put_u64(e.seq);
-            e.kind.save(w);
-        }
-        w.put_u64(self.seq);
-        w.put_u64(self.scheduled);
-    }
-
-    /// Rebuild the future event list from [`EventQueue::save_state`] bytes.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(17)?;
-        let mut heap = BinaryHeap::with_capacity(n);
-        for _ in 0..n {
-            let time = SimTime(r.get_u64()?);
-            let seq = r.get_u64()?;
-            let kind = EventKind::load(r)?;
-            heap.push(Event::new(time, kind, seq));
-        }
-        self.heap = heap;
-        self.seq = r.get_u64()?;
-        self.scheduled = r.get_u64()?;
-        Ok(())
+impl EventKind {
+    /// Write the event payload through the snapshot codec. The window
+    /// digest uses this so per-event digests cover exactly the bytes a
+    /// checkpoint would persist for the event.
+    pub fn encode_for_digest(&self, w: &mut SnapWriter) {
+        self.save(w);
     }
 }
 
-impl PooledEventQueue {
+impl EventQueue {
+    /// Visit every live (not yet popped) event, in arbitrary order.
+    ///
+    /// This is the window-digest iteration hook: callers combine per-event
+    /// digests commutatively, so visit order is irrelevant, and the `seq`
+    /// insertion tiebreak is deliberately not exposed — it depends on
+    /// scheduling history and differs across partition counts, while the
+    /// `(time, payload)` pair visible here does not.
+    pub fn for_each_live(&self, mut f: impl FnMut(SimTime, &EventKind)) {
+        for &i in &self.heap {
+            let n = &self.nodes[i as usize];
+            f(n.time, &n.kind);
+        }
+    }
+
     /// Serialize the full future event list plus scheduling counters.
     ///
-    /// Byte-identical to [`HeapEventQueue::save_state`]: keys are unique, so
-    /// sorting the live slab indices reproduces the exact pop order the
-    /// reference implementation gets by draining a heap clone — but here
-    /// events are serialized *by reference* (no packet-deep clone of the
-    /// future event list just to take a checkpoint).
+    /// Events are written in pop order, each with its original insertion
+    /// `seq`; keys are unique, so sorting the live slab indices gives that
+    /// order without draining anything, and events are serialized *by
+    /// reference* (no packet-deep clone of the future event list just to
+    /// take a checkpoint).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.heap.len() as u64);
         for &idx in &self.sorted_live() {
@@ -633,59 +485,6 @@ impl PooledEventQueue {
         self.seq = r.get_u64()?;
         self.scheduled = r.get_u64()?;
         Ok(())
-    }
-}
-
-impl EventKind {
-    /// Write the event payload through the snapshot codec. The window
-    /// digest uses this so per-event digests cover exactly the bytes a
-    /// checkpoint would persist for the event.
-    pub fn encode_for_digest(&self, w: &mut SnapWriter) {
-        self.save(w);
-    }
-}
-
-impl EventQueue {
-    /// Visit every live (not yet popped) event, in arbitrary order.
-    ///
-    /// This is the window-digest iteration hook: callers combine per-event
-    /// digests commutatively, so visit order is irrelevant, and the `seq`
-    /// insertion tiebreak is deliberately not exposed — it depends on
-    /// scheduling history and differs across partition counts, while the
-    /// `(time, payload)` pair visible here does not.
-    pub fn for_each_live(&self, mut f: impl FnMut(SimTime, &EventKind)) {
-        match self {
-            EventQueue::Pooled(q) => {
-                for &i in &q.heap {
-                    let n = &q.nodes[i as usize];
-                    f(n.time, &n.kind);
-                }
-            }
-            EventQueue::Heap(q) => {
-                for e in q.heap.iter() {
-                    f(e.time, &e.kind);
-                }
-            }
-        }
-    }
-
-    /// Serialize the full future event list plus scheduling counters. Both
-    /// backing implementations write the same bytes for the same logical
-    /// queue contents, so snapshots are portable across them.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            EventQueue::Pooled(q) => q.save_state(w),
-            EventQueue::Heap(q) => q.save_state(w),
-        }
-    }
-
-    /// Rebuild the future event list from [`EventQueue::save_state`] bytes,
-    /// into whichever implementation this queue currently is.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        match self {
-            EventQueue::Pooled(q) => q.load_state(r),
-            EventQueue::Heap(q) => q.load_state(r),
-        }
     }
 }
 
@@ -794,7 +593,7 @@ mod tests {
         assert_eq!(e.time, t(1_000_000));
     }
 
-    /// A deterministic mixed-kind workload for cross-implementation checks.
+    /// A deterministic mixed-kind workload.
     fn mixed_kind(i: u64) -> EventKind {
         match i % 6 {
             0 => EventKind::TxDone {
@@ -822,86 +621,9 @@ mod tests {
         }
     }
 
-    /// Compact fingerprint of a popped event, covering every payload field
-    /// that participates in ordering or dispatch.
-    fn fingerprint(e: &Event) -> (u64, u8, u64) {
-        (e.time.0, e.kind.class(), e.kind.tag())
-    }
-
-    #[test]
-    fn pooled_matches_heap_reference_order() {
-        let mut pooled = EventQueue::new();
-        let mut heap = EventQueue::new_reference();
-        assert!(pooled.is_pooled());
-        assert!(!heap.is_pooled());
-        // Deliberately collision-heavy times to exercise class/tag/seq
-        // tiebreaks, with interleaved pops mid-stream.
-        let mut step = 0u64;
-        for i in 0..500u64 {
-            let time = t((i * 37) % 41);
-            pooled.schedule(time, mixed_kind(i));
-            heap.schedule(time, mixed_kind(i));
-            if i % 7 == 3 {
-                step += 1;
-                let a = pooled.pop().map(|e| fingerprint(&e));
-                let b = heap.pop().map(|e| fingerprint(&e));
-                assert_eq!(a, b, "divergence at interleaved pop {step}");
-            }
-        }
-        loop {
-            let a = pooled.pop().map(|e| fingerprint(&e));
-            let b = heap.pop().map(|e| fingerprint(&e));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(pooled.total_scheduled(), heap.total_scheduled());
-    }
-
-    #[test]
-    fn pooled_and_heap_snapshots_are_byte_identical() {
-        let mut pooled = EventQueue::new();
-        let mut heap = EventQueue::new_reference();
-        for i in 0..200u64 {
-            let time = t((i * 13) % 29);
-            pooled.schedule(time, mixed_kind(i));
-            heap.schedule(time, mixed_kind(i));
-            if i % 5 == 0 {
-                pooled.pop();
-                heap.pop();
-            }
-        }
-        let mut wp = SnapWriter::new();
-        let mut wh = SnapWriter::new();
-        pooled.save_state(&mut wp);
-        heap.save_state(&mut wh);
-        let (bp, bh) = (wp.into_bytes(), wh.into_bytes());
-        assert_eq!(bp, bh, "snapshot encodings diverge");
-
-        // Cross-restore: pooled bytes into a heap queue and vice versa, then
-        // both must re-save to the same bytes and pop identically.
-        let mut restored_heap = EventQueue::new_reference();
-        restored_heap
-            .load_state(&mut SnapReader::new(&bp))
-            .expect("heap restores pooled bytes");
-        let mut restored_pooled = EventQueue::new();
-        restored_pooled
-            .load_state(&mut SnapReader::new(&bh))
-            .expect("pooled restores heap bytes");
-        loop {
-            let a = restored_pooled.pop().map(|e| fingerprint(&e));
-            let b = restored_heap.pop().map(|e| fingerprint(&e));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
     #[test]
     fn pool_recycles_nodes_at_steady_state() {
-        let mut q = PooledEventQueue::new();
+        let mut q = EventQueue::new();
         // Fill to a high-water mark of 64 in-flight events...
         for i in 0..64u64 {
             q.schedule(t(i), mixed_kind(i));

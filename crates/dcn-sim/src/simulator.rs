@@ -136,9 +136,6 @@ pub struct Simulation {
     /// endpoint is reset to factory-fresh state, so the pool's contents are
     /// interchangeable with fresh allocations.
     spares: [Vec<Box<dyn Transport>>; 2],
-    /// Per-role pooling enable; flipped off permanently the first time a
-    /// transport's [`Transport::reset`] opts out.
-    pool_endpoints: [bool; 2],
     initialized: bool,
     /// Per-(link, dir) fault streams; `None` when loss injection is off.
     fault: Option<Vec<[crate::rng::SplitMix64; 2]>>,
@@ -238,7 +235,6 @@ impl Simulation {
             trace_cluster: None,
             scratch: Actions::default(),
             spares: [Vec::new(), Vec::new()],
-            pool_endpoints: [true, true],
             initialized: false,
             owner_of_node: None,
             my_partition: 0,
@@ -286,50 +282,17 @@ impl Simulation {
         self.model = Some(model);
     }
 
-    /// Swap the future event list for the reference `BinaryHeap`
-    /// implementation (see [`crate::event::HeapEventQueue`]). Pop order and
-    /// snapshot bytes are identical to the default pooled queue — this
-    /// exists for equivalence tests and honest before/after benchmarking.
-    /// Must be called before the run starts.
-    pub fn use_reference_queue(&mut self) {
-        assert!(
-            !self.initialized,
-            "cannot swap the event queue after the run started"
-        );
-        assert!(self.queue.is_empty(), "cannot swap a non-empty event queue");
-        self.queue = EventQueue::new_reference();
-    }
-
-    /// Disable transport endpoint recycling so every flow allocates fresh
-    /// boxes (the pre-pooling behavior). Trajectories are identical either
-    /// way — [`Transport::reset`] guarantees a recycled endpoint is
-    /// indistinguishable from a factory-fresh one — so this, too, exists
-    /// for equivalence tests and benchmarking.
-    pub fn disable_endpoint_pooling(&mut self) {
-        self.pool_endpoints = [false, false];
-        self.spares = [Vec::new(), Vec::new()];
-    }
-
     /// Cap on spare endpoints kept per role. Completion and arrival rates
     /// track each other at steady state, so the pool stays near the
     /// high-water mark of concurrently-active flows; the cap only guards
     /// against pathological burst-then-idle schedules pinning memory.
     const SPARE_CAP: usize = 4096;
 
-    /// Get an endpoint for `spec`, recycling a spare box when pooling is on.
+    /// Get an endpoint for `spec`, recycling a spare box when one is left.
     fn acquire_endpoint(&mut self, role: Role, spec: &FlowSpec) -> Box<dyn Transport> {
-        let r = role as usize;
-        if self.pool_endpoints[r] {
-            if let Some(mut b) = self.spares[r].pop() {
-                if b.reset(spec) {
-                    return b;
-                }
-                // This transport type opted out of recycling: stop pooling
-                // the role for good (factories are homogeneous per run, so
-                // one refusal means they would all refuse).
-                self.pool_endpoints[r] = false;
-                self.spares[r] = Vec::new();
-            }
+        if let Some(mut b) = self.spares[role as usize].pop() {
+            b.reset(spec);
+            return b;
         }
         match role {
             Role::Sender => self.factory.sender(spec),
@@ -339,9 +302,9 @@ impl Simulation {
 
     /// Return a completed flow's endpoint box to the role's spare pool.
     fn recycle_endpoint(&mut self, ep: crate::host::Endpoint) {
-        let r = ep.role as usize;
-        if self.pool_endpoints[r] && self.spares[r].len() < Self::SPARE_CAP {
-            self.spares[r].push(ep.transport);
+        let spares = &mut self.spares[ep.role as usize];
+        if spares.len() < Self::SPARE_CAP {
+            spares.push(ep.transport);
         }
     }
 

@@ -128,19 +128,13 @@ pub trait Transport {
     /// Re-initialize this endpoint for a brand-new flow so the engine can
     /// recycle the box instead of allocating a fresh one (flow churn is the
     /// engine's dominant allocation site — see
-    /// `dcn-sim/tests/alloc_steady_state.rs`).
+    /// `dcn-sim/tests/alloc_steady_state.rs`). The engine always recycles.
     ///
-    /// Returning `true` is a contract: the endpoint must now be
-    /// *behaviorally identical* to a factory-fresh endpoint for `spec` —
-    /// same trajectory, same snapshot bytes. Buffers may keep their
-    /// capacity (that is the point), but every logical field must be back
-    /// at its constructed value. The default opts out (`false`), which
-    /// permanently disables pooling for that role; all in-tree transports
-    /// opt in.
-    fn reset(&mut self, spec: &FlowSpec) -> bool {
-        let _ = spec;
-        false
-    }
+    /// Afterwards the endpoint must be *behaviorally identical* to a
+    /// factory-fresh endpoint for `spec` — same trajectory, same snapshot
+    /// bytes. Buffers may keep their capacity (that is the point), but
+    /// every logical field must be back at its constructed value.
+    fn reset(&mut self, spec: &FlowSpec);
 }
 
 /// Merge `[start, end)` into a sorted, disjoint `[s, e)` range set — in
@@ -324,14 +318,13 @@ pub mod testing {
             Ok(())
         }
 
-        fn reset(&mut self, spec: &FlowSpec) -> bool {
+        fn reset(&mut self, spec: &FlowSpec) {
             // `window`/`rto` are factory parameters; within one simulation
             // every endpoint comes from the same factory, so they carry over.
             self.flow = spec.clone();
             self.next_seq = 0;
             self.acked = 0;
             self.timer_gen = 0;
-            true
         }
     }
 
@@ -408,11 +401,10 @@ pub mod testing {
             Ok(())
         }
 
-        fn reset(&mut self, spec: &FlowSpec) -> bool {
+        fn reset(&mut self, spec: &FlowSpec) {
             self.flow = spec.clone();
             self.received.clear(); // keeps capacity — that's the point
             self.delivered = 0;
-            true
         }
     }
 }

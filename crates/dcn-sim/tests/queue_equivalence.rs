@@ -1,20 +1,23 @@
-//! Property tests locking the pooled event queue to the `BinaryHeap`
-//! reference implementation (DESIGN.md §12).
+//! Property tests locking the event queue to the reference ordering
+//! (DESIGN.md §12): a `BinaryHeap<Event>` filled through [`Event::new`]
+//! with a strictly increasing insertion `seq`.
 //!
-//! Both engines must produce **byte-identical** event orderings and
-//! snapshot encodings under arbitrary interleavings of scheduling,
-//! cancellation (pops — the engine layer cancels lazily, so a pop is the
-//! removal primitive), and snapshot/restore — and that must hold at every
-//! partition count the PDES layer runs (1/2/4 queues fed disjoint slices
-//! of the op stream).
+//! The queue must pop exactly like the reference under arbitrary
+//! interleavings of scheduling, cancellation (pops — the engine layer
+//! cancels lazily, so a pop is the removal primitive), and
+//! snapshot/restore; its snapshot bytes must equal the reference's pop
+//! order written through the event codec; and all of that must hold at
+//! every partition count the PDES layer runs (1/2/4 queues fed disjoint
+//! slices of the op stream).
 
-use dcn_sim::event::{EventKind, EventQueue};
+use dcn_sim::event::{Event, EventKind, EventQueue};
 use dcn_sim::link::Dir;
 use dcn_sim::packet::{FlowId, Packet};
 use dcn_sim::snapshot::{SnapReader, SnapWriter};
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::{LinkId, NodeId};
 use proptest::prelude::*;
+use std::collections::BinaryHeap;
 
 /// Build a mixed-kind event from two raw random words, covering every
 /// variant (including packet-carrying `Arrive`, the pool's reason to
@@ -61,17 +64,58 @@ fn kind_of(a: u64, b: u64) -> EventKind {
 
 /// Full fingerprint of a popped event (time + every payload field, via the
 /// derived Debug repr — cheap and exhaustive for a test).
-fn fp(e: &dcn_sim::event::Event) -> String {
+fn fp(e: &Event) -> String {
     format!("{:?}@{:?}", e.time.0, e.kind)
 }
 
-/// Apply one op stream to `parts` pooled/reference queue pairs and check
-/// byte-identical behavior throughout. Each op is (selector, time, payload);
-/// the pair index is derived from the payload so streams interleave across
+/// The reference future event list. Each entry carries its `seq` next to
+/// the event so the snapshot encoding can be written; keys are unique, so
+/// the tuple orders by the event alone.
+#[derive(Default)]
+struct Reference {
+    heap: BinaryHeap<(Event, u64)>,
+    seq: u64,
+}
+
+impl Reference {
+    fn schedule(&mut self, time: SimTime, kind: EventKind) {
+        self.seq += 1;
+        self.heap.push((Event::new(time, kind, self.seq), self.seq));
+    }
+
+    fn pop(&mut self) -> Option<Event> {
+        self.heap.pop().map(|(e, _)| e)
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|(e, _)| e.time)
+    }
+
+    /// The snapshot wire format: event count, then `(time, seq, payload)`
+    /// in pop order, then the insertion and scheduling counters (equal
+    /// here: the reference never restores).
+    fn snapshot(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u64(self.heap.len() as u64);
+        let mut drain = self.heap.clone();
+        while let Some((e, seq)) = drain.pop() {
+            w.put_u64(e.time.0);
+            w.put_u64(seq);
+            e.kind.encode_for_digest(&mut w);
+        }
+        w.put_u64(self.seq);
+        w.put_u64(self.seq);
+        w.into_bytes()
+    }
+}
+
+/// Apply one op stream to `parts` queue/reference pairs and check identical
+/// behavior throughout. Each op is (selector, time, payload); the pair
+/// index is derived from the payload so streams interleave across
 /// partitions like PDES LPs interleave scheduling.
 fn check_equivalence(ops: &[(u8, u64, u64)], parts: usize) -> Result<(), TestCaseError> {
-    let mut pooled: Vec<EventQueue> = (0..parts).map(|_| EventQueue::new()).collect();
-    let mut heap: Vec<EventQueue> = (0..parts).map(|_| EventQueue::new_reference()).collect();
+    let mut queue: Vec<EventQueue> = (0..parts).map(|_| EventQueue::new()).collect();
+    let mut reference: Vec<Reference> = (0..parts).map(|_| Reference::default()).collect();
     for &(sel, time, payload) in ops {
         let p = (payload % parts as u64) as usize;
         match sel % 8 {
@@ -81,53 +125,46 @@ fn check_equivalence(ops: &[(u8, u64, u64)], parts: usize) -> Result<(), TestCas
             // hard case.
             0..=5 => {
                 let t = SimTime(time % 37);
-                pooled[p].schedule(t, kind_of(sel as u64, payload));
-                heap[p].schedule(t, kind_of(sel as u64, payload));
+                queue[p].schedule(t, kind_of(sel as u64, payload));
+                reference[p].schedule(t, kind_of(sel as u64, payload));
             }
             // Cancel: the engine cancels lazily, so removal == pop.
             6 => {
-                let a = pooled[p].pop().map(|e| fp(&e));
-                let b = heap[p].pop().map(|e| fp(&e));
+                let a = queue[p].pop().map(|e| fp(&e));
+                let b = reference[p].pop().map(|e| fp(&e));
                 prop_assert_eq!(a, b, "mid-stream pop diverged (partition {})", p);
             }
-            // Snapshot round-trip: bytes must match, and both byte strings
-            // must restore into either implementation.
+            // Snapshot: the bytes must equal the reference encoding, and
+            // the run continues on a queue restored from them while the
+            // reference runs on uninterrupted.
             _ => {
-                let mut wp = SnapWriter::new();
-                let mut wh = SnapWriter::new();
-                pooled[p].save_state(&mut wp);
-                heap[p].save_state(&mut wh);
-                let (bp, bh) = (wp.into_bytes(), wh.into_bytes());
-                prop_assert_eq!(&bp, &bh, "snapshot bytes diverged (partition {})", p);
-                // Cross-restore: pooled bytes -> reference queue and
-                // reference bytes -> pooled queue, then continue the run on
-                // the restored queues.
-                let mut np = EventQueue::new();
-                np.load_state(&mut SnapReader::new(&bh))
-                    .map_err(|e| TestCaseError::fail(format!("pooled restore: {e:?}")))?;
-                let mut nh = EventQueue::new_reference();
-                nh.load_state(&mut SnapReader::new(&bp))
-                    .map_err(|e| TestCaseError::fail(format!("heap restore: {e:?}")))?;
-                prop_assert_eq!(np.len(), pooled[p].len());
-                prop_assert_eq!(np.total_scheduled(), pooled[p].total_scheduled());
-                pooled[p] = np;
-                heap[p] = nh;
+                let mut w = SnapWriter::new();
+                queue[p].save_state(&mut w);
+                let bytes = w.into_bytes();
+                prop_assert_eq!(&bytes, &reference[p].snapshot(), "snapshot bytes diverged (partition {})", p);
+                let mut restored = EventQueue::new();
+                restored
+                    .load_state(&mut SnapReader::new(&bytes))
+                    .map_err(|e| TestCaseError::fail(format!("restore: {e:?}")))?;
+                prop_assert_eq!(restored.len(), queue[p].len());
+                prop_assert_eq!(restored.total_scheduled(), queue[p].total_scheduled());
+                queue[p] = restored;
             }
         }
-        prop_assert_eq!(pooled[p].len(), heap[p].len());
-        prop_assert_eq!(pooled[p].peek_time(), heap[p].peek_time());
+        prop_assert_eq!(queue[p].len(), reference[p].heap.len());
+        prop_assert_eq!(queue[p].peek_time(), reference[p].peek_time());
     }
     // Drain everything: the full remaining order must match exactly.
     for p in 0..parts {
         loop {
-            let a = pooled[p].pop().map(|e| fp(&e));
-            let b = heap[p].pop().map(|e| fp(&e));
+            let a = queue[p].pop().map(|e| fp(&e));
+            let b = reference[p].pop().map(|e| fp(&e));
             prop_assert_eq!(&a, &b, "drain diverged (partition {})", p);
             if a.is_none() {
                 break;
             }
         }
-        prop_assert_eq!(pooled[p].total_scheduled(), heap[p].total_scheduled());
+        prop_assert_eq!(queue[p].total_scheduled(), reference[p].seq);
     }
     Ok(())
 }

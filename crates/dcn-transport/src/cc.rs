@@ -91,15 +91,11 @@ pub trait CongControl: Send {
     }
 
     /// Re-initialize for a new flow so the owning sender's box can be
-    /// recycled (see [`dcn_sim::transport::Transport::reset`]). Returning
-    /// `true` promises the controller is now behaviorally identical to one
-    /// fresh out of its constructor — estimators cleared, configuration
-    /// (gains, thresholds) retained. The default opts out, which disables
-    /// endpoint pooling for the whole sender; all in-tree controllers opt
-    /// in.
-    fn reset(&mut self) -> bool {
-        false
-    }
+    /// recycled (see [`dcn_sim::transport::Transport::reset`]). Afterwards
+    /// the controller must be behaviorally identical to one fresh out of
+    /// its constructor — estimators cleared, configuration (gains,
+    /// thresholds) retained.
+    fn reset(&mut self);
 }
 
 /// Standard Reno ack processing: slow start below ssthresh, AIMD above.

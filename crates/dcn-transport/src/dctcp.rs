@@ -98,14 +98,13 @@ impl CongControl for DctcpCc {
         true
     }
 
-    fn reset(&mut self) -> bool {
+    fn reset(&mut self) {
         // `g` is configuration; everything else back to `DctcpCc::new`.
         self.alpha = 1.0;
         self.acked_bytes = 0;
         self.marked_bytes = 0;
         self.window_end = 0;
         self.cwr_end = 0;
-        true
     }
 
     fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {

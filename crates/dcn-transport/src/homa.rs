@@ -234,7 +234,7 @@ impl Transport for HomaSender {
         Ok(())
     }
 
-    fn reset(&mut self, spec: &FlowSpec) -> bool {
+    fn reset(&mut self, spec: &FlowSpec) {
         // `rtt_bytes`/`mss`/`resend_timeout` are factory parameters and
         // carry over; everything else mirrors `HomaFactory::sender`.
         self.flow = spec.clone();
@@ -243,7 +243,6 @@ impl Transport for HomaSender {
         self.completed = false;
         self.timer_gen = 0;
         self.retransmits = 0;
-        true
     }
 }
 
@@ -382,7 +381,7 @@ impl Transport for HomaReceiver {
         Ok(())
     }
 
-    fn reset(&mut self, spec: &FlowSpec) -> bool {
+    fn reset(&mut self, spec: &FlowSpec) {
         // `rtt_bytes`/`resend_timeout` are factory parameters and carry
         // over; everything else mirrors `HomaFactory::receiver`.
         self.flow = spec.clone();
@@ -391,7 +390,6 @@ impl Transport for HomaReceiver {
         self.granted_sent = 0;
         self.timer_gen = 0;
         self.completed = false;
-        true
     }
 }
 

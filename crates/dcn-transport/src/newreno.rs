@@ -28,8 +28,8 @@ impl CongControl for RenoCc {
         reno_timeout(flight, w);
     }
 
-    fn reset(&mut self) -> bool {
-        true // stateless
+    fn reset(&mut self) {
+        // Stateless.
     }
 }
 

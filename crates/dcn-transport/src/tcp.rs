@@ -346,10 +346,8 @@ impl Transport for TcpSender {
         self.cc.load_state(r)
     }
 
-    fn reset(&mut self, spec: &FlowSpec) -> bool {
-        if !self.cc.reset() {
-            return false;
-        }
+    fn reset(&mut self, spec: &FlowSpec) {
+        self.cc.reset();
         // Mirror `TcpSender::new` field by field (`cfg` is configuration
         // and carries over — one factory per simulation).
         self.flow = spec.clone();
@@ -362,7 +360,6 @@ impl Transport for TcpSender {
         self.timer_gen = 0;
         self.completed = false;
         self.retransmits = 0;
-        true
     }
 }
 
@@ -456,12 +453,11 @@ impl Transport for TcpReceiver {
         Ok(())
     }
 
-    fn reset(&mut self, spec: &FlowSpec) -> bool {
+    fn reset(&mut self, spec: &FlowSpec) {
         // `echo_ecn` is a factory parameter and carries over.
         self.flow = spec.clone();
         self.ranges.clear(); // keeps capacity
         self.delivered = 0;
-        true
     }
 }
 

@@ -114,13 +114,12 @@ impl CongControl for VegasCc {
         reno_timeout(flight, w);
     }
 
-    fn reset(&mut self) -> bool {
+    fn reset(&mut self) {
         // `alpha`/`beta`/`gamma` are configuration; estimators back to
         // `VegasCc::new`.
         self.base_rtt = None;
         self.epoch_min_rtt = None;
         self.epoch_end = 0;
-        true
     }
 
     fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {

@@ -90,12 +90,11 @@ impl CongControl for WestwoodCc {
         w.cwnd = w.mss;
     }
 
-    fn reset(&mut self) -> bool {
+    fn reset(&mut self) {
         // `gain` is configuration; estimators back to `WestwoodCc::new`.
         self.bwe = 0.0;
         self.last_ack = None;
         self.min_rtt = None;
-        true
     }
 
     fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {
