@@ -61,7 +61,7 @@ struct EventEngineNumbers {
     /// `BinaryHeap<Event>` reference queue: ns per pop+reschedule pair at
     /// steady state.
     heap_ns_per_event: f64,
-    /// Slab-pooled index-heap queue, same workload.
+    /// The engine's slab-pooled radix queue, same workload.
     pooled_ns_per_event: f64,
     heap_events_per_sec: f64,
     pooled_events_per_sec: f64,
@@ -213,7 +213,7 @@ struct TrainingParallelNumbers {
 #[derive(Serialize, Deserialize)]
 struct BenchReport {
     config: BenchConfig,
-    /// Core event-engine throughput: pooled index-heap queue vs the
+    /// Core event-engine throughput: pooled radix queue vs the
     /// `BinaryHeap` reference. Serde default keeps baselines recorded
     /// before the section existed readable; a zeroed section disables its
     /// gate.
@@ -369,12 +369,14 @@ fn untrained_bundle(
 /// Event-engine throughput at simulation steady state: a hold-K queue
 /// (pop one, reschedule one) over the engine's real event mix — half
 /// packet-carrying `Arrive` events, the rest `TxDone`/`Timer` bookkeeping.
-/// The identical workload runs against the pooled index-heap queue and the
-/// `BinaryHeap<Event>` reference; the pooled engine's entire case is that
-/// sifting 4-byte indices beats memmoving whole `Event` values (a `Packet`
-/// payload rides in every `Arrive`). Medians over alternating heap/pooled
-/// pairs ([`paired`]): one ~30 ms sample per engine swings by tens of
-/// percent on a shared runner, enough to flip the 1.3x gate either way.
+/// The identical workload runs against the engine's queue (a monotone
+/// radix queue over a pooled slab) and the `BinaryHeap<Event>` reference;
+/// the engine's case is that a pop redistributes one small bucket instead
+/// of paying a log-depth sift chain that memmoves whole `Event` values (a
+/// `Packet` payload rides in every `Arrive`). Medians over alternating
+/// heap/pooled pairs ([`paired`]): one ~30 ms sample per engine swings by
+/// tens of percent on a shared runner, enough to flip the 1.3x gate either
+/// way.
 fn bench_event_engine(iters: usize) -> EventEngineNumbers {
     use dcn_sim::event::{Event, EventKind, EventQueue};
     use dcn_sim::link::Dir;

@@ -11,12 +11,14 @@
 //! produced, and `seq` is a last-resort insertion tiebreak.
 //!
 //! [`EventQueue`] keeps event payloads in a slab of pooled nodes linked by
-//! `u32` indices with a freelist, and orders them through a binary heap *of
-//! indices*. Sifting moves 4-byte indices, not whole `Event` values, so
-//! `Arrive` events do not copy their `Packet` payloads through the heap, and
-//! completed nodes are recycled instead of reallocated. A `BinaryHeap<Event>`
-//! filled with [`Event::new`] and a strictly increasing `seq` is the
-//! reference ordering: it pops in exactly the order this queue does, which
+//! `u32` indices with a freelist, so completed nodes are recycled instead of
+//! reallocated, and orders them with a monotone radix queue: 65 buckets
+//! keyed by the highest bit in which an event's time differs from the time
+//! of the last pop. That is sound because the engine is causal — no event
+//! is ever scheduled before the last popped one, which the queue asserts.
+//! A `BinaryHeap<Event>` filled with [`Event::new`] and a strictly
+//! increasing `seq` is the reference ordering: fed the same causal
+//! schedule, it pops in exactly the order this queue does, which
 //! `tests/queue_equivalence.rs` checks against such a heap.
 
 use crate::link::Dir;
@@ -157,6 +159,10 @@ impl Ord for Event {
 /// Index marking the end of the freelist / an unlinked node.
 const NIL: u32 = u32::MAX;
 
+/// Number of radix buckets: bucket 0 for events at exactly the floor, and
+/// one per bit position in which a 64-bit time can first differ from it.
+const BUCKETS: usize = 65;
+
 /// One pooled event node. Freed nodes stay in the slab (their `kind`
 /// replaced by a placeholder — `EventKind` owns no heap data, so stale
 /// payload bytes are inert) and are chained through `next_free` for reuse.
@@ -167,7 +173,7 @@ struct Node {
     tag: u64,
     seq: u64,
     kind: EventKind,
-    /// Freelist link; `NIL` while the node is live in the heap.
+    /// Freelist link; `NIL` while the node is live in a bucket.
     next_free: u32,
 }
 
@@ -178,6 +184,13 @@ impl Node {
     }
 }
 
+/// A bucket entry: a live node's time next to its slab index, so finding a
+/// bucket's minimum and redistributing it read only the bucket.
+struct Slot {
+    time: u64,
+    idx: u32,
+}
+
 /// Placeholder written into freed nodes so the previous payload (possibly a
 /// packet-carrying `Arrive`) is moved out rather than cloned.
 #[inline]
@@ -185,19 +198,40 @@ fn tombstone() -> EventKind {
     EventKind::Fault { index: NIL }
 }
 
-/// The future event list. Event payloads live in pooled [`Node`]s addressed
-/// by `u32` index; ordering is a hand-rolled binary min-heap over those
-/// indices comparing the `(time, class, tag, seq)` key of [`Event`]'s `Ord`,
-/// so pop order is exactly that of a `BinaryHeap<Event>`. Completed nodes
-/// are pushed onto an intrusive freelist and recycled, so a steady-state
-/// simulation stops allocating per event entirely once the slab has grown to
-/// the high-water mark of in-flight events.
+/// The bucket of an event at `time` relative to the floor `last`: 0 when
+/// they are equal, else one more than the highest bit in which they differ.
+#[inline]
+fn bucket_of(time: u64, last: u64) -> usize {
+    (u64::BITS - (time ^ last).leading_zeros()) as usize
+}
+
+/// The future event list: a monotone radix queue over pooled nodes.
+///
+/// Event payloads live in pooled [`Node`]s addressed by `u32` index, and
+/// completed nodes are pushed onto an intrusive freelist and recycled, so a
+/// steady-state simulation stops allocating per event once the slab and
+/// the buckets have grown to their high-water marks.
+///
+/// Ordering exploits the engine's causality: nothing is scheduled before
+/// the time of the last pop (the *floor*, `last`). Bucket `b ≥ 1` holds
+/// the events whose time first differs from the floor in bit `b − 1`, so
+/// every event in a lower bucket is earlier than every event in a higher
+/// one. Bucket 0 holds the events at exactly the floor, sorted by the full
+/// `(time, class, tag, seq)` key with the next to pop at the back. When it
+/// runs dry, the lowest non-empty bucket's earliest time becomes the new
+/// floor and that bucket is redistributed into strictly lower ones; each
+/// event moves at most 64 times over its life and a pop does no
+/// log-depth sift. Pop order is exactly that of a `BinaryHeap<Event>` fed
+/// the same causal schedule.
 pub struct EventQueue {
     nodes: Vec<Node>,
     /// Head of the freed-node chain (`NIL` when every node is live).
     free_head: u32,
-    /// Binary min-heap of slab indices ordered by `Node::key`.
-    heap: Vec<u32>,
+    buckets: [Vec<Slot>; BUCKETS],
+    /// The floor: time of the last pop (zero before the first one and
+    /// after a restore).
+    last: u64,
+    len: usize,
     seq: u64,
     scheduled: u64,
 }
@@ -207,7 +241,9 @@ impl Default for EventQueue {
         EventQueue {
             nodes: Vec::new(),
             free_head: NIL,
-            heap: Vec::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            last: 0,
+            len: 0,
             seq: 0,
             scheduled: 0,
         }
@@ -220,6 +256,10 @@ impl EventQueue {
     }
 
     /// Schedule `kind` at absolute time `time`.
+    ///
+    /// # Panics
+    /// If `time` is earlier than the last popped event's: the engine never
+    /// schedules into the past, and the queue's ordering relies on it.
     pub fn schedule(&mut self, time: SimTime, kind: EventKind) {
         self.seq += 1;
         self.scheduled += 1;
@@ -230,6 +270,12 @@ impl EventQueue {
     /// Core insert preserving an explicit `seq` (used both by `schedule`
     /// and by snapshot restore, which must keep original tiebreaks).
     fn insert(&mut self, time: SimTime, kind: EventKind, seq: u64) {
+        assert!(
+            time.0 >= self.last,
+            "event scheduled at {} ns, before the last popped event at {} ns",
+            time.0,
+            self.last
+        );
         let class = kind.class();
         let tag = kind.tag();
         let idx = if self.free_head != NIL {
@@ -255,38 +301,102 @@ impl EventQueue {
             });
             idx
         };
-        self.heap.push(idx);
-        self.sift_up(self.heap.len() - 1);
+        self.len += 1;
+        let slot = Slot { time: time.0, idx };
+        match bucket_of(time.0, self.last) {
+            0 => {
+                let nodes = &self.nodes;
+                let key = nodes[idx as usize].key();
+                let at = self.buckets[0].partition_point(|s| nodes[s.idx as usize].key() > key);
+                self.buckets[0].insert(at, slot);
+            }
+            b => self.buckets[b].push(slot),
+        }
     }
 
     /// Pop the next event in deterministic order, recycling its node.
     pub fn pop(&mut self) -> Option<Event> {
-        let root = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        self.pop_if(|_| true)
+    }
+
+    /// Pop the next event if it is due strictly before `until`.
+    ///
+    /// A `None` leaves the floor where it was, so an event can still be
+    /// scheduled anywhere from the last popped time on — a PDES window
+    /// that has run out of due events can receive an injected arrival
+    /// before the head it refused.
+    pub fn pop_before(&mut self, until: SimTime) -> Option<Event> {
+        self.pop_if(|time| time < until.0)
+    }
+
+    /// Pop the head if `due(head time)`; the floor moves only on a pop.
+    #[inline]
+    fn pop_if(&mut self, due: impl Fn(u64) -> bool) -> Option<Event> {
+        let (b, min) = self.lowest()?;
+        if !due(min) {
+            return None;
         }
-        let node = &mut self.nodes[root as usize];
+        if b > 0 {
+            self.redistribute(b, min);
+        }
+        Some(self.take_head())
+    }
+
+    /// The lowest non-empty bucket and the earliest time in it, which is
+    /// the head's time.
+    #[inline]
+    fn lowest(&self) -> Option<(usize, u64)> {
+        let b = self.buckets.iter().position(|v| !v.is_empty())?;
+        if b == 0 {
+            return Some((0, self.last));
+        }
+        let min = self.buckets[b].iter().map(|s| s.time).min();
+        Some((b, min.expect("non-empty bucket")))
+    }
+
+    /// Make `min`, the earliest time in bucket `b`, the new floor and move
+    /// every event of that bucket into the lower bucket it now belongs in.
+    /// Events in higher buckets agree with the new floor above bit `b − 1`
+    /// just as they did with the old one, so they stay put.
+    fn redistribute(&mut self, b: usize, min: u64) {
+        self.last = min;
+        let mut moving = std::mem::take(&mut self.buckets[b]);
+        for slot in moving.drain(..) {
+            self.buckets[bucket_of(slot.time, min)].push(slot);
+        }
+        self.buckets[b] = moving;
+        let nodes = &self.nodes;
+        self.buckets[0].sort_unstable_by(|x, y| {
+            nodes[y.idx as usize]
+                .key()
+                .cmp(&nodes[x.idx as usize].key())
+        });
+    }
+
+    /// Remove the back of bucket 0 (the head) and recycle its node.
+    fn take_head(&mut self) -> Event {
+        let idx = self.buckets[0].pop().expect("head bucket is non-empty").idx;
+        self.len -= 1;
+        let node = &mut self.nodes[idx as usize];
         let time = node.time;
         let seq = node.seq;
         let kind = std::mem::replace(&mut node.kind, tombstone());
         node.next_free = self.free_head;
-        self.free_head = root;
-        Some(Event::new(time, kind, seq))
+        self.free_head = idx;
+        Event::new(time, kind, seq)
     }
 
     /// Timestamp of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&i| self.nodes[i as usize].time)
+        self.lowest().map(|(_, time)| SimTime(time))
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Total events ever scheduled (the paper's "events/second" metric).
@@ -300,49 +410,16 @@ impl EventQueue {
         self.nodes.len()
     }
 
-    #[inline]
-    fn less(&self, a: u32, b: u32) -> bool {
-        self.nodes[a as usize].key() < self.nodes[b as usize].key()
+    /// Slab indices of every live event, in arbitrary order.
+    fn live(&self) -> impl Iterator<Item = u32> + '_ {
+        self.buckets.iter().flatten().map(|s| s.idx)
     }
 
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.less(self.heap[pos], self.heap[parent]) {
-                self.heap.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut pos: usize) {
-        let len = self.heap.len();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let mut child = left;
-            if right < len && self.less(self.heap[right], self.heap[left]) {
-                child = right;
-            }
-            if self.less(self.heap[child], self.heap[pos]) {
-                self.heap.swap(pos, child);
-                pos = child;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Live heap indices sorted into pop order. Keys are unique (`seq` is a
+    /// Live slab indices sorted into pop order. Keys are unique (`seq` is a
     /// strictly increasing tiebreak), so this is exactly the order a full
     /// drain would produce — without mutating or cloning anything.
     fn sorted_live(&self) -> Vec<u32> {
-        let mut live = self.heap.clone();
+        let mut live: Vec<u32> = self.live().collect();
         live.sort_unstable_by_key(|&i| self.nodes[i as usize].key());
         live
     }
@@ -439,7 +516,7 @@ impl EventQueue {
     /// scheduling history and differs across partition counts, while the
     /// `(time, payload)` pair visible here does not.
     pub fn for_each_live(&self, mut f: impl FnMut(SimTime, &EventKind)) {
-        for &i in &self.heap {
+        for i in self.live() {
             let n = &self.nodes[i as usize];
             f(n.time, &n.kind);
         }
@@ -453,7 +530,7 @@ impl EventQueue {
     /// reference* (no packet-deep clone of the future event list just to
     /// take a checkpoint).
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.heap.len() as u64);
+        w.put_u64(self.len as u64);
         for &idx in &self.sorted_live() {
             let node = &self.nodes[idx as usize];
             w.put_u64(node.time.0);
@@ -466,16 +543,18 @@ impl EventQueue {
 
     /// Rebuild the future event list from [`EventQueue::save_state`] bytes.
     ///
-    /// Events arrive in pop order (already heap-ordered for an index heap
-    /// filled left to right), and each keeps its original `seq` so restored
-    /// tiebreaks match the uninterrupted run bit for bit.
+    /// Each event keeps its original `seq` so restored tiebreaks match the
+    /// uninterrupted run bit for bit. The floor is not part of the format,
+    /// so it restarts at zero: every restored event, and anything the
+    /// resumed run schedules, is at or after it.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
         let n = r.get_count(17)?;
         self.nodes.clear();
-        self.heap.clear();
+        self.buckets.iter_mut().for_each(Vec::clear);
         self.free_head = NIL;
+        self.last = 0;
+        self.len = 0;
         self.nodes.reserve(n);
-        self.heap.reserve(n);
         for _ in 0..n {
             let time = SimTime(r.get_u64()?);
             let seq = r.get_u64()?;

@@ -848,8 +848,7 @@ impl Simulation {
                 eo.obs.begin("sim.window", "sim", Some(self.now.as_nanos()));
             }
         }
-        while self.queue.peek_time().is_some_and(|t| t < until) {
-            let ev = self.queue.pop().expect("peeked event vanished");
+        while let Some(ev) = self.queue.pop_before(until) {
             self.now = ev.time;
             self.metrics.events_processed += 1;
             let kind_index = ev.kind.index();

@@ -2,13 +2,16 @@
 //! (DESIGN.md §12): a `BinaryHeap<Event>` filled through [`Event::new`]
 //! with a strictly increasing insertion `seq`.
 //!
-//! The queue must pop exactly like the reference under arbitrary
-//! interleavings of scheduling, cancellation (pops — the engine layer
-//! cancels lazily, so a pop is the removal primitive), and
-//! snapshot/restore; its snapshot bytes must equal the reference's pop
-//! order written through the event codec; and all of that must hold at
-//! every partition count the PDES layer runs (1/2/4 queues fed disjoint
-//! slices of the op stream).
+//! The op streams are causal, like the engine: nothing is scheduled before
+//! the time of the last pop, which the queue's radix ordering relies on and
+//! asserts. Under arbitrary interleavings of such scheduling, cancellation
+//! (pops — the engine layer cancels lazily, so a pop is the removal
+//! primitive), windowed pops (`pop_before`, as a PDES window drains its
+//! due events) and snapshot/restore, the queue must pop exactly like the
+//! reference; its snapshot bytes must equal the reference's pop order
+//! written through the event codec; and all of that must hold at every
+//! partition count the PDES layer runs (1/2/4 queues fed disjoint slices
+//! of the op stream).
 
 use dcn_sim::event::{Event, EventKind, EventQueue};
 use dcn_sim::link::Dir;
@@ -91,6 +94,14 @@ impl Reference {
         self.heap.peek().map(|(e, _)| e.time)
     }
 
+    fn pop_before(&mut self, until: SimTime) -> Option<Event> {
+        if self.peek_time()? < until {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
     /// The snapshot wire format: event count, then `(time, seq, payload)`
     /// in pop order, then the insertion and scheduling counters (equal
     /// here: the reference never restores).
@@ -112,27 +123,71 @@ impl Reference {
 /// Apply one op stream to `parts` queue/reference pairs and check identical
 /// behavior throughout. Each op is (selector, time, payload); the pair
 /// index is derived from the payload so streams interleave across
-/// partitions like PDES LPs interleave scheduling.
+/// partitions like PDES LPs interleave scheduling. `time` is an offset
+/// from the partition's floor (its last popped time), so every stream is
+/// causal.
 fn check_equivalence(ops: &[(u8, u64, u64)], parts: usize) -> Result<(), TestCaseError> {
     let mut queue: Vec<EventQueue> = (0..parts).map(|_| EventQueue::new()).collect();
     let mut reference: Vec<Reference> = (0..parts).map(|_| Reference::default()).collect();
+    let mut floor = vec![0u64; parts];
     for &(sel, time, payload) in ops {
         let p = (payload % parts as u64) as usize;
+        // Offsets come from a tiny range on purpose: simultaneity is the
+        // hard case.
+        let at = SimTime(floor[p] + time % 37);
         match sel % 8 {
-            // Schedule (selectors 0..=5 weight scheduling 6:2 against the
-            // other ops so queues grow and tiebreaks pile up). Times are
-            // drawn from a tiny range on purpose: simultaneity is the
-            // hard case.
-            0..=5 => {
-                let t = SimTime(time % 37);
-                queue[p].schedule(t, kind_of(sel as u64, payload));
-                reference[p].schedule(t, kind_of(sel as u64, payload));
+            // Schedule (selectors 0..=4 weight scheduling 5:3 against the
+            // other ops so queues grow and tiebreaks pile up).
+            0..=4 => {
+                queue[p].schedule(at, kind_of(sel as u64, payload));
+                reference[p].schedule(at, kind_of(sel as u64, payload));
+            }
+            // Windowed pop with the window end drawn near the floor: the
+            // reference head comes out iff it is due before `at`.
+            5 => {
+                let head = reference[p].peek_time();
+                let a = queue[p].pop_before(at);
+                let b = reference[p].pop_before(at);
+                prop_assert_eq!(
+                    a.as_ref().map(fp),
+                    b.as_ref().map(fp),
+                    "pop_before diverged (partition {})",
+                    p
+                );
+                if let Some(e) = a {
+                    floor[p] = e.time.0;
+                } else if let Some(head) = head.filter(|h| h.0 > floor[p]) {
+                    // A refused head must not have moved the floor: an
+                    // arrival injected between the floor and that head is
+                    // still accepted, and pops first.
+                    let early = SimTime(floor[p] + payload % (head.0 - floor[p]));
+                    queue[p].schedule(early, kind_of(payload, sel as u64));
+                    reference[p].schedule(early, kind_of(payload, sel as u64));
+                    let a = queue[p].pop().map(|e| fp(&e));
+                    let b = reference[p].pop().map(|e| fp(&e));
+                    prop_assert_eq!(
+                        &a,
+                        &b,
+                        "pop after a refused window diverged (partition {})",
+                        p
+                    );
+                    prop_assert!(a.is_some_and(|f| f.starts_with(&format!("{}@", early.0))));
+                    floor[p] = early.0;
+                }
             }
             // Cancel: the engine cancels lazily, so removal == pop.
             6 => {
-                let a = queue[p].pop().map(|e| fp(&e));
-                let b = reference[p].pop().map(|e| fp(&e));
-                prop_assert_eq!(a, b, "mid-stream pop diverged (partition {})", p);
+                let a = queue[p].pop();
+                let b = reference[p].pop();
+                prop_assert_eq!(
+                    a.as_ref().map(fp),
+                    b.as_ref().map(fp),
+                    "mid-stream pop diverged (partition {})",
+                    p
+                );
+                if let Some(e) = a {
+                    floor[p] = e.time.0;
+                }
             }
             // Snapshot: the bytes must equal the reference encoding, and
             // the run continues on a queue restored from them while the
@@ -167,6 +222,18 @@ fn check_equivalence(ops: &[(u8, u64, u64)], parts: usize) -> Result<(), TestCas
         prop_assert_eq!(queue[p].total_scheduled(), reference[p].seq);
     }
     Ok(())
+}
+
+/// The queue's contract is the engine's causality: scheduling before the
+/// last popped event is a bug in the caller, and it fails loudly.
+#[test]
+#[should_panic(expected = "before the last popped event")]
+fn scheduling_before_the_last_pop_panics() {
+    let mut q = EventQueue::new();
+    q.schedule(SimTime(10), kind_of(3, 1));
+    q.schedule(SimTime(20), kind_of(3, 2));
+    q.pop();
+    q.schedule(SimTime(9), kind_of(3, 3));
 }
 
 proptest! {

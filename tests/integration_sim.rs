@@ -162,3 +162,20 @@ fn ttl_suffices_for_all_paths() {
     let completion = m.flows_completed() as f64 / m.flows_started().max(1) as f64;
     assert!(completion > 0.5, "completion rate {completion}");
 }
+
+#[test]
+fn truth_smoke_run_pops_in_recorded_order() {
+    // The smoke shape of the benchmark's `truth-64` workload: the
+    // full-fidelity engine at 8 clusters for one simulated second under
+    // NewReno. Any change to the order in which the event queue pops
+    // simultaneous (or near-simultaneous) events moves the trajectory and
+    // with it these two constants, which were recorded with the engine's
+    // binary-heap queue.
+    let mut cfg = SimConfig::small_scale();
+    cfg.duration_s = 1.0;
+    cfg.seed = 1;
+    let m = mimicnet::compose::ground_truth(cfg, 8, Protocol::NewReno).run();
+    let digest = dcn_obs::digest::fnv64(&m.canonical_bytes());
+    assert_eq!(m.events_processed, 134_681);
+    assert_eq!(digest, 0x69b8_c2c7_a219_2d21, "digest {digest:#018x}");
+}
