@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let cfg = pipeline_config(scale, 42);
     let duration = cfg.base.duration_s;
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.try_train(None)?.0; // trained on a healthy network
+    let trained = pipe.try_train()?.0; // trained on a healthy network
 
     // Gray loss across the whole fabric for the middle 80% of the run.
     let plan_at = |loss: f64| {

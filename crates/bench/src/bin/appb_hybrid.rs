@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "direction-isolated hybrid clusters: ingress-only vs egress-only vs both",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let (truth, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!(

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     // The small-scale hypothesis: 2-cluster results stand in for any size.
     let (small, _, _) = pipe.try_ground_truth(2, None)?;
 

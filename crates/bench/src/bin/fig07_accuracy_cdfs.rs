@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     for clusters in [2u32, scale.large()] {

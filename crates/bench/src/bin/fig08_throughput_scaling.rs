@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "W1(per-server throughput) to ground truth vs #clusters",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!("{:>9} | {:>15} | {:>15}", "clusters", "small-scale", "MimicNet");

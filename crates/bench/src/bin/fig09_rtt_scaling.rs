@@ -13,7 +13,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let scale = Scale::from_env();
     header("Figure 9", "W1(packet RTT) to ground truth vs #clusters");
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let (small, _, _) = pipe.try_ground_truth(2, None)?;
 
     println!("{:>9} | {:>13} | {:>13}", "clusters", "small-scale", "MimicNet");

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut cfg = pipeline_config(scale, 42);
         cfg.base.topo.racks_per_cluster = racks;
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         println!(
             "{:>9} | {:>12} | {:>12} | {:>9} | {:>11}",
             "clusters", "full (s)", "mimic (s)", "speedup", "event ratio"

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // Train fresh to time the full train-included strategy.
         let mut pipe = Pipeline::new(pipeline_config(scale, 42));
         let t_train0 = Instant::now();
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         let train_cost = t_train0.elapsed().as_secs_f64();
 
         // (1) single full simulation.

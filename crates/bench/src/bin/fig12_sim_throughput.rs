@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     for clusters in scale.cluster_sweep() {
         let mut pipe = Pipeline::new(pipeline_config(scale, 42));
         let t_train0 = Instant::now();
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         let train_cost = t_train0.elapsed().as_secs_f64();
         let sim_secs = pipe.cfg.base.duration_s;
 

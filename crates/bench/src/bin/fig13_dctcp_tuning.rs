@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.base.duration_s = scale.duration_s() * 1.5;
         cfg.protocol = Protocol::Dctcp { k };
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         let (small, _, _) = pipe.try_ground_truth(2, None)?;
         let p_small = percentile(&small.fct, 90.0);
         let t0 = Instant::now();

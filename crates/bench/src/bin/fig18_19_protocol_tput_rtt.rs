@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut cfg = pipeline_config(scale, 11);
         cfg.protocol = p;
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         let (truth, _, _) = pipe.try_ground_truth(large, None)?;
         let est = pipe.try_estimate(&trained, large, None)?;
         let t_t90 = percentile(&truth.throughput, 90.0);

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut cfg = pipeline_config(scale, 23);
     cfg.base.traffic.load = 0.9;
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let t0 = Instant::now();
     let (truth, _, _) = pipe.try_ground_truth(large, None)?;
     let truth_wall = t0.elapsed().as_secs_f64();

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
     // Train once (model reuse across lengths, as the paper notes).
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     println!(
         "{:>9} | {:>12} {:>12} | {:>14} {:>14}",
         "sim secs", "full lat(s)", "mimic lat(s)", "full tput", "mimic tput"

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "compute consumption (GFLOP-equivalents): full sim vs MimicNet (with/without training)",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let (trained, data) = pipe.try_train(None)?;
+    let (trained, data) = pipe.try_train()?;
     let f = trained.feature_cfg.width();
     let h = trained.ingress.model.hidden_dim();
     let window = pipe.cfg.train.window;

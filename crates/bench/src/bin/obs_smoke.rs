@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let base = cfg.base;
 
     let mut pipe = Pipeline::new(cfg).with_obs();
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
 
     // Traced composed PDES run; its merged engine report is stitched into
     // the pipeline recorder alongside the training telemetry.

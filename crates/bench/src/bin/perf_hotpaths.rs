@@ -147,9 +147,9 @@ struct ObsNumbers {
     diag_overhead_frac: f64,
     /// Digest stride used by the diag run. Each digest costs
     /// `digest_ns`, so overhead scales inversely with the stride; this
-    /// value amortizes digests to a handful per run, mirroring
-    /// checkpoint-cadence production use (`dcn diverge` replays refine
-    /// to stride 1 only between two checkpoints).
+    /// value amortizes digests to a handful per run, mirroring a
+    /// production run digested for a later `mimicnet diverge` (a stopped
+    /// re-run records stride 1 only up to the divergence).
     #[serde(default)]
     diag_digest_stride: u64,
     /// One full `window_digest` (queue + links + hosts) on the composed
@@ -687,8 +687,8 @@ fn bench_obs(repeats: usize) -> Result<ObsNumbers, Box<dyn Error>> {
     };
     // The composed window is the mimic latency floor (tens of µs), so
     // this 2-simulated-second run crosses ~1e5 barriers; stride 16384
-    // lands a handful of digests, the cadence `dcn diverge` needs from a
-    // production run (its replay refines to stride 1 from a checkpoint).
+    // lands a handful of digests, the cadence `mimicnet diverge` needs
+    // from a production run (a stopped re-run records stride 1).
     const DIAG_STRIDE: u64 = 16_384;
     let bare = PdesRunOpts::default();
     let diag = PdesRunOpts {
@@ -771,7 +771,7 @@ fn train_dataset(n: usize) -> PacketDataset {
 fn timed_train(data: &PacketDataset, cfg: &TrainConfig) -> f64 {
     let mut model = SeqModel::new(FEATURES, HIDDEN, 42);
     let t0 = Instant::now();
-    let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
+    let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train")
         .expect("valid training setup");
     let secs = t0.elapsed().as_secs_f64();
     let samples = data.len() * report.epoch_losses.len();
@@ -797,11 +797,11 @@ fn bench_training(samples: usize, epochs: usize) -> (TrainingNumbers, TrainConfi
 /// egress models concurrently. Both must produce the identical bundle.
 fn bench_training_parallel(scale: Scale) -> Result<TrainingParallelNumbers, Box<dyn Error>> {
     let mut serial = Pipeline::new(pipeline_config(scale, 42).with_workers(1));
-    let bundle_serial = serial.try_train(None)?.0;
+    let bundle_serial = serial.try_train()?.0;
     let serial_s = serial.timings.training.as_secs_f64();
 
     let mut fan = Pipeline::new(pipeline_config(scale, 42).with_workers(4));
-    let bundle_fan = fan.try_train(None)?.0;
+    let bundle_fan = fan.try_train()?.0;
     let fanout_s = fan.timings.training.as_secs_f64();
 
     let identical = bundle_serial.to_json() == bundle_fan.to_json();
@@ -843,7 +843,7 @@ fn bench_adaptive(scale: Scale) -> Result<AdaptiveNumbers, Box<dyn Error>> {
     cfg.train.window = 4;
     let base = cfg.base;
     let protocol = cfg.protocol;
-    let trained = Pipeline::new(cfg).try_train(None)?.0;
+    let trained = Pipeline::new(cfg).try_train()?.0;
 
     let mut mbase = base;
     mbase.duration_s = match scale {
@@ -921,7 +921,7 @@ fn bench_pipeline(
     let workers = 4;
     let cfg = pipeline_config(scale, 42).with_workers(workers);
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let est = pipe.try_estimate(&trained, scale.large(), None)?;
     let small = pipe.timings.small_scale_sim.as_secs_f64();
     let training = pipe.timings.training.as_secs_f64();

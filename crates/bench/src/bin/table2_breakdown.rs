@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "wall-clock breakdown of the workflow vs full simulation",
     );
     let mut pipe = Pipeline::new(pipeline_config(scale, 42));
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let est = pipe.try_estimate(&trained, large, None)?;
     let t0 = Instant::now();
     let _ = pipe.try_ground_truth(large, None)?;

@@ -228,8 +228,7 @@ pub struct EventQueue {
     /// Head of the freed-node chain (`NIL` when every node is live).
     free_head: u32,
     buckets: [Vec<Slot>; BUCKETS],
-    /// The floor: time of the last pop (zero before the first one and
-    /// after a restore).
+    /// The floor: time of the last pop (zero before the first one).
     last: u64,
     len: usize,
     seq: u64,
@@ -264,12 +263,6 @@ impl EventQueue {
         self.seq += 1;
         self.scheduled += 1;
         let seq = self.seq;
-        self.insert(time, kind, seq);
-    }
-
-    /// Core insert preserving an explicit `seq` (used both by `schedule`
-    /// and by snapshot restore, which must keep original tiebreaks).
-    fn insert(&mut self, time: SimTime, kind: EventKind, seq: u64) {
         assert!(
             time.0 >= self.last,
             "event scheduled at {} ns, before the last popped event at {} ns",
@@ -414,25 +407,18 @@ impl EventQueue {
     fn live(&self) -> impl Iterator<Item = u32> + '_ {
         self.buckets.iter().flatten().map(|s| s.idx)
     }
-
-    /// Live slab indices sorted into pop order. Keys are unique (`seq` is a
-    /// strictly increasing tiebreak), so this is exactly the order a full
-    /// drain would produce — without mutating or cloning anything.
-    fn sorted_live(&self) -> Vec<u32> {
-        let mut live: Vec<u32> = self.live().collect();
-        live.sort_unstable_by_key(|&i| self.nodes[i as usize].key());
-        live
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot support
+// Digest support
 // ---------------------------------------------------------------------------
 
-use crate::snapshot::{self, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{self, SnapWriter};
 
 impl EventKind {
-    fn save(&self, w: &mut SnapWriter) {
+    /// Write the event payload through the state codec. The window digest
+    /// folds these bytes, one item per queued event.
+    pub fn encode_for_digest(&self, w: &mut SnapWriter) {
         match self {
             EventKind::TxDone { link, dir } => {
                 w.put_u8(0);
@@ -464,47 +450,6 @@ impl EventKind {
             }
         }
     }
-
-    fn load(r: &mut SnapReader<'_>) -> Result<EventKind, SnapshotError> {
-        Ok(match r.get_u8()? {
-            0 => EventKind::TxDone {
-                link: LinkId(r.get_u32()?),
-                dir: match r.get_u8()? {
-                    0 => Dir::Up,
-                    1 => Dir::Down,
-                    b => return Err(SnapshotError::Corrupt(format!("bad Dir {b}"))),
-                },
-            },
-            1 => EventKind::Arrive {
-                node: NodeId(r.get_u32()?),
-                packet: snapshot::get_packet(r)?,
-            },
-            2 => EventKind::Timer {
-                host: NodeId(r.get_u32()?),
-                flow: FlowId(r.get_u64()?),
-                token: r.get_u64()?,
-            },
-            3 => EventKind::FlowArrival {
-                host: NodeId(r.get_u32()?),
-            },
-            4 => EventKind::FeederWake {
-                cluster: r.get_u32()?,
-            },
-            5 => EventKind::Fault {
-                index: r.get_u32()?,
-            },
-            b => return Err(SnapshotError::Corrupt(format!("bad EventKind {b}"))),
-        })
-    }
-}
-
-impl EventKind {
-    /// Write the event payload through the snapshot codec. The window
-    /// digest uses this so per-event digests cover exactly the bytes a
-    /// checkpoint would persist for the event.
-    pub fn encode_for_digest(&self, w: &mut SnapWriter) {
-        self.save(w);
-    }
 }
 
 impl EventQueue {
@@ -520,50 +465,6 @@ impl EventQueue {
             let n = &self.nodes[i as usize];
             f(n.time, &n.kind);
         }
-    }
-
-    /// Serialize the full future event list plus scheduling counters.
-    ///
-    /// Events are written in pop order, each with its original insertion
-    /// `seq`; keys are unique, so sorting the live slab indices gives that
-    /// order without draining anything, and events are serialized *by
-    /// reference* (no packet-deep clone of the future event list just to
-    /// take a checkpoint).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.len as u64);
-        for &idx in &self.sorted_live() {
-            let node = &self.nodes[idx as usize];
-            w.put_u64(node.time.0);
-            w.put_u64(node.seq);
-            node.kind.save(w);
-        }
-        w.put_u64(self.seq);
-        w.put_u64(self.scheduled);
-    }
-
-    /// Rebuild the future event list from [`EventQueue::save_state`] bytes.
-    ///
-    /// Each event keeps its original `seq` so restored tiebreaks match the
-    /// uninterrupted run bit for bit. The floor is not part of the format,
-    /// so it restarts at zero: every restored event, and anything the
-    /// resumed run schedules, is at or after it.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(17)?;
-        self.nodes.clear();
-        self.buckets.iter_mut().for_each(Vec::clear);
-        self.free_head = NIL;
-        self.last = 0;
-        self.len = 0;
-        self.nodes.reserve(n);
-        for _ in 0..n {
-            let time = SimTime(r.get_u64()?);
-            let seq = r.get_u64()?;
-            let kind = EventKind::load(r)?;
-            self.insert(time, kind, seq);
-        }
-        self.seq = r.get_u64()?;
-        self.scheduled = r.get_u64()?;
-        Ok(())
     }
 }
 

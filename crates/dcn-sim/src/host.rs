@@ -20,8 +20,7 @@ pub enum Role {
 pub struct Endpoint {
     pub transport: Box<dyn Transport>,
     pub role: Role,
-    /// The flow this endpoint serves; kept so a checkpoint restore can
-    /// re-create the transport from the factory before loading its state.
+    /// The flow this endpoint serves (the window digest folds it).
     pub spec: FlowSpec,
 }
 

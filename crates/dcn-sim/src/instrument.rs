@@ -423,7 +423,7 @@ impl Metrics {
     }
 }
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::SnapWriter;
 
 impl Metrics {
     /// Serialize every deterministic measurement. Sample vectors whose
@@ -538,132 +538,9 @@ impl Metrics {
         }
     }
 
-    /// Restore measurements from [`Metrics::save_state`] bytes. `obs` is
-    /// left untouched (it restarts fresh on resume).
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let nflows = r.get_count(25)?;
-        self.flows = HashMap::with_capacity(nflows);
-        for _ in 0..nflows {
-            let flow = FlowId(r.get_u64()?);
-            let src = NodeId(r.get_u32()?);
-            let dst = NodeId(r.get_u32()?);
-            let size_bytes = r.get_u64()?;
-            let start = SimTime(r.get_u64()?);
-            let end = r.get_opt_u64()?.map(SimTime);
-            self.flows.insert(
-                flow,
-                FlowRecord {
-                    flow,
-                    src,
-                    dst,
-                    size_bytes,
-                    start,
-                    end,
-                },
-            );
-        }
-        let nrtt = r.get_count(20)?;
-        self.rtt = (0..nrtt)
-            .map(|_| {
-                Ok(RttSample {
-                    host: NodeId(r.get_u32()?),
-                    time: SimTime(r.get_u64()?),
-                    rtt: SimDuration(r.get_u64()?),
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        let nhosts = r.get_count(8)?;
-        self.tput_bins = (0..nhosts)
-            .map(|_| r.get_u64_vec())
-            .collect::<Result<_, SnapshotError>>()?;
-        self.bin = SimDuration(r.get_u64()?);
-        let nb = r.get_count(40)?;
-        self.boundary = (0..nb)
-            .map(|_| {
-                Ok(BoundaryRecord {
-                    pkt_id: r.get_u64()?,
-                    flow: FlowId(r.get_u64()?),
-                    time: SimTime(r.get_u64()?),
-                    dir: match r.get_u8()? {
-                        0 => BoundaryDir::Ingress,
-                        1 => BoundaryDir::Egress,
-                        b => {
-                            return Err(SnapshotError::Corrupt(format!("bad BoundaryDir {b}")))
-                        }
-                    },
-                    phase: match r.get_u8()? {
-                        0 => BoundaryPhase::Enter,
-                        1 => BoundaryPhase::Exit,
-                        b => {
-                            return Err(SnapshotError::Corrupt(format!("bad BoundaryPhase {b}")))
-                        }
-                    },
-                    wire_bytes: r.get_u32()?,
-                    ecn: match r.get_u8()? {
-                        0 => Ecn::NotEct,
-                        1 => Ecn::Ect,
-                        2 => Ecn::Ce,
-                        b => return Err(SnapshotError::Corrupt(format!("bad Ecn {b}"))),
-                    },
-                    kind: match r.get_u8()? {
-                        0 => PacketKind::Data,
-                        1 => PacketKind::Ack,
-                        2 => PacketKind::Grant,
-                        b => return Err(SnapshotError::Corrupt(format!("bad PacketKind {b}"))),
-                    },
-                    src: NodeId(r.get_u32()?),
-                    dst: NodeId(r.get_u32()?),
-                    core: NodeId(r.get_u32()?),
-                    prio: r.get_u8()?,
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        self.queue_drops = r.get_u64()?;
-        self.mimic_drops = r.get_u64()?;
-        self.ecn_marks = r.get_u64()?;
-        self.fault_drops = r.get_u64()?;
-        self.reroutes = r.get_u64()?;
-        self.events_processed = r.get_u64()?;
-        self.hops_forwarded = r.get_u64()?;
-        let nq = r.get_count(280)?;
-        self.queue_stats = (0..nq)
-            .map(|_| {
-                let mut entry = [QueueStats::default(), QueueStats::default()];
-                for s in &mut entry {
-                    s.max_pkts = r.get_u32()?;
-                    for c in &mut s.depth_hist {
-                        *c = r.get_u64()?;
-                    }
-                    s.samples = r.get_u64()?;
-                }
-                Ok(entry)
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        let nd = r.get_count(1)?;
-        self.cluster_drift = (0..nd)
-            .map(|_| r.get_opt_f64())
-            .collect::<Result<_, SnapshotError>>()?;
-        let tier = |b: u8| {
-            crate::mimic::FidelityTier::from_index(b as usize)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("bad FidelityTier {b}")))
-        };
-        let ns = r.get_count(14)?;
-        self.tier_switches = (0..ns)
-            .map(|_| {
-                Ok(crate::mimic::TierSwitch {
-                    epoch: r.get_u64()?,
-                    cluster: r.get_u32()?,
-                    from: tier(r.get_u8()?)?,
-                    to: tier(r.get_u8()?)?,
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
-        Ok(())
-    }
-
     /// The canonical byte serialization of these metrics: equal metrics ⇔
-    /// equal bytes. Used by the bit-identity suites and the kill-and-resume
-    /// CI check to compare runs byte-for-byte.
+    /// equal bytes. Used by the bit-identity suites to compare runs
+    /// byte-for-byte.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         self.save_state(&mut w);

@@ -19,7 +19,6 @@
 //!   up to and including arrival at the destination host.
 
 use crate::packet::Packet;
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +39,7 @@ pub enum BoundaryDir {
 /// [`FidelityTier::index`], [`FidelityTier::name_of`],
 /// [`FidelityTier::from_index`]) mirror the `EventKind` tables: a
 /// tier-table guard test fails if a new tier is added without wiring its
-/// snapshot/metrics paths.
+/// metrics paths.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum FidelityTier {
     /// Full packet-level simulation: the cluster's switches and hosts run
@@ -60,8 +59,8 @@ impl FidelityTier {
     /// must have exactly this many rows.
     pub const COUNT: usize = 3;
 
-    /// Dense ordinal, `0..COUNT`. Also the on-disk encoding used by
-    /// snapshots and the metrics tier schedule.
+    /// Dense ordinal, `0..COUNT`. Also the encoding of the metrics tier
+    /// schedule in `Metrics::canonical_bytes`.
     pub fn index(self) -> usize {
         match self {
             FidelityTier::Packet => 0,
@@ -94,7 +93,7 @@ impl FidelityTier {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct TierSwitch {
     /// Epoch barrier index (absolute, derived from sim time — stable
-    /// across checkpoint/resume).
+    /// across partition counts).
     pub epoch: u64,
     /// The cluster that moved.
     pub cluster: u32,
@@ -200,28 +199,12 @@ pub trait ClusterModel {
     fn append_obs(&self, out: &mut dcn_obs::ObsReport) {
         let _ = out;
     }
-
-    /// Serialize the model's mutable state (RNG streams, feeder cursors,
-    /// recurrent hidden state, …) for a checkpoint. Immutable weights are
-    /// *not* written; a restore re-creates the model from its bundle and
-    /// then calls [`ClusterModel::load_state`]. The default refuses, so
-    /// only opted-in models participate in checkpointed runs.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported("this ClusterModel implementation"))
-    }
-
-    /// Overwrite the model's mutable state from a checkpoint produced by
-    /// [`ClusterModel::save_state`] on an identically-configured
-    /// model.
-    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported("this ClusterModel implementation"))
-    }
 }
 
 /// A reference model with constant latency and Bernoulli drops on every
-/// cluster it serves. Useful for engine tests and as a degenerate baseline
-/// ("what if the Mimic learned only averages?").
-pub struct ConstModel {
+/// cluster it serves, for engine tests.
+#[cfg(test)]
+pub(crate) struct ConstModel {
     clusters: Vec<u32>,
     /// Latency applied to every surviving packet (also the latency floor).
     pub latency: SimDuration,
@@ -230,8 +213,14 @@ pub struct ConstModel {
     rng: crate::rng::SplitMix64,
 }
 
+#[cfg(test)]
 impl ConstModel {
-    pub fn new(clusters: Vec<u32>, latency: SimDuration, drop_prob: f64, seed: u64) -> ConstModel {
+    pub(crate) fn new(
+        clusters: Vec<u32>,
+        latency: SimDuration,
+        drop_prob: f64,
+        seed: u64,
+    ) -> ConstModel {
         ConstModel {
             clusters,
             latency,
@@ -241,6 +230,7 @@ impl ConstModel {
     }
 }
 
+#[cfg(test)]
 impl ClusterModel for ConstModel {
     fn clusters(&self) -> &[u32] {
         &self.clusters
@@ -259,16 +249,6 @@ impl ClusterModel for ConstModel {
 
     fn latency_floor(&self) -> SimDuration {
         self.latency
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        w.put_u64(self.rng.state());
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rng.set_state(r.get_u64()?);
-        Ok(())
     }
 }
 
@@ -319,7 +299,7 @@ mod tests {
     /// adding a [`FidelityTier`] variant fails here (the no-`_` match stops
     /// compiling and the samples array below under-counts) until `COUNT`,
     /// `index`, `from_index`, and `name_of` are all re-wired — which is
-    /// also the reminder to wire the new tier's snapshot/metrics paths.
+    /// also the reminder to wire the new tier's metrics paths.
     #[test]
     fn tier_tables_are_exhaustive_and_consistent() {
         // One sample per variant; the array length is pinned to COUNT so a

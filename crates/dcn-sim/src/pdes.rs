@@ -20,11 +20,10 @@
 use crate::config::SimConfig;
 use crate::instrument::Metrics;
 use crate::simulator::Simulation;
-use crate::snapshot::{atomic_write, read_snapshot_file, write_snapshot_file, SnapshotError};
+use crate::snapshot::atomic_write;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{FatTree, NodeId, NodeKind};
 use crate::transport::TransportFactory;
-use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -58,7 +57,7 @@ const BARRIER_SPINS: u32 = 128;
 /// `yield_now` probes before a waiter parks. Each yield hands the core to
 /// a runnable sibling (the oversubscribed case) or returns at once, so the
 /// phase covers window imbalance without sleeping yet stays bounded: an LP
-/// stuck behind a checkpoint write or a descheduled sibling parks.
+/// stuck behind a post-mortem dump or a descheduled sibling parks.
 const BARRIER_YIELDS: u32 = 256;
 
 /// How an LP's barrier waits ended, per LP (clock-free; exported as the
@@ -156,53 +155,6 @@ impl WindowBarrier {
     }
 }
 
-/// Name of the checkpoint directory's manifest file. The manifest is the
-/// commit point: part files are written first (each atomically), then the
-/// manifest is atomically replaced to point at the new generation. A crash
-/// at any instant leaves the manifest referencing a complete generation.
-pub const MANIFEST_FILE: &str = "MANIFEST.json";
-
-/// The manifest of a checkpoint directory: which generation is current and
-/// what run it belongs to.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CheckpointManifest {
-    /// Snapshot container format version (see [`crate::snapshot`]).
-    pub format_version: u32,
-    /// Simulated time of the cut, nanoseconds.
-    pub time_ns: u64,
-    /// Number of logical processes; a resume must use the same count.
-    pub partitions: u32,
-    /// Conservative window used by the checkpointing run, nanoseconds.
-    pub window_ns: u64,
-    /// Config fingerprint (canonical JSON of the [`SimConfig`]); a resume
-    /// must be built from an identical configuration.
-    pub config: String,
-    /// Sub-directory holding this generation's `part-<i>.snap` files.
-    pub generation: String,
-}
-
-/// Read and parse `dir`'s manifest.
-pub fn read_manifest(dir: &Path) -> Result<CheckpointManifest, SnapshotError> {
-    let text = fs::read_to_string(dir.join(MANIFEST_FILE))?;
-    serde_json::from_str(&text)
-        .map_err(|e| SnapshotError::Corrupt(format!("checkpoint manifest: {e}")))
-}
-
-/// Where and how often a partitioned run writes checkpoints.
-#[derive(Clone, Debug)]
-pub struct CheckpointPlan {
-    /// Checkpoint directory; created if missing. Holds `MANIFEST.json`
-    /// plus one `gen-<nanos>/` sub-directory per retained generation.
-    pub dir: PathBuf,
-    /// Simulated-time interval between checkpoints. Cuts land on the first
-    /// window barrier at or after each due time.
-    pub every: SimDuration,
-    /// How many generations to retain (values below 1 behave as 1). The
-    /// manifest always points at the newest; keeping more gives
-    /// `dcn diverge` a ladder of restore points near a divergence.
-    pub keep: usize,
-}
-
 /// Cadence of adaptive fidelity-tier epochs in a partitioned run.
 ///
 /// At every `every_windows`-th window barrier the LPs exchange per-cluster
@@ -212,14 +164,13 @@ pub struct CheckpointPlan {
 /// identical and see identical inputs at identical barriers, their tier
 /// assignments stay in lockstep — the tier schedule is a pure function of
 /// the trajectory, hence invariant to the partition count. Transitions
-/// happen only at these barriers, never inside a window, so
-/// checkpoints cut at (or after) a transition restore byte-identically.
+/// happen only at these barriers, never inside a window.
 #[derive(Clone, Copy, Debug)]
 pub struct TierPlan {
     /// Re-evaluate tiers every this many conservative windows (>= 1).
     /// Epoch `k` fires at the barrier where `t = k * every_windows *
-    /// window` — derived from simulated time, so a resumed run lands on
-    /// the same epoch barriers as an uninterrupted one.
+    /// window` — derived from simulated time, so every partition count
+    /// lands on the same epoch barriers.
     pub every_windows: u64,
 }
 
@@ -250,20 +201,11 @@ pub struct PdesRunOpts {
     /// event counters, queue stats, tier telemetry). Also implied by
     /// `digest_stride`.
     pub obs: bool,
-    /// Write checkpoints per this plan.
-    pub checkpoint: Option<CheckpointPlan>,
-    /// Resume from the manifest in this checkpoint directory.
-    pub resume_from: Option<PathBuf>,
-    /// Resume from this specific generation sub-directory instead of the
-    /// manifest's current one (the name encodes the cut time). Ignored
-    /// without `resume_from`. This is how `dcn diverge` replays from the
-    /// last checkpoint *before* a divergence.
-    pub resume_generation: Option<String>,
     /// Adaptive fidelity-tier epochs.
     pub tiers: Option<TierPlan>,
     /// Stop at this simulated time instead of the configured duration
-    /// (clamped to it). Replays use a barrier-aligned stop just past the
-    /// window under investigation.
+    /// (clamped to it). A divergence re-run stops just past the window
+    /// `mimicnet diverge` localized.
     pub stop_at: Option<SimTime>,
     /// Record a state digest every N true window barriers (absolute
     /// window indices that are multiples of N). `None` disables digests;
@@ -278,9 +220,31 @@ pub struct PdesRunOpts {
     pub crash_at_window: Option<u64>,
 }
 
-fn generation_name(t: SimTime) -> String {
-    format!("gen-{:020}", t.as_nanos())
+/// Why a partitioned run did not finish: one LP panicked inside a window
+/// (a real engine fault or the crash drill). Every sibling stops at the
+/// same barrier; the panicking LP dumps its flight ring first when the
+/// run has a dump directory.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LpPanic {
+    /// The partition that panicked.
+    pub part: usize,
+    /// End of the window it was processing, nanoseconds.
+    pub window_end_ns: u64,
+    /// The panic message.
+    pub message: String,
 }
+
+impl std::fmt::Display for LpPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "LP {} panicked in window ending at {} ns: {}",
+            self.part, self.window_end_ns, self.message
+        )
+    }
+}
+
+impl std::error::Error for LpPanic {}
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -293,7 +257,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Write one LP's post-mortem (reason, flight ring, digest timeline) as
-/// JSON through the snapshot crate's atomic temp+rename, so a dump
+/// JSON through [`atomic_write`]'s temp+rename, so a dump
 /// interrupted by the very crash it is reporting can never leave a
 /// half-written file shadowing a good one.
 fn post_mortem_dump(sim: &Simulation, dir: &Path, part: usize, reason: &str, t: SimTime) {
@@ -330,30 +294,6 @@ fn post_mortem_dump(sim: &Simulation, dir: &Path, part: usize, reason: &str, t: 
     }
 }
 
-/// Remove retired generations, keeping the newest `keep` (and always the
-/// just-committed `current`). Generation names embed zero-padded
-/// nanoseconds, so the lexicographic order is the chronological one.
-/// Best-effort: a failure to delete old data never fails the run.
-fn prune_generations(dir: &Path, current: &str, keep: usize) {
-    let keep = keep.max(1);
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    let mut gens: Vec<(String, PathBuf)> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().to_str()?.to_string();
-            name.starts_with("gen-").then(|| (name, e.path()))
-        })
-        .collect();
-    gens.sort_unstable_by(|a, b| b.0.cmp(&a.0));
-    for (name, path) in gens.into_iter().skip(keep) {
-        if name != current {
-            let _ = fs::remove_dir_all(path);
-        }
-    }
-}
-
 /// Run `cfg` across `partitions` logical processes on OS threads and return
 /// the merged metrics. `make_factory` is invoked once per LP.
 ///
@@ -374,7 +314,7 @@ pub fn run_partitioned(
         &|_| {},
         &PdesRunOpts::default(),
     )
-    .expect("no checkpoint I/O requested, so no snapshot error can occur")
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Number of tier epochs a run of `duration_s` at `window` granularity
@@ -401,22 +341,10 @@ pub fn tier_epoch_count(duration_s: f64, window: SimDuration, plan: &TierPlan) -
 /// Mimic can reappear on a foreign core switch as little as one latency
 /// floor later.
 ///
-/// Crash resilience (`opts.checkpoint` / `opts.resume_from`): checkpoints
-/// are cut at window barriers, where every LP has imported all remote
-/// arrivals for past windows — the per-LP snapshots therefore jointly
-/// describe the exact global state the run would reach at that simulated
-/// time, and a resumed run's trajectory (and final metrics) are
-/// bit-identical to an uninterrupted one. Each generation directory is
-/// populated with atomically-written `part-<i>.snap` files first; the
-/// manifest rename is the commit point, so a crash at any instant (even
-/// SIGKILL mid-checkpoint) leaves the directory resumable from the last
-/// complete generation.
-///
-/// The remaining options add state digests, the flight recorder with
-/// SLO-triggered post-mortems, early stop, generation-pinned resume, and
-/// the crash drill. The extra machinery costs nothing when the
-/// corresponding option is `None` — the hot loop sees one `Option` check
-/// per window per feature.
+/// The options add state digests, the flight recorder with SLO-triggered
+/// post-mortems, early stop, and the crash drill. The extra machinery
+/// costs nothing when the corresponding option is `None` — the hot loop
+/// sees one `Option` check per window per feature.
 pub fn run_partitioned_opts(
     cfg: SimConfig,
     partitions: usize,
@@ -424,11 +352,10 @@ pub fn run_partitioned_opts(
     make_factory: &(dyn Fn() -> Box<dyn TransportFactory> + Sync),
     setup: &(dyn Fn(&mut Simulation) + Sync),
     opts: &PdesRunOpts,
-) -> Result<Metrics, SnapshotError> {
+) -> Result<Metrics, LpPanic> {
     assert!(partitions >= 1);
     let topo = FatTree::new(cfg.topo);
     let owner = Arc::new(partition_by_cluster(&topo, partitions));
-    let checkpoint = opts.checkpoint.as_ref();
     let tiers = opts.tiers.as_ref();
     let digest_stride = opts.digest_stride.map(|s| s.max(1));
     let flight_plan = opts.flight.as_ref();
@@ -455,59 +382,6 @@ pub fn run_partitioned_opts(
         end = end.min(stop);
     }
 
-    if let Some(plan) = checkpoint {
-        assert!(plan.every > SimDuration::ZERO, "zero checkpoint interval");
-        fs::create_dir_all(&plan.dir)?;
-    }
-
-    // Validate the resume target up front, in one place: manifest shape,
-    // partition count, and configuration must all match before any LP
-    // thread is spawned.
-    let resume: Option<(SimTime, PathBuf)> = match opts.resume_from.as_deref() {
-        None => None,
-        Some(dir) => {
-            let manifest = read_manifest(dir)?;
-            if manifest.partitions != partitions as u32 {
-                return Err(SnapshotError::Corrupt(format!(
-                    "checkpoint was taken with {} partitions, resuming with {partitions}",
-                    manifest.partitions
-                )));
-            }
-            let fp = serde_json::to_string(&cfg)
-                .map_err(|e| SnapshotError::Corrupt(format!("config fingerprint: {e}")))?;
-            if manifest.config != fp {
-                return Err(SnapshotError::Corrupt(
-                    "checkpoint belongs to a different simulation configuration".into(),
-                ));
-            }
-            // A pinned generation overrides the manifest's current one; its
-            // cut time is encoded in the directory name.
-            let (t_ns, gen) = match &opts.resume_generation {
-                None => (manifest.time_ns, manifest.generation.clone()),
-                Some(g) => {
-                    let nanos = g
-                        .strip_prefix("gen-")
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or_else(|| {
-                            SnapshotError::Corrupt(format!(
-                                "generation name `{g}` does not encode a cut time"
-                            ))
-                        })?;
-                    (nanos, g.clone())
-                }
-            };
-            let gen_dir = dir.join(&gen);
-            if !gen_dir.is_dir() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "checkpoint generation `{gen}` is not present in {}",
-                    dir.display()
-                )));
-            }
-            Some((SimTime(t_ns), gen_dir))
-        }
-    };
-    let resume = &resume;
-
     let channels: Vec<(Sender<RemoteMsg>, Receiver<RemoteMsg>)> =
         (0..partitions).map(|_| channel()).collect();
     let senders: Vec<Sender<RemoteMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
@@ -516,13 +390,13 @@ pub fn run_partitioned_opts(
 
     let barrier = WindowBarrier::new(partitions);
     let barrier = &barrier;
-    // First checkpoint or restore failure wins; `abort` is only ever set
-    // *before* a barrier and read *after* one, so every LP observes the
-    // same value at the same loop position and barrier counts stay
-    // matched (no LP can deadlock waiting on one that already returned).
+    // The first LP panic wins; `abort` is only ever set *before* a
+    // barrier and read *after* one, so every LP observes the same value
+    // at the same loop position and barrier counts stay matched (no LP can
+    // deadlock waiting on one that already returned).
     let abort = AtomicBool::new(false);
-    let first_err: Mutex<Option<SnapshotError>> = Mutex::new(None);
-    let record_err = |e: SnapshotError| {
+    let first_err: Mutex<Option<LpPanic>> = Mutex::new(None);
+    let record_err = |e: LpPanic| {
         let mut slot = first_err.lock().expect("error mutex");
         slot.get_or_insert(e);
         abort.store(true, Ordering::SeqCst);
@@ -573,19 +447,6 @@ pub fn run_partitioned_opts(
                 }
                 let mut t = SimTime::ZERO;
                 let mut waits = BarrierWaits::default();
-                if let Some((resume_t, gen_dir)) = resume {
-                    let restored = read_snapshot_file(&gen_dir.join(format!("part-{part}.snap")))
-                        .and_then(|payload| sim.restore_snapshot(&payload));
-                    match restored {
-                        Ok(()) => t = *resume_t,
-                        Err(e) => record_err(e),
-                    }
-                    barrier.wait(&mut waits);
-                    if abort.load(Ordering::SeqCst) {
-                        return None;
-                    }
-                }
-                let mut next_ckpt = checkpoint.map(|plan| t + plan.every);
                 // Driver-level obs accounting (active only when the setup
                 // hook enabled obs on the engine): barrier stall time and
                 // cross-partition message counts, folded into the engine's
@@ -602,13 +463,11 @@ pub fn run_partitioned_opts(
                 let mut slo = slo_floor
                     .map(|_| (std::time::Instant::now(), sim.metrics().events_processed, false));
                 let mut drift_dumped = false;
-                // Digest alignment trackers (divisions only here, once):
-                // `t` is window-aligned at start and resume, so the first
-                // digest-eligible barrier is the next multiple of `stride`
-                // strictly after the current window index.
-                let mut widx = t.as_nanos() / window_ns;
-                let mut next_aligned_ns = t.as_nanos() + window_ns;
-                let mut next_digest_widx = digest_stride.map_or(0, |s| (widx / s + 1) * s);
+                // Digest alignment trackers: the run starts at window 0, so
+                // the first digest-eligible barrier is window `stride`.
+                let mut widx = 0u64;
+                let mut next_aligned_ns = window_ns;
+                let mut next_digest_widx = digest_stride.unwrap_or(0);
                 while t < end {
                     let t_next = (t + window).min(end);
                     // The window body runs under `catch_unwind` so a panic
@@ -631,10 +490,11 @@ pub fn run_partitioned_opts(
                             if let Some(dir) = dump_dir {
                                 post_mortem_dump(&sim, dir, part, &format!("panic: {msg}"), t);
                             }
-                            record_err(SnapshotError::Corrupt(format!(
-                                "LP {part} panicked in window ending at {} ns: {msg}",
-                                t_next.as_nanos()
-                            )));
+                            record_err(LpPanic {
+                                part,
+                                window_end_ns: t_next.as_nanos(),
+                                message: msg,
+                            });
                             // Match the sibling LPs' two window barriers,
                             // then every LP returns at the abort check.
                             barrier.wait(&mut waits);
@@ -679,11 +539,11 @@ pub fn run_partitioned_opts(
                     // State digest at true window barriers (DESIGN.md §14):
                     // every remote arrival for past windows is imported, so
                     // the per-LP digests sum to a partition-count-invariant
-                    // global digest. Indices are absolute, so resumed and
-                    // uninterrupted timelines align. Alignment and stride
-                    // are tracked by increment-and-compare: two u64
-                    // divisions here once cost ~4% of a window-dominated
-                    // run (windows can outnumber events).
+                    // global digest. Indices are absolute from t = 0, so
+                    // stopped and full-length timelines align. Alignment
+                    // and stride are tracked by increment-and-compare: two
+                    // u64 divisions here once cost ~4% of a
+                    // window-dominated run (windows can outnumber events).
                     if let Some(stride) = digest_stride {
                         let nanos = t.as_nanos();
                         if nanos == next_aligned_ns {
@@ -723,10 +583,7 @@ pub fn run_partitioned_opts(
                         }
                     }
                     // Tier epoch: all LPs derive the same due condition from
-                    // t, exchange drift, and apply the same decision. Runs
-                    // before any checkpoint cut at this same t, so snapshots
-                    // capture post-transition state and a resume never
-                    // re-runs an epoch.
+                    // t, exchange drift, and apply the same decision.
                     if let Some(stride) = epoch_stride_ns {
                         if t < end && stride > 0 && t.as_nanos().is_multiple_of(stride) {
                             let epoch = t.as_nanos() / stride;
@@ -782,60 +639,6 @@ pub fn run_partitioned_opts(
                             }
                             barrier.wait(&mut waits);
                         }
-                    }
-                    // All LPs share t and the plan, so they branch (and hit
-                    // the checkpoint barriers) in lockstep.
-                    let due = matches!(next_ckpt, Some(due) if t >= due) && t < end;
-                    if due {
-                        let plan = checkpoint.expect("due implies a plan");
-                        let gen = generation_name(t);
-                        let gen_dir = plan.dir.join(&gen);
-                        let written = fs::create_dir_all(&gen_dir)
-                            .map_err(SnapshotError::from)
-                            .and_then(|()| sim.save_snapshot())
-                            .and_then(|payload| {
-                                write_snapshot_file(
-                                    &gen_dir.join(format!("part-{part}.snap")),
-                                    &payload,
-                                )
-                            });
-                        if let Err(e) = written {
-                            record_err(e);
-                        }
-                        barrier.wait(&mut waits);
-                        if abort.load(Ordering::SeqCst) {
-                            return None;
-                        }
-                        if part == 0 {
-                            // Every part file of this generation is durable;
-                            // commit it.
-                            let manifest = CheckpointManifest {
-                                format_version: crate::snapshot::FORMAT_VERSION,
-                                time_ns: t.as_nanos(),
-                                partitions: partitions as u32,
-                                window_ns: window.as_nanos(),
-                                config: serde_json::to_string(&cfg)
-                                    .expect("config serialized once already"),
-                                generation: gen.clone(),
-                            };
-                            let committed = serde_json::to_string(&manifest)
-                                .map_err(|e| {
-                                    SnapshotError::Corrupt(format!("checkpoint manifest: {e}"))
-                                })
-                                .and_then(|text| {
-                                    atomic_write(&plan.dir.join(MANIFEST_FILE), text.as_bytes())
-                                        .map_err(SnapshotError::from)
-                                });
-                            match committed {
-                                Ok(()) => prune_generations(&plan.dir, &gen, plan.keep),
-                                Err(e) => record_err(e),
-                            }
-                        }
-                        barrier.wait(&mut waits);
-                        if abort.load(Ordering::SeqCst) {
-                            return None;
-                        }
-                        next_ckpt = Some(t + plan.every);
                     }
                 }
                 sim.obs_span_end();
@@ -896,16 +699,8 @@ mod tests {
         cfg: SimConfig,
         partitions: usize,
         opts: &PdesRunOpts,
-    ) -> Result<Metrics, SnapshotError> {
+    ) -> Result<Metrics, LpPanic> {
         run_partitioned_opts(cfg, partitions, cfg.link.latency, &factory, &|_| {}, opts)
-    }
-
-    fn checkpointing(plan: &CheckpointPlan) -> PdesRunOpts {
-        PdesRunOpts { checkpoint: Some(plan.clone()), ..PdesRunOpts::default() }
-    }
-
-    fn resuming(dir: &Path) -> PdesRunOpts {
-        PdesRunOpts { resume_from: Some(dir.to_path_buf()), ..PdesRunOpts::default() }
     }
 
     #[test]
@@ -1090,129 +885,10 @@ mod tests {
         });
     }
 
-    fn temp_ckpt_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dcn-pdes-ckpt-{}-{tag}", std::process::id()));
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dcn-pdes-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn checkpointed_run_matches_uninterrupted() {
-        let dir = temp_ckpt_dir("match");
-        let m_full = run_partitioned(cfg(), 2, &factory);
-        let plan = CheckpointPlan {
-            dir: dir.clone(),
-            every: SimDuration::from_nanos(50_000_000),
-            keep: 1,
-        };
-        let m_ck = run_opts(cfg(), 2, &checkpointing(&plan)).expect("checkpointed run");
-        // Writing checkpoints must not perturb the trajectory.
-        assert_eq!(m_ck.canonical_bytes(), m_full.canonical_bytes());
-        // The directory holds a committed manifest pointing at a complete
-        // generation.
-        let manifest = read_manifest(&dir).expect("manifest committed");
-        assert_eq!(manifest.partitions, 2);
-        let gen_dir = dir.join(&manifest.generation);
-        assert!(gen_dir.join("part-0.snap").is_file());
-        assert!(gen_dir.join("part-1.snap").is_file());
-        // Resuming from the last checkpoint replays the tail bit-identically:
-        // final metrics equal the uninterrupted run's.
-        let m_res = run_opts(cfg(), 2, &resuming(&dir)).expect("resumed run");
-        assert_eq!(m_res.canonical_bytes(), m_full.canonical_bytes());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_wrong_partition_count_and_config() {
-        let dir = temp_ckpt_dir("reject");
-        let plan = CheckpointPlan {
-            dir: dir.clone(),
-            every: SimDuration::from_nanos(50_000_000),
-            keep: 1,
-        };
-        run_opts(cfg(), 2, &checkpointing(&plan)).expect("checkpointed run");
-        // Wrong partition count: typed error, not a panic.
-        let err = run_opts(cfg(), 3, &resuming(&dir))
-            .err()
-            .expect("partition mismatch must be rejected");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
-        // Different configuration: typed error.
-        let mut other = cfg();
-        other.seed ^= 1;
-        let err = run_opts(other, 2, &resuming(&dir))
-            .err()
-            .expect("config mismatch must be rejected");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
-        // Missing directory: typed I/O error.
-        let err = run_opts(cfg(), 2, &resuming(&dir.join("nope")))
-            .err()
-            .expect("missing checkpoint must be rejected");
-        assert!(matches!(err, SnapshotError::Io(_)), "{err:?}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn old_generations_are_pruned() {
-        let dir = temp_ckpt_dir("prune");
-        let plan = CheckpointPlan {
-            dir: dir.clone(),
-            every: SimDuration::from_nanos(40_000_000),
-            keep: 1,
-        };
-        run_opts(cfg(), 1, &checkpointing(&plan)).expect("checkpointed run");
-        // A 0.2 s run with a 40 ms interval cuts several checkpoints; only
-        // the committed generation survives.
-        let gens: Vec<String> = fs::read_dir(&dir)
-            .expect("dir exists")
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(String::from))
-            .filter(|n| n.starts_with("gen-"))
-            .collect();
-        let manifest = read_manifest(&dir).expect("manifest committed");
-        assert_eq!(gens, vec![manifest.generation]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn keep_n_generations_retained_and_pinned_resume_replays() {
-        let dir = temp_ckpt_dir("keepn");
-        let plan = CheckpointPlan {
-            dir: dir.clone(),
-            every: SimDuration::from_nanos(40_000_000),
-            keep: 2,
-        };
-        run_opts(cfg(), 1, &checkpointing(&plan)).expect("checkpointed run");
-        let mut gens: Vec<String> = fs::read_dir(&dir)
-            .expect("dir exists")
-            .flatten()
-            .filter_map(|e| e.file_name().to_str().map(String::from))
-            .filter(|n| n.starts_with("gen-"))
-            .collect();
-        gens.sort();
-        assert_eq!(gens.len(), 2, "keep=2 retains exactly two generations");
-        let manifest = read_manifest(&dir).expect("manifest committed");
-        assert_eq!(gens.last(), Some(&manifest.generation));
-        // Pinning the *older* generation replays the longer tail to the
-        // same final state as an uninterrupted run.
-        let m_full = run_partitioned(cfg(), 1, &factory);
-        let opts = PdesRunOpts {
-            resume_from: Some(dir.clone()),
-            resume_generation: Some(gens[0].clone()),
-            ..PdesRunOpts::default()
-        };
-        let m_res = run_opts(cfg(), 1, &opts).expect("pinned resume");
-        assert_eq!(m_res.canonical_bytes(), m_full.canonical_bytes());
-        // A generation name that decodes to no directory is rejected.
-        let opts = PdesRunOpts {
-            resume_from: Some(dir.clone()),
-            resume_generation: Some("gen-00000000000000000007".into()),
-            ..PdesRunOpts::default()
-        };
-        let err = run_opts(cfg(), 1, &opts)
-            .err()
-            .expect("missing generation must be rejected");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1225,6 +901,21 @@ mod tests {
         let m_half = run_opts(cfg(), 2, &opts).expect("truncated run");
         assert!(m_half.events_processed < m_full.events_processed);
         assert!(m_half.events_processed > 0);
+    }
+
+    #[test]
+    fn stopped_run_digests_are_a_prefix_of_the_full_run() {
+        // Window indices count from t = 0, so a re-run stopped early
+        // records the same leading timeline as the run it re-traces.
+        let timeline = |stop_at: Option<SimTime>| {
+            let opts = PdesRunOpts { digest_stride: Some(1), stop_at, ..PdesRunOpts::default() };
+            let r = run_opts(cfg(), 2, &opts).expect("digested run").obs.expect("obs report");
+            r.digests.get("digest.window").cloned().expect("digests recorded")
+        };
+        let full = timeline(None);
+        let stopped = timeline(Some(SimTime::from_secs_f64(0.05)));
+        assert!(!stopped.is_empty() && stopped.len() < full.len());
+        assert_eq!(stopped[..], full[..stopped.len()]);
     }
 
     #[test]
@@ -1250,7 +941,7 @@ mod tests {
 
     #[test]
     fn crash_drill_dumps_flight_ring_and_fails_typed() {
-        let dir = temp_ckpt_dir("drill");
+        let dir = temp_dir("drill");
         let opts = PdesRunOpts {
             flight: Some(FlightPlan {
                 capacity: 64,
@@ -1263,7 +954,8 @@ mod tests {
         let err = run_opts(cfg(), 2, &opts)
             .err()
             .expect("crash drill must fail the run");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
+        assert_eq!(err.part, 0);
+        assert!(err.message.contains("crash drill"), "{err}");
         let dump = fs::read_to_string(dir.join("postmortem-part-0.json"))
             .expect("post-mortem dump written");
         assert!(dump.contains("crash drill"), "reason recorded: {dump}");

@@ -153,12 +153,11 @@ impl PortQueue {
     }
 }
 
-use crate::snapshot::{self, SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::{self, SnapWriter};
 
 impl PortQueue {
-    /// Serialize queued packets (per band, FIFO order) and counters. The
-    /// queue's configuration is not stored — restore rebuilds it from the
-    /// run config.
+    /// Encode queued packets (per band, FIFO order) and counters for the
+    /// window digest. The queue's configuration is not encoded.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.bands.len() as u64);
         for band in &self.bands {
@@ -171,37 +170,6 @@ impl PortQueue {
         w.put_u64(self.marked);
         w.put_u64(self.enqueued);
         w.put_u64(self.peak_bytes);
-    }
-
-    /// Restore queued packets and counters from [`PortQueue::save_state`]
-    /// bytes. Byte/packet occupancy is recomputed from the packets.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let nbands = r.get_count(8)?;
-        if nbands != self.bands.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "queue has {} bands, snapshot has {nbands}",
-                self.bands.len()
-            )));
-        }
-        self.bytes = 0;
-        self.pkts = 0;
-        for band in &mut self.bands {
-            band.clear();
-        }
-        for b in 0..nbands {
-            let n = r.get_count(1)?;
-            for _ in 0..n {
-                let p = snapshot::get_packet(r)?;
-                self.bytes += p.wire_bytes() as u64;
-                self.pkts += 1;
-                self.bands[b].push_back(p);
-            }
-        }
-        self.dropped = r.get_u64()?;
-        self.marked = r.get_u64()?;
-        self.enqueued = r.get_u64()?;
-        self.peak_bytes = r.get_u64()?;
-        Ok(())
     }
 }
 

@@ -36,14 +36,9 @@ impl SplitMix64 {
         g
     }
 
-    /// Current internal state, for checkpointing (see [`crate::snapshot`]).
+    /// Current internal state (the window digest folds stream positions).
     pub fn state(&self) -> u64 {
         self.state
-    }
-
-    /// Overwrite the internal state, restoring a checkpointed stream.
-    pub fn set_state(&mut self, state: u64) {
-        self.state = state;
     }
 
     /// Next raw 64-bit value.

@@ -80,8 +80,8 @@ struct EngineObs {
 struct DigestRec {
     /// This LP's per-window digests, in recording order.
     windows: Vec<u64>,
-    /// Absolute barrier-window index of `windows[0]` (non-zero for runs
-    /// resumed from a checkpoint); `digest.first_window` in the report.
+    /// Absolute barrier-window index of `windows[0]` (the first
+    /// digest-eligible barrier); `digest.first_window` in the report.
     first_window: u64,
     /// Scratch encoder reused across items so steady-state digest
     /// computation allocates nothing.
@@ -132,7 +132,7 @@ pub struct Simulation {
     trace_cluster: Option<u32>,
     scratch: Actions,
     /// Spare endpoint boxes recycled across completed flows, indexed by
-    /// [`Role`] (`[sender, receiver]`). Never snapshotted: a recycled
+    /// [`Role`] (`[sender, receiver]`). Never digested: a recycled
     /// endpoint is reset to factory-fresh state, so the pool's contents are
     /// interchangeable with fresh allocations.
     spares: [Vec<Box<dyn Transport>>; 2],
@@ -495,7 +495,7 @@ impl Simulation {
     }
 
     /// Record this LP's state digest for the barrier window `window`
-    /// (absolute index — a resumed run passes the index it restarted at).
+    /// (absolute index from t = 0).
     /// No-op unless [`Simulation::enable_digests`] was called.
     pub fn record_window_digest(&mut self, window: u64) {
         if self.digests.is_none() {
@@ -514,7 +514,7 @@ impl Simulation {
     /// per-item FNV-1a digests over every piece of deterministic state
     /// this LP *owns* —
     ///
-    /// * queued future events (time + payload through the snapshot codec;
+    /// * queued future events (time + payload through the state codec;
     ///   the `seq` tiebreak is excluded because it depends on scheduling
     ///   history, and replicated fault-schedule events count only on
     ///   partition 0);
@@ -622,12 +622,7 @@ impl Simulation {
                 scratch.put_u32(ep.spec.dst.0);
                 scratch.put_u64(ep.spec.size_bytes);
                 scratch.put_u64(ep.spec.start.as_nanos());
-                if ep.transport.save_state(scratch).is_err() {
-                    // A transport without snapshot support digests as a
-                    // fixed marker — still deterministic and owned by
-                    // exactly one LP.
-                    scratch.put_u64(0xDEAD_BEEF_0BAD_F00D);
-                }
+                ep.transport.save_state(scratch);
             }
             let mut done: Vec<u64> = self.done[hidx].iter().map(|f| f.0).collect();
             done.sort_unstable();
@@ -926,11 +921,11 @@ impl Simulation {
     /// the cluster model, which updates its accuracy-budget accounting and
     /// applies any promotions/demotions. Callers invoke this between
     /// windows only, so a cluster's tier is constant within one — the
-    /// barrier-only transition invariant the snapshot byte-identity tests
-    /// rely on. Switches for clusters passing `record` are appended to the
-    /// metrics tier schedule (partitioned runs record only owned clusters,
-    /// keeping the merged schedule partition-invariant). Returns every
-    /// switch applied, recorded or not.
+    /// barrier-only transition invariant the partition-count
+    /// byte-identity tests rely on. Switches for clusters passing `record`
+    /// are appended to the metrics tier schedule (partitioned runs record
+    /// only owned clusters, keeping the merged schedule
+    /// partition-invariant). Returns every switch applied, recorded or not.
     pub fn tier_epoch(
         &mut self,
         epoch: u64,
@@ -947,319 +942,6 @@ impl Simulation {
             }
         }
         switches
-    }
-
-    // ------------------------------------------------------------------
-    // Checkpoint / restore
-    // ------------------------------------------------------------------
-
-    /// Serialize the complete deterministic state of this engine: event
-    /// queue, clock, RNG streams, link transmitters and queues, per-flow
-    /// transport endpoints, traffic generators, fault streams, cluster
-    /// model state, and metrics. The payload is raw — callers frame it
-    /// with [`crate::snapshot::write_snapshot_file`] to add the versioned
-    /// header and checksum.
-    ///
-    /// Requires an empty outbox — the PDES driver snapshots at inter-window
-    /// barriers, where it is.
-    /// A transport or model that does not implement its `save_state` hook
-    /// surfaces [`SnapshotError::Unsupported`].
-    ///
-    /// Restoring onto an identically-configured engine and continuing is
-    /// bit-identical to never having stopped: wall-clock-only state
-    /// (observability recorders) is deliberately excluded.
-    pub fn save_snapshot(&self) -> Result<Vec<u8>, crate::snapshot::SnapshotError> {
-        use crate::snapshot::{SnapWriter, SnapshotError};
-        if !self.outbox.is_empty() {
-            return Err(SnapshotError::Corrupt(
-                "cannot snapshot with undrained outbox (snapshot at a window barrier)".into(),
-            ));
-        }
-        let mut w = SnapWriter::new();
-        // Config fingerprint: a restore must target an engine built from
-        // the same configuration, or the rebuilt immutable state (topology,
-        // routing, link specs) would silently diverge from the snapshot.
-        let fp = serde_json::to_string(&self.cfg)
-            .map_err(|e| SnapshotError::Corrupt(format!("config fingerprint: {e}")))?;
-        w.put_str(&fp);
-        w.put_u8(self.my_partition);
-        w.put_bool(self.initialized);
-        w.put_u64(self.now.as_nanos());
-        w.put_u64(self.end.as_nanos());
-        self.queue.save_state(&mut w);
-        w.put_u64(self.links.len() as u64);
-        for link in &self.links {
-            w.put_bool(link.health.up);
-            w.put_f64(link.health.extra_loss);
-            w.put_f64(link.health.rate_factor);
-            for dir in [Dir::Up, Dir::Down] {
-                let tx = link.tx(dir);
-                w.put_bool(tx.busy);
-                tx.queue.save_state(&mut w);
-            }
-        }
-        w.put_u64(self.hosts.len() as u64);
-        for host in &self.hosts {
-            w.put_u64(host.ids.counter());
-            let mut flows: Vec<&FlowId> = host.flows.keys().collect();
-            flows.sort();
-            w.put_u64(flows.len() as u64);
-            for flow in flows {
-                let ep = &host.flows[flow];
-                w.put_u64(flow.0);
-                w.put_u8(match ep.role {
-                    Role::Sender => 0,
-                    Role::Receiver => 1,
-                });
-                w.put_u64(ep.spec.id.0);
-                w.put_u32(ep.spec.src.0);
-                w.put_u32(ep.spec.dst.0);
-                w.put_u64(ep.spec.size_bytes);
-                w.put_u64(ep.spec.start.as_nanos());
-                ep.transport.save_state(&mut w)?;
-            }
-        }
-        for done in &self.done {
-            let mut ids: Vec<u64> = done.iter().map(|f| f.0).collect();
-            ids.sort_unstable();
-            w.put_u64(ids.len() as u64);
-            for id in ids {
-                w.put_u64(id);
-            }
-        }
-        self.traffic.save_state(&mut w);
-        match &self.fault {
-            None => w.put_bool(false),
-            Some(streams) => {
-                w.put_bool(true);
-                w.put_u64(streams.len() as u64);
-                for pair in streams {
-                    w.put_u64(pair[0].state());
-                    w.put_u64(pair[1].state());
-                }
-            }
-        }
-        w.put_opt_u64(
-            self.fault_schedule
-                .as_ref()
-                .map(|s| s.len() as u64),
-        );
-        w.put_opt_u64(self.trace_cluster.map(u64::from));
-        w.put_u64(self.cluster_modes.len() as u64);
-        for mode in &self.cluster_modes {
-            // Tag 1 was the per-cluster boxed model of format v1; retired.
-            match mode {
-                ClusterMode::Full => w.put_u8(0),
-                ClusterMode::Mimic { ingress, egress } => {
-                    w.put_u8(2);
-                    w.put_bool(*ingress);
-                    w.put_bool(*egress);
-                }
-            }
-        }
-        match &self.model {
-            None => w.put_bool(false),
-            Some(model) => {
-                w.put_bool(true);
-                model.save_state(&mut w)?;
-            }
-        }
-        self.metrics.save_state(&mut w);
-        Ok(w.into_bytes())
-    }
-
-    /// Overwrite this engine's mutable state from a snapshot payload
-    /// produced by [`Simulation::save_snapshot`]. The engine must be
-    /// freshly configured exactly as the snapshotted one was — same
-    /// [`SimConfig`], same partition map, same models/fault plan/transport
-    /// factory installed — and must not have started running. Endpoint
-    /// transports are re-created from the factory using each flow's stored
-    /// spec, then overwritten with their saved state.
-    pub fn restore_snapshot(
-        &mut self,
-        payload: &[u8],
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{SnapReader, SnapshotError};
-        assert!(
-            !self.initialized,
-            "restore targets a freshly configured engine"
-        );
-        // Spare endpoints are never part of a snapshot (reset ≡ fresh);
-        // drop any accumulated before the restore for a clean slate.
-        self.spares = [Vec::new(), Vec::new()];
-        let mut r = SnapReader::new(payload);
-        let fp = serde_json::to_string(&self.cfg)
-            .map_err(|e| SnapshotError::Corrupt(format!("config fingerprint: {e}")))?;
-        let saved_fp = r.get_str()?;
-        if saved_fp != fp {
-            return Err(SnapshotError::Corrupt(
-                "snapshot was taken under a different simulation config".into(),
-            ));
-        }
-        let part = r.get_u8()?;
-        if part != self.my_partition {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot is for partition {part}, engine is partition {}",
-                self.my_partition
-            )));
-        }
-        let initialized = r.get_bool()?;
-        let now = SimTime(r.get_u64()?);
-        let end = SimTime(r.get_u64()?);
-        self.queue.load_state(&mut r)?;
-        let nlinks = r.get_count(17)?;
-        if nlinks != self.links.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {nlinks} links, engine has {}",
-                self.links.len()
-            )));
-        }
-        for link in &mut self.links {
-            link.health.up = r.get_bool()?;
-            link.health.extra_loss = r.get_f64()?;
-            link.health.rate_factor = r.get_f64()?;
-            for dir in [Dir::Up, Dir::Down] {
-                let tx = link.tx_mut(dir);
-                tx.busy = r.get_bool()?;
-                tx.queue.load_state(&mut r)?;
-            }
-        }
-        let nhosts = r.get_count(16)?;
-        if nhosts != self.hosts.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {nhosts} hosts, engine has {}",
-                self.hosts.len()
-            )));
-        }
-        for hi in 0..nhosts {
-            let counter = r.get_u64()?;
-            let nflows = r.get_count(30)?;
-            let mut endpoints = Vec::with_capacity(nflows);
-            for _ in 0..nflows {
-                let flow = FlowId(r.get_u64()?);
-                let role = match r.get_u8()? {
-                    0 => Role::Sender,
-                    1 => Role::Receiver,
-                    v => {
-                        return Err(SnapshotError::Corrupt(format!("bad endpoint role {v}")));
-                    }
-                };
-                let spec = FlowSpec {
-                    id: FlowId(r.get_u64()?),
-                    src: NodeId(r.get_u32()?),
-                    dst: NodeId(r.get_u32()?),
-                    size_bytes: r.get_u64()?,
-                    start: SimTime(r.get_u64()?),
-                };
-                if spec.id != flow {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "endpoint key {flow:?} does not match spec id {:?}",
-                        spec.id
-                    )));
-                }
-                let mut transport = match role {
-                    Role::Sender => self.factory.sender(&spec),
-                    Role::Receiver => self.factory.receiver(&spec),
-                };
-                transport.load_state(&mut r)?;
-                endpoints.push((spec, transport, role));
-            }
-            let host = &mut self.hosts[hi];
-            host.ids.set_counter(counter);
-            host.flows.clear();
-            for (spec, transport, role) in endpoints {
-                host.add_endpoint(spec, transport, role);
-            }
-        }
-        for done in &mut self.done {
-            let n = r.get_count(8)?;
-            done.clear();
-            for _ in 0..n {
-                done.insert(FlowId(r.get_u64()?));
-            }
-        }
-        self.traffic.load_state(&mut r)?;
-        let has_fault = r.get_bool()?;
-        match (&mut self.fault, has_fault) {
-            (None, false) => {}
-            (Some(streams), true) => {
-                let n = r.get_count(16)?;
-                if n != streams.len() {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "snapshot has {n} fault streams, engine has {}",
-                        streams.len()
-                    )));
-                }
-                for pair in streams.iter_mut() {
-                    pair[0].set_state(r.get_u64()?);
-                    pair[1].set_state(r.get_u64()?);
-                }
-            }
-            _ => {
-                return Err(SnapshotError::Corrupt(
-                    "fault-stream presence differs (install the same fault plan before restoring)"
-                        .into(),
-                ));
-            }
-        }
-        let saved_sched = r.get_opt_u64()?;
-        let here_sched = self.fault_schedule.as_ref().map(|s| s.len() as u64);
-        if saved_sched != here_sched {
-            return Err(SnapshotError::Corrupt(
-                "fault schedule differs (install the same fault plan before restoring)".into(),
-            ));
-        }
-        let trace = r.get_opt_u64()?;
-        self.trace_cluster = match trace {
-            None => None,
-            Some(c) => Some(
-                u32::try_from(c)
-                    .map_err(|_| SnapshotError::Corrupt(format!("bad trace cluster {c}")))?,
-            ),
-        };
-        let nmodes = r.get_count(1)?;
-        if nmodes != self.cluster_modes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {nmodes} clusters, engine has {}",
-                self.cluster_modes.len()
-            )));
-        }
-        for (c, mode) in self.cluster_modes.iter_mut().enumerate() {
-            let disc = r.get_u8()?;
-            match (disc, mode) {
-                (0, ClusterMode::Full) => {}
-                (2, ClusterMode::Mimic { ingress, egress }) => {
-                    let (si, se) = (r.get_bool()?, r.get_bool()?);
-                    if si != *ingress || se != *egress {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "cluster {c} mimic directions differ from snapshot"
-                        )));
-                    }
-                }
-                (d, _) => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "cluster {c} mode {d} does not match the engine's configuration"
-                    )));
-                }
-            }
-        }
-        let has_model = r.get_bool()?;
-        match (&mut self.model, has_model) {
-            (None, false) => {}
-            (Some(model), true) => model.load_state(&mut r)?,
-            _ => {
-                return Err(SnapshotError::Corrupt(
-                    "cluster-model presence differs from snapshot".into(),
-                ));
-            }
-        }
-        self.metrics.load_state(&mut r)?;
-        r.finish()?;
-        // Commit the scalars last, after every fallible read succeeded.
-        self.initialized = initialized;
-        self.now = now;
-        self.end = end;
-        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -191,41 +191,13 @@ impl TrafficGen {
     }
 }
 
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
-
 impl TrafficGen {
-    /// Serialize the mutable per-host generator state (RNG positions and
-    /// flow counters). The fitted distributions are rebuilt from config.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.hosts.len() as u64);
-        for g in &self.hosts {
-            w.put_u64(g.rng.state());
-            w.put_u64(g.flow_counter);
-        }
-    }
-
     /// One host's generator state `(rng_state, flow_counter)`. The window
     /// digest reads this per owned host, so each host's stream is
     /// attributed to exactly one LP.
     pub fn host_state(&self, host: NodeId) -> (u64, u64) {
         let g = &self.hosts[host.0 as usize];
         (g.rng.state(), g.flow_counter)
-    }
-
-    /// Restore per-host generator state from [`TrafficGen::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(16)?;
-        if n != self.hosts.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "traffic generator has {} hosts, snapshot has {n}",
-                self.hosts.len()
-            )));
-        }
-        for g in &mut self.hosts {
-            g.rng.set_state(r.get_u64()?);
-            g.flow_counter = r.get_u64()?;
-        }
-        Ok(())
     }
 }
 

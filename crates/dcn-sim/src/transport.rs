@@ -14,7 +14,7 @@
 //! the framework to delete Mimic-Mimic connections wholesale.
 
 use crate::packet::{FlowId, Packet};
-use crate::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use crate::snapshot::SnapWriter;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -58,14 +58,9 @@ impl PacketIdAlloc {
         ((self.host as u64) << 40) | self.counter
     }
 
-    /// Ids allocated so far, for checkpointing.
+    /// Ids allocated so far (the window digest folds it).
     pub fn counter(&self) -> u64 {
         self.counter
-    }
-
-    /// Restore the allocation counter from a checkpoint.
-    pub fn set_counter(&mut self, counter: u64) {
-        self.counter = counter;
     }
 }
 
@@ -112,18 +107,10 @@ pub trait Transport {
     /// A previously armed timer fired.
     fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx, out: &mut Actions);
 
-    /// Capture the endpoint's mutable state for a checkpoint (see
-    /// [`crate::snapshot`]). The default refuses, so custom transports
-    /// opt in explicitly; all in-tree transports implement both hooks.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported("this Transport implementation"))
-    }
-
-    /// Restore state captured by [`Transport::save_state`] into a freshly
-    /// constructed endpoint for the same [`FlowSpec`].
-    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        Err(SnapshotError::Unsupported("this Transport implementation"))
-    }
+    /// Encode the endpoint's mutable state for the window digest (see
+    /// `Simulation::window_digest`): every field that can steer the
+    /// flow's future, in a fixed order.
+    fn save_state(&self, w: &mut SnapWriter);
 
     /// Re-initialize this endpoint for a brand-new flow so the engine can
     /// recycle the box instead of allocating a fresh one (flow churn is the
@@ -131,9 +118,10 @@ pub trait Transport {
     /// `dcn-sim/tests/alloc_steady_state.rs`). The engine always recycles.
     ///
     /// Afterwards the endpoint must be *behaviorally identical* to a
-    /// factory-fresh endpoint for `spec` — same trajectory, same snapshot
-    /// bytes. Buffers may keep their capacity (that is the point), but
-    /// every logical field must be back at its constructed value.
+    /// factory-fresh endpoint for `spec` — same trajectory, same
+    /// [`Transport::save_state`] bytes. Buffers may keep their capacity
+    /// (that is the point), but every logical field must be back at its
+    /// constructed value.
     fn reset(&mut self, spec: &FlowSpec);
 }
 
@@ -304,18 +292,10 @@ pub mod testing {
             self.arm_timer(out);
         }
 
-        fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+        fn save_state(&self, w: &mut SnapWriter) {
             w.put_u64(self.next_seq);
             w.put_u64(self.acked);
             w.put_u64(self.timer_gen);
-            Ok(())
-        }
-
-        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-            self.next_seq = r.get_u64()?;
-            self.acked = r.get_u64()?;
-            self.timer_gen = r.get_u64()?;
-            Ok(())
         }
 
         fn reset(&mut self, spec: &FlowSpec) {
@@ -382,23 +362,13 @@ pub mod testing {
 
         fn on_timer(&mut self, _token: u64, _ctx: &mut TransportCtx, _out: &mut Actions) {}
 
-        fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+        fn save_state(&self, w: &mut SnapWriter) {
             w.put_u64(self.received.len() as u64);
             for &(s, e) in &self.received {
                 w.put_u64(s);
                 w.put_u64(e);
             }
             w.put_u64(self.delivered);
-            Ok(())
-        }
-
-        fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-            let n = r.get_count(16)?;
-            self.received = (0..n)
-                .map(|_| Ok((r.get_u64()?, r.get_u64()?)))
-                .collect::<Result<_, SnapshotError>>()?;
-            self.delivered = r.get_u64()?;
-            Ok(())
         }
 
         fn reset(&mut self, spec: &FlowSpec) {

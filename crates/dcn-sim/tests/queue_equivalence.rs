@@ -6,17 +6,17 @@
 //! the time of the last pop, which the queue's radix ordering relies on and
 //! asserts. Under arbitrary interleavings of such scheduling, cancellation
 //! (pops — the engine layer cancels lazily, so a pop is the removal
-//! primitive), windowed pops (`pop_before`, as a PDES window drains its
-//! due events) and snapshot/restore, the queue must pop exactly like the
-//! reference; its snapshot bytes must equal the reference's pop order
-//! written through the event codec; and all of that must hold at every
-//! partition count the PDES layer runs (1/2/4 queues fed disjoint slices
-//! of the op stream).
+//! primitive) and windowed pops (`pop_before`, as a PDES window drains its
+//! due events), the queue must pop exactly like the reference; the live
+//! set it hands the window digest (`for_each_live`) must equal the
+//! reference's queued events, encoded through the event codec; and all of
+//! that must hold at every partition count the PDES layer runs (1/2/4
+//! queues fed disjoint slices of the op stream).
 
 use dcn_sim::event::{Event, EventKind, EventQueue};
 use dcn_sim::link::Dir;
 use dcn_sim::packet::{FlowId, Packet};
-use dcn_sim::snapshot::{SnapReader, SnapWriter};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::SimTime;
 use dcn_sim::topology::{LinkId, NodeId};
 use proptest::prelude::*;
@@ -71,27 +71,33 @@ fn fp(e: &Event) -> String {
     format!("{:?}@{:?}", e.time.0, e.kind)
 }
 
-/// The reference future event list. Each entry carries its `seq` next to
-/// the event so the snapshot encoding can be written; keys are unique, so
-/// the tuple orders by the event alone.
+/// `(time, payload bytes)` of one queued event, as the window digest
+/// sees it.
+fn digest_item(time: SimTime, kind: &EventKind) -> (u64, Vec<u8>) {
+    let mut w = SnapWriter::new();
+    kind.encode_for_digest(&mut w);
+    (time.0, w.into_bytes())
+}
+
+/// The reference future event list.
 #[derive(Default)]
 struct Reference {
-    heap: BinaryHeap<(Event, u64)>,
+    heap: BinaryHeap<Event>,
     seq: u64,
 }
 
 impl Reference {
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         self.seq += 1;
-        self.heap.push((Event::new(time, kind, self.seq), self.seq));
+        self.heap.push(Event::new(time, kind, self.seq));
     }
 
     fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|(e, _)| e)
+        self.heap.pop()
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|(e, _)| e.time)
+        self.heap.peek().map(|e| e.time)
     }
 
     fn pop_before(&mut self, until: SimTime) -> Option<Event> {
@@ -102,21 +108,11 @@ impl Reference {
         }
     }
 
-    /// The snapshot wire format: event count, then `(time, seq, payload)`
-    /// in pop order, then the insertion and scheduling counters (equal
-    /// here: the reference never restores).
-    fn snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.put_u64(self.heap.len() as u64);
-        let mut drain = self.heap.clone();
-        while let Some((e, seq)) = drain.pop() {
-            w.put_u64(e.time.0);
-            w.put_u64(seq);
-            e.kind.encode_for_digest(&mut w);
-        }
-        w.put_u64(self.seq);
-        w.put_u64(self.seq);
-        w.into_bytes()
+    /// Every queued event as a digest item, sorted.
+    fn live_items(&self) -> Vec<(u64, Vec<u8>)> {
+        let mut items: Vec<_> = self.heap.iter().map(|e| digest_item(e.time, &e.kind)).collect();
+        items.sort();
+        items
     }
 }
 
@@ -189,21 +185,13 @@ fn check_equivalence(ops: &[(u8, u64, u64)], parts: usize) -> Result<(), TestCas
                     floor[p] = e.time.0;
                 }
             }
-            // Snapshot: the bytes must equal the reference encoding, and
-            // the run continues on a queue restored from them while the
-            // reference runs on uninterrupted.
+            // Live set: what the window digest folds must be exactly the
+            // reference's queued events, payload bytes included.
             _ => {
-                let mut w = SnapWriter::new();
-                queue[p].save_state(&mut w);
-                let bytes = w.into_bytes();
-                prop_assert_eq!(&bytes, &reference[p].snapshot(), "snapshot bytes diverged (partition {})", p);
-                let mut restored = EventQueue::new();
-                restored
-                    .load_state(&mut SnapReader::new(&bytes))
-                    .map_err(|e| TestCaseError::fail(format!("restore: {e:?}")))?;
-                prop_assert_eq!(restored.len(), queue[p].len());
-                prop_assert_eq!(restored.total_scheduled(), queue[p].total_scheduled());
-                queue[p] = restored;
+                let mut live = Vec::new();
+                queue[p].for_each_live(|time, kind| live.push(digest_item(time, kind)));
+                live.sort();
+                prop_assert_eq!(live, reference[p].live_items(), "live set diverged (partition {})", p);
             }
         }
         prop_assert_eq!(queue[p].len(), reference[p].heap.len());

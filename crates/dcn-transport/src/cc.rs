@@ -5,7 +5,7 @@
 //! and Westwood is *how the window reacts* to acknowledgments, ECN echoes,
 //! and losses. That reaction is factored into [`CongControl`].
 
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::{SimDuration, SimTime};
 
 /// Sender window state manipulated by congestion controllers.
@@ -79,16 +79,11 @@ pub trait CongControl: Send {
         false
     }
 
-    /// Serialize controller-private state for a checkpoint. Stateless
+    /// Encode controller-private state for the window digest. Stateless
     /// controllers (New Reno) keep the no-op default; stateful ones
-    /// (DCTCP's α, Vegas's epoch, Westwood's BWE) must override both
-    /// hooks or a restored sender would silently reset their estimators.
+    /// (DCTCP's α, Vegas's epoch, Westwood's BWE) override it so a
+    /// divergence in their estimators shows in the digest.
     fn save_state(&self, _w: &mut SnapWriter) {}
-
-    /// Overwrite controller-private state from a checkpoint.
-    fn load_state(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        Ok(())
-    }
 
     /// Re-initialize for a new flow so the owning sender's box can be
     /// recycled (see [`dcn_sim::transport::Transport::reset`]). Afterwards

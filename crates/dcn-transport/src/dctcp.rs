@@ -115,19 +115,6 @@ impl CongControl for DctcpCc {
         w.put_u64(self.window_end);
         w.put_u64(self.cwr_end);
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        self.g = r.get_f64()?;
-        self.alpha = r.get_f64()?;
-        self.acked_bytes = r.get_u64()?;
-        self.marked_bytes = r.get_u64()?;
-        self.window_end = r.get_u64()?;
-        self.cwr_end = r.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! `seq = flow_size`.
 
 use dcn_sim::packet::{Packet, PacketKind, MSS_BYTES};
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
 
@@ -216,22 +216,12 @@ impl Transport for HomaSender {
         self.arm_timer(out);
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.snd_nxt);
         w.put_u64(self.granted);
         w.put_bool(self.completed);
         w.put_u64(self.timer_gen);
         w.put_u64(self.retransmits);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.snd_nxt = r.get_u64()?;
-        self.granted = r.get_u64()?;
-        self.completed = r.get_bool()?;
-        self.timer_gen = r.get_u64()?;
-        self.retransmits = r.get_u64()?;
-        Ok(())
     }
 
     fn reset(&mut self, spec: &FlowSpec) {
@@ -353,7 +343,7 @@ impl Transport for HomaReceiver {
         self.arm_timer(out);
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.ranges.len() as u64);
         for &(s, e) in &self.ranges {
             w.put_u64(s);
@@ -363,22 +353,6 @@ impl Transport for HomaReceiver {
         w.put_u64(self.granted_sent);
         w.put_u64(self.timer_gen);
         w.put_bool(self.completed);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(16)?;
-        self.ranges.clear();
-        for _ in 0..n {
-            let s = r.get_u64()?;
-            let e = r.get_u64()?;
-            self.ranges.push((s, e));
-        }
-        self.delivered = r.get_u64()?;
-        self.granted_sent = r.get_u64()?;
-        self.timer_gen = r.get_u64()?;
-        self.completed = r.get_bool()?;
-        Ok(())
     }
 
     fn reset(&mut self, spec: &FlowSpec) {

@@ -5,7 +5,7 @@
 //! arise: the echo always reflects the copy that actually triggered the
 //! ack).
 
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::SimDuration;
 
 /// Smoothed RTT / RTO state per RFC 6298.
@@ -100,7 +100,7 @@ impl RttEstimator {
         self.min_rtt.map(SimDuration::from_secs_f64)
     }
 
-    /// Serialize the full estimator state for a checkpoint.
+    /// Encode the full estimator state for the window digest.
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_opt_f64(self.srtt);
         w.put_f64(self.rttvar);
@@ -109,18 +109,6 @@ impl RttEstimator {
         w.put_f64(self.max_rto);
         w.put_u32(self.backoff);
         w.put_opt_f64(self.min_rtt);
-    }
-
-    /// Overwrite the estimator from a checkpoint.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.srtt = r.get_opt_f64()?;
-        self.rttvar = r.get_f64()?;
-        self.rto = r.get_f64()?;
-        self.min_rto = r.get_f64()?;
-        self.max_rto = r.get_f64()?;
-        self.backoff = r.get_u32()?;
-        self.min_rtt = r.get_opt_f64()?;
-        Ok(())
     }
 }
 

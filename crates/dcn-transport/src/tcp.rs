@@ -10,7 +10,7 @@
 use crate::cc::{AckCtx, CongControl, Windows};
 use crate::rto::RttEstimator;
 use dcn_sim::packet::{Ecn, Packet, PacketKind};
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::SimTime;
 use dcn_sim::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
 
@@ -315,7 +315,7 @@ impl Transport for TcpSender {
         self.arm_timer(out);
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         self.rtt.save_state(w);
         w.put_f64(self.w.cwnd);
         w.put_f64(self.w.ssthresh);
@@ -328,22 +328,6 @@ impl Transport for TcpSender {
         w.put_bool(self.completed);
         w.put_u64(self.retransmits);
         self.cc.save_state(w);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.rtt.load_state(r)?;
-        self.w.cwnd = r.get_f64()?;
-        self.w.ssthresh = r.get_f64()?;
-        self.w.mss = r.get_f64()?;
-        self.snd_una = r.get_u64()?;
-        self.snd_nxt = r.get_u64()?;
-        self.dup_acks = r.get_u32()?;
-        self.recover = r.get_opt_u64()?;
-        self.timer_gen = r.get_u64()?;
-        self.completed = r.get_bool()?;
-        self.retransmits = r.get_u64()?;
-        self.cc.load_state(r)
     }
 
     fn reset(&mut self, spec: &FlowSpec) {
@@ -429,7 +413,7 @@ impl Transport for TcpReceiver {
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut TransportCtx, _out: &mut Actions) {}
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.ranges.len() as u64);
         for &(s, e) in &self.ranges {
             w.put_u64(s);
@@ -437,20 +421,6 @@ impl Transport for TcpReceiver {
         }
         w.put_u64(self.delivered);
         w.put_bool(self.echo_ecn);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(16)?;
-        self.ranges.clear();
-        for _ in 0..n {
-            let s = r.get_u64()?;
-            let e = r.get_u64()?;
-            self.ranges.push((s, e));
-        }
-        self.delivered = r.get_u64()?;
-        self.echo_ecn = r.get_bool()?;
-        Ok(())
     }
 
     fn reset(&mut self, spec: &FlowSpec) {

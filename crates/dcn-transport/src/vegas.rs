@@ -130,19 +130,6 @@ impl CongControl for VegasCc {
         w.put_opt_f64(self.epoch_min_rtt);
         w.put_u64(self.epoch_end);
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        self.alpha_pkts = r.get_f64()?;
-        self.beta_pkts = r.get_f64()?;
-        self.gamma_pkts = r.get_f64()?;
-        self.base_rtt = r.get_opt_f64()?;
-        self.epoch_min_rtt = r.get_opt_f64()?;
-        self.epoch_end = r.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

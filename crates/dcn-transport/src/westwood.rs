@@ -103,17 +103,6 @@ impl CongControl for WestwoodCc {
         w.put_opt_f64(self.min_rtt);
         w.put_f64(self.gain);
     }
-
-    fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        self.bwe = r.get_f64()?;
-        self.last_ack = r.get_opt_u64()?.map(SimTime);
-        self.min_rtt = r.get_opt_f64()?;
-        self.gain = r.get_f64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

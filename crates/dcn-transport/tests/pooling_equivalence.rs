@@ -5,12 +5,13 @@
 //! where recycled endpoints actually serve new flows: every TCP variant,
 //! Homa and the engine's testing transport run once as they are and once
 //! behind [`FreshOnReset`], whose `reset` swaps in a factory-fresh
-//! endpoint. Final metrics and a mid-run snapshot must be byte-identical.
+//! endpoint. Final metrics, and the mid-run state digest and metrics, must
+//! be byte-identical.
 
 use dcn_sim::config::SimConfig;
 use dcn_sim::packet::Packet;
 use dcn_sim::simulator::Simulation;
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
+use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::transport::testing::FixedWindowFactory;
 use dcn_sim::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
@@ -60,11 +61,8 @@ impl Transport for FreshEndpoint {
     fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx, out: &mut Actions) {
         self.inner.on_timer(token, ctx, out)
     }
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
+    fn save_state(&self, w: &mut SnapWriter) {
         self.inner.save_state(w)
-    }
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.inner.load_state(r)
     }
     fn reset(&mut self, spec: &FlowSpec) {
         self.inner = if self.sender {
@@ -76,11 +74,13 @@ impl Transport for FreshEndpoint {
 }
 
 struct RunOutput {
-    mid_snapshot: Vec<u8>,
+    /// `window_digest()` and `canonical_bytes()` at the midpoint.
+    mid_state: (u64, Vec<u8>),
     metrics: Vec<u8>,
 }
 
-/// Run to completion, snapshotting once at the midpoint.
+/// Run to completion, recording the state digest and metrics once at the
+/// midpoint.
 fn run(factory: Box<dyn TransportFactory>) -> RunOutput {
     let mut cfg = SimConfig::small_scale();
     cfg.duration_s = 0.5;
@@ -89,13 +89,13 @@ fn run(factory: Box<dyn TransportFactory>) -> RunOutput {
     let mid = SimTime::ZERO + SimDuration::from_secs_f64(cfg.duration_s / 2.0);
     let leftover = sim.run_window(mid);
     assert!(leftover.is_empty(), "sequential run exported remote events");
-    let mid_snapshot = sim.save_snapshot().expect("mid-run snapshot");
+    let mid_state = (sim.window_digest(), sim.metrics().canonical_bytes());
     let leftover = sim.run_window(sim.end_time() + SimDuration::from_nanos(1));
     assert!(leftover.is_empty(), "sequential run exported remote events");
     let flows = sim.metrics().flows_started();
     assert!(flows > 8, "too few flows ({flows}) to exercise recycling");
     RunOutput {
-        mid_snapshot,
+        mid_state,
         metrics: sim.metrics().canonical_bytes(),
     }
 }
@@ -120,8 +120,8 @@ fn endpoint_pooling_is_trajectory_invariant_per_protocol() {
             "{name}: recycled endpoints changed the trajectory"
         );
         assert_eq!(
-            recycled.mid_snapshot, fresh.mid_snapshot,
-            "{name}: recycled endpoints changed the mid-run snapshot"
+            recycled.mid_state, fresh.mid_state,
+            "{name}: recycled endpoints changed the mid-run state"
         );
     }
 }

@@ -14,7 +14,6 @@
 //! own item order.
 
 use dcn_sim::packet::FlowId;
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -85,36 +84,6 @@ impl ShareEstimator {
         self.last_exit = e;
         e
     }
-
-    /// Serialize the mutable state (active-flow map, FIFO clamp) in
-    /// canonical (flow-id-sorted) order.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let mut entries: Vec<(u64, u64)> = self
-            .active
-            .iter()
-            .map(|(f, t)| (f.0, t.as_nanos()))
-            .collect();
-        entries.sort_unstable();
-        w.put_u64(entries.len() as u64);
-        for (f, t) in entries {
-            w.put_u64(f);
-            w.put_u64(t);
-        }
-        w.put_u64(self.last_exit.as_nanos());
-    }
-
-    /// Restore state written by [`ShareEstimator::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(16)?;
-        self.active.clear();
-        for _ in 0..n {
-            let flow = FlowId(r.get_u64()?);
-            let t = SimTime(r.get_u64()?);
-            self.active.insert(flow, t);
-        }
-        self.last_exit = SimTime(r.get_u64()?);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -159,27 +128,5 @@ mod tests {
         let b = e.clamp_exit(SimTime::from_secs_f64(0.3));
         assert_eq!(a, SimTime::from_secs_f64(0.5));
         assert_eq!(b, a, "earlier exit must be clamped up");
-    }
-
-    #[test]
-    fn state_round_trips() {
-        let mut e = est();
-        let t = SimTime::from_secs_f64(0.1);
-        e.observe(FlowId(7), t, 1250);
-        e.observe(FlowId(9), t, 400);
-        e.clamp_exit(SimTime::from_secs_f64(0.2));
-        let mut w = SnapWriter::new();
-        e.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = est();
-        restored
-            .load_state(&mut SnapReader::new(&bytes))
-            .expect("round trip");
-        assert_eq!(restored.active_flows(), 2);
-        assert_eq!(restored.clamp_exit(SimTime::ZERO), SimTime::from_secs_f64(0.2));
-        // Canonical order: re-serializing is byte-identical.
-        let mut w2 = SnapWriter::new();
-        restored.save_state(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
     }
 }

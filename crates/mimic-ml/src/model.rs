@@ -572,7 +572,7 @@ mod tests {
             window: 4,
             ..TrainConfig::default()
         };
-        let report = train(&mut m, &d, &cfg, &mut dcn_obs::Obs::off(), "train", None)
+        let report = train(&mut m, &d, &cfg, &mut dcn_obs::Obs::off(), "train")
             .expect("valid training setup");
         assert!(report.final_loss().expect("epochs ran") < report.epoch_losses[0]);
     }

@@ -61,17 +61,6 @@ pub struct Adam {
     v: Vec<Vec<f32>>,
 }
 
-/// The serializable mutable state of an [`Adam`] optimizer: step counter
-/// plus both moment estimates, positionally per parameter group. Lets a
-/// resumed training run continue with bit-identical updates.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct AdamState {
-    pub lr: f32,
-    pub t: u64,
-    pub m: Vec<Vec<f32>>,
-    pub v: Vec<Vec<f32>>,
-}
-
 impl Adam {
     pub fn new(lr: f32) -> Adam {
         Adam {
@@ -83,26 +72,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Snapshot the optimizer's mutable state for a checkpoint.
-    pub fn state(&self) -> AdamState {
-        AdamState {
-            lr: self.lr,
-            t: self.t,
-            m: self.m.clone(),
-            v: self.v.clone(),
-        }
-    }
-
-    /// Rebuild an optimizer from a checkpointed state (default betas/eps,
-    /// exactly as [`Adam::new`] sets them).
-    pub fn restore(state: AdamState) -> Adam {
-        let mut opt = Adam::new(state.lr);
-        opt.t = state.t;
-        opt.m = state.m;
-        opt.v = state.v;
-        opt
     }
 
     /// Begin a step; apply to every `(param, grad)` pair in order.

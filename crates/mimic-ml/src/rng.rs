@@ -45,16 +45,6 @@ impl MlRng {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// The raw generator state, for checkpointing.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Overwrite the generator state from a checkpoint.
-    pub fn set_state(&mut self, state: u64) {
-        self.state = state;
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {

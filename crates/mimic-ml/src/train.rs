@@ -16,11 +16,8 @@ use crate::dataset::{PacketDataset, WindowBatcher};
 use crate::loss::{CombinedLoss, Target};
 use crate::matrix::Matrix;
 use crate::model::{ModelGrads, SeqModel, TransposedWeights, WindowWorkspace, OUTPUTS};
-use crate::optim::{Adam, AdamState};
+use crate::optim::Adam;
 use crate::rng::MlRng;
-use serde::{Deserialize, Serialize};
-use std::fs;
-use std::path::Path;
 
 /// Hyperparameters of one training run (the things §7.2 tunes).
 #[derive(Clone, Copy, Debug)]
@@ -79,14 +76,10 @@ pub enum TrainError {
     EmptyDataset,
     /// Feature width does not match the model's input dimension.
     WidthMismatch { data: usize, model: usize },
-    /// The loss stayed non-finite even after restoring the best
-    /// checkpoint and backing the learning rate off repeatedly — the data
+    /// The loss stayed non-finite even after rolling back to the best
+    /// parameters and backing the learning rate off repeatedly — the data
     /// or hyperparameters are pathological.
     NonFiniteLoss { epoch: usize },
-    /// Reading or writing a persistent training checkpoint failed
-    /// (I/O error, malformed file, or a checkpoint from a different
-    /// model shape).
-    Checkpoint { message: String },
 }
 
 impl std::fmt::Display for TrainError {
@@ -101,99 +94,15 @@ impl std::fmt::Display for TrainError {
                 f,
                 "training diverged: loss stayed non-finite through epoch {epoch} despite LR backoff"
             ),
-            TrainError::Checkpoint { message } => {
-                write!(f, "training checkpoint failed: {message}")
-            }
         }
     }
 }
 
 impl std::error::Error for TrainError {}
 
-/// Consecutive non-finite epochs tolerated (each restores the best
-/// checkpoint and halves the learning rate) before giving up.
+/// Consecutive non-finite epochs tolerated (each rolls back to the best
+/// parameters and halves the learning rate) before giving up.
 const MAX_BACKOFFS: usize = 3;
-
-/// Format version of [`TrainCheckpoint`] files.
-pub const TRAIN_CHECKPOINT_FORMAT: u32 = 1;
-
-/// The complete resumable state of an interrupted training run, persisted
-/// at every epoch boundary: current parameters, optimizer moments, RNG
-/// stream, the in-memory best-model rollback state, and the loss
-/// trajectory so far. Resuming replays the remaining epochs bit-identically
-/// to a run that was never interrupted.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TrainCheckpoint {
-    pub format: u32,
-    /// Next epoch to run.
-    pub epoch: usize,
-    /// Current learning rate (may be below the configured one after
-    /// backoffs).
-    pub lr: f32,
-    /// Data-shuffling RNG state at the epoch boundary.
-    pub rng_state: u64,
-    /// Optimizer step counter and moment estimates.
-    pub opt: AdamState,
-    /// Current model parameters.
-    pub model: SeqModel,
-    /// Best (lowest-loss) parameters seen so far — the divergence
-    /// rollback target.
-    pub best_model: Option<SeqModel>,
-    pub best_loss: Option<f64>,
-    /// Consecutive non-finite epochs at the cut.
-    pub consecutive_bad: usize,
-    pub epoch_losses: Vec<f64>,
-    pub steps: usize,
-    pub backoffs: usize,
-}
-
-impl TrainCheckpoint {
-    /// Read and validate a checkpoint file.
-    pub fn read(path: &Path) -> Result<TrainCheckpoint, TrainError> {
-        let text = fs::read_to_string(path).map_err(|e| TrainError::Checkpoint {
-            message: format!("read {}: {e}", path.display()),
-        })?;
-        let ckpt: TrainCheckpoint =
-            serde_json::from_str(&text).map_err(|e| TrainError::Checkpoint {
-                message: format!("parse {}: {e}", path.display()),
-            })?;
-        if ckpt.format != TRAIN_CHECKPOINT_FORMAT {
-            return Err(TrainError::Checkpoint {
-                message: format!(
-                    "unsupported checkpoint format {} (this build reads {TRAIN_CHECKPOINT_FORMAT})",
-                    ckpt.format
-                ),
-            });
-        }
-        Ok(ckpt)
-    }
-
-    /// Atomically persist the checkpoint: the bytes land in a sibling temp
-    /// file first and are renamed into place, so a crash mid-write leaves
-    /// either the previous checkpoint or the new one — never a torn file.
-    pub fn write(&self, path: &Path) -> Result<(), TrainError> {
-        let text = serde_json::to_string(self).map_err(|e| TrainError::Checkpoint {
-            message: format!("serialize: {e}"),
-        })?;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let io = fs::write(&tmp, text.as_bytes()).and_then(|()| fs::rename(&tmp, path));
-        io.map_err(|e| TrainError::Checkpoint {
-            message: format!("write {}: {e}", path.display()),
-        })
-    }
-}
-
-/// Where [`train`] persists its checkpoint, and whether it first resumes.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckpointSpec<'a> {
-    /// Checkpoint file, rewritten (atomically) after every epoch.
-    pub path: &'a Path,
-    /// Resume from `path` when it already holds a checkpoint; otherwise
-    /// start fresh. With `resume` off an existing file is overwritten.
-    pub resume: bool,
-}
 
 /// Rows per gradient shard. Fixed, so the floating-point reduction tree
 /// is a function of the batch alone. 16 rows keeps the per-shard
@@ -244,7 +153,7 @@ fn process_shard(
 /// Train `model` on `data` in place; returns the loss trajectory.
 ///
 /// Robustness: if an epoch's mean loss comes back NaN/Inf (exploded
-/// gradients), the model is rolled back to the best checkpoint seen so
+/// gradients), the model is rolled back to the best parameters seen so
 /// far, the learning rate is halved, and the epoch retried — up to
 /// [`MAX_BACKOFFS`] consecutive times before erroring out. On a
 /// non-divergent run this costs one model clone per improving epoch and
@@ -256,19 +165,12 @@ fn process_shard(
 /// 1/1000ths so sub-unit norms land in distinct log2 buckets), and
 /// step/backoff counters. With an off recorder every record call is a
 /// no-op behind one branch; numerics are identical either way.
-///
-/// Crash resilience: with `ckpt` given, the complete loop state
-/// (parameters, optimizer moments, RNG stream, best-model rollback state,
-/// loss trajectory) is atomically persisted to `ckpt.path` after every
-/// epoch, and with `ckpt.resume` set a prior checkpoint is picked up and
-/// the remaining epochs replayed bit-identically to an uninterrupted run.
 pub fn train(
     model: &mut SeqModel,
     data: &PacketDataset,
     cfg: &TrainConfig,
     obs: &mut dcn_obs::Obs,
     prefix: &str,
-    ckpt: Option<&CheckpointSpec<'_>>,
 ) -> Result<TrainReport, TrainError> {
     if data.is_empty() {
         return Err(TrainError::EmptyDataset);
@@ -286,30 +188,6 @@ pub fn train(
     let mut best: Option<(SeqModel, f64)> = None;
     let mut consecutive_bad = 0usize;
     let mut epoch = 0usize;
-    if let Some(spec) = ckpt {
-        if spec.resume && spec.path.exists() {
-            let c = TrainCheckpoint::read(spec.path)?;
-            if c.model.input_dim() != model.input_dim() {
-                return Err(TrainError::Checkpoint {
-                    message: format!(
-                        "checkpoint model expects {} input features, this run has {}",
-                        c.model.input_dim(),
-                        model.input_dim()
-                    ),
-                });
-            }
-            *model = c.model;
-            lr = c.lr;
-            opt = Adam::restore(c.opt);
-            rng.set_state(c.rng_state);
-            report.epoch_losses = c.epoch_losses;
-            report.steps = c.steps;
-            report.backoffs = c.backoffs;
-            best = c.best_model.zip(c.best_loss);
-            consecutive_bad = c.consecutive_bad;
-            epoch = c.epoch;
-        }
-    }
 
     // Reusable buffers: one slot per shard, the reduction target and the
     // transposed weights every shard's backward pass reads.
@@ -335,7 +213,7 @@ pub fn train(
         for (xs, targets) in batcher.batches(cfg.batch_size) {
             let batch_rows = targets.len();
             let nshards = batch_rows.div_ceil(SHARD_ROWS);
-            // Once per optimizer step (and after any rollback or resume).
+            // Once per optimizer step (and after any rollback).
             wt.refresh(model);
             for (s, shard) in shards[..nshards].iter_mut().enumerate() {
                 let rows = s * SHARD_ROWS..((s + 1) * SHARD_ROWS).min(batch_rows);
@@ -368,24 +246,19 @@ pub fn train(
                 obs.counter_add(format!("{prefix}.backoffs"), 1);
             }
             if consecutive_bad > MAX_BACKOFFS {
-                if let Some((ckpt, _)) = best {
-                    *model = ckpt;
+                if let Some((best, _)) = best {
+                    *model = best;
                 }
                 return Err(TrainError::NonFiniteLoss { epoch });
             }
             // Roll back to the best parameters (or reinitialize the
             // optimizer on the current ones if no epoch succeeded yet)
             // and retry this epoch at half the learning rate.
-            if let Some((ckpt, _)) = &best {
-                *model = ckpt.clone();
+            if let Some((best, _)) = &best {
+                *model = best.clone();
             }
             lr *= 0.5;
             opt = Adam::new(lr);
-            // The RNG has already consumed this epoch's shuffle, exactly as
-            // the in-memory retry will see it, so the cut is bit-faithful.
-            if let Some(spec) = ckpt {
-                persist_checkpoint(spec, epoch, lr, &rng, &opt, model, &best, consecutive_bad, &report)?;
-            }
             continue;
         }
         consecutive_bad = 0;
@@ -403,41 +276,8 @@ pub fn train(
             best = Some((model.clone(), mean));
         }
         epoch += 1;
-        if let Some(spec) = ckpt {
-            persist_checkpoint(spec, epoch, lr, &rng, &opt, model, &best, consecutive_bad, &report)?;
-        }
     }
     Ok(report)
-}
-
-/// Cut a [`TrainCheckpoint`] from the live loop state and persist it.
-#[allow(clippy::too_many_arguments)]
-fn persist_checkpoint(
-    spec: &CheckpointSpec<'_>,
-    epoch: usize,
-    lr: f32,
-    rng: &MlRng,
-    opt: &Adam,
-    model: &SeqModel,
-    best: &Option<(SeqModel, f64)>,
-    consecutive_bad: usize,
-    report: &TrainReport,
-) -> Result<(), TrainError> {
-    TrainCheckpoint {
-        format: TRAIN_CHECKPOINT_FORMAT,
-        epoch,
-        lr,
-        rng_state: rng.state(),
-        opt: opt.state(),
-        model: model.clone(),
-        best_model: best.as_ref().map(|(m, _)| m.clone()),
-        best_loss: best.as_ref().map(|(_, l)| *l),
-        consecutive_bad,
-        epoch_losses: report.epoch_losses.clone(),
-        steps: report.steps,
-        backoffs: report.backoffs,
-    }
-    .write(spec.path)
 }
 
 /// Evaluate mean combined loss on a held-out set (no gradient).
@@ -465,23 +305,13 @@ mod tests {
     use super::*;
     use crate::loss::Target;
 
-    /// [`train`] with telemetry and checkpointing off.
+    /// [`train`] with telemetry off.
     fn train_plain(
         model: &mut SeqModel,
         data: &PacketDataset,
         cfg: &TrainConfig,
     ) -> Result<TrainReport, TrainError> {
-        train(model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
-    }
-
-    /// [`train`] checkpointing into `spec`, telemetry off.
-    fn train_resumable(
-        model: &mut SeqModel,
-        data: &PacketDataset,
-        cfg: &TrainConfig,
-        spec: &CheckpointSpec<'_>,
-    ) -> Result<TrainReport, TrainError> {
-        train(model, data, cfg, &mut dcn_obs::Obs::off(), "train", Some(spec))
+        train(model, data, cfg, &mut dcn_obs::Obs::off(), "train")
     }
 
     /// A synthetic learnable task: latency = 0.8 if feature[0] was high in
@@ -620,7 +450,7 @@ mod tests {
         let mut model = SeqModel::new(2, 6, 11);
         let mut obs = dcn_obs::Obs::on();
         let report =
-            train(&mut model, &data, &cfg, &mut obs, "train.test", None).expect("valid setup");
+            train(&mut model, &data, &cfg, &mut obs, "train.test").expect("valid setup");
         assert_eq!(plain.to_json(), model.to_json());
         let snap = obs.take_report().expect("obs was on");
         let losses = &snap.series["train.test.epoch_loss"];
@@ -676,104 +506,6 @@ mod tests {
         };
         let err = train_plain(&mut model, &d, &cfg).expect_err("divergent run must error");
         assert_eq!(err, TrainError::NonFiniteLoss { epoch: 0 });
-    }
-
-    fn temp_ckpt(tag: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!(
-            "mimic-ml-train-ckpt-{}-{tag}.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
-
-    #[test]
-    fn resumed_training_is_bit_identical_to_uninterrupted() {
-        let data = synthetic(300, 9);
-        let cfg = TrainConfig {
-            epochs: 4,
-            window: 3,
-            ..TrainConfig::default()
-        };
-        let mut plain = SeqModel::new(2, 6, 11);
-        let plain_report = train_plain(&mut plain, &data, &cfg).expect("valid training setup");
-
-        // "Crash" after 2 epochs, then resume into a FRESH model instance:
-        // the checkpoint must carry everything needed to finish the run.
-        let path = temp_ckpt("resume");
-        let spec = CheckpointSpec { path: &path, resume: true };
-        let mut first = SeqModel::new(2, 6, 11);
-        let cut = TrainConfig { epochs: 2, ..cfg };
-        train_resumable(&mut first, &data, &cut, &spec).expect("valid training setup");
-
-        let mut resumed = SeqModel::new(2, 6, 999); // different init — must be overwritten
-        let report =
-            train_resumable(&mut resumed, &data, &cfg, &spec).expect("valid training setup");
-        assert_eq!(plain.to_json(), resumed.to_json(), "resume diverged");
-        assert_eq!(report.epoch_losses, plain_report.epoch_losses);
-        assert_eq!(report.steps, plain_report.steps);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn checkpoint_file_persists_best_model_rollback() {
-        let data = synthetic(300, 9);
-        let cfg = TrainConfig {
-            epochs: 3,
-            window: 3,
-            ..TrainConfig::default()
-        };
-        let path = temp_ckpt("best");
-        let spec = CheckpointSpec { path: &path, resume: false };
-        let mut model = SeqModel::new(2, 6, 11);
-        let report =
-            train_resumable(&mut model, &data, &cfg, &spec).expect("valid training setup");
-        let ckpt = TrainCheckpoint::read(&path).expect("checkpoint written");
-        assert_eq!(ckpt.epoch, 3);
-        assert_eq!(ckpt.epoch_losses, report.epoch_losses);
-        // The on-disk rollback target is the lowest-loss epoch seen so far.
-        let want_best = report
-            .epoch_losses
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(ckpt.best_loss, Some(want_best));
-        assert!(ckpt.best_model.is_some(), "best model must be persisted");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_or_mismatched_checkpoints_are_typed_errors() {
-        let data = synthetic(100, 9);
-        let cfg = TrainConfig {
-            epochs: 1,
-            window: 3,
-            ..TrainConfig::default()
-        };
-        let path = temp_ckpt("corrupt");
-        // Garbage JSON → parse error, not a panic.
-        std::fs::write(&path, b"{not json").expect("tmp write");
-        let spec = CheckpointSpec { path: &path, resume: true };
-        let mut model = SeqModel::new(2, 6, 11);
-        let err = train_resumable(&mut model, &data, &cfg, &spec)
-            .expect_err("garbage checkpoint must fail");
-        assert!(matches!(err, TrainError::Checkpoint { .. }), "{err}");
-
-        // A checkpoint from a model with a different input width.
-        let mut other = SeqModel::new(3, 6, 11);
-        let mut wide = PacketDataset::default();
-        for i in 0..60 {
-            wide.push(
-                vec![i as f32, 0.0, 1.0],
-                Target { latency: 0.5, dropped: 0.0, ecn: 0.0 },
-            );
-        }
-        train_resumable(&mut other, &wide, &cfg, &CheckpointSpec { path: &path, resume: false })
-            .expect("valid training setup");
-        let err = train_resumable(&mut model, &data, &cfg, &spec)
-            .expect_err("shape-mismatched checkpoint must fail");
-        assert!(matches!(err, TrainError::Checkpoint { .. }), "{err}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! mimicnet estimate --model model.json --clusters N [--duration S] [--json]
 //! mimicnet validate --model model.json --clusters N [--duration S]
 //! mimicnet tune     [--evals E] [--scales 2,4] [--duration S] [--workers W]
+//! mimicnet diverge  --a A-obs.json --b B-obs.json [--out report.json]
 //! ```
 //!
 //! Protocols: newreno (default), dctcp (with `--k`), vegas, westwood, homa.
@@ -21,62 +22,58 @@
 //! prints a human-readable summary to stderr. Tracing never changes the
 //! results.
 //!
-//! Crash resilience: `train --checkpoint DIR` persists the full training
-//! state after every epoch and resumes from it on restart;
-//! `estimate`/`validate` accept `--checkpoint-every S` (simulated seconds,
-//! checkpoints into `--checkpoint-dir`) and `--resume DIR` to restart an
-//! interrupted composed run. Checkpointed, resumed, and uninterrupted
-//! runs all produce bit-identical results — and the same results as a
-//! plain `estimate`: there is one Mimic model, whatever engine the flags
-//! select. All file outputs are written
-//! atomically (temp file + rename), so a crash never leaves a torn file.
+//! One Mimic model: `--partitions P` and the diagnostics flags move a run
+//! onto the PDES driver, which prints the same numbers as a plain
+//! `estimate`; only `--adaptive` changes the model. Nothing is
+//! checkpointed — a composed estimate takes seconds, so a crashed run is
+//! simply re-run. All file outputs are written atomically (temp file +
+//! rename), so a crash never leaves a torn file.
+//!
+//! Divergence localization: run both sides with `--digests --obs-out
+//! FILE`, then `diverge --a A --b B` names the first diverging window and
+//! a `--stop-at` time just past it. Re-running both sides with
+//! `--stop-at T --digests --flight N --obs-out FILE` and comparing those
+//! files also names the first diverging event. Exit 0 = the timelines
+//! agree, 3 = divergence localized.
 
 use dcn_sim::mimic::FidelityTier;
-use dcn_sim::pdes::{CheckpointPlan, FlightPlan, PdesRunOpts, TierPlan};
+use dcn_sim::pdes::{FlightPlan, PdesRunOpts, TierPlan};
 use dcn_sim::snapshot::atomic_write;
-use dcn_sim::time::{SimDuration, SimTime};
+use dcn_sim::time::SimTime;
 use dcn_transport::Protocol;
-use mimicnet::diverge::{self, DigestTimeline, ReplayConfig, ReplaySide};
+use mimicnet::diverge::{self, ObsRun};
 use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
 use mimicnet::tuning::{tune, TuningConfig};
 use mimicnet::{AccuracyBudget, CorrectionHead};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mimicnet <train|estimate|validate|tune|diverge|snap-flip> [options]\n\
+        "usage: mimicnet <train|estimate|validate|tune|diverge> [options]\n\
          \n\
          train    --out FILE [--duration S] [--seed N] [--protocol P] [--k K]\n\
          \u{20}        [--epochs E] [--hidden H] [--layers L] [--window W]\n\
-         \u{20}        [--workers W] [--checkpoint DIR]\n\
+         \u{20}        [--workers W]\n\
          estimate --model FILE --clusters N [--duration S] [--json]\n\
          validate --model FILE --clusters N [--duration S]\n\
          tune     [--evals E] [--scales 2,4] [--duration S] [--seed N]\n\
          \u{20}        [--workers W]\n\
-         (config flags, accepted by every subcommand: --duration --seed\n\
-         \u{20}--protocol --k --epochs --hidden --layers --window --workers;\n\
-         \u{20}any other flag a subcommand does not list is an error;\n\
+         (config flags, accepted by every subcommand but diverge:\n\
+         \u{20}--duration --seed --protocol --k --epochs --hidden --layers\n\
+         \u{20}--window --workers; any other flag a subcommand does not\n\
+         \u{20}list is an error;\n\
          \u{20}--workers W trains up to W models at once, same bits at any W)\n\
          \n\
          diverge  --a A-obs.json --b B-obs.json [--out report.json]\n\
-         \u{20}        [--a-ckpt DIR --b-ckpt DIR --model FILE --clusters N\n\
-         \u{20}         [--partitions P] [--flight N] [config + adaptive flags]]\n\
-         \u{20}        (exit 0 = identical, 3 = divergence localized)\n\
-         snap-flip --ckpt DIR --model FILE --clusters N [--part N]\n\
-         \u{20}        [--generation GEN] [--partitions P] [config flags]\n\
-         \u{20}        (seed a divergence for testing)\n\
+         \u{20}        (two runs' --obs-out files; exit 0 = identical,\n\
+         \u{20}        3 = divergence localized)\n\
          \n\
-         crash resilience (estimate/validate; one Mimic model — the same\n\
-         numbers with or without these flags, at any --partitions):\n\
-         \u{20}        [--partitions P] [--checkpoint-every S]\n\
-         \u{20}        [--checkpoint-dir DIR] [--resume DIR]\n\
-         \u{20}        [--keep-generations N] [--resume-generation GEN]\n\
-         \n\
-         diagnostics (estimate/validate):\n\
-         \u{20}        [--digests] [--digest-stride N] [--flight N]\n\
+         partitioned engine and diagnostics (estimate/validate; one Mimic\n\
+         model — the same numbers with or without these flags):\n\
+         \u{20}        [--partitions P] [--digests] [--digest-stride N] [--flight N]\n\
          \u{20}        [--flight-dump DIR] [--slo-events-per-sec X]\n\
          \u{20}        [--slo-max-drift X] [--stop-at S] [--crash-at-window N]\n\
          \n\
@@ -101,11 +98,10 @@ const PIPELINE_FLAGS: &[&str] = &[
 ];
 /// Flags read by [`obs_requested`] / [`export_obs`].
 const OBS_FLAGS: &[&str] = &["trace-out", "obs-out", "report"];
-/// Flags read by [`resumable_from`] and [`diag_flags_into`].
+/// Flags read by [`estimate_from_flags`] and [`diag_flags_into`].
 const RUN_FLAGS: &[&str] = &[
-    "partitions", "checkpoint-every", "checkpoint-dir", "resume", "keep-generations",
-    "resume-generation", "digests", "digest-stride", "flight", "flight-dump",
-    "slo-events-per-sec", "slo-max-drift", "stop-at", "crash-at-window",
+    "partitions", "digests", "digest-stride", "flight", "flight-dump", "slo-events-per-sec",
+    "slo-max-drift", "stop-at", "crash-at-window",
 ];
 /// Flags read by [`adaptive_from`].
 const ADAPTIVE_FLAGS: &[&str] = &[
@@ -117,21 +113,14 @@ const ADAPTIVE_FLAGS: &[&str] = &[
 /// flag a subcommand would silently ignore is an error, not a no-op.
 fn known_flags(cmd: &str) -> Option<Vec<&'static str>> {
     let (own, groups): (&[&str], &[&[&str]]) = match cmd {
-        "train" => (&["out", "checkpoint", "correction-out"], &[PIPELINE_FLAGS, OBS_FLAGS]),
+        "train" => (&["out", "correction-out"], &[PIPELINE_FLAGS, OBS_FLAGS]),
         "estimate" => (
             &["model", "clusters", "json"],
             &[PIPELINE_FLAGS, OBS_FLAGS, RUN_FLAGS, ADAPTIVE_FLAGS],
         ),
         "validate" => (&["model", "clusters"], &[PIPELINE_FLAGS, OBS_FLAGS, RUN_FLAGS]),
         "tune" => (&["evals", "scales"], &[PIPELINE_FLAGS]),
-        "diverge" => (
-            &["a", "b", "out", "a-ckpt", "b-ckpt", "model", "clusters", "partitions", "flight"],
-            &[PIPELINE_FLAGS, ADAPTIVE_FLAGS],
-        ),
-        "snap-flip" => (
-            &["ckpt", "model", "clusters", "part", "generation", "partitions"],
-            &[PIPELINE_FLAGS],
-        ),
+        "diverge" => (&["a", "b", "out"], &[]),
         _ => return None,
     };
     Some(own.iter().chain(groups.iter().copied().flatten()).copied().collect())
@@ -146,7 +135,7 @@ fn parse_args(args: &[String], known: &[&str]) -> HashMap<String, String> {
             usage();
         };
         if !known.contains(&key) {
-            eprintln!("unknown flag for this subcommand: --{key}");
+            eprintln!("error: unknown flag for this subcommand: --{key}");
             usage();
         }
         if key == "json" || key == "report" || key == "adaptive" || key == "digests" {
@@ -246,45 +235,6 @@ fn clusters_from(opts: &HashMap<String, String>) -> u32 {
     n
 }
 
-/// Parse the crash-resilience flags shared by `estimate` and `validate`.
-/// Returns `None` when none were given, which keeps the in-process engine
-/// (with fault/obs support) on the default path.
-fn resumable_from(
-    opts: &HashMap<String, String>,
-) -> Option<(usize, Option<CheckpointPlan>, Option<PathBuf>)> {
-    if !opts.contains_key("checkpoint-every") {
-        for key in ["checkpoint-dir", "keep-generations"] {
-            if opts.contains_key(key) {
-                eprintln!("--{key} does nothing without --checkpoint-every");
-                usage();
-            }
-        }
-    }
-    if !opts.contains_key("partitions")
-        && !opts.contains_key("checkpoint-every")
-        && !opts.contains_key("resume")
-    {
-        return None;
-    }
-    let partitions: usize = flag(opts, "partitions", "a positive integer").unwrap_or(1);
-    let resume = opts.get("resume").map(PathBuf::from);
-    let every = flag::<f64>(opts, "checkpoint-every", "a number of simulated seconds");
-    let plan = every.map(|secs| {
-        // Checkpoints land next to whatever we resume from unless told
-        // otherwise, so a crash-restart loop keeps using one directory.
-        let dir = opts
-            .get("checkpoint-dir")
-            .map(PathBuf::from)
-            .or_else(|| resume.clone())
-            .unwrap_or_else(|| PathBuf::from("mimicnet-ckpt"));
-        let keep = flag(opts, "keep-generations", "a positive integer").unwrap_or(1);
-        // A negative or NaN interval maps to zero, which the composed run
-        // rejects as a typed error.
-        CheckpointPlan { dir, every: SimDuration::from_secs_f64(secs.max(0.0)), keep }
-    });
-    Some((partitions.max(1), plan, resume))
-}
-
 /// Parse the diagnostics flags (state digests, flight recorder, SLO
 /// tripwires, early stop) into `o`. Returns whether any were given —
 /// callers use that to route onto the full-options engine path.
@@ -312,10 +262,6 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
     }
     if let Some(w) = flag(opts, "crash-at-window", "an integer") {
         o.crash_at_window = Some(w);
-        any = true;
-    }
-    if let Some(g) = opts.get("resume-generation") {
-        o.resume_generation = Some(g.clone());
         any = true;
     }
     any
@@ -433,11 +379,7 @@ fn cmd_train(opts: HashMap<String, String>) {
     if obs_requested(&opts) {
         pipe = pipe.with_obs();
     }
-    let ckpt_dir = opts.get("checkpoint").map(PathBuf::from);
-    if let Some(dir) = &ckpt_dir {
-        eprintln!("checkpointing training state into {} after every epoch", dir.display());
-    }
-    let (trained, data) = pipe.try_train(ckpt_dir.as_deref()).unwrap_or_else(|e| {
+    let (trained, data) = pipe.try_train().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         exit(1);
     });
@@ -473,7 +415,7 @@ fn cmd_train(opts: HashMap<String, String>) {
 /// `validate`), exiting through [`die_with_obs`] on failure.
 ///
 /// Every path runs the same Mimic fleet and prints the same numbers. With
-/// no crash-resilience, diagnostics or `--adaptive` flag the run stays on
+/// no `--partitions`, diagnostics or `--adaptive` flag the run stays on
 /// the in-process sequential engine; any of them moves it onto the PDES
 /// driver that implements them, under the accuracy budget when
 /// `--adaptive` is set (the one flag that does change the model).
@@ -485,25 +427,20 @@ fn estimate_from_flags(
 ) -> mimicnet::pipeline::EstimateReport {
     let mut run_opts = PdesRunOpts::default();
     let diag = diag_flags_into(&mut run_opts, opts);
-    let resumable = resumable_from(opts);
+    let partitions: Option<usize> = flag(opts, "partitions", "a positive integer");
     let adaptive = adaptive_from(opts);
-    if adaptive.is_none() && resumable.is_none() && !diag {
+    if adaptive.is_none() && partitions.is_none() && !diag {
         return match pipe.try_estimate(trained, n, None) {
             Ok(est) => est,
             Err(e) => die_with_obs(pipe, opts, e, 2),
         };
     }
-    let (partitions, ckpt, resume) = resumable.unwrap_or((1, None, None));
-    run_opts.checkpoint = ckpt;
-    run_opts.resume_from = resume;
+    let partitions = partitions.unwrap_or(1).max(1);
     if let Some((budget, plan, _)) = &adaptive {
         eprintln!(
             "adaptive tiers: start={:?}, epoch every {} windows, promote ≥{}, demote <{} after {} calm epochs",
             budget.start, plan.every_windows, budget.promote_above, budget.demote_below, budget.patience
         );
-    }
-    if let Some(dir) = &run_opts.resume_from {
-        eprintln!("resuming from checkpoint {}...", dir.display());
     }
     let result = match &adaptive {
         Some((budget, plan, correction)) => pipe.try_estimate_adaptive_opts(
@@ -591,61 +528,26 @@ fn cmd_validate(opts: HashMap<String, String>) {
     export_obs(&mut pipe, &opts);
 }
 
-/// `mimicnet diverge`: localize where two digested runs first disagree.
-/// Digest-only with just `--a`/`--b`; with `--a-ckpt`/`--b-ckpt`/`--model`/
-/// `--clusters` it also replays both sides from the nearest common
-/// checkpoint with full tracing and reports the first diverging event.
-/// Exit codes: 0 = timelines agree, 3 = divergence found, 1/2 = error.
+/// `mimicnet diverge`: localize where two digested runs first disagree,
+/// from their `--obs-out` files. Exit codes: 0 = timelines agree, 3 =
+/// divergence found, 1/2 = error.
 fn cmd_diverge(opts: HashMap<String, String>) {
-    let obs_path = |key: &str| -> String {
-        opts.get(key).cloned().unwrap_or_else(|| {
+    let run = |key: &str| -> ObsRun {
+        let path = opts.get(key).cloned().unwrap_or_else(|| {
             eprintln!("--{key} OBS.json is required (the run's --obs-out snapshot)");
             usage();
-        })
-    };
-    let timeline = |path: &str| -> DigestTimeline {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        });
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             exit(1);
         });
-        DigestTimeline::from_obs_json(&text).unwrap_or_else(|e| {
+        ObsRun::from_obs_json(&text).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
             exit(1);
         })
     };
-    let (a_path, b_path) = (obs_path("a"), obs_path("b"));
-    let (ta, tb) = (timeline(&a_path), timeline(&b_path));
-
-    let replay_ready = opts.contains_key("a-ckpt") && opts.contains_key("b-ckpt");
-    if (opts.contains_key("a-ckpt") || opts.contains_key("b-ckpt")) && !replay_ready {
-        eprintln!("replay needs both --a-ckpt and --b-ckpt");
-        usage();
-    }
-    let trained = replay_ready.then(|| load_model(&opts));
-    let result = match &trained {
-        Some(trained) => {
-            let cfg = ReplayConfig {
-                pipeline_cfg: pipeline_from(&opts),
-                trained,
-                n_clusters: clusters_from(&opts),
-                partitions: flag(&opts, "partitions", "a positive integer").unwrap_or(1),
-                flight_capacity: flag(&opts, "flight", "a positive integer").unwrap_or(65_536),
-                adaptive: adaptive_from(&opts),
-            };
-            let side_a = ReplaySide { ckpt_dir: Path::new(&opts["a-ckpt"]), label: "A" };
-            let side_b = ReplaySide { ckpt_dir: Path::new(&opts["b-ckpt"]), label: "B" };
-            eprintln!("comparing digest timelines, then replaying both sides with full tracing...");
-            diverge::bisect(&ta, &tb, Some((&cfg, &side_a, &side_b)))
-        }
-        None => {
-            eprintln!(
-                "digest-only comparison; add --a-ckpt/--b-ckpt/--model/--clusters \
-                 to replay and pinpoint the first diverging event"
-            );
-            diverge::bisect(&ta, &tb, None)
-        }
-    };
-    match result {
+    let (a, b) = (run("a"), run("b"));
+    match diverge::localize(&a, &b) {
         Err(e) => {
             eprintln!("error: {e}");
             exit(1);
@@ -665,32 +567,6 @@ fn cmd_diverge(opts: HashMap<String, String>) {
                 eprintln!("wrote diff report to {out}");
             }
             exit(3);
-        }
-    }
-}
-
-/// `mimicnet snap-flip`: flip one restorable state bit in a checkpoint
-/// snapshot (re-framed with a valid checksum) to seed a divergence.
-fn cmd_snap_flip(opts: HashMap<String, String>) {
-    let trained = load_model(&opts);
-    let n = clusters_from(&opts);
-    let ckpt = PathBuf::from(opts.get("ckpt").cloned().unwrap_or_else(|| {
-        eprintln!("--ckpt DIR is required");
-        usage();
-    }));
-    let part = flag(&opts, "part", "an integer").unwrap_or(0);
-    let generation = opts.get("generation").map(String::as_str);
-    match diverge::snap_flip(&pipeline_from(&opts), &trained, n, &ckpt, part, generation) {
-        Ok(r) => println!(
-            "flipped bit 0 of payload byte {} in {} (restored digest {:#018x} -> {:#018x})",
-            r.offset,
-            r.path.display(),
-            r.digest_before,
-            r.digest_after
-        ),
-        Err(e) => {
-            eprintln!("error: {e}");
-            exit(1);
         }
     }
 }
@@ -740,6 +616,7 @@ fn main() {
         usage();
     };
     let Some(known) = known_flags(cmd) else {
+        eprintln!("error: unknown subcommand: {cmd}");
         usage();
     };
     let opts = parse_args(rest, &known);
@@ -749,7 +626,6 @@ fn main() {
         "validate" => cmd_validate(opts),
         "tune" => cmd_tune(opts),
         "diverge" => cmd_diverge(opts),
-        "snap-flip" => cmd_snap_flip(opts),
         _ => usage(),
     }
 }

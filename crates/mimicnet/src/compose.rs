@@ -6,7 +6,7 @@
 //! constant from the small-scale to the final simulation."
 
 use crate::degrade::AccuracyBudget;
-use crate::error::{ComposeRunError, PipelineError};
+use crate::error::PipelineError;
 use crate::fleet::MimicFleet;
 use crate::mimic::TrainedMimic;
 use crate::tier::{AdaptiveFleet, CorrectionHead};
@@ -15,7 +15,6 @@ use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::ClusterModel;
 use dcn_sim::pdes::{run_partitioned_opts, PdesRunOpts, TierPlan};
 use dcn_sim::simulator::Simulation;
-use dcn_sim::time::SimDuration;
 use dcn_sim::topology::{FatTree, NodeId};
 use dcn_transport::Protocol;
 use std::sync::Arc;
@@ -87,11 +86,8 @@ pub(crate) fn try_compose_partial(
 ///
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
 /// (reports arrive merged in `Metrics::obs` and never change the
-/// trajectory), checkpoint/resume (a resumed run's final metrics are
-/// bit-identical to an uninterrupted one — a checkpoint is cut between
-/// events, so no verdict is ever in flight across it), state digests, flight recorder + SLO dumps, early
-/// stop, pinned-generation resume, and the crash drill. This is the entry
-/// point `dcn diverge` replays through.
+/// trajectory), state digests, flight recorder + SLO dumps, early stop
+/// (the re-run `mimicnet diverge` asks for), and the crash drill.
 pub fn run_composed_partitioned(
     base: SimConfig,
     n_clusters: u32,
@@ -99,7 +95,7 @@ pub fn run_composed_partitioned(
     trained: &TrainedMimic,
     partitions: usize,
     opts: &PdesRunOpts,
-) -> Result<Metrics, ComposeRunError> {
+) -> Result<Metrics, PipelineError> {
     let trained = Arc::new(trained.clone());
     run_composed_fleet(base, n_clusters, protocol, &trained, partitions, opts, &|cfg| {
         Box::new(all_mimic_fleet(cfg, &trained))
@@ -111,10 +107,7 @@ pub fn run_composed_partitioned(
 /// between the Mimic and Flow tiers at every `plan` epoch barrier, with
 /// per-cluster drift exchanged across LPs so every partition applies the
 /// identical tier schedule. `plan` overrides `opts.tiers` — an adaptive
-/// run always has tier epochs. Checkpoint/resume cuts compose with tier
-/// transitions: the ledger and Flow-tier state are part of the snapshot,
-/// and epochs fire *before* the checkpoint branch at the same barrier, so
-/// a restored run never replays a decision.
+/// run always has tier epochs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_composed_adaptive(
     base: SimConfig,
@@ -126,7 +119,7 @@ pub fn run_composed_adaptive(
     plan: &TierPlan,
     correction: Option<&CorrectionHead>,
     opts: &PdesRunOpts,
-) -> Result<Metrics, ComposeRunError> {
+) -> Result<Metrics, PipelineError> {
     let opts = PdesRunOpts { tiers: Some(*plan), ..opts.clone() };
     let trained = Arc::new(trained.clone());
     run_composed_fleet(base, n_clusters, protocol, &trained, partitions, &opts, &|cfg| {
@@ -140,7 +133,7 @@ pub fn run_composed_adaptive(
 }
 
 /// The one composed-run body: validate the scaled config and the run's
-/// checkpoint and tier cadences, derive the conservative window from the
+/// tier cadence, derive the conservative window from the
 /// bundle's latency floor, and hand every LP a freshly built fleet.
 fn run_composed_fleet(
     base: SimConfig,
@@ -150,14 +143,12 @@ fn run_composed_fleet(
     partitions: usize,
     opts: &PdesRunOpts,
     make_fleet: &(dyn Fn(&SimConfig) -> Box<dyn ClusterModel> + Sync),
-) -> Result<Metrics, ComposeRunError> {
+) -> Result<Metrics, PipelineError> {
     let cfg = composed_config(base, n_clusters, protocol)?;
-    let invalid = |reason: &str| PipelineError::InvalidComposition { reason: reason.into() };
-    if opts.checkpoint.as_ref().is_some_and(|p| p.every == SimDuration::ZERO) {
-        return Err(invalid("the checkpoint interval must be a positive simulated time").into());
-    }
     if opts.tiers.is_some_and(|p| p.every_windows < 1) {
-        return Err(invalid("tier epochs must span at least one window").into());
+        return Err(PipelineError::InvalidComposition {
+            reason: "tier epochs must span at least one window".into(),
+        });
     }
     let window = cfg.link.latency.min(trained.latency_floor());
     run_partitioned_opts(
@@ -168,7 +159,7 @@ fn run_composed_fleet(
         &|sim| sim.set_cluster_model(make_fleet(&cfg)),
         opts,
     )
-    .map_err(ComposeRunError::from)
+    .map_err(PipelineError::from)
 }
 
 /// The §7.1 scaling rule: `base` with only its cluster count (and the
@@ -304,30 +295,20 @@ mod tests {
         bad.link.loss_prob = 1.5;
         let err = try_compose(bad, 4, Protocol::NewReno, &trained).err().expect("composition should be rejected");
         assert!(matches!(err, PipelineError::Sim(_)));
-        // A zero checkpoint interval or tier epoch is rejected before the
-        // run starts.
-        let zero_ckpt = PdesRunOpts {
-            checkpoint: Some(dcn_sim::pdes::CheckpointPlan {
-                dir: std::env::temp_dir().join("mimicnet-unused-ckpt"),
-                every: SimDuration::ZERO,
-                keep: 1,
-            }),
-            ..PdesRunOpts::default()
-        };
+        // A zero tier epoch is rejected before the run starts.
         let zero_tiers = TierPlan { every_windows: 0 };
-        let budget = AccuracyBudget::default();
-        for result in [
-            run_composed_partitioned(base, 4, Protocol::NewReno, &trained, 1, &zero_ckpt),
-            run_composed_adaptive(
-                base, 4, Protocol::NewReno, &trained, 1, &budget, &zero_tiers, None,
-                &PdesRunOpts::default(),
-            ),
-        ] {
-            assert!(matches!(
-                result,
-                Err(ComposeRunError::Pipeline(PipelineError::InvalidComposition { .. }))
-            ));
-        }
+        let result = run_composed_adaptive(
+            base,
+            4,
+            Protocol::NewReno,
+            &trained,
+            1,
+            &AccuracyBudget::default(),
+            &zero_tiers,
+            None,
+            &PdesRunOpts::default(),
+        );
+        assert!(matches!(result, Err(PipelineError::InvalidComposition { .. })));
         // Core switches have no cluster: typed error, not a panic.
         let topo = dcn_sim::topology::FatTree::new(base.topo);
         let core = topo.core(0, 0);

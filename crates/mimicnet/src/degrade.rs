@@ -15,7 +15,6 @@
 //!    exactly where the models stopped being trustworthy.
 
 use dcn_sim::mimic::{FidelityTier, TierSwitch};
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use serde::{Deserialize, Serialize};
 
 /// Thresholds driving the escalation ladder. Scores come from
@@ -266,9 +265,7 @@ impl Default for AccuracyBudget {
 /// The budget's mutable accounting: current tier and consecutive-calm
 /// count per cluster. Every LP of a partitioned run holds an identical
 /// replica and feeds it identical merged drift vectors at identical epoch
-/// barriers, so replicas never diverge. Checkpoints serialize the ledger
-/// (the budget parameters are configuration and are re-created on
-/// restore, like model weights).
+/// barriers, so replicas never diverge.
 #[derive(Clone, Debug)]
 pub struct BudgetLedger {
     budget: AccuracyBudget,
@@ -316,7 +313,7 @@ impl BudgetLedger {
     /// merged drift vector, apply promotions/demotions, enforce the
     /// above-Flow cap, and return the switches made. Pure function of
     /// (ledger state, inputs) — no clocks, no RNG — which is what keeps
-    /// partition counts and resumed runs on the same tier schedule.
+    /// every partition count on the same tier schedule.
     pub fn on_epoch(&mut self, epoch: u64, drift: &[Option<f64>]) -> Vec<TierSwitch> {
         let n = self.tiers.len();
         let excess: Vec<Option<f64>> = (0..n)
@@ -388,36 +385,6 @@ impl BudgetLedger {
             }
         }
         switches
-    }
-
-    /// Serialize the mutable accounting (tiers, calm counters).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.tiers.len() as u64);
-        for c in 0..self.tiers.len() {
-            w.put_u8(self.tiers[c].index() as u8);
-            w.put_bool(self.managed[c]);
-            w.put_u32(self.calm[c]);
-        }
-    }
-
-    /// Restore accounting written by [`BudgetLedger::save_state`] on an
-    /// identically-configured ledger.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_count(6)?;
-        if n != self.tiers.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "budget ledger covers {} clusters, snapshot has {n}",
-                self.tiers.len()
-            )));
-        }
-        for c in 0..n {
-            let t = r.get_u8()?;
-            self.tiers[c] = FidelityTier::from_index(t as usize)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("bad FidelityTier {t}")))?;
-            self.managed[c] = r.get_bool()?;
-            self.calm[c] = r.get_u32()?;
-        }
-        Ok(())
     }
 }
 
@@ -605,37 +572,5 @@ mod tests {
         let sw = ledger.on_epoch(1, &[Some(3.2)]);
         assert_eq!(sw.len(), 1);
         assert_eq!(sw[0].to, FidelityTier::Mimic);
-    }
-
-    #[test]
-    fn ledger_state_round_trips_and_rejects_bad_tier() {
-        use dcn_sim::snapshot::SnapReader;
-
-        let mut ledger = BudgetLedger::new(AccuracyBudget::default(), 3, &[0, 2]);
-        ledger.on_epoch(0, &[Some(0.0), None, Some(0.1)]);
-        let mut w = SnapWriter::new();
-        ledger.save_state(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = BudgetLedger::new(AccuracyBudget::default(), 3, &[0, 2]);
-        let mut r = SnapReader::new(&bytes);
-        restored.load_state(&mut r).expect("round trip");
-        for c in 0..3 {
-            assert_eq!(restored.tier(c), ledger.tier(c));
-            assert_eq!(restored.calm[c as usize], ledger.calm[c as usize]);
-        }
-
-        // An out-of-range tier byte is a typed Corrupt error, not a panic.
-        let mut bad = bytes.clone();
-        bad[8] = 9; // first per-cluster tier byte follows the u64 count
-        let mut r = SnapReader::new(&bad);
-        let err = restored.load_state(&mut r).expect_err("bad tier byte");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
-
-        // A cluster-count mismatch is also Corrupt.
-        let mut small = BudgetLedger::new(AccuracyBudget::default(), 2, &[0]);
-        let mut r = SnapReader::new(&bytes);
-        let err = small.load_state(&mut r).expect_err("count mismatch");
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 }

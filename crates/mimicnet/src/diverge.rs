@@ -1,40 +1,27 @@
-//! Automated divergence bisection (DESIGN.md §14).
+//! Divergence localization from two obs files (DESIGN.md §14).
 //!
-//! Two runs that should be bit-identical — same config, different
-//! partition counts; a resumed run vs. an uninterrupted one; a run before
-//! and after a suspect change — occasionally are not. Eyeballing final
-//! metrics tells you *that* they diverged; this module tells you *where*:
+//! Two runs that should be bit-identical — same config at different
+//! partition counts, or the same command before and after a suspect
+//! change, even from two different binaries — occasionally are not.
+//! Eyeballing final metrics tells you *that* they diverged; this module
+//! tells you *where*, from the two runs' `--obs-out` files alone:
 //!
-//! 1. **Coarse**: compare the two runs' per-window state-digest timelines
-//!    (recorded by `--digests`, exported in the obs snapshot) and find the
-//!    first window whose digests disagree.
-//! 2. **Replay**: restore the newest checkpoint generation both sides
-//!    share strictly before that barrier, re-run each side to the barrier
-//!    with stride-1 digests and a full flight ring, and refine the first
-//!    diverging window against the finer timelines.
-//! 3. **Event diff**: merge-sort each side's flight events into the
-//!    deterministic [`FlightEvent::sort_key`] order and report the first
-//!    event where the two runs disagree, with a side-by-side excerpt.
-//!
-//! Also home to [`snap_flip`], the fault injector the CI divergence smoke
-//! job uses: flip one state bit inside a checkpoint snapshot such that the
-//! snapshot still restores cleanly but its state digest changes, then
-//! re-frame it with a valid checksum. Resuming the corrupted checkpoint
-//! yields a run that diverges at exactly the restored window — ground
-//! truth for exercising the bisection end to end.
+//! 1. **Window**: compare the per-window state-digest timelines (recorded
+//!    by `--digests`) and find the first window whose digests disagree.
+//! 2. **Event**: when both files carry flight rings (`--flight N`) that
+//!    reach back to that window's start, merge-sort each side's events
+//!    into the deterministic [`FlightEvent::sort_key`] order and report
+//!    the first event where the runs disagree, with an excerpt.
+//! 3. **Re-run**: a full-length run's ring holds the end of the run, not
+//!    the divergence, so the report names a `--stop-at` time a little
+//!    past the diverging barrier. Re-running both sides with `--stop-at T
+//!    --digests --flight N --obs-out FILE` leaves rings that end there;
+//!    comparing those files pinpoints the first diverging event.
 
-use crate::compose::{composed_config, try_compose};
-use crate::mimic::TrainedMimic;
-use crate::pipeline::Pipeline;
 use dcn_obs::{FlightEvent, ObsReport};
-use dcn_sim::pdes::{partition_by_cluster, read_manifest, FlightPlan, PdesRunOpts, TierPlan};
-use dcn_sim::snapshot::{read_snapshot_file, write_snapshot_file};
-use dcn_sim::time::SimTime;
-use dcn_sim::topology::FatTree;
+use dcn_sim::event::EventKind;
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// A run's digest timeline, as recorded by the engine (`--digests`) and
 /// exported in the obs snapshot: entry `i` is the state digest at the
@@ -54,8 +41,10 @@ pub struct DigestTimeline {
 impl DigestTimeline {
     /// Extract the timeline from an exported obs snapshot (`--obs-out`).
     pub fn from_obs_json(text: &str) -> Result<DigestTimeline, String> {
-        let v: Value =
-            serde_json::from_str(text).map_err(|e| format!("obs snapshot does not parse: {e}"))?;
+        DigestTimeline::from_obs_value(&parse_obs(text)?)
+    }
+
+    fn from_obs_value(v: &Value) -> Result<DigestTimeline, String> {
         let root = v.as_object().ok_or("obs snapshot root is not an object")?;
         let get = |name: &str| root.iter().find(|(k, _)| k == name).map(|(_, v)| v);
         let gauges = get("gauges")
@@ -85,18 +74,18 @@ impl DigestTimeline {
         })
     }
 
-    /// Extract the timeline from an in-process report (replay path).
+    /// Extract the timeline from an in-process report.
     pub fn from_report(r: &ObsReport) -> Result<DigestTimeline, String> {
         let digests = r
             .digests
             .get("digest.window")
             .cloned()
-            .ok_or("replay recorded no digest.window timeline")?;
+            .ok_or("the run recorded no digest.window timeline")?;
         let gauge = |n: &str| r.gauges.get(n).map(|v| *v as u64);
         Ok(DigestTimeline {
             first_window: gauge("digest.first_window").unwrap_or(0),
             stride: gauge("digest.stride").unwrap_or(1).max(1),
-            window_ns: gauge("digest.window_ns").ok_or("replay recorded no digest.window_ns")?,
+            window_ns: gauge("digest.window_ns").ok_or("the run recorded no digest.window_ns")?,
             digests,
         })
     }
@@ -123,6 +112,10 @@ pub struct WindowDivergence {
     pub window: u64,
     /// Simulated time of that barrier, nanoseconds.
     pub sim_ns: u64,
+    /// Simulated time of the recorded barrier before it, where the runs
+    /// still agreed (zero at the first one), nanoseconds. The first
+    /// diverging event lies at or after this time.
+    pub start_ns: u64,
     /// Side A's digest there (`None` = not recorded on that side).
     pub a: Option<u64>,
     /// Side B's digest there.
@@ -161,6 +154,7 @@ pub fn first_window_divergence(
             return Ok(Some(WindowDivergence {
                 window: w,
                 sim_ns: w.saturating_mul(a.window_ns),
+                start_ns: w.saturating_sub(a.stride).saturating_mul(a.window_ns),
                 a: da,
                 b: db,
             }));
@@ -207,169 +201,137 @@ pub fn first_event_divergence(a: &[FlightEvent], b: &[FlightEvent]) -> Option<Ev
     })
 }
 
-/// Everything one side of a replay needs.
-pub struct ReplaySide<'a> {
-    /// That run's checkpoint directory (the ladder of restore points).
-    pub ckpt_dir: &'a Path,
-    /// Short label for reports ("A"/"B").
-    pub label: &'a str,
-}
-
-/// How to rebuild the runs for the replay phase: the same model, scale,
-/// and engine options the original runs used.
-pub struct ReplayConfig<'a> {
-    pub pipeline_cfg: crate::pipeline::PipelineConfig,
-    pub trained: &'a TrainedMimic,
-    pub n_clusters: u32,
-    pub partitions: usize,
-    /// Flight-ring capacity per LP for the replay (events kept are the
-    /// *last* `capacity`, which is the end of the replay — exactly where
-    /// the divergence is).
-    pub flight_capacity: usize,
-    /// Replay adaptively when the original runs did.
-    pub adaptive: Option<(crate::AccuracyBudget, TierPlan, Option<crate::CorrectionHead>)>,
-}
-
-/// One side's replay result.
-pub struct ReplayOutcome {
-    /// Generation restored, `None` = replayed from t=0.
-    pub resumed_generation: Option<String>,
+/// One run as its `--obs-out` file describes it: the digest timeline and
+/// the flight ring (empty when the run had no `--flight`).
+pub struct ObsRun {
     pub timeline: DigestTimeline,
     pub flight: Vec<FlightEvent>,
 }
 
-/// The full bisection verdict.
-pub struct BisectReport {
-    /// First diverging window per the two runs' recorded timelines.
-    pub coarse: WindowDivergence,
-    /// First diverging window per the stride-1 replay timelines (present
-    /// when the replay phase ran and reproduced the divergence).
-    pub refined: Option<WindowDivergence>,
-    /// First diverging event per the replay flight recorders.
-    pub event: Option<EventDivergence>,
-    /// Generation both replays restored (`None` = replayed from t=0).
-    pub resumed_generation: Option<String>,
-}
-
-/// The checkpoint generations in `dir`, keyed by cut time (nanoseconds).
-fn generation_times(dir: &Path) -> Result<BTreeMap<u64, String>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
-    let mut out = BTreeMap::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(ns) = name.strip_prefix("gen-").and_then(|s| s.parse::<u64>().ok()) {
-            if entry.path().is_dir() {
-                out.insert(ns, name.to_string());
-            }
-        }
+impl ObsRun {
+    /// Read both from an exported obs snapshot, parsing it once.
+    pub fn from_obs_json(text: &str) -> Result<ObsRun, String> {
+        let v = parse_obs(text)?;
+        Ok(ObsRun {
+            timeline: DigestTimeline::from_obs_value(&v)?,
+            flight: flight_from_obs_value(&v)?,
+        })
     }
-    Ok(out)
 }
 
-/// The newest generation *both* checkpoint ladders hold strictly before
-/// `barrier_ns`. Restoring a common cut keeps the two replays' flight
-/// traces aligned from their first event; `None` = no common cut, replay
-/// both sides from t=0.
-pub fn common_generation_before(
-    a_dir: &Path,
-    b_dir: &Path,
-    barrier_ns: u64,
-) -> Result<Option<String>, String> {
-    let a = generation_times(a_dir)?;
-    let b = generation_times(b_dir)?;
-    Ok(a.range(..barrier_ns)
-        .rev()
-        .find(|(ns, _)| b.contains_key(ns))
-        .map(|(_, name)| name.clone()))
+fn parse_obs(text: &str) -> Result<Value, String> {
+    serde_json::from_str(text).map_err(|e| format!("obs snapshot does not parse: {e}"))
 }
 
-/// Replay one side up to `stop_window`'s barrier with stride-1 digests
-/// and a full flight ring, restoring `generation` from its checkpoint
-/// ladder (or from t=0 when `None`).
-fn replay_side(
-    cfg: &ReplayConfig<'_>,
-    side: &ReplaySide<'_>,
-    generation: Option<&str>,
-    stop_window: u64,
-    window_ns: u64,
-) -> Result<ReplayOutcome, String> {
-    let barrier_ns = stop_window
-        .checked_mul(window_ns)
-        .ok_or("divergence window overflows simulated time")?;
-    let opts = PdesRunOpts {
-        obs: true,
-        resume_from: generation.map(|_| side.ckpt_dir.to_path_buf()),
-        resume_generation: generation.map(str::to_string),
-        stop_at: Some(SimTime(barrier_ns)),
-        digest_stride: Some(1),
-        flight: Some(FlightPlan {
-            capacity: cfg.flight_capacity,
-            ..FlightPlan::default()
-        }),
-        ..PdesRunOpts::default()
+/// The flight ring of an exported obs snapshot (empty without one).
+fn flight_from_obs_value(v: &Value) -> Result<Vec<FlightEvent>, String> {
+    let Some(events) = v
+        .as_object()
+        .and_then(|root| root.iter().find(|(k, _)| k == "flight"))
+        .and_then(|(_, v)| v.as_array())
+    else {
+        return Ok(Vec::new());
     };
-    // A fresh pipeline with its own recorder *off*: the engine report then
-    // stays on the returned metrics for us to read directly.
-    let mut pipe = Pipeline::new(cfg.pipeline_cfg);
-    let est = match &cfg.adaptive {
-        None => pipe.try_estimate_opts(cfg.trained, cfg.n_clusters, cfg.partitions, &opts),
-        Some((budget, plan, correction)) => pipe.try_estimate_adaptive_opts(
-            cfg.trained,
-            cfg.n_clusters,
-            cfg.partitions,
-            budget,
-            plan,
-            correction.as_ref(),
-            &opts,
-        ),
-    }
-    .map_err(|e| format!("side {} replay failed: {e}", side.label))?;
-    let report = est
-        .metrics
-        .obs
-        .as_ref()
-        .ok_or_else(|| format!("side {} replay produced no obs report", side.label))?;
-    Ok(ReplayOutcome {
-        resumed_generation: generation.map(str::to_string),
-        timeline: DigestTimeline::from_report(report)?,
-        flight: report.flight.clone(),
-    })
+    events
+        .iter()
+        .map(|e| {
+            let field = |name: &str| {
+                e.as_object()
+                    .and_then(|o| o.iter().find(|(k, _)| k == name))
+                    .and_then(|(_, v)| v.as_u64())
+                    .ok_or_else(|| format!("flight event without an integer `{name}`"))
+            };
+            let kind = field("kind")?;
+            if kind >= EventKind::COUNT as u64 {
+                return Err(format!("flight event of unknown kind {kind}"));
+            }
+            Ok(FlightEvent {
+                lp: field("lp")? as u32,
+                sim_ns: field("sim_ns")?,
+                kind: kind as u8,
+                kind_name: EventKind::name_of(kind as usize),
+                packet_id: field("packet_id")?,
+                queue_depth: field("queue_depth")? as u32,
+            })
+        })
+        .collect()
 }
 
-/// Run the full bisection: coarse window localization from the two obs
-/// snapshots, then (when `replay` is given) checkpoint-restore replay of
-/// both sides with full tracing and the first-diverging-event diff.
-pub fn bisect(
-    a: &DigestTimeline,
-    b: &DigestTimeline,
-    replay: Option<(&ReplayConfig<'_>, &ReplaySide<'_>, &ReplaySide<'_>)>,
-) -> Result<Option<BisectReport>, String> {
-    let Some(coarse) = first_window_divergence(a, b)? else {
+/// What the two flight rings say about the diverging window.
+#[derive(Clone, Debug)]
+pub enum EventFinding {
+    /// The first event where the runs disagree.
+    Diverged(EventDivergence),
+    /// Both rings cover the window and agree from its start to their end:
+    /// the runs differ in events still queued when the rings stopped.
+    Identical,
+    /// At least one file has no flight ring.
+    NoRings,
+    /// At least one ring was overwritten past the window's start (its
+    /// oldest event on some LP is not before it).
+    RingsTooShort,
+}
+
+/// Windows past the diverging barrier a re-run keeps going. The digest
+/// covers queued events, so it can differ a little before any popped
+/// event does: a re-entry scheduled at a different time pops up to a
+/// few model latencies (each at least one window) later.
+const RERUN_WINDOWS: u64 = 32;
+
+/// The verdict of [`localize`].
+pub struct DivergeReport {
+    pub window: WindowDivergence,
+    pub event: EventFinding,
+    /// Where a re-run should stop so its flight ring ends just past the
+    /// divergence ([`RERUN_WINDOWS`] past the barrier), nanoseconds.
+    pub stop_at_ns: u64,
+}
+
+impl DivergeReport {
+    /// [`DivergeReport::stop_at_ns`] as the `--stop-at` value (simulated
+    /// seconds).
+    pub fn stop_at_s(&self) -> f64 {
+        self.stop_at_ns as f64 / 1e9
+    }
+}
+
+/// Does `ring` hold every event at or after `start_ns`? Each LP's ring
+/// keeps its latest events in time order, so it does when each LP's
+/// oldest retained event is earlier (or nothing was ever evicted before
+/// t = 0).
+fn covers(ring: &[FlightEvent], start_ns: u64) -> bool {
+    let mut oldest: BTreeMap<u32, u64> = BTreeMap::new();
+    for e in ring {
+        let t = oldest.entry(e.lp).or_insert(e.sim_ns);
+        *t = (*t).min(e.sim_ns);
+    }
+    start_ns == 0 || oldest.values().all(|&t| t < start_ns)
+}
+
+/// Localize where two runs first diverge: the first window from their
+/// digest timelines, then the first event from their flight rings when
+/// both reach back to that window's start. `Ok(None)` = the timelines
+/// agree over their whole overlap.
+pub fn localize(a: &ObsRun, b: &ObsRun) -> Result<Option<DivergeReport>, String> {
+    let Some(window) = first_window_divergence(&a.timeline, &b.timeline)? else {
         return Ok(None);
     };
-    let Some((cfg, side_a, side_b)) = replay else {
-        return Ok(Some(BisectReport {
-            coarse,
-            refined: None,
-            event: None,
-            resumed_generation: None,
-        }));
+    let event = if a.flight.is_empty() || b.flight.is_empty() {
+        EventFinding::NoRings
+    } else if !covers(&a.flight, window.start_ns) || !covers(&b.flight, window.start_ns) {
+        EventFinding::RingsTooShort
+    } else {
+        let from_start = |ring: &[FlightEvent]| -> Vec<FlightEvent> {
+            ring.iter().filter(|e| e.sim_ns >= window.start_ns).copied().collect()
+        };
+        match first_event_divergence(&from_start(&a.flight), &from_start(&b.flight)) {
+            Some(d) => EventFinding::Diverged(d),
+            None => EventFinding::Identical,
+        }
     };
-    let generation = common_generation_before(side_a.ckpt_dir, side_b.ckpt_dir, coarse.sim_ns)?;
-    let ra = replay_side(cfg, side_a, generation.as_deref(), coarse.window, a.window_ns)?;
-    let rb = replay_side(cfg, side_b, generation.as_deref(), coarse.window, a.window_ns)?;
-    // The replay runs stride-1, so this refinement can only tighten the
-    // coarse window (or confirm it).
-    let refined = first_window_divergence(&ra.timeline, &rb.timeline)?;
-    let event = first_event_divergence(&ra.flight, &rb.flight);
-    Ok(Some(BisectReport {
-        coarse,
-        refined,
-        event,
-        resumed_generation: generation,
-    }))
+    let stop_at_ns =
+        window.sim_ns.saturating_add(RERUN_WINDOWS.saturating_mul(a.timeline.window_ns));
+    Ok(Some(DivergeReport { window, event, stop_at_ns }))
 }
 
 fn fmt_digest(d: Option<u64>) -> String {
@@ -392,38 +354,27 @@ fn fmt_event(e: &FlightEvent) -> String {
 }
 
 /// Render the verdict as the human report `mimicnet diverge` prints.
-pub fn render_report(r: &BisectReport) -> String {
+pub fn render_report(r: &DivergeReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let w = &r.coarse;
+    let w = &r.window;
     let _ = writeln!(
         out,
-        "first diverging window (coarse): window {} @ {} ns\n  side A digest {}\n  side B digest {}",
+        "first diverging window: window {} @ {} ns (agreed at {} ns)\n  side A digest {}\n  side B digest {}",
         w.window,
         w.sim_ns,
+        w.start_ns,
         fmt_digest(w.a),
         fmt_digest(w.b)
     );
-    match &r.resumed_generation {
-        Some(g) => {
-            let _ = writeln!(out, "replayed both sides from common checkpoint {g}");
-        }
-        None => {
-            let _ = writeln!(out, "replayed both sides from t=0 (no common checkpoint before the divergence)");
-        }
-    }
-    if let Some(w) = &r.refined {
-        let _ = writeln!(
-            out,
-            "first diverging window (replay, stride 1): window {} @ {} ns\n  side A digest {}\n  side B digest {}",
-            w.window,
-            w.sim_ns,
-            fmt_digest(w.a),
-            fmt_digest(w.b)
-        );
-    }
+    let rerun = format!(
+        "re-run both sides with --stop-at {:.9} --digests --flight N --obs-out FILE \
+         (N large enough to reach back to {} ns) and compare the new files",
+        r.stop_at_s(),
+        w.start_ns
+    );
     match &r.event {
-        Some(ev) => {
+        EventFinding::Diverged(ev) => {
             let _ = writeln!(out, "first diverging event:");
             let _ = writeln!(
                 out,
@@ -444,12 +395,18 @@ pub fn render_report(r: &BisectReport) -> String {
                 let _ = writeln!(out, "  {marker} A {a:<58} | B {b}");
             }
         }
-        None => {
+        EventFinding::Identical => {
             let _ = writeln!(
                 out,
-                "flight traces are identical — the divergence is inside a window's \
-                 state evolution, not its event order (suspect model/RNG state)"
+                "flight traces agree from the window's start to their end: the runs differ \
+                 in events still queued there; re-run both sides with a later --stop-at"
             );
+        }
+        EventFinding::NoRings => {
+            let _ = writeln!(out, "a file has no flight ring; {rerun}");
+        }
+        EventFinding::RingsTooShort => {
+            let _ = writeln!(out, "the flight rings do not reach back to the window's start; {rerun}");
         }
     }
     out
@@ -466,147 +423,40 @@ fn event_json(e: &FlightEvent) -> Value {
     })
 }
 
-fn window_json(w: &WindowDivergence) -> Value {
-    serde_json::json!({
+/// Render the verdict as the machine-readable diff report (`--out`):
+/// `window`, `stop_at_s`, `event` (`null` unless the rings located it) and
+/// `event_finding` (`diverged`, `identical`, `no_rings`, `rings_too_short`).
+pub fn report_json(r: &DivergeReport) -> Value {
+    let w = &r.window;
+    let (event, finding) = match &r.event {
+        EventFinding::Diverged(ev) => (
+            serde_json::json!({
+                "a": ev.a.as_ref().map(event_json),
+                "b": ev.b.as_ref().map(event_json),
+                "excerpt_a": ev.excerpt_a.iter().map(event_json).collect::<Vec<Value>>(),
+                "excerpt_b": ev.excerpt_b.iter().map(event_json).collect::<Vec<Value>>(),
+            }),
+            "diverged",
+        ),
+        EventFinding::Identical => (Value::Null, "identical"),
+        EventFinding::NoRings => (Value::Null, "no_rings"),
+        EventFinding::RingsTooShort => (Value::Null, "rings_too_short"),
+    };
+    let window = serde_json::json!({
         "window": w.window,
         "sim_ns": w.sim_ns,
+        "start_ns": w.start_ns,
         "digest_a": w.a,
         "digest_b": w.b,
-    })
-}
-
-/// Render the verdict as the machine-readable diff report (`--out`).
-pub fn report_json(r: &BisectReport) -> Value {
-    let event = match &r.event {
-        None => Value::Null,
-        Some(ev) => serde_json::json!({
-            "a": ev.a.as_ref().map(event_json),
-            "b": ev.b.as_ref().map(event_json),
-            "excerpt_a": ev.excerpt_a.iter().map(event_json).collect::<Vec<Value>>(),
-            "excerpt_b": ev.excerpt_b.iter().map(event_json).collect::<Vec<Value>>(),
-        }),
-    };
+    });
     serde_json::json!({
-        "coarse": window_json(&r.coarse),
-        "refined": r.refined.as_ref().map(window_json),
-        "resumed_generation": r.resumed_generation.clone(),
+        "window": window,
+        "stop_at_s": r.stop_at_s(),
         "event": event,
+        "event_finding": finding,
     })
 }
 
-/// Outcome of a [`snap_flip`] injection.
-#[derive(Clone, Debug)]
-pub struct SnapFlipReport {
-    /// The snapshot file that was corrupted.
-    pub path: PathBuf,
-    /// Byte offset (within the snapshot payload) of the flipped bit.
-    pub offset: usize,
-    /// State digest of the partition before / after the flip.
-    pub digest_before: u64,
-    pub digest_after: u64,
-}
-
-/// Flip one bit of partition `part`'s snapshot in `ckpt_dir`'s current
-/// generation such that the snapshot still restores cleanly but its
-/// restored state digest changes, then rewrite the file (re-framed with a
-/// valid checksum). The resumed run then diverges from the original at
-/// exactly the restored window — a seeded divergence for testing
-/// [`bisect`] end to end.
-pub fn snap_flip(
-    pipeline_cfg: &crate::pipeline::PipelineConfig,
-    trained: &TrainedMimic,
-    n_clusters: u32,
-    ckpt_dir: &Path,
-    part: usize,
-    generation: Option<&str>,
-) -> Result<SnapFlipReport, String> {
-    let manifest = read_manifest(ckpt_dir).map_err(|e| e.to_string())?;
-    // A mid-run generation (retained by `keep > 1`) can be targeted
-    // instead of the manifest's current one; resuming it then needs
-    // `--resume-generation`.
-    let generation = generation.unwrap_or(&manifest.generation);
-    if !ckpt_dir.join(generation).is_dir() {
-        return Err(format!(
-            "generation `{generation}` is not present in {}",
-            ckpt_dir.display()
-        ));
-    }
-    if part >= manifest.partitions as usize {
-        return Err(format!(
-            "partition {part} out of range (checkpoint has {})",
-            manifest.partitions
-        ));
-    }
-    let cfg = composed_config(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol)
-        .map_err(|e| e.to_string())?;
-    let fp = serde_json::to_string(&cfg).map_err(|e| e.to_string())?;
-    if manifest.config != fp {
-        return Err(
-            "checkpoint belongs to a different simulation configuration (wrong \
-             --clusters/--duration/--seed/--protocol?)"
-                .into(),
-        );
-    }
-    let owner = Arc::new(partition_by_cluster(
-        &FatTree::new(cfg.topo),
-        manifest.partitions as usize,
-    ));
-    // A fresh engine configured exactly as the checkpointing LP was; used
-    // (repeatedly) to validate candidate flips by restoring them.
-    let restore_digest = |payload: &[u8]| -> Option<u64> {
-        let mut sim =
-            try_compose(pipeline_cfg.base, n_clusters, pipeline_cfg.protocol, trained).ok()?;
-        sim.set_partition(owner.clone(), part as u8);
-        sim.restore_snapshot(payload).ok()?;
-        Some(sim.window_digest())
-    };
-
-    let path = ckpt_dir.join(generation).join(format!("part-{part}.snap"));
-    let pristine = read_snapshot_file(&path).map_err(|e| e.to_string())?;
-    let digest_before = restore_digest(&pristine)
-        .ok_or("the pristine snapshot does not restore — checkpoint already corrupt?")?;
-
-    // The payload opens with the config fingerprint (u64 length + bytes),
-    // the partition byte, the initialized flag, and the now/end clocks;
-    // flipping those breaks restore validation or the run's extent rather
-    // than its state. The event queue comes right after — digest-covered
-    // state where a low-bit flip (e.g. an event time off by 1 ns) is a
-    // genuine trajectory perturbation — so walk forward from there until
-    // a flip both restores cleanly and changes the digest.
-    let header = 8 + fp.len() + 1 + 1 + 8 + 8;
-    if pristine.len() <= header + 1 {
-        return Err("snapshot payload too small to corrupt meaningfully".into());
-    }
-    let mut tried = 0usize;
-    let mut unrestorable = 0usize;
-    let mut digest_blind = 0usize;
-    for off in header..pristine.len() {
-        if tried >= 4096 {
-            break;
-        }
-        tried += 1;
-        let mut flipped = pristine.clone();
-        flipped[off] ^= 1;
-        match restore_digest(&flipped) {
-            None => unrestorable += 1,
-            Some(digest_after) if digest_after == digest_before => digest_blind += 1,
-            Some(digest_after) => {
-                write_snapshot_file(&path, &flipped).map_err(|e| e.to_string())?;
-                return Ok(SnapFlipReport {
-                    path,
-                    offset: off,
-                    digest_before,
-                    digest_after,
-                });
-            }
-        }
-    }
-    Err(format!(
-        "no restorable digest-changing bit found in the snapshot \
-         ({tried} candidates: {unrestorable} failed to restore, {digest_blind} \
-         restored with an unchanged digest)"
-    ))
-}
 
 #[cfg(test)]
 mod tests {
@@ -618,7 +468,7 @@ mod tests {
 
     #[test]
     fn window_divergence_aligns_on_absolute_indices() {
-        // B starts later (a resumed run) but overlaps A; they agree on the
+        // B's timeline starts later but overlaps A; they agree on the
         // overlap until window 12.
         let a = tl(0, 4, vec![1, 2, 3, 4, 5]); // windows 0,4,8,12,16
         let b = tl(8, 4, vec![3, 9, 5]); // windows 8,12,16
@@ -688,26 +538,5 @@ mod tests {
 
         let undigested = ObsReport::default();
         assert!(DigestTimeline::from_obs_json(&undigested.to_json_string()).is_err());
-    }
-
-    #[test]
-    fn common_generation_picks_newest_shared_cut() {
-        let root = std::env::temp_dir().join(format!("diverge-gens-{}", std::process::id()));
-        let a = root.join("a");
-        let b = root.join("b");
-        for (dir, gens) in [(&a, vec![100u64, 200, 300]), (&b, vec![100, 300, 400])] {
-            for g in gens {
-                std::fs::create_dir_all(dir.join(format!("gen-{g:020}"))).unwrap();
-            }
-        }
-        // Newest shared cut strictly before the barrier.
-        let g = common_generation_before(&a, &b, 350).unwrap();
-        assert_eq!(g.as_deref(), Some("gen-00000000000000000300"));
-        // 300 is not *strictly* before 300; 200 is A-only, so 100 wins.
-        let g = common_generation_before(&a, &b, 300).unwrap();
-        assert_eq!(g.as_deref(), Some("gen-00000000000000000100"));
-        // Nothing shared before 100: replay from scratch.
-        assert_eq!(common_generation_before(&a, &b, 100).unwrap(), None);
-        std::fs::remove_dir_all(&root).ok();
     }
 }

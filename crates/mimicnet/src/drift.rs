@@ -239,39 +239,6 @@ impl DriftMonitor {
     pub fn observed(&self) -> u64 {
         self.observed
     }
-
-    /// Serialize the mutable window state for a checkpoint (the envelope
-    /// itself is part of the bundle and rebuilt on restore).
-    pub fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {
-        w.put_f64_slice(&self.sums);
-        w.put_u64(self.exceed);
-        w.put_u64(self.values);
-        w.put_u64(self.rows as u64);
-        w.put_opt_f64(self.score);
-        w.put_u64(self.observed);
-    }
-
-    /// Overwrite the mutable window state from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        let sums = r.get_f64_vec()?;
-        if sums.len() != self.sums.len() {
-            return Err(dcn_sim::snapshot::SnapshotError::Corrupt(format!(
-                "drift monitor width {} does not match snapshot ({})",
-                self.sums.len(),
-                sums.len()
-            )));
-        }
-        self.sums = sums;
-        self.exceed = r.get_u64()?;
-        self.values = r.get_u64()?;
-        self.rows = r.get_u64()? as usize;
-        self.score = r.get_opt_f64()?;
-        self.observed = r.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Typed errors for the MimicNet pipeline.
 
 use dcn_sim::error::SimError;
+use dcn_sim::pdes::LpPanic;
 use dcn_sim::topology::NodeId;
 use mimic_ml::train::TrainError;
 use std::fmt;
@@ -16,11 +17,14 @@ pub enum PipelineError {
     /// The underlying simulator rejected its input.
     Sim(SimError),
     /// A composition parameter is out of range (e.g. fewer than 2
-    /// clusters, or a checkpoint or tier cadence that is not positive).
+    /// clusters, or a tier cadence that is not positive).
     InvalidComposition { reason: String },
     /// A training or tuning parameter is out of range (e.g. a zero
     /// window, batch size or layer count, or no tuning evaluations).
     InvalidConfig { reason: String },
+    /// A logical process of a partitioned run panicked (a real engine
+    /// fault or the crash drill); the run stopped at that window.
+    LpPanic(LpPanic),
 }
 
 impl fmt::Display for PipelineError {
@@ -35,6 +39,7 @@ impl fmt::Display for PipelineError {
                 write!(f, "invalid composition: {reason}")
             }
             PipelineError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
+            PipelineError::LpPanic(e) => write!(f, "partitioned run aborted: {e}"),
         }
     }
 }
@@ -44,6 +49,7 @@ impl std::error::Error for PipelineError {
         match self {
             PipelineError::Train(e) => Some(e),
             PipelineError::Sim(e) => Some(e),
+            PipelineError::LpPanic(e) => Some(e),
             _ => None,
         }
     }
@@ -61,46 +67,9 @@ impl From<SimError> for PipelineError {
     }
 }
 
-/// An error raised by a checkpointed or resumed composed run: either the
-/// composition itself is invalid, or checkpoint I/O / snapshot decoding
-/// failed. Kept separate from [`PipelineError`] so snapshot failures stay
-/// fully typed ([`dcn_sim::snapshot::SnapshotError`] carries
-/// `std::io::Error`, which is neither `Clone` nor `PartialEq`).
-#[derive(Debug)]
-pub enum ComposeRunError {
-    /// Assembling the composition failed.
-    Pipeline(PipelineError),
-    /// Writing or restoring a checkpoint failed.
-    Snapshot(dcn_sim::snapshot::SnapshotError),
-}
-
-impl fmt::Display for ComposeRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ComposeRunError::Pipeline(e) => write!(f, "{e}"),
-            ComposeRunError::Snapshot(e) => write!(f, "checkpoint failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ComposeRunError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ComposeRunError::Pipeline(e) => Some(e),
-            ComposeRunError::Snapshot(e) => Some(e),
-        }
-    }
-}
-
-impl From<PipelineError> for ComposeRunError {
-    fn from(e: PipelineError) -> Self {
-        ComposeRunError::Pipeline(e)
-    }
-}
-
-impl From<dcn_sim::snapshot::SnapshotError> for ComposeRunError {
-    fn from(e: dcn_sim::snapshot::SnapshotError) -> Self {
-        ComposeRunError::Snapshot(e)
+impl From<LpPanic> for PipelineError {
+    fn from(e: LpPanic) -> Self {
+        PipelineError::LpPanic(e)
     }
 }
 

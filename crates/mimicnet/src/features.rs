@@ -261,38 +261,6 @@ impl FeatureExtractor {
         self.congestion.observe(latency_norm, dropped);
     }
 
-    /// Serialize the mutable encoder state (interarrival tracker plus
-    /// congestion history) for a checkpoint. `cfg` and the discretizer are
-    /// immutable and rebuilt from configuration on restore.
-    pub fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {
-        w.put_opt_u64(self.last_time.map(SimTime::as_nanos));
-        w.put_f64(self.ewma_dt);
-        w.put_u64(self.congestion.cap as u64);
-        w.put_u64(self.congestion.recent.len() as u64);
-        for &(l, d) in &self.congestion.recent {
-            w.put_f32(l);
-            w.put_bool(d);
-        }
-    }
-
-    /// Overwrite the mutable encoder state from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        self.last_time = r.get_opt_u64()?.map(SimTime);
-        self.ewma_dt = r.get_f64()?;
-        self.congestion.cap = r.get_u64()? as usize;
-        let n = r.get_count(5)?;
-        self.congestion.recent.clear();
-        for _ in 0..n {
-            let l = r.get_f32()?;
-            let d = r.get_bool()?;
-            self.congestion.recent.push_back((l, d));
-        }
-        Ok(())
-    }
-
     /// Reset interarrival/congestion state (fresh simulation).
     pub fn reset(&mut self) {
         self.last_time = None;

@@ -143,23 +143,6 @@ impl Feeder {
         self.next
     }
 
-    /// Serialize the feeder's mutable state (injection cursor and RNG) for
-    /// a checkpoint; the fit and topology dimensions are configuration.
-    pub fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {
-        w.put_opt_u64(self.next.map(SimTime::as_nanos));
-        w.put_u64(self.rng.state());
-    }
-
-    /// Overwrite the feeder's mutable state from a checkpoint.
-    pub fn load_state(
-        &mut self,
-        r: &mut dcn_sim::snapshot::SnapReader<'_>,
-    ) -> Result<(), dcn_sim::snapshot::SnapshotError> {
-        self.next = r.get_opt_u64()?.map(SimTime);
-        self.rng.set_state(r.get_u64()?);
-        Ok(())
-    }
-
     /// If due at `now`, synthesize one packet view (stamped with its own
     /// due time, so interarrival features stay exact even when wakeups are
     /// batched) and schedule the next injection. Returns `None` when not

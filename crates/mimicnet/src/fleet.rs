@@ -34,11 +34,10 @@
 use crate::drift::DriftMonitor;
 use crate::features::FeatureExtractor;
 use crate::feeder::Feeder;
-use crate::mimic::{load_model_state, packet_view, save_model_state, DecisionMode, TrainedMimic};
+use crate::mimic::{packet_view, DecisionMode, TrainedMimic};
 use dcn_sim::mimic::{BoundaryDir, BoundaryItem, ClusterModel, Verdict};
 use dcn_sim::packet::FlowId;
 use dcn_sim::rng::SplitMix64;
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::topology::{FatTree, FatTreeParams};
 use mimic_ml::model::ModelState;
@@ -59,7 +58,7 @@ struct Lane {
     /// evicted whenever a new flow finds the table at a power-of-two size.
     /// That bounds the table by twice its peak live size and paces
     /// eviction off the table itself, so its contents are the same at
-    /// every partition count and across checkpoint/restore.
+    /// every partition count.
     last_exit: HashMap<FlowId, SimTime>,
     /// Ingress lanes score live features against the training envelope.
     monitor: Option<DriftMonitor>,
@@ -305,72 +304,6 @@ impl ClusterModel for MimicFleet {
         self.ingress[li].monitor.as_ref().and_then(|m| m.score())
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        for lanes in [&self.ingress, &self.egress] {
-            w.put_u64(lanes.len() as u64);
-            for lane in lanes {
-                lane.fx.save_state(w);
-                w.put_u64(lane.rng.state());
-                let mut exits: Vec<(u64, u64)> = lane
-                    .last_exit
-                    .iter()
-                    .map(|(f, t)| (f.0, t.as_nanos()))
-                    .collect();
-                exits.sort_unstable();
-                w.put_u64(exits.len() as u64);
-                for (f, t) in exits {
-                    w.put_u64(f);
-                    w.put_u64(t);
-                }
-                w.put_bool(lane.monitor.is_some());
-                if let Some(mon) = &lane.monitor {
-                    mon.save_state(w);
-                }
-                save_model_state(&lane.state, w);
-                lane.feeder.save_state(w);
-            }
-        }
-        w.put_u64(self.packets_seen);
-        w.put_u64(self.feeder_packets);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        for lanes in [&mut self.ingress, &mut self.egress] {
-            let n = r.get_u64()? as usize;
-            if n != lanes.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "fleet has {} lanes, snapshot has {n}",
-                    lanes.len()
-                )));
-            }
-            for lane in lanes {
-                lane.fx.load_state(r)?;
-                lane.rng.set_state(r.get_u64()?);
-                let n_exits = r.get_count(16)?;
-                lane.last_exit.clear();
-                for _ in 0..n_exits {
-                    let flow = FlowId(r.get_u64()?);
-                    let exit = SimTime(r.get_u64()?);
-                    lane.last_exit.insert(flow, exit);
-                }
-                if r.get_bool()? != lane.monitor.is_some() {
-                    return Err(SnapshotError::Corrupt(
-                        "drift-monitor presence does not match the bundle".into(),
-                    ));
-                }
-                if let Some(mon) = &mut lane.monitor {
-                    mon.load_state(r)?;
-                }
-                load_model_state(&mut lane.state, r)?;
-                lane.feeder.load_state(r)?;
-            }
-        }
-        self.packets_seen = r.get_u64()?;
-        self.feeder_packets = r.get_u64()?;
-        Ok(())
-    }
-
     fn append_obs(&self, out: &mut dcn_obs::ObsReport) {
         *out.counters
             .entry("mimic.fleet.packets_seen".into())
@@ -449,12 +382,21 @@ mod tests {
             on_wake_interleaved(&mut interleaved, cluster, now);
         }
         assert!(major.feeder_packets > 100, "wakes must drain several packets per direction");
-        let bytes = |f: &MimicFleet| {
-            let mut w = SnapWriter::new();
-            f.save_state(&mut w).expect("fleet state serializes");
-            w.into_bytes()
+        // Everything a wake can move, per lane; `{:?}` prints floats
+        // exactly, so equal strings mean bit-equal state.
+        let state = |f: &MimicFleet| {
+            let lanes: Vec<String> = f
+                .ingress
+                .iter()
+                .chain(&f.egress)
+                .map(|l| {
+                    let rng = l.rng.state();
+                    format!("{:?} {:?} {:?} {:?} {rng}", l.fx, l.state, l.feeder, l.monitor)
+                })
+                .collect();
+            (lanes, f.packets_seen, f.feeder_packets)
         };
-        assert_eq!(bytes(&major), bytes(&interleaved));
+        assert_eq!(state(&major), state(&interleaved));
     }
 
     /// One data packet crossing cluster 1's boundary in a 4-cluster

@@ -45,7 +45,7 @@ impl InternalModel {
         cfg: &TrainConfig,
     ) -> Result<(InternalModel, TrainReport), TrainError> {
         let mut model = SeqModel::new_stacked(data.width(), hidden, layers, cfg.seed);
-        let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)?;
+        let report = train(&mut model, data, cfg, &mut dcn_obs::Obs::off(), "train")?;
         Ok((InternalModel { model, disc }, report))
     }
 
@@ -58,7 +58,7 @@ impl InternalModel {
         data: &PacketDataset,
         cfg: &TrainConfig,
     ) -> Result<TrainReport, TrainError> {
-        train(&mut self.model, data, cfg, &mut dcn_obs::Obs::off(), "train", None)
+        train(&mut self.model, data, cfg, &mut dcn_obs::Obs::off(), "train")
     }
 
     /// Fresh inference state.

@@ -48,7 +48,7 @@
 //!
 //! let cfg = PipelineConfig::default();
 //! let mut pipe = Pipeline::new(cfg);
-//! let (trained, _data) = pipe.try_train(None)?;        // small-scale sim + training
+//! let (trained, _data) = pipe.try_train()?;        // small-scale sim + training
 //! let report = pipe.try_estimate(&trained, 32, None)?; // 32-cluster estimate
 //! println!("p99 FCT ≈ {:.3}s", report.fct_p99);
 //! # Ok::<(), mimicnet::PipelineError>(())

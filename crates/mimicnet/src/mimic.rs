@@ -1,9 +1,8 @@
 //! The trained Mimic bundle and the pieces every live Mimic shares: the
 //! artifact training produces ([`TrainedMimic`]), how probabilities become
-//! decisions ([`DecisionMode`]), the boundary-crossing projection
-//! ([`packet_view`]) and the recurrent-state checkpoint codec. The live
-//! composition — every Mimic'ed cluster of a simulation — is
-//! [`crate::fleet::MimicFleet`].
+//! decisions ([`DecisionMode`]) and the boundary-crossing projection
+//! ([`packet_view`]). The live composition — every Mimic'ed cluster of a
+//! simulation — is [`crate::fleet::MimicFleet`].
 
 use crate::drift::FeatureEnvelope;
 use crate::features::{FeatureConfig, PacketView};
@@ -12,10 +11,8 @@ use crate::internal_model::InternalModel;
 use dcn_sim::mimic::BoundaryDir;
 use dcn_sim::packet::Packet;
 use dcn_sim::routing::ecmp_hash;
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::topology::FatTree;
-use mimic_ml::model::ModelState;
 use serde::{Deserialize, Serialize};
 
 /// The serializable artifact produced by training: everything needed to
@@ -100,47 +97,6 @@ pub fn packet_view(
         ecn: pkt.ecn,
         prio: pkt.prio,
     }
-}
-
-/// Serialize an LSTM stack's recurrent state (hidden + cell per layer)
-/// for a checkpoint. Weights are configuration and are not written.
-pub(crate) fn save_model_state(st: &ModelState, w: &mut SnapWriter) {
-    w.put_u64(st.layers.len() as u64);
-    for l in &st.layers {
-        w.put_f32_slice(&l.h.data);
-        w.put_f32_slice(&l.c.data);
-    }
-}
-
-/// Overwrite an LSTM stack's recurrent state from a checkpoint, refusing
-/// shape mismatches (a snapshot from a differently-sized model).
-pub(crate) fn load_model_state(
-    st: &mut ModelState,
-    r: &mut SnapReader<'_>,
-) -> Result<(), SnapshotError> {
-    let n = r.get_u64()? as usize;
-    if n != st.layers.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "model has {} LSTM layers, snapshot has {n}",
-            st.layers.len()
-        )));
-    }
-    for l in &mut st.layers {
-        let h = r.get_f32_vec()?;
-        let c = r.get_f32_vec()?;
-        if h.len() != l.h.data.len() || c.len() != l.c.data.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "LSTM state dims {}x{} do not match snapshot ({}, {})",
-                l.h.data.len(),
-                l.c.data.len(),
-                h.len(),
-                c.len()
-            )));
-        }
-        l.h.data = h;
-        l.c.data = c;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

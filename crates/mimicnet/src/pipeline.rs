@@ -12,7 +12,7 @@ use crate::compose::{
 use crate::datagen::{generate, DataGenConfig, TrainingData};
 use crate::degrade::{AccuracyBudget, DegradationPolicy, DegradationReport};
 use crate::drift::FeatureEnvelope;
-use crate::error::{ComposeRunError, PipelineError};
+use crate::error::PipelineError;
 use crate::internal_model::InternalModel;
 use crate::metrics::{observed, ObservedSamples};
 use crate::mimic::TrainedMimic;
@@ -25,8 +25,7 @@ use dcn_sim::stats::percentile;
 use dcn_sim::topology::FatTree;
 use dcn_transport::Protocol;
 use mimic_ml::model::SeqModel;
-use mimic_ml::train::{train, CheckpointSpec, TrainConfig, TrainError};
-use std::path::Path;
+use mimic_ml::train::{train, TrainConfig, TrainError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -148,7 +147,7 @@ impl Pipeline {
 
     /// Absorb a finished simulation's engine-side report, if it has one.
     /// With the pipeline recorder off, the report stays on the metrics so
-    /// programmatic callers (e.g. divergence bisection) can read it.
+    /// programmatic callers (e.g. divergence localization) can read it.
     fn absorb_sim_obs(&mut self, metrics: &mut Metrics) {
         if !self.obs.is_on() {
             return;
@@ -163,23 +162,14 @@ impl Pipeline {
     /// window-size experiments read the latter).
     ///
     /// The configuration is checked before anything runs; an empty
-    /// small-scale boundary trace, a diverged loss and checkpoint I/O
-    /// failures are typed errors too. With `ckpt_dir`, each direction
-    /// model's full training-loop state is persisted there (as
-    /// `train.ingress.ckpt.json` / `train.egress.ckpt.json`) after every
-    /// epoch, and an interrupted run resumes from those files
-    /// bit-identically to a run that was never killed. Data generation is
-    /// deterministic in the config, so it is simply replayed.
+    /// small-scale boundary trace and a diverged loss are typed errors too.
     ///
     /// The ingress and egress models train concurrently on up to
     /// `TrainConfig::workers` threads, bit-identically at any budget.
-    pub fn try_train(
-        &mut self,
-        ckpt_dir: Option<&Path>,
-    ) -> Result<(TrainedMimic, TrainingData), PipelineError> {
+    pub fn try_train(&mut self) -> Result<(TrainedMimic, TrainingData), PipelineError> {
         let cfgs = std::slice::from_ref(&self.cfg);
         let budget = self.cfg.train.workers;
-        let mut out = train_bundles(cfgs, budget, ckpt_dir, &mut self.obs, &mut self.timings);
+        let mut out = train_bundles(cfgs, budget, &mut self.obs, &mut self.timings);
         out.pop().expect("one bundle in, one result out")
     }
 
@@ -194,7 +184,7 @@ impl Pipeline {
         workers: usize,
     ) -> Result<Vec<TrainedMimic>, PipelineError> {
         let (mut obs, mut timings) = (dcn_obs::Obs::off(), PhaseTimings::default());
-        train_bundles(cfgs, workers, None, &mut obs, &mut timings)
+        train_bundles(cfgs, workers, &mut obs, &mut timings)
             .into_iter()
             .map(|r| r.map(|(trained, _)| trained))
             .collect()
@@ -204,12 +194,12 @@ impl Pipeline {
     /// under a `pipeline.estimate` span, fold its engine-side telemetry
     /// into the pipeline recorder, account the wall clock since `t0` to
     /// the large-scale phase, and summarize the observable cluster.
-    fn estimate_via<E>(
+    fn estimate_via(
         &mut self,
         t0: Instant,
         n_clusters: u32,
-        run: impl FnOnce() -> Result<Metrics, E>,
-    ) -> Result<EstimateReport, E> {
+        run: impl FnOnce() -> Result<Metrics, PipelineError>,
+    ) -> Result<EstimateReport, PipelineError> {
         self.obs.begin("pipeline.estimate", "pipeline", None);
         let result = run();
         self.obs.end(None);
@@ -261,10 +251,8 @@ impl Pipeline {
 
     /// [`Pipeline::try_estimate`] on the partitioned PDES engine — the same
     /// Mimic fleet, so the same metrics byte for byte at any partition
-    /// count — with the full [`PdesRunOpts`] set: checkpoint/resume
-    /// (checkpointed, resumed and uninterrupted runs produce bit-identical
-    /// metrics at the same partition count), state digests, flight
-    /// recorder + SLO dumps, early stop, pinned-generation resume. When
+    /// count — with the full [`PdesRunOpts`] set: state digests, flight
+    /// recorder + SLO dumps, early stop and the crash drill. When
     /// the pipeline's obs collector is on, engine obs is forced on so
     /// digests, flight events, and tier telemetry land in the exported
     /// report.
@@ -274,7 +262,7 @@ impl Pipeline {
         n_clusters: u32,
         partitions: usize,
         opts: &PdesRunOpts,
-    ) -> Result<EstimateReport, ComposeRunError> {
+    ) -> Result<EstimateReport, PipelineError> {
         let t0 = Instant::now();
         let opts = PdesRunOpts { obs: opts.obs || self.obs.is_on(), ..opts.clone() };
         let (base, protocol) = (self.cfg.base, self.cfg.protocol);
@@ -299,7 +287,7 @@ impl Pipeline {
         plan: &TierPlan,
         correction: Option<&CorrectionHead>,
         opts: &PdesRunOpts,
-    ) -> Result<EstimateReport, ComposeRunError> {
+    ) -> Result<EstimateReport, PipelineError> {
         let t0 = Instant::now();
         let opts = PdesRunOpts { obs: opts.obs || self.obs.is_on(), ..opts.clone() };
         let (base, protocol) = (self.cfg.base, self.cfg.protocol);
@@ -388,8 +376,8 @@ const DIRECTIONS: [(&str, &str, u32); 2] = [
     ("pipeline.train.egress", "train.egress", 2),
 ];
 
-/// Check one bundle's configuration and create its checkpoint directory.
-fn check_train_config(cfg: &PipelineConfig, ckpt_dir: Option<&Path>) -> Result<(), PipelineError> {
+/// Check one bundle's configuration.
+fn check_train_config(cfg: &PipelineConfig) -> Result<(), PipelineError> {
     cfg.base.validate()?;
     for (what, n) in [
         ("training window", cfg.train.window),
@@ -401,13 +389,6 @@ fn check_train_config(cfg: &PipelineConfig, ckpt_dir: Option<&Path>) -> Result<(
                 reason: format!("{what} must be at least 1, got {n}"),
             });
         }
-    }
-    if let Some(dir) = ckpt_dir {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            PipelineError::Train(TrainError::Checkpoint {
-                message: format!("create {}: {e}", dir.display()),
-            })
-        })?;
     }
     Ok(())
 }
@@ -422,11 +403,10 @@ fn check_train_config(cfg: &PipelineConfig, ckpt_dir: Option<&Path>) -> Result<(
 fn train_bundles(
     cfgs: &[PipelineConfig],
     budget: usize,
-    ckpt_dir: Option<&Path>,
     obs: &mut dcn_obs::Obs,
     timings: &mut PhaseTimings,
 ) -> Vec<Result<(TrainedMimic, TrainingData), PipelineError>> {
-    let checked: Vec<_> = cfgs.iter().map(|cfg| check_train_config(cfg, ckpt_dir)).collect();
+    let checked: Vec<_> = cfgs.iter().map(check_train_config).collect();
     let dgs: Vec<DataGenConfig> = cfgs
         .iter()
         .zip(&checked)
@@ -480,10 +460,8 @@ fn train_bundles(
         let mut obs = if obs_on { dcn_obs::Obs::on() } else { dcn_obs::Obs::off() };
         obs.set_track(track);
         obs.begin(span, "pipeline", None);
-        let ckpt_path = ckpt_dir.map(|d| d.join(format!("{prefix}.ckpt.json")));
-        let spec = ckpt_path.as_deref().map(|path| CheckpointSpec { path, resume: true });
         let mut model = SeqModel::new_stacked(ds.width(), cfg.hidden, cfg.layers, cfg.train.seed);
-        let out = train(&mut model, ds, &cfg.train, &mut obs, prefix, spec.as_ref())
+        let out = train(&mut model, ds, &cfg.train, &mut obs, prefix)
             .map(|_| InternalModel { model, disc });
         obs.end(None);
         (out, obs.take_report())
@@ -560,7 +538,7 @@ mod tests {
     }
 
     fn trained(pipe: &mut Pipeline) -> TrainedMimic {
-        pipe.try_train(None).expect("training succeeds").0
+        pipe.try_train().expect("training succeeds").0
     }
 
     #[test]
@@ -607,7 +585,7 @@ mod tests {
         let reject = |edit: fn(&mut PipelineConfig)| {
             let mut cfg = quick_cfg();
             edit(&mut cfg);
-            Pipeline::new(cfg).try_train(None).err().expect("training should be rejected")
+            Pipeline::new(cfg).try_train().err().expect("training should be rejected")
         };
         let invalid = |e: &PipelineError| matches!(e, PipelineError::InvalidConfig { .. });
         assert!(invalid(&reject(|c| c.train.window = 0)));

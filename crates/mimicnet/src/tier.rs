@@ -23,7 +23,7 @@
 //! stream at both tiers) promotes them back to Mimic. Transitions happen
 //! only at window barriers, never inside a window, so the tier
 //! schedule — and therefore the whole run — is bit-identical across
-//! partition counts and across checkpoint/restore cuts.
+//! partition counts.
 
 use crate::fleet::MimicFleet;
 use crate::degrade::{AccuracyBudget, BudgetLedger};
@@ -32,7 +32,6 @@ use dcn_sim::instrument::Metrics;
 use dcn_sim::mimic::{
     BoundaryDir, BoundaryItem, ClusterModel, FidelityTier, TierSwitch, Verdict,
 };
-use dcn_sim::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use dcn_sim::time::{SimDuration, SimTime};
 use flow_sim::boundary::ShareEstimator;
 use serde::{Deserialize, Serialize};
@@ -293,38 +292,6 @@ impl ClusterModel for AdaptiveFleet {
 
     fn on_epoch(&mut self, epoch: u64, drift: &[Option<f64>]) -> Vec<TierSwitch> {
         self.ledger.on_epoch(epoch, drift)
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapshotError> {
-        self.inner.save_state(w)?;
-        self.ledger.save_state(w);
-        w.put_u64(self.flow.len() as u64);
-        for pair in &self.flow {
-            pair[0].save_state(w);
-            pair[1].save_state(w);
-        }
-        w.put_u64(self.flow_packets);
-        w.put_u64(self.mimic_packets);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
-        self.inner.load_state(r)?;
-        self.ledger.load_state(r)?;
-        let n = r.get_count(17)?;
-        if n != self.flow.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "adaptive fleet serves {} clusters, snapshot has {n}",
-                self.flow.len()
-            )));
-        }
-        for pair in &mut self.flow {
-            pair[0].load_state(r)?;
-            pair[1].load_state(r)?;
-        }
-        self.flow_packets = r.get_u64()?;
-        self.mimic_packets = r.get_u64()?;
-        Ok(())
     }
 
     fn append_obs(&self, out: &mut dcn_obs::ObsReport) {

@@ -154,7 +154,7 @@ pub fn tune(
         let mut cfg = val_cfg;
         params.apply(&mut cfg);
         let mut pipe = Pipeline::new(cfg);
-        let (trained, _) = pipe.try_train(None)?;
+        let (trained, _) = pipe.try_train()?;
         // End-to-end objective across validation scales.
         let mut objective = 0.0;
         for &s in &tcfg.scales {

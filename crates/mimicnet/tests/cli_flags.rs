@@ -30,19 +30,36 @@ fn tmp(name: &str) -> PathBuf {
 
 #[test]
 fn unknown_flags_exit_2_on_every_subcommand() {
+    let estimate = |flag: &'static str, value: &'static str| {
+        vec!["estimate", "--model", "unused.json", "--clusters", "4", flag, value]
+    };
     for args in [
-        &["train", "--out", "unused.json", "--epoch", "1"][..],
-        &["estimate", "--model", "unused.json", "--clusters", "4", "--partitons", "2"],
+        vec!["train", "--out", "unused.json", "--epoch", "1"],
+        estimate("--partitons", "2"),
         // `--adaptive` and `--json` are estimate-only.
-        &["validate", "--model", "unused.json", "--clusters", "4", "--adaptive"],
-        &["validate", "--model", "unused.json", "--clusters", "4", "--json"],
-        &["diverge", "--a", "a.json", "--b", "b.json", "--chekpoint", "x"],
-        &["tune", "--model", "unused.json"],
+        vec!["validate", "--model", "unused.json", "--clusters", "4", "--adaptive"],
+        vec!["validate", "--model", "unused.json", "--clusters", "4", "--json"],
+        vec!["diverge", "--a", "a.json", "--b", "b.json", "--chekpoint", "x"],
+        vec!["tune", "--model", "unused.json"],
+        // Checkpoint, resume and snap-flip inputs are unknown like any
+        // typo, and diverge reads only its two obs files.
+        vec!["train", "--out", "unused.json", "--checkpoint", "ckpt"],
+        estimate("--checkpoint-every", "1"),
+        estimate("--checkpoint-dir", "ckpt"),
+        estimate("--resume", "ckpt"),
+        estimate("--keep-generations", "3"),
+        estimate("--resume-generation", "gen-00000000000000000001"),
+        vec!["validate", "--model", "unused.json", "--clusters", "4", "--resume", "ckpt"],
+        vec!["diverge", "--a", "a.json", "--b", "b.json", "--a-ckpt", "x"],
+        vec!["diverge", "--a", "a.json", "--b", "b.json", "--model", "unused.json"],
+        vec!["snap-flip", "--ckpt", "ckpt", "--model", "unused.json", "--clusters", "4"],
     ] {
-        let (code, stderr) = cli(args);
+        let (code, stderr) = cli(&args);
         assert_eq!(code, Some(2), "{args:?} must be rejected: {stderr}");
-        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: unknown"), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
@@ -85,12 +102,12 @@ fn known_good_invocations_still_succeed_and_orphan_checkpoint_flags_fail() {
         assert!(!stderr.contains("panicked"), "{bad:?}: {stderr}");
     }
 
-    // These two only configure `--checkpoint-every`; alone they used to
-    // be ignored.
+    // The checkpoint flags once configured by `--checkpoint-every` are
+    // gone with it: a usage error even next to a working flag.
     for orphan in [["--checkpoint-dir", "ckpt"], ["--keep-generations", "3"]] {
         let (code, stderr) = cli(&[&estimate[..], &["--partitions", "2"], &orphan].concat());
-        assert_eq!(code, Some(2), "{orphan:?} without --checkpoint-every: {stderr}");
-        assert!(stderr.contains("--checkpoint-every"), "{stderr}");
+        assert_eq!(code, Some(2), "{orphan:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag for this subcommand: {}", orphan[0])));
     }
     let _ = std::fs::remove_file(&model);
 }
@@ -134,6 +151,8 @@ fn zero_checkpoint_or_tier_cadence_exits_2_without_a_panic() {
         [&[cmd, "--model", model_s, "--clusters", "3", "--duration", "0.2"][..], extra].concat()
     };
     let mut cases: Vec<Vec<&str>> = Vec::new();
+    // `--checkpoint-every` no longer exists, so every value of it, zero
+    // included, is a usage error.
     for cmd in ["estimate", "validate"] {
         for every in ["0", "-1", "nan"] {
             cases.push(run(cmd, &["--checkpoint-every", every]));

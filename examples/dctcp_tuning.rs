@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.hidden = 16;
 
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
 
         // Small-scale answer: the training run's own FCTs.
         let (small, _, _) = pipe.try_ground_truth(2, None)?;

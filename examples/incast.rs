@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     cfg.base.traffic.load = 0.6;
     cfg.base.traffic.pattern = TrafficPattern::Incast { sinks: 1 };
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     let est = pipe.try_estimate(&trained, 4, None)?;
     let (truth, _, _) = pipe.try_ground_truth(4, None)?;
     let r = compare(&truth, &est.samples);

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     pcfg.train.epochs = 1;
     pcfg.hidden = 8;
     let mut pipe = Pipeline::new(pcfg);
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     println!("{:>9} | {:>14} | {:>14} | {:>8}", "clusters", "truth events", "mimic events", "ratio");
     for n in [2u32, 4, 8] {
         let (_, truth, _) = pipe.try_ground_truth(n, None)?;

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         cfg.hidden = 16;
 
         let mut pipe = Pipeline::new(cfg);
-        let trained = pipe.try_train(None)?.0;
+        let trained = pipe.try_train()?.0;
         let (truth, _, _) = pipe.try_ground_truth(n, None)?;
         let est = pipe.try_estimate(&trained, n, None)?;
 

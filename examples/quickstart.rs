@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 2. Phases 1-2: observe small, train models.
     let mut pipe = Pipeline::new(cfg);
-    let trained = pipe.try_train(None)?.0;
+    let trained = pipe.try_train()?.0;
     println!(
         "trained ingress+egress LSTMs ({} params each) in {:?} (+{:?} sim)",
         trained.ingress.model.param_count(),

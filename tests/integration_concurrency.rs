@@ -23,11 +23,11 @@ fn quick_cfg(seed: u64) -> PipelineConfig {
 #[test]
 fn direction_fanout_matches_serial_training() {
     let serial =
-        Pipeline::new(quick_cfg(91)).try_train(None).expect("training succeeds").0.to_json();
+        Pipeline::new(quick_cfg(91)).try_train().expect("training succeeds").0.to_json();
     for workers in [2usize, 3, 4, 8] {
         let mut cfg = quick_cfg(91);
         cfg.train.workers = workers;
-        let parallel = Pipeline::new(cfg).try_train(None).expect("training succeeds").0.to_json();
+        let parallel = Pipeline::new(cfg).try_train().expect("training succeeds").0.to_json();
         assert_eq!(serial, parallel, "direction fan-out diverged at {workers} workers");
     }
 }

@@ -1,8 +1,9 @@
 //! Integration tests of the observability layer end to end: a traced
 //! composed PDES run must emit a well-formed report (engine counters,
 //! boundary-inference counters, fleet telemetry, near-total span coverage) without
-//! perturbing the simulated trajectory, and the pipeline recorder must
-//! stitch training and estimation telemetry into one exportable snapshot.
+//! perturbing the simulated trajectory, the pipeline recorder must stitch
+//! training and estimation telemetry into one exportable snapshot, and two
+//! runs' obs files must localize where the runs diverge.
 
 use dcn_sim::config::SimConfig;
 use dcn_transport::Protocol;
@@ -95,7 +96,7 @@ fn pipeline_obs_stitches_training_and_estimation_into_one_snapshot() {
     cfg.train.window = 4;
 
     let mut pipe = Pipeline::new(cfg).with_obs();
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let est = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
     assert!(est.fct_p99 > 0.0);
     assert!(
@@ -302,4 +303,81 @@ fn diagnostics_do_not_perturb_the_trajectory() {
         let other = diagnosed.flows.get(id).expect("flow present in both runs");
         assert_eq!(rec.end, other.end, "FCT mismatch for {id:?}");
     }
+}
+
+/// The file-only divergence flow end to end, in process: a plain and an
+/// adaptive composition share everything until the first tier epoch
+/// demotes clusters to the Flow tier. Their obs files localize the first
+/// diverging window; re-running both sides stopped at that barrier with a
+/// flight ring localizes the first diverging event at or after the
+/// window's start. Two identical runs report no divergence.
+#[test]
+fn diverge_localizes_plain_vs_adaptive_from_obs_files() {
+    use dcn_sim::mimic::FidelityTier;
+    use dcn_sim::pdes::{FlightPlan, TierPlan};
+    use dcn_sim::time::SimTime;
+    use mimicnet::compose::run_composed_adaptive;
+    use mimicnet::degrade::AccuracyBudget;
+    use mimicnet::diverge::{localize, EventFinding, ObsRun};
+
+    let (trained, mut base) = quick_trained();
+    base.duration_s = 0.2;
+    base.seed = 49;
+    // Every cluster is calm at the first epoch, so the adaptive side
+    // demotes them to Flow there.
+    let budget = AccuracyBudget {
+        start: FidelityTier::Mimic,
+        demote_below: f64::INFINITY,
+        patience: 1,
+        ..AccuracyBudget::default()
+    };
+    let plan = TierPlan { every_windows: 16 };
+    // Each side as its `--obs-out` file would carry it.
+    let obs_file = |adaptive: bool, stop_at: Option<SimTime>, flight: bool| {
+        let opts = PdesRunOpts {
+            digest_stride: Some(1),
+            stop_at,
+            flight: flight.then(|| FlightPlan { capacity: 65_536, ..FlightPlan::default() }),
+            ..PdesRunOpts::default()
+        };
+        let m = if adaptive {
+            run_composed_adaptive(
+                base, 3, Protocol::NewReno, &trained, 2, &budget, &plan, None, &opts,
+            )
+        } else {
+            run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
+        }
+        .expect("valid composition");
+        let json = m.obs.expect("digests imply an obs report").to_json_string();
+        ObsRun::from_obs_json(&json).expect("obs file parses")
+    };
+
+    let report = localize(&obs_file(false, None, false), &obs_file(true, None, false))
+        .expect("comparable timelines")
+        .expect("plain and adaptive runs diverge");
+    let window = report.window;
+    assert!(window.window > 0, "diverged at {window:?}");
+    assert!(window.start_ns < window.sim_ns);
+    assert!(matches!(report.event, EventFinding::NoRings));
+
+    let stop = Some(SimTime(report.stop_at_ns));
+    assert!(report.stop_at_ns > window.sim_ns);
+    assert_eq!(SimTime::from_secs_f64(report.stop_at_s()), SimTime(report.stop_at_ns));
+    let rerun = localize(&obs_file(false, stop, true), &obs_file(true, stop, true))
+        .expect("comparable timelines")
+        .expect("the stopped re-runs diverge too");
+    assert_eq!(rerun.window.window, window.window, "re-run moved the window");
+    match rerun.event {
+        EventFinding::Diverged(ev) => {
+            assert!(ev.a.is_some() || ev.b.is_some());
+            for e in ev.a.iter().chain(&ev.b) {
+                assert!(e.sim_ns >= window.start_ns, "{e:?} before {window:?}");
+            }
+        }
+        other => panic!("no diverging event located: {other:?}"),
+    }
+
+    let again = localize(&obs_file(false, None, true), &obs_file(false, None, true))
+        .expect("comparable timelines");
+    assert!(again.is_none(), "identical runs reported a divergence");
 }

@@ -23,7 +23,7 @@ fn quick_cfg() -> PipelineConfig {
 #[test]
 fn trained_mimic_estimates_are_usable_at_scale() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     // Validate at 4 clusters: compare against the ground truth.
     let est = pipe.try_estimate(&trained, 4, None).expect("estimate runs");
     let (truth, _, _) = pipe.try_ground_truth(4, None).expect("ground truth runs");
@@ -46,7 +46,7 @@ fn mimicnet_beats_small_scale_extrapolation() {
     // The paper's Figure 1 comparison: using 2-cluster results as a stand-
     // in for a larger network is worse than MimicNet's composition.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let n = 4;
     let (truth, _, _) = pipe.try_ground_truth(n, None).expect("ground truth runs");
     let est = pipe.try_estimate(&trained, n, None).expect("estimate runs");
@@ -65,7 +65,7 @@ fn mimicnet_beats_small_scale_extrapolation() {
 #[test]
 fn mimicnet_is_cheaper_than_ground_truth_in_events() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let n = 6;
     let est = pipe.try_estimate(&trained, n, None).expect("estimate runs");
     let (_, truth_metrics, _) = pipe.try_ground_truth(n, None).expect("ground truth runs");
@@ -82,7 +82,7 @@ fn per_flow_mse_gate_applies() {
     // The observable workload matches by construction, so the completed-
     // flow overlap should pass the 80% gate and give a finite MSE.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let est = pipe.try_estimate(&trained, 3, None).expect("estimate runs");
     let (_, truth_metrics, _) = pipe.try_ground_truth(3, None).expect("ground truth runs");
     // Filter both to observable flows before intersecting: mimic runs
@@ -96,7 +96,7 @@ fn per_flow_mse_gate_applies() {
 #[test]
 fn bundle_survives_serialization_roundtrip() {
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let json = trained.to_json();
     let back = mimicnet::mimic::TrainedMimic::from_json(&json).unwrap();
     // Composing with the deserialized bundle reproduces the identical run.
@@ -115,7 +115,7 @@ fn hybrid_direction_isolation_mode_runs() {
     // debugging one direction at a time.
     use dcn_sim::simulator::Simulation;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let mut cfg = quick_cfg().base;
     cfg.topo.clusters = 2;
     cfg.duration_s = 0.3;
@@ -137,7 +137,7 @@ fn observed_filtering_matches_compose_invariant() {
     // All flows in a composition touch the observable cluster, so the
     // unfiltered and filtered FCT sample sets coincide.
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let est = pipe.try_estimate(&trained, 4, None).expect("estimate runs");
     let topo = dcn_sim::topology::FatTree::new({
         let mut t = quick_cfg().base.topo;
@@ -157,7 +157,7 @@ fn fault_plan_rides_the_fleet_deterministically() {
     use dcn_sim::fault::FaultPlan;
     use dcn_sim::time::SimTime;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let plan = FaultPlan::new(9).gray_loss_all(
         SimTime::from_secs_f64(0.05),
         SimTime::from_secs_f64(0.5),
@@ -181,7 +181,7 @@ fn falling_back_on_every_cluster_is_a_packet_level_run() {
     // the ground-truth run, not a panic on an empty fleet.
     use mimicnet::degrade::DegradationPolicy;
     let mut pipe = Pipeline::new(quick_cfg());
-    let trained = pipe.try_train(None).expect("training succeeds").0;
+    let trained = pipe.try_train().expect("training succeeds").0;
     let policy = DegradationPolicy { global_fallback_above: 0.0, ..DegradationPolicy::default() };
     let report = pipe
         .estimate_with_policy(&trained, 4, None, &policy)

@@ -1,17 +1,15 @@
 //! Integration tests of the adaptive fidelity-tier subsystem: the
 //! tier-equivalence matrix (every tier vs packet-level ground truth under
 //! a declared W1(FCT) bound), determinism of the promote/demote schedule
-//! (bit-identical across partition counts per seed), and byte-identity of
-//! checkpoint/restore when a cut coincides with a tier-transition epoch
-//! barrier.
+//! (bit-identical across partition counts per seed), and the ledger's
+//! schedule as a pure function of its inputs.
 //!
 //! Scenarios mirror the canonical fig02 shape: the small-scale training
 //! config, re-composed at 2/4/8 clusters with every other parameter held
 //! constant.
 
 use dcn_sim::mimic::FidelityTier;
-use dcn_sim::pdes::{tier_epoch_count, CheckpointPlan, PdesRunOpts, TierPlan};
-use dcn_sim::time::SimDuration;
+use dcn_sim::pdes::{PdesRunOpts, TierPlan};
 use mimicnet::compose::{
     ground_truth, run_composed_adaptive, run_composed_partitioned, OBSERVABLE,
 };
@@ -19,7 +17,6 @@ use mimicnet::degrade::AccuracyBudget;
 use mimicnet::metrics::{observed, w1_fct_relative};
 use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// Per-tier W1(FCT) bounds, in units of the ground truth's mean FCT.
@@ -44,7 +41,7 @@ fn quick_cfg() -> PipelineConfig {
 /// expensive part and its output is deterministic in the config).
 fn trained() -> &'static TrainedMimic {
     static TRAINED: OnceLock<TrainedMimic> = OnceLock::new();
-    TRAINED.get_or_init(|| Pipeline::new(quick_cfg()).try_train(None).expect("training succeeds").0)
+    TRAINED.get_or_init(|| Pipeline::new(quick_cfg()).try_train().expect("training succeeds").0)
 }
 
 /// Pin every managed cluster at the Flow tier for the whole run: start
@@ -69,19 +66,6 @@ fn switching_budget() -> AccuracyBudget {
         promote_above: 0.0,
         ..AccuracyBudget::default()
     }
-}
-
-/// The conservative PDES window the adaptive runner derives for this
-/// composition — epoch barriers land at multiples of
-/// `window * plan.every_windows`.
-fn adaptive_window() -> SimDuration {
-    quick_cfg().base.link.latency.min(trained().latency_floor())
-}
-
-fn ckpt_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mimicnet-tier-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Tier equivalence on the canonical scenarios: each tier's observable
@@ -236,74 +220,6 @@ fn adaptive_schedule_is_deterministic_and_partition_invariant() {
     }
 }
 
-/// A checkpoint cut at a tier-transition barrier restores byte-identically:
-/// the checkpoint cadence is aligned to the epoch stride, so every cut
-/// lands at a barrier where the ledger may just have moved clusters, and
-/// the resumed run must replay neither the epoch nor diverge after it.
-#[test]
-fn checkpoint_at_tier_transition_restores_byte_identically() {
-    let cfg = quick_cfg();
-    let n_clusters = 4u32;
-    let plan = TierPlan { every_windows: 16 };
-    let budget = switching_budget();
-    let window = adaptive_window();
-    let stride = SimDuration::from_nanos(window.as_nanos() * plan.every_windows);
-    let epochs = tier_epoch_count(cfg.base.duration_s, window, &plan);
-    assert!(epochs >= 2, "scenario too short to host tier epochs");
-
-    let run = |checkpoint: Option<&CheckpointPlan>, resume: Option<&std::path::Path>| {
-        run_composed_adaptive(
-            cfg.base,
-            n_clusters,
-            cfg.protocol,
-            trained(),
-            2,
-            &budget,
-            &plan,
-            None,
-            &PdesRunOpts {
-                checkpoint: checkpoint.cloned(),
-                resume_from: resume.map(std::path::Path::to_path_buf),
-                ..PdesRunOpts::default()
-            },
-        )
-        .expect("adaptive checkpointed run")
-    };
-
-    let plain = run(None, None);
-    assert!(
-        !plain.tier_switches.is_empty(),
-        "no tier transitions; the test would not exercise the barrier"
-    );
-    // Every switch sits on an epoch barrier the checkpoint cadence hits:
-    // cuts land at t = k * stride, epochs at the same multiples.
-    for sw in &plain.tier_switches {
-        assert!(sw.epoch >= 1 && sw.epoch <= epochs, "switch {sw:?} off-barrier");
-    }
-
-    let dir = ckpt_dir("transition");
-    let ckpt_plan = CheckpointPlan {
-        dir: dir.clone(),
-        every: stride,
-        keep: 1,
-    };
-    let ckpt = run(Some(&ckpt_plan), None);
-    assert_eq!(
-        plain.canonical_bytes(),
-        ckpt.canonical_bytes(),
-        "checkpointing at tier barriers changed the trajectory"
-    );
-
-    let resumed = run(None, Some(&dir));
-    assert_eq!(
-        plain.canonical_bytes(),
-        resumed.canonical_bytes(),
-        "resume from a tier-transition cut diverged"
-    );
-    assert_eq!(plain.tier_switches, resumed.tier_switches);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 mod schedule_props {
     use super::*;
     use mimicnet::degrade::BudgetLedger;
@@ -360,46 +276,6 @@ mod schedule_props {
             }
             for c in 0..CLUSTERS as u32 {
                 prop_assert_eq!(a.tier(c), b.tier(c));
-            }
-        }
-
-        /// Snapshotting a ledger mid-history and replaying the rest on the
-        /// restored copy matches the uninterrupted ledger — the property
-        /// that makes checkpoint cuts at epoch barriers safe.
-        #[test]
-        fn ledger_restore_resumes_the_same_schedule(
-            promote in 0.0f64..2.0,
-            demote in 0.0f64..2.0,
-            patience in 1u32..4,
-            cap in 0usize..6,
-            start_flow in any::<bool>(),
-            raw in proptest::collection::vec(-1.0f64..4.0, CLUSTERS * EPOCHS),
-            cut in 0usize..12,
-        ) {
-            let bgt = budget(promote, demote, patience, cap, start_flow);
-            let managed: Vec<u32> = (1..CLUSTERS as u32).collect();
-            let mut live = BudgetLedger::new(bgt.clone(), CLUSTERS as u32, &managed);
-            let mut restored = None;
-            for (epoch, d) in drift_history(&raw).iter().enumerate() {
-                if epoch == cut {
-                    let mut w = dcn_sim::snapshot::SnapWriter::new();
-                    live.save_state(&mut w);
-                    let bytes = w.into_bytes();
-                    let mut copy = BudgetLedger::new(bgt.clone(), CLUSTERS as u32, &managed);
-                    let mut r = dcn_sim::snapshot::SnapReader::new(&bytes);
-                    copy.load_state(&mut r).expect("valid ledger snapshot");
-                    restored = Some(copy);
-                }
-                let s_live = live.on_epoch(epoch as u64, d);
-                if let Some(copy) = restored.as_mut() {
-                    let s_copy = copy.on_epoch(epoch as u64, d);
-                    prop_assert_eq!(s_live, s_copy, "epoch {} diverged after restore", epoch);
-                }
-            }
-            if let Some(copy) = restored {
-                for c in 0..CLUSTERS as u32 {
-                    prop_assert_eq!(live.tier(c), copy.tier(c));
-                }
             }
         }
     }
