@@ -1,4 +1,5 @@
-//! RFC 6298 retransmission-timeout estimation.
+//! RFC 6298 retransmission-timeout estimation, and the one-pending-timer
+//! deadline every transport's timeouts run on.
 //!
 //! Shared by every TCP variant. RTT samples come from acknowledgment
 //! timestamp echoes (so Karn's problem of retransmission ambiguity does not
@@ -6,7 +7,8 @@
 //! ack).
 
 use dcn_sim::snapshot::SnapWriter;
-use dcn_sim::time::SimDuration;
+use dcn_sim::time::{SimDuration, SimTime};
+use dcn_sim::transport::Actions;
 
 /// Smoothed RTT / RTO state per RFC 6298.
 #[derive(Clone, Debug)]
@@ -112,6 +114,64 @@ impl RttEstimator {
     }
 }
 
+/// A flow's timeout deadline with at most one timer pending in the engine.
+///
+/// Transports re-arm their timeout on nearly every packet, and engine
+/// timers cannot be cancelled, so a timer per arm would leave a trail of
+/// superseded events that pop only to be ignored. [`Deadline::arm`]
+/// instead moves the deadline and pushes a timer only when none is
+/// pending or the pending one fires after the new deadline; when the
+/// pending timer fires early, [`Deadline::fire`] re-arms it at exactly the
+/// deadline. The timeout therefore fires at the same instant, carrying the
+/// same token, as the last of one-timer-per-arm would (DESIGN.md §12).
+#[derive(Clone, Debug, Default)]
+pub struct Deadline {
+    /// Arms so far; the token of any timer pushed for the current deadline.
+    gen: u64,
+    /// When the current deadline expires.
+    at: SimTime,
+    /// Token and firing time of the one pending timer that still counts.
+    /// It never fires after `at`.
+    live: Option<(u64, SimTime)>,
+}
+
+impl Deadline {
+    /// Set the deadline to `now + delay`, pushing a timer onto `out` only
+    /// if no pending timer fires by then.
+    pub fn arm(&mut self, now: SimTime, delay: SimDuration, out: &mut Actions) {
+        self.gen += 1;
+        self.at = now + delay;
+        if !matches!(self.live, Some((_, t)) if t <= self.at) {
+            self.live = Some((self.gen, self.at));
+            out.timers.push((delay, self.gen));
+        }
+    }
+
+    /// Timer `token` fired at `now`. Returns true when the deadline has
+    /// expired. A superseded timer is ignored, and the pending one firing
+    /// before the deadline re-arms at exactly the deadline.
+    pub fn fire(&mut self, token: u64, now: SimTime, out: &mut Actions) -> bool {
+        if !matches!(self.live, Some((live, _)) if live == token) {
+            return false;
+        }
+        if now < self.at {
+            self.live = Some((self.gen, self.at));
+            out.timers.push((self.at.since(now), self.gen));
+            return false;
+        }
+        self.live = None;
+        true
+    }
+
+    /// Encode the deadline state for the window digest.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.put_u64(self.gen);
+        w.put_u64(self.at.as_nanos());
+        w.put_opt_u64(self.live.map(|(token, _)| token));
+        w.put_opt_u64(self.live.map(|(_, t)| t.as_nanos()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +245,57 @@ mod tests {
         }
         // Noisy RTTs should give an RTO well above the mean RTT.
         assert!(e.rto() > ms(20));
+    }
+
+    fn at(ms_: u64) -> SimTime {
+        SimTime::ZERO + ms(ms_)
+    }
+
+    #[test]
+    fn later_deadlines_keep_the_pending_timer() {
+        let mut d = Deadline::default();
+        let mut out = Actions::default();
+        d.arm(at(0), ms(10), &mut out);
+        assert_eq!(out.timers, vec![(ms(10), 1)]);
+        out.clear();
+        // An ack train pushes the deadline out without new timers.
+        for t in 1..=5 {
+            d.arm(at(t), ms(10), &mut out);
+        }
+        assert!(out.timers.is_empty());
+        // The pending timer fires early and re-arms for exactly the rest,
+        // carrying the token of the arm that set the deadline.
+        assert!(!d.fire(1, at(10), &mut out));
+        assert_eq!(out.timers, vec![(ms(5), 6)]);
+        out.clear();
+        assert!(d.fire(6, at(15), &mut out), "deadline expired");
+        assert!(out.timers.is_empty());
+    }
+
+    #[test]
+    fn earlier_deadline_supersedes_the_pending_timer() {
+        let mut d = Deadline::default();
+        let mut out = Actions::default();
+        d.arm(at(0), ms(200), &mut out);
+        d.arm(at(2), ms(10), &mut out);
+        assert_eq!(out.timers, vec![(ms(200), 1), (ms(10), 2)]);
+        out.clear();
+        assert!(d.fire(2, at(12), &mut out));
+        // The first timer was superseded: it changes nothing when it pops.
+        assert!(!d.fire(1, at(200), &mut out));
+        assert!(out.timers.is_empty());
+    }
+
+    #[test]
+    fn expired_deadline_fires_once() {
+        let mut d = Deadline::default();
+        let mut out = Actions::default();
+        d.arm(at(0), ms(10), &mut out);
+        assert!(d.fire(1, at(10), &mut out));
+        assert!(!d.fire(1, at(10), &mut out));
+        // Re-arming after expiry always schedules.
+        out.clear();
+        d.arm(at(10), ms(20), &mut out);
+        assert_eq!(out.timers, vec![(ms(20), 2)]);
     }
 }
