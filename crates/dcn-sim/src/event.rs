@@ -30,7 +30,11 @@ use std::cmp::Ordering;
 /// The payload of a scheduled event.
 #[derive(Clone, Debug)]
 pub enum EventKind {
-    /// A transmitter finished serializing a packet; it may start the next.
+    /// A transmitter finishes serializing a packet while another waits in
+    /// its queue: start the next one. Scheduled only when a packet is
+    /// waiting (a transmitter that drains its queue goes idle at its
+    /// `busy_until` without an event), so each transmitter has at most one
+    /// pending.
     TxDone { link: LinkId, dir: Dir },
     /// A packet fully arrived at a node (after serialization + propagation).
     Arrive { node: NodeId, packet: Packet },
@@ -76,8 +80,10 @@ impl EventKind {
     /// Class rank: fixes processing order among different event types that
     /// share a timestamp. Fault state changes apply first so every other
     /// event at the same instant observes the new link health; transmitter
-    /// completions come next so freed links are observable by packets
-    /// arriving at the same instant.
+    /// completions come next so a packet already waiting takes the wire
+    /// before a packet arriving at the same instant queues behind it. (A
+    /// transmitter with nothing waiting has no completion event: it is free
+    /// from its `busy_until` on, which every later-ranked event sees.)
     fn class(&self) -> u8 {
         match self {
             EventKind::Fault { .. } => 0,

@@ -78,7 +78,9 @@ pub struct Actions {
     /// Packets to transmit from this host, in order.
     pub sends: Vec<Packet>,
     /// Timers to arm: `(delay from now, token)`. Timers are not cancellable;
-    /// transports must ignore stale firings (lazy cancellation).
+    /// transports must ignore stale firings (lazy cancellation), and keep
+    /// few pending by re-arming one timer rather than pushing one per
+    /// deadline change (`dcn_transport::rto::Deadline`).
     pub timers: Vec<(SimDuration, u64)>,
     /// Application bytes newly delivered in-order to the receiving app.
     pub delivered: u64,
