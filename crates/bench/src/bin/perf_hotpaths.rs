@@ -829,7 +829,7 @@ fn bench_adaptive(scale: Scale) -> Result<AdaptiveNumbers, Box<dyn Error>> {
     use dcn_sim::pdes::{PdesRunOpts, TierPlan};
     use dcn_sim::topology::FatTree;
     use mimicnet::compose::{run_composed_adaptive, run_composed_partitioned, OBSERVABLE};
-    use mimicnet::degrade::AccuracyBudget;
+    use mimicnet::AccuracyBudget;
     use mimicnet::metrics::{observed, w1_fct_relative};
     use mimicnet::pipeline::PipelineConfig;
 

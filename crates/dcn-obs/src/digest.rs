@@ -48,33 +48,8 @@ impl Fnv64 {
     }
 
     #[inline]
-    pub fn write_u16(&mut self, v: u16) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    #[inline]
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
     }
 
     /// The digest of everything written so far.

@@ -300,21 +300,6 @@ impl Obs {
         }
     }
 
-    /// Append one window digest to the named digest timeline (full `u64`
-    /// precision; see [`ObsReport::digests`]).
-    pub fn digest_push(&mut self, name: impl Into<String>, v: u64) {
-        if let Some(inner) = &mut self.0 {
-            inner.report.digests.entry(name.into()).or_default().push(v);
-        }
-    }
-
-    /// Hand a flight-recorder drain over to the report.
-    pub fn flight_extend(&mut self, events: Vec<FlightEvent>) {
-        if let Some(inner) = &mut self.0 {
-            inner.report.flight.extend(events);
-        }
-    }
-
     /// Fold another report into this recorder (e.g. a simulation's
     /// engine-side report absorbed by the pipeline's recorder).
     pub fn merge_report(&mut self, other: ObsReport) {

@@ -175,8 +175,8 @@ pub struct TierPlan {
 }
 
 /// Flight-recorder plan for a partitioned run (DESIGN.md §14): how much
-/// history each LP keeps, where post-mortems land, and the SLOs whose
-/// breach triggers an automatic dump.
+/// history each LP keeps, where post-mortems land, and the throughput SLO
+/// whose breach triggers an automatic dump.
 #[derive(Clone, Debug, Default)]
 pub struct FlightPlan {
     /// Ring capacity per LP, in events (clamped to at least 1).
@@ -189,9 +189,6 @@ pub struct FlightPlan {
     /// checked at window barriers over ≥250 ms samples. The first breach
     /// dumps the ring; the run continues.
     pub min_events_per_sec: Option<f64>,
-    /// Per-cluster drift ceiling, checked at tier epochs (requires a
-    /// [`TierPlan`]). The first breach dumps the ring; the run continues.
-    pub max_drift: Option<f64>,
 }
 
 /// Everything optional about a partitioned run, in one place.
@@ -361,7 +358,6 @@ pub fn run_partitioned_opts(
     let flight_plan = opts.flight.as_ref();
     let dump_dir = flight_plan.and_then(|f| f.dump_dir.as_deref());
     let slo_floor = flight_plan.and_then(|f| f.min_events_per_sec);
-    let drift_ceiling = flight_plan.and_then(|f| f.max_drift);
     if let Some(plan) = tiers {
         assert!(plan.every_windows >= 1, "zero-window tier epochs");
     }
@@ -462,7 +458,6 @@ pub fn run_partitioned_opts(
                 // processed at that instant, already dumped?).
                 let mut slo = slo_floor
                     .map(|_| (std::time::Instant::now(), sim.metrics().events_processed, false));
-                let mut drift_dumped = false;
                 // Digest alignment trackers: the run starts at window 0, so
                 // the first digest-eligible barrier is window `stride`.
                 let mut widx = 0u64;
@@ -598,32 +593,6 @@ pub fn run_partitioned_opts(
                             }
                             barrier.wait(&mut waits);
                             let merged = drift_slots.lock().expect("drift slots").clone();
-                            // Drift-ceiling SLO: the merged vector is the
-                            // same in every LP, so each dumps (its own
-                            // ring) on the same epoch.
-                            if let Some(ceiling) = drift_ceiling {
-                                let breach = merged
-                                    .iter()
-                                    .enumerate()
-                                    .find_map(|(c, d)| d.filter(|d| *d > ceiling).map(|d| (c, d)));
-                                if let Some((c, d)) = breach {
-                                    if !drift_dumped {
-                                        drift_dumped = true;
-                                        sim.obs_counter_add("flight.slo_breaches", 1);
-                                        if let Some(dir) = dump_dir {
-                                            post_mortem_dump(
-                                                &sim,
-                                                dir,
-                                                part,
-                                                &format!(
-                                                    "slo: cluster {c} drift {d:.4} above ceiling {ceiling:.4}"
-                                                ),
-                                                t,
-                                            );
-                                        }
-                                    }
-                                }
-                            }
                             // A cluster's nodes all live on partition
                             // `cluster % partitions` (see
                             // `partition_by_cluster`): record its switches

@@ -456,22 +456,12 @@ impl Simulation {
         }));
     }
 
-    /// Is the engine recording per-window state digests?
-    pub fn digests_enabled(&self) -> bool {
-        self.digests.is_some()
-    }
-
     /// Turn on the flight recorder with room for the last `capacity`
     /// events (DESIGN.md §14). Recording is one ring store per popped
     /// event; the trajectory is bit-identical with the recorder on or
     /// off.
     pub fn enable_flight_recorder(&mut self, capacity: usize) {
         self.flight = Some(Box::new(dcn_obs::FlightRecorder::new(capacity)));
-    }
-
-    /// Is the flight recorder on?
-    pub fn flight_enabled(&self) -> bool {
-        self.flight.is_some()
     }
 
     /// The retained flight-recorder events in recording order, without
@@ -662,11 +652,6 @@ impl Simulation {
     /// Configured end of the run.
     pub fn end_time(&self) -> SimTime {
         self.end
-    }
-
-    /// Total events scheduled so far (for events/second reporting).
-    pub fn events_scheduled(&self) -> u64 {
-        self.queue.total_scheduled()
     }
 
     /// Read metrics mid-run.

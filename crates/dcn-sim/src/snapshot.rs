@@ -66,29 +66,16 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Floats are stored by bit pattern; round-trips are exact (including
     /// NaN payloads and signed zeros).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
     /// Length-prefixed raw bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
 
     pub fn put_opt_u64(&mut self, v: Option<u64>) {
@@ -108,20 +95,6 @@ impl SnapWriter {
                 self.put_f64(x);
             }
             None => self.put_bool(false),
-        }
-    }
-
-    pub fn put_f64_slice(&mut self, v: &[f64]) {
-        self.put_u64(v.len() as u64);
-        for &x in v {
-            self.put_f64(x);
-        }
-    }
-
-    pub fn put_f32_slice(&mut self, v: &[f32]) {
-        self.put_u64(v.len() as u64);
-        for &x in v {
-            self.put_f32(x);
         }
     }
 

@@ -75,7 +75,7 @@ fn usage() -> ! {
          model — the same numbers with or without these flags):\n\
          \u{20}        [--partitions P] [--digests] [--digest-stride N] [--flight N]\n\
          \u{20}        [--flight-dump DIR] [--slo-events-per-sec X]\n\
-         \u{20}        [--slo-max-drift X] [--stop-at S] [--crash-at-window N]\n\
+         \u{20}        [--stop-at S] [--crash-at-window N]\n\
          \n\
          adaptive fidelity tiers (estimate):\n\
          \u{20}        [--adaptive] [--tier-every WINDOWS] [--tier-start mimic|flow]\n\
@@ -101,7 +101,7 @@ const OBS_FLAGS: &[&str] = &["trace-out", "obs-out", "report"];
 /// Flags read by [`estimate_from_flags`] and [`diag_flags_into`].
 const RUN_FLAGS: &[&str] = &[
     "partitions", "digests", "digest-stride", "flight", "flight-dump", "slo-events-per-sec",
-    "slo-max-drift", "stop-at", "crash-at-window",
+    "stop-at", "crash-at-window",
 ];
 /// Flags read by [`adaptive_from`].
 const ADAPTIVE_FLAGS: &[&str] = &[
@@ -244,7 +244,7 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
         o.digest_stride = Some(flag(opts, "digest-stride", "a positive integer").unwrap_or(1));
         any = true;
     }
-    if ["flight", "flight-dump", "slo-events-per-sec", "slo-max-drift"]
+    if ["flight", "flight-dump", "slo-events-per-sec"]
         .iter()
         .any(|k| opts.contains_key(*k))
     {
@@ -252,7 +252,6 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
             capacity: flag(opts, "flight", "a positive integer").unwrap_or(4096),
             dump_dir: opts.get("flight-dump").map(PathBuf::from),
             min_events_per_sec: flag(opts, "slo-events-per-sec", "a number"),
-            max_drift: flag(opts, "slo-max-drift", "a number"),
         });
         any = true;
     }

@@ -18,8 +18,9 @@
 //! Windows are blended with an EWMA so a transient burst decays while a
 //! sustained shift (a gray failure, a down link) accumulates. A drift of
 //! zero means "indistinguishable from training"; scores are unitless but
-//! monotone in distribution distance, which is all the degradation policy
-//! ([`crate::degrade`]) needs.
+//! monotone in distribution distance, which is all the accuracy budget
+//! ([`crate::tier::AccuracyBudget`]) needs to move clusters between the
+//! Mimic and Flow tiers.
 
 use serde::{Deserialize, Serialize};
 
@@ -117,15 +118,6 @@ impl FeatureEnvelope {
         }
         Ok(())
     }
-}
-
-/// Excess of a live drift score over a calibrated per-cluster baseline,
-/// clamped at zero — the quantity every drift-driven policy thresholds
-/// on ([`crate::degrade::DegradationPolicy`]'s escalation ladder and the
-/// tier [`crate::degrade::AccuracyBudget`]'s promote/demote decisions).
-/// A missing baseline entry means zero (uncalibrated).
-pub fn excess_score(score: f64, baseline: &[f64], cluster: usize) -> f64 {
-    (score - baseline.get(cluster).copied().unwrap_or(0.0)).max(0.0)
 }
 
 /// Default observations per scoring window.

@@ -56,7 +56,6 @@
 
 pub mod compose;
 pub mod datagen;
-pub mod degrade;
 pub mod diverge;
 pub mod drift;
 pub mod error;
@@ -71,9 +70,8 @@ pub mod tier;
 pub mod trace;
 pub mod tuning;
 
-pub use degrade::{AccuracyBudget, BudgetLedger, DegradationPolicy, DegradationReport};
 pub use drift::{DriftMonitor, FeatureEnvelope};
 pub use error::PipelineError;
 pub use fleet::MimicFleet;
 pub use pipeline::{Pipeline, PipelineConfig};
-pub use tier::{AdaptiveFleet, CorrectionHead};
+pub use tier::{AccuracyBudget, AdaptiveFleet, BudgetLedger, CorrectionHead};

@@ -6,17 +6,16 @@
 //! … are all done at small scale and are, therefore, fast as well."
 
 use crate::compose::{
-    composed_config, ground_truth, run_composed_adaptive, run_composed_partitioned,
-    try_compose_partial, OBSERVABLE,
+    composed_config, ground_truth, run_composed_adaptive, run_composed_partitioned, try_compose,
+    OBSERVABLE,
 };
 use crate::datagen::{generate, DataGenConfig, TrainingData};
-use crate::degrade::{AccuracyBudget, DegradationPolicy, DegradationReport};
 use crate::drift::FeatureEnvelope;
 use crate::error::PipelineError;
 use crate::internal_model::InternalModel;
 use crate::metrics::{observed, ObservedSamples};
 use crate::mimic::TrainedMimic;
-use crate::tier::CorrectionHead;
+use crate::tier::{AccuracyBudget, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::fault::FaultPlan;
 use dcn_sim::instrument::Metrics;
@@ -102,19 +101,6 @@ pub struct EstimateReport {
     pub wall: Duration,
     /// Raw metrics for further analysis.
     pub metrics: Metrics,
-    /// Degradation decisions, when the estimate ran under a policy
-    /// ([`Pipeline::estimate_with_policy`]); `None` otherwise.
-    pub degradation: Option<DegradationReport>,
-}
-
-impl EstimateReport {
-    /// Uncertainty multiplier from the degradation pass (1.0 when no
-    /// policy ran or nothing drifted far enough to widen).
-    pub fn uncertainty_factor(&self) -> f64 {
-        self.degradation
-            .as_ref()
-            .map_or(1.0, |d| d.uncertainty_factor)
-    }
 }
 
 /// The pipeline driver.
@@ -219,27 +205,8 @@ impl Pipeline {
         n_clusters: u32,
         faults: Option<&FaultPlan>,
     ) -> Result<EstimateReport, PipelineError> {
-        self.estimate_partial(trained, n_clusters, faults, &[])
-    }
-
-    /// One estimate on the in-process sequential engine, with the
-    /// `full_fidelity` clusters kept at packet level and the rest behind
-    /// the Mimic fleet.
-    fn estimate_partial(
-        &mut self,
-        trained: &TrainedMimic,
-        n_clusters: u32,
-        faults: Option<&FaultPlan>,
-        full_fidelity: &[u32],
-    ) -> Result<EstimateReport, PipelineError> {
         let t0 = Instant::now();
-        let mut sim = try_compose_partial(
-            self.cfg.base,
-            n_clusters,
-            self.cfg.protocol,
-            trained,
-            full_fidelity,
-        )?;
+        let mut sim = try_compose(self.cfg.base, n_clusters, self.cfg.protocol, trained)?;
         if let Some(plan) = faults {
             sim.set_fault_plan(plan)?;
         }
@@ -298,34 +265,6 @@ impl Pipeline {
         })
     }
 
-    /// Degradation-aware estimate: run the all-Mimic composition, score
-    /// per-cluster drift against `policy`, and — if any cluster crossed
-    /// the fallback threshold — re-run with those clusters swapped back to
-    /// packet-level simulation. The returned report carries the policy's
-    /// [`DegradationReport`] either way.
-    pub fn estimate_with_policy(
-        &mut self,
-        trained: &TrainedMimic,
-        n_clusters: u32,
-        faults: Option<&FaultPlan>,
-        policy: &DegradationPolicy,
-    ) -> Result<EstimateReport, PipelineError> {
-        let probe = self.try_estimate(trained, n_clusters, faults)?;
-        let decision = policy.evaluate(&probe.metrics.cluster_drift);
-        let fallback = decision.fallback_clusters();
-        let mut report = if fallback.is_empty() {
-            probe
-        } else {
-            // Both passes count towards the estimate's wall clock.
-            let mut rerun = self.estimate_partial(trained, n_clusters, faults, &fallback)?;
-            rerun.wall += probe.wall;
-            self.timings.large_scale_sim = rerun.wall;
-            rerun
-        };
-        report.degradation = Some(decision);
-        Ok(report)
-    }
-
     fn report_from(&self, metrics: Metrics, wall: Duration, n_clusters: u32) -> EstimateReport {
         let topo = FatTree::new({
             let mut t = self.cfg.base.topo;
@@ -340,7 +279,6 @@ impl Pipeline {
             samples,
             wall,
             metrics,
-            degradation: None,
         }
     }
 
@@ -596,41 +534,6 @@ mod tests {
         assert_eq!(
             reject(|c| c.base.duration_s = 0.001),
             PipelineError::Train(TrainError::EmptyDataset)
-        );
-    }
-
-    #[test]
-    fn faulty_estimate_carries_drift_and_policy_decision() {
-        use dcn_sim::time::SimTime;
-        let mut pipe = Pipeline::new(quick_cfg());
-        let trained = trained(&mut pipe);
-        // Sustained heavy gray loss across the fabric for most of the run.
-        let plan = FaultPlan::new(9).gray_loss_all(
-            SimTime::from_secs_f64(0.05),
-            SimTime::from_secs_f64(0.35),
-            0.25,
-            true,
-        );
-        let policy = DegradationPolicy::default();
-        let report = pipe
-            .estimate_with_policy(&trained, 4, Some(&plan), &policy)
-            .expect("estimate runs");
-        let deg = report.degradation.as_ref().expect("policy evaluated");
-        assert_eq!(deg.clusters.len(), 4);
-        assert!(report.uncertainty_factor() >= 1.0);
-        assert!(
-            report.metrics.fault_drops > 0,
-            "gray loss plan dropped nothing"
-        );
-        // Fault-free estimate under the same policy degrades nothing.
-        let clean = pipe
-            .estimate_with_policy(&trained, 4, None, &policy)
-            .expect("estimate runs");
-        let deg = clean.degradation.as_ref().expect("policy evaluated");
-        assert!(
-            deg.fallback_clusters().is_empty(),
-            "fault-free run fell back: {:?}",
-            deg.clusters
         );
     }
 

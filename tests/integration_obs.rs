@@ -317,7 +317,7 @@ fn diverge_localizes_plain_vs_adaptive_from_obs_files() {
     use dcn_sim::pdes::{FlightPlan, TierPlan};
     use dcn_sim::time::SimTime;
     use mimicnet::compose::run_composed_adaptive;
-    use mimicnet::degrade::AccuracyBudget;
+    use mimicnet::AccuracyBudget;
     use mimicnet::diverge::{localize, EventFinding, ObsRun};
 
     let (trained, mut base) = quick_trained();
