@@ -1,9 +1,9 @@
 //! Flight recorder: a bounded ring buffer of the most recent engine
 //! events, kept per LP with the same `Option<Box<_>>` one-null-check
-//! discipline as [`crate::Obs`] (DESIGN.md §14). When a run panics, trips
-//! an SLO floor, or returns an error, the ring is drained into the obs
-//! report / a post-mortem dump so every failed CI run carries the last
-//! moments before the failure.
+//! discipline as [`crate::Obs`] (DESIGN.md §14). When a run panics or
+//! returns an error, the ring is drained into the obs report / a
+//! post-mortem dump so every failed CI run carries the last moments
+//! before the failure.
 
 /// One recorded engine event. Plain nanoseconds and small integers so
 /// this crate stays dependency-free; `kind` is the engine's event-kind

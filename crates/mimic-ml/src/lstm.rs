@@ -32,6 +32,7 @@ use crate::rng::MlRng;
 use serde::{Deserialize, Serialize};
 
 /// Exact libm sigmoid — the reference path's activation.
+#[cfg(test)]
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
@@ -74,6 +75,7 @@ impl LstmScratch {
 
 /// Everything [`Lstm::backward_step_reference`] needs from one
 /// [`Lstm::forward_step_reference`] step.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct StepCache {
     x: Matrix,
@@ -340,52 +342,10 @@ impl Lstm {
         z[j0..j0 + T].copy_from_slice(&acc);
     }
 
-    /// Slice columns `[from, to)` of a `B × 4H` pre-activation matrix.
-    fn slice_cols(z: &Matrix, from: usize, to: usize) -> Matrix {
-        let mut out = Matrix::zeros(z.rows, to - from);
-        for r in 0..z.rows {
-            out.data[r * (to - from)..(r + 1) * (to - from)]
-                .copy_from_slice(&z.row(r)[from..to]);
-        }
-        out
-    }
-
-    /// The pre-optimization forward step, kept verbatim as the
-    /// equivalence baseline: per-gate slice/map/hadamard passes, each
-    /// allocating, with exact libm activations.
-    pub fn forward_step_reference(&self, x: &Matrix, state: &LstmState) -> (LstmState, StepCache) {
-        assert_eq!(x.cols, self.input, "input width mismatch");
-        let h = self.hidden;
-        let mut z = x.matmul(&self.wx);
-        z.add_assign(&state.h.matmul(&self.wh));
-        z.add_row_broadcast(&self.b);
-        let i = Self::slice_cols(&z, 0, h).map(sigmoid);
-        let f = Self::slice_cols(&z, h, 2 * h).map(sigmoid);
-        let g = Self::slice_cols(&z, 2 * h, 3 * h).map(f32::tanh);
-        let o = Self::slice_cols(&z, 3 * h, 4 * h).map(sigmoid);
-        let mut c = f.hadamard(&state.c);
-        c.add_assign(&i.hadamard(&g));
-        let tanh_c = c.map(f32::tanh);
-        let h_new = o.hadamard(&tanh_c);
-        (
-            LstmState { h: h_new, c },
-            StepCache {
-                x: x.clone(),
-                h_prev: state.h.clone(),
-                c_prev: state.c.clone(),
-                i,
-                f,
-                g,
-                o,
-                tanh_c,
-            },
-        )
-    }
-
     /// Forward step `t` of a window for all rows of `tape`: reads the
     /// `rows × input` input `x` and the tape's state entering the step,
-    /// records the activated gates, `c`, `tanh(c)` and `h`. Matches
-    /// [`Lstm::forward_step_reference`] within 1e-5 per element.
+    /// records the activated gates, `c`, `tanh(c)` and `h`. Matches the
+    /// test-only `Lstm::forward_step_reference` within 1e-5 per element.
     ///
     /// Per element the pre-activation is `0`, then the `x·Wx` fmadd chain,
     /// then the `h·Wh` chain (one register tile across both), then `+ b`
@@ -467,56 +427,6 @@ impl Lstm {
         }
     }
 
-    /// The pre-optimization backward step, kept verbatim as the
-    /// equivalence baseline: one allocating hadamard/map pass per
-    /// intermediate, gradients staged through temporaries, `dx` always
-    /// computed.
-    pub fn backward_step_reference(
-        &self,
-        cache: &StepCache,
-        dh: &Matrix,
-        dc_in: &Matrix,
-        grads: &mut LstmGrads,
-    ) -> (Matrix, Matrix, Matrix) {
-        let h = self.hidden;
-        let one_minus = |m: &Matrix| m.map(|v| 1.0 - v);
-        // Output gate and cell.
-        let do_ = dh.hadamard(&cache.tanh_c);
-        let mut dc = dh
-            .hadamard(&cache.o)
-            .hadamard(&cache.tanh_c.map(|v| 1.0 - v * v));
-        dc.add_assign(dc_in);
-        // Gates.
-        let di = dc.hadamard(&cache.g);
-        let df = dc.hadamard(&cache.c_prev);
-        let dg = dc.hadamard(&cache.i);
-        let dc_prev = dc.hadamard(&cache.f);
-        // Pre-activations.
-        let dzi = di.hadamard(&cache.i).hadamard(&one_minus(&cache.i));
-        let dzf = df.hadamard(&cache.f).hadamard(&one_minus(&cache.f));
-        let dzg = dg.hadamard(&cache.g.map(|v| 1.0 - v * v));
-        let dzo = do_.hadamard(&cache.o).hadamard(&one_minus(&cache.o));
-        // Concatenate into B × 4H.
-        let batch = dh.rows;
-        let mut dz = Matrix::zeros(batch, 4 * h);
-        for r in 0..batch {
-            dz.data[r * 4 * h..r * 4 * h + h].copy_from_slice(dzi.row(r));
-            dz.data[r * 4 * h + h..r * 4 * h + 2 * h].copy_from_slice(dzf.row(r));
-            dz.data[r * 4 * h + 2 * h..r * 4 * h + 3 * h].copy_from_slice(dzg.row(r));
-            dz.data[r * 4 * h + 3 * h..r * 4 * h + 4 * h].copy_from_slice(dzo.row(r));
-        }
-        // Parameter gradients.
-        grads.wx.add_assign(&cache.x.t_matmul(&dz));
-        grads.wh.add_assign(&cache.h_prev.t_matmul(&dz));
-        for (g, d) in grads.b.iter_mut().zip(dz.sum_rows()) {
-            *g += d;
-        }
-        // Upstream gradients.
-        let dx = dz.matmul_t(&self.wx);
-        let dh_prev = dz.matmul_t(&self.wh);
-        (dx, dh_prev, dc_prev)
-    }
-
     /// One BPTT step: with `grad.dh` / `grad.dc` holding `dL/dh` and
     /// `dL/dc` flowing into `step` (whose input was `x`), accumulate the
     /// parameter gradients into `grads` and leave `dL/dh_prev` /
@@ -526,10 +436,10 @@ impl Lstm {
     /// is skipped with `need_dx = false`.
     ///
     /// The gate-derivative chain runs in one sweep (element order and
-    /// arithmetic identical to [`Lstm::backward_step_reference`] — a
-    /// pass fusion, not a reassociation), the weight gradients accumulate
-    /// straight into `grads`, and `dz · Wᵀ` reads the transposed copies in
-    /// `wt`.
+    /// arithmetic identical to the test-only
+    /// `Lstm::backward_step_reference` — a pass fusion, not a
+    /// reassociation), the weight gradients accumulate straight into
+    /// `grads`, and `dz · Wᵀ` reads the transposed copies in `wt`.
     pub(crate) fn backward_step(
         &self,
         wt: &LstmTransposed,
@@ -604,6 +514,103 @@ impl Lstm {
 
     pub fn param_count(&self) -> usize {
         self.wx.data.len() + self.wh.data.len() + self.b.len()
+    }
+}
+
+/// The pre-optimization step, kept verbatim as the equivalence baseline
+/// of the fused training kernels.
+#[cfg(test)]
+impl Lstm {
+    /// Slice columns `[from, to)` of a `B × 4H` pre-activation matrix.
+    fn slice_cols(z: &Matrix, from: usize, to: usize) -> Matrix {
+        let mut out = Matrix::zeros(z.rows, to - from);
+        for r in 0..z.rows {
+            out.data[r * (to - from)..(r + 1) * (to - from)]
+                .copy_from_slice(&z.row(r)[from..to]);
+        }
+        out
+    }
+
+    /// The pre-optimization forward step, kept verbatim as the
+    /// equivalence baseline: per-gate slice/map/hadamard passes, each
+    /// allocating, with exact libm activations.
+    pub fn forward_step_reference(&self, x: &Matrix, state: &LstmState) -> (LstmState, StepCache) {
+        assert_eq!(x.cols, self.input, "input width mismatch");
+        let h = self.hidden;
+        let mut z = x.matmul(&self.wx);
+        z.add_assign(&state.h.matmul(&self.wh));
+        z.add_row_broadcast(&self.b);
+        let i = Self::slice_cols(&z, 0, h).map(sigmoid);
+        let f = Self::slice_cols(&z, h, 2 * h).map(sigmoid);
+        let g = Self::slice_cols(&z, 2 * h, 3 * h).map(f32::tanh);
+        let o = Self::slice_cols(&z, 3 * h, 4 * h).map(sigmoid);
+        let mut c = f.hadamard(&state.c);
+        c.add_assign(&i.hadamard(&g));
+        let tanh_c = c.map(f32::tanh);
+        let h_new = o.hadamard(&tanh_c);
+        (
+            LstmState { h: h_new, c },
+            StepCache {
+                x: x.clone(),
+                h_prev: state.h.clone(),
+                c_prev: state.c.clone(),
+                i,
+                f,
+                g,
+                o,
+                tanh_c,
+            },
+        )
+    }
+
+    /// The pre-optimization backward step, kept verbatim as the
+    /// equivalence baseline: one allocating hadamard/map pass per
+    /// intermediate, gradients staged through temporaries, `dx` always
+    /// computed.
+    pub fn backward_step_reference(
+        &self,
+        cache: &StepCache,
+        dh: &Matrix,
+        dc_in: &Matrix,
+        grads: &mut LstmGrads,
+    ) -> (Matrix, Matrix, Matrix) {
+        let h = self.hidden;
+        let one_minus = |m: &Matrix| m.map(|v| 1.0 - v);
+        // Output gate and cell.
+        let do_ = dh.hadamard(&cache.tanh_c);
+        let mut dc = dh
+            .hadamard(&cache.o)
+            .hadamard(&cache.tanh_c.map(|v| 1.0 - v * v));
+        dc.add_assign(dc_in);
+        // Gates.
+        let di = dc.hadamard(&cache.g);
+        let df = dc.hadamard(&cache.c_prev);
+        let dg = dc.hadamard(&cache.i);
+        let dc_prev = dc.hadamard(&cache.f);
+        // Pre-activations.
+        let dzi = di.hadamard(&cache.i).hadamard(&one_minus(&cache.i));
+        let dzf = df.hadamard(&cache.f).hadamard(&one_minus(&cache.f));
+        let dzg = dg.hadamard(&cache.g.map(|v| 1.0 - v * v));
+        let dzo = do_.hadamard(&cache.o).hadamard(&one_minus(&cache.o));
+        // Concatenate into B × 4H.
+        let batch = dh.rows;
+        let mut dz = Matrix::zeros(batch, 4 * h);
+        for r in 0..batch {
+            dz.data[r * 4 * h..r * 4 * h + h].copy_from_slice(dzi.row(r));
+            dz.data[r * 4 * h + h..r * 4 * h + 2 * h].copy_from_slice(dzf.row(r));
+            dz.data[r * 4 * h + 2 * h..r * 4 * h + 3 * h].copy_from_slice(dzg.row(r));
+            dz.data[r * 4 * h + 3 * h..r * 4 * h + 4 * h].copy_from_slice(dzo.row(r));
+        }
+        // Parameter gradients.
+        grads.wx.add_assign(&cache.x.t_matmul(&dz));
+        grads.wh.add_assign(&cache.h_prev.t_matmul(&dz));
+        for (g, d) in grads.b.iter_mut().zip(dz.sum_rows()) {
+            *g += d;
+        }
+        // Upstream gradients.
+        let dx = dz.matmul_t(&self.wx);
+        let dh_prev = dz.matmul_t(&self.wh);
+        (dx, dh_prev, dc_prev)
     }
 }
 

@@ -319,16 +319,6 @@ impl Matrix {
         }
     }
 
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f32 {
-        self.data[i * self.cols + j]
-    }
-
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f32) {
-        self.data[i * self.cols + j] = v;
-    }
-
     /// Borrow row `i`.
     pub fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.cols..(i + 1) * self.cols]
@@ -339,6 +329,61 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Write `selfᵀ` into `out`, reusing its buffer.
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out.data[j * self.rows + i] = v;
+            }
+        }
+    }
+
+    /// Reshape to `rows × cols`, reusing the buffer: it only allocates
+    /// when the new shape holds more elements than it ever has. Contents
+    /// are unspecified afterwards.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
+    /// Element-wise in-place: `self += other`.
+    pub fn add_assign(&mut self, other: &Matrix) {
+        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
+    }
+
+    /// Add a row vector to every row.
+    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
+        assert_eq!(self.cols, bias.len());
+        for i in 0..self.rows {
+            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
+            for (r, &b) in row.iter_mut().zip(bias) {
+                *r += b;
+            }
+        }
+    }
+
+    /// Scale all entries.
+    pub fn scale(&mut self, k: f32) {
+        for v in &mut self.data {
+            *v *= k;
+        }
+    }
+
+    /// Frobenius norm (for gradient clipping / tests).
+    pub fn norm(&self) -> f32 {
+        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+    }
+}
+
+/// Test-only operations: the naive reference kernels and the allocating
+/// products the training path no longer calls.
+#[cfg(test)]
+impl Matrix {
     /// Reference `self · other`: `i-k-j` saxpy loops.
     pub fn matmul_naive(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
@@ -453,44 +498,6 @@ impl Matrix {
         out
     }
 
-    /// Write `selfᵀ` into `out`, reusing its buffer.
-    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
-        out.resize(self.cols, self.rows);
-        for (i, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                out.data[j * self.rows + i] = v;
-            }
-        }
-    }
-
-    /// Reshape to `rows × cols`, reusing the buffer: it only allocates
-    /// when the new shape holds more elements than it ever has. Contents
-    /// are unspecified afterwards.
-    pub fn resize(&mut self, rows: usize, cols: usize) {
-        self.rows = rows;
-        self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Element-wise in-place: `self += other`.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Add a row vector to every row.
-    pub fn add_row_broadcast(&mut self, bias: &[f32]) {
-        assert_eq!(self.cols, bias.len());
-        for i in 0..self.rows {
-            let row = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for (r, &b) in row.iter_mut().zip(bias) {
-                *r += b;
-            }
-        }
-    }
-
     /// Sum over rows, producing a row vector (bias gradients).
     pub fn sum_rows(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
@@ -500,13 +507,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Scale all entries.
-    pub fn scale(&mut self, k: f32) {
-        for v in &mut self.data {
-            *v *= k;
-        }
     }
 
     /// Apply a function element-wise, producing a new matrix.
@@ -533,9 +533,14 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm (for gradient clipping / tests).
-    pub fn norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f32 {
+        self.data[i * self.cols + j]
+    }
+
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, v: f32) {
+        self.data[i * self.cols + j] = v;
     }
 }
 
@@ -543,6 +548,7 @@ impl Matrix {
 mod tests {
     use super::*;
     use crate::rng::MlRng;
+    use proptest::prelude::*;
 
     fn m(rows: &[&[f32]]) -> Matrix {
         Matrix::from_rows(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
@@ -868,5 +874,70 @@ mod tests {
     fn norm_known() {
         let a = m(&[&[3.0, 4.0]]);
         assert_eq!(a.norm(), 5.0);
+    }
+
+    fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = MlRng::new(seed);
+        Matrix::from_fn(rows, cols, |_, _| rng.uniform_sym(1.0) as f32)
+    }
+
+    proptest! {
+        /// Matrix multiplication distributes over addition.
+        #[test]
+        fn matmul_distributes(seed in 0u64..1000) {
+            let a = mat(3, 4, seed);
+            let b = mat(4, 2, seed ^ 1);
+            let mut c = mat(4, 2, seed ^ 2);
+            // a(b + c) == ab + ac
+            let mut b_plus_c = b.clone();
+            b_plus_c.add_assign(&c);
+            let lhs = a.matmul(&b_plus_c);
+            let mut rhs = a.matmul(&b);
+            rhs.add_assign(&a.matmul(&c));
+            for (x, y) in lhs.data.iter().zip(&rhs.data) {
+                prop_assert!((x - y).abs() < 1e-4);
+            }
+            c.scale(0.0);
+            prop_assert!(a.matmul(&c).data.iter().all(|&v| v == 0.0));
+        }
+
+        /// Transposed multiplication identities hold.
+        #[test]
+        fn transpose_identities(seed in 0u64..1000) {
+            let a = mat(3, 5, seed);
+            let b = mat(3, 2, seed ^ 9);
+            let at = Matrix::from_fn(5, 3, |i, j| a.get(j, i));
+            let lhs = a.t_matmul(&b);
+            let rhs = at.matmul(&b);
+            for (x, y) in lhs.data.iter().zip(&rhs.data) {
+                prop_assert!((x - y).abs() < 1e-4);
+            }
+        }
+
+        /// The blocked/vectorized kernels agree with the naive reference
+        /// within 1e-5 for arbitrary shapes, including ones that don't divide
+        /// the register-tile or k-panel sizes.
+        #[test]
+        fn blocked_kernels_match_naive(r in 1usize..24, k in 1usize..160, c in 1usize..24, seed in 0u64..1000) {
+            let a = mat(r, k, seed);
+            let b = mat(k, c, seed ^ 3);
+            let lhs = a.matmul(&b);
+            let rhs = a.matmul_naive(&b);
+            for (x, y) in lhs.data.iter().zip(&rhs.data) {
+                prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
+            }
+            let a2 = mat(k, r, seed ^ 4);
+            let lhs = a2.t_matmul(&b);
+            let rhs = a2.t_matmul_naive(&b);
+            for (x, y) in lhs.data.iter().zip(&rhs.data) {
+                prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
+            }
+            let b2 = mat(c, k, seed ^ 5);
+            let lhs = a.matmul_t(&b2);
+            let rhs = a.matmul_t_naive(&b2);
+            for (x, y) in lhs.data.iter().zip(&rhs.data) {
+                prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
+            }
+        }
     }
 }

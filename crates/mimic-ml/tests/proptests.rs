@@ -3,75 +3,11 @@
 use mimic_ml::bayesopt::{expected_improvement, ParamDim};
 use mimic_ml::discretize::Discretizer;
 use mimic_ml::loss::{bce_logits, huber, sigmoid, wbce_logits};
-use mimic_ml::matrix::Matrix;
 use mimic_ml::model::SeqModel;
 use mimic_ml::rng::MlRng;
 use proptest::prelude::*;
 
-fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut rng = MlRng::new(seed);
-    Matrix::from_fn(rows, cols, |_, _| rng.uniform_sym(1.0) as f32)
-}
-
 proptest! {
-    /// Matrix multiplication distributes over addition.
-    #[test]
-    fn matmul_distributes(seed in 0u64..1000) {
-        let a = mat(3, 4, seed);
-        let b = mat(4, 2, seed ^ 1);
-        let mut c = mat(4, 2, seed ^ 2);
-        // a(b + c) == ab + ac
-        let mut b_plus_c = b.clone();
-        b_plus_c.add_assign(&c);
-        let lhs = a.matmul(&b_plus_c);
-        let mut rhs = a.matmul(&b);
-        rhs.add_assign(&a.matmul(&c));
-        for (x, y) in lhs.data.iter().zip(&rhs.data) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-        c.scale(0.0);
-        prop_assert!(a.matmul(&c).data.iter().all(|&v| v == 0.0));
-    }
-
-    /// Transposed multiplication identities hold.
-    #[test]
-    fn transpose_identities(seed in 0u64..1000) {
-        let a = mat(3, 5, seed);
-        let b = mat(3, 2, seed ^ 9);
-        let at = Matrix::from_fn(5, 3, |i, j| a.get(j, i));
-        let lhs = a.t_matmul(&b);
-        let rhs = at.matmul(&b);
-        for (x, y) in lhs.data.iter().zip(&rhs.data) {
-            prop_assert!((x - y).abs() < 1e-4);
-        }
-    }
-
-    /// The blocked/vectorized kernels agree with the naive reference
-    /// within 1e-5 for arbitrary shapes, including ones that don't divide
-    /// the register-tile or k-panel sizes.
-    #[test]
-    fn blocked_kernels_match_naive(r in 1usize..24, k in 1usize..160, c in 1usize..24, seed in 0u64..1000) {
-        let a = mat(r, k, seed);
-        let b = mat(k, c, seed ^ 3);
-        let lhs = a.matmul(&b);
-        let rhs = a.matmul_naive(&b);
-        for (x, y) in lhs.data.iter().zip(&rhs.data) {
-            prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
-        }
-        let a2 = mat(k, r, seed ^ 4);
-        let lhs = a2.t_matmul(&b);
-        let rhs = a2.t_matmul_naive(&b);
-        for (x, y) in lhs.data.iter().zip(&rhs.data) {
-            prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
-        }
-        let b2 = mat(c, k, seed ^ 5);
-        let lhs = a.matmul_t(&b2);
-        let rhs = a.matmul_t_naive(&b2);
-        for (x, y) in lhs.data.iter().zip(&rhs.data) {
-            prop_assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()));
-        }
-    }
-
     /// Discretization round trips within one bucket width.
     #[test]
     fn discretizer_roundtrip(lo in -10.0f64..0.0, span in 0.1f64..100.0, d in 1u32..500, y in 0.0f64..1.0) {

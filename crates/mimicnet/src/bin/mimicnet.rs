@@ -74,8 +74,7 @@ fn usage() -> ! {
          partitioned engine and diagnostics (estimate/validate; one Mimic\n\
          model — the same numbers with or without these flags):\n\
          \u{20}        [--partitions P] [--digests] [--digest-stride N] [--flight N]\n\
-         \u{20}        [--flight-dump DIR] [--slo-events-per-sec X]\n\
-         \u{20}        [--stop-at S] [--crash-at-window N]\n\
+         \u{20}        [--flight-dump DIR] [--stop-at S] [--crash-at-window N]\n\
          \n\
          adaptive fidelity tiers (estimate):\n\
          \u{20}        [--adaptive] [--tier-every WINDOWS] [--tier-start mimic|flow]\n\
@@ -100,8 +99,8 @@ const PIPELINE_FLAGS: &[&str] = &[
 const OBS_FLAGS: &[&str] = &["trace-out", "obs-out", "report"];
 /// Flags read by [`estimate_from_flags`] and [`diag_flags_into`].
 const RUN_FLAGS: &[&str] = &[
-    "partitions", "digests", "digest-stride", "flight", "flight-dump", "slo-events-per-sec",
-    "stop-at", "crash-at-window",
+    "partitions", "digests", "digest-stride", "flight", "flight-dump", "stop-at",
+    "crash-at-window",
 ];
 /// Flags read by [`adaptive_from`].
 const ADAPTIVE_FLAGS: &[&str] = &[
@@ -163,6 +162,15 @@ fn bad_flag(name: &str, what: &str, raw: &str) -> ! {
 fn flag<T: std::str::FromStr>(opts: &HashMap<String, String>, name: &str, what: &str) -> Option<T> {
     let raw = opts.get(name)?;
     Some(raw.parse().unwrap_or_else(|_| bad_flag(name, what, raw)))
+}
+
+/// `--name` parsed as an integer of at least 1, `None` when absent.
+fn positive_flag(opts: &HashMap<String, String>, name: &str) -> Option<usize> {
+    let v = flag(opts, name, "a positive integer")?;
+    if v == 0 {
+        bad_flag(name, "a positive integer", &opts[name]);
+    }
+    Some(v)
 }
 
 fn protocol_from(opts: &HashMap<String, String>) -> Protocol {
@@ -235,27 +243,27 @@ fn clusters_from(opts: &HashMap<String, String>) -> u32 {
     n
 }
 
-/// Parse the diagnostics flags (state digests, flight recorder, SLO
-/// tripwires, early stop) into `o`. Returns whether any were given —
+/// Parse the diagnostics flags (state digests, flight recorder, early
+/// stop, crash drill) into `o`. Returns whether any were given —
 /// callers use that to route onto the full-options engine path.
 fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool {
     let mut any = false;
     if opts.contains_key("digests") || opts.contains_key("digest-stride") {
-        o.digest_stride = Some(flag(opts, "digest-stride", "a positive integer").unwrap_or(1));
+        o.digest_stride = Some(positive_flag(opts, "digest-stride").unwrap_or(1) as u64);
         any = true;
     }
-    if ["flight", "flight-dump", "slo-events-per-sec"]
-        .iter()
-        .any(|k| opts.contains_key(*k))
-    {
+    if opts.contains_key("flight") || opts.contains_key("flight-dump") {
         o.flight = Some(FlightPlan {
-            capacity: flag(opts, "flight", "a positive integer").unwrap_or(4096),
+            capacity: positive_flag(opts, "flight").unwrap_or(4096),
             dump_dir: opts.get("flight-dump").map(PathBuf::from),
-            min_events_per_sec: flag(opts, "slo-events-per-sec", "a number"),
         });
         any = true;
     }
-    if let Some(secs) = flag(opts, "stop-at", "a number of simulated seconds") {
+    let stop_at = "a finite, positive number of simulated seconds";
+    if let Some(secs) = flag::<f64>(opts, "stop-at", stop_at) {
+        if !(secs.is_finite() && secs > 0.0) {
+            bad_flag("stop-at", stop_at, &opts["stop-at"]);
+        }
         o.stop_at = Some(SimTime::from_secs_f64(secs));
         any = true;
     }
@@ -426,7 +434,7 @@ fn estimate_from_flags(
 ) -> mimicnet::pipeline::EstimateReport {
     let mut run_opts = PdesRunOpts::default();
     let diag = diag_flags_into(&mut run_opts, opts);
-    let partitions: Option<usize> = flag(opts, "partitions", "a positive integer");
+    let partitions = positive_flag(opts, "partitions");
     let adaptive = adaptive_from(opts);
     if adaptive.is_none() && partitions.is_none() && !diag {
         return match pipe.try_estimate(trained, n, None) {
@@ -434,7 +442,7 @@ fn estimate_from_flags(
             Err(e) => die_with_obs(pipe, opts, e, 2),
         };
     }
-    let partitions = partitions.unwrap_or(1).max(1);
+    let partitions = partitions.unwrap_or(1);
     if let Some((budget, plan, _)) = &adaptive {
         eprintln!(
             "adaptive tiers: start={:?}, epoch every {} windows, promote ≥{}, demote <{} after {} calm epochs",

@@ -60,11 +60,11 @@ pub fn try_compose(
 /// conservative window shrinks to `min(link latency, latency floor)` so
 /// the fleet's re-injections always land at or beyond the next barrier.
 /// Bit-identical to the sequential [`try_compose`] run at any partition count,
-/// asserted by the integration suite.
+/// asserted by the determinism matrix (`tests/determinism.rs`).
 ///
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
 /// (reports arrive merged in `Metrics::obs` and never change the
-/// trajectory), state digests, flight recorder + SLO dumps, early stop
+/// trajectory), state digests, flight recorder + panic dumps, early stop
 /// (the re-run `mimicnet diverge` asks for), and the crash drill.
 pub fn run_composed_partitioned(
     base: SimConfig,

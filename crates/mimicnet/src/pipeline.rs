@@ -219,7 +219,7 @@ impl Pipeline {
     /// [`Pipeline::try_estimate`] on the partitioned PDES engine — the same
     /// Mimic fleet, so the same metrics byte for byte at any partition
     /// count — with the full [`PdesRunOpts`] set: state digests, flight
-    /// recorder + SLO dumps, early stop and the crash drill. When
+    /// recorder + panic dumps, early stop and the crash drill. When
     /// the pipeline's obs collector is on, engine obs is forced on so
     /// digests, flight events, and tier telemetry land in the exported
     /// report.

@@ -53,8 +53,10 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         vec!["diverge", "--a", "a.json", "--b", "b.json", "--a-ckpt", "x"],
         vec!["diverge", "--a", "a.json", "--b", "b.json", "--model", "unused.json"],
         vec!["snap-flip", "--ckpt", "ckpt", "--model", "unused.json", "--clusters", "4"],
-        // Only the throughput SLO has a flag; drift feeds the tier budget.
+        // Drift feeds the tier budget and nothing sets a throughput
+        // floor: neither has a flag.
         estimate("--slo-max-drift", "1"),
+        estimate("--slo-events-per-sec", "1"),
     ] {
         let (code, stderr) = cli(&args);
         assert_eq!(code, Some(2), "{args:?} must be rejected: {stderr}");
@@ -162,5 +164,24 @@ fn zero_checkpoint_or_tier_cadence_exits_2_without_a_panic() {
     }
     cases.push(run("estimate", &["--adaptive", "--tier-every", "0"]));
     assert_clean_exit(&cases, 2);
+    // Diagnostic values out of range are usage errors naming the flag,
+    // not silently coerced.
+    for cmd in ["estimate", "validate"] {
+        for [flag, value] in [
+            ["--partitions", "0"],
+            ["--digest-stride", "0"],
+            ["--flight", "0"],
+            ["--stop-at", "0"],
+            ["--stop-at", "-1"],
+            ["--stop-at", "nan"],
+        ] {
+            let args = run(cmd, &[flag, value]);
+            let (code, stderr) = cli(&args);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            let named = format!("error: {flag} must be");
+            assert!(stderr.lines().any(|l| l.starts_with(&named)), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
+    }
     let _ = std::fs::remove_file(&model);
 }

@@ -1,70 +1,34 @@
 //! Integration tests of the observability layer end to end: a traced
 //! composed PDES run must emit a well-formed report (engine counters,
-//! boundary-inference counters, fleet telemetry, near-total span coverage) without
-//! perturbing the simulated trajectory, the pipeline recorder must stitch
-//! training and estimation telemetry into one exportable snapshot, and two
-//! runs' obs files must localize where the runs diverge.
+//! boundary-inference counters, fleet telemetry, near-total span
+//! coverage), the pipeline recorder must stitch training and estimation
+//! telemetry into one exportable snapshot, and two runs' obs files must
+//! localize where the runs diverge. That tracing, digests and the flight
+//! ring leave the trajectory alone is the obs column of
+//! `tests/determinism.rs`.
 
-use dcn_sim::config::SimConfig;
+mod common;
+
+use common::{quick_cfg, trained};
 use dcn_transport::Protocol;
 use dcn_sim::pdes::PdesRunOpts;
 use mimicnet::compose::run_composed_partitioned;
-use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
-
-fn quick_trained() -> (TrainedMimic, SimConfig) {
-    use mimicnet::datagen::{generate, DataGenConfig};
-    use mimicnet::internal_model::InternalModel;
-
-    let mut dg = DataGenConfig::default();
-    dg.sim.duration_s = 0.3;
-    dg.sim.seed = 55;
-    let td = generate(&dg);
-    let tc = mimic_ml::train::TrainConfig {
-        epochs: 1,
-        window: 4,
-        ..mimic_ml::train::TrainConfig::default()
-    };
-    let (ing, _) = InternalModel::train_stacked(&td.ingress, td.ingress_disc, 8, 1, &tc)
-        .expect("valid training setup");
-    let (eg, _) = InternalModel::train_stacked(&td.egress, td.egress_disc, 8, 1, &tc)
-        .expect("valid training setup");
-    (
-        TrainedMimic {
-            ingress: ing,
-            egress: eg,
-            feature_cfg: td.feature_cfg,
-            feeder: td.feeder,
-            envelope: None,
-        },
-        dg.sim,
-    )
-}
 
 #[test]
 fn traced_composed_run_emits_full_report_without_perturbing_results() {
-    let (trained, mut base) = quick_trained();
+    let mut base = quick_cfg().base;
     base.duration_s = 0.25;
     base.seed = 31;
-    let p = Protocol::NewReno;
-
-    let plain = run_composed_partitioned(base, 4, p, &trained, 2, &PdesRunOpts::default())
-        .expect("valid composition");
     let traced = run_composed_partitioned(
         base,
         4,
-        p,
-        &trained,
+        Protocol::NewReno,
+        trained(),
         2,
         &PdesRunOpts { obs: true, ..PdesRunOpts::default() },
     )
     .expect("valid composition");
-
-    // Tracing must not change the trajectory.
-    assert_eq!(plain.total_delivered_bytes(), traced.total_delivered_bytes());
-    assert_eq!(plain.flows_completed(), traced.flows_completed());
-    assert_eq!(plain.mimic_drops, traced.mimic_drops);
-    assert!(plain.obs.is_none(), "untraced run must carry no report");
 
     let r = traced.obs.as_ref().expect("traced run carries a report");
     // Engine counters.
@@ -142,7 +106,7 @@ fn pipeline_obs_stitches_training_and_estimation_into_one_snapshot() {
 fn flight_ring_wraps_keeping_only_the_most_recent_events() {
     use dcn_sim::pdes::FlightPlan;
 
-    let (trained, mut base) = quick_trained();
+    let mut base = quick_cfg().base;
     base.duration_s = 0.2;
     base.seed = 44;
     let opts = PdesRunOpts {
@@ -152,7 +116,7 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
         }),
         ..PdesRunOpts::default()
     };
-    let m = run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
+    let m = run_composed_partitioned(base, 3, Protocol::NewReno, trained(), 2, &opts)
         .expect("valid composition");
     let r = m.obs.as_ref().expect("flight ring rides in the obs report");
     // Two LPs, 64 slots each: the retained history is bounded while the
@@ -187,7 +151,7 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
 
     let dir = std::env::temp_dir().join(format!("obs-crash-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (trained, mut base) = quick_trained();
+    let mut base = quick_cfg().base;
     base.duration_s = 0.2;
     base.seed = 45;
     let opts = PdesRunOpts {
@@ -195,12 +159,11 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         flight: Some(FlightPlan {
             capacity: 256,
             dump_dir: Some(dir.clone()),
-            ..FlightPlan::default()
         }),
         ..PdesRunOpts::default()
     };
     let err =
-        match run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
+        match run_composed_partitioned(base, 3, Protocol::NewReno, trained(), 2, &opts)
         {
             Ok(_) => panic!("crash drill must fail the run"),
             Err(e) => e,
@@ -232,79 +195,6 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn digest_timeline_is_partition_count_invariant() {
-    let (trained, mut base) = quick_trained();
-    base.duration_s = 0.2;
-    for seed in [46u64, 97] {
-        base.seed = seed;
-        let timeline = |partitions: usize| {
-            let opts = PdesRunOpts {
-                digest_stride: Some(4),
-                ..PdesRunOpts::default()
-            };
-            let m = run_composed_partitioned(
-                base,
-                4,
-                Protocol::NewReno,
-                &trained,
-                partitions,
-                &opts,
-            )
-            .expect("valid composition");
-            let r = m.obs.expect("digests imply an obs report");
-            (
-                r.gauges["digest.first_window"],
-                r.digests["digest.window"].clone(),
-            )
-        };
-        let (fw1, d1) = timeline(1);
-        let (fw2, d2) = timeline(2);
-        let (fw4, d4) = timeline(4);
-        assert!(!d1.is_empty(), "seed {seed}: digests recorded");
-        assert_eq!(fw1, fw2, "seed {seed}: first window 1 vs 2 partitions");
-        assert_eq!(fw1, fw4, "seed {seed}: first window 1 vs 4 partitions");
-        assert_eq!(d1, d2, "seed {seed}: timeline 1 vs 2 partitions");
-        assert_eq!(d1, d4, "seed {seed}: timeline 1 vs 4 partitions");
-    }
-}
-
-#[test]
-fn diagnostics_do_not_perturb_the_trajectory() {
-    use dcn_sim::pdes::FlightPlan;
-
-    let (trained, mut base) = quick_trained();
-    base.duration_s = 0.2;
-    base.seed = 48;
-    let run = |opts: &PdesRunOpts| {
-        run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, opts)
-            .expect("valid composition")
-    };
-    let plain = run(&PdesRunOpts::default());
-    let diagnosed = run(&PdesRunOpts {
-        obs: true,
-        digest_stride: Some(1),
-        flight: Some(FlightPlan {
-            capacity: 1024,
-            ..FlightPlan::default()
-        }),
-        ..PdesRunOpts::default()
-    });
-    // Full diagnostics (timed obs + stride-1 digests + flight ring) must
-    // leave the simulated trajectory bit-identical.
-    assert_eq!(
-        plain.total_delivered_bytes(),
-        diagnosed.total_delivered_bytes()
-    );
-    assert_eq!(plain.flows_completed(), diagnosed.flows_completed());
-    assert_eq!(plain.queue_drops, diagnosed.queue_drops);
-    assert_eq!(plain.mimic_drops, diagnosed.mimic_drops);
-    for (id, rec) in &plain.flows {
-        let other = diagnosed.flows.get(id).expect("flow present in both runs");
-        assert_eq!(rec.end, other.end, "FCT mismatch for {id:?}");
-    }
-}
-
 /// The file-only divergence flow end to end, in process: a plain and an
 /// adaptive composition share everything until the first tier epoch
 /// demotes clusters to the Flow tier. Their obs files localize the first
@@ -320,7 +210,7 @@ fn diverge_localizes_plain_vs_adaptive_from_obs_files() {
     use mimicnet::AccuracyBudget;
     use mimicnet::diverge::{localize, EventFinding, ObsRun};
 
-    let (trained, mut base) = quick_trained();
+    let mut base = quick_cfg().base;
     base.duration_s = 0.2;
     base.seed = 49;
     // Every cluster is calm at the first epoch, so the adaptive side
@@ -342,10 +232,10 @@ fn diverge_localizes_plain_vs_adaptive_from_obs_files() {
         };
         let m = if adaptive {
             run_composed_adaptive(
-                base, 3, Protocol::NewReno, &trained, 2, &budget, &plan, None, &opts,
+                base, 3, Protocol::NewReno, trained(), 2, &budget, &plan, None, &opts,
             )
         } else {
-            run_composed_partitioned(base, 3, Protocol::NewReno, &trained, 2, &opts)
+            run_composed_partitioned(base, 3, Protocol::NewReno, trained(), 2, &opts)
         }
         .expect("valid composition");
         let json = m.obs.expect("digests imply an obs report").to_json_string();

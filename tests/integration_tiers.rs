@@ -1,14 +1,16 @@
 //! Integration tests of the adaptive fidelity-tier subsystem: the
 //! tier-equivalence matrix (every tier vs packet-level ground truth under
-//! a declared W1(FCT) bound), determinism of the promote/demote schedule
-//! (bit-identical across partition counts per seed), and the ledger's
-//! schedule as a pure function of its inputs, and a trajectory lock on
-//! composed runs.
+//! a declared W1(FCT) bound), the ledger's schedule as a pure function of
+//! its inputs, and a trajectory lock on composed runs. The schedule's
+//! partition invariance is a row of `tests/determinism.rs`.
 //!
 //! Scenarios mirror the canonical fig02 shape: the small-scale training
 //! config, re-composed at 2/4/8 clusters with every other parameter held
 //! constant.
 
+mod common;
+
+use common::{quick_cfg, switching_budget, trained};
 use dcn_sim::mimic::FidelityTier;
 use dcn_sim::pdes::{PdesRunOpts, TierPlan};
 use mimicnet::compose::{
@@ -16,9 +18,7 @@ use mimicnet::compose::{
 };
 use mimicnet::AccuracyBudget;
 use mimicnet::metrics::{observed, w1_fct_relative};
-use mimicnet::mimic::TrainedMimic;
-use mimicnet::pipeline::{Pipeline, PipelineConfig};
-use std::sync::OnceLock;
+use mimicnet::pipeline::Pipeline;
 
 /// Per-tier W1(FCT) bounds, in units of the ground truth's mean FCT.
 /// The Mimic bound matches the pipeline's end-to-end accuracy gate; the
@@ -28,43 +28,12 @@ use std::sync::OnceLock;
 const MIMIC_W1_BOUND: f64 = 1.0;
 const FLOW_W1_BOUND: f64 = 2.5;
 
-fn quick_cfg() -> PipelineConfig {
-    let mut cfg = PipelineConfig::default();
-    cfg.base.duration_s = 0.3;
-    cfg.base.seed = 5;
-    cfg.hidden = 8;
-    cfg.train.epochs = 1;
-    cfg.train.window = 4;
-    cfg
-}
-
-/// One trained bundle shared by every test in this file (training is the
-/// expensive part and its output is deterministic in the config).
-fn trained() -> &'static TrainedMimic {
-    static TRAINED: OnceLock<TrainedMimic> = OnceLock::new();
-    TRAINED.get_or_init(|| Pipeline::new(quick_cfg()).try_train().expect("training succeeds").0)
-}
-
 /// Pin every managed cluster at the Flow tier for the whole run: start
 /// there and make promotion unreachable.
 fn all_flow_budget() -> AccuracyBudget {
     AccuracyBudget {
         start: FidelityTier::Flow,
         promote_above: f64::INFINITY,
-        ..AccuracyBudget::default()
-    }
-}
-
-/// Guarantee tier transitions: start at Mimic with patience 1, so every
-/// cluster demotes at the first epoch barrier (an unmonitored epoch counts
-/// as calm), and promote on any observed drift, so warmed-up clusters
-/// oscillate back — a schedule rich enough to exercise mixed-tier state.
-fn switching_budget() -> AccuracyBudget {
-    AccuracyBudget {
-        start: FidelityTier::Mimic,
-        demote_below: f64::INFINITY,
-        patience: 1,
-        promote_above: 0.0,
         ..AccuracyBudget::default()
     }
 }
@@ -152,72 +121,6 @@ fn every_tier_is_within_its_declared_w1_bound() {
             rel_adaptive < FLOW_W1_BOUND,
             "{label}: adaptive W1(FCT) {rel_adaptive:.3} outside bound {FLOW_W1_BOUND}"
         );
-    }
-}
-
-/// The promote/demote schedule is a deterministic function of the seed and
-/// invariant to the partition count: the full merged metrics (including
-/// the recorded `TierSwitch` log) are bit-identical at 1/2/4 partitions.
-#[test]
-fn adaptive_schedule_is_deterministic_and_partition_invariant() {
-    let cfg = quick_cfg();
-    let plan = TierPlan { every_windows: 16 };
-    let budget = switching_budget();
-    for seed in [5u64, 6, 7] {
-        let mut base = cfg.base;
-        base.seed = seed;
-        let runs: Vec<_> = [1usize, 2, 4]
-            .iter()
-            .map(|&partitions| {
-                run_composed_adaptive(
-                    base,
-                    4,
-                    cfg.protocol,
-                    trained(),
-                    partitions,
-                    &budget,
-                    &plan,
-                    None,
-                    &PdesRunOpts::default(),
-                )
-                .unwrap_or_else(|e| panic!("seed {seed} x{partitions}: {e}"))
-            })
-            .collect();
-        assert!(
-            !runs[0].tier_switches.is_empty(),
-            "seed {seed}: switching budget produced no transitions"
-        );
-        // Re-running at the same seed and partition count must also be
-        // bit-identical (determinism proper, not just invariance).
-        let again = run_composed_adaptive(
-            base,
-            4,
-            cfg.protocol,
-            trained(),
-            1,
-            &budget,
-            &plan,
-            None,
-            &PdesRunOpts::default(),
-        )
-        .expect("repeat run");
-        let reference = runs[0].canonical_bytes();
-        assert_eq!(
-            reference,
-            again.canonical_bytes(),
-            "seed {seed}: same-seed re-run diverged"
-        );
-        for (partitions, m) in [1usize, 2, 4].iter().zip(&runs) {
-            assert_eq!(
-                reference,
-                m.canonical_bytes(),
-                "seed {seed}: x{partitions} diverged from sequential"
-            );
-            assert_eq!(
-                runs[0].tier_switches, m.tier_switches,
-                "seed {seed}: x{partitions} tier schedule diverged"
-            );
-        }
     }
 }
 
