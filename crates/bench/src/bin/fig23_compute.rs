@@ -27,11 +27,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     let f = trained.feature_cfg.width();
     let h = trained.ingress.model.hidden_dim();
     let window = pipe.cfg.train.window;
-    let batch = pipe.cfg.train.batch_size;
-    // Training cost: steps over both directions' datasets, all epochs.
-    let steps = |n: usize| n.div_ceil(batch) * pipe.cfg.train.epochs;
+    let streams = pipe.cfg.train.batch_size.div_ceil(window);
+    // Training cost: one optimizer step per chunk of `window` packets of
+    // every stream, over both directions' datasets, all epochs.
+    let steps = |n: usize| n.div_ceil(streams * window) * pipe.cfg.train.epochs;
     let train_flops = (steps(data.ingress.len()) + steps(data.egress.len())) as u64
-        * train_step_flops(f, h, 3, window, batch);
+        * train_step_flops(f, h, 3, window, streams);
     // Small-scale simulation cost.
     let small_sim_flops = data.metrics.events_processed * SIM_EVENT_FLOPS;
 

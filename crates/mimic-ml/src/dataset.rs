@@ -1,13 +1,8 @@
-//! Packet-window datasets for training internal models.
-//!
-//! A sample is a window of `W` consecutive packet feature vectors with the
-//! supervision target of the window's *last* packet. Windows shorter than
-//! `W` (at the start of the trace) are left-padded with the first vector.
-//! The paper's Appendix C finds the best `W` to be the network's BDP in
-//! packets.
+//! Packet traces ([`PacketDataset`], one direction's supervised trace, in
+//! order) and the layout truncated-BPTT training walks them in
+//! ([`Streams`]).
 
 use crate::loss::Target;
-use crate::matrix::Matrix;
 use crate::rng::MlRng;
 
 /// A time-ordered supervised packet trace.
@@ -67,63 +62,61 @@ impl PacketDataset {
     }
 }
 
-/// A batcher producing `(xs, targets)` mini-batches of windows.
-pub struct WindowBatcher<'a> {
-    data: &'a PacketDataset,
+/// One epoch's layout of a trace of `len` packets as `streams` streams,
+/// one batch row each, stepped side by side in [`Streams::chunks`] chunks
+/// of `window` packets (the truncation length; Appendix C's BDP).
+///
+/// The trace is padded to `streams · steps` positions (fewer than
+/// `streams · window` padding positions, which are never supervised) and
+/// read as a circle from the phase: stream `r` covers positions
+/// `phase + r·steps ..` of it. The phase, the stream length and the
+/// padded length are multiples of `window`, so the trace's start — where
+/// the wrap-around lands — is always a chunk boundary, and a stream that
+/// reaches it starts again from the zero state, as it does at its own
+/// start.
+#[derive(Clone, Copy, Debug)]
+pub struct Streams {
+    len: usize,
+    streams: usize,
     window: usize,
-    order: Vec<usize>,
+    steps: usize,
+    phase: usize,
 }
 
-impl<'a> WindowBatcher<'a> {
-    /// `window` ≥ 1; order is shuffled with `rng`.
-    pub fn new(data: &'a PacketDataset, window: usize, rng: &mut MlRng) -> WindowBatcher<'a> {
-        assert!(window >= 1);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        rng.shuffle(&mut order);
-        WindowBatcher {
-            data,
+impl Streams {
+    /// The layout of one epoch over `len` packets, its phase drawn from
+    /// `rng`. `streams`, `window` ≥ 1.
+    pub fn draw(len: usize, streams: usize, window: usize, rng: &mut MlRng) -> Streams {
+        assert!(streams >= 1 && window >= 1, "need at least one stream and one step");
+        let chunks = len.div_ceil(streams * window).max(1);
+        Streams {
+            len,
+            streams,
             window,
-            order,
+            steps: chunks * window,
+            phase: window * rng.below(chunks),
         }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.order.len()
+    /// Chunks per epoch: one optimizer step each.
+    pub fn chunks(&self) -> usize {
+        self.steps / self.window
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+    /// Position on the padded circle of step `k` of stream `r`.
+    fn position(&self, r: usize, k: usize) -> usize {
+        (self.phase + r * self.steps + k) % (self.streams * self.steps)
     }
 
-    /// Assemble the window of sample `i` as one row per timestep.
-    fn window_rows(&self, i: usize) -> Vec<&'a [f32]> {
-        (0..self.window)
-            .map(|t| {
-                let idx = (i + t).saturating_sub(self.window - 1);
-                self.data.features[idx].as_slice()
-            })
-            .collect()
+    /// The trace index stream `r` reads at step `k`, or `None` on padding.
+    pub fn index(&self, r: usize, k: usize) -> Option<usize> {
+        Some(self.position(r, k)).filter(|&p| p < self.len)
     }
 
-    /// Iterate mini-batches: each is (per-timestep `B × F` matrices,
-    /// targets of the final packets).
-    pub fn batches(&self, batch_size: usize) -> impl Iterator<Item = (Vec<Matrix>, Vec<Target>)> + '_ {
-        assert!(batch_size >= 1);
-        let width = self.data.width();
-        self.order.chunks(batch_size).map(move |chunk| {
-            let mut xs: Vec<Matrix> = (0..self.window)
-                .map(|_| Matrix::zeros(chunk.len(), width))
-                .collect();
-            let mut targets = Vec::with_capacity(chunk.len());
-            for (b, &i) in chunk.iter().enumerate() {
-                for (t, row) in self.window_rows(i).into_iter().enumerate() {
-                    xs[t].data[b * width..(b + 1) * width].copy_from_slice(row);
-                }
-                targets.push(self.data.targets[i]);
-            }
-            (xs, targets)
-        })
+    /// Whether stream `r` starts chunk `chunk` from the zero state: at the
+    /// stream's start, and where it wraps around to the trace's start.
+    pub fn fresh(&self, r: usize, chunk: usize) -> bool {
+        chunk == 0 || self.position(r, chunk * self.window) == 0
     }
 }
 
@@ -161,53 +154,82 @@ mod tests {
         assert!((d.drop_rate() - 0.1).abs() < 1e-9);
     }
 
-    #[test]
-    fn windows_are_left_padded() {
-        let d = toy(5);
-        let mut rng = MlRng::new(1);
-        let b = WindowBatcher::new(&d, 3, &mut rng);
-        let rows = b.window_rows(0);
-        // Sample 0 repeats the first packet.
-        assert_eq!(rows, vec![&[0.0, 0.0][..], &[0.0, 0.0], &[0.0, 0.0]]);
-        let rows = b.window_rows(4);
-        assert_eq!(rows, vec![&[2.0, 4.0][..], &[3.0, 6.0], &[4.0, 8.0]]);
+    /// Every (stream, step) of one epoch, chunk by chunk.
+    fn walk(s: &Streams, streams: usize, window: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for c in 0..s.chunks() {
+            for t in 0..window {
+                for r in 0..streams {
+                    out.push((r, c * window + t));
+                }
+            }
+        }
+        out
     }
 
     #[test]
     fn batches_cover_all_samples_once() {
-        let d = toy(23);
-        let mut rng = MlRng::new(2);
-        let b = WindowBatcher::new(&d, 2, &mut rng);
-        let mut seen = 0;
-        for (xs, ts) in b.batches(8) {
-            assert_eq!(xs.len(), 2, "window length");
-            assert_eq!(xs[0].rows, ts.len());
-            seen += ts.len();
+        // Every packet is read exactly once per epoch, whatever the phase;
+        // padding stays under one row per stream-chunk.
+        for (len, streams, window) in [(23usize, 3usize, 2usize), (100, 3, 12), (5, 4, 3), (36, 3, 12)] {
+            let mut rng = MlRng::new(2);
+            for _ in 0..8 {
+                let s = Streams::draw(len, streams, window, &mut rng);
+                let mut seen = vec![0usize; len];
+                let mut padding = 0;
+                for (r, k) in walk(&s, streams, window) {
+                    match s.index(r, k) {
+                        Some(i) => seen[i] += 1,
+                        None => padding += 1,
+                    }
+                }
+                assert!(seen.iter().all(|&n| n == 1), "len {len}: {seen:?}");
+                assert!(padding < streams * window, "padding {padding}");
+            }
         }
-        assert_eq!(seen, 23);
     }
 
     #[test]
     fn batch_rows_align_with_targets() {
-        let d = toy(10);
+        // Each stream reads consecutive packets between its fresh starts:
+        // within a stream, step k + 1 reads the packet after step k unless
+        // it is padding or the wrap-around, and the wrap-around is a fresh
+        // chunk start.
+        let d = toy(50);
+        let (streams, window) = (3usize, 4usize);
         let mut rng = MlRng::new(3);
-        let b = WindowBatcher::new(&d, 1, &mut rng);
-        for (xs, ts) in b.batches(4) {
-            for (row, t) in (0..xs[0].rows).zip(&ts) {
-                // Feature[0] equals the sample index; target latency too.
-                assert_eq!(xs[0].get(row, 0), t.latency);
+        for _ in 0..8 {
+            let s = Streams::draw(d.len(), streams, window, &mut rng);
+            for r in 0..streams {
+                for k in 1..s.chunks() * window {
+                    let (prev, cur) = (s.index(r, k - 1), s.index(r, k));
+                    if let (Some(p), Some(c)) = (prev, cur) {
+                        if c == 0 {
+                            assert!(k % window == 0 && s.fresh(r, k / window));
+                        } else {
+                            assert_eq!(c, p + 1, "stream {r} step {k}");
+                            // Feature 0 is the packet index; latency too.
+                            assert_eq!(d.features[c][0], d.targets[c].latency);
+                        }
+                    }
+                    if k % window == 0 && s.fresh(r, k / window) {
+                        assert_eq!(cur, Some(0), "a stream restarts only at the trace start");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn shuffle_is_deterministic_per_seed() {
-        let d = toy(50);
-        let order = |seed| {
+        // The phase (where streams start) is drawn from the seed.
+        let starts = |seed| {
             let mut rng = MlRng::new(seed);
-            WindowBatcher::new(&d, 1, &mut rng).order.clone()
+            (0..6)
+                .map(|_| Streams::draw(1000, 3, 12, &mut rng).index(0, 0))
+                .collect::<Vec<_>>()
         };
-        assert_eq!(order(7), order(7));
-        assert_ne!(order(7), order(8));
+        assert_eq!(starts(7), starts(7));
+        assert_ne!(starts(7), starts(8));
     }
 }

@@ -26,12 +26,14 @@ pub fn linear_flops(input: usize, output: usize, b: usize) -> u64 {
     matmul_flops(b, input, output) + (b * output) as u64
 }
 
-/// FLOPs of one full-window forward pass (window `w`, batch `b`).
+/// FLOPs of one forward pass over a chunk of `w` steps of `b` streams,
+/// the head predicting at every step (truncated-BPTT training).
 pub fn window_forward_flops(input: usize, hidden: usize, outputs: usize, w: usize, b: usize) -> u64 {
-    w as u64 * lstm_step_flops(input, hidden, b) + linear_flops(hidden, outputs, b)
+    w as u64 * (lstm_step_flops(input, hidden, b) + linear_flops(hidden, outputs, b))
 }
 
-/// FLOPs of one training step (forward + backward ≈ 3× forward).
+/// FLOPs of one training step over a chunk of `w` steps of `b` streams
+/// (forward + backward ≈ 3× forward).
 pub fn train_step_flops(input: usize, hidden: usize, outputs: usize, w: usize, b: usize) -> u64 {
     3 * window_forward_flops(input, hidden, outputs, w, b)
 }

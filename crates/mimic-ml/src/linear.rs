@@ -73,13 +73,15 @@ impl Linear {
     }
 
     /// Forward pass for a batch `x` (B×I, row-major) into `y` (B×O):
-    /// per element `0`, the `x·W` fmadd chain, then `+ b`.
+    /// per element `b`, then the ascending `x·W` fmadd chain — the order
+    /// of the head in `SeqModel::step`.
     pub fn forward(&self, x: &[f32], y: &mut Matrix) {
         let (i, o) = (self.w.rows, self.w.cols);
         y.resize(x.len() / i.max(1), o);
-        y.data.fill(0.0);
+        for row in y.data.chunks_exact_mut(o.max(1)) {
+            row.copy_from_slice(&self.b);
+        }
         matmul_accum_terms(&mut y.data, o, &[(x, &self.w.data)]);
-        y.add_row_broadcast(&self.b);
     }
 
     /// Accumulate gradients into `grads` given the forward input `x` and

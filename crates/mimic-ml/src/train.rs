@@ -1,21 +1,33 @@
-//! The mini-batch training loop for internal models.
+//! The training loop for internal models: stateful truncated BPTT.
+//!
+//! ## Streams and chunks
+//!
+//! Each epoch lays the trace out as B = ⌈`batch_size` / `window`⌉
+//! contiguous streams ([`Streams`]) and steps them side by side in chunks
+//! of `window` packets. Each stream's (h, c) carries from chunk to chunk,
+//! exactly as `SeqModel::step` carries it through a running Mimic; every
+//! step is supervised, and the gradient is truncated at the chunk's
+//! start. One chunk is one optimizer step over B·`window` ≈ `batch_size`
+//! supervised packets, so an epoch still takes ≈ N / `batch_size` steps
+//! and supervises every packet once. A seed-drawn phase moves the stream
+//! boundaries each epoch.
 //!
 //! ## Fixed shards, fixed reduction order
 //!
-//! Each batch is cut into fixed-size contiguous shards of
-//! [`SHARD_ROWS`] rows. A shard is the unit of work: forward + backward
+//! The streams of a chunk are cut into fixed-size contiguous shards of
+//! [`SHARD_ROWS`] streams. A shard is the unit of work: forward + backward
 //! into a private [`ModelGrads`] buffer, then all shard buffers are
 //! reduced **in shard-index order** into one gradient. The shard layout
-//! and the reduction order depend only on the batch, so the floating-point
-//! summation tree — and every trained parameter bit — is pinned by test
-//! (floating-point addition is not associative). [`train`] runs on the
-//! calling thread; parallelism lives one level up, where
+//! and the reduction order depend only on the stream count, so the
+//! floating-point summation tree — and every trained parameter bit — is
+//! pinned by test (floating-point addition is not associative). [`train`]
+//! runs on the calling thread; parallelism lives one level up, where
 //! `mimicnet::pipeline` trains whole models concurrently.
 
-use crate::dataset::{PacketDataset, WindowBatcher};
+use crate::dataset::{PacketDataset, Streams};
 use crate::loss::{CombinedLoss, Target};
 use crate::matrix::Matrix;
-use crate::model::{ModelGrads, SeqModel, TransposedWeights, WindowWorkspace, OUTPUTS};
+use crate::model::{ChunkWorkspace, ModelGrads, SeqModel, TransposedWeights, OUTPUTS};
 use crate::optim::Adam;
 use crate::rng::MlRng;
 
@@ -23,7 +35,10 @@ use crate::rng::MlRng;
 #[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     pub epochs: usize,
+    /// Supervised packets per optimizer step: ⌈`batch_size` / `window`⌉
+    /// streams of one `window`-packet chunk each.
     pub batch_size: usize,
+    /// Truncation length of BPTT in packets (chunk length).
     pub window: usize,
     pub lr: f32,
     pub loss: CombinedLoss,
@@ -104,50 +119,87 @@ impl std::error::Error for TrainError {}
 /// parameters and halves the learning rate) before giving up.
 const MAX_BACKOFFS: usize = 3;
 
-/// Rows per gradient shard. Fixed, so the floating-point reduction tree
-/// is a function of the batch alone. 16 rows keeps the per-shard
-/// `t_matmul` reductions deep enough to amortize their passes over the
-/// output while still cutting the default batch of 32 into two shards.
+/// Streams per gradient shard. Fixed, so the floating-point reduction
+/// tree is a function of the stream count alone.
 const SHARD_ROWS: usize = 16;
 
-/// One shard's reusable state: its private gradient buffer, the window
-/// workspace its forward and backward run on, `dL/dy`, and its summed loss.
-/// Sized by the first batch; later batches allocate nothing.
+/// One shard's reusable state: the chunk's inputs and targets for its
+/// streams, its private gradient buffer, the chunk workspace its forward
+/// and backward run on (which also carries its streams' state from chunk
+/// to chunk), `dL/dy`, and its summed loss. Sized by the first chunk;
+/// later chunks allocate nothing.
 struct Shard {
+    /// The shard's first stream.
+    first: usize,
+    /// Inputs, `window × streams` feature rows, step-major.
+    xs: Vec<f32>,
+    /// Targets aligned with the rows of `xs`; `None` on padding.
+    targets: Vec<Option<Target>>,
+    /// Which streams start this chunk from the zero state.
+    fresh: Vec<bool>,
     grads: ModelGrads,
-    ws: WindowWorkspace,
+    ws: ChunkWorkspace,
     dy: Matrix,
     loss: f64,
 }
 
-/// Forward + backward rows `rows` of the batch (`xs`, `targets`) into
-/// `shard.grads` and `shard.loss`. `dL/dy` is scaled by the batch size so
-/// the reduced gradient is the batch mean, exactly as the sequential loop
-/// computed it.
+impl Shard {
+    /// Gather chunk `chunk` of the shard's streams from `data`.
+    fn gather(&mut self, data: &PacketDataset, layout: &Streams, window: usize, chunk: usize) {
+        let (width, rows) = (data.width(), self.fresh.len());
+        self.xs.resize(window * rows * width, 0.0);
+        self.targets.clear();
+        for t in 0..window {
+            for r in 0..rows {
+                let row = &mut self.xs[(t * rows + r) * width..][..width];
+                match layout.index(self.first + r, chunk * window + t) {
+                    Some(i) => {
+                        row.copy_from_slice(&data.features[i]);
+                        self.targets.push(Some(data.targets[i]));
+                    }
+                    None => {
+                        row.fill(0.0);
+                        self.targets.push(None);
+                    }
+                }
+            }
+        }
+        for (r, fresh) in self.fresh.iter_mut().enumerate() {
+            *fresh = layout.fresh(self.first + r, chunk);
+        }
+    }
+}
+
+/// Forward + backward the shard's gathered chunk into `shard.grads` and
+/// `shard.loss`. `dL/dy` is `scale` (one over the chunk's supervised
+/// packets, across shards) times the loss gradient, so the reduced
+/// gradient is the chunk mean; padding rows get none.
 fn process_shard(
     model: &SeqModel,
     wt: &TransposedWeights,
-    xs: &[Matrix],
-    targets: &[Target],
-    rows: std::ops::Range<usize>,
     loss_fn: &CombinedLoss,
+    scale: f32,
     shard: &mut Shard,
 ) {
-    let scale = 1.0 / targets.len() as f32;
-    let targets = &targets[rows.clone()];
-    let y = model.forward_window(xs, rows, &mut shard.ws);
+    let y = model.forward_chunk(&shard.xs, &shard.fresh, &mut shard.ws);
     shard.dy.resize(y.rows, OUTPUTS);
     let mut loss_sum = 0.0f64;
-    for (b, t) in targets.iter().enumerate() {
-        let (loss, g) = loss_fn.eval(y.row(b), t);
-        loss_sum += loss as f64;
-        for (o, &gv) in shard.dy.row_mut(b).iter_mut().zip(g.iter()) {
-            *o = gv * scale;
+    for (i, t) in shard.targets.iter().enumerate() {
+        let dy = shard.dy.row_mut(i);
+        match t {
+            Some(t) => {
+                let (loss, g) = loss_fn.eval(y.row(i), t);
+                loss_sum += loss as f64;
+                for (o, &gv) in dy.iter_mut().zip(g.iter()) {
+                    *o = gv * scale;
+                }
+            }
+            None => dy.fill(0.0),
         }
     }
     shard.loss = loss_sum;
     shard.grads.zero();
-    model.backward_window(wt, xs, &shard.dy, &mut shard.ws, &mut shard.grads);
+    model.backward_chunk(wt, &shard.xs, &shard.dy, &mut shard.ws, &mut shard.grads);
 }
 
 /// Train `model` on `data` in place; returns the loss trajectory.
@@ -181,6 +233,7 @@ pub fn train(
             model: model.input_dim(),
         });
     }
+    assert!(cfg.window >= 1, "window must be at least one packet");
     let mut lr = cfg.lr;
     let mut opt = Adam::new(lr);
     let mut rng = MlRng::new(cfg.seed);
@@ -189,13 +242,17 @@ pub fn train(
     let mut consecutive_bad = 0usize;
     let mut epoch = 0usize;
 
-    // Reusable buffers: one slot per shard, the reduction target and the
-    // transposed weights every shard's backward pass reads.
-    let max_shards = cfg.batch_size.max(1).div_ceil(SHARD_ROWS);
-    let mut shards: Vec<Shard> = (0..max_shards)
-        .map(|_| Shard {
+    // Reusable buffers: one slot per shard of streams, the reduction
+    // target and the transposed weights every shard's backward reads.
+    let streams = cfg.batch_size.max(1).div_ceil(cfg.window);
+    let mut shards: Vec<Shard> = (0..streams.div_ceil(SHARD_ROWS))
+        .map(|s| Shard {
+            first: s * SHARD_ROWS,
+            xs: Vec::new(),
+            targets: Vec::new(),
+            fresh: vec![false; SHARD_ROWS.min(streams - s * SHARD_ROWS)],
             grads: model.new_grads(),
-            ws: WindowWorkspace::default(),
+            ws: ChunkWorkspace::default(),
             dy: Matrix::default(),
             loss: 0.0,
         })
@@ -206,26 +263,33 @@ pub fn train(
     while epoch < cfg.epochs {
         let epoch_t0 = obs.is_on().then(std::time::Instant::now);
         obs.begin("train.epoch", "train", None);
-        let batcher = WindowBatcher::new(data, cfg.window, &mut rng);
+        let layout = Streams::draw(data.len(), streams, cfg.window, &mut rng);
         let mut epoch_loss = 0.0f64;
         let mut samples = 0usize;
         let mut steps = 0usize;
-        for (xs, targets) in batcher.batches(cfg.batch_size) {
-            let batch_rows = targets.len();
-            let nshards = batch_rows.div_ceil(SHARD_ROWS);
+        for chunk in 0..layout.chunks() {
+            for shard in &mut shards {
+                shard.gather(data, &layout, cfg.window, chunk);
+            }
+            // Padding is shorter than one chunk of every stream, so every
+            // chunk supervises something.
+            let supervised: usize = shards
+                .iter()
+                .map(|s| s.targets.iter().filter(|t| t.is_some()).count())
+                .sum();
             // Once per optimizer step (and after any rollback).
             wt.refresh(model);
-            for (s, shard) in shards[..nshards].iter_mut().enumerate() {
-                let rows = s * SHARD_ROWS..((s + 1) * SHARD_ROWS).min(batch_rows);
-                process_shard(model, &wt, &xs, &targets, rows, &cfg.loss, shard);
+            let scale = 1.0 / supervised as f32;
+            for shard in &mut shards {
+                process_shard(model, &wt, &cfg.loss, scale, shard);
             }
             // Fixed-order reduction: shard 0, 1, 2, …
             grad_buf.zero();
-            for shard in &shards[..nshards] {
+            for shard in &shards {
                 grad_buf.add_assign(&shard.grads);
                 epoch_loss += shard.loss;
             }
-            samples += batch_rows;
+            samples += supervised;
             if obs.is_on() {
                 obs.hist_observe(
                     format!("{prefix}.grad_norm_milli"),
@@ -280,24 +344,19 @@ pub fn train(
     Ok(report)
 }
 
-/// Evaluate mean combined loss on a held-out set (no gradient).
+/// Mean combined loss of the served predictor on a held-out trace: one
+/// in-order pass from `init_state`, each packet scored by
+/// [`SeqModel::step`] from the state its predecessors left, as
+/// `InternalModel::predict` runs inside a Mimic. Only `cfg.loss` is read.
 pub fn evaluate(model: &SeqModel, data: &PacketDataset, cfg: &TrainConfig) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut rng = MlRng::new(cfg.seed ^ 0xEEEE);
-    let batcher = WindowBatcher::new(data, cfg.window, &mut rng);
-    let mut total = 0.0f64;
-    let mut n = 0usize;
-    let mut ws = WindowWorkspace::default();
-    for (xs, targets) in batcher.batches(cfg.batch_size) {
-        let y = model.forward_window(&xs, 0..targets.len(), &mut ws);
-        for (b, t) in targets.iter().enumerate() {
-            total += cfg.loss.eval(y.row(b), t).0 as f64;
-            n += 1;
-        }
-    }
-    total / n.max(1) as f64
+    let mut state = model.init_state();
+    let total: f64 = data
+        .features
+        .iter()
+        .zip(&data.targets)
+        .map(|(x, t)| cfg.loss.eval(&model.step(x, &mut state), t).0 as f64)
+        .sum();
+    total / data.len().max(1) as f64
 }
 
 #[cfg(test)]
@@ -410,18 +469,21 @@ mod tests {
     }
 
     /// Trained parameters are pinned to the bit: the hashes below were
-    /// recorded before the training kernels were register-tiled, so any
-    /// change to a kernel's per-element arithmetic order fails here. The
-    /// 2-layer model exercises the `dz·Wxᵀ` path of the upper layer, and
-    /// batch 40 leaves a ragged third shard. The constants assume the
+    /// recorded when training became stateful truncated BPTT on the
+    /// inference step's gate kernel, so any change to a kernel's
+    /// per-element arithmetic order, the stream layout or the reduction
+    /// order fails here; re-record them only when the trajectory is meant
+    /// to move. The 2-layer model exercises the `dz·Wxᵀ` path of the upper
+    /// layer, and batch 72 at window 4 makes 18 streams: a ragged second
+    /// shard, and padding at the trace's end. The constants assume the
     /// hardware FMA that `fmadd` contracts into.
     #[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
     #[test]
     fn training_parameters_are_pinned() {
         let data = synthetic(300, 9);
         for (layers, hidden, batch_size, want) in [
-            (1usize, 6usize, 32usize, 0xcc21_4166_891b_c149u64),
-            (2, 12, 40, 0x167f_d275_015b_aec8),
+            (1usize, 6usize, 32usize, 0xe2a7_8b9c_8845_1272u64),
+            (2, 12, 72, 0x3851_be3c_be2b_6590),
         ] {
             let cfg = TrainConfig {
                 epochs: 2,

@@ -2,8 +2,10 @@
 //!
 //! An [`InternalModel`] bundles the LSTM with the latency discretizer used
 //! to build its targets, so predictions can be recovered into real
-//! latencies. Training runs the DCN-friendly combined loss over windowed
-//! samples; prediction is stateful, one packet at a time.
+//! latencies. Training runs the DCN-friendly combined loss with stateful
+//! truncated BPTT (`mimic_ml::train`): the hidden state is carried along
+//! the trace as prediction carries it, one packet at a time, and every
+//! packet is supervised.
 
 use mimic_ml::dataset::PacketDataset;
 use mimic_ml::discretize::Discretizer;

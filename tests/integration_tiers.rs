@@ -168,10 +168,10 @@ fn composed_trajectories_are_locked() {
         .collect();
     let got = [digest(&clean.metrics), digest(&faulty.metrics), adaptive[0], adaptive[1]];
     let want = [
-        0x7512_b861_90fa_8c6d,
-        0x4289_072d_ef94_ed09,
-        0x42da_dc8c_73e7_8a0d,
-        0x42da_dc8c_73e7_8a0d,
+        0xff5e_a780_20f4_d07f,
+        0x10ef_cf04_fbcc_3aee,
+        0xfbef_406d_cf24_bc89,
+        0xfbef_406d_cf24_bc89,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
