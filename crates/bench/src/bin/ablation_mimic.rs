@@ -131,9 +131,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         wasserstein1(&truth.throughput, &obs.throughput),
     );
     println!(
-        "\nexpected: the full design is at least as accurate as each ablation\n\
-         (congestion features help tails; per-direction models beat unified;\n\
-         sampled drops track realized loss rates better than thresholding)."
+        "\nexpectation (paper §5.5; not asserted, and one seed cannot settle it):\n\
+         the full design is at least as accurate as each ablation (congestion\n\
+         features help tails; per-direction models beat unified; sampled drops\n\
+         track realized loss rates better than thresholding). Compare over a\n\
+         seed sweep before reading a ranking into the rows above."
     );
     Ok(())
 }

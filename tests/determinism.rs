@@ -94,6 +94,18 @@ fn check_row(
                 r.digests.get("digest.window").cloned().unwrap_or_default(),
             );
             assert!(!timeline.1.is_empty(), "{at}: no window digests");
+            // Cadence: one digest per `stride` barriers on the window
+            // grid, the first at window `stride`. Each LP counts its own
+            // windows, and every one but the last ends on the grid; the
+            // last ends 1 ns past the configured duration.
+            let stride = obs.opts().digest_stride.expect("digest cell");
+            let windows = r.counter("sim.windows") / p as u64;
+            assert_eq!(
+                timeline.1.len() as u64,
+                (windows - 1) / stride,
+                "{at}: digests recorded vs stride boundaries in {windows} windows"
+            );
+            assert_eq!(timeline.0, Some(stride as f64), "{at}: first digest window");
             if p == 1 {
                 one_partition = Some(timeline);
             } else {
