@@ -9,7 +9,9 @@
 //! overhead."
 //!
 //! We count FLOPs analytically: simulator events at a calibrated
-//! per-event cost, plus exact LSTM training/inference math.
+//! per-event cost, plus exact LSTM training/inference math. Inference
+//! costs one LSTM step per packet the Mimic fleet steps: every boundary
+//! verdict and every feeder warm-up packet, as the fleet counts them.
 
 use mimic_ml::flops::{inference_step_flops, train_step_flops, SIM_EVENT_FLOPS};
 use mimicnet_bench::{header, pipeline_config, Scale};
@@ -22,7 +24,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         "Figure 23",
         "compute consumption (GFLOP-equivalents): full sim vs MimicNet (with/without training)",
     );
-    let mut pipe = Pipeline::new(pipeline_config(scale, 42));
+    let mut pipe = Pipeline::new(pipeline_config(scale, 42)).with_obs();
     let (trained, data) = pipe.try_train()?;
     let f = trained.feature_cfg.width();
     let h = trained.ingress.model.hidden_dim();
@@ -42,21 +44,25 @@ fn main() -> Result<(), Box<dyn Error>> {
         train_flops as f64 / 1e9
     );
     println!(
-        "\n{:>9} | {:>12} | {:>14} | {:>14}",
-        "clusters", "full sim", "mimic (run)", "mimic (+train)"
+        "\n{:>9} | {:>12} | {:>14} | {:>14} | {:>8} | {:>12}",
+        "clusters", "full sim", "mimic (run)", "mimic (+train)", "verdicts", "feeder steps"
     );
     for clusters in scale.cluster_sweep() {
         let (_, truth_metrics, _) = pipe.try_ground_truth(clusters, None)?;
         let full = truth_metrics.events_processed * SIM_EVENT_FLOPS;
+        // This estimate's telemetry alone: drop what earlier phases left.
+        pipe.obs.take_report();
         let est = pipe.try_estimate(&trained, clusters, None)?;
-        // Composition cost: events + one inference per boundary packet
-        // (real + feeder) per mimic.
-        let inference_packets: u64 = est.metrics.hops_forwarded; // proxy for boundary crossings
+        let fleet = pipe.obs.take_report().unwrap_or_default();
+        // Composition cost: events + one LSTM step per boundary verdict
+        // and per feeder packet.
+        let verdicts = fleet.counter("mimic.fleet.packets_seen");
+        let feeder = fleet.counter("mimic.fleet.feeder_packets");
         let mimic_run = est.metrics.events_processed * SIM_EVENT_FLOPS
-            + inference_packets * inference_step_flops(f, h, 3);
+            + (verdicts + feeder) * inference_step_flops(f, h, 3);
         let mimic_total = mimic_run + train_flops + small_sim_flops;
         println!(
-            "{clusters:>9} | {:>12.3} | {:>14.3} | {:>14.3}",
+            "{clusters:>9} | {:>12.3} | {:>14.3} | {:>14.3} | {verdicts:>8} | {feeder:>12}",
             full as f64 / 1e9,
             mimic_run as f64 / 1e9,
             mimic_total as f64 / 1e9

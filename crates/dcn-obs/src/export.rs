@@ -55,7 +55,7 @@ impl ObsReport {
                 })
                 .collect(),
         );
-        let flight = Value::Array(self.flight.iter().map(flight_json).collect());
+        let flight = Value::Array(self.flight.iter().map(FlightEvent::to_json).collect());
         Value::Object(vec![
             ("counters".to_string(), counters),
             ("gauges".to_string(), gauges),
@@ -74,6 +74,49 @@ impl ObsReport {
     /// Pretty-printed JSON snapshot.
     pub fn to_json_string(&self) -> String {
         serde_json::to_string_pretty(&self.to_json()).expect("obs json")
+    }
+
+    /// Read back what [`ObsReport::to_json`] wrote: counters, gauges,
+    /// histograms, series, digests and the flight ring. Spans are not
+    /// read (their names are `&'static str`), and an absent section reads
+    /// as empty. `flight_kinds` is the engine's event-kind name table,
+    /// indexed by [`FlightEvent::kind`].
+    pub fn from_json(v: &Value, flight_kinds: &[&'static str]) -> Result<ObsReport, String> {
+        let root = v.as_object().ok_or("obs file root is not an object")?;
+        let get = |name: &str| root.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        let section = |name: &str| -> Result<&[(String, Value)], String> {
+            get(name).map_or(Ok(&[]), |v| {
+                v.as_object().ok_or_else(|| format!("obs section `{name}` is not an object"))
+            })
+        };
+        let bad = |name: &str, key: &str| format!("obs entry `{name}.{key}` does not parse");
+        let mut r = ObsReport::default();
+        for (k, v) in section("counters")? {
+            r.counters.insert(k.clone(), v.as_u64().ok_or_else(|| bad("counters", k))?);
+        }
+        for (k, v) in section("gauges")? {
+            r.gauges.insert(k.clone(), f64_of(v).ok_or_else(|| bad("gauges", k))?);
+        }
+        for (k, v) in section("hists")? {
+            r.hists.insert(k.clone(), hist_of(v).ok_or_else(|| bad("hists", k))?);
+        }
+        for (k, v) in section("series")? {
+            let s = v.as_array().and_then(|a| a.iter().map(f64_of).collect());
+            r.series.insert(k.clone(), s.ok_or_else(|| bad("series", k))?);
+        }
+        for (k, v) in section("digests")? {
+            let d = v.as_array().and_then(|a| a.iter().map(Value::as_u64).collect());
+            r.digests.insert(k.clone(), d.ok_or_else(|| bad("digests", k))?);
+        }
+        if let Some(v) = get("flight") {
+            r.flight = v
+                .as_array()
+                .ok_or("obs section `flight` is not an array")?
+                .iter()
+                .map(|e| FlightEvent::from_json(e, flight_kinds))
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(r)
     }
 
     /// Chrome trace-event JSON (array format): one complete event per
@@ -320,18 +363,70 @@ fn tier_name(idx: u8) -> &'static str {
     }
 }
 
-fn flight_json(e: &FlightEvent) -> Value {
-    Value::Object(vec![
-        ("lp".to_string(), Value::U64(e.lp as u64)),
-        ("sim_ns".to_string(), Value::U64(e.sim_ns)),
-        ("kind".to_string(), Value::U64(e.kind as u64)),
-        (
-            "kind_name".to_string(),
-            Value::Str(e.kind_name.to_string()),
-        ),
-        ("packet_id".to_string(), Value::U64(e.packet_id)),
-        ("queue_depth".to_string(), Value::U64(e.queue_depth as u64)),
-    ])
+impl FlightEvent {
+    /// The event as one JSON object: the form obs files, post-mortem dumps
+    /// and `diverge` reports carry it in.
+    pub fn to_json(&self) -> Value {
+        Value::Object(vec![
+            ("lp".to_string(), Value::U64(self.lp as u64)),
+            ("sim_ns".to_string(), Value::U64(self.sim_ns)),
+            ("kind".to_string(), Value::U64(self.kind as u64)),
+            ("kind_name".to_string(), Value::Str(self.kind_name.to_string())),
+            ("packet_id".to_string(), Value::U64(self.packet_id)),
+            ("queue_depth".to_string(), Value::U64(self.queue_depth as u64)),
+        ])
+    }
+
+    /// Decode [`FlightEvent::to_json`]'s form. The name comes from
+    /// `kinds[kind]`, the engine's event-kind table; a kind outside it is
+    /// an error.
+    pub fn from_json(v: &Value, kinds: &[&'static str]) -> Result<FlightEvent, String> {
+        let field = |name: &str| {
+            v.as_object()
+                .and_then(|o| o.iter().find(|(k, _)| k == name))
+                .and_then(|(_, v)| v.as_u64())
+                .ok_or_else(|| format!("flight event without an integer `{name}`"))
+        };
+        let kind = field("kind")?;
+        let kind_name = *kinds
+            .get(kind as usize)
+            .ok_or_else(|| format!("flight event of unknown kind {kind}"))?;
+        Ok(FlightEvent {
+            lp: field("lp")? as u32,
+            sim_ns: field("sim_ns")?,
+            kind: kind as u8,
+            kind_name,
+            packet_id: field("packet_id")?,
+            queue_depth: field("queue_depth")? as u32,
+        })
+    }
+}
+
+/// A gauge or series sample: non-finite values are written as `null`.
+fn f64_of(v: &Value) -> Option<f64> {
+    match v {
+        Value::Null => Some(f64::NAN),
+        v => v.as_f64(),
+    }
+}
+
+fn hist_of(v: &Value) -> Option<Hist> {
+    let o = v.as_object()?;
+    let get = |name: &str| o.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    let buckets = get("buckets")?.as_array()?;
+    let mut h = Hist {
+        count: get("count")?.as_u64()?,
+        sum: get("sum")?.as_u64()?,
+        max: get("max")?.as_u64()?,
+        ..Hist::default()
+    };
+    if buckets.len() != h.buckets.len() {
+        return None;
+    }
+    for (b, v) in h.buckets.iter_mut().zip(buckets) {
+        *b = v.as_u64()?;
+    }
+    Some(h)
 }
 
 fn hist_json(h: &Hist) -> Value {
@@ -437,6 +532,39 @@ mod tests {
         assert!(s.contains("train.epoch_loss"));
         assert!(s.contains("drift.cluster.0"));
         assert!(s.contains("span_coverage"));
+    }
+
+    #[test]
+    fn from_json_reads_back_every_section_it_decodes() {
+        let mut r = sample_report();
+        r.hists.entry("h.big".into()).or_default().observe(u64::MAX);
+        r.series.insert("s.empty".into(), Vec::new());
+        r.digests.insert("digest.window".into(), vec![u64::MAX, 0, 0xDEAD_BEEF_CAFE_F00D]);
+        let kinds = ["zero", "one", "two"];
+        r.flight = (0..3)
+            .map(|k| FlightEvent {
+                lp: k as u32,
+                sim_ns: 10 + k,
+                kind: k as u8,
+                kind_name: kinds[k as usize],
+                packet_id: if k == 1 { u64::MAX } else { k },
+                queue_depth: 7,
+            })
+            .collect();
+        let back = ObsReport::from_json(&r.to_json(), &kinds).expect("decodes");
+        assert_eq!(back.counters, r.counters);
+        assert_eq!(back.gauges, r.gauges);
+        assert_eq!(back.hists, r.hists);
+        assert_eq!(back.series, r.series);
+        assert_eq!(back.digests, r.digests);
+        assert_eq!(back.flight, r.flight);
+        // Through the text form too, as `diverge` reads a file.
+        let text: Value = serde_json::from_str(&r.to_json_string()).expect("parses");
+        let again = ObsReport::from_json(&text, &kinds).expect("decodes");
+        assert_eq!((&again.digests, &again.flight), (&r.digests, &r.flight));
+        // A kind outside the table is an error, not a made-up name.
+        assert!(ObsReport::from_json(&r.to_json(), &kinds[..2]).is_err());
+        assert!(ObsReport::from_json(&Value::Array(Vec::new()), &kinds).is_err());
     }
 
     #[test]

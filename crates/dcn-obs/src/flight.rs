@@ -1,14 +1,14 @@
 //! Flight recorder: a bounded ring buffer of the most recent engine
 //! events, kept per LP with the same `Option<Box<_>>` one-null-check
-//! discipline as [`crate::Obs`] (DESIGN.md §14). When a run panics or
-//! returns an error, the ring is drained into the obs report / a
-//! post-mortem dump so every failed CI run carries the last moments
-//! before the failure.
+//! discipline as [`crate::Obs`] (DESIGN.md §14). The ring drains into
+//! the obs report, which is also what an LP that panics dumps, so every
+//! failed run carries the last moments before the failure.
 
 /// One recorded engine event. Plain nanoseconds and small integers so
 /// this crate stays dependency-free; `kind` is the engine's event-kind
-/// index and `kind_name` its stable name (both recorded so dumps remain
-/// readable without the engine's enum).
+/// index and `kind_name` its stable name from the engine's table, which
+/// [`FlightEvent::from_json`] is handed (both are written so a file reads
+/// without the engine's enum).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
     /// PDES partition (LP) that processed the event.
@@ -59,10 +59,6 @@ impl FlightRecorder {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events currently held (≤ capacity).
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -104,14 +100,6 @@ impl FlightRecorder {
         self.head = 0;
         out
     }
-
-    /// The retained events in recording order without draining.
-    pub fn snapshot_ordered(&self) -> Vec<FlightEvent> {
-        let mut out = self.buf.clone();
-        let n = self.head.min(out.len());
-        out.rotate_left(n);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +130,7 @@ mod tests {
         // Reusable after drain.
         r.record(ev(42));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.snapshot_ordered()[0].sim_ns, 42);
+        assert_eq!(r.drain_ordered()[0].sim_ns, 42);
     }
 
     #[test]
@@ -151,7 +139,7 @@ mod tests {
         for t in [3, 1, 4] {
             r.record(ev(t));
         }
-        let kept: Vec<u64> = r.snapshot_ordered().iter().map(|e| e.sim_ns).collect();
+        let kept: Vec<u64> = r.drain_ordered().iter().map(|e| e.sim_ns).collect();
         assert_eq!(kept, vec![3, 1, 4]);
         assert_eq!(r.total_recorded(), 3);
     }
@@ -162,6 +150,6 @@ mod tests {
         r.record(ev(1));
         r.record(ev(2));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.snapshot_ordered()[0].sim_ns, 2);
+        assert_eq!(r.drain_ordered()[0].sim_ns, 2);
     }
 }

@@ -44,8 +44,7 @@ pub fn wall_now_ns() -> u64 {
 }
 
 /// Log2 histogram over `u64` observations: bucket `i` counts values with
-/// `2^i <= v < 2^(i+1)` (bucket 0 counts 0 and 1), same idiom as
-/// `QueueStats::depth_hist` in `dcn-sim`.
+/// `2^i <= v < 2^(i+1)` (bucket 0 counts 0 and 1).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Hist {
     pub buckets: [u64; 32],

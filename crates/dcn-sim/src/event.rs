@@ -63,19 +63,11 @@ impl EventKind {
         self.class() as usize
     }
 
-    /// Stable snake_case name for reports and trace files, indexed
-    /// consistently with [`EventKind::index`].
-    pub fn name_of(index: usize) -> &'static str {
-        const NAMES: [&str; EventKind::COUNT] = [
-            "fault",
-            "tx_done",
-            "arrive",
-            "timer",
-            "flow_arrival",
-            "feeder_wake",
-        ];
-        NAMES[index]
-    }
+    /// Stable snake_case names for reports and trace files, indexed
+    /// consistently with [`EventKind::index`]; flight-ring decoders take
+    /// this table.
+    pub const NAMES: [&'static str; EventKind::COUNT] =
+        ["fault", "tx_done", "arrive", "timer", "flow_arrival", "feeder_wake"];
 
     /// Class rank: fixes processing order among different event types that
     /// share a timestamp. Fault state changes apply first so every other
@@ -628,7 +620,7 @@ mod tests {
     }
 
     /// Guard for the hand-maintained per-kind tables (`COUNT`, the
-    /// `name_of` NAMES array, `class()` ranks). The match in `ordinal` is
+    /// `NAMES` array, `class()` ranks). The match in `ordinal` is
     /// exhaustive, so adding an `EventKind` variant fails to *compile* until
     /// this test is updated — and the updated sample array's length is tied
     /// to `COUNT`, so forgetting to bump the counter-array size fails here
@@ -675,11 +667,8 @@ mod tests {
             assert!(k.index() < EventKind::COUNT, "index out of counter range");
             assert!(!seen[k.index()], "duplicate class rank {}", k.index());
             seen[k.index()] = true;
-            assert!(
-                names.insert(EventKind::name_of(k.index())),
-                "duplicate name {}",
-                EventKind::name_of(k.index())
-            );
+            let name = EventKind::NAMES[k.index()];
+            assert!(names.insert(name), "duplicate name {name}");
         }
         assert!(seen.iter().all(|&s| s), "class ranks are not dense");
     }

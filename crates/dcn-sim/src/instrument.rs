@@ -100,48 +100,6 @@ impl BoundaryRecord {
 /// Default throughput bin width (the paper bins into 100 ms intervals).
 pub const DEFAULT_BIN: SimDuration = SimDuration(100_000_000);
 
-/// Occupancy statistics of one directed port queue, sampled at every
-/// enqueue (§7.1: users "can add arbitrary instrumentation, e.g. by
-/// dumping pcaps or queue depths").
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct QueueStats {
-    /// Largest packet occupancy ever observed.
-    pub max_pkts: u32,
-    /// Histogram of occupancy at enqueue time, bucketed by log2:
-    /// bucket `i` counts enqueues that saw `2^i <= depth < 2^(i+1)`
-    /// packets already queued (bucket 0 counts depth 0 and 1).
-    pub depth_hist: [u64; 16],
-    /// Total enqueue observations.
-    pub samples: u64,
-}
-
-impl QueueStats {
-    /// Record an enqueue that found `depth` packets already queued.
-    pub fn observe(&mut self, depth: u32) {
-        self.max_pkts = self.max_pkts.max(depth);
-        let bucket = (32 - depth.max(1).leading_zeros() - 1).min(15) as usize;
-        self.depth_hist[bucket] += 1;
-        self.samples += 1;
-    }
-
-    /// Approximate occupancy quantile from the histogram (upper bucket
-    /// bound), e.g. `quantile(0.99)`.
-    pub fn quantile(&self, q: f64) -> u32 {
-        if self.samples == 0 {
-            return 0;
-        }
-        let target = (self.samples as f64 * q).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.depth_hist.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return 1u32 << (i + 1);
-            }
-        }
-        self.max_pkts
-    }
-}
-
 /// All measurements of one run.
 pub struct Metrics {
     /// Per-flow lifecycle records.
@@ -171,9 +129,6 @@ pub struct Metrics {
     pub events_processed: u64,
     /// Packets forwarded by switches (hop count total).
     pub hops_forwarded: u64,
-    /// Per-(link, direction) queue occupancy statistics; indexed by link
-    /// id, `[up, down]`. Empty unless the engine enabled them.
-    pub queue_stats: Vec<[QueueStats; 2]>,
     /// Per-cluster drift scores reported by Mimic models at end of run;
     /// indexed by cluster id. `None` for packet-level clusters and models
     /// without drift monitoring.
@@ -184,10 +139,10 @@ pub struct Metrics {
     /// switch and is invariant to the partition count — the adaptive
     /// determinism suite compares it byte-for-byte across 1/2/4 LPs.
     pub tier_switches: Vec<crate::mimic::TierSwitch>,
-    /// Observability report folded in by the engine when tracing is on
-    /// (`Simulation::enable_obs`); `None` otherwise. Boxed so the common
-    /// obs-off path pays one pointer. Merged across PDES partitions via
-    /// [`dcn_obs::ObsReport::merge`].
+    /// Observability report folded in by the engine when diagnostics are
+    /// on (`Simulation::enable_diagnostics`); `None` otherwise. Boxed so
+    /// the common diagnostics-off path pays one pointer. Merged across
+    /// PDES partitions via [`dcn_obs::ObsReport::merge`].
     pub obs: Option<Box<dcn_obs::ObsReport>>,
 }
 
@@ -206,39 +161,15 @@ impl Metrics {
             reroutes: 0,
             events_processed: 0,
             hops_forwarded: 0,
-            queue_stats: Vec::new(),
             cluster_drift: Vec::new(),
             tier_switches: Vec::new(),
             obs: None,
         }
     }
 
-    /// Allocate queue-depth tracking for `n_links` links.
-    pub fn enable_queue_stats(&mut self, n_links: u32) {
-        self.queue_stats = vec![[QueueStats::default(), QueueStats::default()]; n_links as usize];
-    }
-
-    /// Record an enqueue observation (no-op unless enabled).
-    pub fn record_queue_depth(&mut self, link: u32, dir_index: usize, depth: u32) {
-        if let Some(entry) = self.queue_stats.get_mut(link as usize) {
-            entry[dir_index].observe(depth);
-        }
-    }
-
-    /// Largest queue occupancy observed anywhere (packets).
-    pub fn max_queue_depth(&self) -> u32 {
-        self.queue_stats
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|s| s.max_pkts)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Record `bytes` delivered to `host`'s application at `now`.
-    /// Out-of-range host ids are ignored, like `record_queue_depth` —
-    /// composed topologies can surface feeder-host ids beyond the
-    /// partition's own host count.
+    /// Out-of-range host ids are ignored: composed topologies can
+    /// surface feeder-host ids beyond the partition's own host count.
     pub fn record_delivery(&mut self, host: NodeId, now: SimTime, bytes: u64) {
         let idx = (now.as_nanos() / self.bin.as_nanos()) as usize;
         if let Some(bins) = self.tput_bins.get_mut(host.0 as usize) {
@@ -334,19 +265,6 @@ impl Metrics {
         self.reroutes += other.reroutes;
         self.events_processed += other.events_processed;
         self.hops_forwarded += other.hops_forwarded;
-        if self.queue_stats.len() < other.queue_stats.len() {
-            self.queue_stats
-                .resize_with(other.queue_stats.len(), Default::default);
-        }
-        for (mine, theirs) in self.queue_stats.iter_mut().zip(&other.queue_stats) {
-            for d in 0..2 {
-                mine[d].max_pkts = mine[d].max_pkts.max(theirs[d].max_pkts);
-                mine[d].samples += theirs[d].samples;
-                for (a, b) in mine[d].depth_hist.iter_mut().zip(&theirs[d].depth_hist) {
-                    *a += b;
-                }
-            }
-        }
         if self.cluster_drift.len() < other.cluster_drift.len() {
             self.cluster_drift.resize(other.cluster_drift.len(), None);
         }
@@ -515,16 +433,6 @@ impl Metrics {
         w.put_u64(self.reroutes);
         w.put_u64(self.events_processed);
         w.put_u64(self.hops_forwarded);
-        w.put_u64(self.queue_stats.len() as u64);
-        for entry in &self.queue_stats {
-            for s in entry {
-                w.put_u32(s.max_pkts);
-                for &c in &s.depth_hist {
-                    w.put_u64(c);
-                }
-                w.put_u64(s.samples);
-            }
-        }
         w.put_u64(self.cluster_drift.len() as u64);
         for d in &self.cluster_drift {
             w.put_opt_f64(*d);
@@ -619,40 +527,6 @@ mod tests {
         assert_eq!(some.len(), 2);
     }
 
-    #[test]
-    fn queue_stats_histogram_and_quantiles() {
-        let mut s = QueueStats::default();
-        for d in [0u32, 1, 1, 3, 7, 64] {
-            s.observe(d);
-        }
-        assert_eq!(s.max_pkts, 64);
-        assert_eq!(s.samples, 6);
-        // Depths 0 and 1 land in bucket 0; 3 in bucket 1; 7 in bucket 2;
-        // 64 in bucket 6.
-        assert_eq!(s.depth_hist[0], 3);
-        assert_eq!(s.depth_hist[1], 1);
-        assert_eq!(s.depth_hist[2], 1);
-        assert_eq!(s.depth_hist[6], 1);
-        // Median falls in bucket 0 -> bound 2.
-        assert_eq!(s.quantile(0.5), 2);
-        assert!(s.quantile(1.0) >= 64);
-    }
-
-    #[test]
-    fn metrics_queue_depth_recording() {
-        let mut m = Metrics::new(1);
-        m.enable_queue_stats(3);
-        m.record_queue_depth(1, 0, 5);
-        m.record_queue_depth(1, 0, 9);
-        m.record_queue_depth(2, 1, 1);
-        assert_eq!(m.max_queue_depth(), 9);
-        assert_eq!(m.queue_stats[1][0].samples, 2);
-        assert_eq!(m.queue_stats[2][1].samples, 1);
-        // Out-of-range link ids are ignored, not panics.
-        m.record_queue_depth(99, 0, 100);
-        assert_eq!(m.max_queue_depth(), 9);
-    }
-
     fn boundary_rec(t: u64, pkt_id: u64) -> BoundaryRecord {
         BoundaryRecord {
             pkt_id,
@@ -726,24 +600,6 @@ mod tests {
         assert!(host0.contains(&250.0));
         // Host 2 exists only in `b`; merge must have widened `a`.
         assert_eq!(a.throughput_samples(|h| h.0 == 2).len(), 1);
-    }
-
-    #[test]
-    fn merge_sums_queue_stats_histograms() {
-        let mut a = Metrics::new(1);
-        let mut b = Metrics::new(1);
-        a.enable_queue_stats(1);
-        b.enable_queue_stats(2);
-        a.record_queue_depth(0, 0, 3);
-        b.record_queue_depth(0, 0, 3);
-        b.record_queue_depth(0, 0, 100);
-        b.record_queue_depth(1, 1, 1);
-        a.merge(b);
-        assert_eq!(a.queue_stats.len(), 2);
-        assert_eq!(a.queue_stats[0][0].samples, 3);
-        assert_eq!(a.queue_stats[0][0].depth_hist[1], 2); // two depth-3 observations
-        assert_eq!(a.queue_stats[0][0].max_pkts, 100);
-        assert_eq!(a.queue_stats[1][1].samples, 1);
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub trait ClusterModel {
 
     /// Contribute model-side telemetry (packet counters, tier mix, …) to
     /// the engine's observability report at fold time.
-    /// Called once per run, only when obs is enabled; the default adds
+    /// Called once per run, only with diagnostics on; the default adds
     /// nothing.
     fn append_obs(&self, out: &mut dcn_obs::ObsReport) {
         let _ = out;

@@ -189,9 +189,9 @@ pub struct FlightPlan {
 /// Everything optional about a partitioned run, in one place.
 #[derive(Clone, Debug, Default)]
 pub struct PdesRunOpts {
-    /// Enable the engine observability layer on every LP (window spans,
-    /// event counters, queue stats, tier telemetry). Also implied by
-    /// `digest_stride`.
+    /// Full diagnostics on every LP: per-event and barrier wall-clock
+    /// timing and window spans on top of the counts, queue totals and
+    /// tier telemetry that `digest_stride` and `flight` turn on too.
     pub obs: bool,
     /// Adaptive fidelity-tier epochs.
     pub tiers: Option<TierPlan>,
@@ -201,21 +201,17 @@ pub struct PdesRunOpts {
     pub stop_at: Option<SimTime>,
     /// Record a state digest every N true window barriers (absolute
     /// window indices that are multiples of N). `None` disables digests;
-    /// enabling them forces obs on so the `digest.*` gauges that align
-    /// two timelines are always exported.
+    /// enabling them turns the counts-only diagnostics on, so the report
+    /// carrying the `digest.*` gauges that align two timelines is always
+    /// exported.
     pub digest_stride: Option<u64>,
     /// Flight recorder and panic post-mortems.
     pub flight: Option<FlightPlan>,
-    /// Post-mortem drill: partition 0 panics while processing the window
-    /// whose barrier index equals this value, exercising the same dump
-    /// path a real fault would. Never set outside tests/drills.
-    pub crash_at_window: Option<u64>,
 }
 
-/// Why a partitioned run did not finish: one LP panicked inside a window
-/// (a real engine fault or the crash drill). Every sibling stops at the
-/// same barrier; the panicking LP dumps its flight ring first when the
-/// run has a dump directory.
+/// Why a partitioned run did not finish: one LP panicked inside a window.
+/// Every sibling stops at the same barrier; the panicking LP dumps its
+/// report first when the run has a dump directory.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LpPanic {
     /// The partition that panicked.
@@ -248,39 +244,103 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Write one LP's post-mortem (reason, flight ring, digest timeline) as
-/// JSON through [`atomic_write`]'s temp+rename, so a dump
-/// interrupted by the very crash it is reporting can never leave a
-/// half-written file shadowing a good one.
-fn post_mortem_dump(sim: &Simulation, dir: &Path, part: usize, reason: &str, t: SimTime) {
+/// What the PDES driver records about one LP in its own recorder: the
+/// `pdes.lp` span, the `pdes.*` counters, the digest timeline with its
+/// `digest.*` gauges and the `tier.*` gauges. It merges into the LP's
+/// engine report at the join, and into a post-mortem dump.
+struct LpRecord {
+    /// On exactly when the engine's diagnostics are.
+    obs: dcn_obs::Obs,
+    /// Time the barrier waits (`pdes.barrier_wait_ns`): full obs only.
+    timed: bool,
+    waits: BarrierWaits,
+    wait_ns: u64,
+    exported: u64,
+    imported: u64,
+    /// `(first_window, digests)` when digests are on: absolute barrier
+    /// index of the first digest, then one digest per recorded barrier.
+    digests: Option<(u64, Vec<u64>)>,
+}
+
+impl LpRecord {
+    fn new(on: bool, timed: bool, part: usize) -> LpRecord {
+        let mut obs = if on { dcn_obs::Obs::on() } else { dcn_obs::Obs::off() };
+        obs.set_track(part as u32);
+        LpRecord {
+            obs,
+            timed,
+            waits: BarrierWaits::default(),
+            wait_ns: 0,
+            exported: 0,
+            imported: 0,
+            digests: None,
+        }
+    }
+
+    /// Wait at `barrier`, timing the stall when `timed`.
+    fn wait(&mut self, barrier: &WindowBarrier) {
+        let t0 = self.timed.then(std::time::Instant::now);
+        barrier.wait(&mut self.waits);
+        if let Some(t0) = t0 {
+            self.wait_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// The driver's half of this LP's report (`None` with diagnostics
+    /// off); a `pdes.lp` span still open closes here.
+    fn report(&mut self) -> Option<dcn_obs::ObsReport> {
+        let obs = &mut self.obs;
+        // The ladder counters are clock-free: they tell a healthy spin
+        // from LPs sharing a core without timing anything.
+        obs.counter_add("pdes.barrier_wait_ns", self.wait_ns);
+        obs.counter_add("pdes.barrier.spun", self.waits.spun);
+        obs.counter_add("pdes.barrier.yielded", self.waits.yielded);
+        obs.counter_add("pdes.barrier.parked", self.waits.parked);
+        obs.counter_add("pdes.msgs_exported", self.exported);
+        obs.counter_add("pdes.msgs_imported", self.imported);
+        obs.counter_add("pdes.partitions", 1);
+        let mut r = obs.take_report()?;
+        if let Some((first, digests)) = self.digests.take() {
+            r.digests.insert("digest.window".to_string(), digests);
+            r.gauges.insert("digest.first_window".to_string(), first as f64);
+        }
+        Some(r)
+    }
+}
+
+/// Write one LP's post-mortem through [`atomic_write`]'s temp+rename, so a
+/// dump interrupted by the very crash it is reporting can never leave a
+/// half-written file shadowing a good one. The file is the LP's obs report
+/// as `--obs-out` writes it, so `mimicnet diverge` reads it, with the
+/// `reason`, `partition` and `sim_time_ns` as extra top-level keys.
+fn post_mortem_dump(
+    sim: &mut Simulation,
+    rec: &mut LpRecord,
+    dir: &Path,
+    part: usize,
+    reason: &str,
+    t: SimTime,
+) {
     use serde_json::Value;
+    // The engine stopped mid-event; if folding its report panics too, the
+    // dump keeps the driver's half.
+    let engine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.take_metrics().obs));
+    let mut report = engine.ok().flatten().map_or_else(Default::default, |r| *r);
+    if let Some(driver) = rec.report() {
+        report.merge(driver);
+    }
+    let mut doc = report.to_json();
+    if let Value::Object(fields) = &mut doc {
+        fields.splice(
+            0..0,
+            [
+                ("reason".to_string(), Value::Str(reason.to_string())),
+                ("partition".to_string(), Value::U64(part as u64)),
+                ("sim_time_ns".to_string(), Value::U64(t.as_nanos())),
+            ],
+        );
+    }
     let _ = fs::create_dir_all(dir);
-    let flight: Vec<Value> = sim
-        .flight_snapshot()
-        .iter()
-        .map(|e| {
-            Value::Object(vec![
-                ("lp".to_string(), Value::U64(e.lp as u64)),
-                ("sim_ns".to_string(), Value::U64(e.sim_ns)),
-                ("kind".to_string(), Value::U64(e.kind as u64)),
-                ("kind_name".to_string(), Value::Str(e.kind_name.to_string())),
-                ("packet_id".to_string(), Value::U64(e.packet_id)),
-                ("queue_depth".to_string(), Value::U64(e.queue_depth as u64)),
-            ])
-        })
-        .collect();
-    let (first, digests) = match sim.digest_timeline() {
-        Some((f, d)) => (Value::U64(f), d.iter().map(|&x| Value::U64(x)).collect()),
-        None => (Value::Null, Vec::new()),
-    };
-    let doc = Value::Object(vec![
-        ("reason".to_string(), Value::Str(reason.to_string())),
-        ("partition".to_string(), Value::U64(part as u64)),
-        ("sim_time_ns".to_string(), Value::U64(t.as_nanos())),
-        ("flight".to_string(), Value::Array(flight)),
-        ("digest_first_window".to_string(), first),
-        ("digests".to_string(), Value::Array(digests)),
-    ]);
     if let Ok(text) = serde_json::to_string_pretty(&doc) {
         let _ = atomic_write(&dir.join(format!("postmortem-part-{part}.json")), text.as_bytes());
     }
@@ -333,10 +393,9 @@ pub fn tier_epoch_count(duration_s: f64, window: SimDuration, plan: &TierPlan) -
 /// Mimic can reappear on a foreign core switch as little as one latency
 /// floor later.
 ///
-/// The options add state digests, the flight recorder with panic
-/// post-mortems, early stop, and the crash drill. The extra machinery
-/// costs nothing when the corresponding option is `None` — the hot loop
-/// sees one `Option` check per window per feature.
+/// The options add diagnostics, state digests, the flight recorder with
+/// panic post-mortems, and early stop. With diagnostics off an event pays
+/// one branch for them and a window one more per option.
 pub fn run_partitioned_opts(
     cfg: SimConfig,
     partitions: usize,
@@ -391,8 +450,9 @@ pub fn run_partitioned_opts(
         slot.get_or_insert(e);
         abort.store(true, Ordering::SeqCst);
     };
-    let crash_at = opts.crash_at_window;
-    let obs_flag = opts.obs;
+    let diag_on = opts.obs || digest_stride.is_some() || flight_plan.is_some();
+    let timed = opts.obs;
+    let flight_capacity = flight_plan.map(|f| f.capacity);
     let window_ns = window.as_nanos();
 
     let merged = std::thread::scope(|scope| {
@@ -408,46 +468,27 @@ pub fn run_partitioned_opts(
                 let mut sim = Simulation::with_transport(cfg, make_factory());
                 setup(&mut sim);
                 sim.set_partition(owner.clone(), part as u8);
-                if obs_flag && !sim.obs_enabled() {
-                    sim.enable_obs();
+                let mut rec = LpRecord::new(diag_on, timed, part);
+                if diag_on {
+                    // Digests and the flight ring turn on the counts too,
+                    // without per-event clock reads unless `obs` asked.
+                    sim.enable_diagnostics(timed, flight_capacity);
                 }
                 if let Some(stride) = digest_stride {
-                    // Digests imply obs: the `digest.*` gauges are how two
-                    // timelines get aligned, so they must always export.
-                    // Light mode unless full obs was requested — per-event
-                    // wall timing costs tens of percent on short-event
-                    // workloads, which would sink the <2% diagnostics
-                    // budget (BENCH obs section).
-                    if !sim.obs_enabled() {
-                        sim.enable_obs_light();
-                    }
-                    sim.enable_digests();
-                    sim.obs_gauge_set("digest.window_ns", window_ns as f64);
-                    sim.obs_gauge_set("digest.stride", stride as f64);
+                    // The gauges that align two digest timelines.
+                    rec.digests = Some((0, Vec::new()));
+                    rec.obs.gauge_set("digest.window_ns", window_ns as f64);
+                    rec.obs.gauge_set("digest.stride", stride as f64);
                 }
-                if let Some(fp) = flight_plan {
-                    sim.enable_flight_recorder(fp.capacity);
-                }
-                if let (Some(plan), true) = (tiers, sim.obs_enabled()) {
-                    sim.obs_gauge_set(
+                if let Some(plan) = tiers {
+                    rec.obs.gauge_set(
                         "tier.epochs_total",
                         tier_epoch_count(cfg.duration_s, window, plan) as f64,
                     );
-                    sim.obs_gauge_set("tier.clusters", cfg.topo.clusters as f64);
+                    rec.obs.gauge_set("tier.clusters", cfg.topo.clusters as f64);
                 }
+                rec.obs.begin("pdes.lp", "pdes", None);
                 let mut t = SimTime::ZERO;
-                let mut waits = BarrierWaits::default();
-                // Driver-level obs accounting (active only when the setup
-                // hook enabled obs on the engine): barrier stall time and
-                // cross-partition message counts, folded into the engine's
-                // report so they merge with everything else at the join.
-                let obs_on = sim.obs_enabled();
-                // Per-window clock reads (barrier stall timing) only under
-                // full/timed obs; light mode keeps the loop clock-free.
-                let obs_timed = sim.obs_timing_enabled();
-                sim.obs_span_begin("pdes.lp", "pdes");
-                let mut barrier_wait_ns = 0u64;
-                let (mut exported, mut imported) = (0u64, 0u64);
                 // Digest alignment trackers: the run starts at window 0, so
                 // the first digest-eligible barrier is window `stride`.
                 let mut widx = 0u64;
@@ -456,16 +497,10 @@ pub fn run_partitioned_opts(
                 while t < end {
                     let t_next = (t + window).min(end);
                     // The window body runs under `catch_unwind` so a panic
-                    // (a real engine fault or the crash drill) dumps the
-                    // flight ring, records a typed error, and keeps this
-                    // LP's barrier count matched with its siblings instead
-                    // of deadlocking them.
-                    let drill = matches!(crash_at, Some(cw)
-                        if part == 0 && t.as_nanos() / window_ns + 1 == cw);
+                    // dumps the LP's report, records a typed error, and
+                    // keeps this LP's barrier count matched with its
+                    // siblings instead of deadlocking them.
                     let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if drill {
-                            panic!("crash drill: window {}", t.as_nanos() / window_ns + 1);
-                        }
                         sim.run_window(t_next)
                     }));
                     let outbox = match ran {
@@ -473,7 +508,8 @@ pub fn run_partitioned_opts(
                         Err(payload) => {
                             let msg = panic_message(payload.as_ref());
                             if let Some(dir) = dump_dir {
-                                post_mortem_dump(&sim, dir, part, &format!("panic: {msg}"), t);
+                                let reason = format!("panic: {msg}");
+                                post_mortem_dump(&mut sim, &mut rec, dir, part, &reason, t);
                             }
                             record_err(LpPanic {
                                 part,
@@ -482,38 +518,22 @@ pub fn run_partitioned_opts(
                             });
                             // Match the sibling LPs' two window barriers,
                             // then every LP returns at the abort check.
-                            barrier.wait(&mut waits);
-                            barrier.wait(&mut waits);
+                            rec.wait(barrier);
+                            rec.wait(barrier);
                             return None;
                         }
                     };
-                    if obs_on {
-                        exported += outbox.len() as u64;
-                    }
+                    rec.exported += outbox.len() as u64;
                     for (time, node, pkt) in outbox {
                         let dest = owner[node.0 as usize] as usize;
                         senders[dest].send((time, node, pkt)).expect("LP alive");
                     }
-                    if obs_timed {
-                        let t0 = std::time::Instant::now();
-                        barrier.wait(&mut waits);
-                        barrier_wait_ns += t0.elapsed().as_nanos() as u64;
-                    } else {
-                        barrier.wait(&mut waits);
-                    }
+                    rec.wait(barrier);
                     while let Ok((time, node, pkt)) = rx.try_recv() {
-                        if obs_on {
-                            imported += 1;
-                        }
+                        rec.imported += 1;
                         sim.inject_arrival(time, node, pkt);
                     }
-                    if obs_timed {
-                        let t0 = std::time::Instant::now();
-                        barrier.wait(&mut waits);
-                        barrier_wait_ns += t0.elapsed().as_nanos() as u64;
-                    } else {
-                        barrier.wait(&mut waits);
-                    }
+                    rec.wait(barrier);
                     // A panic in any sibling this window set `abort` before
                     // the first barrier; every LP sees it here, after the
                     // second, and returns at the same loop position.
@@ -529,14 +549,18 @@ pub fn run_partitioned_opts(
                     // and stride are tracked by increment-and-compare: two
                     // u64 divisions here once cost ~4% of a
                     // window-dominated run (windows can outnumber events).
-                    if let Some(stride) = digest_stride {
-                        let nanos = t.as_nanos();
-                        if nanos == next_aligned_ns {
+                    if let (Some(stride), Some((first, digests))) =
+                        (digest_stride, rec.digests.as_mut())
+                    {
+                        if t.as_nanos() == next_aligned_ns {
                             widx += 1;
                             next_aligned_ns += window_ns;
                             if widx == next_digest_widx {
                                 next_digest_widx += stride;
-                                sim.record_window_digest(widx);
+                                if digests.is_empty() {
+                                    *first = widx;
+                                }
+                                digests.push(sim.window_digest());
                             }
                         }
                     }
@@ -554,14 +578,14 @@ pub fn run_partitioned_opts(
                                     }
                                 }
                             }
-                            barrier.wait(&mut waits);
+                            rec.wait(barrier);
                             let merged = drift_slots.lock().expect("drift slots").clone();
                             // A cluster's nodes all live on partition
                             // `cluster % partitions` (see
                             // `partition_by_cluster`): record its switches
                             // there and nowhere else.
                             sim.tier_epoch(epoch, &merged, |c| c as usize % partitions == part);
-                            barrier.wait(&mut waits);
+                            rec.wait(barrier);
                             // Reset the exchange for the next epoch; the
                             // trailing barrier keeps fast LPs from publishing
                             // into a vector part 0 has not cleared yet.
@@ -569,24 +593,16 @@ pub fn run_partitioned_opts(
                                 let mut slots = drift_slots.lock().expect("drift slots");
                                 slots.iter_mut().for_each(|s| *s = None);
                             }
-                            barrier.wait(&mut waits);
+                            rec.wait(barrier);
                         }
                     }
                 }
-                sim.obs_span_end();
-                if obs_on {
-                    // Under timed obs only (needs clock reads); the
-                    // clock-free ladder counters below tell a healthy spin
-                    // from LPs sharing a core under light obs too.
-                    sim.obs_counter_add("pdes.barrier_wait_ns", barrier_wait_ns);
-                    sim.obs_counter_add("pdes.barrier.spun", waits.spun);
-                    sim.obs_counter_add("pdes.barrier.yielded", waits.yielded);
-                    sim.obs_counter_add("pdes.barrier.parked", waits.parked);
-                    sim.obs_counter_add("pdes.msgs_exported", exported);
-                    sim.obs_counter_add("pdes.msgs_imported", imported);
-                    sim.obs_counter_add("pdes.partitions", 1);
+                rec.obs.end(None);
+                let mut m = sim.take_metrics();
+                if let (Some(engine), Some(driver)) = (m.obs.as_mut(), rec.report()) {
+                    engine.merge(driver);
                 }
-                Some(sim.take_metrics())
+                Some(m)
             };
             handles.push(lp.spawn_scoped(scope, body).expect("spawn LP thread"));
         }
@@ -824,6 +840,28 @@ mod tests {
         assert_eq!(stopped[..], full[..stopped.len()]);
     }
 
+    /// Serves cluster 1 (partition 1 of 2) with a constant latency and
+    /// asks for one feeder wake, at `.0`, where it panics.
+    struct PanicsAt(SimTime);
+
+    impl crate::mimic::ClusterModel for PanicsAt {
+        fn clusters(&self) -> &[u32] {
+            &[1]
+        }
+        fn infer(&mut self, _: &crate::mimic::BoundaryItem) -> crate::mimic::Verdict {
+            crate::mimic::Verdict::Deliver { latency: self.latency_floor(), mark_ce: false }
+        }
+        fn latency_floor(&self) -> SimDuration {
+            SimDuration::from_millis(2)
+        }
+        fn next_wake(&mut self, _: u32, now: SimTime) -> Option<SimTime> {
+            (now < self.0).then_some(self.0)
+        }
+        fn on_wake(&mut self, _: u32, now: SimTime) {
+            panic!("crash drill: feeder wake at {} ns", now.as_nanos());
+        }
+    }
+
     #[test]
     fn crash_drill_dumps_flight_ring_and_fails_typed() {
         let dir = temp_dir("drill");
@@ -832,15 +870,19 @@ mod tests {
                 capacity: 64,
                 dump_dir: Some(dir.clone()),
             }),
-            crash_at_window: Some(5),
             ..PdesRunOpts::default()
         };
-        let err = run_opts(cfg(), 2, &opts)
+        // Inside window 5, which ends at five link latencies.
+        let window = cfg().link.latency;
+        let at = SimTime(4 * window.as_nanos() + 1);
+        let setup = |sim: &mut Simulation| sim.set_cluster_model(Box::new(PanicsAt(at)));
+        let err = run_partitioned_opts(cfg(), 2, window, &factory, &setup, &opts)
             .err()
             .expect("crash drill must fail the run");
-        assert_eq!(err.part, 0);
+        assert_eq!(err.part, 1);
+        assert_eq!(err.window_end_ns, 5 * window.as_nanos());
         assert!(err.message.contains("crash drill"), "{err}");
-        let dump = fs::read_to_string(dir.join("postmortem-part-0.json"))
+        let dump = fs::read_to_string(dir.join("postmortem-part-1.json"))
             .expect("post-mortem dump written");
         assert!(dump.contains("crash drill"), "reason recorded: {dump}");
         assert!(dump.contains("\"flight\""), "flight ring present");

@@ -53,39 +53,27 @@ const EVENT_WALL_NAMES: [&str; EventKind::COUNT] = [
     "sim.events.feeder_wake.wall_ns",
 ];
 
-/// Engine-side observability accumulators ([`Simulation::enable_obs`]).
-/// The event loop touches only the fixed arrays (no map lookups); names
-/// are attached once when the run folds into `Metrics::obs`. Boxed behind
-/// an `Option` so the obs-off hot path pays a single branch.
-struct EngineObs {
-    /// When false (light mode, [`Simulation::enable_obs_light`]), the
-    /// event loop skips the two per-event `Instant::now()` calls and
-    /// `event_wall_ns` stays zero; counters and digests still record.
-    time_events: bool,
+/// The engine's one diagnostics recorder
+/// ([`Simulation::enable_diagnostics`], DESIGN.md §9 and §14). The event
+/// loop touches only the fixed arrays and the flight ring (no map
+/// lookups); names are attached once when the run folds into
+/// `Metrics::obs`. Boxed behind an `Option` so an event with diagnostics
+/// off pays a single branch.
+struct Diagnostics {
+    /// Per-event and per-inference wall-clock timing plus window spans.
+    /// When false the loop reads no clock and the `*.wall_ns` counters
+    /// stay zero; every count still records.
+    timed: bool,
     event_count: [u64; EventKind::COUNT],
     event_wall_ns: [u64; EventKind::COUNT],
-    /// [`ClusterModel::infer`] calls, and (timed mode only) their wall
-    /// time — the boundary half of the boundary-vs-feeder inference cost.
+    /// [`ClusterModel::infer`] calls, and (timed only) their wall time —
+    /// the boundary half of the boundary-vs-feeder inference cost.
     boundary_count: u64,
     boundary_wall_ns: u64,
     windows: u64,
+    /// The last events processed, when a ring was asked for.
+    flight: Option<dcn_obs::FlightRecorder>,
     obs: dcn_obs::Obs,
-}
-
-/// Per-window state-digest recorder ([`Simulation::enable_digests`],
-/// DESIGN.md §14). Holds this LP's share of the digest timeline; the
-/// shares merge element-wise with `wrapping_add` in
-/// [`dcn_obs::ObsReport::merge`], which is what makes the merged timeline
-/// partition-count-invariant.
-struct DigestRec {
-    /// This LP's per-window digests, in recording order.
-    windows: Vec<u64>,
-    /// Absolute barrier-window index of `windows[0]` (the first
-    /// digest-eligible barrier); `digest.first_window` in the report.
-    first_window: u64,
-    /// Scratch encoder reused across items so steady-state digest
-    /// computation allocates nothing.
-    scratch: crate::snapshot::SnapWriter,
 }
 
 /// How one cluster is executed.
@@ -144,16 +132,9 @@ pub struct Simulation {
     /// The model serving every [`ClusterMode::Mimic`] cluster; `None`
     /// when none is installed.
     model: Option<Box<dyn ClusterModel>>,
-    /// Observability accumulators; `None` (the default) is the no-op
-    /// recorder and costs one branch per event.
-    obs: Option<Box<EngineObs>>,
-    /// Per-window state-digest recorder; `None` (the default) records
-    /// nothing and costs nothing — digests are computed only when the
-    /// PDES driver calls [`Simulation::record_window_digest`].
-    digests: Option<Box<DigestRec>>,
-    /// Flight recorder ring; `None` (the default) costs one branch per
-    /// event, same discipline as `obs`.
-    flight: Option<Box<dcn_obs::FlightRecorder>>,
+    /// Diagnostics recorder; `None` (the default) records nothing and
+    /// costs one branch per event.
+    diag: Option<Box<Diagnostics>>,
     // --- partitioning (None = own everything) ---
     owner_of_node: Option<Arc<Vec<u8>>>,
     my_partition: u8,
@@ -197,8 +178,7 @@ impl Simulation {
             .collect();
         let traffic = TrafficGen::new(topo.clone(), cfg.traffic, cfg.link.host_bw_bps, cfg.seed);
         let cluster_modes = (0..cfg.topo.clusters).map(|_| ClusterMode::Full).collect();
-        let mut metrics = Metrics::new(cfg.topo.num_hosts());
-        metrics.enable_queue_stats(cfg.topo.num_links());
+        let metrics = Metrics::new(cfg.topo.num_hosts());
         let fault = (cfg.link.loss_prob > 0.0).then(|| {
             (0..cfg.topo.num_links())
                 .map(|l| {
@@ -216,9 +196,7 @@ impl Simulation {
             fault,
             fault_schedule: None,
             model: None,
-            obs: None,
-            digests: None,
-            flight: None,
+            diag: None,
             end: SimTime::from_secs_f64(cfg.duration_s),
             metrics,
             done: vec![HashSet::new(); cfg.topo.num_hosts() as usize],
@@ -353,150 +331,32 @@ impl Simulation {
         assert!(!self.initialized);
         self.owner_of_node = Some(owner);
         self.my_partition = mine;
-        if let Some(eo) = self.obs.as_mut() {
-            eo.obs.set_track(mine as u32);
+        if let Some(d) = self.diag.as_mut() {
+            d.obs.set_track(mine as u32);
         }
     }
 
-    /// Turn on observability for this engine: per-event-kind counts and
-    /// wall time, window spans with sim-time attribution, boundary-inference
-    /// counts. The report is folded into `Metrics::obs` when metrics
-    /// are taken. Recording is wall-clock only — the simulated trajectory
-    /// is bit-identical with obs on or off.
-    pub fn enable_obs(&mut self) {
-        self.enable_obs_with_timing(true);
-    }
-
-    /// Light observability: counters, histograms, gauges, and digest
-    /// export all work, but the event loop skips its two per-event
-    /// `Instant::now()` calls so `event_wall_ns`/`boundary_wall_ns` stay
-    /// zero. Per-window digests ride on this mode when full obs was not
-    /// requested: wall-clock timing costs tens of percent on short-event
-    /// workloads, while counter upkeep is a few nanoseconds per event.
-    /// Calling [`Simulation::enable_obs`] afterwards upgrades timing in
-    /// place without discarding anything already recorded.
-    pub fn enable_obs_light(&mut self) {
-        self.enable_obs_with_timing(false);
-    }
-
-    fn enable_obs_with_timing(&mut self, time_events: bool) {
-        if let Some(eo) = self.obs.as_mut() {
-            // Already on: upgrade to timing if either caller wants it.
-            eo.time_events |= time_events;
-            return;
-        }
+    /// Turn on the diagnostics recorder (DESIGN.md §9, §14): per-event-kind
+    /// and boundary-inference counts, queue totals, the model's telemetry
+    /// and tier switches, folded into `Metrics::obs` when metrics are
+    /// taken. `timed` adds per-event wall-clock timing and window spans,
+    /// which cost tens of percent on short-event workloads; `flight` keeps
+    /// a ring of the last that many events (at least one). Recording is
+    /// wall-clock only — the simulated trajectory is bit-identical with
+    /// diagnostics on or off.
+    pub fn enable_diagnostics(&mut self, timed: bool, flight: Option<usize>) {
         let mut obs = dcn_obs::Obs::on();
         obs.set_track(self.my_partition as u32);
-        self.obs = Some(Box::new(EngineObs {
-            time_events,
+        self.diag = Some(Box::new(Diagnostics {
+            timed,
             event_count: [0; EventKind::COUNT],
             event_wall_ns: [0; EventKind::COUNT],
             boundary_count: 0,
             boundary_wall_ns: 0,
             windows: 0,
+            flight: flight.map(dcn_obs::FlightRecorder::new),
             obs,
         }));
-    }
-
-    /// Is the engine recording observability data?
-    pub fn obs_enabled(&self) -> bool {
-        self.obs.is_some()
-    }
-
-    /// Is obs recording wall-clock timings (full mode), as opposed to the
-    /// counters-only light mode of [`Simulation::enable_obs_light`]?
-    /// Drivers use this to skip their own per-window clock reads.
-    pub fn obs_timing_enabled(&self) -> bool {
-        self.obs.as_deref().is_some_and(|eo| eo.time_events)
-    }
-
-    /// Add to a registry counter (no-op with obs off). Used by drivers
-    /// sitting above the engine, e.g. the PDES loop's barrier accounting.
-    pub fn obs_counter_add(&mut self, name: &'static str, v: u64) {
-        if let Some(eo) = self.obs.as_mut() {
-            eo.obs.counter_add(name, v);
-        }
-    }
-
-    /// Open a driver-level span on the engine's recorder (no-op when obs
-    /// is off). Used by the PDES driver to wrap a whole LP loop so the
-    /// trace timeline has no coverage gaps at barrier waits.
-    pub fn obs_span_begin(&mut self, name: &'static str, cat: &'static str) {
-        if let Some(eo) = self.obs.as_mut() {
-            eo.obs.begin(name, cat, None);
-        }
-    }
-
-    /// Close the innermost driver-level span (no-op when obs is off).
-    pub fn obs_span_end(&mut self) {
-        if let Some(eo) = self.obs.as_mut() {
-            eo.obs.end(None);
-        }
-    }
-
-    /// Set a registry gauge (no-op with obs off). Used by drivers to
-    /// record run-level facts like the barrier window size or the tier
-    /// plan's epoch count.
-    pub fn obs_gauge_set(&mut self, name: impl Into<String>, v: f64) {
-        if let Some(eo) = self.obs.as_mut() {
-            eo.obs.gauge_set(name, v);
-        }
-    }
-
-    /// Turn on per-window state digests (DESIGN.md §14). The digest
-    /// itself is computed only when the driver calls
-    /// [`Simulation::record_window_digest`] at a barrier; event
-    /// processing carries no digest code at all, so the trajectory is
-    /// bit-identical with digests on or off.
-    pub fn enable_digests(&mut self) {
-        self.digests = Some(Box::new(DigestRec {
-            windows: Vec::new(),
-            first_window: 0,
-            scratch: crate::snapshot::SnapWriter::new(),
-        }));
-    }
-
-    /// Turn on the flight recorder with room for the last `capacity`
-    /// events (DESIGN.md §14). Recording is one ring store per popped
-    /// event; the trajectory is bit-identical with the recorder on or
-    /// off.
-    pub fn enable_flight_recorder(&mut self, capacity: usize) {
-        self.flight = Some(Box::new(dcn_obs::FlightRecorder::new(capacity)));
-    }
-
-    /// The retained flight-recorder events in recording order, without
-    /// draining (empty when the recorder is off). Post-mortem dumps use
-    /// this so a dump never perturbs the report folded at run end.
-    pub fn flight_snapshot(&self) -> Vec<dcn_obs::FlightEvent> {
-        self.flight
-            .as_ref()
-            .map(|fr| fr.snapshot_ordered())
-            .unwrap_or_default()
-    }
-
-    /// The recorded digest timeline as `(first_window, digests)`, or
-    /// `None` until the first digest lands. Post-mortem dumps read this
-    /// without disturbing the record.
-    pub fn digest_timeline(&self) -> Option<(u64, &[u64])> {
-        self.digests
-            .as_ref()
-            .filter(|rec| !rec.windows.is_empty())
-            .map(|rec| (rec.first_window, rec.windows.as_slice()))
-    }
-
-    /// Record this LP's state digest for the barrier window `window`
-    /// (absolute index from t = 0).
-    /// No-op unless [`Simulation::enable_digests`] was called.
-    pub fn record_window_digest(&mut self, window: u64) {
-        if self.digests.is_none() {
-            return;
-        }
-        let digest = self.window_digest();
-        let rec = self.digests.as_mut().expect("checked above");
-        if rec.windows.is_empty() {
-            rec.first_window = window;
-        }
-        rec.windows.push(digest);
     }
 
     /// This LP's share of the partition-invariant state digest
@@ -523,16 +383,10 @@ impl Simulation {
     /// re-injects within a window. Summing every LP's share equals the
     /// sequential run's digest at the same barrier — asserted at 1/2/4
     /// partitions by the integration suite.
-    pub fn window_digest(&mut self) -> u64 {
+    pub fn window_digest(&self) -> u64 {
         use dcn_obs::digest::Fnv64;
-        let mut rec = self.digests.take().unwrap_or_else(|| {
-            Box::new(DigestRec {
-                windows: Vec::new(),
-                first_window: 0,
-                scratch: crate::snapshot::SnapWriter::new(),
-            })
-        });
-        let scratch = &mut rec.scratch;
+        // One encoder reused across items.
+        let scratch = &mut crate::snapshot::SnapWriter::new();
         let mut acc = 0u64;
         // Queued events. Domain tags keep items from different state
         // families from colliding.
@@ -629,7 +483,6 @@ impl Simulation {
             h.write_bytes(scratch.as_bytes());
             acc = acc.wrapping_add(h.finish());
         }
-        self.digests = Some(rec);
         acc
     }
 
@@ -716,54 +569,26 @@ impl Simulation {
         self.take_metrics()
     }
 
-    /// Fold the engine-side observability accumulators into
-    /// `self.metrics.obs` (registry naming happens here, once per run).
-    /// No-op with obs off; consumes the recorder.
+    /// Fold the diagnostics recorder into `self.metrics.obs` (registry
+    /// naming happens here, once per run). No-op with diagnostics off;
+    /// consumes the recorder.
     fn fold_obs(&mut self) {
-        let mut report = self.fold_engine_obs();
-        // Digest timelines and flight-recorder drains ride in the obs
-        // report even when span/counter recording is off — they are the
-        // diverge tooling's inputs, and each costs nothing unless enabled.
-        if let Some(rec) = self.digests.take() {
-            let r = report.get_or_insert_with(Default::default);
-            let slot = r.digests.entry("digest.window".to_string()).or_default();
-            debug_assert!(slot.is_empty(), "digest timeline folded twice");
-            *slot = rec.windows;
-            r.gauges
-                .insert("digest.first_window".to_string(), rec.first_window as f64);
-        }
-        if let Some(mut fr) = self.flight.take() {
-            let r = report.get_or_insert_with(Default::default);
-            *r.counters.entry("flight.recorded".to_string()).or_insert(0) +=
-                fr.total_recorded();
-            r.flight.extend(fr.drain_ordered());
-        }
-        let Some(report) = report else {
+        let Some(mut d) = self.diag.take() else {
             return;
         };
-        match &mut self.metrics.obs {
-            Some(existing) => existing.merge(report),
-            slot @ None => *slot = Some(Box::new(report)),
-        }
-    }
-
-    /// The span/counter half of [`Simulation::fold_obs`]: `None` with obs
-    /// off; consumes the recorder.
-    fn fold_engine_obs(&mut self) -> Option<dcn_obs::ObsReport> {
-        let mut eo = self.obs.take()?;
         for i in 0..EventKind::COUNT {
-            if eo.event_count[i] > 0 {
-                eo.obs.counter_add(EVENT_COUNT_NAMES[i], eo.event_count[i]);
-                eo.obs.counter_add(EVENT_WALL_NAMES[i], eo.event_wall_ns[i]);
+            if d.event_count[i] > 0 {
+                d.obs.counter_add(EVENT_COUNT_NAMES[i], d.event_count[i]);
+                d.obs.counter_add(EVENT_WALL_NAMES[i], d.event_wall_ns[i]);
             }
         }
-        eo.obs.counter_add("sim.windows", eo.windows);
-        eo.obs
+        d.obs.counter_add("sim.windows", d.windows);
+        d.obs
             .counter_add("sim.events.total", self.metrics.events_processed);
-        eo.obs.counter_add("mimic.boundary.count", eo.boundary_count);
-        if eo.time_events {
-            eo.obs
-                .counter_add("mimic.boundary.wall_ns", eo.boundary_wall_ns);
+        d.obs.counter_add("mimic.boundary.count", d.boundary_count);
+        if d.timed {
+            d.obs
+                .counter_add("mimic.boundary.wall_ns", d.boundary_wall_ns);
         }
         let (mut enq, mut drops, mut peak) = (0u64, 0u64, 0u64);
         for link in &self.links {
@@ -774,10 +599,16 @@ impl Simulation {
                 peak = peak.max(q.peak_bytes);
             }
         }
-        eo.obs.counter_add("sim.queue.enqueued", enq);
-        eo.obs.counter_add("sim.queue.dropped", drops);
-        eo.obs.gauge_set("sim.queue.peak_bytes", peak as f64);
-        let mut report = eo.obs.take_report().unwrap_or_default();
+        d.obs.counter_add("sim.queue.enqueued", enq);
+        d.obs.counter_add("sim.queue.dropped", drops);
+        d.obs.gauge_set("sim.queue.peak_bytes", peak as f64);
+        if let Some(fr) = &d.flight {
+            d.obs.counter_add("flight.recorded", fr.total_recorded());
+        }
+        let mut report = d.obs.take_report().unwrap_or_default();
+        if let Some(mut fr) = d.flight.take() {
+            report.flight = fr.drain_ordered();
+        }
         if let Some(model) = &self.model {
             model.append_obs(&mut report);
         }
@@ -813,7 +644,10 @@ impl Simulation {
                 .or_default()
                 .push(s.to.index() as f64);
         }
-        Some(report)
+        match &mut self.metrics.obs {
+            Some(existing) => existing.merge(report),
+            slot @ None => *slot = Some(Box::new(report)),
+        }
     }
 
     /// Process all events strictly before `until`; return packet arrivals
@@ -821,20 +655,24 @@ impl Simulation {
     pub fn run_window(&mut self, until: SimTime) -> Vec<(SimTime, NodeId, Packet)> {
         self.init_schedule();
         let until = until.min(self.end + SimDuration::from_nanos(1));
-        if let Some(eo) = self.obs.as_mut() {
-            eo.windows += 1;
-            // Window spans only under timed obs: at tens of thousands of
-            // PDES windows per run the two clock reads plus a SpanEvent
-            // per window dominate light-mode overhead.
-            if eo.time_events {
-                eo.obs.begin("sim.window", "sim", Some(self.now.as_nanos()));
+        if let Some(d) = self.diag.as_mut() {
+            d.windows += 1;
+            // Window spans only when timed: at tens of thousands of PDES
+            // windows per run the two clock reads plus a SpanEvent per
+            // window dominate the counts-only overhead.
+            if d.timed {
+                d.obs.begin("sim.window", "sim", Some(self.now.as_nanos()));
             }
         }
         while let Some(ev) = self.queue.pop_before(until) {
             self.now = ev.time;
             self.metrics.events_processed += 1;
-            let kind_index = ev.kind.index();
-            if let Some(fr) = self.flight.as_mut() {
+            let Some(d) = self.diag.as_deref_mut() else {
+                self.handle(ev.kind);
+                continue;
+            };
+            let kind = ev.kind.index();
+            if let Some(fr) = d.flight.as_mut() {
                 let packet_id = match &ev.kind {
                     EventKind::Arrive { packet, .. } => packet.id,
                     _ => u64::MAX,
@@ -842,37 +680,39 @@ impl Simulation {
                 fr.record(dcn_obs::FlightEvent {
                     lp: self.my_partition as u32,
                     sim_ns: ev.time.as_nanos(),
-                    kind: kind_index as u8,
-                    kind_name: EventKind::name_of(kind_index),
+                    kind: kind as u8,
+                    kind_name: EventKind::NAMES[kind],
                     packet_id,
                     queue_depth: self.queue.len() as u32,
                 });
             }
-            let t0 = match self.obs.as_deref() {
-                Some(eo) if eo.time_events => Some(Instant::now()),
-                _ => None,
-            };
-            match ev.kind {
-                EventKind::TxDone { link, dir } => self.handle_tx_done(link, dir),
-                EventKind::Arrive { node, packet } => self.handle_arrive(node, packet),
-                EventKind::Timer { host, flow, token } => self.handle_timer(host, flow, token),
-                EventKind::FlowArrival { host } => self.handle_flow_arrival(host),
-                EventKind::FeederWake { cluster } => self.handle_feeder(cluster),
-                EventKind::Fault { index } => self.handle_fault(index),
-            }
-            if let Some(eo) = self.obs.as_mut() {
-                eo.event_count[kind_index] += 1;
-                if let Some(t0) = t0 {
-                    eo.event_wall_ns[kind_index] += t0.elapsed().as_nanos() as u64;
-                }
+            let t0 = d.timed.then(Instant::now);
+            self.handle(ev.kind);
+            let d = self.diag.as_deref_mut().expect("diagnostics stay on for the run");
+            d.event_count[kind] += 1;
+            if let Some(t0) = t0 {
+                d.event_wall_ns[kind] += t0.elapsed().as_nanos() as u64;
             }
         }
-        if let Some(eo) = self.obs.as_mut() {
-            if eo.time_events {
-                eo.obs.end(Some(self.now.as_nanos()));
+        if let Some(d) = self.diag.as_mut() {
+            if d.timed {
+                d.obs.end(Some(self.now.as_nanos()));
             }
         }
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Dispatch one event to its handler.
+    #[inline(always)]
+    fn handle(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::TxDone { link, dir } => self.handle_tx_done(link, dir),
+            EventKind::Arrive { node, packet } => self.handle_arrive(node, packet),
+            EventKind::Timer { host, flow, token } => self.handle_timer(host, flow, token),
+            EventKind::FlowArrival { host } => self.handle_flow_arrival(host),
+            EventKind::FeederWake { cluster } => self.handle_feeder(cluster),
+            EventKind::Fault { index } => self.handle_fault(index),
+        }
     }
 
     /// Inject an event from another partition.
@@ -1209,10 +1049,6 @@ impl Simulation {
         };
         self.metrics.hops_forwarded += 1;
         let tx = self.links[hop.link.0 as usize].tx_mut(hop.dir);
-        let depth = tx.queue.len_pkts();
-        self.metrics
-            .record_queue_depth(hop.link.0, hop.dir.index(), depth);
-        let tx = self.links[hop.link.0 as usize].tx_mut(hop.dir);
         match tx.queue.enqueue(pkt) {
             crate::queue::EnqueueOutcome::Dropped => {
                 self.metrics.queue_drops += 1;
@@ -1238,13 +1074,13 @@ impl Simulation {
             pkt,
             enqueued_at: self.now,
         };
-        let t0 = self.obs_timing_enabled().then(Instant::now);
+        let t0 = self.diag.as_deref().is_some_and(|d| d.timed).then(Instant::now);
         let model = self.model.as_mut().expect("mimic cluster without model");
         let verdict = model.infer(&item);
-        if let Some(eo) = self.obs.as_mut() {
-            eo.boundary_count += 1;
+        if let Some(d) = self.diag.as_mut() {
+            d.boundary_count += 1;
             if let Some(t0) = t0 {
-                eo.boundary_wall_ns += t0.elapsed().as_nanos() as u64;
+                d.boundary_wall_ns += t0.elapsed().as_nanos() as u64;
             }
         }
         match verdict {
@@ -1390,9 +1226,6 @@ impl Simulation {
 
     fn send_from_host(&mut self, host: NodeId, pkt: Packet) {
         let link = self.topo.host_link(host);
-        let depth = self.links[link.0 as usize].tx(Dir::Up).queue.len_pkts();
-        self.metrics
-            .record_queue_depth(link.0, Dir::Up.index(), depth);
         let tx = self.links[link.0 as usize].tx_mut(Dir::Up);
         match tx.queue.enqueue(pkt) {
             crate::queue::EnqueueOutcome::Dropped => {
@@ -1692,7 +1525,7 @@ mod tests {
     #[test]
     fn obs_event_counts_match_events_processed() {
         let mut sim = Simulation::new(quick_cfg());
-        sim.enable_obs();
+        sim.enable_diagnostics(true, None);
         let m = sim.run();
         let report = m.obs.as_ref().unwrap();
         let sum: u64 = EVENT_COUNT_NAMES.iter().map(|n| report.counter(n)).sum();
@@ -1716,7 +1549,7 @@ mod tests {
             cfg.traffic.inter_cluster_fraction = 1.0;
             let mut sim = Simulation::new(cfg);
             sim.set_cluster_model(const_model(1.0));
-            sim.enable_obs_with_timing(timed);
+            sim.enable_diagnostics(timed, None);
             sim.run()
         };
         let (timed, light) = (run(true), run(false));

@@ -56,7 +56,7 @@ impl Probe {
         if let Some(plan) = plan {
             sim.set_fault_plan(&plan).unwrap();
         }
-        sim.enable_flight_recorder(4096);
+        sim.enable_diagnostics(false, Some(4096));
         Probe {
             sim,
             tor: topo.tor(0, 0),

@@ -74,7 +74,7 @@ fn usage() -> ! {
          partitioned engine and diagnostics (estimate/validate; one Mimic\n\
          model — the same numbers with or without these flags):\n\
          \u{20}        [--partitions P] [--digests] [--digest-stride N] [--flight N]\n\
-         \u{20}        [--flight-dump DIR] [--stop-at S] [--crash-at-window N]\n\
+         \u{20}        [--flight-dump DIR] [--stop-at S]\n\
          \n\
          adaptive fidelity tiers (estimate):\n\
          \u{20}        [--adaptive] [--tier-every WINDOWS] [--tier-start mimic|flow]\n\
@@ -100,7 +100,6 @@ const OBS_FLAGS: &[&str] = &["trace-out", "obs-out", "report"];
 /// Flags read by [`estimate_from_flags`] and [`diag_flags_into`].
 const RUN_FLAGS: &[&str] = &[
     "partitions", "digests", "digest-stride", "flight", "flight-dump", "stop-at",
-    "crash-at-window",
 ];
 /// Flags read by [`adaptive_from`].
 const ADAPTIVE_FLAGS: &[&str] = &[
@@ -244,7 +243,7 @@ fn clusters_from(opts: &HashMap<String, String>) -> u32 {
 }
 
 /// Parse the diagnostics flags (state digests, flight recorder, early
-/// stop, crash drill) into `o`. Returns whether any were given —
+/// stop) into `o`. Returns whether any were given —
 /// callers use that to route onto the full-options engine path.
 fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool {
     let mut any = false;
@@ -265,10 +264,6 @@ fn diag_flags_into(o: &mut PdesRunOpts, opts: &HashMap<String, String>) -> bool 
             bad_flag("stop-at", stop_at, &opts["stop-at"]);
         }
         o.stop_at = Some(SimTime::from_secs_f64(secs));
-        any = true;
-    }
-    if let Some(w) = flag(opts, "crash-at-window", "an integer") {
-        o.crash_at_window = Some(w);
         any = true;
     }
     any
@@ -548,7 +543,7 @@ fn cmd_diverge(opts: HashMap<String, String>) {
             eprintln!("cannot read {path}: {e}");
             exit(1);
         });
-        ObsRun::from_obs_json(&text).unwrap_or_else(|e| {
+        ObsRun::from_json(&text).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
             exit(1);
         })

@@ -64,8 +64,8 @@ pub fn try_compose(
 ///
 /// Everything optional rides in `opts` ([`PdesRunOpts`]): engine tracing
 /// (reports arrive merged in `Metrics::obs` and never change the
-/// trajectory), state digests, flight recorder + panic dumps, early stop
-/// (the re-run `mimicnet diverge` asks for), and the crash drill.
+/// trajectory), state digests, flight recorder + panic dumps, and early
+/// stop (the re-run `mimicnet diverge` asks for).
 pub fn run_composed_partitioned(
     base: SimConfig,
     n_clusters: u32,

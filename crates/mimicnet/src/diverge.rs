@@ -39,53 +39,19 @@ pub struct DigestTimeline {
 }
 
 impl DigestTimeline {
-    /// Extract the timeline from an exported obs snapshot (`--obs-out`).
-    pub fn from_obs_json(text: &str) -> Result<DigestTimeline, String> {
-        DigestTimeline::from_obs_value(&parse_obs(text)?)
-    }
-
-    fn from_obs_value(v: &Value) -> Result<DigestTimeline, String> {
-        let root = v.as_object().ok_or("obs snapshot root is not an object")?;
-        let get = |name: &str| root.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let gauges = get("gauges")
-            .and_then(Value::as_object)
-            .ok_or("obs snapshot has no gauges section")?;
-        let gauge = |name: &str| {
-            gauges
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.as_u64())
-        };
-        let window_ns = gauge("digest.window_ns")
-            .ok_or("no digest.window_ns gauge — was the run digested (--digests)?")?;
-        let digests = get("digests")
-            .and_then(Value::as_object)
-            .and_then(|d| d.iter().find(|(k, _)| k == "digest.window"))
-            .and_then(|(_, v)| v.as_array())
-            .ok_or("no digest.window timeline — was the run digested (--digests)?")?
-            .iter()
-            .map(|x| x.as_u64().ok_or_else(|| "non-integer digest entry".to_string()))
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(DigestTimeline {
-            first_window: gauge("digest.first_window").unwrap_or(0),
-            stride: gauge("digest.stride").unwrap_or(1).max(1),
-            window_ns,
-            digests,
-        })
-    }
-
-    /// Extract the timeline from an in-process report.
+    /// Extract the timeline from a run's report.
     pub fn from_report(r: &ObsReport) -> Result<DigestTimeline, String> {
         let digests = r
             .digests
             .get("digest.window")
             .cloned()
-            .ok_or("the run recorded no digest.window timeline")?;
+            .ok_or("no digest.window timeline — was the run digested (--digests)?")?;
         let gauge = |n: &str| r.gauges.get(n).map(|v| *v as u64);
         Ok(DigestTimeline {
             first_window: gauge("digest.first_window").unwrap_or(0),
             stride: gauge("digest.stride").unwrap_or(1).max(1),
-            window_ns: gauge("digest.window_ns").ok_or("the run recorded no digest.window_ns")?,
+            window_ns: gauge("digest.window_ns")
+                .ok_or("no digest.window_ns gauge — was the run digested (--digests)?")?,
             digests,
         })
     }
@@ -201,60 +167,21 @@ pub fn first_event_divergence(a: &[FlightEvent], b: &[FlightEvent]) -> Option<Ev
     })
 }
 
-/// One run as its `--obs-out` file describes it: the digest timeline and
-/// the flight ring (empty when the run had no `--flight`).
+/// One run as its `--obs-out` file or post-mortem dump describes it: the
+/// digest timeline and the flight ring (empty when the run had no
+/// `--flight`).
 pub struct ObsRun {
     pub timeline: DigestTimeline,
     pub flight: Vec<FlightEvent>,
 }
 
 impl ObsRun {
-    /// Read both from an exported obs snapshot, parsing it once.
-    pub fn from_obs_json(text: &str) -> Result<ObsRun, String> {
-        let v = parse_obs(text)?;
-        Ok(ObsRun {
-            timeline: DigestTimeline::from_obs_value(&v)?,
-            flight: flight_from_obs_value(&v)?,
-        })
+    /// Read both from the file's text, through [`ObsReport::from_json`].
+    pub fn from_json(text: &str) -> Result<ObsRun, String> {
+        let v = serde_json::from_str(text).map_err(|e| format!("obs file does not parse: {e}"))?;
+        let r = ObsReport::from_json(&v, &EventKind::NAMES)?;
+        Ok(ObsRun { timeline: DigestTimeline::from_report(&r)?, flight: r.flight })
     }
-}
-
-fn parse_obs(text: &str) -> Result<Value, String> {
-    serde_json::from_str(text).map_err(|e| format!("obs snapshot does not parse: {e}"))
-}
-
-/// The flight ring of an exported obs snapshot (empty without one).
-fn flight_from_obs_value(v: &Value) -> Result<Vec<FlightEvent>, String> {
-    let Some(events) = v
-        .as_object()
-        .and_then(|root| root.iter().find(|(k, _)| k == "flight"))
-        .and_then(|(_, v)| v.as_array())
-    else {
-        return Ok(Vec::new());
-    };
-    events
-        .iter()
-        .map(|e| {
-            let field = |name: &str| {
-                e.as_object()
-                    .and_then(|o| o.iter().find(|(k, _)| k == name))
-                    .and_then(|(_, v)| v.as_u64())
-                    .ok_or_else(|| format!("flight event without an integer `{name}`"))
-            };
-            let kind = field("kind")?;
-            if kind >= EventKind::COUNT as u64 {
-                return Err(format!("flight event of unknown kind {kind}"));
-            }
-            Ok(FlightEvent {
-                lp: field("lp")? as u32,
-                sim_ns: field("sim_ns")?,
-                kind: kind as u8,
-                kind_name: EventKind::name_of(kind as usize),
-                packet_id: field("packet_id")?,
-                queue_depth: field("queue_depth")? as u32,
-            })
-        })
-        .collect()
 }
 
 /// What the two flight rings say about the diverging window.
@@ -412,17 +339,6 @@ pub fn render_report(r: &DivergeReport) -> String {
     out
 }
 
-fn event_json(e: &FlightEvent) -> Value {
-    serde_json::json!({
-        "lp": e.lp,
-        "sim_ns": e.sim_ns,
-        "kind": e.kind,
-        "kind_name": e.kind_name,
-        "packet_id": e.packet_id,
-        "queue_depth": e.queue_depth,
-    })
-}
-
 /// Render the verdict as the machine-readable diff report (`--out`):
 /// `window`, `stop_at_s`, `event` (`null` unless the rings located it) and
 /// `event_finding` (`diverged`, `identical`, `no_rings`, `rings_too_short`).
@@ -431,10 +347,10 @@ pub fn report_json(r: &DivergeReport) -> Value {
     let (event, finding) = match &r.event {
         EventFinding::Diverged(ev) => (
             serde_json::json!({
-                "a": ev.a.as_ref().map(event_json),
-                "b": ev.b.as_ref().map(event_json),
-                "excerpt_a": ev.excerpt_a.iter().map(event_json).collect::<Vec<Value>>(),
-                "excerpt_b": ev.excerpt_b.iter().map(event_json).collect::<Vec<Value>>(),
+                "a": ev.a.as_ref().map(FlightEvent::to_json),
+                "b": ev.b.as_ref().map(FlightEvent::to_json),
+                "excerpt_a": ev.excerpt_a.iter().map(FlightEvent::to_json).collect::<Vec<Value>>(),
+                "excerpt_b": ev.excerpt_b.iter().map(FlightEvent::to_json).collect::<Vec<Value>>(),
             }),
             "diverged",
         ),
@@ -530,13 +446,13 @@ mod tests {
         r.gauges.insert("digest.first_window".into(), 8.0);
         r.digests
             .insert("digest.window".into(), vec![u64::MAX, 1, 0xDEAD_BEEF_CAFE_F00D]);
-        let parsed = DigestTimeline::from_obs_json(&r.to_json_string()).expect("parses");
+        let parsed = ObsRun::from_json(&r.to_json_string()).expect("parses").timeline;
         assert_eq!(parsed, DigestTimeline::from_report(&r).expect("direct"));
         // Digests survive the JSON trip at full u64 precision.
         assert_eq!(parsed.digests, vec![u64::MAX, 1, 0xDEAD_BEEF_CAFE_F00D]);
         assert_eq!((parsed.first_window, parsed.stride, parsed.window_ns), (8, 4, 500_000));
 
         let undigested = ObsReport::default();
-        assert!(DigestTimeline::from_obs_json(&undigested.to_json_string()).is_err());
+        assert!(ObsRun::from_json(&undigested.to_json_string()).is_err());
     }
 }

@@ -22,8 +22,8 @@ pub enum PipelineError {
     /// A training or tuning parameter is out of range (e.g. a zero
     /// window, batch size or layer count, or no tuning evaluations).
     InvalidConfig { reason: String },
-    /// A logical process of a partitioned run panicked (a real engine
-    /// fault or the crash drill); the run stopped at that window.
+    /// A logical process of a partitioned run panicked; the run stopped
+    /// at that window.
     LpPanic(LpPanic),
 }
 

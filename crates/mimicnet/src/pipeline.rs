@@ -211,7 +211,7 @@ impl Pipeline {
             sim.set_fault_plan(plan)?;
         }
         if self.obs.is_on() {
-            sim.enable_obs();
+            sim.enable_diagnostics(true, None);
         }
         self.estimate_via(t0, n_clusters, || Ok(sim.run()))
     }
@@ -219,10 +219,9 @@ impl Pipeline {
     /// [`Pipeline::try_estimate`] on the partitioned PDES engine — the same
     /// Mimic fleet, so the same metrics byte for byte at any partition
     /// count — with the full [`PdesRunOpts`] set: state digests, flight
-    /// recorder + panic dumps, early stop and the crash drill. When
-    /// the pipeline's obs collector is on, engine obs is forced on so
-    /// digests, flight events, and tier telemetry land in the exported
-    /// report.
+    /// recorder + panic dumps and early stop. When the pipeline's obs
+    /// collector is on, full engine diagnostics are forced on so they
+    /// land in the exported report.
     pub fn try_estimate_opts(
         &mut self,
         trained: &TrainedMimic,

@@ -57,6 +57,8 @@ fn unknown_flags_exit_2_on_every_subcommand() {
         // floor: neither has a flag.
         estimate("--slo-max-drift", "1"),
         estimate("--slo-events-per-sec", "1"),
+        // The crash drill is a test-local panicking model, not a flag.
+        estimate("--crash-at-window", "5"),
     ] {
         let (code, stderr) = cli(&args);
         assert_eq!(code, Some(2), "{args:?} must be rejected: {stderr}");

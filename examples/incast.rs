@@ -25,7 +25,10 @@ fn run_pattern(pattern: TrafficPattern) -> dcn_sim::instrument::Metrics {
     cfg.seed = 13;
     cfg.traffic.load = 0.6;
     cfg.traffic.pattern = pattern;
-    Simulation::with_transport(cfg, Protocol::NewReno.factory()).run()
+    let mut sim = Simulation::with_transport(cfg, Protocol::NewReno.factory());
+    // Counts-only diagnostics, for the peak port-queue occupancy.
+    sim.enable_diagnostics(false, None);
+    sim.run()
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
@@ -40,7 +43,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         println!("  flows completed   {}", m.flows_completed());
         println!("  p50 / p99 FCT     {:.4}s / {:.4}s", percentile(&fct, 50.0), percentile(&fct, 99.0));
         println!("  queue drops       {}", m.queue_drops);
-        println!("  max queue depth   {} pkts", m.max_queue_depth());
+        let peak = m.obs.as_ref().map_or(0.0, |r| r.gauges["sim.queue.peak_bytes"]);
+        println!("  peak queue        {peak} B");
     }
 
     println!("\n== MimicNet under incast ==");

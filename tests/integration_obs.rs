@@ -145,31 +145,59 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
     }
 }
 
+/// Serves cluster 1 with a constant latency and asks for one feeder wake,
+/// at `.0`, where it panics: a fault inside a chosen window.
+struct PanicsAt(dcn_sim::time::SimTime);
+
+impl dcn_sim::mimic::ClusterModel for PanicsAt {
+    fn clusters(&self) -> &[u32] {
+        &[1]
+    }
+    fn infer(&mut self, _: &dcn_sim::mimic::BoundaryItem) -> dcn_sim::mimic::Verdict {
+        dcn_sim::mimic::Verdict::Deliver { latency: self.latency_floor(), mark_ce: false }
+    }
+    fn latency_floor(&self) -> dcn_sim::time::SimDuration {
+        dcn_sim::time::SimDuration::from_millis(2)
+    }
+    fn next_wake(&mut self, _: u32, now: dcn_sim::time::SimTime) -> Option<dcn_sim::time::SimTime> {
+        (now < self.0).then_some(self.0)
+    }
+    fn on_wake(&mut self, _: u32, now: dcn_sim::time::SimTime) {
+        panic!("crash drill: feeder wake at {} ns", now.as_nanos());
+    }
+}
+
 #[test]
 fn crash_drill_dumps_flight_ring_through_atomic_write() {
-    use dcn_sim::pdes::FlightPlan;
+    use dcn_sim::pdes::{run_partitioned_opts, FlightPlan};
+    use dcn_sim::simulator::Simulation;
+    use dcn_sim::time::SimTime;
+    use mimicnet::diverge::ObsRun;
 
     let dir = std::env::temp_dir().join(format!("obs-crash-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut base = quick_cfg().base;
-    base.duration_s = 0.2;
-    base.seed = 45;
+    let mut cfg = quick_cfg().base;
+    cfg.topo.clusters = 3;
+    cfg.duration_s = 0.2;
+    cfg.seed = 45;
     let opts = PdesRunOpts {
-        crash_at_window: Some(40),
+        digest_stride: Some(1),
         flight: Some(FlightPlan {
             capacity: 256,
             dump_dir: Some(dir.clone()),
         }),
         ..PdesRunOpts::default()
     };
-    let err =
-        match run_composed_partitioned(base, 3, Protocol::NewReno, trained(), 2, &opts)
-        {
-            Ok(_) => panic!("crash drill must fail the run"),
-            Err(e) => e,
-        };
+    // Inside window 40; cluster 1 lives on partition 1 of 2.
+    let window = cfg.link.latency;
+    let at = SimTime(39 * window.as_nanos() + 1);
+    let setup = |sim: &mut Simulation| sim.set_cluster_model(Box::new(PanicsAt(at)));
+    let err = run_partitioned_opts(cfg, 2, window, &|| Protocol::NewReno.factory(), &setup, &opts)
+        .err()
+        .expect("crash drill must fail the run");
     let msg = format!("{err}");
     assert!(msg.contains("crash drill"), "typed error carries the panic: {msg}");
+    assert_eq!((err.part, err.window_end_ns), (1, 40 * window.as_nanos()));
 
     // The post-mortem landed as a complete JSON file (atomic_write: no
     // truncated artifacts on the panic path) naming the reason and the
@@ -178,7 +206,7 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         .expect("dump dir exists")
         .map(|e| e.expect("entry").path())
         .collect();
-    assert!(!dumps.is_empty(), "at least one post-mortem file");
+    assert_eq!(dumps.len(), 1, "one post-mortem, from the LP that panicked");
     let text = std::fs::read_to_string(&dumps[0]).expect("dump readable");
     let v: serde_json::Value = serde_json::from_str(&text).expect("dump is complete JSON");
     let obj = v.as_object().expect("dump is an object");
@@ -187,11 +215,20 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         .find(|(k, _)| k == "reason")
         .and_then(|(_, v)| v.as_str())
         .expect("dump names a reason");
-    assert!(reason.contains("panic"), "reason records the panic: {reason}");
+    assert!(reason.contains("panic"), "reason recorded: {reason}");
     assert!(
         obj.iter().any(|(k, _)| k == "flight"),
         "dump carries the flight ring"
     );
+
+    // `diverge` reads the dump like an `--obs-out` file: this LP's share
+    // of the digests at barriers 1..=39, and a ring ending at the event
+    // that panicked.
+    let run = ObsRun::from_json(&text).expect("diverge reads the dump");
+    assert_eq!(run.timeline.first_window, 1);
+    assert_eq!(run.timeline.digests.len(), 39);
+    let last = run.flight.last().expect("ring holds events");
+    assert_eq!((last.kind_name, last.sim_ns, last.lp), ("feeder_wake", at.as_nanos(), 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -239,7 +276,7 @@ fn diverge_localizes_plain_vs_adaptive_from_obs_files() {
         }
         .expect("valid composition");
         let json = m.obs.expect("digests imply an obs report").to_json_string();
-        ObsRun::from_obs_json(&json).expect("obs file parses")
+        ObsRun::from_json(&json).expect("obs file parses")
     };
 
     let report = localize(&obs_file(false, None, false), &obs_file(true, None, false))

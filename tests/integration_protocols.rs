@@ -99,18 +99,20 @@ fn dctcp_keeps_queues_shorter_than_newreno() {
 fn dctcp_bounds_queue_occupancy_near_k() {
     // The whole point of the marking threshold: with K = 10 the switch
     // queues should rarely grow far beyond ~K packets, while New Reno
-    // fills the buffer.
+    // fills the buffer. The diagnostics report the largest port-queue
+    // occupancy of the run as `sim.queue.peak_bytes`.
     let mut cfg = base_cfg();
     cfg.traffic.load = 0.9;
     cfg.duration_s = 1.0;
-    let reno = run(Protocol::NewReno, cfg);
-    let dctcp = run(Protocol::Dctcp { k: 10 }, cfg);
-    assert!(
-        dctcp.max_queue_depth() < reno.max_queue_depth(),
-        "DCTCP max depth {} vs Reno {}",
-        dctcp.max_queue_depth(),
-        reno.max_queue_depth()
-    );
+    let peak_bytes = |p: Protocol| {
+        let mut cfg = cfg;
+        cfg.queue = p.queue_setup(cfg.queue);
+        let mut sim = Simulation::with_transport(cfg, p.factory());
+        sim.enable_diagnostics(false, None);
+        sim.run().obs.expect("diagnostics on").gauges["sim.queue.peak_bytes"]
+    };
+    let (reno, dctcp) = (peak_bytes(Protocol::NewReno), peak_bytes(Protocol::Dctcp { k: 10 }));
+    assert!(dctcp < reno, "DCTCP peak queue {dctcp} B vs Reno {reno} B");
 }
 
 #[test]

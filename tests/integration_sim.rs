@@ -189,9 +189,9 @@ fn truth_smoke_run_pops_in_recorded_order() {
     let mut m = mimicnet::compose::ground_truth(cfg, 8, Protocol::NewReno).run();
     let digest = dcn_obs::digest::fnv64(&m.canonical_bytes());
     let trajectory = trajectory_digest(&mut m);
-    assert_eq!(trajectory, 0xd077_6c8a_0f73_61c0, "trajectory {trajectory:#018x}");
+    assert_eq!(trajectory, 0x9f90_f715_0629_ab06, "trajectory {trajectory:#018x}");
     assert_eq!(m.events_processed, 92_211);
-    assert_eq!(digest, 0xe704_f3ce_f8ce_4aca, "digest {digest:#018x}");
+    assert_eq!(digest, 0x837f_f3a6_c16a_418c, "digest {digest:#018x}");
 }
 
 /// One fault plan exercising every link-health change the engine applies:
@@ -219,18 +219,18 @@ fn trajectories_are_locked_per_protocol_and_scenario() {
         Faults,
     }
     let cases: [(Protocol, Scenario, u64, u64); 12] = [
-        (Protocol::NewReno, Scenario::Plain, 93_821, 0x8647_5ab1_b765_ad8e),
-        (Protocol::NewReno, Scenario::Lossy, 93_798, 0xbebc_4440_57fd_e078),
-        (Protocol::NewReno, Scenario::Faults, 86_204, 0x00bc_3b0c_c0b6_10cf),
-        (Protocol::Dctcp { k: 20 }, Scenario::Plain, 89_867, 0x16fc_2a21_41f1_cc9b),
-        (Protocol::Dctcp { k: 20 }, Scenario::Lossy, 89_869, 0x3e8e_80f5_885b_a1f0),
-        (Protocol::Dctcp { k: 20 }, Scenario::Faults, 83_897, 0x2cb0_f00e_c356_1969),
-        (Protocol::Vegas, Scenario::Plain, 92_735, 0x186c_7a73_2c36_3200),
-        (Protocol::Vegas, Scenario::Lossy, 91_662, 0x3d7d_4119_9a97_2a06),
-        (Protocol::Vegas, Scenario::Faults, 81_271, 0xbf15_8ec0_3a37_98e9),
-        (Protocol::Homa, Scenario::Plain, 97_572, 0xb2bf_d4c6_8974_01ef),
-        (Protocol::Homa, Scenario::Lossy, 97_457, 0x8081_6723_0b3c_f497),
-        (Protocol::Homa, Scenario::Faults, 98_506, 0x06b3_66a9_61d9_5a46),
+        (Protocol::NewReno, Scenario::Plain, 93_821, 0x1f99_6850_3e0e_6b08),
+        (Protocol::NewReno, Scenario::Lossy, 93_798, 0xd906_abc7_1bec_5ab1),
+        (Protocol::NewReno, Scenario::Faults, 86_204, 0x8d7a_16ba_fd27_9854),
+        (Protocol::Dctcp { k: 20 }, Scenario::Plain, 89_867, 0x81ba_9905_5e05_5e3e),
+        (Protocol::Dctcp { k: 20 }, Scenario::Lossy, 89_869, 0x5250_85c4_f0f9_6794),
+        (Protocol::Dctcp { k: 20 }, Scenario::Faults, 83_897, 0xba78_c8d6_4d20_c82f),
+        (Protocol::Vegas, Scenario::Plain, 92_735, 0x4812_67ce_d96d_d81c),
+        (Protocol::Vegas, Scenario::Lossy, 91_662, 0x4d35_fefd_e5b6_16f6),
+        (Protocol::Vegas, Scenario::Faults, 81_271, 0x9d4d_96ec_6b5a_81f0),
+        (Protocol::Homa, Scenario::Plain, 97_572, 0x4104_f438_b6df_5b82),
+        (Protocol::Homa, Scenario::Lossy, 97_457, 0x7553_5432_1011_de90),
+        (Protocol::Homa, Scenario::Faults, 98_506, 0x2ebf_d758_6a0d_815a),
     ];
     let mut failures = Vec::new();
     for (protocol, scenario, events, trajectory) in cases {

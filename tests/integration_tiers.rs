@@ -168,10 +168,10 @@ fn composed_trajectories_are_locked() {
         .collect();
     let got = [digest(&clean.metrics), digest(&faulty.metrics), adaptive[0], adaptive[1]];
     let want = [
-        0xff5e_a780_20f4_d07f,
-        0x10ef_cf04_fbcc_3aee,
-        0xfbef_406d_cf24_bc89,
-        0xfbef_406d_cf24_bc89,
+        0x1cbf_3eea_39ff_51f9,
+        0x6e50_1c4a_fd92_7636,
+        0xc496_07f7_0f13_9f2b,
+        0xc496_07f7_0f13_9f2b,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
