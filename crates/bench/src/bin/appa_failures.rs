@@ -6,7 +6,7 @@
 //! checks the drift signal built on top of it:
 //!
 //! 1. A Mimic trained on a healthy network is composed against ground
-//!    truths running the *same* seeded [`FaultPlan`] (gray loss across the
+//!    truths running the *same* [`LossWindow`] (gray loss across the
 //!    fabric) at increasing severity.
 //! 2. Each Mimic's drift monitor scores its live ingress features against
 //!    the training envelope. A healthy shakedown run gives each cluster's
@@ -24,7 +24,7 @@
 //! signal, not scale.
 
 use dcn_sim::cdf::wasserstein1;
-use dcn_sim::fault::FaultPlan;
+use dcn_sim::fault::LossWindow;
 use dcn_sim::time::SimTime;
 use mimicnet::pipeline::Pipeline;
 use mimicnet_bench::{header, pipeline_config, Scale};
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
     header(
         "Appendix A stress",
-        "failure-free-trained Mimics vs seeded fault plans: drift and accuracy",
+        "failure-free-trained Mimics vs fabric loss windows: drift and accuracy",
     );
     let cfg = pipeline_config(scale, 42);
     let duration = cfg.base.duration_s;
@@ -55,12 +55,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     let trained = pipe.try_train()?.0; // trained on a healthy network
 
     // Gray loss across the whole fabric for the middle 80% of the run.
-    let plan_at = |loss: f64| {
-        FaultPlan::new(7).gray_loss_all(
+    let window_at = |loss: f64| {
+        LossWindow::new(
             SimTime::from_secs_f64(0.1 * duration),
             SimTime::from_secs_f64(0.9 * duration),
             loss,
-            true,
         )
     };
     let losses = [0.0, 0.01, 0.05, 0.1];
@@ -80,10 +79,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     let mut excesses = Vec::new();
     for loss in losses {
-        let plan = plan_at(loss);
-        let faults = (loss > 0.0).then_some(&plan);
-        let (truth, tm, _) = pipe.try_ground_truth(n, faults)?;
-        let est = pipe.try_estimate(&trained, n, faults)?;
+        let window = window_at(loss)?;
+        let lossy = (loss > 0.0).then_some(&window);
+        let (truth, tm, _) = pipe.try_ground_truth(n, lossy)?;
+        let est = pipe.try_estimate(&trained, n, lossy)?;
         let e = excess(&est.metrics.cluster_drift, &baseline);
         let worst = e.iter().cloned().fold(0.0f64, f64::max);
         let w1 = wasserstein1(&truth.fct, &est.samples.fct);

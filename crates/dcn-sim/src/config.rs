@@ -24,11 +24,6 @@ pub struct LinkConfig {
     /// One-way propagation latency of every link (the paper uses a uniform
     /// 500 µs).
     pub latency: SimDuration,
-    /// Probability that a transmitted packet is lost on the wire (bit
-    /// errors / gray failures). The paper assumes failure-free FatTrees
-    /// (§4.2); this knob exists to *violate* that assumption and measure
-    /// the consequences (Appendix A discussion).
-    pub loss_prob: f64,
 }
 
 impl Default for LinkConfig {
@@ -40,7 +35,6 @@ impl Default for LinkConfig {
             host_bw_bps: 10_000_000,
             fabric_bw_bps: 10_000_000,
             latency: SimDuration::from_micros(500),
-            loss_prob: 0.0,
         }
     }
 }
@@ -230,12 +224,6 @@ impl SimConfig {
                 "link rate must be > 0",
             ));
         }
-        if !(0.0..=1.0).contains(&self.link.loss_prob) {
-            return Err(SimError::config(
-                "link.loss_prob",
-                format!("must lie in [0, 1], got {}", self.link.loss_prob),
-            ));
-        }
         if self.queue.capacity_bytes == 0 {
             return Err(SimError::config("queue.capacity_bytes", "must be > 0"));
         }
@@ -334,26 +322,6 @@ mod tests {
     fn validate_accepts_defaults() {
         assert_eq!(SimConfig::small_scale().validate(), Ok(()));
         assert_eq!(SimConfig::with_clusters(16).validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_loss_prob_outside_unit_interval() {
-        let mut c = SimConfig::small_scale();
-        c.link.loss_prob = 1.5;
-        let err = c.validate().unwrap_err();
-        assert!(matches!(
-            err,
-            crate::error::SimError::InvalidConfig {
-                field: "link.loss_prob",
-                ..
-            }
-        ));
-        c.link.loss_prob = -0.01;
-        assert!(c.validate().is_err());
-        c.link.loss_prob = f64::NAN;
-        assert!(c.validate().is_err());
-        c.link.loss_prob = 1.0;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Typed errors for user-facing APIs.
 //!
-//! Invalid *user input* — malformed configurations, out-of-range fault
-//! plans — must surface as `Err`, never as a panic; panics are reserved
-//! for internal invariant violations. [`crate::config::SimConfig::validate`]
-//! and [`crate::fault::FaultPlan::compile`] are the main producers.
+//! Invalid *user input* — a malformed configuration or an out-of-range
+//! loss window — must surface as `Err`, never as a panic; panics are
+//! reserved for internal invariant violations.
+//! [`crate::config::SimConfig::validate`] and
+//! [`crate::fault::LossWindow::new`] are the producers.
 
 use std::fmt;
 
@@ -12,28 +13,16 @@ use std::fmt;
 pub enum SimError {
     /// A configuration field holds an invalid value.
     InvalidConfig {
-        /// Dotted path of the offending field (e.g. `"link.loss_prob"`).
+        /// Dotted path of the offending field (e.g. `"queue.bands"`).
         field: &'static str,
         reason: String,
     },
-    /// A fault plan references nonexistent topology elements or holds
-    /// out-of-range parameters.
-    InvalidFaultPlan { reason: String },
-    /// The operation is only legal before the first event is processed
-    /// (e.g. installing a fault plan into a running simulation).
-    AlreadyStarted { what: &'static str },
 }
 
 impl SimError {
     pub(crate) fn config(field: &'static str, reason: impl Into<String>) -> SimError {
         SimError::InvalidConfig {
             field,
-            reason: reason.into(),
-        }
-    }
-
-    pub(crate) fn plan(reason: impl Into<String>) -> SimError {
-        SimError::InvalidFaultPlan {
             reason: reason.into(),
         }
     }
@@ -44,10 +33,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::InvalidConfig { field, reason } => {
                 write!(f, "invalid configuration: `{field}` {reason}")
-            }
-            SimError::InvalidFaultPlan { reason } => write!(f, "invalid fault plan: {reason}"),
-            SimError::AlreadyStarted { what } => {
-                write!(f, "{what} must happen before the simulation starts")
             }
         }
     }
@@ -61,9 +46,7 @@ mod tests {
 
     #[test]
     fn display_names_the_field() {
-        let e = SimError::config("link.loss_prob", "must lie in [0, 1]");
-        assert!(e.to_string().contains("link.loss_prob"));
-        let e = SimError::plan("link 99 does not exist");
-        assert!(e.to_string().contains("fault plan"));
+        let e = SimError::config("loss_window.prob", "must lie in [0, 1]");
+        assert!(e.to_string().contains("loss_window.prob"));
     }
 }

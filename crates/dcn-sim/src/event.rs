@@ -48,14 +48,11 @@ pub enum EventKind {
     FlowArrival { host: NodeId },
     /// A Mimic cluster's feeder model wants a wakeup.
     FeederWake { cluster: u32 },
-    /// A scheduled fault action takes effect. `index` points into the
-    /// engine's compiled [`crate::fault::FaultAction`] schedule.
-    Fault { index: u32 },
 }
 
 impl EventKind {
     /// Number of event-kind variants (size for per-kind counter arrays).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// Dense per-kind index (the class rank), for per-event-type counters
     /// in the observability layer.
@@ -67,23 +64,21 @@ impl EventKind {
     /// consistently with [`EventKind::index`]; flight-ring decoders take
     /// this table.
     pub const NAMES: [&'static str; EventKind::COUNT] =
-        ["fault", "tx_done", "arrive", "timer", "flow_arrival", "feeder_wake"];
+        ["tx_done", "arrive", "timer", "flow_arrival", "feeder_wake"];
 
     /// Class rank: fixes processing order among different event types that
-    /// share a timestamp. Fault state changes apply first so every other
-    /// event at the same instant observes the new link health; transmitter
-    /// completions come next so a packet already waiting takes the wire
-    /// before a packet arriving at the same instant queues behind it. (A
-    /// transmitter with nothing waiting has no completion event: it is free
-    /// from its `busy_until` on, which every later-ranked event sees.)
+    /// share a timestamp. Transmitter completions come first so a packet
+    /// already waiting takes the wire before a packet arriving at the same
+    /// instant queues behind it. (A transmitter with nothing waiting has no
+    /// completion event: it is free from its `busy_until` on, which every
+    /// later-ranked event sees.)
     fn class(&self) -> u8 {
         match self {
-            EventKind::Fault { .. } => 0,
-            EventKind::TxDone { .. } => 1,
-            EventKind::Arrive { .. } => 2,
-            EventKind::Timer { .. } => 3,
-            EventKind::FlowArrival { .. } => 4,
-            EventKind::FeederWake { .. } => 5,
+            EventKind::TxDone { .. } => 0,
+            EventKind::Arrive { .. } => 1,
+            EventKind::Timer { .. } => 2,
+            EventKind::FlowArrival { .. } => 3,
+            EventKind::FeederWake { .. } => 4,
         }
     }
 
@@ -101,9 +96,6 @@ impl EventKind {
             }
             EventKind::FlowArrival { host } => host.0 as u64,
             EventKind::FeederWake { cluster } => *cluster as u64,
-            // Schedule indices are unique and pre-sorted, so simultaneous
-            // fault actions apply in compiled order.
-            EventKind::Fault { index } => *index as u64,
         }
     }
 }
@@ -193,7 +185,7 @@ struct Slot {
 /// packet-carrying `Arrive`) is moved out rather than cloned.
 #[inline]
 fn tombstone() -> EventKind {
-    EventKind::Fault { index: NIL }
+    EventKind::FeederWake { cluster: NIL }
 }
 
 /// The bucket of an event at `time` relative to the floor `last`: 0 when
@@ -442,10 +434,6 @@ impl EventKind {
                 w.put_u8(4);
                 w.put_u32(*cluster);
             }
-            EventKind::Fault { index } => {
-                w.put_u8(5);
-                w.put_u32(*index);
-            }
         }
     }
 }
@@ -505,18 +493,16 @@ mod tests {
                 dir: Dir::Up,
             },
         );
-        q.schedule(time, EventKind::Fault { index: 0 });
         let classes: Vec<u8> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.kind {
-                EventKind::Fault { .. } => 0,
-                EventKind::TxDone { .. } => 1,
-                EventKind::Arrive { .. } => 2,
-                EventKind::Timer { .. } => 3,
-                EventKind::FlowArrival { .. } => 4,
-                EventKind::FeederWake { .. } => 5,
+                EventKind::TxDone { .. } => 0,
+                EventKind::Arrive { .. } => 1,
+                EventKind::Timer { .. } => 2,
+                EventKind::FlowArrival { .. } => 3,
+                EventKind::FeederWake { .. } => 4,
             })
             .collect();
-        assert_eq!(classes, vec![0, 1, 3, 4]);
+        assert_eq!(classes, vec![0, 2, 3]);
     }
 
     #[test]
@@ -573,9 +559,9 @@ mod tests {
 
     /// A deterministic mixed-kind workload.
     fn mixed_kind(i: u64) -> EventKind {
-        match i % 6 {
+        match i % 5 {
             0 => EventKind::TxDone {
-                link: LinkId((i / 6) as u32 % 16),
+                link: LinkId((i / 5) as u32 % 16),
                 dir: if i.is_multiple_of(2) { Dir::Up } else { Dir::Down },
             },
             1 => EventKind::Arrive {
@@ -590,11 +576,8 @@ mod tests {
             3 => EventKind::FlowArrival {
                 host: NodeId((i % 16) as u32),
             },
-            4 => EventKind::FeederWake {
+            _ => EventKind::FeederWake {
                 cluster: (i % 4) as u32,
-            },
-            _ => EventKind::Fault {
-                index: (i % 10) as u32,
             },
         }
     }
@@ -632,16 +615,14 @@ mod tests {
             // match, the `samples` array below, `EventKind::COUNT`,
             // `class()`, and the NAMES table together.
             match k {
-                EventKind::Fault { .. } => 0,
-                EventKind::TxDone { .. } => 1,
-                EventKind::Arrive { .. } => 2,
-                EventKind::Timer { .. } => 3,
-                EventKind::FlowArrival { .. } => 4,
-                EventKind::FeederWake { .. } => 5,
+                EventKind::TxDone { .. } => 0,
+                EventKind::Arrive { .. } => 1,
+                EventKind::Timer { .. } => 2,
+                EventKind::FlowArrival { .. } => 3,
+                EventKind::FeederWake { .. } => 4,
             }
         }
         let samples: [EventKind; EventKind::COUNT] = [
-            EventKind::Fault { index: 0 },
             EventKind::TxDone {
                 link: LinkId(0),
                 dir: Dir::Up,

@@ -1,608 +1,115 @@
-//! Deterministic fault injection.
+//! Fault injection: one fabric loss window.
 //!
 //! The paper restricts MimicNet to "failure-free FatTrees" (§4.2) and only
-//! speculates (Appendix A) that failures "could likely be modelled". This
-//! module supplies the machinery to *violate* that restriction on purpose:
-//! a seeded [`FaultPlan`] describes link outages (deterministic windows or
-//! MTBF/MTTR random flaps), gray failures (time-varying loss rates), whole
-//! switch failures, and degraded link rates. [`FaultPlan::compile`] lowers
-//! the plan against a concrete topology into a time-sorted schedule of
-//! [`FaultAction`]s that the engine drives through its event queue
-//! (`EventKind::Fault`), so two runs with the same seed and plan replay
-//! byte-identical fault trajectories.
+//! speculates (Appendix A) that failures "could likely be modelled". The
+//! engine violates that restriction in exactly one way, on purpose: gray
+//! loss across the fabric. A [`LossWindow`] makes every ToR–Agg and
+//! Agg–Core link lose each packet whose transmission starts inside
+//! `[from, until)` with probability `prob`; host access links never lose
+//! one. Loss is a function of the transmission's start time, not a
+//! schedule of events, so a partitioned run needs no replicated state to
+//! agree with the sequential one.
 
 use crate::error::SimError;
-use crate::rng::SplitMix64;
-use crate::time::{SimDuration, SimTime};
-use crate::topology::{FatTree, LinkId, NodeId, NodeKind};
-use serde::{Deserialize, Serialize};
+use crate::time::SimTime;
 
-/// One declarative fault in a plan.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum FaultSpec {
-    /// A link is down during `[from, until)`.
-    LinkDown {
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-    },
-    /// Every link incident to a node is down during `[from, until)` — a
-    /// whole-switch (or host NIC) failure.
-    SwitchDown {
-        node: NodeId,
-        from: SimTime,
-        until: SimTime,
-    },
-    /// Gray failure: the link silently drops packets with probability
-    /// `loss_prob` during `[from, until)` (on top of any configured
-    /// baseline loss).
-    GrayLoss {
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-        loss_prob: f64,
-    },
-    /// Gray failure applied to every link at once (`fabric_only` restricts
-    /// it to switch-to-switch links).
-    GrayLossAll {
-        from: SimTime,
-        until: SimTime,
-        loss_prob: f64,
-        fabric_only: bool,
-    },
-    /// The link runs at `factor` of its configured bandwidth during
-    /// `[from, until)` — e.g. an auto-negotiation fallback.
-    DegradedRate {
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-        factor: f64,
-    },
-    /// Random link flaps: each eligible link independently alternates
-    /// up/down with exponentially distributed times-to-failure (`mtbf`)
-    /// and times-to-repair (`mttr`), seeded from the plan seed.
-    RandomFlaps {
-        mtbf: SimDuration,
-        mttr: SimDuration,
-        fabric_only: bool,
-    },
+/// Fabric-wide gray loss over one time window, installed with
+/// [`crate::simulator::Simulation::set_loss_window`]. Only
+/// [`LossWindow::new`] builds one, so every window is valid.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct LossWindow {
+    from: SimTime,
+    until: SimTime,
+    prob: f64,
 }
 
-/// What a compiled action does to its link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum FaultChange {
-    Down,
-    Up,
-    /// Set the link's additional gray-failure loss probability.
-    SetLoss(f64),
-    /// Set the link's bandwidth multiplier.
-    SetRate(f64),
-}
-
-/// One scheduled state change of one link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct FaultAction {
-    pub time: SimTime,
-    pub link: LinkId,
-    pub change: FaultChange,
-}
-
-/// A seeded, declarative fault scenario, independent of any topology until
-/// [`FaultPlan::compile`] lowers it.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Seed for the plan's own randomness (flap schedules). Independent of
-    /// the simulation seed so fault scenarios can be replayed across
-    /// workloads.
-    pub seed: u64,
-    pub specs: Vec<FaultSpec>,
-}
-
-impl FaultPlan {
-    pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            specs: Vec::new(),
+impl LossWindow {
+    /// Loss with probability `prob` for transmissions starting in
+    /// `[from, until)`. `prob` must lie in [0, 1] and the window must not
+    /// be empty.
+    pub fn new(from: SimTime, until: SimTime, prob: f64) -> Result<LossWindow, SimError> {
+        if !(0.0..=1.0).contains(&prob) {
+            return Err(SimError::config(
+                "loss_window.prob",
+                format!("must lie in [0, 1], got {prob}"),
+            ));
         }
-    }
-
-    /// No faults at all (compiles to an empty schedule; a simulation with
-    /// this plan reproduces the failure-free trajectory exactly).
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    pub fn link_down(mut self, link: LinkId, from: SimTime, until: SimTime) -> FaultPlan {
-        self.specs.push(FaultSpec::LinkDown { link, from, until });
-        self
-    }
-
-    pub fn switch_down(mut self, node: NodeId, from: SimTime, until: SimTime) -> FaultPlan {
-        self.specs.push(FaultSpec::SwitchDown { node, from, until });
-        self
-    }
-
-    pub fn gray_loss(
-        mut self,
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-        loss_prob: f64,
-    ) -> FaultPlan {
-        self.specs.push(FaultSpec::GrayLoss {
-            link,
-            from,
-            until,
-            loss_prob,
-        });
-        self
-    }
-
-    /// Gray loss on every link (or only fabric links) for a window.
-    pub fn gray_loss_all(
-        mut self,
-        from: SimTime,
-        until: SimTime,
-        loss_prob: f64,
-        fabric_only: bool,
-    ) -> FaultPlan {
-        self.specs.push(FaultSpec::GrayLossAll {
-            from,
-            until,
-            loss_prob,
-            fabric_only,
-        });
-        self
-    }
-
-    pub fn degraded_rate(
-        mut self,
-        link: LinkId,
-        from: SimTime,
-        until: SimTime,
-        factor: f64,
-    ) -> FaultPlan {
-        self.specs.push(FaultSpec::DegradedRate {
-            link,
-            from,
-            until,
-            factor,
-        });
-        self
-    }
-
-    pub fn random_flaps(mut self, mtbf: SimDuration, mttr: SimDuration) -> FaultPlan {
-        self.specs.push(FaultSpec::RandomFlaps {
-            mtbf,
-            mttr,
-            fabric_only: true,
-        });
-        self
-    }
-
-    /// Check every spec against `topo` without compiling.
-    pub fn validate(&self, topo: &FatTree) -> Result<(), SimError> {
-        let n_links = topo.params.num_links();
-        let n_nodes = topo.params.num_nodes();
-        let check_link = |l: LinkId| -> Result<(), SimError> {
-            if l.0 >= n_links {
-                return Err(SimError::plan(format!(
-                    "link {} does not exist (topology has {n_links} links)",
-                    l.0
-                )));
-            }
-            Ok(())
-        };
-        let check_window = |from: SimTime, until: SimTime| -> Result<(), SimError> {
-            if from >= until {
-                return Err(SimError::plan(format!(
-                    "empty fault window [{from:?}, {until:?})"
-                )));
-            }
-            Ok(())
-        };
-        let check_prob = |p: f64| -> Result<(), SimError> {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(SimError::plan(format!(
-                    "loss probability {p} must lie in [0, 1]"
-                )));
-            }
-            Ok(())
-        };
-        for spec in &self.specs {
-            match *spec {
-                FaultSpec::LinkDown { link, from, until } => {
-                    check_link(link)?;
-                    check_window(from, until)?;
-                }
-                FaultSpec::SwitchDown { node, from, until } => {
-                    if node.0 >= n_nodes {
-                        return Err(SimError::plan(format!(
-                            "node {} does not exist (topology has {n_nodes} nodes)",
-                            node.0
-                        )));
-                    }
-                    check_window(from, until)?;
-                }
-                FaultSpec::GrayLoss {
-                    link,
-                    from,
-                    until,
-                    loss_prob,
-                } => {
-                    check_link(link)?;
-                    check_window(from, until)?;
-                    check_prob(loss_prob)?;
-                }
-                FaultSpec::GrayLossAll {
-                    from,
-                    until,
-                    loss_prob,
-                    ..
-                } => {
-                    check_window(from, until)?;
-                    check_prob(loss_prob)?;
-                }
-                FaultSpec::DegradedRate {
-                    link,
-                    from,
-                    until,
-                    factor,
-                } => {
-                    check_link(link)?;
-                    check_window(from, until)?;
-                    if !(factor > 0.0 && factor <= 1.0) {
-                        return Err(SimError::plan(format!(
-                            "rate factor {factor} must lie in (0, 1]"
-                        )));
-                    }
-                }
-                FaultSpec::RandomFlaps { mtbf, mttr, .. } => {
-                    if mtbf.as_nanos() == 0 || mttr.as_nanos() == 0 {
-                        return Err(SimError::plan("MTBF and MTTR must be positive".to_string()));
-                    }
-                }
-            }
+        if from >= until {
+            return Err(SimError::config(
+                "loss_window.until",
+                format!("must lie after `from`, got [{from:?}, {until:?})"),
+            ));
         }
-        Ok(())
+        Ok(LossWindow { from, until, prob })
     }
 
-    /// Lower the plan into a deterministic, time-sorted action schedule for
-    /// a run of `[0, end)` over `topo`. Actions past `end` are elided.
-    pub fn compile(&self, topo: &FatTree, end: SimTime) -> Result<Vec<FaultAction>, SimError> {
-        self.validate(topo)?;
-        let mut actions = Vec::new();
-        let window = |out: &mut Vec<FaultAction>,
-                          link: LinkId,
-                          from: SimTime,
-                          until: SimTime,
-                          on: FaultChange,
-                          off: FaultChange| {
-            if from >= end {
-                return;
-            }
-            out.push(FaultAction {
-                time: from,
-                link,
-                change: on,
-            });
-            if until < end {
-                out.push(FaultAction {
-                    time: until,
-                    link,
-                    change: off,
-                });
-            }
-        };
-        for spec in &self.specs {
-            match *spec {
-                FaultSpec::LinkDown { link, from, until } => {
-                    window(
-                        &mut actions,
-                        link,
-                        from,
-                        until,
-                        FaultChange::Down,
-                        FaultChange::Up,
-                    );
-                }
-                FaultSpec::SwitchDown { node, from, until } => {
-                    for link in incident_links(topo, node) {
-                        window(
-                            &mut actions,
-                            link,
-                            from,
-                            until,
-                            FaultChange::Down,
-                            FaultChange::Up,
-                        );
-                    }
-                }
-                FaultSpec::GrayLoss {
-                    link,
-                    from,
-                    until,
-                    loss_prob,
-                } => {
-                    window(
-                        &mut actions,
-                        link,
-                        from,
-                        until,
-                        FaultChange::SetLoss(loss_prob),
-                        FaultChange::SetLoss(0.0),
-                    );
-                }
-                FaultSpec::GrayLossAll {
-                    from,
-                    until,
-                    loss_prob,
-                    fabric_only,
-                } => {
-                    for l in 0..topo.params.num_links() {
-                        let link = LinkId(l);
-                        if fabric_only && topo.is_host_link(link) {
-                            continue;
-                        }
-                        window(
-                            &mut actions,
-                            link,
-                            from,
-                            until,
-                            FaultChange::SetLoss(loss_prob),
-                            FaultChange::SetLoss(0.0),
-                        );
-                    }
-                }
-                FaultSpec::DegradedRate {
-                    link,
-                    from,
-                    until,
-                    factor,
-                } => {
-                    window(
-                        &mut actions,
-                        link,
-                        from,
-                        until,
-                        FaultChange::SetRate(factor),
-                        FaultChange::SetRate(1.0),
-                    );
-                }
-                FaultSpec::RandomFlaps {
-                    mtbf,
-                    mttr,
-                    fabric_only,
-                } => {
-                    for l in 0..topo.params.num_links() {
-                        let link = LinkId(l);
-                        if fabric_only && topo.is_host_link(link) {
-                            continue;
-                        }
-                        // Per-link stream derived from the *plan* seed, so
-                        // the flap trajectory is a pure function of
-                        // (seed, link) — independent of spec order.
-                        let mut rng = SplitMix64::derive(self.seed, 0xF1A9_0000 ^ l as u64);
-                        let mut t = SimTime::ZERO;
-                        loop {
-                            t += exp_duration(&mut rng, mtbf);
-                            if t >= end {
-                                break;
-                            }
-                            let repair = t + exp_duration(&mut rng, mttr);
-                            window(
-                                &mut actions,
-                                link,
-                                t,
-                                repair,
-                                FaultChange::Down,
-                                FaultChange::Up,
-                            );
-                            t = repair;
-                            if t >= end {
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Total deterministic order; the engine schedules actions by index,
-        // so simultaneous actions apply in this (stable) order.
-        actions.sort_by(|a, b| {
-            (a.time, a.link.0)
-                .cmp(&(b.time, b.link.0))
-                .then_with(|| change_rank(a.change).cmp(&change_rank(b.change)))
-        });
-        Ok(actions)
+    /// The loss probability inside the window.
+    pub(crate) fn prob(&self) -> f64 {
+        self.prob
     }
-}
 
-fn change_rank(c: FaultChange) -> u8 {
-    match c {
-        // Repairs before failures at the same instant: a window closing
-        // exactly when another opens leaves the link in the failed state.
-        FaultChange::Up => 0,
-        FaultChange::Down => 1,
-        FaultChange::SetLoss(_) => 2,
-        FaultChange::SetRate(_) => 3,
-    }
-}
-
-/// Exponentially distributed duration with the given mean, floored at 1 ns
-/// so time always advances.
-fn exp_duration(rng: &mut SplitMix64, mean: SimDuration) -> SimDuration {
-    let ns = rng.exp(mean.as_nanos() as f64);
-    SimDuration::from_nanos((ns.max(1.0).min(u64::MAX as f64 / 2.0)) as u64)
-}
-
-/// Every link with `node` as an endpoint.
-pub fn incident_links(topo: &FatTree, node: NodeId) -> Vec<LinkId> {
-    let p = topo.params;
-    match topo.kind(node) {
-        NodeKind::Host => vec![topo.host_link(node)],
-        NodeKind::Tor => {
-            let (c, r) = topo.tor_coords(node);
-            let mut v: Vec<LinkId> = (0..p.hosts_per_rack)
-                .map(|s| topo.host_link(topo.host(c, r, s)))
-                .collect();
-            v.extend((0..p.aggs_per_cluster).map(|a| topo.tor_agg_link(c, r, a)));
-            v
-        }
-        NodeKind::Agg => {
-            let (c, a) = topo.agg_coords(node);
-            let mut v: Vec<LinkId> = (0..p.racks_per_cluster)
-                .map(|r| topo.tor_agg_link(c, r, a))
-                .collect();
-            v.extend((0..p.cores_per_agg).map(|j| topo.agg_core_link(c, a, j)));
-            v
-        }
-        NodeKind::Core => {
-            let (a, j) = topo.core_coords(node);
-            (0..p.clusters)
-                .map(|c| topo.agg_core_link(c, a, j))
-                .collect()
-        }
+    /// Does a fabric transmission starting at `now` draw for loss? Never
+    /// at probability 0, so a zero window leaves the trajectory untouched.
+    #[inline]
+    pub(crate) fn draws_at(&self, now: SimTime) -> bool {
+        self.prob > 0.0 && self.from <= now && now < self.until
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::FatTreeParams;
-
-    fn topo() -> FatTree {
-        FatTree::new(FatTreeParams::new(4, 2, 2, 2, 2))
-    }
+    use crate::config::SimConfig;
+    use crate::simulator::Simulation;
 
     fn s(x: f64) -> SimTime {
         SimTime::from_secs_f64(x)
     }
 
     #[test]
-    fn empty_plan_compiles_to_nothing() {
-        let t = topo();
-        assert!(FaultPlan::none().compile(&t, s(1.0)).unwrap().is_empty());
-    }
-
-    #[test]
-    fn link_window_emits_down_then_up() {
-        let t = topo();
-        let plan = FaultPlan::new(1).link_down(LinkId(3), s(0.1), s(0.2));
-        let acts = plan.compile(&t, s(1.0)).unwrap();
-        assert_eq!(acts.len(), 2);
-        assert_eq!(acts[0].change, FaultChange::Down);
-        assert_eq!(acts[1].change, FaultChange::Up);
-        assert!(acts[0].time < acts[1].time);
+    fn window_is_half_open() {
+        // The window draws from `from` up to, not at, `until`, and
+        // nowhere at probability 0.
+        let w = LossWindow::new(s(0.2), s(0.3), 0.5).unwrap();
+        assert!(!w.draws_at(SimTime(s(0.2).0 - 1)));
+        assert!(w.draws_at(s(0.2)));
+        assert!(!w.draws_at(s(0.3)));
+        let zero = LossWindow::new(SimTime::ZERO, SimTime::MAX, 0.0).unwrap();
+        assert!(!zero.draws_at(s(0.25)));
     }
 
     #[test]
     fn window_past_end_is_elided() {
-        let t = topo();
-        let plan = FaultPlan::new(1)
-            .link_down(LinkId(0), s(2.0), s(3.0)) // entirely after end
-            .link_down(LinkId(1), s(0.5), s(3.0)); // up is after end
-        let acts = plan.compile(&t, s(1.0)).unwrap();
-        assert_eq!(acts.len(), 1);
-        assert_eq!(acts[0].link, LinkId(1));
-        assert_eq!(acts[0].change, FaultChange::Down);
-    }
-
-    #[test]
-    fn switch_down_covers_all_incident_links() {
-        let t = topo();
-        let agg = t.agg(1, 0);
-        let plan = FaultPlan::new(1).switch_down(agg, s(0.1), s(0.2));
-        let acts = plan.compile(&t, s(1.0)).unwrap();
-        // racks_per_cluster tor links + cores_per_agg core links, down+up each.
-        assert_eq!(acts.len(), 2 * (2 + 2));
-        for a in &acts {
-            let links = incident_links(&t, agg);
-            assert!(links.contains(&a.link), "{a:?} not incident to {agg:?}");
-        }
-    }
-
-    #[test]
-    fn incident_links_match_link_ends() {
-        let t = topo();
-        for n in 0..t.params.num_nodes() {
-            let node = NodeId(n);
-            for l in incident_links(&t, node) {
-                let (lo, hi) = t.link_ends(l);
-                assert!(lo == node || hi == node);
-            }
-        }
-    }
-
-    #[test]
-    fn compile_is_deterministic() {
-        let t = topo();
-        let plan = FaultPlan::new(77)
-            .random_flaps(SimDuration::from_millis(100), SimDuration::from_millis(20))
-            .gray_loss_all(s(0.2), s(0.6), 0.01, true);
-        let a = plan.compile(&t, s(1.0)).unwrap();
-        let b = plan.compile(&t, s(1.0)).unwrap();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        assert!(a.windows(2).all(|w| w[0].time <= w[1].time), "unsorted");
-    }
-
-    #[test]
-    fn random_flaps_alternate_per_link() {
-        let t = topo();
-        let plan = FaultPlan::new(3).random_flaps(
-            SimDuration::from_millis(50),
-            SimDuration::from_millis(10),
-        );
-        let acts = plan.compile(&t, s(1.0)).unwrap();
-        assert!(!acts.is_empty());
-        // Per link: strictly alternating Down/Up starting with Down.
-        for l in 0..t.params.num_links() {
-            let seq: Vec<FaultChange> = acts
-                .iter()
-                .filter(|a| a.link == LinkId(l))
-                .map(|a| a.change)
-                .collect();
-            for (i, c) in seq.iter().enumerate() {
-                let want = if i % 2 == 0 {
-                    FaultChange::Down
-                } else {
-                    FaultChange::Up
-                };
-                assert_eq!(*c, want, "link {l} action {i}");
-            }
-        }
-        // Host links are untouched (fabric_only).
-        assert!(acts.iter().all(|a| !t.is_host_link(a.link)));
+        // A window that opens after the run ends draws nothing: the run
+        // is byte for byte the loss-free one.
+        let mut cfg = SimConfig::small_scale();
+        cfg.duration_s = 0.2;
+        let plain = Simulation::new(cfg).run();
+        let mut sim = Simulation::new(cfg);
+        sim.set_loss_window(LossWindow::new(s(0.5), s(1.0), 1.0).unwrap());
+        let m = sim.run();
+        assert_eq!(m.fault_drops, 0);
+        assert!(m.canonical_bytes() == plain.canonical_bytes());
     }
 
     #[test]
     fn rejects_out_of_range_inputs() {
-        let t = topo();
-        let bad_link = FaultPlan::new(1).link_down(LinkId(10_000), s(0.1), s(0.2));
+        for p in [1.5, -0.01, f64::NAN] {
+            assert!(matches!(
+                LossWindow::new(s(0.1), s(0.2), p),
+                Err(SimError::InvalidConfig {
+                    field: "loss_window.prob",
+                    ..
+                })
+            ));
+        }
         assert!(matches!(
-            bad_link.compile(&t, s(1.0)),
-            Err(SimError::InvalidFaultPlan { .. })
+            LossWindow::new(s(0.5), s(0.5), 0.1),
+            Err(SimError::InvalidConfig {
+                field: "loss_window.until",
+                ..
+            })
         ));
-        let bad_prob = FaultPlan::new(1).gray_loss(LinkId(0), s(0.1), s(0.2), 1.5);
-        assert!(bad_prob.compile(&t, s(1.0)).is_err());
-        let bad_window = FaultPlan::new(1).link_down(LinkId(0), s(0.5), s(0.5));
-        assert!(bad_window.compile(&t, s(1.0)).is_err());
-        let bad_factor = FaultPlan::new(1).degraded_rate(LinkId(0), s(0.1), s(0.2), 0.0);
-        assert!(bad_factor.compile(&t, s(1.0)).is_err());
-    }
-
-    #[test]
-    fn plan_serializes() {
-        let plan = FaultPlan::new(9)
-            .link_down(LinkId(2), s(0.1), s(0.3))
-            .gray_loss(LinkId(4), s(0.2), s(0.4), 0.05);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
+        assert!(LossWindow::new(s(0.1), s(0.2), 1.0).is_ok());
     }
 }

@@ -117,14 +117,9 @@ pub struct Metrics {
     pub mimic_drops: u64,
     /// Total CE marks applied by queues.
     pub ecn_marks: u64,
-    /// Packets lost to injected link faults: Bernoulli wire losses (see
-    /// [`crate::config::LinkConfig::loss_prob`] and gray failures) plus
-    /// packets that became unroutable because every ECMP candidate was down.
+    /// Packets lost on the wire to the fabric loss window (see
+    /// [`crate::fault::LossWindow`]).
     pub fault_drops: u64,
-    /// Packets steered onto a non-default ECMP candidate because the
-    /// flow's hashed choice was down (see
-    /// [`crate::routing::Router::route_avoiding`]).
-    pub reroutes: u64,
     /// Events processed by the engine.
     pub events_processed: u64,
     /// Packets forwarded by switches (hop count total).
@@ -158,7 +153,6 @@ impl Metrics {
             mimic_drops: 0,
             ecn_marks: 0,
             fault_drops: 0,
-            reroutes: 0,
             events_processed: 0,
             hops_forwarded: 0,
             cluster_drift: Vec::new(),
@@ -262,7 +256,6 @@ impl Metrics {
         self.mimic_drops += other.mimic_drops;
         self.ecn_marks += other.ecn_marks;
         self.fault_drops += other.fault_drops;
-        self.reroutes += other.reroutes;
         self.events_processed += other.events_processed;
         self.hops_forwarded += other.hops_forwarded;
         if self.cluster_drift.len() < other.cluster_drift.len() {
@@ -430,7 +423,6 @@ impl Metrics {
         w.put_u64(self.mimic_drops);
         w.put_u64(self.ecn_marks);
         w.put_u64(self.fault_drops);
-        w.put_u64(self.reroutes);
         w.put_u64(self.events_processed);
         w.put_u64(self.hops_forwarded);
         w.put_u64(self.cluster_drift.len() as u64);

@@ -58,45 +58,17 @@ impl LinkSpec {
     }
 }
 
-/// Mutable health state of a link, driven by the fault subsystem
-/// ([`crate::fault`]). A healthy link has `up = true`, no extra loss, and
-/// full rate.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkHealth {
-    /// False while the link is failed: transmitters stall (packets queue
-    /// but nothing starts serializing) until the link comes back up.
-    pub up: bool,
-    /// Additional Bernoulli loss probability layered on top of the
-    /// configured baseline (gray failure). Effective loss is clamped to 1.
-    pub extra_loss: f64,
-    /// Multiplier on bandwidth in `(0, 1]`; values below 1 model a link
-    /// negotiated down to a degraded rate.
-    pub rate_factor: f64,
-}
-
-impl Default for LinkHealth {
-    fn default() -> LinkHealth {
-        LinkHealth {
-            up: true,
-            extra_loss: 0.0,
-            rate_factor: 1.0,
-        }
-    }
-}
-
 /// One direction's transmitter: output queue plus serialization state.
 #[derive(Debug)]
 pub struct Transmitter {
     /// The output queue feeding this transmitter.
     pub queue: PortQueue,
     /// When the packet most recently put on the wire finishes
-    /// serializing; the transmitter is free from this instant on unless a
-    /// `TxDone` is still pending.
+    /// serializing; the transmitter is free from this instant on.
     pub busy_until: SimTime,
-    /// A `TxDone` at `busy_until` is scheduled. It is set whenever a packet
-    /// waits in `queue` behind the one on the wire, so events ranked before
-    /// `TxDone` at `busy_until` (faults) see a busy port exactly when a
-    /// packet is waiting.
+    /// A `TxDone` at `busy_until` is already scheduled: set when a packet
+    /// waits in `queue` behind the one on the wire, so each transmitter
+    /// has at most one completion pending.
     pub done_pending: bool,
 }
 
@@ -109,9 +81,12 @@ impl Transmitter {
         }
     }
 
-    /// Is a packet on the wire (or a completion still pending) at `now`?
+    /// Is a packet on the wire at `now`? A pending `TxDone` needs no
+    /// clause of its own: it fires at `busy_until` ranked before every
+    /// other event class, so nothing else sees the port between the end
+    /// of a serialization and its completion (DESIGN.md §12).
     pub fn is_busy(&self, now: SimTime) -> bool {
-        now < self.busy_until || self.done_pending
+        now < self.busy_until
     }
 }
 
@@ -121,8 +96,6 @@ pub struct DuplexLink {
     pub spec: LinkSpec,
     /// Transmitters indexed by [`Dir::index`].
     pub tx: [Transmitter; 2],
-    /// Fault-injection state; defaults to healthy.
-    pub health: LinkHealth,
 }
 
 impl DuplexLink {
@@ -130,20 +103,6 @@ impl DuplexLink {
         DuplexLink {
             spec,
             tx: [Transmitter::new(up_queue), Transmitter::new(down_queue)],
-            health: LinkHealth::default(),
-        }
-    }
-
-    /// Serialization time for `bytes` at the link's current (possibly
-    /// degraded) rate. The healthy path is bit-identical to
-    /// [`LinkSpec::serialization`] — no float arithmetic is introduced
-    /// unless the rate is actually degraded.
-    pub fn effective_serialization(&self, bytes: u32) -> SimDuration {
-        if self.health.rate_factor >= 1.0 {
-            self.spec.serialization(bytes)
-        } else {
-            let bw = ((self.spec.bandwidth_bps as f64) * self.health.rate_factor).max(1.0) as u64;
-            SimDuration::serialization(bytes as u64, bw)
         }
     }
 
@@ -192,27 +151,8 @@ mod tests {
         l.tx_mut(Dir::Up).busy_until = now + SimDuration::from_micros(5);
         assert!(l.tx(Dir::Up).is_busy(now));
         assert!(!l.tx(Dir::Down).is_busy(now));
-        // Busy ends at `busy_until` unless a completion is pending.
+        // Busy ends at `busy_until`.
         let end = now + SimDuration::from_micros(5);
         assert!(!l.tx(Dir::Up).is_busy(end));
-        l.tx_mut(Dir::Up).done_pending = true;
-        assert!(l.tx(Dir::Up).is_busy(end));
-    }
-
-    #[test]
-    fn degraded_rate_slows_serialization() {
-        let mut l = DuplexLink::new(
-            LinkSpec {
-                bandwidth_bps: 10_000_000,
-                latency: SimDuration::from_micros(20),
-            },
-            QueueConfig::drop_tail(10_000),
-            QueueConfig::drop_tail(10_000),
-        );
-        let healthy = l.effective_serialization(1500);
-        assert_eq!(healthy, l.spec.serialization(1500));
-        l.health.rate_factor = 0.5;
-        let degraded = l.effective_serialization(1500);
-        assert_eq!(degraded.as_nanos(), 2 * healthy.as_nanos());
     }
 }

@@ -126,64 +126,6 @@ impl Router {
         }
     }
 
-    /// Like [`Router::route`], but excludes failed links from multipath
-    /// choices. `down(l)` must return true for links that are currently
-    /// unusable.
-    ///
-    /// Only *upward* ECMP hops (ToR→Agg, Agg→Core) have alternatives; when
-    /// the flow's hashed choice is down, the next candidate in cyclic order
-    /// is taken — the deterministic analogue of ECMP weight withdrawal.
-    /// Structurally unique hops (host access links and every descending
-    /// hop) are returned even when down: the packet stalls in that link's
-    /// queue until repair, matching real store-and-forward behavior.
-    ///
-    /// Returns `Some((hop, rerouted))` where `rerouted` is true iff a
-    /// non-default candidate was selected, or `None` when every candidate
-    /// for an upward hop is down (the packet is unroutable and should be
-    /// counted as a fault drop).
-    pub fn route_avoiding(
-        &self,
-        node: NodeId,
-        flow: FlowId,
-        dst: NodeId,
-        down: &dyn Fn(LinkId) -> bool,
-    ) -> Option<(Hop, bool)> {
-        let t = &self.topo;
-        let (dst_cluster, dst_rack, _) = t.host_coords(dst);
-        match t.kind(node) {
-            NodeKind::Tor => {
-                let (c, r) = t.tor_coords(node);
-                if !(c == dst_cluster && r == dst_rack) {
-                    let n = t.params.aggs_per_cluster;
-                    let base = self.agg_choice(flow);
-                    for k in 0..n {
-                        let link = t.tor_agg_link(c, r, (base + k) % n);
-                        if !down(link) {
-                            return Some((Hop { link, dir: Dir::Up }, k != 0));
-                        }
-                    }
-                    return None;
-                }
-            }
-            NodeKind::Agg => {
-                let (c, a) = t.agg_coords(node);
-                if c != dst_cluster {
-                    let n = t.params.cores_per_agg;
-                    let base = self.core_choice(flow);
-                    for k in 0..n {
-                        let link = t.agg_core_link(c, a, (base + k) % n);
-                        if !down(link) {
-                            return Some((Hop { link, dir: Dir::Up }, k != 0));
-                        }
-                    }
-                    return None;
-                }
-            }
-            NodeKind::Host | NodeKind::Core => {}
-        }
-        Some((self.route(node, flow, dst), false))
-    }
-
     /// The complete node path a flow's data packets take from `src` to
     /// `dst` (inclusive of both endpoints). Used by the flow-level
     /// simulator and by tests.
@@ -314,70 +256,6 @@ mod tests {
                 "core {i} got {c} flows; ECMP is skewed"
             );
         }
-    }
-
-    #[test]
-    fn route_avoiding_matches_route_when_healthy() {
-        let r = router();
-        let t = r.topo().clone();
-        let a = t.host(0, 0, 0);
-        let b = t.host(3, 1, 1);
-        let flow = FlowId(77);
-        let none_down = |_: LinkId| false;
-        let mut node = a;
-        while node != b {
-            let hop = r.route(node, flow, b);
-            let (avoided, rerouted) = r.route_avoiding(node, flow, b, &none_down).unwrap();
-            assert_eq!(avoided, hop);
-            assert!(!rerouted);
-            let (lo, hi) = t.link_ends(hop.link);
-            node = if hop.dir == Dir::Up { hi } else { lo };
-        }
-    }
-
-    #[test]
-    fn route_avoiding_takes_alternate_agg() {
-        let r = router();
-        let t = r.topo().clone();
-        let src = t.host(0, 0, 0);
-        let dst = t.host(1, 0, 0); // inter-cluster: ToR must ascend
-        let flow = FlowId(11);
-        let tor = t.tor(0, 0);
-        let default_hop = r.route(tor, flow, dst);
-        let dead = default_hop.link;
-        let (hop, rerouted) = r
-            .route_avoiding(tor, flow, dst, &|l| l == dead)
-            .expect("an alternate agg exists");
-        assert!(rerouted);
-        assert_ne!(hop.link, dead);
-        assert_eq!(hop.dir, Dir::Up);
-        // All upward candidates down: unroutable.
-        assert!(r.route_avoiding(tor, flow, dst, &|_| true).is_none());
-        // The source host's access link is structurally unique: returned
-        // even when down (packet stalls rather than drops).
-        let (hop, rerouted) = r.route_avoiding(src, flow, dst, &|_| true).unwrap();
-        assert_eq!(hop.link, t.host_link(src));
-        assert!(!rerouted);
-    }
-
-    #[test]
-    fn route_avoiding_takes_alternate_core() {
-        let r = router();
-        let t = r.topo().clone();
-        let dst = t.host(2, 0, 0);
-        let flow = FlowId(5);
-        let agg = {
-            // The agg the flow ascends through in cluster 0.
-            t.agg(0, r.agg_choice(flow))
-        };
-        let default_hop = r.route(agg, flow, dst);
-        let dead = default_hop.link;
-        let (hop, rerouted) = r
-            .route_avoiding(agg, flow, dst, &|l| l == dead)
-            .expect("an alternate core exists");
-        assert!(rerouted);
-        assert_ne!(hop.link, dead);
-        assert_eq!(hop.dir, Dir::Up);
     }
 
     #[test]

@@ -15,14 +15,14 @@
 //!   composes several of these into a conservative parallel simulation.
 
 use crate::config::SimConfig;
-use crate::error::SimError;
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{FaultAction, FaultChange, FaultPlan};
+use crate::fault::LossWindow;
 use crate::host::{HostState, Role};
 use crate::instrument::{BoundaryPhase, BoundaryRecord, FlowRecord, Metrics, RttSample};
 use crate::link::{Dir, DuplexLink, LinkSpec};
 use crate::mimic::{BoundaryDir, BoundaryItem, ClusterModel, TierSwitch, Verdict};
 use crate::packet::{Ecn, FlowId, Packet, PacketKind};
+use crate::rng::SplitMix64;
 use crate::routing::Router;
 use crate::switch::process_hop;
 use crate::time::{SimDuration, SimTime};
@@ -37,7 +37,6 @@ use std::time::Instant;
 /// [`EventKind::index`]. Kept as flat constants so the dispatch loop uses
 /// fixed arrays and naming happens once, at fold time.
 const EVENT_COUNT_NAMES: [&str; EventKind::COUNT] = [
-    "sim.events.fault",
     "sim.events.tx_done",
     "sim.events.arrive",
     "sim.events.timer",
@@ -45,7 +44,6 @@ const EVENT_COUNT_NAMES: [&str; EventKind::COUNT] = [
     "sim.events.feeder_wake",
 ];
 const EVENT_WALL_NAMES: [&str; EventKind::COUNT] = [
-    "sim.events.fault.wall_ns",
     "sim.events.tx_done.wall_ns",
     "sim.events.arrive.wall_ns",
     "sim.events.timer.wall_ns",
@@ -125,10 +123,10 @@ pub struct Simulation {
     /// interchangeable with fresh allocations.
     spares: [Vec<Box<dyn Transport>>; 2],
     initialized: bool,
-    /// Per-(link, dir) fault streams; `None` when loss injection is off.
-    fault: Option<Vec<[crate::rng::SplitMix64; 2]>>,
-    /// Compiled fault schedule, indexed by [`EventKind::Fault`] events.
-    fault_schedule: Option<Vec<FaultAction>>,
+    /// The fabric loss window; `None` (the default) loses nothing.
+    loss_window: Option<LossWindow>,
+    /// Per-(link, dir) loss streams, empty until a window is installed.
+    loss_streams: Vec<[SplitMix64; 2]>,
     /// The model serving every [`ClusterMode::Mimic`] cluster; `None`
     /// when none is installed.
     model: Option<Box<dyn ClusterModel>>,
@@ -179,22 +177,9 @@ impl Simulation {
         let traffic = TrafficGen::new(topo.clone(), cfg.traffic, cfg.link.host_bw_bps, cfg.seed);
         let cluster_modes = (0..cfg.topo.clusters).map(|_| ClusterMode::Full).collect();
         let metrics = Metrics::new(cfg.topo.num_hosts());
-        let fault = (cfg.link.loss_prob > 0.0).then(|| {
-            (0..cfg.topo.num_links())
-                .map(|l| {
-                    [
-                        crate::rng::SplitMix64::derive(cfg.seed, 0xFA00_0000 | (l as u64) << 1),
-                        crate::rng::SplitMix64::derive(
-                            cfg.seed,
-                            0xFA00_0000 | ((l as u64) << 1 | 1),
-                        ),
-                    ]
-                })
-                .collect()
-        });
         Simulation {
-            fault,
-            fault_schedule: None,
+            loss_window: None,
+            loss_streams: Vec::new(),
             model: None,
             diag: None,
             end: SimTime::from_secs_f64(cfg.duration_s),
@@ -286,41 +271,16 @@ impl Simulation {
         }
     }
 
-    /// Install a seeded [`FaultPlan`]. The plan is validated and compiled
-    /// against this simulation's topology and duration; its actions are
-    /// driven through the event queue as [`EventKind::Fault`] events.
-    ///
-    /// Must be called before the run starts. An empty plan is a no-op and
-    /// leaves the trajectory bit-identical to a plan-free run.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        if self.initialized {
-            return Err(SimError::AlreadyStarted {
-                what: "installing a fault plan",
-            });
-        }
-        let schedule = plan.compile(&self.topo, self.end)?;
-        if plan.is_empty() {
-            return Ok(());
-        }
-        // Gray failures need per-(link, dir) loss streams even when the
-        // configured baseline loss is zero. Draws stay gated on a positive
-        // effective loss rate, so merely building the streams does not
-        // perturb a fault-free trajectory.
-        if self.fault.is_none() {
-            let seed = self.cfg.seed;
-            self.fault = Some(
-                (0..self.cfg.topo.num_links())
-                    .map(|l| {
-                        [
-                            crate::rng::SplitMix64::derive(seed, 0xFA00_0000 | (l as u64) << 1),
-                            crate::rng::SplitMix64::derive(seed, 0xFA00_0000 | ((l as u64) << 1 | 1)),
-                        ]
-                    })
-                    .collect(),
-            );
-        }
-        self.fault_schedule = Some(schedule);
-        Ok(())
+    /// Install the fabric loss window: a ToR–Agg or Agg–Core
+    /// transmission starting inside it is lost with its probability, drawn
+    /// from that link direction's own stream of the run seed. Host links
+    /// never lose a packet.
+    pub fn set_loss_window(&mut self, window: LossWindow) {
+        let seed = self.cfg.seed;
+        self.loss_streams = (0..self.cfg.topo.num_links() as u64)
+            .map(|l| [0, 1].map(|dir| SplitMix64::derive(seed, 0xFA00_0000 | l << 1 | dir)))
+            .collect();
+        self.loss_window = Some(window);
     }
 
     /// Restrict this engine to the nodes mapped to `mine` in `owner`;
@@ -366,13 +326,10 @@ impl Simulation {
     ///
     /// * queued future events (time + payload through the state codec;
     ///   the `seq` tiebreak is excluded because it depends on scheduling
-    ///   history, and replicated fault-schedule events count only on
-    ///   partition 0);
+    ///   history);
     /// * per-direction transmitter state (`busy_until`, the pending-`TxDone`
-    ///   flag and the port queue) and
-    ///   gray-loss RNG streams, attributed to the LP owning the
-    ///   transmitting node; link health attributed to the lower end's
-    ///   owner;
+    ///   flag and the port queue) and loss stream, attributed to the LP
+    ///   owning the transmitting node;
     /// * per-host state for owned hosts: id counter, live flows (spec +
     ///   transport state), finished-flow set, and traffic-generator
     ///   stream position.
@@ -390,11 +347,7 @@ impl Simulation {
         let mut acc = 0u64;
         // Queued events. Domain tags keep items from different state
         // families from colliding.
-        let part0 = self.my_partition == 0;
         self.queue.for_each_live(|time, kind| {
-            if matches!(kind, EventKind::Fault { .. }) && !part0 {
-                return;
-            }
             scratch.clear();
             scratch.put_u8(0xE1);
             scratch.put_u64(time.as_nanos());
@@ -403,22 +356,11 @@ impl Simulation {
             h.write_bytes(scratch.as_bytes());
             acc = acc.wrapping_add(h.finish());
         });
-        // Links: health once (lower end's owner), transmitter + gray-loss
-        // stream per direction (transmitting node's owner).
+        // Links: transmitter + loss stream per direction (transmitting
+        // node's owner).
         for (l, link) in self.links.iter().enumerate() {
             let lid = LinkId(l as u32);
             let (lo, hi) = self.topo.link_ends(lid);
-            if self.owned(lo) {
-                scratch.clear();
-                scratch.put_u8(0xA1);
-                scratch.put_u32(lid.0);
-                scratch.put_bool(link.health.up);
-                scratch.put_f64(link.health.extra_loss);
-                scratch.put_f64(link.health.rate_factor);
-                let mut h = Fnv64::new();
-                h.write_bytes(scratch.as_bytes());
-                acc = acc.wrapping_add(h.finish());
-            }
             for dir in [Dir::Up, Dir::Down] {
                 let tx_node = match dir {
                     Dir::Up => lo,
@@ -435,8 +377,8 @@ impl Simulation {
                 scratch.put_u64(tx.busy_until.as_nanos());
                 scratch.put_bool(tx.done_pending);
                 tx.queue.save_state(scratch);
-                if let Some(streams) = &self.fault {
-                    scratch.put_u64(streams[l][dir.index()].state());
+                if let Some(streams) = self.loss_streams.get(l) {
+                    scratch.put_u64(streams[dir.index()].state());
                 }
                 let mut h = Fnv64::new();
                 h.write_bytes(scratch.as_bytes());
@@ -524,12 +466,6 @@ impl Simulation {
             return;
         }
         self.initialized = true;
-        if let Some(schedule) = &self.fault_schedule {
-            for (i, action) in schedule.iter().enumerate() {
-                self.queue
-                    .schedule(action.time, EventKind::Fault { index: i as u32 });
-            }
-        }
         for h in 0..self.cfg.topo.num_hosts() {
             let host = NodeId(h);
             if !self.owned(host) {
@@ -711,7 +647,6 @@ impl Simulation {
             EventKind::Timer { host, flow, token } => self.handle_timer(host, flow, token),
             EventKind::FlowArrival { host } => self.handle_flow_arrival(host),
             EventKind::FeederWake { cluster } => self.handle_feeder(cluster),
-            EventKind::Fault { index } => self.handle_fault(index),
         }
     }
 
@@ -829,32 +764,6 @@ impl Simulation {
         self.try_start_tx(link, dir);
     }
 
-    /// Apply a scheduled fault action: flip link health and, on repair,
-    /// restart any transmitters that stalled while the link was down.
-    fn handle_fault(&mut self, index: u32) {
-        let action = self
-            .fault_schedule
-            .as_ref()
-            .expect("Fault event without a schedule")[index as usize];
-        let link = action.link;
-        match action.change {
-            FaultChange::Down => {
-                self.links[link.0 as usize].health.up = false;
-            }
-            FaultChange::Up => {
-                self.links[link.0 as usize].health.up = true;
-                self.try_start_tx(link, Dir::Up);
-                self.try_start_tx(link, Dir::Down);
-            }
-            FaultChange::SetLoss(p) => {
-                self.links[link.0 as usize].health.extra_loss = p;
-            }
-            FaultChange::SetRate(f) => {
-                self.links[link.0 as usize].health.rate_factor = f;
-            }
-        }
-    }
-
     /// Put the next queued packet on the wire if the transmitter is free.
     /// Completion is lazy: a `TxDone` is scheduled only when a packet waits
     /// behind the one on the wire, so a transmitter that drains its queue
@@ -873,15 +782,10 @@ impl Simulation {
             }
             return;
         }
-        // A downed link stalls: packets stay queued until repair, when
-        // handle_fault restarts the transmitters.
-        if !link.health.up {
-            return;
-        }
-        let Some(pkt) = link.tx_mut(dir).queue.dequeue() else {
+        let Some(pkt) = tx.queue.dequeue() else {
             return;
         };
-        let ser = link.effective_serialization(pkt.wire_bytes());
+        let ser = link.spec.serialization(pkt.wire_bytes());
         let latency = link.spec.latency;
         let tx = link.tx_mut(dir);
         tx.busy_until = now + ser;
@@ -895,18 +799,16 @@ impl Simulation {
             Dir::Up => hi,
             Dir::Down => lo,
         };
-        // Injected link faults: the packet occupies the wire until
-        // `busy_until` but never arrives. Gray failures add loss on top of
-        // the configured baseline; draws only happen at a positive
-        // effective rate, so fault-free trajectories are untouched.
-        let eff_loss =
-            (self.cfg.link.loss_prob + self.links[link_id.0 as usize].health.extra_loss).min(1.0);
-        if eff_loss > 0.0 {
-            if let Some(streams) = &mut self.fault {
-                if streams[link_id.0 as usize][dir.index()].bernoulli(eff_loss) {
-                    self.metrics.fault_drops += 1;
-                    return;
-                }
+        // Fabric loss: inside the window a fabric packet occupies the wire
+        // until `busy_until` but never arrives. Nothing draws outside the
+        // window or on a host link.
+        if let Some(w) = &self.loss_window {
+            if w.draws_at(now)
+                && !self.topo.is_host_link(link_id)
+                && self.loss_streams[link_id.0 as usize][dir.index()].bernoulli(w.prob())
+            {
+                self.metrics.fault_drops += 1;
+                return;
             }
         }
         self.schedule_arrival(self.now + ser + latency, peer, pkt);
@@ -1025,28 +927,7 @@ impl Simulation {
     }
 
     fn forward(&mut self, node: NodeId, pkt: Packet) {
-        let hop = if self.fault_schedule.is_some() {
-            let links = &self.links;
-            match self
-                .router
-                .route_avoiding(node, pkt.flow, pkt.dst, &|l| !links[l.0 as usize].health.up)
-            {
-                Some((hop, rerouted)) => {
-                    if rerouted {
-                        self.metrics.reroutes += 1;
-                    }
-                    hop
-                }
-                None => {
-                    // Every ECMP candidate is down: the packet is
-                    // unroutable and lost to the fault.
-                    self.metrics.fault_drops += 1;
-                    return;
-                }
-            }
-        } else {
-            self.router.route(node, pkt.flow, pkt.dst)
-        };
+        let hop = self.router.route(node, pkt.flow, pkt.dst);
         self.metrics.hops_forwarded += 1;
         let tx = self.links[hop.link.0 as usize].tx_mut(hop.dir);
         match tx.queue.enqueue(pkt) {
@@ -1395,93 +1276,50 @@ mod tests {
         assert!(m.queue_drops > 0, "expected drops under overload");
     }
 
+    /// A window covering the whole run.
+    fn whole_run(prob: f64) -> LossWindow {
+        LossWindow::new(SimTime::ZERO, SimTime::MAX, prob).unwrap()
+    }
+
     #[test]
     fn link_faults_drop_packets_but_tcp_recovers() {
-        let mut cfg = quick_cfg();
-        cfg.link.loss_prob = 0.02;
-        let mut sim = Simulation::new(cfg);
+        let mut sim = Simulation::new(quick_cfg());
+        sim.set_loss_window(whole_run(0.02));
         let m = sim.run();
         assert!(m.fault_drops > 0, "no injected losses at 2%");
         assert!(m.flows_completed() > 0, "retransmission should recover");
-        // Loss rate sanity: ~2% of transmissions.
+        // Loss rate sanity: ~2% of fabric transmissions.
         let rate = m.fault_drops as f64 / (m.fault_drops + m.hops_forwarded).max(1) as f64;
         assert!(rate < 0.1, "implausible injected loss rate {rate}");
-        // Without injection there are none.
-        cfg.link.loss_prob = 0.0;
-        let m0 = Simulation::new(cfg).run();
+        // Without a window there are none.
+        let m0 = Simulation::new(quick_cfg()).run();
         assert_eq!(m0.fault_drops, 0);
     }
 
     #[test]
     fn empty_fault_plan_preserves_trajectory() {
-        let baseline = {
-            let mut sim = Simulation::new(quick_cfg());
-            sim.run()
-        };
+        // A window at probability 0 draws nothing: the run is byte for
+        // byte the window-free one.
+        let baseline = Simulation::new(quick_cfg()).run();
         let mut sim = Simulation::new(quick_cfg());
-        sim.set_fault_plan(&FaultPlan::none()).unwrap();
+        sim.set_loss_window(whole_run(0.0));
         let m = sim.run();
-        assert_eq!(m.events_processed, baseline.events_processed);
-        assert_eq!(m.total_delivered_bytes(), baseline.total_delivered_bytes());
-        assert_eq!(m.fct_samples(|_| true), baseline.fct_samples(|_| true));
         assert_eq!(m.fault_drops, 0);
-        assert_eq!(m.reroutes, 0);
-    }
-
-    #[test]
-    fn down_window_stalls_and_recovers() {
-        // Take down host 0's access link mid-run; its flows stall during
-        // the outage but traffic overall still completes.
-        let mut cfg = quick_cfg();
-        cfg.duration_s = 0.5;
-        let topo = FatTree::new(cfg.topo);
-        let link = topo.host_link(NodeId(0));
-        let plan = FaultPlan::new(9).link_down(
-            link,
-            SimTime::from_secs_f64(0.1),
-            SimTime::from_secs_f64(0.2),
-        );
-        let mut sim = Simulation::new(cfg);
-        sim.set_fault_plan(&plan).unwrap();
-        let m = sim.run();
-        assert!(m.flows_completed() > 0, "network-wide stall");
-        // Host links have no ECMP alternative, so nothing reroutes.
-        assert_eq!(m.reroutes, 0);
-    }
-
-    #[test]
-    fn fabric_down_window_causes_reroutes() {
-        // Fail one ToR→Agg link; inter-rack flows hashed onto it must take
-        // the alternate aggregation switch.
-        let mut cfg = quick_cfg();
-        cfg.duration_s = 0.5;
-        cfg.traffic.inter_cluster_fraction = 0.8;
-        let topo = FatTree::new(cfg.topo);
-        let link = topo.tor_agg_link(0, 0, 0);
-        let plan = FaultPlan::new(9).link_down(
-            link,
-            SimTime::from_secs_f64(0.05),
-            SimTime::from_secs_f64(0.45),
-        );
-        let mut sim = Simulation::new(cfg);
-        sim.set_fault_plan(&plan).unwrap();
-        let m = sim.run();
-        assert!(m.reroutes > 0, "no packets took the alternate agg");
-        assert!(m.flows_completed() > 0);
+        assert!(m.canonical_bytes() == baseline.canonical_bytes());
     }
 
     #[test]
     fn gray_loss_window_drops_packets() {
         let mut cfg = quick_cfg();
         cfg.duration_s = 0.5;
-        let plan = FaultPlan::new(3).gray_loss_all(
+        let window = LossWindow::new(
             SimTime::from_secs_f64(0.1),
             SimTime::from_secs_f64(0.4),
             0.05,
-            false,
-        );
+        )
+        .unwrap();
         let mut sim = Simulation::new(cfg);
-        sim.set_fault_plan(&plan).unwrap();
+        sim.set_loss_window(window);
         let m = sim.run();
         assert!(m.fault_drops > 0, "gray loss injected no drops");
         assert!(m.flows_completed() > 0, "retransmission should recover");
@@ -1492,34 +1330,19 @@ mod tests {
         let run = || {
             let mut cfg = quick_cfg();
             cfg.duration_s = 0.4;
-            let plan = FaultPlan::new(7)
-                .random_flaps(SimDuration::from_millis(80), SimDuration::from_millis(20))
-                .gray_loss_all(
-                    SimTime::from_secs_f64(0.1),
-                    SimTime::from_secs_f64(0.3),
-                    0.02,
-                    true,
-                );
-            let mut sim = Simulation::new(cfg);
-            sim.set_fault_plan(&plan).unwrap();
-            let m = sim.run();
-            (
-                m.events_processed,
-                m.fault_drops,
-                m.reroutes,
-                m.total_delivered_bytes(),
-                m.fct_samples(|_| true),
+            let window = LossWindow::new(
+                SimTime::from_secs_f64(0.1),
+                SimTime::from_secs_f64(0.3),
+                0.02,
             )
+            .unwrap();
+            let mut sim = Simulation::new(cfg);
+            sim.set_loss_window(window);
+            let m = sim.run();
+            assert!(m.fault_drops > 0, "the window dropped nothing");
+            m.canonical_bytes()
         };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fault_plan_rejected_after_start() {
-        let mut sim = Simulation::new(quick_cfg());
-        sim.run_window(SimTime::from_secs_f64(0.01));
-        let err = sim.set_fault_plan(&FaultPlan::none()).unwrap_err();
-        assert!(matches!(err, SimError::AlreadyStarted { .. }));
+        assert!(run() == run());
     }
 
     #[test]

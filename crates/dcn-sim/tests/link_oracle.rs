@@ -9,13 +9,16 @@
 //! down-link to one host, and reads the host's arrival times back from the
 //! flight recorder. The oracle knows nothing about how the engine
 //! schedules its events, so it holds however link completion is modelled.
+//!
+//! The loss cases put the fabric loss window at probability 1 around the
+//! probe, so which packets survive is as exact as when they arrive.
 
 use dcn_sim::config::SimConfig;
-use dcn_sim::fault::FaultPlan;
+use dcn_sim::fault::LossWindow;
 use dcn_sim::packet::{FlowId, Packet, HEADER_BYTES, MSS_BYTES};
 use dcn_sim::simulator::Simulation;
 use dcn_sim::time::{SimDuration, SimTime};
-use dcn_sim::topology::{FatTree, LinkId, NodeId};
+use dcn_sim::topology::{FatTree, NodeId};
 
 /// An idle two-cluster network: the load is so low that no flow starts
 /// within the run (asserted), so the probed port carries only what the
@@ -28,33 +31,33 @@ fn idle_cfg() -> SimConfig {
     cfg
 }
 
-/// The ToR→host link every case probes (its down direction).
-fn probed_link() -> LinkId {
-    let topo = FatTree::new(idle_cfg().topo);
-    topo.host_link(topo.host(0, 0, 0))
-}
-
 struct Probe {
     sim: Simulation,
     tor: NodeId,
     src: NodeId,
     dst: NodeId,
-    /// Serialization time of one probe packet at the healthy rate.
+    /// A host under another ToR of the same cluster: reaching it crosses
+    /// the fabric (ToR→Agg→ToR) before its access link.
+    far: NodeId,
+    /// Serialization time of one probe packet at the host link rate.
     s: u64,
+    /// Serialization time of one probe packet at the fabric link rate.
+    s_fabric: u64,
     /// One-way propagation latency.
     l: u64,
 }
 
 impl Probe {
-    fn new(plan: Option<FaultPlan>) -> Probe {
+    fn new(loss: Option<LossWindow>) -> Probe {
         let cfg = idle_cfg();
         let topo = FatTree::new(cfg.topo);
-        let s = SimDuration::serialization((MSS_BYTES + HEADER_BYTES) as u64, cfg.link.host_bw_bps)
-            .as_nanos();
+        let wire = (MSS_BYTES + HEADER_BYTES) as u64;
+        let s = SimDuration::serialization(wire, cfg.link.host_bw_bps).as_nanos();
+        let s_fabric = SimDuration::serialization(wire, cfg.link.fabric_bw_bps).as_nanos();
         let l = cfg.link.latency.as_nanos();
         let mut sim = Simulation::new(cfg);
-        if let Some(plan) = plan {
-            sim.set_fault_plan(&plan).unwrap();
+        if let Some(window) = loss {
+            sim.set_loss_window(window);
         }
         sim.enable_diagnostics(false, Some(4096));
         Probe {
@@ -62,37 +65,57 @@ impl Probe {
             tor: topo.tor(0, 0),
             src: topo.host(0, 0, 1),
             dst: topo.host(0, 0, 0),
+            far: topo.host(0, 1, 0),
             s,
+            s_fabric,
             l,
         }
     }
 
     /// A full-size packet for the probed host, arriving at its ToR at
-    /// `t_ns`. It is an ack of an unknown flow, so the host drops it on
-    /// arrival and sends nothing back.
+    /// `t_ns`.
     fn inject(&mut self, id: u64, t_ns: u64) {
+        self.inject_to(id, t_ns, self.dst);
+    }
+
+    /// A full-size packet for `dst`, arriving at the probed ToR at `t_ns`.
+    /// It is an ack of an unknown flow, so the host drops it on arrival
+    /// and sends nothing back.
+    fn inject_to(&mut self, id: u64, t_ns: u64, dst: NodeId) {
         let t = SimTime(t_ns);
-        let mut p = Packet::ack(id, FlowId(77), self.src, self.dst, 0, false, SimTime::ZERO, t);
+        let mut p = Packet::ack(id, FlowId(77), self.src, dst, 0, false, SimTime::ZERO, t);
         p.payload = MSS_BYTES;
         assert_eq!(p.wire_bytes(), 1500);
         self.sim.inject_arrival(t, self.tor, p);
     }
 
-    /// Run to the end and return each packet's arrival time at the host,
-    /// in packet-id order for ids `1..=n`.
-    fn arrivals(mut self, n: u64) -> Vec<u64> {
+    /// Run to the end and return every arrival time of each packet
+    /// `1..=n`, in packet-id order: the injection at the ToR first, then
+    /// one per hop it completes.
+    fn hops(mut self, n: u64) -> Vec<Vec<u64>> {
         let m = self.sim.run();
         assert_eq!(m.flows_started(), 0, "background traffic reached the probe");
         let flight = &m.obs.as_ref().expect("flight recorder drained into obs").flight;
         (1..=n)
             .map(|id| {
-                let seen: Vec<u64> = flight
+                flight
                     .iter()
                     .filter(|e| e.kind_name == "arrive" && e.packet_id == id)
                     .map(|e| e.sim_ns)
-                    .collect();
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Each packet's arrival time at the probed host, for packets that
+    /// cross the ToR→host link alone.
+    fn arrivals(self, n: u64) -> Vec<u64> {
+        self.hops(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, seen)| {
                 // One arrival at the ToR (the injection), one at the host.
-                assert_eq!(seen.len(), 2, "packet {id} arrivals {seen:?}");
+                assert_eq!(seen.len(), 2, "packet {} arrivals {seen:?}", i + 1);
                 seen[1]
             })
             .collect()
@@ -129,52 +152,38 @@ fn packet_enqueued_at_end_of_serialization_starts_at_once() {
     );
 }
 
-#[test]
-fn burst_held_by_link_down_starts_at_repair() {
-    // The burst reaches the port 1 ns before the link fails: the first
-    // packet is already on the wire and completes; the rest wait out the
-    // outage and leave back to back from the repair instant.
-    let (down, up) = (T0, T0 + 20_000_000);
-    let link = probed_link();
-    let plan = FaultPlan::new(1).link_down(link, SimTime(down), SimTime(up));
-    let mut p = Probe::new(Some(plan));
-    let (s, l) = (p.s, p.l);
-    let n = 4;
-    for id in 1..=n {
-        p.inject(id, down - 1);
-    }
-    let mut expect = vec![down - 1 + s + l];
-    expect.extend((1..n).map(|i| up + i * s + l));
-    assert_eq!(p.arrivals(n), expect);
+/// A window at probability 1 from `FROM` until `UNTIL`.
+const FROM: u64 = T0;
+const UNTIL: u64 = T0 + 20_000_000;
+
+fn certain_loss() -> LossWindow {
+    LossWindow::new(SimTime(FROM), SimTime(UNTIL), 1.0).unwrap()
 }
 
 #[test]
-fn outage_shorter_than_a_packet_does_not_delay_the_queue() {
-    // The link fails and recovers while the first packet serializes, so
-    // the queued packets see a busy port at repair and leave on schedule.
-    let (down, up) = (T0, T0 + 300_000);
-    let link = probed_link();
-    let plan = FaultPlan::new(1).link_down(link, SimTime(down), SimTime(up));
-    let mut p = Probe::new(Some(plan));
+fn fabric_loss_window_edges_are_exact() {
+    // Packet 1 starts up the ToR→Agg link at `from` and is lost there;
+    // packet 2 starts at `until` and crosses ToR→Agg→ToR→host on the
+    // closed form.
+    let mut p = Probe::new(Some(certain_loss()));
+    let (s, sf, l, far) = (p.s, p.s_fabric, p.l, p.far);
+    p.inject_to(1, FROM, far);
+    p.inject_to(2, UNTIL, far);
+    let hops = p.hops(2);
+    assert_eq!(hops[0], vec![FROM], "packet 1 left the ToR");
+    let agg = UNTIL + sf + l;
+    let tor = agg + sf + l;
+    assert_eq!(hops[1], vec![UNTIL, agg, tor, tor + s + l]);
+}
+
+#[test]
+fn host_link_loses_nothing_under_the_window() {
+    let mut p = Probe::new(Some(certain_loss()));
     let (s, l) = (p.s, p.l);
     let n = 3;
     for id in 1..=n {
-        p.inject(id, down - 1);
+        p.inject(id, FROM);
     }
-    let expect: Vec<u64> = (0..n).map(|i| down - 1 + (i + 1) * s + l).collect();
-    assert_eq!(p.arrivals(n), expect);
-}
-
-#[test]
-fn half_rate_doubles_serialization() {
-    let link = probed_link();
-    let plan = FaultPlan::new(1).degraded_rate(link, SimTime(T0 / 2), SimTime(T0 * 5), 0.5);
-    let mut p = Probe::new(Some(plan));
-    let (s, l) = (p.s, p.l);
-    let n = 4;
-    for id in 1..=n {
-        p.inject(id, T0);
-    }
-    let expect: Vec<u64> = (0..n).map(|i| T0 + (i + 1) * 2 * s + l).collect();
+    let expect: Vec<u64> = (0..n).map(|i| FROM + (i + 1) * s + l).collect();
     assert_eq!(p.arrivals(n), expect);
 }

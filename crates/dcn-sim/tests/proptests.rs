@@ -2,7 +2,7 @@
 
 use dcn_sim::cdf::wasserstein1;
 use dcn_sim::config::SimConfig;
-use dcn_sim::fault::FaultPlan;
+use dcn_sim::fault::LossWindow;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::simulator::Simulation;
 use dcn_sim::event::{EventKind, EventQueue};
@@ -12,7 +12,7 @@ use dcn_sim::queue::{EnqueueOutcome, PortQueue, QueueConfig};
 use dcn_sim::rng::{EmpiricalCdf, SplitMix64};
 use dcn_sim::routing::Router;
 use dcn_sim::stats::percentile;
-use dcn_sim::time::{SimDuration, SimTime};
+use dcn_sim::time::SimTime;
 use dcn_sim::topology::{FatTree, FatTreeParams, NodeKind};
 use proptest::prelude::*;
 
@@ -157,41 +157,35 @@ proptest! {
         prop_assert!(rng.bernoulli(1.0));
     }
 
-    /// Identical seeds and an identical fault plan produce bit-identical
+    /// Identical seeds and an identical loss window produce bit-identical
     /// metrics — fault injection must not break determinism.
     #[test]
     fn fault_injection_is_deterministic(
         sim_seed in 0u64..1000,
-        plan_seed in 0u64..1000,
         loss in 0.0f64..0.1,
         from_ms in 10u64..100,
         span_ms in 10u64..150,
-        mtbf_ms in 40u64..120,
     ) {
-        let plan = FaultPlan::new(plan_seed)
-            .gray_loss_all(
-                SimTime::from_secs_f64(from_ms as f64 / 1e3),
-                SimTime::from_secs_f64((from_ms + span_ms) as f64 / 1e3),
-                loss,
-                true,
-            )
-            .random_flaps(
-                SimDuration::from_millis(mtbf_ms),
-                SimDuration::from_millis(mtbf_ms / 4),
-            );
+        let window = LossWindow::new(
+            SimTime::from_secs_f64(from_ms as f64 / 1e3),
+            SimTime::from_secs_f64((from_ms + span_ms) as f64 / 1e3),
+            loss,
+        )
+        .expect("valid window");
         let run = || {
             let mut cfg = SimConfig::small_scale();
             cfg.duration_s = 0.25;
             cfg.seed = sim_seed;
             let mut sim = Simulation::new(cfg);
-            sim.set_fault_plan(&plan).expect("valid plan");
+            sim.set_loss_window(window);
             sim.run()
         };
         prop_assert!(metrics_identical(&run(), &run()));
     }
 
-    /// A fault plan with no specs is indistinguishable from running with
-    /// no plan at all — the zero-fault trajectory is preserved exactly.
+    /// A window that injects zero faults (probability 0) is
+    /// indistinguishable from running with no window at all — the
+    /// loss-free trajectory is preserved exactly.
     #[test]
     fn zero_fault_plan_equals_no_plan(sim_seed in 0u64..1000) {
         let mut cfg = SimConfig::small_scale();
@@ -199,11 +193,10 @@ proptest! {
         cfg.seed = sim_seed;
         let baseline = Simulation::new(cfg).run();
         let mut sim = Simulation::new(cfg);
-        sim.set_fault_plan(&FaultPlan::none()).expect("valid plan");
-        let with_plan = sim.run();
-        prop_assert!(metrics_identical(&baseline, &with_plan));
-        prop_assert_eq!(with_plan.fault_drops, 0);
-        prop_assert_eq!(with_plan.reroutes, 0);
+        sim.set_loss_window(LossWindow::new(SimTime::ZERO, SimTime::MAX, 0.0).expect("valid window"));
+        let with_window = sim.run();
+        prop_assert!(metrics_identical(&baseline, &with_window));
+        prop_assert_eq!(with_window.fault_drops, 0);
     }
 
     /// ECN marking never occurs below threshold and never on incapable
@@ -239,14 +232,13 @@ fn metrics_identical(a: &Metrics, b: &Metrics) -> bool {
             .collect();
         flows.sort_unstable();
         format!(
-            "{} {} {} {} {} {} {} {} {:?} {:?} {} {}",
+            "{} {} {} {} {} {} {} {:?} {:?} {} {}",
             m.events_processed,
             m.hops_forwarded,
             m.queue_drops,
             m.mimic_drops,
             m.ecn_marks,
             m.fault_drops,
-            m.reroutes,
             m.total_delivered_bytes(),
             m.fct_samples(|_| true),
             flows,

@@ -36,7 +36,7 @@ use std::time::Instant;
 /// variant (including packet-carrying `Arrive`, the pool's reason to
 /// exist) with collision-heavy payload fields so `tag` tiebreaks engage.
 fn kind_of(a: u64, b: u64) -> EventKind {
-    match a % 6 {
+    match a % 5 {
         0 => EventKind::TxDone {
             link: LinkId((b % 16) as u32),
             dir: if b.is_multiple_of(2) { Dir::Up } else { Dir::Down },
@@ -66,11 +66,8 @@ fn kind_of(a: u64, b: u64) -> EventKind {
         3 => EventKind::FlowArrival {
             host: NodeId((b % 16) as u32),
         },
-        4 => EventKind::FeederWake {
+        _ => EventKind::FeederWake {
             cluster: (b % 4) as u32,
-        },
-        _ => EventKind::Fault {
-            index: (b % 10) as u32,
         },
     }
 }

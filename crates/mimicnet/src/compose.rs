@@ -259,7 +259,7 @@ mod tests {
         assert!(matches!(err, PipelineError::InvalidComposition { .. }));
         // Invalid base config propagates as a SimError.
         let mut bad = base;
-        bad.link.loss_prob = 1.5;
+        bad.link.host_bw_bps = 0;
         let err = try_compose(bad, 4, Protocol::NewReno, &trained).err().expect("composition should be rejected");
         assert!(matches!(err, PipelineError::Sim(_)));
         // A zero tier epoch is rejected before the run starts.

@@ -17,7 +17,7 @@ use crate::metrics::{observed, ObservedSamples};
 use crate::mimic::TrainedMimic;
 use crate::tier::{AccuracyBudget, CorrectionHead};
 use dcn_sim::config::SimConfig;
-use dcn_sim::fault::FaultPlan;
+use dcn_sim::fault::LossWindow;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::pdes::{PdesRunOpts, TierPlan};
 use dcn_sim::stats::percentile;
@@ -197,18 +197,19 @@ impl Pipeline {
     }
 
     /// Phase ❺: the composed large-scale estimate at `n_clusters` on the
-    /// in-process engine, with an optional [`FaultPlan`] injected into the
-    /// composed simulation.
+    /// in-process engine, with an optional fabric [`LossWindow`] installed
+    /// in the composed simulation (it drops packets on the packet-level
+    /// fabric links; the Mimics' own drops stay their model's).
     pub fn try_estimate(
         &mut self,
         trained: &TrainedMimic,
         n_clusters: u32,
-        faults: Option<&FaultPlan>,
+        loss: Option<&LossWindow>,
     ) -> Result<EstimateReport, PipelineError> {
         let t0 = Instant::now();
         let mut sim = try_compose(self.cfg.base, n_clusters, self.cfg.protocol, trained)?;
-        if let Some(plan) = faults {
-            sim.set_fault_plan(plan)?;
+        if let Some(&window) = loss {
+            sim.set_loss_window(window);
         }
         if self.obs.is_on() {
             sim.enable_diagnostics(true, None);
@@ -282,18 +283,18 @@ impl Pipeline {
     }
 
     /// The full-fidelity reference at `n_clusters` (expensive!), with an
-    /// optional [`FaultPlan`] injected — the reference for accuracy and
-    /// fault-injection experiments.
+    /// optional fabric [`LossWindow`] installed — the reference for
+    /// accuracy and loss-injection experiments.
     pub fn try_ground_truth(
         &self,
         n_clusters: u32,
-        faults: Option<&FaultPlan>,
+        loss: Option<&LossWindow>,
     ) -> Result<(ObservedSamples, Metrics, Duration), PipelineError> {
         let t0 = Instant::now();
         composed_config(self.cfg.base, n_clusters, self.cfg.protocol)?;
         let mut sim = ground_truth(self.cfg.base, n_clusters, self.cfg.protocol);
-        if let Some(plan) = faults {
-            sim.set_fault_plan(plan)?;
+        if let Some(&window) = loss {
+            sim.set_loss_window(window);
         }
         let metrics = sim.run();
         let wall = t0.elapsed();

@@ -1,9 +1,9 @@
 //! The determinism matrix: the one statement that a composed simulation
 //! is the same simulation however it is run.
 //!
-//! Each row is one composition — packet-level ground truth, all-Mimic or
-//! adaptive — entered through the public function a benchmark workload
-//! times. Each cell runs the row on 1, 2 or 4 PDES partitions with its
+//! Each row is one composition — packet-level ground truth (clean or
+//! under a fabric loss window), all-Mimic or adaptive — entered through
+//! the public function a benchmark workload times. Each cell runs the row on 1, 2 or 4 PDES partitions with its
 //! diagnostics off, light (window digests alone) or full (timed obs, the
 //! same digests and a flight ring), and must reproduce the row's
 //! reference `Metrics::canonical_bytes` byte for byte. A cell carries an
@@ -14,8 +14,11 @@
 mod common;
 
 use common::{quick_cfg, switching_budget, trained};
+use dcn_sim::fault::LossWindow;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::pdes::{run_partitioned_opts, FlightPlan, PdesRunOpts, TierPlan};
+use dcn_sim::simulator::Simulation;
+use dcn_sim::time::SimTime;
 use dcn_transport::Protocol;
 use mimicnet::compose::ground_truth;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
@@ -123,6 +126,18 @@ fn check_row(
 /// A ground-truth row: `compose::ground_truth(..).run()` (truth-64's
 /// path) against `run_partitioned_opts` at the link-latency window.
 fn truth_row(clusters: u32, protocol: Protocol, partitions: &[usize], columns: &[Obs]) {
+    truth_row_with(clusters, protocol, &|_| {}, partitions, columns);
+}
+
+/// [`truth_row`] with `setup` applied to the reference engine and to
+/// every partition's engine before the run. Returns the reference run.
+fn truth_row_with(
+    clusters: u32,
+    protocol: Protocol,
+    setup: &(dyn Fn(&mut Simulation) + Sync),
+    partitions: &[usize],
+    columns: &[Obs],
+) -> Metrics {
     let row = format!("truth {}, {clusters} clusters", protocol.name());
     let base = pipeline_cfg().base;
     let mut cfg = base;
@@ -130,21 +145,25 @@ fn truth_row(clusters: u32, protocol: Protocol, partitions: &[usize], columns: &
     cfg.queue = protocol.queue_setup(cfg.queue);
     check_row(
         &row,
-        || ground_truth(base, clusters, protocol).run(),
+        || {
+            let mut sim = ground_truth(base, clusters, protocol);
+            setup(&mut sim);
+            sim.run()
+        },
         |p, opts| {
             run_partitioned_opts(
                 cfg,
                 p,
                 cfg.link.latency,
                 &|| protocol.factory(),
-                &|_| {},
+                setup,
                 opts,
             )
             .unwrap_or_else(|e| panic!("{row}: {e}"))
         },
         partitions,
         columns,
-    );
+    )
 }
 
 /// An all-Mimic row: `Pipeline::try_estimate` (serve-mix's path) against
@@ -181,6 +200,24 @@ fn truth_dctcp() {
 #[test]
 fn truth_homa() {
     truth_row(4, Protocol::Homa, &[2, 4], &[Obs::Off]);
+}
+
+/// Fabric loss over a mid-run window. Loss is a function of each
+/// transmission's start time, drawn on the LP that owns the transmitting
+/// node, so no LP replays a shared schedule and every cell still matches
+/// the sequential run.
+#[test]
+fn truth_lossy_grid() {
+    let at = SimTime::from_secs_f64;
+    let window = LossWindow::new(at(0.05), at(0.15), 0.02).expect("valid window");
+    let reference = truth_row_with(
+        4,
+        Protocol::NewReno,
+        &|sim| sim.set_loss_window(window),
+        &[1, 2, 4],
+        &GRID,
+    );
+    assert!(reference.fault_drops > 0, "the window dropped nothing");
 }
 
 /// 3 partitions split 8 clusters unevenly (3/3/2).

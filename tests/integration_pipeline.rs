@@ -154,18 +154,18 @@ fn observed_filtering_matches_compose_invariant() {
 
 #[test]
 fn fault_plan_rides_the_fleet_deterministically() {
-    use dcn_sim::fault::FaultPlan;
+    use dcn_sim::fault::LossWindow;
     use dcn_sim::time::SimTime;
     let mut pipe = Pipeline::new(quick_cfg());
     let trained = pipe.try_train().expect("training succeeds").0;
-    let plan = FaultPlan::new(9).gray_loss_all(
+    let window = LossWindow::new(
         SimTime::from_secs_f64(0.05),
         SimTime::from_secs_f64(0.5),
         0.1,
-        true,
-    );
-    let a = pipe.try_estimate(&trained, 4, Some(&plan)).expect("faulty estimate runs");
-    let b = pipe.try_estimate(&trained, 4, Some(&plan)).expect("faulty estimate runs");
+    )
+    .expect("valid window");
+    let a = pipe.try_estimate(&trained, 4, Some(&window)).expect("faulty estimate runs");
+    let b = pipe.try_estimate(&trained, 4, Some(&window)).expect("faulty estimate runs");
     assert!(a.metrics.fault_drops > 0, "gray loss dropped nothing");
     assert!(a.metrics.flows_completed() > 0);
     assert_eq!(a.metrics.canonical_bytes(), b.metrics.canonical_bytes());

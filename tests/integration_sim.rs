@@ -3,12 +3,12 @@
 //! boundary instrumentation MimicNet depends on.
 
 use dcn_sim::config::{FlowSizeDist, SimConfig};
-use dcn_sim::fault::FaultPlan;
+use dcn_sim::fault::LossWindow;
 use dcn_sim::instrument::BoundaryPhase;
 use dcn_sim::mimic::BoundaryDir;
 use dcn_sim::simulator::Simulation;
 use dcn_sim::stats::mean;
-use dcn_sim::time::{SimDuration, SimTime};
+use dcn_sim::time::SimTime;
 use dcn_sim::topology::FatTree;
 use dcn_transport::Protocol;
 
@@ -189,29 +189,18 @@ fn truth_smoke_run_pops_in_recorded_order() {
     let mut m = mimicnet::compose::ground_truth(cfg, 8, Protocol::NewReno).run();
     let digest = dcn_obs::digest::fnv64(&m.canonical_bytes());
     let trajectory = trajectory_digest(&mut m);
-    assert_eq!(trajectory, 0x9f90_f715_0629_ab06, "trajectory {trajectory:#018x}");
+    assert_eq!(trajectory, 0xfb0d_9759_cb1e_2fa6, "trajectory {trajectory:#018x}");
     assert_eq!(m.events_processed, 92_211);
-    assert_eq!(digest, 0x837f_f3a6_c16a_418c, "digest {digest:#018x}");
-}
-
-/// One fault plan exercising every link-health change the engine applies:
-/// random fabric flaps, a half-rate link, network-wide gray loss and a
-/// downed host link.
-fn mixed_faults(topo: &FatTree) -> FaultPlan {
-    let at = SimTime::from_secs_f64;
-    FaultPlan::new(5)
-        .random_flaps(SimDuration::from_millis(300), SimDuration::from_millis(30))
-        .degraded_rate(topo.tor_agg_link(1, 0, 0), at(0.2), at(0.6), 0.5)
-        .gray_loss_all(at(0.3), at(0.5), 0.01, false)
-        .link_down(topo.host_link(topo.host(2, 0, 0)), at(0.4), at(0.45))
+    assert_eq!(digest, 0x3c45_ad5e_b998_adac, "digest {digest:#018x}");
 }
 
 #[test]
 fn trajectories_are_locked_per_protocol_and_scenario() {
-    // Every protocol under a clean network, a lossy one and the mixed
-    // fault plan, at 8 clusters for one simulated second. The trajectory
-    // digest must not move unless the model's behaviour is meant to
-    // change; the event count records how much work the engine did.
+    // Every protocol under a clean network, fabric loss over the whole
+    // run (Lossy) and heavier fabric loss over a mid-run window (Faults),
+    // at 8 clusters for one simulated second. The trajectory digest must
+    // not move unless the model's behaviour is meant to change; the event
+    // count records how much work the engine did.
     #[derive(Clone, Copy, Debug)]
     enum Scenario {
         Plain,
@@ -219,31 +208,33 @@ fn trajectories_are_locked_per_protocol_and_scenario() {
         Faults,
     }
     let cases: [(Protocol, Scenario, u64, u64); 12] = [
-        (Protocol::NewReno, Scenario::Plain, 93_821, 0x1f99_6850_3e0e_6b08),
-        (Protocol::NewReno, Scenario::Lossy, 93_798, 0xd906_abc7_1bec_5ab1),
-        (Protocol::NewReno, Scenario::Faults, 86_204, 0x8d7a_16ba_fd27_9854),
-        (Protocol::Dctcp { k: 20 }, Scenario::Plain, 89_867, 0x81ba_9905_5e05_5e3e),
-        (Protocol::Dctcp { k: 20 }, Scenario::Lossy, 89_869, 0x5250_85c4_f0f9_6794),
-        (Protocol::Dctcp { k: 20 }, Scenario::Faults, 83_897, 0xba78_c8d6_4d20_c82f),
-        (Protocol::Vegas, Scenario::Plain, 92_735, 0x4812_67ce_d96d_d81c),
-        (Protocol::Vegas, Scenario::Lossy, 91_662, 0x4d35_fefd_e5b6_16f6),
-        (Protocol::Vegas, Scenario::Faults, 81_271, 0x9d4d_96ec_6b5a_81f0),
-        (Protocol::Homa, Scenario::Plain, 97_572, 0x4104_f438_b6df_5b82),
-        (Protocol::Homa, Scenario::Lossy, 97_457, 0x7553_5432_1011_de90),
-        (Protocol::Homa, Scenario::Faults, 98_506, 0x2ebf_d758_6a0d_815a),
+        (Protocol::NewReno, Scenario::Plain, 93_821, 0x224a_c30a_70ca_9908),
+        (Protocol::NewReno, Scenario::Lossy, 93_642, 0x4cb1_c248_30b5_14ab),
+        (Protocol::NewReno, Scenario::Faults, 88_963, 0xce76_30c3_af70_0ff3),
+        (Protocol::Dctcp { k: 20 }, Scenario::Plain, 89_867, 0x1cc4_a8f1_5edf_129e),
+        (Protocol::Dctcp { k: 20 }, Scenario::Lossy, 89_702, 0x32bf_3027_a9fb_1fdc),
+        (Protocol::Dctcp { k: 20 }, Scenario::Faults, 89_350, 0x3d9e_b558_bcd2_6d87),
+        (Protocol::Vegas, Scenario::Plain, 92_735, 0x98d1_d7d2_6f06_c4fc),
+        (Protocol::Vegas, Scenario::Lossy, 92_216, 0xd7ca_cbd7_b2a2_55f7),
+        (Protocol::Vegas, Scenario::Faults, 89_024, 0x2654_49ef_464c_1b69),
+        (Protocol::Homa, Scenario::Plain, 97_572, 0xa564_ca7a_1063_d842),
+        (Protocol::Homa, Scenario::Lossy, 98_388, 0xaedd_7f41_44c1_7ede),
+        (Protocol::Homa, Scenario::Faults, 95_804, 0x34c4_49b6_0e2c_b6a9),
     ];
     let mut failures = Vec::new();
     for (protocol, scenario, events, trajectory) in cases {
         let mut cfg = SimConfig::small_scale();
         cfg.duration_s = 1.0;
         cfg.seed = 3;
-        if let Scenario::Lossy = scenario {
-            cfg.link.loss_prob = 0.001;
-        }
         let mut sim = mimicnet::compose::ground_truth(cfg, 8, protocol);
-        if let Scenario::Faults = scenario {
-            let plan = mixed_faults(sim.topo());
-            sim.set_fault_plan(&plan).unwrap();
+        let at = SimTime::from_secs_f64;
+        let window = match scenario {
+            Scenario::Plain => None,
+            Scenario::Lossy => Some(LossWindow::new(SimTime::ZERO, SimTime::MAX, 0.001)),
+            Scenario::Faults => Some(LossWindow::new(at(0.3), at(0.5), 0.01)),
+        };
+        if let Some(window) = window {
+            sim.set_loss_window(window.unwrap());
         }
         let mut m = sim.run();
         let got = (m.events_processed, trajectory_digest(&mut m));

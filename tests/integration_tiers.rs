@@ -133,19 +133,19 @@ fn every_tier_is_within_its_declared_w1_bound() {
 #[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
 #[test]
 fn composed_trajectories_are_locked() {
-    use dcn_sim::fault::FaultPlan;
+    use dcn_sim::fault::LossWindow;
     use dcn_sim::instrument::Metrics;
     use dcn_sim::time::SimTime;
     let digest = |m: &Metrics| dcn_obs::digest::fnv64(&m.canonical_bytes());
     let mut pipe = Pipeline::new(quick_cfg());
     let clean = pipe.try_estimate(trained(), 4, None).expect("all-Mimic estimate");
-    let plan = FaultPlan::new(9).gray_loss_all(
+    let window = LossWindow::new(
         SimTime::from_secs_f64(0.05),
         SimTime::from_secs_f64(0.25),
         0.1,
-        true,
-    );
-    let faulty = pipe.try_estimate(trained(), 4, Some(&plan)).expect("faulty estimate");
+    )
+    .expect("valid window");
+    let faulty = pipe.try_estimate(trained(), 4, Some(&window)).expect("faulty estimate");
     assert!(faulty.metrics.fault_drops > 0, "gray loss dropped nothing");
     let tiers = TierPlan { every_windows: 16 };
     let adaptive: Vec<u64> = [1usize, 2]
@@ -168,10 +168,10 @@ fn composed_trajectories_are_locked() {
         .collect();
     let got = [digest(&clean.metrics), digest(&faulty.metrics), adaptive[0], adaptive[1]];
     let want = [
-        0x1cbf_3eea_39ff_51f9,
-        0x6e50_1c4a_fd92_7636,
-        0xc496_07f7_0f13_9f2b,
-        0xc496_07f7_0f13_9f2b,
+        0xf7ad_4d48_b8d5_bc39,
+        0xb61a_6ae9_a38f_0fb6,
+        0xc880_a5e2_14cd_34eb,
+        0xc880_a5e2_14cd_34eb,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
