@@ -12,6 +12,8 @@
 //! per-event cost, plus exact LSTM training/inference math. Inference
 //! costs one LSTM step per packet the Mimic fleet steps: every boundary
 //! verdict and every feeder warm-up packet, as the fleet counts them.
+//! Warm-up runs on demand, so feeder packets after a cluster's last
+//! verdict are neither stepped nor counted.
 
 use mimic_ml::flops::{inference_step_flops, train_step_flops, SIM_EVENT_FLOPS};
 use mimicnet_bench::{header, pipeline_config, Scale};

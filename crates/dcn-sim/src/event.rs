@@ -46,13 +46,11 @@ pub enum EventKind {
     },
     /// The traffic generator should start this host's next flow.
     FlowArrival { host: NodeId },
-    /// A Mimic cluster's feeder model wants a wakeup.
-    FeederWake { cluster: u32 },
 }
 
 impl EventKind {
     /// Number of event-kind variants (size for per-kind counter arrays).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 4;
 
     /// Dense per-kind index (the class rank), for per-event-type counters
     /// in the observability layer.
@@ -64,7 +62,7 @@ impl EventKind {
     /// consistently with [`EventKind::index`]; flight-ring decoders take
     /// this table.
     pub const NAMES: [&'static str; EventKind::COUNT] =
-        ["tx_done", "arrive", "timer", "flow_arrival", "feeder_wake"];
+        ["tx_done", "arrive", "timer", "flow_arrival"];
 
     /// Class rank: fixes processing order among different event types that
     /// share a timestamp. Transmitter completions come first so a packet
@@ -78,7 +76,6 @@ impl EventKind {
             EventKind::Arrive { .. } => 1,
             EventKind::Timer { .. } => 2,
             EventKind::FlowArrival { .. } => 3,
-            EventKind::FeederWake { .. } => 4,
         }
     }
 
@@ -95,7 +92,6 @@ impl EventKind {
                 ((host.0 as u64) << 40) ^ (flow.0 << 8) ^ token
             }
             EventKind::FlowArrival { host } => host.0 as u64,
-            EventKind::FeederWake { cluster } => *cluster as u64,
         }
     }
 }
@@ -185,7 +181,7 @@ struct Slot {
 /// packet-carrying `Arrive`) is moved out rather than cloned.
 #[inline]
 fn tombstone() -> EventKind {
-    EventKind::FeederWake { cluster: NIL }
+    EventKind::FlowArrival { host: NodeId(NIL) }
 }
 
 /// The bucket of an event at `time` relative to the floor `last`: 0 when
@@ -430,10 +426,6 @@ impl EventKind {
                 w.put_u8(3);
                 w.put_u32(host.0);
             }
-            EventKind::FeederWake { cluster } => {
-                w.put_u8(4);
-                w.put_u32(*cluster);
-            }
         }
     }
 }
@@ -499,7 +491,6 @@ mod tests {
                 EventKind::Arrive { .. } => 1,
                 EventKind::Timer { .. } => 2,
                 EventKind::FlowArrival { .. } => 3,
-                EventKind::FeederWake { .. } => 4,
             })
             .collect();
         assert_eq!(classes, vec![0, 2, 3]);
@@ -546,11 +537,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(
             SimTime::ZERO + SimDuration::from_millis(2),
-            EventKind::FeederWake { cluster: 0 },
+            EventKind::FlowArrival { host: NodeId(0) },
         );
         q.schedule(
             SimTime::ZERO + SimDuration::from_millis(1),
-            EventKind::FeederWake { cluster: 1 },
+            EventKind::FlowArrival { host: NodeId(1) },
         );
         assert_eq!(q.peek_time(), Some(t(1_000_000)));
         let e = q.pop().unwrap();
@@ -559,9 +550,9 @@ mod tests {
 
     /// A deterministic mixed-kind workload.
     fn mixed_kind(i: u64) -> EventKind {
-        match i % 5 {
+        match i % 4 {
             0 => EventKind::TxDone {
-                link: LinkId((i / 5) as u32 % 16),
+                link: LinkId((i / 4) as u32 % 16),
                 dir: if i.is_multiple_of(2) { Dir::Up } else { Dir::Down },
             },
             1 => EventKind::Arrive {
@@ -573,11 +564,8 @@ mod tests {
                 flow: FlowId(i % 8),
                 token: i,
             },
-            3 => EventKind::FlowArrival {
+            _ => EventKind::FlowArrival {
                 host: NodeId((i % 16) as u32),
-            },
-            _ => EventKind::FeederWake {
-                cluster: (i % 4) as u32,
             },
         }
     }
@@ -619,7 +607,6 @@ mod tests {
                 EventKind::Arrive { .. } => 1,
                 EventKind::Timer { .. } => 2,
                 EventKind::FlowArrival { .. } => 3,
-                EventKind::FeederWake { .. } => 4,
             }
         }
         let samples: [EventKind; EventKind::COUNT] = [
@@ -637,7 +624,6 @@ mod tests {
                 token: 0,
             },
             EventKind::FlowArrival { host: NodeId(0) },
-            EventKind::FeederWake { cluster: 0 },
         ];
         let mut seen = [false; EventKind::COUNT];
         let mut names = std::collections::HashSet::new();

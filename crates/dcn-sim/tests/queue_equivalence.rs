@@ -36,7 +36,7 @@ use std::time::Instant;
 /// variant (including packet-carrying `Arrive`, the pool's reason to
 /// exist) with collision-heavy payload fields so `tag` tiebreaks engage.
 fn kind_of(a: u64, b: u64) -> EventKind {
-    match a % 5 {
+    match a % 4 {
         0 => EventKind::TxDone {
             link: LinkId((b % 16) as u32),
             dir: if b.is_multiple_of(2) { Dir::Up } else { Dir::Down },
@@ -63,11 +63,8 @@ fn kind_of(a: u64, b: u64) -> EventKind {
             flow: FlowId(b % 8),
             token: b % 13,
         },
-        3 => EventKind::FlowArrival {
+        _ => EventKind::FlowArrival {
             host: NodeId((b % 16) as u32),
-        },
-        _ => EventKind::FeederWake {
-            cluster: (b % 4) as u32,
         },
     }
 }

@@ -145,25 +145,22 @@ fn flight_ring_wraps_keeping_only_the_most_recent_events() {
     }
 }
 
-/// Serves cluster 1 with a constant latency and asks for one feeder wake,
-/// at `.0`, where it panics: a fault inside a chosen window.
+/// Serves cluster 1 with a constant latency and panics at its first
+/// boundary crossing at or after `.0`: a fault inside a chosen window.
 struct PanicsAt(dcn_sim::time::SimTime);
 
 impl dcn_sim::mimic::ClusterModel for PanicsAt {
     fn clusters(&self) -> &[u32] {
         &[1]
     }
-    fn infer(&mut self, _: &dcn_sim::mimic::BoundaryItem) -> dcn_sim::mimic::Verdict {
+    fn infer(&mut self, item: &dcn_sim::mimic::BoundaryItem) -> dcn_sim::mimic::Verdict {
+        if item.enqueued_at >= self.0 {
+            panic!("crash drill: crossing at {} ns", item.enqueued_at.as_nanos());
+        }
         dcn_sim::mimic::Verdict::Deliver { latency: self.latency_floor(), mark_ce: false }
     }
     fn latency_floor(&self) -> dcn_sim::time::SimDuration {
         dcn_sim::time::SimDuration::from_millis(2)
-    }
-    fn next_wake(&mut self, _: u32, now: dcn_sim::time::SimTime) -> Option<dcn_sim::time::SimTime> {
-        (now < self.0).then_some(self.0)
-    }
-    fn on_wake(&mut self, _: u32, now: dcn_sim::time::SimTime) {
-        panic!("crash drill: feeder wake at {} ns", now.as_nanos());
     }
 }
 
@@ -188,16 +185,19 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
         }),
         ..PdesRunOpts::default()
     };
-    // Inside window 40; cluster 1 lives on partition 1 of 2.
+    // Armed inside window 40; cluster 1 lives on partition 1 of 2, and
+    // its first crossing from then on (32 106 033 ns, as recorded from
+    // this run) falls in window 65.
     let window = cfg.link.latency;
     let at = SimTime(39 * window.as_nanos() + 1);
+    let crossing = SimTime(32_106_033);
     let setup = |sim: &mut Simulation| sim.set_cluster_model(Box::new(PanicsAt(at)));
     let err = run_partitioned_opts(cfg, 2, window, &|| Protocol::NewReno.factory(), &setup, &opts)
         .err()
         .expect("crash drill must fail the run");
     let msg = format!("{err}");
     assert!(msg.contains("crash drill"), "typed error carries the panic: {msg}");
-    assert_eq!((err.part, err.window_end_ns), (1, 40 * window.as_nanos()));
+    assert_eq!((err.part, err.window_end_ns), (1, 65 * window.as_nanos()));
 
     // The post-mortem landed as a complete JSON file (atomic_write: no
     // truncated artifacts on the panic path) naming the reason and the
@@ -222,13 +222,13 @@ fn crash_drill_dumps_flight_ring_through_atomic_write() {
     );
 
     // `diverge` reads the dump like an `--obs-out` file: this LP's share
-    // of the digests at barriers 1..=39, and a ring ending at the event
-    // that panicked.
+    // of the digests at barriers 1..=64, and a ring ending at the event
+    // that panicked — the crossing's arrival.
     let run = ObsRun::from_json(&text).expect("diverge reads the dump");
     assert_eq!(run.timeline.first_window, 1);
-    assert_eq!(run.timeline.digests.len(), 39);
+    assert_eq!(run.timeline.digests.len(), 64);
     let last = run.flight.last().expect("ring holds events");
-    assert_eq!((last.kind_name, last.sim_ns, last.lp), ("feeder_wake", at.as_nanos(), 1));
+    assert_eq!((last.kind_name, last.sim_ns, last.lp), ("arrive", crossing.as_nanos(), 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -168,10 +168,10 @@ fn composed_trajectories_are_locked() {
         .collect();
     let got = [digest(&clean.metrics), digest(&faulty.metrics), adaptive[0], adaptive[1]];
     let want = [
-        0xf7ad_4d48_b8d5_bc39,
-        0xb61a_6ae9_a38f_0fb6,
-        0xc880_a5e2_14cd_34eb,
-        0xc880_a5e2_14cd_34eb,
+        0x94c8_e60b_800b_98dd,
+        0xdb71_3703_1438_657b,
+        0x0ee0_39d1_1c6a_a47a,
+        0x0ee0_39d1_1c6a_a47a,
     ];
     assert_eq!(got, want, "got {got:#018x?}");
 }
