@@ -50,6 +50,10 @@ pub struct CongestionEstimator {
     /// Recent (normalized latency, dropped) outcomes.
     recent: VecDeque<(f32, bool)>,
     cap: usize,
+    /// [`CongestionEstimator::scan`] of `recent`, kept current by
+    /// `observe`: extraction reads it once per packet, feeder packets
+    /// included, while outcomes arrive only once per verdict.
+    state: CongestionState,
 }
 
 impl Default for CongestionEstimator {
@@ -57,6 +61,7 @@ impl Default for CongestionEstimator {
         CongestionEstimator {
             recent: VecDeque::new(),
             cap: 32,
+            state: CongestionState::Low,
         }
     }
 }
@@ -68,15 +73,21 @@ impl CongestionEstimator {
             self.recent.pop_front();
         }
         self.recent.push_back((latency_norm, dropped));
+        self.state = self.scan();
     }
 
     /// Current regime estimate.
     pub fn state(&self) -> CongestionState {
+        self.state
+    }
+
+    /// The regime the recent outcomes show.
+    fn scan(&self) -> CongestionState {
         if self.recent.len() < 4 {
             return CongestionState::Low;
         }
-        // Single pass, no scratch Vec: this runs once per packet inside
-        // feature extraction, so it must stay off the allocator.
+        // Single pass, no scratch Vec: this runs once per outcome, so it
+        // must stay off the allocator.
         let n = self.recent.len();
         let half = n / 2;
         let mut first_sum = 0.0f32;
@@ -208,19 +219,31 @@ impl FeatureExtractor {
     /// path of a running Mimic, allocation-free once `v` has grown to
     /// [`FeatureConfig::width`] capacity.
     pub fn extract_into(&mut self, p: &PacketView, v: &mut Vec<f32>) {
-        v.clear();
+        v.resize(self.cfg.width(), 0.0);
+        self.extract_row(p, v);
+    }
+
+    /// Encode the next packet into `row`, exactly
+    /// [`FeatureConfig::width`] long: zero it, then write each one-hot
+    /// bit and scalar at its fixed offset.
+    pub fn extract_row(&mut self, p: &PacketView, row: &mut [f32]) {
         let cfg = &self.cfg;
-        let one_hot = |v: &mut Vec<f32>, idx: u32, width: u32| {
-            for i in 0..width {
-                v.push(if i == idx % width { 1.0 } else { 0.0 });
+        assert_eq!(row.len(), cfg.width(), "feature row width");
+        row.fill(0.0);
+        let mut at = 0;
+        for (idx, width) in [
+            (p.rack, cfg.racks_per_cluster),
+            (p.server, cfg.hosts_per_rack),
+            (p.agg, cfg.aggs_per_cluster),
+            (p.core, cfg.cores),
+        ] {
+            if width > 0 {
+                row[at + (idx % width) as usize] = 1.0;
             }
-        };
-        one_hot(v, p.rack, cfg.racks_per_cluster);
-        one_hot(v, p.server, cfg.hosts_per_rack);
-        one_hot(v, p.agg, cfg.aggs_per_cluster);
-        one_hot(v, p.core, cfg.cores);
+            at += width as usize;
+        }
         // Size normalized by MTU.
-        v.push(p.wire_bytes as f32 / 1500.0);
+        row[at] = p.wire_bytes as f32 / 1500.0;
         // Interarrival, discretized.
         let dt = match self.last_time {
             Some(t) => p.time.since(t).as_secs_f64(),
@@ -228,32 +251,32 @@ impl FeatureExtractor {
         };
         self.last_time = Some(p.time);
         self.ewma_dt = cfg.ewma_alpha * dt + (1.0 - cfg.ewma_alpha) * self.ewma_dt;
-        v.push(self.dt_disc.normalize(dt));
-        v.push(self.dt_disc.normalize(self.ewma_dt));
-        // Congestion regime.
+        row[at + 1] = self.dt_disc.normalize(dt);
+        row[at + 2] = self.dt_disc.normalize(self.ewma_dt);
+        at += 3;
+        // Congestion regime (the block stays zero when disabled).
         if cfg.congestion_feature {
-            let state = self.congestion.state() as usize;
-            for i in 0..4 {
-                v.push(if i == state { 1.0 } else { 0.0 });
-            }
-        } else {
-            v.extend_from_slice(&[0.0; 4]);
+            row[at + self.congestion.state() as usize] = 1.0;
         }
+        at += 4;
         // Packet kind.
         let kind_idx = match p.kind {
             PacketKind::Data => 0,
             PacketKind::Ack => 1,
             PacketKind::Grant => 2,
         };
-        for i in 0..3 {
-            v.push(if i == kind_idx { 1.0 } else { 0.0 });
-        }
+        row[at + kind_idx] = 1.0;
+        at += 3;
         // ECN bits.
-        v.push(if p.ecn.is_capable() { 1.0 } else { 0.0 });
-        v.push(if p.ecn == Ecn::Ce { 1.0 } else { 0.0 });
+        if p.ecn.is_capable() {
+            row[at] = 1.0;
+        }
+        if p.ecn == Ecn::Ce {
+            row[at + 1] = 1.0;
+        }
         // Priority (8 bands max).
-        v.push(p.prio as f32 / 8.0);
-        debug_assert_eq!(v.len(), cfg.width());
+        row[at + 2] = p.prio as f32 / 8.0;
+        debug_assert_eq!(at + 3, cfg.width());
     }
 
     /// Feed an outcome into the congestion estimator.
@@ -382,6 +405,96 @@ mod tests {
         let f = fx.extract(&p);
         assert_eq!(f[w - 3], 0.0);
         assert_eq!(f[w - 2], 0.0);
+    }
+
+    /// The encoding as it was written before rows were filled by index:
+    /// one `push` per element, congestion state rescanned per packet.
+    fn pushed(fx: &mut FeatureExtractor, p: &PacketView) -> Vec<f32> {
+        let cfg = fx.cfg;
+        let mut v = Vec::new();
+        let one_hot = |v: &mut Vec<f32>, idx: u32, width: u32| {
+            for i in 0..width {
+                v.push(if i == idx % width { 1.0 } else { 0.0 });
+            }
+        };
+        one_hot(&mut v, p.rack, cfg.racks_per_cluster);
+        one_hot(&mut v, p.server, cfg.hosts_per_rack);
+        one_hot(&mut v, p.agg, cfg.aggs_per_cluster);
+        one_hot(&mut v, p.core, cfg.cores);
+        v.push(p.wire_bytes as f32 / 1500.0);
+        let dt = match fx.last_time {
+            Some(t) => p.time.since(t).as_secs_f64(),
+            None => cfg.dt_max_s,
+        };
+        fx.last_time = Some(p.time);
+        fx.ewma_dt = cfg.ewma_alpha * dt + (1.0 - cfg.ewma_alpha) * fx.ewma_dt;
+        v.push(fx.dt_disc.normalize(dt));
+        v.push(fx.dt_disc.normalize(fx.ewma_dt));
+        let state = fx.congestion.scan() as usize;
+        for i in 0..4 {
+            v.push(if cfg.congestion_feature && i == state { 1.0 } else { 0.0 });
+        }
+        let kind_idx = p.kind as usize;
+        for i in 0..3 {
+            v.push(if i == kind_idx { 1.0 } else { 0.0 });
+        }
+        v.push(if p.ecn.is_capable() { 1.0 } else { 0.0 });
+        v.push(if p.ecn == Ecn::Ce { 1.0 } else { 0.0 });
+        v.push(p.prio as f32 / 8.0);
+        v
+    }
+
+    proptest::proptest! {
+        /// The cached regime is the scan of the same outcomes after every
+        /// `observe`, from the first.
+        #[test]
+        fn cached_state_equals_the_scan(
+            outcomes in proptest::collection::vec((0.0f32..1.0, 0u32..16), 0..120)
+        ) {
+            let mut est = CongestionEstimator::default();
+            proptest::prop_assert_eq!(est.state(), est.scan());
+            for (latency, d) in outcomes {
+                est.observe(latency, d == 0);
+                proptest::prop_assert_eq!(est.state(), est.scan());
+            }
+        }
+
+        /// Rows written by index are bit-identical to the pushed encoding
+        /// over random packets interleaved with random outcomes.
+        #[test]
+        fn rows_match_the_pushed_encoding(
+            packets in proptest::collection::vec(
+                (0u64..2_000_000, (0u32..5, 0u32..3), 40u32..1500, 0u32..24),
+                1..80,
+            )
+        ) {
+            let mut cfg = cfg();
+            cfg.congestion_feature = packets[0].3 % 2 == 0;
+            let (mut fx, mut reference) = (FeatureExtractor::new(cfg), FeatureExtractor::new(cfg));
+            let mut row = vec![f32::NAN; cfg.width()];
+            let mut t = 0;
+            for (dt, (coord, kind), bytes, aux) in packets {
+                t += dt;
+                let p = PacketView {
+                    time: SimTime(t),
+                    wire_bytes: bytes,
+                    rack: coord,
+                    server: coord + 1,
+                    agg: coord * 3,
+                    core: coord + kind,
+                    kind: [PacketKind::Data, PacketKind::Ack, PacketKind::Grant][kind as usize],
+                    ecn: [Ecn::NotEct, Ecn::Ect, Ecn::Ce][(aux % 3) as usize],
+                    prio: (aux % 8) as u8,
+                };
+                fx.extract_row(&p, &mut row);
+                let want = pushed(&mut reference, &p);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&row), bits(&want));
+                let outcome = (aux as f32 / 24.0, aux == 23);
+                fx.observe_outcome(outcome.0, outcome.1);
+                reference.observe_outcome(outcome.0, outcome.1);
+            }
+        }
     }
 
     #[test]
