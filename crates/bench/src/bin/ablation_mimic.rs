@@ -36,6 +36,7 @@ fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bo
             feature_cfg: td.feature_cfg,
             envelope: mimicnet::drift::FeatureEnvelope::fit(&td.ingress.features),
             feeder: td.feeder,
+            window: mimicnet::mimic::TrainWindow(tc.window),
         }
     } else {
         let (ing, _) =
@@ -50,6 +51,7 @@ fn train_bundle(dg: &DataGenConfig, tc: &TrainConfig, hidden: usize, unified: bo
             feature_cfg: td.feature_cfg,
             envelope: mimicnet::drift::FeatureEnvelope::fit(&td.ingress.features),
             feeder: td.feeder,
+            window: mimicnet::mimic::TrainWindow(tc.window),
         }
     }
 }

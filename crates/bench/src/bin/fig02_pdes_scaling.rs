@@ -42,6 +42,7 @@ fn quick_trained() -> TrainedMimic {
         feature_cfg: td.feature_cfg,
         feeder: td.feeder,
         envelope: None,
+        window: mimicnet::mimic::TrainWindow(tc.window),
     }
 }
 

@@ -10,10 +10,11 @@
 //!
 //! We count FLOPs analytically: simulator events at a calibrated
 //! per-event cost, plus exact LSTM training/inference math. Inference
-//! costs one LSTM step per packet the Mimic fleet steps: every boundary
-//! verdict and every feeder warm-up packet, as the fleet counts them.
-//! Warm-up runs on demand, so feeder packets after a cluster's last
-//! verdict are neither stepped nor counted.
+//! costs one LSTM step per packet the Mimic fleet steps, as the fleet
+//! counts them: every boundary verdict, plus the feeder rows each verdict
+//! replays — at most the training window's worth of the feeder packets
+//! drawn since the lane's previous verdict. Drawing and featurizing a
+//! feeder packet is priced as free.
 
 use mimic_ml::flops::{inference_step_flops, train_step_flops, SIM_EVENT_FLOPS};
 use mimicnet_bench::{header, pipeline_config, Scale};
@@ -46,8 +47,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         train_flops as f64 / 1e9
     );
     println!(
-        "\n{:>9} | {:>12} | {:>14} | {:>14} | {:>8} | {:>12}",
-        "clusters", "full sim", "mimic (run)", "mimic (+train)", "verdicts", "feeder steps"
+        "\n{:>9} | {:>12} | {:>14} | {:>14} | {:>8} | {:>12} | {:>12}",
+        "clusters", "full sim", "mimic (run)", "mimic (+train)", "verdicts", "feeder draws", "feeder steps"
     );
     for clusters in scale.cluster_sweep() {
         let (_, truth_metrics, _) = pipe.try_ground_truth(clusters, None)?;
@@ -57,14 +58,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         let est = pipe.try_estimate(&trained, clusters, None)?;
         let fleet = pipe.obs.take_report().unwrap_or_default();
         // Composition cost: events + one LSTM step per boundary verdict
-        // and per feeder packet.
+        // and per replayed feeder row.
         let verdicts = fleet.counter("mimic.fleet.packets_seen");
-        let feeder = fleet.counter("mimic.fleet.feeder_packets");
+        let draws = fleet.counter("mimic.fleet.feeder_packets");
+        let steps = fleet.counter("mimic.fleet.feeder_steps");
         let mimic_run = est.metrics.events_processed * SIM_EVENT_FLOPS
-            + (verdicts + feeder) * inference_step_flops(f, h, 3);
+            + (verdicts + steps) * inference_step_flops(f, h, 3);
         let mimic_total = mimic_run + train_flops + small_sim_flops;
         println!(
-            "{clusters:>9} | {:>12.3} | {:>14.3} | {:>14.3} | {verdicts:>8} | {feeder:>12}",
+            "{clusters:>9} | {:>12.3} | {:>14.3} | {:>14.3} | {verdicts:>8} | {draws:>12} | {steps:>12}",
             full as f64 / 1e9,
             mimic_run as f64 / 1e9,
             mimic_total as f64 / 1e9

@@ -65,6 +65,22 @@ fn main() -> Result<(), Box<dyn Error>> {
         "mimic.boundary.count == mimic.fleet.packets_seen",
     );
     check(report.counter("mimic.boundary.wall_ns") > 0, "mimic.boundary.wall_ns > 0");
+    // Feeder warm-up steps the LSTM through at most the bundle's training
+    // window of feeder rows per verdict, and never more rows than drawn.
+    let steps = report.counter("mimic.fleet.feeder_steps");
+    let window = trained.window.0 as u64;
+    check(
+        report.counter("mimic.fleet.feeder_packets") > 0,
+        "mimic.fleet.feeder_packets > 0",
+    );
+    check(
+        steps <= window * report.counter("mimic.fleet.packets_seen"),
+        "mimic.fleet.feeder_steps <= window * mimic.fleet.packets_seen",
+    );
+    check(
+        steps <= report.counter("mimic.fleet.feeder_packets"),
+        "mimic.fleet.feeder_steps <= mimic.fleet.feeder_packets",
+    );
     check(
         report.series.get("train.ingress.epoch_loss").map_or(0, |s| s.len()) == 2,
         "train.ingress.epoch_loss has one entry per epoch",

@@ -42,6 +42,7 @@ use dcn_sim::snapshot::atomic_write;
 use dcn_sim::time::SimTime;
 use dcn_transport::Protocol;
 use mimicnet::diverge::{self, ObsRun};
+use mimicnet::fleet::{VerdictCounts, DIRECTIONS};
 use mimicnet::mimic::TrainedMimic;
 use mimicnet::pipeline::{Pipeline, PipelineConfig};
 use mimicnet::tuning::{tune, TuningConfig};
@@ -470,10 +471,17 @@ fn cmd_estimate(opts: HashMap<String, String>) {
     let trained = load_model(&opts);
     let n = clusters_from(&opts);
     let mut pipe = Pipeline::new(pipeline_from(&opts));
-    if obs_requested(&opts) {
+    // `--json` reports what the Mimics decided, which the fleet counts
+    // only when telemetry is on.
+    if obs_requested(&opts) || opts.contains_key("json") {
         pipe = pipe.with_obs();
     }
     let est = estimate_from_flags(&mut pipe, &trained, n, &opts);
+    let [ingress, egress] = DIRECTIONS.map(|dir| {
+        pipe.obs
+            .report()
+            .map_or_else(VerdictCounts::default, |r| VerdictCounts::from_report(r, dir))
+    });
     if opts.contains_key("json") {
         let out = serde_json::json!({
             "clusters": n,
@@ -486,6 +494,10 @@ fn cmd_estimate(opts: HashMap<String, String>) {
             "rtt_p50": dcn_sim::stats::percentile(&est.samples.rtt, 50.0),
             "rtt_p99": est.rtt_p99,
             "tier_switches": est.metrics.tier_switches.len(),
+            "mimic_ingress_drop_rate": ingress.drop_rate(),
+            "mimic_ingress_mark_rate": ingress.mark_rate(),
+            "mimic_egress_drop_rate": egress.drop_rate(),
+            "mimic_egress_mark_rate": egress.mark_rate(),
         });
         println!("{}", serde_json::to_string_pretty(&out).unwrap());
     } else {
@@ -496,6 +508,16 @@ fn cmd_estimate(opts: HashMap<String, String>) {
         println!("  tput p99 {:.0} B/s", est.throughput_p99);
     }
     export_obs(&mut pipe, &opts);
+    if opts.contains_key("report") {
+        for (dir, c) in DIRECTIONS.iter().zip([ingress, egress]) {
+            eprintln!(
+                "mimic {dir} verdicts: {}, drop rate {:.5}, mark rate {:.5}",
+                c.verdicts,
+                c.drop_rate(),
+                c.mark_rate()
+            );
+        }
+    }
 }
 
 fn cmd_validate(opts: HashMap<String, String>) {

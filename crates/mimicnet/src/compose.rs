@@ -208,6 +208,7 @@ mod tests {
                 feature_cfg: td.feature_cfg,
                 feeder: td.feeder,
                 envelope: crate::drift::FeatureEnvelope::fit(&td.ingress.features),
+                window: crate::mimic::TrainWindow(tc.window),
             },
             cfg.sim,
         )

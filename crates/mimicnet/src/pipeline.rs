@@ -14,7 +14,7 @@ use crate::drift::FeatureEnvelope;
 use crate::error::PipelineError;
 use crate::internal_model::InternalModel;
 use crate::metrics::{observed, ObservedSamples};
-use crate::mimic::TrainedMimic;
+use crate::mimic::{TrainWindow, TrainedMimic};
 use crate::tier::{AccuracyBudget, CorrectionHead};
 use dcn_sim::config::SimConfig;
 use dcn_sim::fault::LossWindow;
@@ -409,9 +409,9 @@ fn train_bundles(
         obs.merge_report(report);
     }
     let mut models = trained.into_iter().map(|(out, _)| out);
-    datas
-        .into_iter()
-        .map(|data| {
+    cfgs.iter()
+        .zip(datas)
+        .map(|(cfg, data)| {
             let data = data?;
             let (ingress, egress) = (models.next(), models.next());
             let trained = TrainedMimic {
@@ -420,6 +420,7 @@ fn train_bundles(
                 feature_cfg: data.feature_cfg,
                 feeder: data.feeder.clone(),
                 envelope: FeatureEnvelope::fit(&data.ingress.features),
+                window: TrainWindow(cfg.train.window),
             };
             Ok((trained, data))
         })

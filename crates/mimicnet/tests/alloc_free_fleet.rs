@@ -41,7 +41,7 @@ use mimicnet::datagen::{generate, DataGenConfig};
 use mimicnet::drift::FeatureEnvelope;
 use mimicnet::fleet::MimicFleet;
 use mimicnet::internal_model::InternalModel;
-use mimicnet::mimic::TrainedMimic;
+use mimicnet::mimic::{TrainWindow, TrainedMimic};
 
 /// Build one round of 64 crossings: 8 recurring flows across 3 clusters,
 /// both directions, enqueue times advancing from `base`.
@@ -93,6 +93,7 @@ fn infer_and_wakes_do_not_allocate_after_warmup() {
         feature_cfg: td.feature_cfg,
         feeder: td.feeder,
         envelope: FeatureEnvelope::fit(&td.ingress.features),
+        window: TrainWindow(tc.window),
     };
     let mut topo = cfg.sim.topo;
     topo.clusters = 4;

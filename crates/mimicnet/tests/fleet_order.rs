@@ -29,7 +29,7 @@ use mimicnet::features::FeatureExtractor;
 use mimicnet::feeder::{DirFit, FeederFit};
 use mimicnet::fleet::MimicFleet;
 use mimicnet::internal_model::InternalModel;
-use mimicnet::mimic::{packet_view, DecisionMode, TrainedMimic};
+use mimicnet::mimic::{packet_view, DecisionMode, TrainWindow, TrainedMimic};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -60,6 +60,7 @@ fn bundle() -> &'static (TrainedMimic, FatTreeParams) {
                 feature_cfg: td.feature_cfg,
                 feeder: td.feeder,
                 envelope: FeatureEnvelope::fit(&td.ingress.features),
+                window: TrainWindow(tc.window),
             },
             topo,
         )
