@@ -26,6 +26,11 @@ fn bench_feature_extraction(c: &mut Criterion) {
     let cfg = FeatureConfig::from_topology(&dcn_sim::topology::FatTreeParams::new(2, 2, 2, 2, 1));
     c.bench_function("features/extract", |b| {
         let mut fx = FeatureExtractor::new(cfg);
+        // A full congestion window, as on a live lane.
+        for i in 0..32 {
+            fx.observe_outcome(i as f32 / 64.0, false);
+        }
+        let mut row = Vec::with_capacity(cfg.width());
         let mut t = 0u64;
         b.iter(|| {
             t += 10_000;
@@ -40,7 +45,8 @@ fn bench_feature_extraction(c: &mut Criterion) {
                 ecn: dcn_sim::packet::Ecn::Ect,
                 prio: 0,
             };
-            black_box(fx.extract(&v).len())
+            fx.extract_into(&v, &mut row);
+            black_box(row[0])
         })
     });
 }
