@@ -9,6 +9,9 @@
 
 use serde::{Deserialize, Serialize};
 
+/// SplitMix64's state increment (the golden-ratio odd constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A SplitMix64 PRNG: tiny, fast, and with a well-understood output function.
 ///
 /// SplitMix64 passes BigCrush for the statistical quality we need (workload
@@ -30,20 +33,28 @@ impl SplitMix64 {
     /// The tag is mixed through one SplitMix64 round so that streams with
     /// adjacent tags are decorrelated.
     pub fn derive(seed: u64, tag: u64) -> SplitMix64 {
-        let mut g = SplitMix64::new(seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut g = SplitMix64::new(seed ^ tag.wrapping_mul(GAMMA));
         // Burn one value so `tag` and `tag+1` diverge immediately.
         let _ = g.next_u64();
         g
     }
 
     /// Current internal state (the window digest folds stream positions).
+    /// `SplitMix64::new(g.state())` continues `g`'s stream exactly.
     pub fn state(&self) -> u64 {
         self.state
     }
 
+    /// Skip the next `n` outputs. The state is a counter stepped by a
+    /// fixed increment and each output is a pure function of it, so this
+    /// is one multiply-add, exactly `n` calls to [`SplitMix64::next_u64`].
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
+    }
+
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -177,6 +188,19 @@ mod tests {
         let mut b = SplitMix64::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn skip_equals_that_many_draws() {
+        for n in [0u64, 1, 5, 1 << 20] {
+            let (mut skipped, mut drawn) = (SplitMix64::derive(42, n), SplitMix64::derive(42, n));
+            skipped.skip(n);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            assert_eq!(skipped.state(), drawn.state(), "n = {n}");
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
         }
     }
 
