@@ -50,6 +50,41 @@ use mimicnet::{AccuracyBudget, CorrectionHead};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `print!` that survives a closed stdout: see [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` that survives a closed stdout: see [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Set once stdout's reader has gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout. A reader that closes early (`mimicnet estimate … |
+/// head -1`) has read all it wants, so a broken pipe drops this and every
+/// later write and the run ends as it would have, its files written.
+/// Any other write error ends the process with exit 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        }
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            exit(1);
+        }
+    }
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -499,13 +534,13 @@ fn cmd_estimate(opts: HashMap<String, String>) {
             "mimic_egress_drop_rate": egress.drop_rate(),
             "mimic_egress_mark_rate": egress.mark_rate(),
         });
-        println!("{}", serde_json::to_string_pretty(&out).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&out).unwrap());
     } else {
-        println!("{n}-cluster estimate ({:?} wall):", est.wall);
-        println!("  flows completed: {}", est.samples.fct.len());
-        println!("  FCT  p50 {:.4}s  p99 {:.4}s", dcn_sim::stats::percentile(&est.samples.fct, 50.0), est.fct_p99);
-        println!("  RTT  p50 {:.4}s  p99 {:.4}s", dcn_sim::stats::percentile(&est.samples.rtt, 50.0), est.rtt_p99);
-        println!("  tput p99 {:.0} B/s", est.throughput_p99);
+        outln!("{n}-cluster estimate ({:?} wall):", est.wall);
+        outln!("  flows completed: {}", est.samples.fct.len());
+        outln!("  FCT  p50 {:.4}s  p99 {:.4}s", dcn_sim::stats::percentile(&est.samples.fct, 50.0), est.fct_p99);
+        outln!("  RTT  p50 {:.4}s  p99 {:.4}s", dcn_sim::stats::percentile(&est.samples.rtt, 50.0), est.rtt_p99);
+        outln!("  tput p99 {:.0} B/s", est.throughput_p99);
     }
     export_obs(&mut pipe, &opts);
     if opts.contains_key("report") {
@@ -534,16 +569,16 @@ fn cmd_validate(opts: HashMap<String, String>) {
         Err(e) => die_with_obs(&mut pipe, &opts, e, 2),
     };
     let report = mimicnet::metrics::compare(&truth, &est.samples);
-    println!("W1(FCT)        = {:.5}", report.w1_fct);
-    println!("W1(throughput) = {:.0}", report.w1_throughput);
-    println!("W1(RTT)        = {:.6}", report.w1_rtt);
-    println!(
+    outln!("W1(FCT)        = {:.5}", report.w1_fct);
+    outln!("W1(throughput) = {:.0}", report.w1_throughput);
+    outln!("W1(RTT)        = {:.6}", report.w1_rtt);
+    outln!(
         "p99 FCT: truth {:.4}s vs mimic {:.4}s ({:.1}% off)",
         report.fct_p99_truth,
         report.fct_p99_approx,
         report.fct_p99_rel_err() * 100.0
     );
-    println!(
+    outln!(
         "wall: mimic {:.3}s vs truth {:.3}s ({:.1}x)",
         est.wall.as_secs_f64(),
         truth_wall.as_secs_f64(),
@@ -577,10 +612,10 @@ fn cmd_diverge(opts: HashMap<String, String>) {
             exit(1);
         }
         Ok(None) => {
-            println!("no divergence: the two digest timelines agree over their whole overlap");
+            outln!("no divergence: the two digest timelines agree over their whole overlap");
         }
         Ok(Some(report)) => {
-            print!("{}", diverge::render_report(&report));
+            out!("{}", diverge::render_report(&report));
             if let Some(out) = opts.get("out") {
                 let json = serde_json::to_string_pretty(&diverge::report_json(&report))
                     .expect("serializable report");
@@ -617,8 +652,8 @@ fn cmd_tune(opts: HashMap<String, String>) {
         eprintln!("error: {e}");
         exit(1);
     });
-    println!("best objective (sum of normalized W1(FCT)): {:.4}", result.best_objective);
-    println!(
+    outln!("best objective (sum of normalized W1(FCT)): {:.4}", result.best_objective);
+    outln!(
         "best params: wbce_w={:.3} huber_delta={:.3} lr={:.2e} hidden={} window={}",
         result.best.wbce_w,
         result.best.huber_delta,

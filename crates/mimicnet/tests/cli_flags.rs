@@ -187,3 +187,33 @@ fn zero_checkpoint_or_tier_cadence_exits_2_without_a_panic() {
     }
     let _ = std::fs::remove_file(&model);
 }
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    use std::process::Stdio;
+    let model = tmp("pipe-model.json");
+    let model_s = model.to_str().expect("utf-8 temp path");
+    let (code, stderr) = cli(&[
+        "train", "--out", model_s, "--duration", "0.3", "--epochs", "1", "--hidden", "8",
+    ]);
+    assert_eq!(code, Some(0), "train failed: {stderr}");
+    for json in [false, true] {
+        let mut args = vec!["estimate", "--model", model_s, "--clusters", "8", "--duration", "0.2"];
+        if json {
+            args.push("--json");
+        }
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mimicnet"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn mimicnet");
+        // The reader goes before the estimate prints its first line.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for mimicnet");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&model);
+}
