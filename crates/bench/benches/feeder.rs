@@ -1,6 +1,8 @@
 //! Criterion: feeder sampling and feature extraction — the steady-state
 //! per-synthetic-packet cost inside every Mimic (paper §6's feeders fire
-//! continuously during large compositions).
+//! continuously during large compositions). `feeder/fire` draws a whole
+//! packet view; `feeder/advance` is what a fleet's wake pays per packet,
+//! the interarrival clock and features plus a replay-ring slot.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dcn_sim::time::SimTime;
@@ -18,6 +20,25 @@ fn bench_feeder_fire(c: &mut Criterion) {
         b.iter(|| {
             let t = f.next_time().expect("active feeder");
             black_box(f.fire(t).is_some())
+        })
+    });
+}
+
+fn bench_feeder_advance(c: &mut Criterion) {
+    let cfg = FeatureConfig::from_topology(&dcn_sim::topology::FatTreeParams::new(2, 2, 2, 2, 1));
+    c.bench_function("feeder/advance", |b| {
+        let mut f = Feeder::new(fit(), 16, 2, 2, 2, 2, 7);
+        let mut fx = FeatureExtractor::new(cfg);
+        // A replay ring of the default window: (due, position, dt, ewma).
+        let mut ring = [(SimTime::ZERO, 0u64, 0.0f64, 0.0f64); 12];
+        let mut at = 0;
+        b.iter(|| {
+            let t = f.next_time().expect("active feeder");
+            let (due, position) = f.tick(t).expect("due");
+            let (dt, ewma) = fx.advance(due);
+            ring[at] = (due, position, dt, ewma);
+            at = (at + 1) % ring.len();
+            black_box(&ring[at]);
         })
     });
 }
@@ -59,5 +80,5 @@ fn bench_fit(c: &mut Criterion) {
     });
 }
 
-criterion_group!{name = benches; config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500)); targets = bench_feeder_fire, bench_feature_extraction, bench_fit}
+criterion_group!{name = benches; config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500)); targets = bench_feeder_fire, bench_feeder_advance, bench_feature_extraction, bench_fit}
 criterion_main!(benches);
