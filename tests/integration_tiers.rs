@@ -176,6 +176,29 @@ fn composed_trajectories_are_locked() {
     assert_eq!(got, want, "got {got:#018x?}");
 }
 
+/// A composed lock whose hash sees the feeder rows a verdict replays.
+/// The four hashes above do not: the 4-cluster 0.3 s run serves 17
+/// verdicts, and its hash is the same whether each replays its last 4
+/// feeder rows or every row since the previous verdict. At 1 s the run
+/// serves ~270 verdicts, and either change moves this hash, as does
+/// zeroing one encoded field of the replayed rows.
+#[cfg(any(target_feature = "fma", target_arch = "aarch64"))]
+#[test]
+fn composed_trajectory_with_replayed_feeder_rows_is_locked() {
+    let mut cfg = quick_cfg();
+    cfg.base.duration_s = 1.0;
+    let mut pipe = Pipeline::new(cfg).with_obs();
+    let est = pipe.try_estimate(trained(), 4, None).expect("all-Mimic estimate");
+    let report = pipe.obs.report().expect("obs on");
+    let count = |name: &str| report.counter(&format!("mimic.fleet.{name}"));
+    let (verdicts, draws, steps) = (count("packets_seen"), count("feeder_packets"), count("feeder_steps"));
+    assert!(verdicts > 100, "{verdicts} verdicts");
+    // Replay steps some feeder rows but not all of them.
+    assert!(steps > verdicts && steps < draws, "{steps} of {draws} feeder rows stepped");
+    let got = dcn_obs::digest::fnv64(&est.metrics.canonical_bytes());
+    assert_eq!(got, 0x45f9_959e_beff_d860, "got {got:#018x}");
+}
+
 mod schedule_props {
     use super::*;
     use mimicnet::BudgetLedger;
