@@ -311,10 +311,11 @@ impl BudgetLedger {
 /// scores, and with them the promote/demote schedule, are identical at
 /// any partition count. Feeder wakes run on demand (see
 /// [`crate::fleet`]), each under the tier its cluster had at the wake's
-/// own time: at Mimic a wake featurizes its packets into the lane's
-/// replay backlog, at Flow it advances the feeder streams only and leaves
-/// the backlog as it was, so the first Mimic verdict after a promotion
-/// replays the newest Mimic-tier rows.
+/// own time: at Mimic a wake advances the lane's interarrival features
+/// and keeps its packets in the lane's replay backlog, at Flow it
+/// advances the feeder streams only and leaves the backlog as it was, so
+/// the first Mimic verdict after a promotion replays the newest
+/// Mimic-tier packets.
 pub struct AdaptiveFleet {
     inner: MimicFleet,
     ledger: BudgetLedger,
