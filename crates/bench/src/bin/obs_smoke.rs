@@ -31,7 +31,11 @@ fn check(cond: bool, what: &str) {
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    mimicnet_bench::header("obs smoke", "traced composed run + snapshot/trace validation");
+    mimicnet_bench::header(
+        "obs smoke",
+        "traced composed run + snapshot/trace validation",
+        mimicnet_bench::Scale::from_env(),
+    );
 
     let mut cfg = PipelineConfig::default();
     cfg.base.duration_s = 0.3;
