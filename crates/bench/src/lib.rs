@@ -200,7 +200,7 @@ pub const ROWS: &[Row] = &[
     row(
         "fig11_sim_latency",
         "Figure 11",
-        "simulation latency (s) for 5 strategies vs #clusters (lower is better)",
+        "simulation latency (ms) for 5 strategies vs #clusters (lower is better)",
         speed::fig11_sim_latency,
     ),
     row(

@@ -230,9 +230,15 @@ const CORES: usize = 4;
 /// small sizes training overhead dominates; from ~64 clusters MimicNet
 /// wins outright; at 128 clusters it is 2–3 orders of magnitude faster.
 pub(crate) fn fig11_sim_latency(_: &mut Scenarios, scale: Scale) -> RowResult {
+    // Milliseconds: the partitioned S/N chunks run for well under one.
     println!(
-        "{:>9} | {:>11} | {:>13} | {:>11} | {:>12} | {:>12}",
-        "clusters", "single sim", "mimic+train", "single mimic", "part. sim", "part. mimic"
+        "{:>9} | {:>14} | {:>16} | {:>17} | {:>14} | {:>16}",
+        "clusters",
+        "single sim ms",
+        "mimic+train ms",
+        "single mimic ms",
+        "part. sim ms",
+        "part. mimic ms"
     );
     for clusters in scale.cluster_sweep() {
         let s = Strategies::time(scale, clusters)?;
@@ -248,11 +254,14 @@ pub(crate) fn fig11_sim_latency(_: &mut Scenarios, scale: Scale) -> RowResult {
             .try_estimate(&s.trained, clusters, None)?
             .wall
             .as_secs_f64();
+        let ms = |secs: f64| secs * 1e3;
         println!(
-            "{clusters:>9} | {:>11.3} | {:>13.3} | {:>11.3} | {part_sim:>12.3} | {part_mimic:>12.3}",
-            s.sim,
-            s.train + s.mimic,
-            s.mimic
+            "{clusters:>9} | {:>14.3} | {:>16.3} | {:>17.3} | {:>14.3} | {:>16.3}",
+            ms(s.sim),
+            ms(s.train + s.mimic),
+            ms(s.mimic),
+            ms(part_sim),
+            ms(part_mimic)
         );
     }
     println!(

@@ -47,11 +47,6 @@ impl Fnv64 {
         }
     }
 
-    #[inline]
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// The digest of everything written so far.
     #[inline]
     pub fn finish(&self) -> u64 {
@@ -76,16 +71,6 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn integer_writes_are_little_endian() {
-        let mut h = Fnv64::new();
-        h.write_u64(0x0102_0304_0506_0708);
-        assert_eq!(
-            h.finish(),
-            fnv64(&[0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01])
-        );
     }
 
     #[test]

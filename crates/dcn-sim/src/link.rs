@@ -33,13 +33,6 @@ impl Dir {
             Dir::Down => 1,
         }
     }
-
-    pub fn opposite(self) -> Dir {
-        match self {
-            Dir::Up => Dir::Down,
-            Dir::Down => Dir::Up,
-        }
-    }
 }
 
 /// Static link properties.
@@ -121,8 +114,6 @@ mod tests {
 
     #[test]
     fn dir_roundtrip() {
-        assert_eq!(Dir::Up.opposite(), Dir::Down);
-        assert_eq!(Dir::Down.opposite(), Dir::Up);
         assert_eq!(Dir::Up.index(), 0);
         assert_eq!(Dir::Down.index(), 1);
     }

@@ -26,8 +26,7 @@ use crate::topology::{FatTree, NodeId, NodeKind};
 use crate::transport::TransportFactory;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Map every node to a partition: clusters round-robin, cores round-robin.
@@ -506,12 +505,6 @@ pub fn run_partitioned_opts(
     // barriers where `t` is a multiple of this.
     let epoch_stride_ns =
         tiers.map(|plan| window.as_nanos().saturating_mul(plan.every_windows));
-    // Cross-LP drift exchange for tier epochs: each LP writes the scores
-    // of the clusters it observes (Some-wins), all read the merged vector
-    // after a barrier.
-    let drift_slots: Mutex<Vec<Option<f64>>> =
-        Mutex::new(vec![None; cfg.topo.clusters as usize]);
-    let drift_slots = &drift_slots;
 
     assert!(window > SimDuration::ZERO, "zero lookahead breaks conservative PDES");
     let mut end = SimTime::from_secs_f64(cfg.duration_s) + SimDuration::from_nanos(1);
@@ -519,24 +512,36 @@ pub fn run_partitioned_opts(
         end = end.min(stop);
     }
 
-    let channels: Vec<(Sender<RemoteMsg>, Receiver<RemoteMsg>)> =
-        (0..partitions).map(|_| channel()).collect();
-    let senders: Vec<Sender<RemoteMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
-    let mut receivers: Vec<Option<Receiver<RemoteMsg>>> =
-        channels.into_iter().map(|(_, r)| Some(r)).collect();
+    // One barrier per window; what crosses it lives in two copies picked
+    // by window parity. Window `k` fills parity `k % 2` before barrier `k`
+    // and is read after it. A sibling past barrier `k` writes the other
+    // parity, and cannot write parity `k % 2` again before every LP has
+    // passed barrier `k + 1`, i.e. finished reading it (DESIGN.md §10).
+    // Mailboxes: the arrivals each LP imports, by destination LP.
+    let inboxes: Vec<[Mutex<Vec<RemoteMsg>>; 2]> =
+        (0..partitions).map(|_| Default::default()).collect();
+    let inboxes = &inboxes;
+    // The tier-epoch drift vector: each cluster's slot is written by its
+    // owning LP, the only one that observes its traffic, and overwritten
+    // at every epoch, so it needs no reset.
+    let drift_slots: [Mutex<Vec<Option<f64>>>; 2] =
+        std::array::from_fn(|_| Mutex::new(vec![None; cfg.topo.clusters as usize]));
+    let drift_slots = &drift_slots;
 
     let barrier = WindowBarrier::new(partitions);
     let barrier = &barrier;
-    // The first LP panic wins; `abort` is only ever set *before* a
-    // barrier and read *after* one, so every LP observes the same value
-    // at the same loop position and barrier counts stay matched (no LP can
-    // deadlock waiting on one that already returned).
-    let abort = AtomicBool::new(false);
+    // The earliest window an LP failed in (`u64::MAX`: none). An LP that
+    // fails in window `k` stores `k` before barrier `k`; every LP reads it
+    // after each barrier and returns once it names the window just closed
+    // or an earlier one, so all return after the same barrier and no LP
+    // waits on one that already returned. A sibling that is slow to read
+    // it after barrier `k - 1` does not stop there too early.
+    let abort = AtomicU64::new(u64::MAX);
     let first_err: Mutex<Option<LpPanic>> = Mutex::new(None);
-    let record_err = |e: LpPanic| {
+    let record_err = |e: LpPanic, k: u64| {
         let mut slot = first_err.lock().expect("error mutex");
         slot.get_or_insert(e);
-        abort.store(true, Ordering::SeqCst);
+        abort.fetch_min(k, Ordering::SeqCst);
     };
     let diag_on = opts.obs || digest_stride.is_some() || flight_plan.is_some();
     let timed = opts.obs;
@@ -545,10 +550,8 @@ pub fn run_partitioned_opts(
 
     let merged = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(partitions);
-        for (part, receiver) in receivers.iter_mut().enumerate() {
+        for part in 0..partitions {
             let owner = owner.clone();
-            let senders = senders.clone();
-            let rx = receiver.take().expect("receiver taken once");
             let record_err = &record_err;
             let abort = &abort;
             let lp = std::thread::Builder::new().name(format!("pdes-lp-{part}"));
@@ -577,19 +580,21 @@ pub fn run_partitioned_opts(
                 }
                 rec.obs.begin("pdes.lp", "pdes", None);
                 let mut t = SimTime::ZERO;
-                // Digest alignment trackers: the run starts at window 0, so
-                // the first digest-eligible barrier is window `stride`.
-                let mut widx = 0u64;
-                let mut next_aligned_ns = window_ns;
-                let mut next_digest_widx = digest_stride.unwrap_or(0);
+                // Index of the current window from t = 0: its parity picks
+                // the mailbox and drift vector, and it numbers the digests.
+                let mut k = 0u64;
+                let mut next_digest = digest_stride.unwrap_or(0);
+                // Drained inbox, swapped back in empty to keep its capacity.
+                let mut arrivals: Vec<RemoteMsg> = Vec::new();
                 while t < end {
                     let t_next = (t + window).min(end);
+                    let parity = (k % 2) as usize;
                     // The window body runs under `catch_unwind` so a panic
                     // dumps the LP's report, records a typed error, and
                     // keeps this LP's barrier count matched with its
                     // siblings instead of deadlocking them. Model work at
-                    // the barriers just passed was caught the same way
-                    // and fails the LP here, at the same position.
+                    // the barrier just passed was caught the same way and
+                    // fails the LP here, at the same position.
                     let ran = match rec.model_panic.take() {
                         Some(payload) => Err((payload, t)),
                         None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -603,10 +608,9 @@ pub fn run_partitioned_opts(
                             let p = payload.as_ref();
                             let e =
                                 lp_failure(&mut sim, &mut rec, dump_dir, part, p, t, window_end);
-                            record_err(e);
-                            // Match the sibling LPs' two window barriers,
-                            // then every LP returns at the abort check.
-                            rec.wait(barrier, &mut || false);
+                            record_err(e, k);
+                            // Match the siblings' window barrier; every LP
+                            // returns at the abort check after it.
                             rec.wait(barrier, &mut || false);
                             return None;
                         }
@@ -614,90 +618,77 @@ pub fn run_partitioned_opts(
                     rec.exported += outbox.len() as u64;
                     for (time, node, pkt) in outbox {
                         let dest = owner[node.0 as usize] as usize;
-                        senders[dest].send((time, node, pkt)).expect("LP alive");
+                        inboxes[dest][parity].lock().expect("inbox").push((time, node, pkt));
                     }
-                    // Every wait below may drain deferred model work due
-                    // before `t_next`: no crossing or epoch still to come,
+                    // Tier epoch at this window's barrier: every LP derives
+                    // the same due condition from simulated time. Drift
+                    // moves only at boundary crossings, none of which is
+                    // left before the barrier, so the scores published now
+                    // are the ones the epoch decides on.
+                    let epoch = epoch_stride_ns
+                        .filter(|&s| t_next < end && t_next.as_nanos().is_multiple_of(s))
+                        .map(|s| t_next.as_nanos() / s);
+                    if epoch.is_some() {
+                        let local = guarded(&mut rec.model_panic, || sim.cluster_drifts())
+                            .unwrap_or_default();
+                        let mut slots = drift_slots[parity].lock().expect("drift slots");
+                        for (c, (slot, l)) in slots.iter_mut().zip(local).enumerate() {
+                            if c % partitions == part {
+                                *slot = l;
+                            }
+                        }
+                    }
+                    // The wait may drain deferred model work due before
+                    // `t_next`: no crossing or epoch still to come,
                     // imported ones included, is earlier than that.
                     rec.wait(barrier, &mut || sim.idle_step(t_next));
-                    while let Ok((time, node, pkt)) = rx.try_recv() {
-                        rec.imported += 1;
-                        sim.inject_arrival(time, node, pkt);
-                    }
-                    rec.wait(barrier, &mut || sim.idle_step(t_next));
-                    // A panic in any sibling this window set `abort` before
-                    // the first barrier; every LP sees it here, after the
-                    // second, and returns at the same loop position.
-                    if abort.load(Ordering::SeqCst) {
+                    if abort.load(Ordering::SeqCst) <= k {
                         return None;
                     }
+                    std::mem::swap(
+                        &mut *inboxes[part][parity].lock().expect("inbox"),
+                        &mut arrivals,
+                    );
+                    rec.imported += arrivals.len() as u64;
+                    for (time, node, pkt) in arrivals.drain(..) {
+                        sim.inject_arrival(time, node, pkt);
+                    }
+                    let aligned = t_next == t + window;
                     t = t_next;
+                    k += 1;
                     // State digest at true window barriers (DESIGN.md §14):
                     // every remote arrival for past windows is imported, so
                     // the per-LP digests sum to a partition-count-invariant
                     // global digest. Indices are absolute from t = 0, so
-                    // stopped and full-length timelines align. Alignment
-                    // and stride are tracked by increment-and-compare: two
-                    // u64 divisions here once cost ~4% of a
-                    // window-dominated run (windows can outnumber events).
+                    // stopped and full-length timelines align; a window cut
+                    // short by the end of the run is no true barrier.
                     if let (Some(stride), Some((first, digests))) =
                         (digest_stride, rec.digests.as_mut())
                     {
-                        if t.as_nanos() == next_aligned_ns {
-                            widx += 1;
-                            next_aligned_ns += window_ns;
-                            if widx == next_digest_widx {
-                                next_digest_widx += stride;
-                                if digests.is_empty() {
-                                    *first = widx;
-                                }
-                                digests.push(sim.window_digest());
+                        if aligned && k == next_digest {
+                            next_digest += stride;
+                            if digests.is_empty() {
+                                *first = k;
                             }
+                            digests.push(sim.window_digest());
                         }
                     }
-                    // Tier epoch: all LPs derive the same due condition from
-                    // t, exchange drift, and apply the same decision.
-                    if let Some(stride) = epoch_stride_ns {
-                        if t < end && stride > 0 && t.as_nanos().is_multiple_of(stride) {
-                            let epoch = t.as_nanos() / stride;
-                            let local = guarded(&mut rec.model_panic, || sim.cluster_drifts())
-                                .unwrap_or_default();
-                            {
-                                let mut slots = drift_slots.lock().expect("drift slots");
-                                for (slot, l) in slots.iter_mut().zip(&local) {
-                                    if l.is_some() {
-                                        *slot = *l;
-                                    }
-                                }
-                            }
-                            rec.wait(barrier, &mut || sim.idle_step(t));
-                            let merged = drift_slots.lock().expect("drift slots").clone();
-                            // A cluster's nodes all live on partition
-                            // `cluster % partitions` (see
-                            // `partition_by_cluster`): record its switches
-                            // there and nowhere else.
-                            guarded(&mut rec.model_panic, || {
-                                sim.tier_epoch(epoch, t, &merged, |c| {
-                                    c as usize % partitions == part
-                                })
-                            });
-                            rec.wait(barrier, &mut || sim.idle_step(t));
-                            // Reset the exchange for the next epoch; the
-                            // trailing barrier keeps fast LPs from publishing
-                            // into a vector part 0 has not cleared yet.
-                            if part == 0 {
-                                let mut slots = drift_slots.lock().expect("drift slots");
-                                slots.iter_mut().for_each(|s| *s = None);
-                            }
-                            rec.wait(barrier, &mut || sim.idle_step(t));
-                        }
+                    if let Some(epoch) = epoch {
+                        let drift = drift_slots[parity].lock().expect("drift slots").clone();
+                        // A cluster's nodes all live on partition
+                        // `cluster % partitions` (see
+                        // `partition_by_cluster`): record its switches
+                        // there and nowhere else.
+                        guarded(&mut rec.model_panic, || {
+                            sim.tier_epoch(epoch, t, &drift, |c| c as usize % partitions == part)
+                        });
                     }
                 }
                 // Model work at the run's last barriers panicked: no
                 // sibling waits any more, so fail without matching.
                 if let Some(payload) = rec.model_panic.take() {
                     let p = payload.as_ref();
-                    record_err(lp_failure(&mut sim, &mut rec, dump_dir, part, p, t, t));
+                    record_err(lp_failure(&mut sim, &mut rec, dump_dir, part, p, t, t), k);
                     return None;
                 }
                 rec.obs.end(None);
@@ -732,6 +723,7 @@ pub fn run_partitioned_opts(
 mod tests {
     use super::*;
     use crate::transport::testing::FixedWindowFactory;
+    use std::sync::mpsc::channel;
 
     fn cfg() -> SimConfig {
         let mut c = SimConfig::small_scale();
@@ -789,15 +781,16 @@ mod tests {
             rp.spans.iter().map(|s| s.track).collect();
         assert_eq!(tracks.len(), 2);
         assert_eq!(rp.counter("sim.windows"), 2 * rs.counter("sim.windows"));
-        // Two barriers per window, one waiter each (the other LP releases):
-        // every wait ended on exactly one rung of the ladder.
+        // One barrier per window, one waiter each (the other LP releases):
+        // every wait ended on exactly one rung of the ladder, and the two
+        // LPs' windows sum to twice the barriers.
         let ladder = |r: &dcn_obs::ObsReport| {
             r.counter("pdes.barrier.warmed")
                 + r.counter("pdes.barrier.spun")
                 + r.counter("pdes.barrier.yielded")
                 + r.counter("pdes.barrier.parked")
         };
-        assert_eq!(ladder(rp), rp.counter("sim.windows"));
+        assert_eq!(2 * ladder(rp), rp.counter("sim.windows"));
         assert_eq!(ladder(rs), 0, "a lone LP never waits");
     }
 
@@ -991,6 +984,140 @@ mod tests {
         assert!(dump.contains("crash drill"), "reason recorded: {dump}");
         assert!(dump.contains("\"flight\""), "flight ring present");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Serves clusters 1 and 2 like [`PanicsAt`], scores each cluster by
+    /// the crossings it has served (`None` before the first, as a drift
+    /// monitor that has seen nothing), and logs every drift vector a tier
+    /// epoch hands it, failing the epoch unless the vector scores the
+    /// clusters this replica served as it scores them itself.
+    struct DriftProbe {
+        crossings: [u64; 4],
+        log: Arc<Mutex<Vec<EpochCall>>>,
+    }
+
+    /// An epoch index and the drift vector handed over with it.
+    type EpochCall = (u64, Vec<Option<f64>>);
+
+    impl crate::mimic::ClusterModel for DriftProbe {
+        fn clusters(&self) -> &[u32] {
+            &[1, 2]
+        }
+        fn infer(&mut self, item: &crate::mimic::BoundaryItem) -> crate::mimic::Verdict {
+            self.crossings[item.cluster as usize] += 1;
+            crate::mimic::Verdict::Deliver { latency: self.latency_floor(), mark_ce: false }
+        }
+        fn latency_floor(&self) -> SimDuration {
+            SimDuration::from_millis(2)
+        }
+        fn drift(&self, cluster: u32) -> Option<f64> {
+            let n = self.crossings[cluster as usize];
+            (n > 0).then_some(n as f64)
+        }
+        fn on_epoch(
+            &mut self,
+            epoch: u64,
+            _at: SimTime,
+            drift: &[Option<f64>],
+        ) -> Vec<crate::mimic::TierSwitch> {
+            for c in [1, 2] {
+                if self.crossings[c as usize] > 0 {
+                    assert_eq!(drift[c as usize], self.drift(c), "epoch {epoch}, cluster {c}");
+                }
+            }
+            self.log.lock().expect("epoch log").push((epoch, drift.to_vec()));
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn every_lp_epochs_on_the_sequential_drift_vector() {
+        // An epoch at every window alternates both drift-vector parities.
+        let plan = TierPlan { every_windows: 1 };
+        let window = cfg().link.latency;
+        let epochs = |partitions: usize| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let setup = |sim: &mut Simulation| {
+                let probe = DriftProbe { crossings: [0; 4], log: log.clone() };
+                sim.set_cluster_model(Box::new(probe));
+            };
+            let opts = PdesRunOpts { tiers: Some(plan), ..PdesRunOpts::default() };
+            run_partitioned_opts(cfg(), partitions, window, &factory, &setup, &opts)
+                .expect("probe run");
+            let mut log = log.lock().expect("epoch log").clone();
+            // LPs append concurrently; a stable sort keeps each epoch's
+            // entries together.
+            log.sort_by_key(|(epoch, _)| *epoch);
+            log
+        };
+        let seq = epochs(1);
+        assert_eq!(seq.len() as u64, tier_epoch_count(cfg().duration_s, window, &plan));
+        assert!(
+            seq.iter().any(|(_, d)| d[1].is_some() && d[2].is_some()),
+            "both served clusters scored"
+        );
+        for partitions in [2, 4] {
+            let want: Vec<_> = seq
+                .iter()
+                .flat_map(|e| std::iter::repeat_n(e.clone(), partitions))
+                .collect();
+            assert!(epochs(partitions) == want, "{partitions} partitions");
+        }
+    }
+
+    /// Serves cluster 1 like [`PanicsAt`] and panics in the first tier
+    /// epoch at or after `at` on the LP that served its crossings
+    /// (partition 1 of 2), in model work at a barrier.
+    struct EpochPanicsAt {
+        at: SimTime,
+        served: bool,
+    }
+
+    impl crate::mimic::ClusterModel for EpochPanicsAt {
+        fn clusters(&self) -> &[u32] {
+            &[1]
+        }
+        fn infer(&mut self, _item: &crate::mimic::BoundaryItem) -> crate::mimic::Verdict {
+            self.served = true;
+            crate::mimic::Verdict::Deliver { latency: self.latency_floor(), mark_ce: false }
+        }
+        fn latency_floor(&self) -> SimDuration {
+            SimDuration::from_millis(2)
+        }
+        fn on_epoch(
+            &mut self,
+            _epoch: u64,
+            at: SimTime,
+            _drift: &[Option<f64>],
+        ) -> Vec<crate::mimic::TierSwitch> {
+            if self.served && at >= self.at {
+                panic!("crash drill: epoch at {} ns", at.as_nanos());
+            }
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn crash_drill_in_tier_epoch_fails_typed_without_hanging() {
+        within(120, || {
+            let window = cfg().link.latency;
+            // Past cluster 1's first crossing (window 22, see above).
+            let at = SimTime(40 * window.as_nanos());
+            let setup = |sim: &mut Simulation| {
+                sim.set_cluster_model(Box::new(EpochPanicsAt { at, served: false }));
+            };
+            let opts = PdesRunOpts {
+                tiers: Some(TierPlan { every_windows: 4 }),
+                ..PdesRunOpts::default()
+            };
+            let err = run_partitioned_opts(cfg(), 2, window, &factory, &setup, &opts)
+                .err()
+                .expect("crash drill must fail the run");
+            // The LP fails at the top of the window after the epoch.
+            assert_eq!(err.part, 1);
+            assert_eq!(err.window_end_ns, at.as_nanos());
+            assert!(err.message.contains("crash drill: epoch"), "{err}");
+        });
     }
 
     /// Serves cluster 1 like [`PanicsAt`] but never panics there. Instead

@@ -54,10 +54,6 @@ impl SnapWriter {
         self.buf.push(v as u8);
     }
 
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -70,12 +66,6 @@ impl SnapWriter {
     /// NaN payloads and signed zeros).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
     }
 
     pub fn put_opt_u64(&mut self, v: Option<u64>) {
@@ -178,19 +168,15 @@ mod tests {
         let mut w = SnapWriter::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(0x0102);
         w.put_u32(0xDEAD_BEEF);
         w.put_f64(-0.0);
         w.put_opt_u64(None);
         w.put_opt_u64(Some(9));
-        w.put_bytes(b"hi");
-        let mut want = vec![7u8, 1, 0x02, 0x01, 0xEF, 0xBE, 0xAD, 0xDE];
+        let mut want = vec![7u8, 1, 0xEF, 0xBE, 0xAD, 0xDE];
         want.extend_from_slice(&(-0.0f64).to_bits().to_le_bytes());
         want.push(0);
         want.push(1);
         want.extend_from_slice(&9u64.to_le_bytes());
-        want.extend_from_slice(&2u64.to_le_bytes());
-        want.extend_from_slice(b"hi");
         assert_eq!(w.as_bytes(), &want[..]);
     }
 

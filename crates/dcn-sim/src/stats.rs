@@ -22,14 +22,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Standard error of the mean.
-pub fn std_err(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    std_dev(xs) / (xs.len() as f64).sqrt()
-}
-
 /// The `p`-th percentile (0–100) of **sorted** data, by linear
 /// interpolation between closest ranks. 0.0 for empty data.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
@@ -105,7 +97,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(std_err(&[]), 0.0);
     }
 
     #[test]

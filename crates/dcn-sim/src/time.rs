@@ -87,12 +87,6 @@ impl SimDuration {
         let ns = (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128);
         SimDuration(ns as u64)
     }
-
-    /// Scalar multiply (used for timer backoff).
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k >= 0.0);
-        SimDuration((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -191,11 +185,5 @@ mod tests {
     fn time_add_saturates_at_max() {
         let t = SimTime::MAX + SimDuration::from_millis(1);
         assert_eq!(t, SimTime::MAX);
-    }
-
-    #[test]
-    fn mul_f64_backoff() {
-        let d = SimDuration::from_millis(200).mul_f64(2.0);
-        assert_eq!(d, SimDuration::from_millis(400));
     }
 }

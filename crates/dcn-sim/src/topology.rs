@@ -292,13 +292,6 @@ impl FatTree {
     pub fn is_host_link(&self, l: LinkId) -> bool {
         l.0 < self.base_toragg_link
     }
-
-    /// Whether a link connects an aggregation switch to a core switch (the
-    /// cluster's "interface facing the Core switches" — MimicNet's upper
-    /// instrumentation juncture).
-    pub fn is_agg_core_link(&self, l: LinkId) -> bool {
-        l.0 >= self.base_aggcore_link
-    }
 }
 
 #[cfg(test)]
@@ -417,8 +410,6 @@ mod tests {
         let t = small();
         let h = t.host(1, 0, 2);
         assert!(t.is_host_link(t.host_link(h)));
-        assert!(!t.is_agg_core_link(t.host_link(h)));
-        assert!(t.is_agg_core_link(t.agg_core_link(3, 1, 1)));
         assert!(!t.is_host_link(t.tor_agg_link(0, 1, 0)));
     }
 

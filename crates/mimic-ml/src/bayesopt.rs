@@ -136,11 +136,6 @@ impl BayesOpt {
         }
     }
 
-    /// Number of completed observations.
-    pub fn n_observed(&self) -> usize {
-        self.observed_y.len()
-    }
-
     /// Best (lowest) observed objective and its raw parameters.
     pub fn best(&self) -> Option<(Vec<f64>, f64)> {
         let (i, y) = self

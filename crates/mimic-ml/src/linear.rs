@@ -68,10 +68,6 @@ impl Linear {
         self.w.rows
     }
 
-    pub fn output_dim(&self) -> usize {
-        self.w.cols
-    }
-
     /// Forward pass for a batch `x` (B×I, row-major) into `y` (B×O):
     /// per element `b`, then the ascending `x·W` fmadd chain — the order
     /// of the head in `SeqModel::step`.

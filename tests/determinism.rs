@@ -260,29 +260,33 @@ fn all_mimic_8_clusters() {
 }
 
 /// `Pipeline::try_estimate_adaptive_opts` (adaptive-64's path) under a
-/// budget that switches tiers; the reference is its 1-partition run with
-/// diagnostics off.
+/// budget that switches tiers, with a tier epoch every 16 windows and at
+/// every window (where both drift-vector parities alternate); the
+/// reference is its 1-partition run with diagnostics off.
 #[test]
 fn adaptive_grid() {
-    let row = "adaptive, 4 clusters";
-    let cell = |p, opts: &PdesRunOpts| {
-        let est = Pipeline::new(pipeline_cfg()).try_estimate_adaptive_opts(
-            trained(),
-            4,
-            p,
-            &switching_budget(),
-            &TierPlan { every_windows: 16 },
-            None,
-            opts,
+    for every_windows in [16, 1] {
+        let row = format!("adaptive, 4 clusters, epoch every {every_windows} windows");
+        let row = row.as_str();
+        let cell = |p, opts: &PdesRunOpts| {
+            let est = Pipeline::new(pipeline_cfg()).try_estimate_adaptive_opts(
+                trained(),
+                4,
+                p,
+                &switching_budget(),
+                &TierPlan { every_windows },
+                None,
+                opts,
+            );
+            est.unwrap_or_else(|e| panic!("{row}: {e}")).metrics
+        };
+        let reference = check_row(
+            row,
+            || cell(1, &PdesRunOpts::default()),
+            cell,
+            &[1, 2, 4],
+            &GRID,
         );
-        est.unwrap_or_else(|e| panic!("{row}: {e}")).metrics
-    };
-    let reference = check_row(
-        row,
-        || cell(1, &PdesRunOpts::default()),
-        cell,
-        &[1, 2, 4],
-        &GRID,
-    );
-    assert!(!reference.tier_switches.is_empty(), "{row}: no tier switch");
+        assert!(!reference.tier_switches.is_empty(), "{row}: no tier switch");
+    }
 }
