@@ -230,7 +230,7 @@ pub struct LpPanic {
     /// The partition that panicked.
     pub part: usize,
     /// End of the window it was processing, or of the window whose
-    /// closing barriers it was at, nanoseconds.
+    /// closing barrier it was at, nanoseconds.
     pub window_end_ns: u64,
     /// The panic message.
     pub message: String,
@@ -684,7 +684,7 @@ pub fn run_partitioned_opts(
                         });
                     }
                 }
-                // Model work at the run's last barriers panicked: no
+                // Model work at the run's last barrier panicked: no
                 // sibling waits any more, so fail without matching.
                 if let Some(payload) = rec.model_panic.take() {
                     let p = payload.as_ref();
