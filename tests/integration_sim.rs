@@ -207,7 +207,7 @@ fn trajectories_are_locked_per_protocol_and_scenario() {
         Lossy,
         Faults,
     }
-    let cases: [(Protocol, Scenario, u64, u64); 12] = [
+    let cases: [(Protocol, Scenario, u64, u64); 15] = [
         (Protocol::NewReno, Scenario::Plain, 93_821, 0x224a_c30a_70ca_9908),
         (Protocol::NewReno, Scenario::Lossy, 93_642, 0x4cb1_c248_30b5_14ab),
         (Protocol::NewReno, Scenario::Faults, 88_963, 0xce76_30c3_af70_0ff3),
@@ -217,6 +217,9 @@ fn trajectories_are_locked_per_protocol_and_scenario() {
         (Protocol::Vegas, Scenario::Plain, 92_735, 0x98d1_d7d2_6f06_c4fc),
         (Protocol::Vegas, Scenario::Lossy, 92_216, 0xd7ca_cbd7_b2a2_55f7),
         (Protocol::Vegas, Scenario::Faults, 89_024, 0x2654_49ef_464c_1b69),
+        (Protocol::Westwood, Scenario::Plain, 94_272, 0x59cf_b306_3cd4_27bd),
+        (Protocol::Westwood, Scenario::Lossy, 94_265, 0x6763_3452_2244_a17a),
+        (Protocol::Westwood, Scenario::Faults, 89_390, 0x2ed2_89ab_5e0d_0d0c),
         (Protocol::Homa, Scenario::Plain, 97_572, 0xa564_ca7a_1063_d842),
         (Protocol::Homa, Scenario::Lossy, 98_388, 0xaedd_7f41_44c1_7ede),
         (Protocol::Homa, Scenario::Faults, 95_804, 0x34c4_49b6_0e2c_b6a9),
