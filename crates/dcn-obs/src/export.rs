@@ -120,7 +120,7 @@ impl ObsReport {
     }
 
     /// Chrome trace-event JSON (array format): one complete event per
-    /// span. Open the file in `chrome://tracing` or https://ui.perfetto.dev.
+    /// span. Open the file in `chrome://tracing` or <https://ui.perfetto.dev>.
     pub fn to_chrome_trace(&self) -> String {
         let mut events: Vec<Value> = Vec::with_capacity(self.spans.len());
         for s in &self.spans {

@@ -14,7 +14,7 @@
 //!   spans concatenate. Wall timestamps come from one process-global epoch
 //!   so spans from different partition threads land on a shared timeline.
 //! * **No dependencies** beyond the vendored `serde`/`serde_json`
-//!   stand-ins, used only by the exporters in [`export`].
+//!   stand-ins, used only by the exporters in `export`.
 //!
 //! Registry keys are owned `String`s for flexibility (dynamic names like
 //! `drift.cluster.3` or per-direction training prefixes); every registry

@@ -193,7 +193,7 @@ fn bucket_of(time: u64, last: u64) -> usize {
 
 /// The future event list: a monotone radix queue over pooled nodes.
 ///
-/// Event payloads live in pooled [`Node`]s addressed by `u32` index, and
+/// Event payloads live in pooled `Node`s addressed by `u32` index, and
 /// completed nodes are pushed onto an intrusive freelist and recycled, so a
 /// steady-state simulation stops allocating per event once the slab and
 /// the buckets have grown to their high-water marks.

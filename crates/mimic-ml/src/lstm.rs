@@ -22,9 +22,9 @@
 //!
 //! Training is truncated BPTT over chunks of consecutive steps, with the
 //! state carried from chunk to chunk, on caller-owned buffers that are
-//! sized once and rewritten every chunk: a [`LayerTape`] records each
-//! forward step, a [`LayerGrad`] carries the gradients flowing backward
-//! through the chunk, and [`LstmTransposed`] holds the `Wxᵀ`/`Whᵀ` copies
+//! sized once and rewritten every chunk: a `LayerTape` records each
+//! forward step, a `LayerGrad` carries the gradients flowing backward
+//! through the chunk, and `LstmTransposed` holds the `Wxᵀ`/`Whᵀ` copies
 //! the backward products read — refreshed once per optimizer step and
 //! shared by every shard. A training step and the inference step
 //! ([`Lstm::step_inplace`]) share one gate kernel and one cell update, so
@@ -353,7 +353,7 @@ impl Lstm {
 
     /// Allocation-free single-sample forward step for inference: updates
     /// `state` (batch 1) in place using `scratch`. Same arithmetic, element
-    /// by element, as a step of [`Lstm::forward_chunk`] — this is the
+    /// by element, as a step of `Lstm::forward_chunk` — this is the
     /// per-packet cost inside a running Mimic, the analogue of the paper's
     /// custom C++/ATen inference engine.
     pub fn step_inplace(&self, x: &[f32], state: &mut LstmState, scratch: &mut LstmScratch) {

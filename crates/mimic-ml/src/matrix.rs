@@ -6,10 +6,10 @@
 //!
 //! Two kernel families exist for the three multiply shapes:
 //!
-//! * **Register-tiled** — [`matmul_accum_terms`] (`out += Σ a·b`, behind
+//! * **Register-tiled** — `matmul_accum_terms` (`out += Σ a·b`, behind
 //!   `matmul` / `matmul_accum` and the fused LSTM gate pre-activation),
-//!   [`matmul_t_lanes`] (`a · bᵀ` read from a pre-transposed `bᵀ`, behind
-//!   `matmul_t`) and [`t_matmul_accum`] (`out += aᵀ·b`). Each keeps a tile of
+//!   `matmul_t_lanes` (`a · bᵀ` read from a pre-transposed `bᵀ`, behind
+//!   `matmul_t`) and `t_matmul_accum` (`out += aᵀ·b`). Each keeps a tile of
 //!   the output in registers across the whole reduction and writes it
 //!   once. The inner loops are fixed-width array loops over contiguous row
 //!   slices that LLVM auto-vectorizes on stable Rust; there is no

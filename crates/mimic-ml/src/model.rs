@@ -120,7 +120,7 @@ impl ModelGrads {
 }
 
 /// Reusable buffers of one forward + backward chunk over a set of
-/// streams: one [`LayerTape`] and one [`LayerGrad`] per layer (the tapes
+/// streams: one `LayerTape` and one `LayerGrad` per layer (the tapes
 /// also hold each stream's state between chunks), the head's scratch and
 /// the predictions. Sized by the first chunk and only rewritten after that.
 #[derive(Clone, Debug, Default)]
@@ -134,7 +134,7 @@ pub struct ChunkWorkspace {
 }
 
 /// The transposed weight copies the backward pass reads, one
-/// [`LstmTransposed`] per layer: refreshed once per optimizer step and
+/// `LstmTransposed` per layer: refreshed once per optimizer step and
 /// shared read-only by every shard.
 #[derive(Clone, Debug)]
 pub struct TransposedWeights {

@@ -15,7 +15,7 @@
 //! ## Fixed shards, fixed reduction order
 //!
 //! The streams of a chunk are cut into fixed-size contiguous shards of
-//! [`SHARD_ROWS`] streams. A shard is the unit of work: forward + backward
+//! `SHARD_ROWS` streams. A shard is the unit of work: forward + backward
 //! into a private [`ModelGrads`] buffer, then all shard buffers are
 //! reduced **in shard-index order** into one gradient. The shard layout
 //! and the reduction order depend only on the stream count, so the
@@ -207,7 +207,7 @@ fn process_shard(
 /// Robustness: if an epoch's mean loss comes back NaN/Inf (exploded
 /// gradients), the model is rolled back to the best parameters seen so
 /// far, the learning rate is halved, and the epoch retried — up to
-/// [`MAX_BACKOFFS`] consecutive times before erroring out. On a
+/// `MAX_BACKOFFS` consecutive times before erroring out. On a
 /// non-divergent run this costs one model clone per improving epoch and
 /// changes nothing else.
 ///

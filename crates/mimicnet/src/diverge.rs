@@ -210,7 +210,7 @@ pub struct DivergeReport {
     pub window: WindowDivergence,
     pub event: EventFinding,
     /// Where a re-run should stop so its flight ring ends just past the
-    /// divergence ([`RERUN_WINDOWS`] past the barrier), nanoseconds.
+    /// divergence (`RERUN_WINDOWS` past the barrier), nanoseconds.
     pub stop_at_ns: u64,
 }
 

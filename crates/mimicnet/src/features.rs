@@ -67,7 +67,7 @@ impl Default for CongestionEstimator {
 }
 
 impl CongestionEstimator {
-    /// Record a packet outcome (normalized latency in [0,1], drop flag).
+    /// Record a packet outcome (normalized latency in `[0, 1]`, drop flag).
     pub fn observe(&mut self, latency_norm: f32, dropped: bool) {
         if self.recent.len() == self.cap {
             self.recent.pop_front();

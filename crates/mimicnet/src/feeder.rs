@@ -11,7 +11,7 @@
 //! from the fitted distribution — scaled by how much of the cluster's
 //! demand is now invisible — passes their feature vectors through the
 //! internal models to update the LSTM hidden state, "and immediately
-//! discard[s] any output".
+//! discard\[s\] any output".
 
 use crate::features::PacketView;
 use dcn_sim::packet::{Ecn, PacketKind};
