@@ -30,12 +30,17 @@ fn bench_simulation(c: &mut Criterion) {
 
 fn bench_queue_ops(c: &mut Criterion) {
     use dcn_sim::packet::{FlowId, Packet};
-    use dcn_sim::queue::{PortQueue, QueueConfig};
+    use dcn_sim::config::QueueSetup;
+    use dcn_sim::queue::PortQueue;
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::NodeId;
     c.bench_function("queue/enqueue_dequeue_1k", |b| {
         b.iter(|| {
-            let mut q = PortQueue::new(QueueConfig::ecn(1_000_000, 20));
+            let mut q = PortQueue::new(QueueSetup {
+                capacity_bytes: 1_000_000,
+                ecn_k: Some(20),
+                bands: 1,
+            });
             for i in 0..1000u64 {
                 let p = Packet::data(
                     i,

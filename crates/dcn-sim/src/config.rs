@@ -9,7 +9,6 @@
 //! See DESIGN.md §1 for the complete substitution table.
 
 use crate::error::SimError;
-use crate::queue::QueueConfig;
 use crate::time::SimDuration;
 use crate::topology::FatTreeParams;
 use serde::{Deserialize, Serialize};
@@ -61,16 +60,6 @@ impl Default for QueueSetup {
     }
 }
 
-impl QueueSetup {
-    pub fn to_queue_config(self) -> QueueConfig {
-        QueueConfig {
-            capacity_bytes: self.capacity_bytes,
-            ecn_mark_threshold_pkts: self.ecn_k,
-            bands: self.bands,
-        }
-    }
-}
-
 /// Flow size distributions.
 ///
 /// The paper's workload "uses traces from a well-known distribution also
@@ -85,10 +74,6 @@ pub enum FlowSizeDist {
     WebSearch { mean_bytes: f64 },
     /// Every flow the same size.
     Fixed { bytes: u64 },
-    /// Bounded Pareto-style tail via the plain Pareto with shape > 1.
-    Pareto { mean_bytes: f64, shape: f64 },
-    /// Uniform in `[min, max]`.
-    Uniform { min_bytes: u64, max_bytes: u64 },
 }
 
 impl FlowSizeDist {
@@ -97,11 +82,6 @@ impl FlowSizeDist {
         match *self {
             FlowSizeDist::WebSearch { mean_bytes } => mean_bytes,
             FlowSizeDist::Fixed { bytes } => bytes as f64,
-            FlowSizeDist::Pareto { mean_bytes, .. } => mean_bytes,
-            FlowSizeDist::Uniform {
-                min_bytes,
-                max_bytes,
-            } => (min_bytes + max_bytes) as f64 / 2.0,
         }
     }
 }
@@ -289,33 +269,12 @@ mod tests {
     fn flow_size_means() {
         assert_eq!(FlowSizeDist::Fixed { bytes: 100 }.mean_bytes(), 100.0);
         assert_eq!(
-            FlowSizeDist::Uniform {
-                min_bytes: 0,
-                max_bytes: 10
-            }
-            .mean_bytes(),
-            5.0
-        );
-        assert_eq!(
             FlowSizeDist::WebSearch {
                 mean_bytes: 30_000.0
             }
             .mean_bytes(),
             30_000.0
         );
-    }
-
-    #[test]
-    fn queue_setup_conversion() {
-        let q = QueueSetup {
-            capacity_bytes: 50_000,
-            ecn_k: Some(20),
-            bands: 8,
-        };
-        let qc = q.to_queue_config();
-        assert_eq!(qc.capacity_bytes, 50_000);
-        assert_eq!(qc.ecn_mark_threshold_pkts, Some(20));
-        assert_eq!(qc.bands, 8);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! the engine schedules a `TxDone` only when a packet is waiting for the
 //! wire (DESIGN.md §12, "Only events that change state").
 
-use crate::queue::{PortQueue, QueueConfig};
+use crate::config::QueueSetup;
+use crate::queue::PortQueue;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -66,9 +67,9 @@ pub struct Transmitter {
 }
 
 impl Transmitter {
-    pub fn new(queue_cfg: QueueConfig) -> Transmitter {
+    pub fn new(queue: QueueSetup) -> Transmitter {
         Transmitter {
-            queue: PortQueue::new(queue_cfg),
+            queue: PortQueue::new(queue),
             busy_until: SimTime::ZERO,
             done_pending: false,
         }
@@ -92,10 +93,11 @@ pub struct DuplexLink {
 }
 
 impl DuplexLink {
-    pub fn new(spec: LinkSpec, up_queue: QueueConfig, down_queue: QueueConfig) -> DuplexLink {
+    /// Both directions get a queue set up as `queue`.
+    pub fn new(spec: LinkSpec, queue: QueueSetup) -> DuplexLink {
         DuplexLink {
             spec,
-            tx: [Transmitter::new(up_queue), Transmitter::new(down_queue)],
+            tx: [Transmitter::new(queue), Transmitter::new(queue)],
         }
     }
 
@@ -135,8 +137,10 @@ mod tests {
                 bandwidth_bps: 1_000_000,
                 latency: SimDuration::from_micros(1),
             },
-            QueueConfig::drop_tail(10_000),
-            QueueConfig::drop_tail(10_000),
+            QueueSetup {
+                capacity_bytes: 10_000,
+                ..QueueSetup::default()
+            },
         );
         let now = SimTime::from_secs_f64(1.0);
         l.tx_mut(Dir::Up).busy_until = now + SimDuration::from_micros(5);

@@ -35,11 +35,7 @@ pub enum BoundaryDir {
 ///
 /// Every cluster of a composed run sits at exactly one tier at any sim
 /// time, and adaptive runs move clusters between tiers at PDES window
-/// barriers only (DESIGN.md §13). The registry tables below (`COUNT`,
-/// [`FidelityTier::index`], [`FidelityTier::name_of`],
-/// [`FidelityTier::from_index`]) mirror the `EventKind` tables: a
-/// tier-table guard test fails if a new tier is added without wiring its
-/// metrics paths.
+/// barriers only (DESIGN.md §13).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum FidelityTier {
     /// Full packet-level simulation: the cluster's switches and hosts run
@@ -55,34 +51,14 @@ pub enum FidelityTier {
 }
 
 impl FidelityTier {
-    /// Number of tiers. Every table indexed by [`FidelityTier::index`]
-    /// must have exactly this many rows.
-    pub const COUNT: usize = 3;
-
-    /// Dense ordinal, `0..COUNT`. Also the encoding of the metrics tier
-    /// schedule in `Metrics::canonical_bytes`.
+    /// Dense ordinal: the encoding of the metrics tier schedule in
+    /// `Metrics::canonical_bytes`.
     pub fn index(self) -> usize {
         match self {
             FidelityTier::Packet => 0,
             FidelityTier::Mimic => 1,
             FidelityTier::Flow => 2,
         }
-    }
-
-    /// Decode an on-disk ordinal; `None` for out-of-range (corrupt) bytes.
-    pub fn from_index(i: usize) -> Option<FidelityTier> {
-        match i {
-            0 => Some(FidelityTier::Packet),
-            1 => Some(FidelityTier::Mimic),
-            2 => Some(FidelityTier::Flow),
-            _ => None,
-        }
-    }
-
-    /// Human-readable tier name by ordinal (report labels, bench JSON).
-    pub fn name_of(index: usize) -> &'static str {
-        const NAMES: [&str; FidelityTier::COUNT] = ["packet", "mimic", "flow"];
-        NAMES[index]
     }
 }
 
@@ -176,13 +152,6 @@ pub trait ClusterModel {
     fn drift(&self, cluster: u32) -> Option<f64> {
         let _ = cluster;
         None
-    }
-
-    /// The fidelity tier `cluster` is currently served at. Fixed-fidelity
-    /// models are all-Mimic by definition.
-    fn tier(&self, cluster: u32) -> FidelityTier {
-        let _ = cluster;
-        FidelityTier::Mimic
     }
 
     /// Epoch-barrier hook for adaptive models: epoch `epoch` falls at
@@ -302,44 +271,12 @@ mod tests {
         assert!(!m.idle(1, SimTime::MAX));
     }
 
-    /// Guard for the tier registry, mirroring the `EventKind` table guard:
-    /// adding a [`FidelityTier`] variant fails here (the no-`_` match stops
-    /// compiling and the samples array below under-counts) until `COUNT`,
-    /// `index`, `from_index`, and `name_of` are all re-wired — which is
-    /// also the reminder to wire the new tier's metrics paths.
+    /// The one tier table left, [`FidelityTier::index`], is the tier's
+    /// byte in `Metrics::canonical_bytes`: pinned, so reordering the
+    /// variants cannot move a recorded digest.
     #[test]
     fn tier_tables_are_exhaustive_and_consistent() {
-        // One sample per variant; the array length is pinned to COUNT so a
-        // new variant without a sample is a compile error here.
-        let samples: [FidelityTier; FidelityTier::COUNT] =
-            [FidelityTier::Packet, FidelityTier::Mimic, FidelityTier::Flow];
-
-        // Exhaustive ordinal match with no `_` arm: a new variant breaks
-        // this match at compile time.
-        let ordinal = |t: FidelityTier| -> usize {
-            match t {
-                FidelityTier::Packet => 0,
-                FidelityTier::Mimic => 1,
-                FidelityTier::Flow => 2,
-            }
-        };
-
-        let mut seen = [false; FidelityTier::COUNT];
-        let mut names = Vec::new();
-        for &t in &samples {
-            let i = t.index();
-            assert_eq!(i, ordinal(t), "{t:?}: index() disagrees with ordinal");
-            assert!(i < FidelityTier::COUNT, "{t:?}: index {i} out of range");
-            assert!(!seen[i], "{t:?}: duplicate index {i}");
-            seen[i] = true;
-            assert_eq!(FidelityTier::from_index(i), Some(t), "{t:?}: round trip");
-            names.push(FidelityTier::name_of(i));
-        }
-        assert!(seen.iter().all(|&s| s), "indices are not dense");
-        let mut unique = names.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len(), "duplicate tier names: {names:?}");
-        assert_eq!(FidelityTier::from_index(FidelityTier::COUNT), None);
+        let tiers = [FidelityTier::Packet, FidelityTier::Mimic, FidelityTier::Flow];
+        assert_eq!(tiers.map(FidelityTier::index), [0, 1, 2]);
     }
 }

@@ -1,7 +1,7 @@
 //! Switch output-port queues.
 //!
 //! The paper's experiments use three queue behaviours, all implemented here
-//! behind one [`PortQueue`] type configured by [`QueueConfig`]:
+//! behind one [`PortQueue`] type configured by [`QueueSetup`]:
 //!
 //! * **DropTail** — the baseline: fixed byte capacity, tail drop.
 //! * **ECN marking** (DCTCP) — mark CE on ECN-capable packets when the
@@ -13,51 +13,9 @@
 //! Queue state is the principal thing MimicNet's internal models must learn
 //! to approximate, so drop/mark counters are exposed for instrumentation.
 
+use crate::config::QueueSetup;
 use crate::packet::{Ecn, Packet};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-
-/// Configuration for one output port's queue.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct QueueConfig {
-    /// Total capacity across all bands, in bytes.
-    pub capacity_bytes: u64,
-    /// If set, CE-mark ECN-capable packets when the queue already holds at
-    /// least this many packets on enqueue (DCTCP's `K`).
-    pub ecn_mark_threshold_pkts: Option<u32>,
-    /// Number of strict-priority bands (1 = FIFO).
-    pub bands: u8,
-}
-
-impl QueueConfig {
-    /// Plain DropTail FIFO.
-    pub fn drop_tail(capacity_bytes: u64) -> QueueConfig {
-        QueueConfig {
-            capacity_bytes,
-            ecn_mark_threshold_pkts: None,
-            bands: 1,
-        }
-    }
-
-    /// DropTail FIFO with DCTCP-style ECN marking at threshold `k` packets.
-    pub fn ecn(capacity_bytes: u64, k: u32) -> QueueConfig {
-        QueueConfig {
-            capacity_bytes,
-            ecn_mark_threshold_pkts: Some(k),
-            bands: 1,
-        }
-    }
-
-    /// Strict-priority queue with `bands` levels (Homa).
-    pub fn priority(capacity_bytes: u64, bands: u8) -> QueueConfig {
-        assert!(bands >= 1);
-        QueueConfig {
-            capacity_bytes,
-            ecn_mark_threshold_pkts: None,
-            bands,
-        }
-    }
-}
 
 /// What happened to a packet offered to a queue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,7 +29,7 @@ pub enum EnqueueOutcome {
 /// An output-port queue (one per link direction at every switch/host).
 #[derive(Clone, Debug)]
 pub struct PortQueue {
-    cfg: QueueConfig,
+    cfg: QueueSetup,
     bands: Vec<VecDeque<Packet>>,
     bytes: u64,
     pkts: u32,
@@ -86,7 +44,7 @@ pub struct PortQueue {
 }
 
 impl PortQueue {
-    pub fn new(cfg: QueueConfig) -> PortQueue {
+    pub fn new(cfg: QueueSetup) -> PortQueue {
         PortQueue {
             bands: (0..cfg.bands.max(1)).map(|_| VecDeque::new()).collect(),
             cfg,
@@ -108,7 +66,7 @@ impl PortQueue {
             return EnqueueOutcome::Dropped;
         }
         let mut marked = false;
-        if let Some(k) = self.cfg.ecn_mark_threshold_pkts {
+        if let Some(k) = self.cfg.ecn_k {
             // DCTCP marks based on instantaneous occupancy at enqueue time.
             if self.pkts >= k && pkt.ecn.is_capable() {
                 pkt.ecn = Ecn::Ce;
@@ -180,6 +138,14 @@ mod tests {
     use crate::time::SimTime;
     use crate::topology::NodeId;
 
+    fn queue(capacity_bytes: u64, ecn_k: Option<u32>, bands: u8) -> PortQueue {
+        PortQueue::new(QueueSetup {
+            capacity_bytes,
+            ecn_k,
+            bands,
+        })
+    }
+
     fn pkt(id: u64, payload: u32, prio: u8, ecn_capable: bool) -> Packet {
         let mut p = Packet::data(
             id,
@@ -197,7 +163,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let mut q = PortQueue::new(QueueConfig::drop_tail(1_000_000));
+        let mut q = queue(1_000_000, None, 1);
         for i in 0..5 {
             assert!(matches!(
                 q.enqueue(pkt(i, 100, 0, false)),
@@ -213,7 +179,7 @@ mod tests {
     #[test]
     fn drop_tail_respects_capacity() {
         // Capacity fits exactly two 1500 B packets.
-        let mut q = PortQueue::new(QueueConfig::drop_tail(3_000));
+        let mut q = queue(3_000, None, 1);
         assert!(matches!(
             q.enqueue(pkt(1, MSS_BYTES, 0, false)),
             EnqueueOutcome::Enqueued { .. }
@@ -230,7 +196,7 @@ mod tests {
 
     #[test]
     fn small_packet_fits_after_large_dropped() {
-        let mut q = PortQueue::new(QueueConfig::drop_tail(3_040));
+        let mut q = queue(3_040, None, 1);
         q.enqueue(pkt(1, MSS_BYTES, 0, false));
         q.enqueue(pkt(2, MSS_BYTES, 0, false));
         assert_eq!(q.enqueue(pkt(3, MSS_BYTES, 0, false)), EnqueueOutcome::Dropped);
@@ -243,7 +209,7 @@ mod tests {
 
     #[test]
     fn ecn_marks_above_threshold() {
-        let mut q = PortQueue::new(QueueConfig::ecn(1_000_000, 2));
+        let mut q = queue(1_000_000, Some(2), 1);
         // First two packets: below threshold, unmarked.
         for i in 0..2 {
             assert!(matches!(
@@ -265,7 +231,7 @@ mod tests {
 
     #[test]
     fn ecn_does_not_mark_non_capable() {
-        let mut q = PortQueue::new(QueueConfig::ecn(1_000_000, 0));
+        let mut q = queue(1_000_000, Some(0), 1);
         assert!(matches!(
             q.enqueue(pkt(1, 100, 0, false)),
             EnqueueOutcome::Enqueued { marked: false }
@@ -275,7 +241,7 @@ mod tests {
 
     #[test]
     fn strict_priority_serves_high_band_first() {
-        let mut q = PortQueue::new(QueueConfig::priority(1_000_000, 4));
+        let mut q = queue(1_000_000, None, 4);
         q.enqueue(pkt(1, 100, 3, false)); // low priority
         q.enqueue(pkt(2, 100, 0, false)); // high priority
         q.enqueue(pkt(3, 100, 1, false));
@@ -286,7 +252,7 @@ mod tests {
 
     #[test]
     fn priority_out_of_range_clamps_to_lowest_band() {
-        let mut q = PortQueue::new(QueueConfig::priority(1_000_000, 2));
+        let mut q = queue(1_000_000, None, 2);
         q.enqueue(pkt(1, 100, 7, false)); // band clamped to 1
         q.enqueue(pkt(2, 100, 0, false));
         assert_eq!(q.dequeue().unwrap().id, 2);
@@ -295,7 +261,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_across_bands() {
-        let mut q = PortQueue::new(QueueConfig::priority(10_000, 2));
+        let mut q = queue(10_000, None, 2);
         q.enqueue(pkt(1, 460, 0, false)); // 500 B wire
         q.enqueue(pkt(2, 960, 1, false)); // 1000 B wire
         assert_eq!(q.len_bytes(), 1_500);
@@ -308,7 +274,7 @@ mod tests {
 
     #[test]
     fn enqueue_and_peak_counters() {
-        let mut q = PortQueue::new(QueueConfig::drop_tail(3_000));
+        let mut q = queue(3_000, None, 1);
         q.enqueue(pkt(1, MSS_BYTES, 0, false));
         q.enqueue(pkt(2, MSS_BYTES, 0, false));
         q.enqueue(pkt(3, MSS_BYTES, 0, false)); // dropped

@@ -98,12 +98,6 @@ impl SplitMix64 {
         (mu + sigma * self.normal()).exp()
     }
 
-    /// Pareto with scale `xm > 0` and shape `alpha > 0`.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        let u = 1.0 - self.next_f64(); // in (0, 1]
-        xm / u.powf(1.0 / alpha)
-    }
 }
 
 /// An empirical distribution specified by CDF breakpoints, sampled by
@@ -261,14 +255,6 @@ mod tests {
         let median = xs[n / 2];
         // Median of log-normal is e^mu.
         assert!((median - 1.0f64.exp()).abs() < 0.1, "median = {median}");
-    }
-
-    #[test]
-    fn pareto_bounds() {
-        let mut g = SplitMix64::new(13);
-        for _ in 0..10_000 {
-            assert!(g.pareto(1.5, 2.0) >= 1.5);
-        }
     }
 
     #[test]

@@ -160,7 +160,6 @@ impl Simulation {
     pub fn with_transport(cfg: SimConfig, factory: Box<dyn TransportFactory>) -> Simulation {
         let topo = FatTree::new(cfg.topo);
         let router = Router::new(topo.clone());
-        let qc = cfg.queue.to_queue_config();
         let mut links = Vec::with_capacity(cfg.topo.num_links() as usize);
         for l in 0..cfg.topo.num_links() {
             let l = LinkId(l);
@@ -174,8 +173,7 @@ impl Simulation {
                     bandwidth_bps: bw,
                     latency: cfg.link.latency,
                 },
-                qc,
-                qc,
+                cfg.queue,
             ));
         }
         let hosts = (0..cfg.topo.num_hosts())

@@ -125,15 +125,6 @@ impl TrafficGen {
                 (self.web_search.sample(&mut g.rng) * scale).max(1.0) as u64
             }
             FlowSizeDist::Fixed { bytes } => bytes,
-            FlowSizeDist::Pareto { mean_bytes, shape } => {
-                assert!(shape > 1.0, "Pareto mean requires shape > 1");
-                let xm = mean_bytes * (shape - 1.0) / shape;
-                g.rng.pareto(xm, shape).max(1.0) as u64
-            }
-            FlowSizeDist::Uniform {
-                min_bytes,
-                max_bytes,
-            } => min_bytes + g.rng.next_below(max_bytes - min_bytes + 1),
         };
 
         let (src_cluster, _, _) = self.topo.host_coords(host);

@@ -1,14 +1,14 @@
 //! Property-based tests (proptest) for the simulator's core invariants.
 
 use dcn_sim::cdf::wasserstein1;
-use dcn_sim::config::SimConfig;
+use dcn_sim::config::{QueueSetup, SimConfig};
 use dcn_sim::fault::LossWindow;
 use dcn_sim::instrument::Metrics;
 use dcn_sim::simulator::Simulation;
 use dcn_sim::event::{EventKind, EventQueue};
 use dcn_sim::link::Dir;
 use dcn_sim::packet::{FlowId, Packet, MSS_BYTES};
-use dcn_sim::queue::{EnqueueOutcome, PortQueue, QueueConfig};
+use dcn_sim::queue::{EnqueueOutcome, PortQueue};
 use dcn_sim::rng::{EmpiricalCdf, SplitMix64};
 use dcn_sim::routing::Router;
 use dcn_sim::stats::percentile;
@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn queue_conservation(ops in proptest::collection::vec((0u32..1461, any::<bool>()), 1..300)) {
         let cap = 20_000u64;
-        let mut q = PortQueue::new(QueueConfig::drop_tail(cap));
+        let mut q = PortQueue::new(QueueSetup { capacity_bytes: cap, ..QueueSetup::default() });
         let mut accepted = 0u64;
         let mut dequeued = 0u64;
         let mut id = 0u64;
@@ -203,7 +203,7 @@ proptest! {
     /// packets; dequeue order within a band is FIFO.
     #[test]
     fn ecn_marking_respects_threshold(k in 1u32..10, n in 1usize..40) {
-        let mut q = PortQueue::new(QueueConfig::ecn(1_000_000, k));
+        let mut q = PortQueue::new(QueueSetup { capacity_bytes: 1_000_000, ecn_k: Some(k), bands: 1 });
         let mut marked_below = 0;
         for i in 0..n {
             let p = Packet::data(i as u64 + 1, FlowId(1), dcn_sim::topology::NodeId(0), dcn_sim::topology::NodeId(1), 0, MSS_BYTES, true, SimTime::ZERO);
@@ -260,8 +260,7 @@ fn duplex_directions_independent() {
             bandwidth_bps: 1_000_000,
             latency: SimDuration::from_micros(10),
         },
-        QueueConfig::drop_tail(10_000),
-        QueueConfig::drop_tail(10_000),
+        QueueSetup { capacity_bytes: 10_000, ..QueueSetup::default() },
     );
     let p = Packet::data(
         1,

@@ -1,7 +1,7 @@
 //! DCTCP congestion control (Alizadeh et al., SIGCOMM 2010).
 //!
 //! Switch queues CE-mark ECN-capable packets once occupancy exceeds `K`
-//! (see [`dcn_sim::queue::QueueConfig::ecn`]); the receiver echoes marks
+//! (see [`dcn_sim::config::QueueSetup::ecn_k`]); the receiver echoes marks
 //! per packet; the sender maintains an EWMA `α` of the marked fraction and
 //! cuts its window by `α/2` at most once per window of data:
 //!
@@ -15,6 +15,9 @@
 
 use crate::cc::{reno_ack, reno_halve, reno_timeout, AckCtx, CongControl, Windows};
 use dcn_sim::time::SimTime;
+
+/// EWMA gain `g` of every DCTCP sender (the paper's value).
+pub const G: f64 = 1.0 / 16.0;
 
 /// DCTCP sender state.
 pub struct DctcpCc {

@@ -28,26 +28,14 @@ use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
 
-/// Factory for Homa endpoints.
-pub struct HomaFactory {
-    /// Unscheduled window / grant overcommitment, bytes (≈ one BDP).
-    pub rtt_bytes: u64,
-    /// Gap-detection timeout at receivers and stall timeout at senders.
-    pub resend_timeout: SimDuration,
-    /// Segment payload size.
-    pub mss: u32,
-}
+/// Unscheduled window / grant overcommitment, bytes: ~10 full segments,
+/// one BDP of the scaled-down network.
+const RTT_BYTES: u64 = 15_000;
+/// Gap-detection timeout at receivers and stall timeout at senders.
+const RESEND_TIMEOUT: SimDuration = SimDuration::from_millis(20);
 
-impl Default for HomaFactory {
-    fn default() -> Self {
-        HomaFactory {
-            // ~10 full segments: one BDP of the scaled-down network.
-            rtt_bytes: 15_000,
-            resend_timeout: SimDuration::from_millis(20),
-            mss: MSS_BYTES,
-        }
-    }
-}
+/// Factory for Homa endpoints.
+pub struct HomaFactory;
 
 impl TransportFactory for HomaFactory {
     fn name(&self) -> &'static str {
@@ -57,9 +45,6 @@ impl TransportFactory for HomaFactory {
     fn sender(&self, flow: &FlowSpec) -> Box<dyn Transport> {
         Box::new(HomaSender {
             flow: flow.clone(),
-            rtt_bytes: self.rtt_bytes,
-            mss: self.mss,
-            resend_timeout: self.resend_timeout,
             snd_nxt: 0,
             granted: 0,
             completed: false,
@@ -71,8 +56,6 @@ impl TransportFactory for HomaFactory {
     fn receiver(&self, flow: &FlowSpec) -> Box<dyn Transport> {
         Box::new(HomaReceiver {
             flow: flow.clone(),
-            rtt_bytes: self.rtt_bytes,
-            resend_timeout: self.resend_timeout,
             ranges: Vec::new(),
             delivered: 0,
             granted_sent: 0,
@@ -84,8 +67,8 @@ impl TransportFactory for HomaFactory {
 
 /// Priority of an *unscheduled* packet, from total message size
 /// (smaller message → higher priority). Band 0 is reserved for control.
-fn unscheduled_prio(msg_bytes: u64, mss: u32) -> u8 {
-    let m = mss as u64;
+fn unscheduled_prio(msg_bytes: u64) -> u8 {
+    let m = MSS_BYTES as u64;
     if msg_bytes <= m {
         1
     } else if msg_bytes <= 4 * m {
@@ -96,8 +79,8 @@ fn unscheduled_prio(msg_bytes: u64, mss: u32) -> u8 {
 }
 
 /// Priority of a *scheduled* packet, from remaining bytes (SRPT-style).
-fn scheduled_prio(remaining: u64, mss: u32) -> u8 {
-    let m = mss as u64;
+fn scheduled_prio(remaining: u64) -> u8 {
+    let m = MSS_BYTES as u64;
     if remaining <= 8 * m {
         4
     } else if remaining <= 32 * m {
@@ -112,9 +95,6 @@ fn scheduled_prio(remaining: u64, mss: u32) -> u8 {
 /// The sending side of a Homa message.
 pub struct HomaSender {
     flow: FlowSpec,
-    rtt_bytes: u64,
-    mss: u32,
-    resend_timeout: SimDuration,
     snd_nxt: u64,
     granted: u64,
     completed: bool,
@@ -125,7 +105,7 @@ pub struct HomaSender {
 
 impl HomaSender {
     fn make_segment(&self, seq: u64, unscheduled: bool, ctx: &mut TransportCtx) -> Packet {
-        let payload = (self.mss as u64).min(self.flow.size_bytes - seq) as u32;
+        let payload = (MSS_BYTES as u64).min(self.flow.size_bytes - seq) as u32;
         let mut p = Packet::data(
             ctx.ids.next(),
             self.flow.id,
@@ -138,9 +118,9 @@ impl HomaSender {
         );
         p.flow_size = self.flow.size_bytes;
         p.prio = if unscheduled {
-            unscheduled_prio(self.flow.size_bytes, self.mss)
+            unscheduled_prio(self.flow.size_bytes)
         } else {
-            scheduled_prio(self.flow.size_bytes - seq, self.mss)
+            scheduled_prio(self.flow.size_bytes - seq)
         };
         if seq + payload as u64 >= self.flow.size_bytes {
             p.flags.fin = true;
@@ -149,7 +129,7 @@ impl HomaSender {
     }
 
     fn send_up_to_grant(&mut self, ctx: &mut TransportCtx, out: &mut Actions) {
-        let unscheduled_limit = self.rtt_bytes.min(self.flow.size_bytes);
+        let unscheduled_limit = RTT_BYTES.min(self.flow.size_bytes);
         while self.snd_nxt < self.granted {
             let unscheduled = self.snd_nxt < unscheduled_limit;
             let seg = self.make_segment(self.snd_nxt, unscheduled, ctx);
@@ -161,9 +141,9 @@ impl HomaSender {
 
 impl Transport for HomaSender {
     fn on_start(&mut self, ctx: &mut TransportCtx, out: &mut Actions) {
-        self.granted = self.rtt_bytes.min(self.flow.size_bytes);
+        self.granted = RTT_BYTES.min(self.flow.size_bytes);
         self.send_up_to_grant(ctx, out);
-        self.timer.arm(ctx.now, self.resend_timeout, out);
+        self.timer.arm(ctx.now, RESEND_TIMEOUT, out);
     }
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut TransportCtx, out: &mut Actions) {
@@ -184,7 +164,7 @@ impl Transport for HomaSender {
                     }
                 }
                 self.send_up_to_grant(ctx, out);
-                self.timer.arm(ctx.now, self.resend_timeout, out);
+                self.timer.arm(ctx.now, RESEND_TIMEOUT, out);
             }
             PacketKind::Ack => {
                 if pkt.echo > SimTime::ZERO {
@@ -209,7 +189,7 @@ impl Transport for HomaSender {
         let seg = self.make_segment(0, true, ctx);
         self.retransmits += 1;
         out.sends.push(seg);
-        self.timer.arm(ctx.now, self.resend_timeout, out);
+        self.timer.arm(ctx.now, RESEND_TIMEOUT, out);
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -221,8 +201,7 @@ impl Transport for HomaSender {
     }
 
     fn reset(&mut self, spec: &FlowSpec) {
-        // `rtt_bytes`/`mss`/`resend_timeout` are factory parameters and
-        // carry over; everything else mirrors `HomaFactory::sender`.
+        // Mirror `HomaFactory::sender` field by field.
         self.flow = spec.clone();
         self.snd_nxt = 0;
         self.granted = 0;
@@ -236,8 +215,6 @@ impl Transport for HomaSender {
 /// timeout-driven RESENDs.
 pub struct HomaReceiver {
     flow: FlowSpec,
-    rtt_bytes: u64,
-    resend_timeout: SimDuration,
     ranges: Vec<(u64, u64)>,
     delivered: u64,
     granted_sent: u64,
@@ -312,13 +289,13 @@ impl Transport for HomaReceiver {
         }
         // Grant pacing: keep one rtt_bytes of data granted beyond the
         // received prefix.
-        let target = (cum + self.rtt_bytes).min(self.flow.size_bytes);
+        let target = (cum + RTT_BYTES).min(self.flow.size_bytes);
         if target > self.granted_sent {
             self.granted_sent = target;
             let g = self.grant_packet(target, false, pkt.sent_at, ctx);
             out.sends.push(g);
         }
-        self.timer.arm(ctx.now, self.resend_timeout, out);
+        self.timer.arm(ctx.now, RESEND_TIMEOUT, out);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut TransportCtx, out: &mut Actions) {
@@ -327,11 +304,11 @@ impl Transport for HomaReceiver {
         }
         // Gap/stall: ask for a resend from our prefix, re-granting up to
         // the usual window.
-        let target = (self.cum() + self.rtt_bytes).min(self.flow.size_bytes);
+        let target = (self.cum() + RTT_BYTES).min(self.flow.size_bytes);
         self.granted_sent = self.granted_sent.max(target);
         let g = self.grant_packet(self.granted_sent, true, SimTime::ZERO, ctx);
         out.sends.push(g);
-        self.timer.arm(ctx.now, self.resend_timeout, out);
+        self.timer.arm(ctx.now, RESEND_TIMEOUT, out);
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -347,8 +324,7 @@ impl Transport for HomaReceiver {
     }
 
     fn reset(&mut self, spec: &FlowSpec) {
-        // `rtt_bytes`/`resend_timeout` are factory parameters and carry
-        // over; everything else mirrors `HomaFactory::receiver`.
+        // Mirror `HomaFactory::receiver` field by field.
         self.flow = spec.clone();
         self.ranges.clear(); // keeps capacity
         self.delivered = 0;
@@ -384,15 +360,15 @@ mod tests {
 
     #[test]
     fn priorities_order_by_size() {
-        assert!(unscheduled_prio(500, 1460) < unscheduled_prio(10_000, 1460));
-        assert!(scheduled_prio(1_000, 1460) < scheduled_prio(1_000_000, 1460));
+        assert!(unscheduled_prio(500) < unscheduled_prio(10_000));
+        assert!(scheduled_prio(1_000) < scheduled_prio(1_000_000));
         // Control band is strictly higher than any data band.
-        assert!(unscheduled_prio(1, 1460) > 0);
+        assert!(unscheduled_prio(1) > 0);
     }
 
     #[test]
     fn short_message_is_all_unscheduled() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let mut s = f.sender(&spec(4_000));
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
@@ -406,7 +382,7 @@ mod tests {
 
     #[test]
     fn long_message_waits_for_grants() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let size = 100_000;
         let mut s = f.sender(&spec(size));
         let mut ids = PacketIdAlloc::new(NodeId(0));
@@ -428,7 +404,7 @@ mod tests {
 
     #[test]
     fn receiver_grants_and_completes() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let size = 30_000u64;
         let mut r = f.receiver(&spec(size));
         let mut ids = PacketIdAlloc::new(NodeId(1));
@@ -466,7 +442,7 @@ mod tests {
 
     #[test]
     fn receiver_gap_timer_requests_resend() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let size = 30_000u64;
         let mut r = f.receiver(&spec(size));
         let mut ids = PacketIdAlloc::new(NodeId(1));
@@ -485,7 +461,7 @@ mod tests {
 
     #[test]
     fn sender_rewinds_on_resend_grant() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let mut s = f.sender(&spec(30_000));
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
@@ -503,7 +479,7 @@ mod tests {
 
     #[test]
     fn sender_completes_on_final_ack() {
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let mut s = f.sender(&spec(4_000));
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
@@ -525,7 +501,7 @@ mod tests {
     #[test]
     fn sender_stall_timer_nudges() {
         let ms = SimDuration::from_millis;
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let mut s = f.sender(&spec(100_000));
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
@@ -559,7 +535,7 @@ mod tests {
     #[test]
     fn receiver_gap_timer_tracks_the_last_packet() {
         let ms = SimDuration::from_millis;
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let size = 30_000u64;
         let mut r = f.receiver(&spec(size));
         let mut ids = PacketIdAlloc::new(NodeId(1));

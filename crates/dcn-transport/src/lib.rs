@@ -70,7 +70,7 @@ impl Protocol {
             Protocol::Dctcp { .. } => Box::new(tcp::TcpFactory::dctcp()),
             Protocol::Vegas => Box::new(tcp::TcpFactory::vegas()),
             Protocol::Westwood => Box::new(tcp::TcpFactory::westwood()),
-            Protocol::Homa => Box::new(homa::HomaFactory::default()),
+            Protocol::Homa => Box::new(homa::HomaFactory),
         }
     }
 

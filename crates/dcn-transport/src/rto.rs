@@ -10,56 +10,40 @@ use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::{SimDuration, SimTime};
 use dcn_sim::transport::Actions;
 
+/// RTO before any sample, seconds.
+const INITIAL_RTO_S: f64 = 0.2;
+/// Lower clamp of the RTO, seconds (as data-center stacks use).
+const MIN_RTO_S: f64 = 0.01;
+/// Upper clamp of the RTO, seconds.
+const MAX_RTO_S: f64 = 4.0;
+
 /// Smoothed RTT / RTO state per RFC 6298.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
     rto: f64,
-    /// The configured pre-sample RTO, kept so [`RttEstimator::reset`] can
-    /// return to the constructed state (not serialized: it is configuration,
-    /// not mutable state).
-    initial_rto: f64,
-    min_rto: f64,
-    max_rto: f64,
     backoff: u32,
     /// Lowest RTT ever observed (used by Vegas/Westwood).
     min_rtt: Option<f64>,
 }
 
 impl RttEstimator {
-    /// `initial` is the RTO before any sample; `min`/`max` clamp the RTO.
-    pub fn new(initial: SimDuration, min: SimDuration, max: SimDuration) -> RttEstimator {
+    /// Data-center-scaled bounds: 200 ms before the first sample, then
+    /// clamped between 10 ms and 4 s.
+    pub fn dc_default() -> RttEstimator {
         RttEstimator {
             srtt: None,
             rttvar: 0.0,
-            rto: initial.as_secs_f64(),
-            initial_rto: initial.as_secs_f64(),
-            min_rto: min.as_secs_f64(),
-            max_rto: max.as_secs_f64(),
+            rto: INITIAL_RTO_S,
             backoff: 0,
             min_rtt: None,
         }
     }
 
-    /// Back to the as-constructed state, keeping the configured
-    /// initial/min/max bounds (for endpoint recycling).
+    /// Back to the as-constructed state (for endpoint recycling).
     pub fn reset(&mut self) {
-        self.srtt = None;
-        self.rttvar = 0.0;
-        self.rto = self.initial_rto;
-        self.backoff = 0;
-        self.min_rtt = None;
-    }
-
-    /// Data-center-scaled defaults: 10 ms minimum RTO (as DC stacks use),
-    /// 200 ms initial, 4 s cap.
-    pub fn dc_default() -> RttEstimator {
-        RttEstimator::new(
-            SimDuration::from_millis(200),
-            SimDuration::from_millis(10),
-            SimDuration::from_secs_f64(4.0),
-        )
+        *self = RttEstimator::dc_default();
     }
 
     /// Incorporate a new RTT sample.
@@ -77,13 +61,13 @@ impl RttEstimator {
                 self.srtt = Some(0.875 * srtt + 0.125 * r);
             }
         }
-        self.rto = (self.srtt.unwrap() + 4.0 * self.rttvar).clamp(self.min_rto, self.max_rto);
+        self.rto = (self.srtt.unwrap() + 4.0 * self.rttvar).clamp(MIN_RTO_S, MAX_RTO_S);
         self.backoff = 0;
     }
 
     /// Current RTO including exponential backoff.
     pub fn rto(&self) -> SimDuration {
-        let v = (self.rto * (1u64 << self.backoff.min(16)) as f64).min(self.max_rto);
+        let v = (self.rto * (1u64 << self.backoff.min(16)) as f64).min(MAX_RTO_S);
         SimDuration::from_secs_f64(v)
     }
 
@@ -107,8 +91,6 @@ impl RttEstimator {
         w.put_opt_f64(self.srtt);
         w.put_f64(self.rttvar);
         w.put_f64(self.rto);
-        w.put_f64(self.min_rto);
-        w.put_f64(self.max_rto);
         w.put_u32(self.backoff);
         w.put_opt_f64(self.min_rtt);
     }

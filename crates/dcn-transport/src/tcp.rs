@@ -9,100 +9,58 @@
 
 use crate::cc::{AckCtx, CongControl, Windows};
 use crate::rto::{Deadline, RttEstimator};
-use dcn_sim::packet::{Ecn, Packet, PacketKind};
+use dcn_sim::packet::{Ecn, Packet, PacketKind, MSS_BYTES};
 use dcn_sim::snapshot::SnapWriter;
 use dcn_sim::time::SimTime;
 use dcn_sim::transport::{Actions, FlowSpec, Transport, TransportCtx, TransportFactory};
 
-/// Parameters shared by all TCP variants.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpConfig {
-    /// Maximum segment size (bytes of payload per packet).
-    pub mss: u32,
-    /// Initial congestion window in segments.
-    pub init_cwnd_pkts: u32,
-    /// Dup-acks before fast retransmit.
-    pub dupack_thresh: u32,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: dcn_sim::packet::MSS_BYTES,
-            init_cwnd_pkts: 2,
-            dupack_thresh: 3,
-        }
-    }
-}
+/// Initial congestion window in segments.
+const INIT_CWND_PKTS: u32 = 2;
+/// Dup-acks before fast retransmit.
+const DUPACK_THRESH: u32 = 3;
 
 /// Which congestion controller a [`TcpFactory`] instantiates.
 #[derive(Clone, Copy, Debug)]
 pub enum CcKind {
     Reno,
-    Dctcp {
-        /// EWMA gain for the marked fraction (paper value 1/16).
-        g: f64,
-    },
-    Vegas {
-        /// Lower/upper bounds on queued packets (classic 2 and 4).
-        alpha_pkts: f64,
-        beta_pkts: f64,
-    },
+    Dctcp,
+    Vegas,
     Westwood,
 }
 
 /// Factory producing TCP endpoints of a chosen flavour.
 pub struct TcpFactory {
-    pub cfg: TcpConfig,
     pub kind: CcKind,
 }
 
 impl TcpFactory {
     pub fn new_reno() -> TcpFactory {
-        TcpFactory {
-            cfg: TcpConfig::default(),
-            kind: CcKind::Reno,
-        }
+        TcpFactory { kind: CcKind::Reno }
     }
 
     pub fn dctcp() -> TcpFactory {
-        TcpFactory {
-            cfg: TcpConfig::default(),
-            kind: CcKind::Dctcp { g: 1.0 / 16.0 },
-        }
+        TcpFactory { kind: CcKind::Dctcp }
     }
 
     pub fn vegas() -> TcpFactory {
-        TcpFactory {
-            cfg: TcpConfig::default(),
-            kind: CcKind::Vegas {
-                alpha_pkts: 2.0,
-                beta_pkts: 4.0,
-            },
-        }
+        TcpFactory { kind: CcKind::Vegas }
     }
 
     pub fn westwood() -> TcpFactory {
-        TcpFactory {
-            cfg: TcpConfig::default(),
-            kind: CcKind::Westwood,
-        }
+        TcpFactory { kind: CcKind::Westwood }
     }
 
     fn make_cc(&self) -> Box<dyn CongControl> {
         match self.kind {
             CcKind::Reno => Box::new(crate::newreno::RenoCc),
-            CcKind::Dctcp { g } => Box::new(crate::dctcp::DctcpCc::new(g)),
-            CcKind::Vegas {
-                alpha_pkts,
-                beta_pkts,
-            } => Box::new(crate::vegas::VegasCc::new(alpha_pkts, beta_pkts)),
+            CcKind::Dctcp => Box::new(crate::dctcp::DctcpCc::new(crate::dctcp::G)),
+            CcKind::Vegas => Box::new(crate::vegas::VegasCc::default()),
             CcKind::Westwood => Box::new(crate::westwood::WestwoodCc::new()),
         }
     }
 
     fn echo_ecn(&self) -> bool {
-        matches!(self.kind, CcKind::Dctcp { .. })
+        matches!(self.kind, CcKind::Dctcp)
     }
 }
 
@@ -110,14 +68,14 @@ impl TransportFactory for TcpFactory {
     fn name(&self) -> &'static str {
         match self.kind {
             CcKind::Reno => "tcp-newreno",
-            CcKind::Dctcp { .. } => "dctcp",
-            CcKind::Vegas { .. } => "tcp-vegas",
+            CcKind::Dctcp => "dctcp",
+            CcKind::Vegas => "tcp-vegas",
             CcKind::Westwood => "tcp-westwood",
         }
     }
 
     fn sender(&self, flow: &FlowSpec) -> Box<dyn Transport> {
-        Box::new(TcpSender::new(flow.clone(), self.cfg, self.make_cc()))
+        Box::new(TcpSender::new(flow.clone(), self.make_cc()))
     }
 
     fn receiver(&self, flow: &FlowSpec) -> Box<dyn Transport> {
@@ -128,7 +86,6 @@ impl TransportFactory for TcpFactory {
 /// The TCP sender state machine.
 pub struct TcpSender {
     flow: FlowSpec,
-    cfg: TcpConfig,
     cc: Box<dyn CongControl>,
     rtt: RttEstimator,
     w: Windows,
@@ -146,11 +103,10 @@ pub struct TcpSender {
 }
 
 impl TcpSender {
-    pub fn new(flow: FlowSpec, cfg: TcpConfig, cc: Box<dyn CongControl>) -> TcpSender {
+    pub fn new(flow: FlowSpec, cc: Box<dyn CongControl>) -> TcpSender {
         TcpSender {
-            w: Windows::new(cfg.mss, cfg.init_cwnd_pkts),
+            w: Windows::new(MSS_BYTES, INIT_CWND_PKTS),
             flow,
-            cfg,
             cc,
             rtt: RttEstimator::dc_default(),
             snd_una: 0,
@@ -169,7 +125,7 @@ impl TcpSender {
     }
 
     fn make_segment(&self, seq: u64, ctx: &mut TransportCtx) -> Packet {
-        let payload = (self.cfg.mss as u64).min(self.flow.size_bytes - seq) as u32;
+        let payload = (MSS_BYTES as u64).min(self.flow.size_bytes - seq) as u32;
         let mut p = Packet::data(
             ctx.ids.next(),
             self.flow.id,
@@ -264,12 +220,12 @@ impl TcpSender {
             // Window inflation during recovery keeps the pipe full.
             self.w.cwnd += self.w.mss;
             self.send_available(ctx, out);
-        } else if self.dup_acks == self.cfg.dupack_thresh {
+        } else if self.dup_acks == DUPACK_THRESH {
             let flight = self.snd_nxt - self.snd_una;
             self.cc.on_fast_loss(ctx.now, flight, &mut self.w);
             self.recover = Some(self.snd_nxt);
             // Inflate by the dup-acked segments that left the network.
-            self.w.cwnd = self.w.ssthresh + self.cfg.dupack_thresh as f64 * self.w.mss;
+            self.w.cwnd = self.w.ssthresh + DUPACK_THRESH as f64 * self.w.mss;
             self.retransmit_at(self.snd_una, ctx, out);
             self.timer.arm(ctx.now, self.rtt.rto(), out);
         }
@@ -327,10 +283,9 @@ impl Transport for TcpSender {
 
     fn reset(&mut self, spec: &FlowSpec) {
         self.cc.reset();
-        // Mirror `TcpSender::new` field by field (`cfg` is configuration
-        // and carries over — one factory per simulation).
+        // Mirror `TcpSender::new` field by field.
         self.flow = spec.clone();
-        self.w = Windows::new(self.cfg.mss, self.cfg.init_cwnd_pkts);
+        self.w = Windows::new(MSS_BYTES, INIT_CWND_PKTS);
         self.rtt.reset();
         self.snd_una = 0;
         self.snd_nxt = 0;
@@ -478,7 +433,7 @@ mod tests {
     fn slow_start_grows_exponentially() {
         let f = TcpFactory::new_reno();
         let mss = MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(1000 * mss), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(1000 * mss), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_at(&mut ids, 0.0), &mut out);
@@ -494,7 +449,7 @@ mod tests {
     fn triple_dup_ack_triggers_fast_retransmit() {
         let f = TcpFactory::new_reno();
         let mss = MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(100 * mss), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(100 * mss), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_at(&mut ids, 0.0), &mut out);
@@ -524,7 +479,7 @@ mod tests {
     fn partial_ack_retransmits_next_hole() {
         let f = TcpFactory::new_reno();
         let mss = MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(100 * mss), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(100 * mss), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_at(&mut ids, 0.0), &mut out);
@@ -552,7 +507,7 @@ mod tests {
     fn timeout_collapses_window_and_retransmits() {
         let f = TcpFactory::new_reno();
         let mss = MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(100 * mss), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(100 * mss), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_at(&mut ids, 0.0), &mut out);
@@ -568,7 +523,7 @@ mod tests {
     fn completion_on_final_ack() {
         let f = TcpFactory::new_reno();
         let size = 3 * MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(size), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(size), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_at(&mut ids, 0.0), &mut out);
@@ -670,7 +625,7 @@ mod tests {
     #[test]
     fn rto_timer_rearms_with_backoff() {
         let f = TcpFactory::new_reno();
-        let mut s = TcpSender::new(spec(10 * MSS_BYTES as u64), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(10 * MSS_BYTES as u64), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_ms(&mut ids, 0), &mut out);
@@ -689,7 +644,7 @@ mod tests {
     fn ack_train_keeps_one_pending_timer() {
         let f = TcpFactory::new_reno();
         let mss = MSS_BYTES as u64;
-        let mut s = TcpSender::new(spec(100 * mss), f.cfg, f.make_cc());
+        let mut s = TcpSender::new(spec(100 * mss), f.make_cc());
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();
         s.on_start(&mut ctx_ms(&mut ids, 0), &mut out);

@@ -18,14 +18,16 @@
 use crate::cc::{reno_ack, reno_halve, reno_timeout, AckCtx, CongControl, Windows};
 use dcn_sim::time::SimTime;
 
+/// Grow when fewer than `alpha` packets are queued (classic 2).
+const ALPHA_PKTS: f64 = 2.0;
+/// Shrink when more than `beta` packets are queued (classic 4).
+const BETA_PKTS: f64 = 4.0;
+/// Leave slow start when more than `gamma` packets are queued.
+const GAMMA_PKTS: f64 = 1.0;
+
 /// Vegas sender state.
+#[derive(Default)]
 pub struct VegasCc {
-    /// Grow when fewer than `alpha` packets are queued.
-    alpha_pkts: f64,
-    /// Shrink when more than `beta` packets are queued.
-    beta_pkts: f64,
-    /// Leave slow start when more than `gamma` packets are queued.
-    gamma_pkts: f64,
     /// Lowest RTT ever seen (propagation estimate), seconds.
     base_rtt: Option<f64>,
     /// Lowest RTT in the current epoch, seconds.
@@ -35,18 +37,6 @@ pub struct VegasCc {
 }
 
 impl VegasCc {
-    pub fn new(alpha_pkts: f64, beta_pkts: f64) -> VegasCc {
-        assert!(alpha_pkts <= beta_pkts);
-        VegasCc {
-            alpha_pkts,
-            beta_pkts,
-            gamma_pkts: 1.0,
-            base_rtt: None,
-            epoch_min_rtt: None,
-            epoch_end: 0,
-        }
-    }
-
     /// Current estimate of queued bytes given the epoch measurements.
     fn queued_bytes(&self, w: &Windows) -> Option<f64> {
         let base = self.base_rtt?;
@@ -89,7 +79,7 @@ impl CongControl for VegasCc {
             return;
         };
         if w.in_slow_start() {
-            if queued > self.gamma_pkts * w.mss {
+            if queued > GAMMA_PKTS * w.mss {
                 // Leave slow start once queueing builds.
                 w.ssthresh = w.cwnd;
             } else {
@@ -97,9 +87,9 @@ impl CongControl for VegasCc {
             }
             return;
         }
-        if queued < self.alpha_pkts * w.mss {
+        if queued < ALPHA_PKTS * w.mss {
             w.cwnd += w.mss;
-        } else if queued > self.beta_pkts * w.mss {
+        } else if queued > BETA_PKTS * w.mss {
             w.cwnd -= w.mss;
             w.clamp();
         }
@@ -115,17 +105,10 @@ impl CongControl for VegasCc {
     }
 
     fn reset(&mut self) {
-        // `alpha`/`beta`/`gamma` are configuration; estimators back to
-        // `VegasCc::new`.
-        self.base_rtt = None;
-        self.epoch_min_rtt = None;
-        self.epoch_end = 0;
+        *self = VegasCc::default();
     }
 
     fn save_state(&self, w: &mut dcn_sim::snapshot::SnapWriter) {
-        w.put_f64(self.alpha_pkts);
-        w.put_f64(self.beta_pkts);
-        w.put_f64(self.gamma_pkts);
         w.put_opt_f64(self.base_rtt);
         w.put_opt_f64(self.epoch_min_rtt);
         w.put_u64(self.epoch_end);
@@ -151,7 +134,7 @@ mod tests {
 
     #[test]
     fn grows_when_uncongested() {
-        let mut cc = VegasCc::new(2.0, 4.0);
+        let mut cc = VegasCc::default();
         let mut w = Windows::new(1000, 4);
         w.ssthresh = w.cwnd; // force CA
         // Establish base RTT = 1 ms in epoch 0.
@@ -164,7 +147,7 @@ mod tests {
 
     #[test]
     fn shrinks_when_rtt_inflates() {
-        let mut cc = VegasCc::new(2.0, 4.0);
+        let mut cc = VegasCc::default();
         let mut w = Windows::new(1000, 10);
         w.ssthresh = w.cwnd;
         // Base RTT = 1 ms.
@@ -177,7 +160,7 @@ mod tests {
 
     #[test]
     fn holds_in_band() {
-        let mut cc = VegasCc::new(2.0, 4.0);
+        let mut cc = VegasCc::default();
         let mut w = Windows::new(1000, 10);
         w.ssthresh = w.cwnd;
         cc.on_ack(&ctx(1000, 1000, 11_000, 1000), &mut w);
@@ -190,7 +173,7 @@ mod tests {
 
     #[test]
     fn exits_slow_start_on_queueing() {
-        let mut cc = VegasCc::new(2.0, 4.0);
+        let mut cc = VegasCc::default();
         let mut w = Windows::new(1000, 10);
         assert!(w.in_slow_start());
         cc.on_ack(&ctx(1000, 1000, 11_000, 1000), &mut w);
@@ -201,7 +184,7 @@ mod tests {
 
     #[test]
     fn loss_reactions_are_reno() {
-        let mut cc = VegasCc::new(2.0, 4.0);
+        let mut cc = VegasCc::default();
         let mut w = Windows::new(1000, 10);
         cc.on_fast_loss(SimTime::ZERO, 10_000, &mut w);
         assert_eq!(w.cwnd, 5_000.0);

@@ -109,7 +109,7 @@ fn endpoint_pooling_is_trajectory_invariant_per_protocol() {
         ("dctcp", || Box::new(TcpFactory::dctcp())),
         ("vegas", || Box::new(TcpFactory::vegas())),
         ("westwood", || Box::new(TcpFactory::westwood())),
-        ("homa", || Box::new(HomaFactory::default())),
+        ("homa", || Box::new(HomaFactory)),
         ("fixed-window", || Box::new(FixedWindowFactory::default())),
     ];
     for (name, make) in factories {

@@ -165,7 +165,7 @@ proptest! {
     #[test]
     fn homa_granted_bounded(grants in proptest::collection::vec(any::<u64>(), 1..30)) {
         let size = 200_000u64;
-        let f = HomaFactory::default();
+        let f = HomaFactory;
         let mut s = f.sender(&spec(size));
         let mut ids = PacketIdAlloc::new(NodeId(0));
         let mut out = Actions::default();

@@ -42,8 +42,6 @@ pub struct TrainConfig {
     pub window: usize,
     pub lr: f32,
     pub loss: CombinedLoss,
-    /// Global gradient-norm clip (BPTT stability).
-    pub clip: f32,
     pub seed: u64,
     /// Thread budget of the pipeline's training job queue
     /// (`mimicnet::pipeline`), which trains whole models concurrently.
@@ -59,7 +57,6 @@ impl Default for TrainConfig {
             window: 12, // ≈ BDP in packets (paper Appendix C)
             lr: 3e-3,
             loss: CombinedLoss::default(),
-            clip: 5.0,
             seed: 1,
             workers: 1,
         }
@@ -114,6 +111,9 @@ impl std::fmt::Display for TrainError {
 }
 
 impl std::error::Error for TrainError {}
+
+/// Global gradient-norm clip (BPTT stability).
+const CLIP: f32 = 5.0;
 
 /// Consecutive non-finite epochs tolerated (each rolls back to the best
 /// parameters and halves the learning rate) before giving up.
@@ -296,7 +296,7 @@ pub fn train(
                     (grad_buf.norm() as f64 * 1000.0) as u64,
                 );
             }
-            grad_buf.clip_to_norm(cfg.clip);
+            grad_buf.clip_to_norm(CLIP);
             let mut step = opt.step();
             model.visit_params(&mut grad_buf, &mut |p, g| step.apply(p, g));
             steps += 1;

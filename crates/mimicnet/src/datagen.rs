@@ -21,6 +21,14 @@ use mimic_ml::dataset::PacketDataset;
 use mimic_ml::discretize::Discretizer;
 use mimic_ml::loss::Target;
 
+/// The cluster that is modeled (and traced).
+const MODEL_CLUSTER: u32 = 1;
+/// Discretization levels for latency targets (paper §5.2's `D`).
+const DISC_LEVELS: u32 = 100;
+/// Entries closer than this to the end of the run are discarded instead
+/// of being labeled drops, seconds.
+const HORIZON_GUARD_S: f64 = 0.05;
+
 /// Configuration of the data-generation phase.
 #[derive(Clone, Copy, Debug)]
 pub struct DataGenConfig {
@@ -29,13 +37,6 @@ pub struct DataGenConfig {
     pub sim: SimConfig,
     /// Protocol under study.
     pub protocol: Protocol,
-    /// Which cluster to model (and trace).
-    pub model_cluster: u32,
-    /// Discretization levels for latency targets (paper §5.2's `D`).
-    pub disc_levels: u32,
-    /// Entries closer than this to the end of the run are discarded
-    /// instead of being labeled drops.
-    pub horizon_guard_s: f64,
     /// Include the congestion-state feature (§5.5); disable for the
     /// ablation experiment.
     pub congestion_feature: bool,
@@ -46,9 +47,6 @@ impl Default for DataGenConfig {
         DataGenConfig {
             sim: SimConfig::small_scale(),
             protocol: Protocol::NewReno,
-            model_cluster: 1,
-            disc_levels: 100,
-            horizon_guard_s: 0.05,
             congestion_feature: true,
         }
     }
@@ -74,7 +72,7 @@ pub fn generate(cfg: &DataGenConfig) -> TrainingData {
     let mut sim_cfg = cfg.sim;
     sim_cfg.queue = cfg.protocol.queue_setup(sim_cfg.queue);
     let mut sim = Simulation::with_transport(sim_cfg, cfg.protocol.factory());
-    sim.trace_cluster(cfg.model_cluster);
+    sim.trace_cluster(MODEL_CLUSTER);
     let metrics = sim.run();
     build_training_data(cfg, metrics)
 }
@@ -83,7 +81,7 @@ pub fn generate(cfg: &DataGenConfig) -> TrainingData {
 pub fn build_training_data(cfg: &DataGenConfig, metrics: Metrics) -> TrainingData {
     let topo = FatTree::new(cfg.sim.topo);
     let router = Router::new(topo.clone());
-    let horizon = SimTime::from_secs_f64((cfg.sim.duration_s - cfg.horizon_guard_s).max(0.0));
+    let horizon = SimTime::from_secs_f64((cfg.sim.duration_s - HORIZON_GUARD_S).max(0.0));
 
     let mut ingress_trace = match_trace(&metrics.boundary, BoundaryDir::Ingress, horizon);
     let mut egress_trace = match_trace(&metrics.boundary, BoundaryDir::Egress, horizon);
@@ -97,8 +95,8 @@ pub fn build_training_data(cfg: &DataGenConfig, metrics: Metrics) -> TrainingDat
 
     let mut feature_cfg = FeatureConfig::from_topology(&cfg.sim.topo);
     feature_cfg.congestion_feature = cfg.congestion_feature;
-    let ingress_disc = fit_discretizer(&ingress_trace, cfg.disc_levels);
-    let egress_disc = fit_discretizer(&egress_trace, cfg.disc_levels);
+    let ingress_disc = fit_discretizer(&ingress_trace);
+    let egress_disc = fit_discretizer(&egress_trace);
 
     let ingress = encode(&ingress_trace, BoundaryDir::Ingress, &topo, &router, feature_cfg, &ingress_disc);
     let egress = encode(&egress_trace, BoundaryDir::Egress, &topo, &router, feature_cfg, &egress_disc);
@@ -123,11 +121,11 @@ pub fn build_training_data(cfg: &DataGenConfig, metrics: Metrics) -> TrainingDat
 
 /// Latency discretizer over the observed range, padded 10% at the top so
 /// the "dropped" encoding (1.0) sits above every real latency.
-fn fit_discretizer(trace: &MatchedTrace, levels: u32) -> Discretizer {
+fn fit_discretizer(trace: &MatchedTrace) -> Discretizer {
     let (lo, hi) = trace
         .latency_range()
         .unwrap_or((1e-5, 1e-2)); // fall back to a sane DC range
-    Discretizer::new(lo, hi * 1.1, levels)
+    Discretizer::new(lo, hi * 1.1, DISC_LEVELS)
 }
 
 fn fit_dir(trace: &MatchedTrace) -> DirFit {

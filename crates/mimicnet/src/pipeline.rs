@@ -42,8 +42,6 @@ pub struct PipelineConfig {
     pub hidden: usize,
     /// LSTM stack depth (the "LSTM layers" tunable of §7.2).
     pub layers: usize,
-    /// Latency discretization levels (`D`, §5.2).
-    pub disc_levels: u32,
     /// The data-generation simulation runs this much longer than
     /// `base.duration_s`. Small-scale time is cheap (that is the point of
     /// the paper's workflow), and the models want more packets than a
@@ -59,7 +57,6 @@ impl Default for PipelineConfig {
             train: TrainConfig::default(),
             hidden: 32,
             layers: 1,
-            disc_levels: 100,
             datagen_duration_factor: 4.0,
         }
     }
@@ -355,10 +352,7 @@ fn train_bundles(
             DataGenConfig {
                 sim,
                 protocol: cfg.protocol,
-                model_cluster: 1,
-                disc_levels: cfg.disc_levels,
-                horizon_guard_s: 0.05,
-                congestion_feature: true,
+                ..DataGenConfig::default()
             }
         })
         .collect();

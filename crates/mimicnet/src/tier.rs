@@ -477,10 +477,6 @@ impl ClusterModel for AdaptiveFleet {
         self.inner.drift(cluster)
     }
 
-    fn tier(&self, cluster: u32) -> FidelityTier {
-        self.ledger.tier(cluster)
-    }
-
     fn on_epoch(&mut self, epoch: u64, at: SimTime, drift: &[Option<f64>]) -> Vec<TierSwitch> {
         let switches = self.ledger.on_epoch(epoch, drift);
         for s in &switches {
