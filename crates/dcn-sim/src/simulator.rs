@@ -769,19 +769,7 @@ impl Simulation {
         let sender = self.acquire_endpoint(Role::Sender, &spec);
         let h = &mut self.hosts[spec.src.0 as usize];
         h.add_endpoint(spec.clone(), sender, Role::Sender);
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        {
-            let h = &mut self.hosts[spec.src.0 as usize];
-            let ep = h.flows.get_mut(&spec.id).expect("just inserted");
-            let mut ctx = TransportCtx {
-                now: self.now,
-                ids: &mut h.ids,
-            };
-            ep.transport.on_start(&mut ctx, &mut out);
-        }
-        self.apply_actions(spec.src, spec.id, &mut out);
-        self.scratch = out;
+        self.drive_endpoint(spec.src, spec.id, |t, ctx, out| t.on_start(ctx, out));
     }
 
     /// A flow is instantiated only if at least one endpoint lives in a
@@ -875,13 +863,7 @@ impl Simulation {
             // Ingress exit juncture: external packet delivered to a host of
             // the traced cluster.
             let core = self.router.core_for_flow(pkt.flow);
-            self.metrics.boundary.push(BoundaryRecord::from_packet(
-                &pkt,
-                self.now,
-                BoundaryDir::Ingress,
-                BoundaryPhase::Exit,
-                core,
-            ));
+            self.record_juncture(&pkt, BoundaryDir::Ingress, BoundaryPhase::Exit, core);
         }
         self.deliver_to_endpoint(node, pkt);
     }
@@ -903,13 +885,7 @@ impl Simulation {
         if from_host && leaving && Some(cluster) == self.trace_cluster {
             // Egress enter juncture.
             let core = self.router.core_for_flow(pkt.flow);
-            self.metrics.boundary.push(BoundaryRecord::from_packet(
-                &pkt,
-                self.now,
-                BoundaryDir::Egress,
-                BoundaryPhase::Enter,
-                core,
-            ));
+            self.record_juncture(&pkt, BoundaryDir::Egress, BoundaryPhase::Enter, core);
         }
         self.forward(node, pkt);
     }
@@ -931,13 +907,7 @@ impl Simulation {
         if from_core && Some(cluster) == self.trace_cluster {
             // Ingress enter juncture.
             let core = self.router.core_for_flow(pkt.flow);
-            self.metrics.boundary.push(BoundaryRecord::from_packet(
-                &pkt,
-                self.now,
-                BoundaryDir::Ingress,
-                BoundaryPhase::Enter,
-                core,
-            ));
+            self.record_juncture(&pkt, BoundaryDir::Ingress, BoundaryPhase::Enter, core);
         }
         self.forward(node, pkt);
     }
@@ -946,13 +916,7 @@ impl Simulation {
         let src_cluster = self.topo.cluster_of(pkt.src);
         if self.trace_cluster.is_some() && src_cluster == self.trace_cluster {
             // Egress exit juncture: the packet left the traced cluster.
-            self.metrics.boundary.push(BoundaryRecord::from_packet(
-                &pkt,
-                self.now,
-                BoundaryDir::Egress,
-                BoundaryPhase::Exit,
-                node,
-            ));
+            self.record_juncture(&pkt, BoundaryDir::Egress, BoundaryPhase::Exit, node);
         }
         if process_hop(&mut pkt).is_err() {
             self.metrics.queue_drops += 1;
@@ -961,11 +925,24 @@ impl Simulation {
         self.forward(node, pkt);
     }
 
+    /// Record a §5.1 juncture crossing of the traced cluster through
+    /// `core`.
+    fn record_juncture(&mut self, pkt: &Packet, dir: BoundaryDir, phase: BoundaryPhase, core: NodeId) {
+        self.metrics
+            .boundary
+            .push(BoundaryRecord::from_packet(pkt, self.now, dir, phase, core));
+    }
+
     fn forward(&mut self, node: NodeId, pkt: Packet) {
         let hop = self.router.route(node, pkt.flow, pkt.dst);
         self.metrics.hops_forwarded += 1;
-        let tx = self.links[hop.link.0 as usize].tx_mut(hop.dir);
-        match tx.queue.enqueue(pkt) {
+        self.enqueue(hop.link, hop.dir, pkt);
+    }
+
+    /// Offer `pkt` to the `dir` queue of `link`, counting a drop or a
+    /// mark, and start the transmitter if the queue took it.
+    fn enqueue(&mut self, link: LinkId, dir: Dir, pkt: Packet) {
+        match self.links[link.0 as usize].tx_mut(dir).queue.enqueue(pkt) {
             crate::queue::EnqueueOutcome::Dropped => {
                 self.metrics.queue_drops += 1;
             }
@@ -973,7 +950,7 @@ impl Simulation {
                 if marked {
                     self.metrics.ecn_marks += 1;
                 }
-                self.try_start_tx(hop.link, hop.dir);
+                self.try_start_tx(link, dir);
             }
         }
     }
@@ -1062,37 +1039,33 @@ impl Simulation {
             let recv = self.acquire_endpoint(Role::Receiver, &spec);
             self.hosts[idx].add_endpoint(spec, recv, Role::Receiver);
         }
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        {
-            let h = &mut self.hosts[idx];
-            let ep = h.flows.get_mut(&pkt.flow).expect("endpoint exists");
-            let mut ctx = TransportCtx {
-                now: self.now,
-                ids: &mut h.ids,
-            };
-            ep.transport.on_packet(&pkt, &mut ctx, &mut out);
-        }
-        self.apply_actions(host, pkt.flow, &mut out);
-        self.scratch = out;
+        self.drive_endpoint(host, pkt.flow, |t, ctx, out| t.on_packet(&pkt, ctx, out));
     }
 
     fn handle_timer(&mut self, host: NodeId, flow: FlowId, token: u64) {
-        let idx = host.0 as usize;
-        if !self.hosts[idx].flows.contains_key(&flow) {
+        if !self.hosts[host.0 as usize].flows.contains_key(&flow) {
             return; // flow completed; stale timer
         }
+        self.drive_endpoint(host, flow, |t, ctx, out| t.on_timer(token, ctx, out));
+    }
+
+    /// Run one callback of `host`'s endpoint for `flow` into the cleared
+    /// scratch [`Actions`], then apply what it asked for.
+    fn drive_endpoint(
+        &mut self,
+        host: NodeId,
+        flow: FlowId,
+        call: impl FnOnce(&mut dyn Transport, &mut TransportCtx, &mut Actions),
+    ) {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        {
-            let h = &mut self.hosts[idx];
-            let ep = h.flows.get_mut(&flow).expect("endpoint exists");
-            let mut ctx = TransportCtx {
-                now: self.now,
-                ids: &mut h.ids,
-            };
-            ep.transport.on_timer(token, &mut ctx, &mut out);
-        }
+        let h = &mut self.hosts[host.0 as usize];
+        let ep = h.flows.get_mut(&flow).expect("endpoint exists");
+        let mut ctx = TransportCtx {
+            now: self.now,
+            ids: &mut h.ids,
+        };
+        call(ep.transport.as_mut(), &mut ctx, &mut out);
         self.apply_actions(host, flow, &mut out);
         self.scratch = out;
     }
@@ -1136,19 +1109,7 @@ impl Simulation {
     }
 
     fn send_from_host(&mut self, host: NodeId, pkt: Packet) {
-        let link = self.topo.host_link(host);
-        let tx = self.links[link.0 as usize].tx_mut(Dir::Up);
-        match tx.queue.enqueue(pkt) {
-            crate::queue::EnqueueOutcome::Dropped => {
-                self.metrics.queue_drops += 1;
-            }
-            crate::queue::EnqueueOutcome::Enqueued { marked } => {
-                if marked {
-                    self.metrics.ecn_marks += 1;
-                }
-                self.try_start_tx(link, Dir::Up);
-            }
-        }
+        self.enqueue(self.topo.host_link(host), Dir::Up, pkt);
     }
 }
 
