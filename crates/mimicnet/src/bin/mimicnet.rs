@@ -256,14 +256,32 @@ fn load_model(opts: &HashMap<String, String>) -> TrainedMimic {
         eprintln!("--model is required");
         usage();
     });
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    read_or_exit(path, "cannot parse ", TrainedMimic::from_json)
+}
+
+/// Read `path` and parse it, or exit 1 with `cannot read PATH: …` or
+/// `{parse_prefix}PATH: …`.
+fn read_or_exit<T, E: std::fmt::Display>(
+    path: &str,
+    parse_prefix: &str,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> T {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
     });
-    TrainedMimic::from_json(&json).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
+    parse(&text).unwrap_or_else(|e| {
+        eprintln!("{parse_prefix}{path}: {e}");
         exit(1);
     })
+}
+
+/// Write `bytes` to `path` atomically, or exit 1 with `cannot write PATH: …`.
+fn write_or_exit(path: &str, bytes: &[u8]) {
+    atomic_write(path.as_ref(), bytes).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1);
+    });
 }
 
 fn clusters_from(opts: &HashMap<String, String>) -> u32 {
@@ -361,14 +379,7 @@ fn adaptive_from(
 /// Load the optional Flow-tier correction head.
 fn correction_from(opts: &HashMap<String, String>) -> Option<CorrectionHead> {
     let path = opts.get("correction")?;
-    let json = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    Some(serde_json::from_str(&json).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        exit(1);
-    }))
+    Some(read_or_exit(path, "cannot parse ", serde_json::from_str))
 }
 
 /// Whether any observability output was requested.
@@ -382,17 +393,11 @@ fn export_obs(pipe: &mut Pipeline, opts: &HashMap<String, String>) {
         return;
     };
     if let Some(path) = opts.get("trace-out") {
-        atomic_write(path.as_ref(), report.to_chrome_trace().as_bytes()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        write_or_exit(path, report.to_chrome_trace().as_bytes());
         eprintln!("wrote Chrome trace to {path} (open in Perfetto or chrome://tracing)");
     }
     if let Some(path) = opts.get("obs-out") {
-        atomic_write(path.as_ref(), report.to_json_string().as_bytes()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        write_or_exit(path, report.to_json_string().as_bytes());
         eprintln!("wrote telemetry snapshot to {path}");
     }
     if opts.contains_key("report") {
@@ -421,20 +426,14 @@ fn cmd_train(opts: HashMap<String, String>) {
         eprintln!("error: {e}");
         exit(1);
     });
-    atomic_write(out.as_ref(), trained.to_json().as_bytes()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    write_or_exit(&out, trained.to_json().as_bytes());
     if let Some(path) = opts.get("correction-out") {
         let mut dg_sim = pipe.cfg.base;
         dg_sim.duration_s *= pipe.cfg.datagen_duration_factor.max(1.0);
         match mimicnet::tier::fit_correction_head(&dg_sim, &data.metrics) {
             Some(head) => {
                 let json = serde_json::to_string_pretty(&head).expect("serializable head");
-                atomic_write(path.as_ref(), json.as_bytes()).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    exit(1);
-                });
+                write_or_exit(path, json.as_bytes());
                 eprintln!("wrote Flow-tier correction head to {path}");
             }
             None => eprintln!("boundary trace too thin to fit a correction head; skipped {path}"),
@@ -596,14 +595,7 @@ fn cmd_diverge(opts: HashMap<String, String>) {
             eprintln!("--{key} OBS.json is required (the run's --obs-out snapshot)");
             usage();
         });
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            exit(1);
-        });
-        ObsRun::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            exit(1);
-        })
+        read_or_exit(&path, "", ObsRun::from_json)
     };
     let (a, b) = (run("a"), run("b"));
     match diverge::localize(&a, &b) {
@@ -619,10 +611,7 @@ fn cmd_diverge(opts: HashMap<String, String>) {
             if let Some(out) = opts.get("out") {
                 let json = serde_json::to_string_pretty(&diverge::report_json(&report))
                     .expect("serializable report");
-                atomic_write(out.as_ref(), json.as_bytes()).unwrap_or_else(|e| {
-                    eprintln!("cannot write {out}: {e}");
-                    exit(1);
-                });
+                write_or_exit(out, json.as_bytes());
                 eprintln!("wrote diff report to {out}");
             }
             exit(3);
