@@ -29,8 +29,8 @@ fn bench_simulation(c: &mut Criterion) {
 }
 
 fn bench_queue_ops(c: &mut Criterion) {
-    use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::config::QueueSetup;
+    use dcn_sim::packet::{FlowId, Packet};
     use dcn_sim::queue::PortQueue;
     use dcn_sim::time::SimTime;
     use dcn_sim::topology::NodeId;

@@ -97,7 +97,6 @@ impl SplitMix64 {
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()
     }
-
 }
 
 /// An empirical distribution specified by CDF breakpoints, sampled by

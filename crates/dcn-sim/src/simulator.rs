@@ -927,7 +927,13 @@ impl Simulation {
 
     /// Record a §5.1 juncture crossing of the traced cluster through
     /// `core`.
-    fn record_juncture(&mut self, pkt: &Packet, dir: BoundaryDir, phase: BoundaryPhase, core: NodeId) {
+    fn record_juncture(
+        &mut self,
+        pkt: &Packet,
+        dir: BoundaryDir,
+        phase: BoundaryPhase,
+        core: NodeId,
+    ) {
         self.metrics
             .boundary
             .push(BoundaryRecord::from_packet(pkt, self.now, dir, phase, core));

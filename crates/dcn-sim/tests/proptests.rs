@@ -260,7 +260,10 @@ fn duplex_directions_independent() {
             bandwidth_bps: 1_000_000,
             latency: SimDuration::from_micros(10),
         },
-        QueueSetup { capacity_bytes: 10_000, ..QueueSetup::default() },
+        QueueSetup {
+            capacity_bytes: 10_000,
+            ..QueueSetup::default()
+        },
     );
     let p = Packet::data(
         1,

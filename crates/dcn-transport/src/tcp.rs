@@ -39,15 +39,21 @@ impl TcpFactory {
     }
 
     pub fn dctcp() -> TcpFactory {
-        TcpFactory { kind: CcKind::Dctcp }
+        TcpFactory {
+            kind: CcKind::Dctcp,
+        }
     }
 
     pub fn vegas() -> TcpFactory {
-        TcpFactory { kind: CcKind::Vegas }
+        TcpFactory {
+            kind: CcKind::Vegas,
+        }
     }
 
     pub fn westwood() -> TcpFactory {
-        TcpFactory { kind: CcKind::Westwood }
+        TcpFactory {
+            kind: CcKind::Westwood,
+        }
     }
 
     fn make_cc(&self) -> Box<dyn CongControl> {
