@@ -17,7 +17,7 @@ use crate::cc::{reno_ack, reno_halve, reno_timeout, AckCtx, CongControl, Windows
 use dcn_sim::time::SimTime;
 
 /// EWMA gain `g` of every DCTCP sender (the paper's value).
-pub const G: f64 = 1.0 / 16.0;
+pub(crate) const G: f64 = 1.0 / 16.0;
 
 /// DCTCP sender state.
 pub struct DctcpCc {
